@@ -9,17 +9,15 @@
 //	GET /v1/healthz                           liveness
 //	POST /v1/ingest                           live observations (with -ingest)
 //
-// With -ingest, the server runs the live trajectory ingestion pipeline:
-// POST /v1/ingest enqueues observation batches (202 acknowledged, 429
-// under backpressure), acknowledged batches are write-ahead logged, and
-// the object-reading routes answer from the live store.
-//
 // Read routes answer from immutable epoch snapshots behind a result
 // cache keyed on (route, canonical query, epoch): responses carry a
 // strong ETag and X-MO-Epoch, If-None-Match revalidates to 304, and
 // -cache-bytes / -cache-shards size the cache (negative bytes disable
-// it). Legacy unversioned routes remain as deprecated aliases carrying
-// Deprecation and Sunset headers. The process shuts down gracefully on
+// it). Without -ingest the flights are frozen into epoch 0; with it the
+// server runs the live trajectory ingestion pipeline: POST /v1/ingest
+// enqueues observation batches (202 acknowledged, 429 under
+// backpressure), acknowledged batches are write-ahead logged, and every
+// flush publishes the next epoch. The process shuts down gracefully on
 // SIGINT/SIGTERM.
 //
 // Example:
@@ -117,8 +115,6 @@ func main() {
 	metrics := obs.New(0)
 	cfg := server.Config{
 		Catalog:            db.Catalog{"planes": planes, "storms": stormRel},
-		ObjectIDs:          ids,
-		Objects:            objects,
 		QueryTimeout:       *queryTimeout,
 		MaxTimeout:         *maxTimeout,
 		MaxQueryLen:        *maxQueryLen,
@@ -160,8 +156,13 @@ func main() {
 		cfg.Ingest = pipe
 		cfg.Live = reg
 		cfg.SSEHeartbeat = *sseHeartbeat
-	} else if *failpoints != "" {
-		logger.Fatal("-failpoints requires -ingest")
+	} else {
+		if *failpoints != "" {
+			logger.Fatal("-failpoints requires -ingest")
+		}
+		// The flights have one owner: the pipeline's seeds above, or the
+		// read-only server's frozen epoch 0 here.
+		cfg.ObjectIDs, cfg.Objects = ids, objects
 	}
 	s, err := server.New(cfg)
 	if err != nil {

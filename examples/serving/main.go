@@ -96,8 +96,6 @@ func main() {
 	// deadlines, limits and logging in one place.
 	s, err := server.New(server.Config{
 		Catalog:            db.Catalog{"planes": planes, "storms": storms},
-		ObjectIDs:          ids,
-		Objects:            objects,
 		Ingest:             pipe,
 		Metrics:            metrics,
 		QueryTimeout:       2 * time.Second,

@@ -3,11 +3,12 @@
 // failpoints — error-once, error-N-times, partial (torn) write, and
 // latency — that a wrapping Store injects into page-store I/O without
 // touching production hot paths: the write path talks to an interface,
-// and only test or -tags=faultinject builds ever interpose this
-// package.
+// and only test or -tags=faultinject builds ever interpose the Store.
+// Sites inside the serving code call Hit, which the same tag compiles
+// in (hooks_enabled.go) or down to an inlined no-op (hooks_disabled.go).
 //
-// Failpoints are addressed by site name ("wal.put", "wal.get",
-// "wal.compact"). Each site carries a Spec: a mode, an optional trip
+// Failpoints are addressed by site name ("wal.put", "epoch.publish",
+// ...; see sites.go). Each site carries a Spec: a mode, an optional trip
 // budget (error-once is Times: 1), an optional per-hit probability
 // drawn from the injector's seeded RNG (so a 1% fault schedule replays
 // identically for a given seed), and mode parameters. Everything an

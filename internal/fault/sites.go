@@ -19,8 +19,8 @@ type SiteInfo struct {
 
 // catalog is the static registry of every failpoint site compiled into
 // the stack. Keep it in sync with the hook call sites: wal.* hooks
-// live in fault.Store (wrapping the WAL's PageStore), the rest in
-// build-tag-gated failpoint hooks inside their packages.
+// live in fault.Store (wrapping the WAL's PageStore), the rest call
+// Hit from their packages.
 var catalog = []SiteInfo{
 	{Name: "wal.put", Layer: "wal", Desc: "WAL page append (error fails it, torn lands a prefix, latency delays it)"},
 	{Name: "wal.get", Layer: "wal", Desc: "WAL page read during recovery or checkpointing"},

@@ -103,7 +103,9 @@ func (d *Dynamic) Snapshot() Snapshot {
 // Search appends to out the IDs of all entries — base and captured
 // delta — whose cubes intersect q, and returns the number of nodes
 // visited plus delta entries scanned. Lock-free: the snapshot's data is
-// immutable. Duplicate IDs may appear exactly as in Dynamic.Search.
+// immutable. Duplicate IDs may appear when a unit was indexed in pieces
+// (an append merged into its predecessor adds a second entry for the
+// extension); callers dedupe during refinement.
 // Like RTree.Search, the appended region comes back sorted ascending.
 func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 	start := len(out)
@@ -129,24 +131,9 @@ func (s Snapshot) Len() int {
 	return n
 }
 
-// Search appends to out the IDs of all entries — base and delta — whose
-// cubes intersect q, and returns the number of nodes visited plus delta
-// entries scanned. Duplicate IDs may appear when a unit was indexed in
-// pieces (an append merged into its predecessor adds a second entry for
-// the extension); callers dedupe during refinement. Like RTree.Search,
-// the appended region comes back sorted ascending.
+// Search answers q against a snapshot taken now; see Snapshot.Search.
 func (d *Dynamic) Search(q geom.Cube, out []int64) ([]int64, int) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	start := len(out)
-	out, visited := d.base.Search(q, out)
-	for _, e := range d.delta {
-		if e.Cube.Intersects(q) {
-			out = append(out, e.ID)
-		}
-	}
-	slices.Sort(out[start:])
-	return out, visited + len(d.delta)
+	return d.Snapshot().Search(q, out)
 }
 
 // Len returns the total number of entries (base + delta).

@@ -141,7 +141,7 @@ func BenchmarkWindowDeltaFraction(b *testing.B) {
 			iv := temporal.Closed(0, 50)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = p.store.Window(rects[i%len(rects)], iv)
+				_ = p.Epoch().Window(rects[i%len(rects)], iv)
 			}
 		})
 	}

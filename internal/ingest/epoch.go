@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"errors"
+
 	"movingdb/internal/geom"
 	"movingdb/internal/index"
 	"movingdb/internal/mapping"
@@ -87,6 +89,24 @@ func (v *objView) unitAt(t temporal.Instant) (units.UPoint, bool) {
 	return units.UPoint{}, false
 }
 
+// Frozen seals a fixed set of objects (parallel slices) into an epoch
+// that no pipeline will ever advance — what a read-only server pins for
+// its whole life. It is a store's opening publish, stamped seq 0: the
+// sequences a pipeline publishes start at 1, so 0 names "the data never
+// changed" in X-MO-Epoch, cache keys and ETags.
+func Frozen(ids []string, objects []moving.MPoint) (*Epoch, error) {
+	if len(ids) != len(objects) {
+		return nil, errors.New("ingest: ids and objects length mismatch")
+	}
+	st, err := newStore(ids, objects, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	ep := *st.CurrentEpoch()
+	ep.seq = 0
+	return &ep, nil
+}
+
 // Seq returns the epoch's sequence number — the value served in the
 // X-MO-Epoch header and embedded in cache keys and ETags.
 func (e *Epoch) Seq() uint64 { return e.seq }
@@ -99,12 +119,11 @@ func (e *Epoch) Objects() int { return len(e.objs) }
 func (e *Epoch) IndexEntries() int { return e.idx.Len() }
 
 // Window reports the ids of objects inside rect at some instant of iv,
-// in ascending registration order — the same answer Store.Window gives
-// for the epoch's state, computed without taking any lock: candidates
-// come from the pinned index snapshot and refinement runs against the
-// sealed unit views. Dedup and ordering use a dense bitset over object
-// slots (slot index IS registration order), so the hot read path does
-// one bounded allocation and no sort.
+// in ascending registration order, computed without taking any lock:
+// candidates come from the pinned index snapshot and refinement runs
+// against the sealed unit views. Dedup and ordering use a dense bitset
+// over object slots (slot index IS registration order), so the hot read
+// path does one bounded allocation and no sort.
 //
 // moguard: hotpath
 func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
@@ -124,9 +143,9 @@ func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 			// cannot contribute to this epoch's answer.
 			continue
 		}
-		// Refining against the sealed unit is safe for the same reason as
-		// the live path: units only grow, so the unit at capture contains
-		// every extent its earlier index entries covered.
+		// Refining against the sealed unit is safe: units only grow, so
+		// the unit at capture contains every extent its earlier index
+		// entries covered.
 		if index.UPointInWindow(v.unit(ui), rect, iv) {
 			seen[oi] = true
 			hits++
@@ -156,8 +175,9 @@ func (e *Epoch) AtInstant(t temporal.Instant) []Position {
 	return out
 }
 
-// Summaries lists the tracked objects in registration order, exactly as
-// Store.Summaries does for the epoch's state.
+// Summaries lists the tracked objects in registration order. An object
+// that has a single observation and no unit yet reports zero units with
+// From == To == its observation time.
 //
 // moguard: hotpath
 func (e *Epoch) Summaries() []ObjectSummary {
@@ -190,4 +210,3 @@ func (e *Epoch) Snapshot(id string) (moving.MPoint, bool) {
 	}
 	return moving.MPoint{M: mapping.FromOrdered(us)}, true
 }
-

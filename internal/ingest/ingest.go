@@ -21,9 +21,8 @@
 //     and folded into a rebuilt tree when the buffer exceeds a
 //     threshold, LSM-style, so window queries stay correct mid-ingest.
 //
-// Lock order across the pipeline is batcher → store → index; readers
-// take the store or index lock only, never nested, so queries never
-// deadlock against writes.
+// Lock order across the pipeline is batcher → store → index. Queries
+// take none of them: they read the published Epoch (epoch.go).
 package ingest
 
 import (
@@ -34,6 +33,7 @@ import (
 	"sync"
 	"time"
 
+	"movingdb/internal/fault"
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
@@ -172,9 +172,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Pipeline is the assembled write path. Queries go straight to the
-// object store and its dynamic index; writes flow gate → WAL → batcher
-// → appender → delta index.
+// Pipeline is the assembled write path: writes flow gate → WAL →
+// batcher → appender → delta index → epoch publish; queries pin Epoch().
 type Pipeline struct {
 	store     *Store
 	wal       *wal
@@ -271,7 +270,7 @@ func (p *Pipeline) applyFlush(batch []Observation) {
 // rectangles in the same call, still on the flush path — it must only
 // enqueue.
 func (p *Pipeline) publishEpoch() {
-	if err := failpointHit("epoch.publish"); err != nil {
+	if err := fault.Hit("epoch.publish"); err != nil {
 		// Injected publish failure. The flushed state stays applied and the
 		// store keeps accumulating the dirty set, so this defers publication
 		// rather than losing it: the next successful flush publishes one

@@ -374,7 +374,7 @@ func TestWindowMatchesScan(t *testing.T) {
 		x, y := float64(i*30), float64((i*17)%900)
 		rect := geom.Rect{MinX: x, MinY: y, MaxX: x + 120, MaxY: y + 120}
 		iv := temporal.Closed(temporal.Instant(i%30), temporal.Instant(i%30+10))
-		got := p.store.Window(rect, iv)
+		got := p.Epoch().Window(rect, iv)
 		var want []string
 		for _, sum := range p.Summaries() {
 			mp, _ := p.Snapshot(sum.ID)

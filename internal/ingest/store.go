@@ -8,7 +8,6 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/index"
-	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
 	"movingdb/internal/temporal"
@@ -352,87 +351,3 @@ func (s *Store) IndexStats() (base, delta, merges int) {
 // regardless of the threshold — benchmarks use it to pin the
 // base/delta split.
 func (s *Store) ForceMergeIndex() { s.idx.ForceMerge() }
-
-// AtInstant returns the position of every object defined at t, in
-// registration order.
-func (s *Store) AtInstant(t temporal.Instant) []Position {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := []Position{}
-	for _, o := range s.objs {
-		m := mapping.FromOrdered(o.units)
-		if u, ok := m.UnitAt(t); ok {
-			p := u.Eval(t)
-			out = append(out, Position{ID: o.id, X: p.X, Y: p.Y})
-		}
-	}
-	return out
-}
-
-// Window reports the ids of objects inside rect at some instant of iv:
-// the dynamic index yields (object, unit) candidates from the base tree
-// and the delta buffer, and the exact per-unit refinement runs against
-// the current unit data.
-func (s *Store) Window(rect geom.Rect, iv temporal.Interval) []string {
-	q := geom.Cube{Rect: rect, MinT: float64(iv.Start), MaxT: float64(iv.End)}
-	ids, _ := s.idx.Search(q, nil)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[int]bool)
-	var hits []int
-	for _, id := range ids {
-		oi, ui := int(id>>32), int(id&0xffffffff)
-		if seen[oi] || oi >= len(s.objs) {
-			continue
-		}
-		o := s.objs[oi]
-		if ui >= len(o.units) {
-			continue
-		}
-		// Refining against the current unit is safe: units only grow,
-		// and a grown unit contains every extent its entries covered.
-		if index.UPointInWindow(o.units[ui], rect, iv) {
-			seen[oi] = true
-			hits = append(hits, oi)
-		}
-	}
-	slices.Sort(hits)
-	out := make([]string, 0, len(hits))
-	for _, oi := range hits {
-		out = append(out, s.objs[oi].id)
-	}
-	return out
-}
-
-// Summaries lists the tracked objects in registration order. An object
-// that has a single observation and no unit yet reports zero units with
-// From == To == its observation time.
-func (s *Store) Summaries() []ObjectSummary {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]ObjectSummary, 0, len(s.objs))
-	for _, o := range s.objs {
-		sum := ObjectSummary{ID: o.id, Units: len(o.units)}
-		if len(o.units) > 0 {
-			sum.From = float64(o.units[0].Iv.Start)
-			sum.To = float64(o.units[len(o.units)-1].Iv.End)
-		} else if o.seen {
-			sum.From, sum.To = float64(o.last.T), float64(o.last.T)
-		}
-		out = append(out, sum)
-	}
-	return out
-}
-
-// Snapshot returns a copy of one object's mapping, detached from the
-// live buffers.
-func (s *Store) Snapshot(id string) (moving.MPoint, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	oi, ok := s.ids[id]
-	if !ok {
-		return moving.MPoint{}, false
-	}
-	us := append([]units.UPoint(nil), s.objs[oi].units...)
-	return moving.MPoint{M: mapping.FromOrdered(us)}, true
-}

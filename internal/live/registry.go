@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"movingdb/internal/fault"
 	"movingdb/internal/geom"
 	"movingdb/internal/index"
 	"movingdb/internal/ingest"
@@ -264,7 +265,7 @@ func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
 	r.queue = append(r.queue, notice{ep: ep, dirty: dirty, pubNS: pubNS})
 	r.mu.Unlock()
 	r.cfg.Metrics.RecordLiveNotify(coalesced)
-	if err := failpointHit("live.notify"); err != nil {
+	if err := fault.Hit("live.notify"); err != nil {
 		// Injected wake-up loss. The notice is already queued, so nothing
 		// is dropped — delivery is deferred until the next publish wakes
 		// the notifier (which drains the queue in order).

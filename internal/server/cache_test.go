@@ -99,8 +99,8 @@ func TestCanonicalizationSharesCacheEntries(t *testing.T) {
 	base := getRec(t, h, "/v1/window?x1=0&y1=0&x2=100&y2=100&t1=0&t2=100", nil)
 	et := base.Header().Get("ETag")
 	for _, variant := range []string{
-		"/v1/window?x2=0&y2=0&x1=100&y1=100&t1=0&t2=100",         // mirrored corners
-		"/v1/window?x1=0.0&y1=0&x2=1e2&y2=100.0&t1=0&t2=100",     // float spellings
+		"/v1/window?x2=0&y2=0&x1=100&y1=100&t1=0&t2=100",          // mirrored corners
+		"/v1/window?x1=0.0&y1=0&x2=1e2&y2=100.0&t1=0&t2=100",      // float spellings
 		"/v1/window?x1=0&y1=0&x2=100&y2=100&t1=0&t2=100&offset=0", // explicit default
 	} {
 		rec := getRec(t, h, variant, nil)
@@ -290,8 +290,8 @@ func TestConcurrentIngestAndCachedReads(t *testing.T) {
 // TestCacheDisabled: CacheBytes < 0 turns storage off; every read is a
 // miss but correctness (and ETags) are unchanged.
 func TestCacheDisabled(t *testing.T) {
-	g := testServer(t)
-	s, err := New(Config{ObjectIDs: g.ObjectIDs, Objects: g.Objects, CacheBytes: -1})
+	_, ids, objects := testObjects()
+	s, err := New(Config{ObjectIDs: ids, Objects: objects, CacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

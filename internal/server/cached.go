@@ -9,32 +9,15 @@ import (
 	"strings"
 
 	"movingdb/internal/cache"
-	"movingdb/internal/ingest"
 )
 
 // The epoch-pinned read path. Every read handler decodes its request,
-// pins the current ingestion epoch ONCE, and serves through here: the
-// pinned epoch is both the cache-key component and the snapshot the
-// compute closure evaluates against, so a response can never mix data
-// from two epochs, and a cached body is byte-identical to what a fresh
-// evaluation of the same (query, epoch) would produce. That identity is
-// what licenses the strong ETag.
-
-// pinEpoch returns the current ingestion epoch, nil on a read-only
-// server (whose data never changes — it behaves as a permanent epoch 0).
-func (s *Server) pinEpoch() *ingest.Epoch {
-	if s.ingest == nil {
-		return nil
-	}
-	return s.ingest.Epoch()
-}
-
-func epochSeq(ep *ingest.Epoch) uint64 {
-	if ep == nil {
-		return 0
-	}
-	return ep.Seq()
-}
+// pins the current epoch ONCE (Server.pinEpoch), and serves through
+// here: the pinned epoch is both the cache-key component and the
+// snapshot the compute closure evaluates against, so a response can
+// never mix data from two epochs, and a cached body is byte-identical to
+// what a fresh evaluation of the same (query, epoch) would produce. That
+// identity is what licenses the strong ETag.
 
 // etagFor derives the strong entity tag of a cache key:
 // "<hash of route+query>-<epoch>". The epoch rides in clear so a tag
@@ -63,23 +46,19 @@ func etagMatches(header, etag string) bool {
 
 // serveCached answers a read request from the result cache, computing
 // and storing on miss (misses for the same key coalesce — one
-// evaluation feeds every concurrent duplicate). With conditional set,
-// the response carries the strong ETag and an If-None-Match revalidation
-// is answered 304 without touching the cache or the data. Every
-// response names its epoch in X-MO-Epoch and its cache outcome in
-// X-MO-Cache.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, route, query string, epoch uint64, conditional bool, compute func() (any, error)) {
+// evaluation feeds every concurrent duplicate). The response carries
+// the strong ETag, and an If-None-Match revalidation is answered 304
+// without touching the cache or the data. Every response names its
+// epoch in X-MO-Epoch and its cache outcome in X-MO-Cache.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, route, query string, epoch uint64, compute func() (any, error)) {
 	k := cache.Key{Route: route, Query: query, Epoch: epoch}
 	seqHdr := strconv.FormatUint(epoch, 10)
-	var et string
-	if conditional {
-		et = etagFor(k)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, et) {
-			w.Header().Set("ETag", et)
-			w.Header().Set("X-MO-Epoch", seqHdr)
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
+	et := etagFor(k)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, et) {
+		w.Header().Set("ETag", et)
+		w.Header().Set("X-MO-Epoch", seqHdr)
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	body, hit, err := s.loader.Do(k, func() ([]byte, error) {
 		v, cerr := compute()
@@ -96,9 +75,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, route, quer
 		writeEvalError(w, err)
 		return
 	}
-	if conditional {
-		w.Header().Set("ETag", et)
-	}
+	w.Header().Set("ETag", et)
 	w.Header().Set("X-MO-Epoch", seqHdr)
 	outcome := "miss"
 	if hit {

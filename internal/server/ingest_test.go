@@ -150,27 +150,6 @@ func TestIngestDisabled(t *testing.T) {
 	}
 }
 
-// TestDeprecatedAliasesStillServe pins the satellite fix: every GET
-// route keeps its explicit unversioned alias with the deprecation
-// headers.
-func TestDeprecatedAliasesStillServe(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	for _, alias := range []string{"/atinstant?t=50", "/objects", "/metrics", "/healthz", "/window?x1=0&y1=0&x2=1000&y2=1000&t1=0&t2=100"} {
-		req := httptest.NewRequest("GET", alias, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			t.Fatalf("alias %s: %d %s", alias, rec.Code, rec.Body.String())
-		}
-		if !strings.HasPrefix(rec.Header().Get("Deprecation"), "@") ||
-			rec.Header().Get("Sunset") == "" ||
-			!strings.Contains(rec.Header().Get("Link"), "/v1/") {
-			t.Fatalf("alias %s: missing deprecation headers", alias)
-		}
-	}
-}
-
 // TestIngestCrashRecoveryHTTP is the acceptance crash scenario at the
 // API level: observations are POSTed and acknowledged with 202 but
 // never flushed; the process "dies"; a server restarted from the WAL

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"movingdb/internal/fault"
 	"movingdb/internal/geom"
 	"movingdb/internal/live"
 	"movingdb/internal/temporal"
@@ -19,35 +20,34 @@ import (
 // queries over the pinned epoch's current trajectories, and the
 // /v1/subscribe family manages standing queries whose edge-triggered
 // enter/leave events stream to clients over SSE, pushed from the
-// ingest pipeline's epoch publish hook. Both halves are live-only —
-// without an ingestion pipeline (and, for subscriptions, a registry)
-// they answer 503 unavailable.
+// ingest pipeline's epoch publish hook. Nearby works on any server (a
+// read-only one answers over its frozen epoch 0); the subscription
+// routes answer 503 unavailable without a registry.
 
 // nearbyReq is a decoded /v1/nearby request. K == 0 means no count
 // bound (a pure radius query); Radius < 0 means no distance bound.
 // At least one bound is required at decode time.
 type nearbyReq struct {
-	X, Y    float64
-	T       float64
-	K       int
-	Radius  float64
-	Timeout time.Duration
+	X, Y   float64
+	T      float64
+	K      int
+	Radius float64
 }
 
 func (s *Server) decodeNearby(r *http.Request) (nearbyReq, error) {
 	p := newParams(r)
 	req := nearbyReq{
-		X:       p.float("x"),
-		Y:       p.float("y"),
-		T:       p.float("t"),
-		K:       p.intMin("k", 0, 1),
-		Radius:  -1,
-		Timeout: p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout),
+		X:      p.float("x"),
+		Y:      p.float("y"),
+		T:      p.float("t"),
+		K:      p.intMin("k", 0, 1),
+		Radius: -1,
 	}
+	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if raw := p.vals.Get("radius"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || !(v > 0) {
-			p.fail(CodeBadRequest, "bad radius %q: want a positive number", raw)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			p.fail(CodeBadRequest, "bad radius %q: want a positive finite number", raw)
 		} else {
 			req.Radius = v
 		}
@@ -86,18 +86,13 @@ func (q nearbyReq) canonical() string {
 // distance, nearest first; responses are cached under (canonical
 // query, epoch) and carry the strong ETag.
 func (s *Server) handleNearby(w http.ResponseWriter, r *http.Request) {
-	if s.ingest == nil {
-		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,
-			"nearby queries need a live ingestion pipeline; restart the server with ingestion enabled")
-		return
-	}
 	req, derr := s.decodeNearby(r)
 	if derr != nil {
 		writeDecodeError(w, derr)
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/nearby", req.canonical(), epochSeq(ep), true, func() (any, error) {
+	s.serveCached(w, r, "/v1/nearby", req.canonical(), ep.Seq(), func() (any, error) {
 		results := ep.Nearest(req.X, req.Y, temporal.Instant(req.T), req.K, req.Radius)
 		return map[string]any{
 			"t": req.T, "k": req.K, "radius": req.Radius,
@@ -368,7 +363,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		events, lagged := sub.Take()
 		if lagged || len(events) > 0 {
-			if err := failpointHit("sse.write"); err != nil {
+			if err := fault.Hit("sse.write"); err != nil {
 				// Injected broken pipe: abort the handler mid-stream without
 				// a bye frame, exactly as if the peer vanished. The events
 				// just taken are gone for this connection — a reconnecting

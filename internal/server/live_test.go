@@ -111,7 +111,7 @@ func TestNearbyHTTP(t *testing.T) {
 }
 
 // TestNearbyBadRequests covers the 400 surface: missing bounds, bad
-// radius, bad numbers; plus 503 when ingestion is off.
+// radius, bad numbers.
 func TestNearbyBadRequests(t *testing.T) {
 	s, _, _ := liveQueryServer(t, time.Minute)
 	h := s.Handler()
@@ -129,11 +129,6 @@ func TestNearbyBadRequests(t *testing.T) {
 		if c, _ := envelope(t, body); c != CodeBadRequest {
 			t.Fatalf("%s: error code %s", q, c)
 		}
-	}
-	ro := testServer(t)
-	code, body := get(t, ro.Handler(), "/v1/nearby?x=0&y=0&t=5&k=3")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("read-only nearby: %d %v", code, body)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 )
 
@@ -61,30 +60,5 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
 			s.metrics.RecordRequest(route, sw.status, time.Since(start))
 		}()
 		next(sw, r)
-	})
-}
-
-// The unversioned aliases' lifecycle dates: deprecated when the v1
-// surface shipped, removed at the sunset. Clients migrate by prefixing
-// /v1 — payloads are identical.
-var (
-	aliasDeprecatedAt = time.Date(2026, time.February, 1, 0, 0, 0, 0, time.UTC)
-	aliasSunsetAt     = time.Date(2027, time.February, 1, 0, 0, 0, 0, time.UTC)
-)
-
-// deprecated marks a legacy unversioned alias: Deprecation (RFC 9745,
-// "@<unix-time>" of when the alias was deprecated) and Sunset
-// (RFC 8594, when it will stop being served) name the lifecycle, Link
-// advertises the successor route, and the request is otherwise served
-// identically (and counted under the successor's route label).
-func deprecated(successor string, next http.Handler) http.Handler {
-	deprecation := "@" + strconv.FormatInt(aliasDeprecatedAt.Unix(), 10)
-	sunset := aliasSunsetAt.Format(http.TimeFormat)
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", deprecation)
-		w.Header().Set("Sunset", sunset)
-		w.Header().Set("Link", link)
-		next.ServeHTTP(w, r)
 	})
 }

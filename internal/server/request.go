@@ -52,7 +52,8 @@ func (p *params) fail(code, format string, args ...any) {
 	}
 }
 
-// float reads a required float parameter.
+// float reads a required finite float parameter. ParseFloat accepts
+// "NaN" and "Inf", which no read route can evaluate or render as JSON.
 func (p *params) float(name string) float64 {
 	raw := p.vals.Get(name)
 	if raw == "" {
@@ -62,6 +63,10 @@ func (p *params) float(name string) float64 {
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		p.fail(CodeBadRequest, "bad %s: %v", name, err)
+		return 0
+	}
+	if isNonFinite(v) {
+		p.fail(CodeBadRequest, "bad %s %q: want a finite number", name, raw)
 		return 0
 	}
 	return v
@@ -86,7 +91,9 @@ func (p *params) intMin(name string, def, min int) int {
 	return v
 }
 
-// timeout reads ?timeout_ms= against the server's default and cap.
+// timeout reads ?timeout_ms= against the server's default and cap. Only
+// /v1/query evaluates under the result; the epoch routes call it so a
+// malformed value is a 400 on every read route alike.
 func (p *params) timeout(def, max time.Duration) time.Duration {
 	raw := p.vals.Get("timeout_ms")
 	if raw == "" {
@@ -132,10 +139,9 @@ func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // normalised (min/max per axis) at decode time, so mirrored corner
 // orderings canonicalise — and cache — identically.
 type windowReq struct {
-	Rect    geom.Rect
-	T1, T2  float64
-	Page    pageReq
-	Timeout time.Duration
+	Rect   geom.Rect
+	T1, T2 float64
+	Page   pageReq
 }
 
 func (s *Server) decodeWindow(r *http.Request) (windowReq, error) {
@@ -149,9 +155,9 @@ func (s *Server) decodeWindow(r *http.Request) (windowReq, error) {
 			MaxX: max(x1, x2), MaxY: max(y1, y2),
 		},
 		T1: t1, T2: t2,
-		Page:    s.decodePageInto(p),
-		Timeout: p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout),
+		Page: s.decodePageInto(p),
 	}
+	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if p.err == nil && t2 < t1 {
 		p.fail(CodeBadRequest, "t2 before t1")
 	}
@@ -184,16 +190,13 @@ func (q windowReq) canonical() string {
 
 // atInstantReq is a decoded /v1/atinstant request.
 type atInstantReq struct {
-	T       float64
-	Timeout time.Duration
+	T float64
 }
 
 func (s *Server) decodeAtInstant(r *http.Request) (atInstantReq, error) {
 	p := newParams(r)
-	req := atInstantReq{
-		T:       p.float("t"),
-		Timeout: p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout),
-	}
+	req := atInstantReq{T: p.float("t")}
+	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if p.err != nil {
 		return atInstantReq{}, p.err
 	}

@@ -3,18 +3,18 @@
 // SQL queries against the catalog, atinstant snapshots of tracked
 // objects, and indexed spatio-temporal window queries.
 //
-// The v1 API surface is versioned under /v1/ (legacy unversioned routes
-// remain as deprecated aliases), every request runs under a deadline
-// that the query evaluator observes, errors share one JSON envelope,
+// The v1 API surface is versioned under /v1/, every query runs under a
+// deadline that the evaluator observes, errors share one JSON envelope,
 // list responses paginate, and an observability registry (internal/obs)
 // counts requests, latencies, per-operator timings and slow queries,
 // served at /v1/metrics.
 //
-// With a live ingestion pipeline configured, POST /v1/ingest accepts
-// observation batches (202 on enqueue, 429 under backpressure) and the
-// object-reading routes (/v1/atinstant, /v1/window, /v1/objects) answer
-// from the live store, so acknowledged writes become queryable; without
-// one, every handler is read-only over the static objects.
+// There is one read path: every read handler pins an ingest.Epoch and
+// answers from it. With a live ingestion pipeline configured that is
+// the pipeline's current epoch, and POST /v1/ingest accepts observation
+// batches (202 on enqueue, 429 under backpressure) whose flushes
+// advance it; without one the server pins a frozen epoch 0 over
+// Config.Objects for its whole life.
 package server
 
 import (
@@ -29,7 +29,6 @@ import (
 
 	"movingdb/internal/cache"
 	"movingdb/internal/db"
-	"movingdb/internal/index"
 	"movingdb/internal/ingest"
 	"movingdb/internal/live"
 	"movingdb/internal/moving"
@@ -43,14 +42,15 @@ type Config struct {
 	// Catalog names the relations /v1/query may reference. A nil
 	// catalog serves an empty database.
 	Catalog db.Catalog
-	// ObjectIDs and Objects are the tracked objects behind
-	// /v1/atinstant, /v1/window and /v1/objects (parallel slices; the
-	// objects feed the R-tree window index).
+	// ObjectIDs and Objects are the tracked objects of a read-only
+	// server (parallel slices), frozen into epoch 0 by New. A server with
+	// a pipeline takes its objects from the pipeline's seeds instead;
+	// setting both is an error.
 	ObjectIDs []string
 	Objects   []moving.MPoint
 	// Ingest enables the live write path: POST /v1/ingest feeds the
-	// pipeline and the object-reading routes answer from its store
-	// instead of the static Objects. Nil serves read-only.
+	// pipeline and the read routes pin its current epoch. Nil serves
+	// read-only.
 	Ingest *ingest.Pipeline
 	// MaxIngestBatch bounds the number of observations per POST
 	// /v1/ingest request. Default 10000.
@@ -139,79 +139,80 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves a catalog of relations plus an R-tree index over the
-// tracked moving point objects.
+// Server serves a catalog of relations plus the tracked moving point
+// objects of the pinned epoch.
 type Server struct {
-	// Catalog, ObjectIDs and Objects mirror the Config data fields.
-	Catalog   db.Catalog
-	ObjectIDs []string
-	Objects   []moving.MPoint
+	// Catalog mirrors Config.Catalog.
+	Catalog db.Catalog
 
-	cfg     Config
-	idx     *index.MPointIndex
-	ingest  *ingest.Pipeline
-	live    *live.Registry
-	loader  *cache.Loader
-	logger  *log.Logger
-	metrics *obs.Metrics
+	cfg Config
+	// pinEpoch returns the epoch a read evaluates against: the pipeline's
+	// current one, or the frozen epoch 0 of a read-only server. Never nil.
+	pinEpoch func() *ingest.Epoch
+	ingest   *ingest.Pipeline
+	live     *live.Registry
+	loader   *cache.Loader
+	logger   *log.Logger
+	metrics  *obs.Metrics
 }
 
 // New builds a server from the config.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.ObjectIDs) != len(cfg.Objects) {
-		return nil, errors.New("server: ids and objects length mismatch")
-	}
 	cfg = cfg.withDefaults()
+	var pinEpoch func() *ingest.Epoch
+	if cfg.Ingest != nil {
+		if len(cfg.ObjectIDs) > 0 || len(cfg.Objects) > 0 {
+			return nil, errors.New("server: Config sets both Ingest and Objects; seed the pipeline instead")
+		}
+		pinEpoch = cfg.Ingest.Epoch
+	} else {
+		frozen, err := ingest.Frozen(cfg.ObjectIDs, cfg.Objects)
+		if err != nil {
+			return nil, fmt.Errorf("server: %w", err)
+		}
+		pinEpoch = func() *ingest.Epoch { return frozen }
+	}
 	rc := cfg.Cache
 	if rc == nil && cfg.CacheBytes >= 0 {
 		rc = cache.NewMemory(cfg.CacheBytes, cfg.CacheShards, cfg.Metrics)
 	}
 	return &Server{
-		Catalog:   cfg.Catalog,
-		ObjectIDs: cfg.ObjectIDs,
-		Objects:   cfg.Objects,
-		cfg:       cfg,
-		idx:       index.BuildMPointIndex(cfg.Objects),
-		ingest:    cfg.Ingest,
-		live:      cfg.Live,
-		loader:    cache.NewLoader(rc),
-		logger:    cfg.Logger,
-		metrics:   cfg.Metrics,
+		Catalog:  cfg.Catalog,
+		cfg:      cfg,
+		pinEpoch: pinEpoch,
+		ingest:   cfg.Ingest,
+		live:     cfg.Live,
+		loader:   cache.NewLoader(rc),
+		logger:   cfg.Logger,
+		metrics:  cfg.Metrics,
 	}, nil
 }
 
 // Metrics returns the server's observability registry.
 func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 
-// Handler returns the HTTP mux with the v1 routes, the deprecated
-// unversioned aliases, and an enveloped 404 for everything else. Each
-// alias is named explicitly in the route table — deriving it by slicing
-// the versioned path breaks as soon as a route (like POST /v1/ingest)
-// has no legacy counterpart.
+// Handler returns the HTTP mux with the v1 routes and an enveloped 404
+// for everything else.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range []struct {
-		method, path, alias string
-		h                   http.HandlerFunc
+		method, path string
+		h            http.HandlerFunc
 	}{
-		{"GET", "/v1/query", "/query", s.handleQuery},
-		{"GET", "/v1/atinstant", "/atinstant", s.handleAtInstant},
-		{"GET", "/v1/window", "/window", s.handleWindow},
-		{"GET", "/v1/objects", "/objects", s.handleObjects},
-		{"GET", "/v1/metrics", "/metrics", s.handleMetrics},
-		{"GET", "/v1/healthz", "/healthz", s.handleHealthz},
-		{"POST", "/v1/ingest", "", s.handleIngest},
-		{"GET", "/v1/nearby", "", s.handleNearby},
-		{"POST", "/v1/subscribe", "", s.handleSubscribe},
-		{"GET", "/v1/subscribe/{id}", "", s.handleSubscription},
-		{"DELETE", "/v1/subscribe/{id}", "", s.handleUnsubscribe},
-		{"GET", "/v1/subscribe/{id}/events", "", s.handleEvents},
+		{"GET", "/v1/query", s.handleQuery},
+		{"GET", "/v1/atinstant", s.handleAtInstant},
+		{"GET", "/v1/window", s.handleWindow},
+		{"GET", "/v1/objects", s.handleObjects},
+		{"GET", "/v1/metrics", s.handleMetrics},
+		{"GET", "/v1/healthz", s.handleHealthz},
+		{"POST", "/v1/ingest", s.handleIngest},
+		{"GET", "/v1/nearby", s.handleNearby},
+		{"POST", "/v1/subscribe", s.handleSubscribe},
+		{"GET", "/v1/subscribe/{id}", s.handleSubscription},
+		{"DELETE", "/v1/subscribe/{id}", s.handleUnsubscribe},
+		{"GET", "/v1/subscribe/{id}/events", s.handleEvents},
 	} {
-		h := s.instrument(rt.path, rt.h)
-		mux.Handle(rt.method+" "+rt.path, h)
-		if rt.alias != "" {
-			mux.Handle(rt.method+" "+rt.alias, deprecated(rt.path, h))
-		}
+		mux.Handle(rt.method+" "+rt.path, s.instrument(rt.path, rt.h))
 	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
@@ -253,8 +254,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ep := s.pinEpoch()
 	catalog := s.Catalog
-	s.serveCached(w, r, "/v1/query", req.canonical(), epochSeq(ep), true, func() (any, error) {
-		snap := db.Snapshot{Catalog: catalog, Epoch: epochSeq(ep)}
+	s.serveCached(w, r, "/v1/query", req.canonical(), ep.Seq(), func() (any, error) {
+		snap := db.Snapshot{Catalog: catalog, Epoch: ep.Seq()}
 		ctx, cancel := s.evalContext(r, req.Timeout)
 		defer cancel()
 		start := time.Now()
@@ -318,8 +319,7 @@ func renderValue(v any) any {
 }
 
 // handleAtInstant returns the position of every tracked object defined
-// at ?t=, evaluated against the pinned epoch and cached under it. The
-// static scan observes the request deadline.
+// at ?t=, evaluated against the pinned epoch and cached under it.
 func (s *Server) handleAtInstant(w http.ResponseWriter, r *http.Request) {
 	req, derr := s.decodeAtInstant(r)
 	if derr != nil {
@@ -327,36 +327,16 @@ func (s *Server) handleAtInstant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/atinstant", req.canonical(), epochSeq(ep), true, func() (any, error) {
-		if ep != nil {
-			return map[string]any{"t": req.T, "positions": ep.AtInstant(temporal.Instant(req.T))}, nil
-		}
-		ctx, cancel := s.evalContext(r, req.Timeout)
-		defer cancel()
-		type pos struct {
-			ID string  `json:"id"`
-			X  float64 `json:"x"`
-			Y  float64 `json:"y"`
-		}
-		out := []pos{}
-		for i, p := range s.Objects {
-			if i%256 == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, cerr
-				}
-			}
-			if v := p.AtInstant(temporal.Instant(req.T)); v.Defined() {
-				out = append(out, pos{ID: s.ObjectIDs[i], X: v.P.X, Y: v.P.Y})
-			}
-		}
-		return map[string]any{"t": req.T, "positions": out}, nil
+	s.serveCached(w, r, "/v1/atinstant", req.canonical(), ep.Seq(), func() (any, error) {
+		return map[string]any{"t": req.T, "positions": ep.AtInstant(temporal.Instant(req.T))}, nil
 	})
 }
 
 // handleWindow answers ?x1=&y1=&x2=&y2=&t1=&t2= with the ids of objects
-// inside the window during the interval, via the R-tree with exact
-// refinement. Results paginate with ?limit=&offset=; the envelope
-// carries the total match count.
+// inside the window during the interval: the epoch's immutable index
+// snapshot (base tree + delta prefix) with exact refinement, so it sees
+// every write flushed before the pin. Results paginate with
+// ?limit=&offset=; the envelope carries the total match count.
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	req, derr := s.decodeWindow(r)
 	if derr != nil {
@@ -364,30 +344,10 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/window", req.canonical(), epochSeq(ep), true, func() (any, error) {
-		iv := temporal.Closed(temporal.Instant(req.T1), temporal.Instant(req.T2))
-		var ids []string
-		var total int
-		if ep != nil {
-			// Live path: the epoch's immutable index snapshot (base tree +
-			// delta prefix) sees every write flushed before the pin.
-			all := ep.Window(req.Rect, iv)
-			total = len(all)
-			lo, hi := pageBounds(total, req.Page.Limit, req.Page.Offset)
-			ids = all[lo:hi]
-		} else {
-			hits := s.idx.Window(req.Rect, iv)
-			total = len(hits)
-			lo, hi := pageBounds(total, req.Page.Limit, req.Page.Offset)
-			ids = make([]string, 0, hi-lo)
-			for _, oi := range hits[lo:hi] {
-				ids = append(ids, s.ObjectIDs[oi])
-			}
-		}
-		if ids == nil {
-			ids = []string{}
-		}
-		return map[string]any{"total": total, "limit": req.Page.Limit, "offset": req.Page.Offset, "ids": ids}, nil
+	s.serveCached(w, r, "/v1/window", req.canonical(), ep.Seq(), func() (any, error) {
+		all := ep.Window(req.Rect, temporal.Closed(temporal.Instant(req.T1), temporal.Instant(req.T2)))
+		lo, hi := pageBounds(len(all), req.Page.Limit, req.Page.Offset)
+		return map[string]any{"total": len(all), "limit": req.Page.Limit, "offset": req.Page.Offset, "ids": all[lo:hi]}, nil
 	})
 }
 
@@ -400,35 +360,17 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/objects", req.canonical(), epochSeq(ep), true, func() (any, error) {
-		limit, offset := req.Page.Limit, req.Page.Offset
-		if ep != nil {
-			sums := ep.Summaries()
-			lo, hi := pageBounds(len(sums), limit, offset)
-			return map[string]any{"total": len(sums), "limit": limit, "offset": offset, "objects": sums[lo:hi]}, nil
-		}
-		type obj struct {
-			ID    string  `json:"id"`
-			Units int     `json:"units"`
-			From  float64 `json:"from"`
-			To    float64 `json:"to"`
-		}
-		lo, hi := pageBounds(len(s.Objects), limit, offset)
-		out := make([]obj, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			p := s.Objects[i]
-			loT, _ := p.DefTime().MinInstant()
-			hiT, _ := p.DefTime().MaxInstant()
-			out = append(out, obj{ID: s.ObjectIDs[i], Units: p.M.Len(), From: float64(loT), To: float64(hiT)})
-		}
-		return map[string]any{"total": len(s.Objects), "limit": limit, "offset": offset, "objects": out}, nil
+	s.serveCached(w, r, "/v1/objects", req.canonical(), ep.Seq(), func() (any, error) {
+		sums := ep.Summaries()
+		lo, hi := pageBounds(len(sums), req.Page.Limit, req.Page.Offset)
+		return map[string]any{"total": len(sums), "limit": req.Page.Limit, "offset": req.Page.Offset, "objects": sums[lo:hi]}, nil
 	})
 }
 
 // handleMetrics serves the observability snapshot (expvar-style JSON).
 // Never cached — it is the cache's own scoreboard.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("X-MO-Epoch", strconv.FormatUint(epochSeq(s.pinEpoch()), 10))
+	w.Header().Set("X-MO-Epoch", strconv.FormatUint(s.pinEpoch().Seq(), 10))
 	writeJSON(w, s.metrics.Snapshot())
 }
 
@@ -439,16 +381,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // so the process stays "live" for orchestrators that only check the
 // HTTP status, while the body tells operators what is wrong.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("X-MO-Epoch", strconv.FormatUint(epochSeq(s.pinEpoch()), 10))
+	ep := s.pinEpoch()
+	w.Header().Set("X-MO-Epoch", strconv.FormatUint(ep.Seq(), 10))
 	body := map[string]any{
 		"status":    "ok",
-		"objects":   len(s.Objects),
+		"objects":   ep.Objects(),
 		"relations": len(s.Catalog),
 	}
 	if s.ingest != nil {
-		st := s.ingest.Stats()
-		body["objects"] = st.Objects
-		body["ingest"] = st
+		body["ingest"] = s.ingest.Stats()
 		h := s.ingest.Health()
 		body["health"] = h
 		if h.Degraded {
@@ -458,4 +399,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, body)
 }
-

@@ -5,18 +5,22 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"movingdb/internal/db"
+	"movingdb/internal/ingest"
 	"movingdb/internal/moving"
 	"movingdb/internal/workload"
 )
 
-func testServer(t *testing.T) *Server {
-	t.Helper()
+// testFlights is the size of the testServer data set.
+const testFlights = 20
+
+// testObjects generates the testServer data set: a planes relation and
+// the same flights as tracked objects.
+func testObjects() (db.Catalog, []string, []moving.MPoint) {
 	g := workload.New(2000)
 	planes := db.NewRelation("planes", db.Schema{
 		{Name: "airline", Type: db.TString},
@@ -25,12 +29,18 @@ func testServer(t *testing.T) *Server {
 	})
 	var ids []string
 	var objects []moving.MPoint
-	for _, f := range g.Flights(20, 100) {
+	for _, f := range g.Flights(testFlights, 100) {
 		planes.MustInsert(db.Tuple{f.Airline, f.ID, f.Flight})
 		ids = append(ids, f.ID)
 		objects = append(objects, f.Flight)
 	}
-	s, err := New(Config{Catalog: db.Catalog{"planes": planes}, ObjectIDs: ids, Objects: objects})
+	return db.Catalog{"planes": planes}, ids, objects
+}
+
+func testServer(t *testing.T) *Server {
+	t.Helper()
+	catalog, ids, objects := testObjects()
+	s, err := New(Config{Catalog: catalog, ObjectIDs: ids, Objects: objects})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,47 +180,18 @@ func TestQueryTooLong(t *testing.T) {
 	}
 }
 
-func TestVersionAliasing(t *testing.T) {
-	h := testServer(t).Handler()
-	for _, route := range []string{"/objects", "/healthz", "/metrics"} {
-		req := httptest.NewRequest("GET", route, nil)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s = %d", route, rec.Code)
-		}
-		if dep := rec.Header().Get("Deprecation"); !strings.HasPrefix(dep, "@") {
-			t.Errorf("%s Deprecation = %q, want RFC 9745 @unix-time", route, dep)
-		}
-		if sunset := rec.Header().Get("Sunset"); sunset == "" {
-			t.Errorf("%s missing Sunset header", route)
-		} else if _, err := http.ParseTime(sunset); err != nil {
-			t.Errorf("%s Sunset %q is not an HTTP date: %v", route, sunset, err)
-		}
-		if link := rec.Header().Get("Link"); link == "" {
-			t.Errorf("%s missing successor Link header", route)
-		}
-		// The v1 route serves the same payload without the headers.
-		req = httptest.NewRequest("GET", "/v1"+route, nil)
-		rec = httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/v1%s = %d", route, rec.Code)
-		}
-		if rec.Header().Get("Deprecation") != "" || rec.Header().Get("Sunset") != "" {
-			t.Errorf("/v1%s wrongly marked deprecated", route)
-		}
-	}
-}
-
 func TestNotFoundEnvelope(t *testing.T) {
 	h := testServer(t).Handler()
-	code, body := get(t, h, "/v2/query?q=SELECT")
-	if code != http.StatusNotFound {
-		t.Fatalf("code = %d", code)
-	}
-	if ec, _ := envelope(t, body); ec != CodeNotFound {
-		t.Errorf("code = %q", ec)
+	// An unknown version, and an unversioned path (the pre-v1 aliases are
+	// gone).
+	for _, url := range []string{"/v2/query?q=SELECT", "/objects"} {
+		code, body := get(t, h, url)
+		if code != http.StatusNotFound {
+			t.Fatalf("%s: code = %d", url, code)
+		}
+		if ec, _ := envelope(t, body); ec != CodeNotFound {
+			t.Errorf("%s: code = %q", url, ec)
+		}
 	}
 }
 
@@ -231,16 +212,15 @@ func TestAtInstantEndpoint(t *testing.T) {
 }
 
 func TestWindowEndpointAndPagination(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
+	h := testServer(t).Handler()
 	code, body := get(t, h, "/v1/window?x1=0&y1=0&x2=1000&y2=1000&t1=0&t2=1000")
 	if code != http.StatusOK {
 		t.Fatalf("code = %d: %v", code, body)
 	}
 	ids := body["ids"].([]any)
 	total := int(body["total"].(float64))
-	if total != len(s.Objects) || len(ids) != total {
-		t.Errorf("whole-world window: total=%d ids=%d objects=%d", total, len(ids), len(s.Objects))
+	if total != testFlights || len(ids) != total {
+		t.Errorf("whole-world window: total=%d ids=%d objects=%d", total, len(ids), testFlights)
 	}
 	// Pagination: limit 5 offset 5 keeps total but returns one page.
 	_, body = get(t, h, "/v1/window?x1=0&y1=0&x2=1000&y2=1000&t1=0&t2=1000&limit=5&offset=5")
@@ -279,14 +259,13 @@ func TestWindowEndpointAndPagination(t *testing.T) {
 }
 
 func TestObjectsEndpointAndPagination(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
+	h := testServer(t).Handler()
 	code, body := get(t, h, "/v1/objects")
 	if code != http.StatusOK {
 		t.Fatalf("code = %d", code)
 	}
 	objs := body["objects"].([]any)
-	if len(objs) != len(s.Objects) || int(body["total"].(float64)) != len(s.Objects) {
+	if len(objs) != testFlights || int(body["total"].(float64)) != testFlights {
 		t.Errorf("objects = %d total = %v", len(objs), body["total"])
 	}
 	first := objs[0].(map[string]any)
@@ -302,18 +281,17 @@ func TestObjectsEndpointAndPagination(t *testing.T) {
 	if page[0].(map[string]any)["id"] == first["id"] {
 		t.Error("offset ignored")
 	}
-	if int(body["total"].(float64)) != len(s.Objects) {
+	if int(body["total"].(float64)) != testFlights {
 		t.Errorf("paged total = %v", body["total"])
 	}
 }
 
 func TestHealthz(t *testing.T) {
-	s := testServer(t)
-	code, body := get(t, s.Handler(), "/v1/healthz")
+	code, body := get(t, testServer(t).Handler(), "/v1/healthz")
 	if code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("healthz: %d %v", code, body)
 	}
-	if int(body["objects"].(float64)) != len(s.Objects) {
+	if int(body["objects"].(float64)) != testFlights {
 		t.Errorf("objects = %v", body["objects"])
 	}
 }
@@ -415,6 +393,17 @@ func testMetricsTotal(t *testing.T, h http.Handler) int {
 func TestNewValidations(t *testing.T) {
 	if _, err := New(Config{ObjectIDs: []string{"a"}}); err == nil {
 		t.Error("mismatched ids accepted")
+	}
+	// The tracked objects have one source: a pipeline brings its own
+	// seeds, so handing the server objects as well is a wiring mistake.
+	p, err := ingest.Open(ingest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	_, ids, objects := testObjects()
+	if _, err := New(Config{Ingest: p, ObjectIDs: ids, Objects: objects}); err == nil {
+		t.Error("Ingest and Objects both set accepted")
 	}
 }
 

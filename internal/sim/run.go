@@ -91,7 +91,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Profile.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Profile.NeedsHooks() && !hooksEnabled {
+	if cfg.Profile.NeedsHooks() && !fault.HooksEnabled {
 		return nil, fmt.Errorf("sim: chaos profile %q arms hook failpoint sites; rebuild with -tags=faultinject", cfg.Profile.Name)
 	}
 	baseGoroutines := runtime.NumGoroutine()
@@ -99,8 +99,8 @@ func Run(cfg Config) (*Result, error) {
 	metrics := obs.New(0)
 	in := fault.New(cfg.Seed + 1)
 	in.OnTrip(metrics.RecordFaultTrip)
-	armFailpoints(in)
-	defer armFailpoints(nil)
+	fault.Arm(in)
+	defer fault.Arm(nil)
 
 	reg := live.NewRegistry(live.Config{
 		BufferCap: 4096,
@@ -551,7 +551,7 @@ func (r *run) checkSQL(i int) {
 // mirrors each into the oracle, and starts one SSE reader per
 // subscription.
 func (r *run) subscribeAll(ids []string, wg *sync.WaitGroup) error {
-	specs := workload.New(r.cfg.Seed + 3).Subscriptions(r.cfg.Subs, ids)
+	specs := workload.New(r.cfg.Seed+3).Subscriptions(r.cfg.Subs, ids)
 	for _, spec := range specs {
 		payload := map[string]any{"predicate": spec.Kind}
 		pred := live.Predicate{Kind: live.Kind(spec.Kind)}

@@ -102,7 +102,7 @@ func TestTornWal(t *testing.T) {
 // TestHooksGate: profiles that arm hook sites must refuse to run in a
 // build without them, naming the fix.
 func TestHooksGate(t *testing.T) {
-	if hooksEnabled {
+	if fault.HooksEnabled {
 		t.Skip("faultinject build compiles the hooks in; the gate is for production builds")
 	}
 	profile, err := LookupProfile("publish-skip")

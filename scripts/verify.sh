@@ -27,6 +27,9 @@ fi
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against this tree)"
+(cd bench && go vet ./... && go test ./...)
+
 echo "==> allocgate (hot-path allocation budgets, alloc_budgets.json)"
 go run ./cmd/mobench -exp allocgate
 
