@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench docs fuzz faultinject lint debugcheck soak chaos allocgate
+.PHONY: all build vet test race verify bench docs fuzz faultinject lint debugcheck chaos
 
 all: verify
 
@@ -21,13 +21,6 @@ race:
 lint:
 	$(GO) run ./cmd/molint -summary -stale-suppressions ./...
 
-# Enforce the hot-path allocation budgets (alloc_budgets.json): every
-# budgeted benchmark runs under -benchmem and must stay at or below its
-# allocs/op and B/op ceilings. The static half of the contract is
-# molint's alloc-hot check.
-allocgate:
-	$(GO) run ./cmd/mobench -exp allocgate
-
 # Run the paper-kernel tests with the runtime invariant assertions
 # compiled in (sliced-representation and halfsegment-order checks).
 debugcheck:
@@ -38,12 +31,6 @@ debugcheck:
 # smoke run over the WAL decoders.
 verify:
 	./scripts/verify.sh
-
-# Soak the live-query subsystem: continuous ingestion with churning
-# subscribers, SSE readers and nearby queries hammering one server
-# (DESIGN.md §12). Duration via SOAK_DUR (default 10s).
-soak:
-	$(GO) run ./cmd/mobench -exp soak -soak-dur $${SOAK_DUR:-10s}
 
 # Chaos: the seeded fleet simulator (cmd/mosim, DESIGN.md §13) drives
 # the real HTTP stack through every chaos profile with the failpoint
@@ -61,8 +48,10 @@ faultinject:
 	$(GO) build -tags=faultinject ./...
 	$(GO) vet -tags=faultinject ./...
 
+# The paper's §4/§5 complexity shapes (EXPERIMENTS.md E1–E7). The served
+# stack is measured by `bash bench/run.sh` (bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem .
 
 docs:
 	$(GO) run ./cmd/motables -ops

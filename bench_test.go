@@ -1,7 +1,7 @@
 // Benchmarks backing the experiment index of DESIGN.md: one bench family
-// per quantitative claim of the paper (E1–E6 in EXPERIMENTS.md), plus
-// ablations for the data structure design choices. cmd/mobench runs the
-// same sweeps as a standalone reporter.
+// per quantitative claim of the paper (E1–E7 in EXPERIMENTS.md, whose
+// tables are this file's `go test -bench . .` output row for row), plus
+// ablations for the data structure design choices.
 package movingdb_test
 
 import (
@@ -79,13 +79,18 @@ func BenchmarkUnitLookupScan(b *testing.B) {
 // E1 (second sweep) — snapshot construction is Θ(r log r) in the region
 // size for both representations.
 func BenchmarkAtInstantRegionSize(b *testing.B) {
+	ts := probeInstants(640, 64)
 	for _, r := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("segs=%d", r), func(b *testing.B) {
-			mr := workload.New(99).Storm(0, 64, r, 10)
-			ts := probeInstants(640, 64)
-			b.ResetTimer()
+		mr := workload.New(99).Storm(0, 64, r, 10)
+		nv := baseline.FromMRegion(mr)
+		b.Run(fmt.Sprintf("segs=%d/sliced", r), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mr.AtInstant(ts[i%len(ts)])
+			}
+		})
+		b.Run(fmt.Sprintf("segs=%d/naive", r), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nv.AtInstant(ts[i%len(ts)])
 			}
 		})
 	}
@@ -121,15 +126,22 @@ func BenchmarkInsideNaive(b *testing.B) {
 	}
 }
 
+// E2 (second sweep) — the S term (segments per region unit) is linear
+// and representation-independent.
 func BenchmarkInsideRegionSize(b *testing.B) {
 	for _, s := range []int{8, 64, 512} {
-		b.Run(fmt.Sprintf("segs=%d", s), func(b *testing.B) {
-			g := workload.New(7)
-			mp := g.RandomTrajectory(0, 64, 10, 2)
-			mr := g.Storm(0, 64, s, 10)
-			b.ResetTimer()
+		g := workload.New(7)
+		mp := g.RandomTrajectory(0, 64, 10, 2)
+		mr := g.Storm(0, 64, s, 10)
+		np, nr := baseline.FromMPoint(mp), baseline.FromMRegion(mr)
+		b.Run(fmt.Sprintf("segs=%d/sliced", s), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				mp.Inside(mr)
+			}
+		})
+		b.Run(fmt.Sprintf("segs=%d/naive", s), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				np.Inside(nr)
 			}
 		})
 	}
@@ -137,7 +149,7 @@ func BenchmarkInsideRegionSize(b *testing.B) {
 
 // E3 — equality by representation comparison (Section 4).
 func BenchmarkEqualityRepresentation(b *testing.B) {
-	for _, n := range []int{256, 4096} {
+	for _, n := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
 			a := workload.New(3).RandomTrajectory(0, n, 10, 2)
 			c := moving.MPoint{M: mapping.FromOrdered(append([]units.UPoint{}, a.M.Units()...))}
@@ -156,13 +168,56 @@ func BenchmarkEqualityRepresentation(b *testing.B) {
 	}
 }
 
-// E4 — encode/decode of the Section 4 representations.
-func BenchmarkEncodeMPoint(b *testing.B) {
-	mp := workload.New(5).RandomTrajectory(0, 4096, 10, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		storage.EncodeMPoint(mp)
+// E3 (contrast) — what a system without canonical representations must
+// do instead: probe both values at 32 instants, a heuristic that cannot
+// prove equality.
+func BenchmarkEqualitySemanticProbe(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
+			a := workload.New(3).RandomTrajectory(0, n, 10, 2)
+			c := moving.MPoint{M: mapping.FromOrdered(append([]units.UPoint{}, a.M.Units()...))}
+			span := float64(n) * 10
+			var diff float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < 32; k++ {
+					t := temporal.Instant(span * float64(k) / 32)
+					diff += a.AtInstant(t).P.X - c.AtInstant(t).P.X
+				}
+			}
+			if diff != 0 {
+				b.Fatal("copies must agree at every probe")
+			}
+		})
 	}
+}
+
+// E4 — the Section 4 representations: encode/decode throughput, with
+// the layout of each encoded value (root record, arrays, what stays
+// inline in the tuple, whole pages moved out) as extra metrics.
+func BenchmarkEncodeMPoint(b *testing.B) {
+	for _, n := range []int{4, 4096} {
+		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
+			mp := workload.New(5).RandomTrajectory(0, n, 10, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				storage.EncodeMPoint(mp)
+			}
+			reportLayout(b, storage.EncodeMPoint(mp))
+		})
+	}
+}
+
+func reportLayout(b *testing.B, e storage.Encoded) {
+	sv := storage.Store(storage.NewPageStore(), e)
+	arrays := 0
+	for _, a := range e.Arrays {
+		arrays += len(a)
+	}
+	b.ReportMetric(float64(len(e.Root)), "root-B")
+	b.ReportMetric(float64(arrays), "arrays-B")
+	b.ReportMetric(float64(sv.InlineSize()), "inline-B")
+	b.ReportMetric(float64(sv.ExternalPages()), "pages")
 }
 
 func BenchmarkDecodeMPoint(b *testing.B) {
@@ -176,10 +231,15 @@ func BenchmarkDecodeMPoint(b *testing.B) {
 }
 
 func BenchmarkEncodeMRegion(b *testing.B) {
-	mr := workload.New(5).Storm(0, 256, 24, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		storage.EncodeMRegion(mr)
+	for _, size := range [][2]int{{16, 12}, {256, 24}} {
+		b.Run(fmt.Sprintf("units=%d/segs=%d", size[0], size[1]), func(b *testing.B) {
+			mr := workload.New(5).Storm(0, size[0], size[1], 10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				storage.EncodeMRegion(mr)
+			}
+			reportLayout(b, storage.EncodeMRegion(mr))
+		})
 	}
 }
 
@@ -208,29 +268,70 @@ func BenchmarkPageStoreRoundTrip(b *testing.B) {
 // E5 — end-to-end workload: membership of a trajectory in a moving
 // region plus path restriction, sliced vs naive.
 func BenchmarkEndToEndSliced(b *testing.B) {
-	g := workload.New(17)
-	mp := g.RandomTrajectory(0, 256, 10, 2)
-	mr := g.Storm(0, 256, 12, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inside := mp.Inside(mr)
-		_ = mp.When(inside).Length()
+	for _, n := range []int{32, 128, 512} {
+		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
+			g := workload.New(17)
+			mp := g.RandomTrajectory(0, n, 10, 2)
+			mr := g.Storm(0, n, 12, 10)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inside := mp.Inside(mr)
+				_ = mp.When(inside).Length()
+			}
+		})
 	}
 }
 
 func BenchmarkEndToEndNaive(b *testing.B) {
-	g := workload.New(17)
-	mp := g.RandomTrajectory(0, 256, 10, 2)
-	np := baseline.FromMPoint(mp)
-	nr := baseline.FromMRegion(g.Storm(0, 256, 12, 10))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inside := np.Inside(nr)
-		_ = mp.When(inside).Length()
+	for _, n := range []int{32, 128, 512} {
+		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
+			g := workload.New(17)
+			mp := g.RandomTrajectory(0, n, 10, 2)
+			np := baseline.FromMPoint(mp)
+			nr := baseline.FromMRegion(g.Storm(0, n, 12, 10))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inside := np.Inside(nr)
+				_ = mp.When(inside).Length()
+			}
+		})
 	}
 }
 
-// E6 — the refinement partition is linear in the unit counts.
+// E5 (join) — the Section 2 spatio-temporal join (distance → atmin →
+// initial) as a cross join over an in-memory planes relation.
+func BenchmarkJoinDistanceAtMin(b *testing.B) {
+	for _, n := range []int{16, 32, 64} {
+		b.Run(fmt.Sprintf("flights=%d", n), func(b *testing.B) {
+			rel := db.NewRelation("planes", db.Schema{
+				{Name: "airline", Type: db.TString},
+				{Name: "id", Type: db.TString},
+				{Name: "flight", Type: db.TMPoint},
+			})
+			for _, f := range workload.New(17).Flights(n, 200) {
+				rel.MustInsert(db.Tuple{f.Airline, f.ID, f.Flight})
+			}
+			near := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ts := rel.Scan()
+				for x := range ts {
+					for y := x + 1; y < len(ts); y++ {
+						pa := db.Get[moving.MPoint](rel, ts[x], "flight")
+						pb := db.Get[moving.MPoint](rel, ts[y], "flight")
+						if first, ok := pa.Distance(pb).AtMin().Initial(); ok && first.Val < 20 {
+							near++
+						}
+					}
+				}
+			}
+			b.ReportMetric(float64(near)/float64(b.N), "pairs")
+		})
+	}
+}
+
+// E6 — the refinement partition is linear in the unit counts: ns/unit
+// (time over n + m) stays in a narrow band.
 func BenchmarkRefine(b *testing.B) {
 	for _, n := range []int{256, 4096, 65536} {
 		b.Run(fmt.Sprintf("units=%d", n), func(b *testing.B) {
@@ -241,6 +342,7 @@ func BenchmarkRefine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				temporal.Refine(ai, bi)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*n), "ns/unit")
 		})
 	}
 }
@@ -358,11 +460,11 @@ func BenchmarkMRegionIntersects(b *testing.B) {
 	}
 }
 
-// Extension — spatio-temporal window queries: R-tree over unit cubes vs
+// E7 (extension) — spatio-temporal window queries: R-tree over unit cubes vs
 // a full unit scan (see internal/index; the paper defers indexing to
 // related work, this ablation quantifies why a real system wants one).
 func BenchmarkWindowIndexed(b *testing.B) {
-	for _, objs := range []int{100, 1000} {
+	for _, objs := range []int{50, 200, 1000, 4000} {
 		b.Run(fmt.Sprintf("objects=%d", objs), func(b *testing.B) {
 			g := workload.New(51)
 			objects := make([]moving.MPoint, objs)
@@ -381,7 +483,7 @@ func BenchmarkWindowIndexed(b *testing.B) {
 }
 
 func BenchmarkWindowScan(b *testing.B) {
-	for _, objs := range []int{100, 1000} {
+	for _, objs := range []int{50, 200, 1000, 4000} {
 		b.Run(fmt.Sprintf("objects=%d", objs), func(b *testing.B) {
 			g := workload.New(51)
 			objects := make([]moving.MPoint, objs)

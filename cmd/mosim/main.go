@@ -12,7 +12,6 @@
 //	mosim -seed 42 -ticks 200 -chaos mixed
 //	mosim -fleet trucks=500,storms=20 -duration 30s -chaos wal-torn
 //	mosim -chaos list
-//	mosim -capacity 10s -capacity-out BENCH_PR8.json
 //
 // The verdict prints as JSON on stdout; the exit status is non-zero on
 // any invariant violation. The same seed and profile reproduce a
@@ -41,8 +40,6 @@ func main() {
 		fleet      = flag.String("fleet", "", "fleet sizes, e.g. trucks=12,flights=6,storms=3")
 		subs       = flag.Int("subs", 0, "standing subscriptions to open (default 8)")
 		chaos      = flag.String("chaos", "", "chaos profile name, or 'list' to print the catalog")
-		capacity   = flag.Duration("capacity", 0, "run capacity mode for this duration instead of an invariant run")
-		capOut     = flag.String("capacity-out", "BENCH_PR8.json", "file for the capacity report")
 		verbose    = flag.Bool("v", false, "print the per-tick event log")
 	)
 	flag.Parse()
@@ -62,24 +59,6 @@ func main() {
 		if cfg.Ticks == 0 && *tickPeriod > 0 {
 			cfg.Ticks = int(*duration / *tickPeriod)
 		}
-	}
-
-	if *capacity > 0 {
-		rep, err := sim.Capacity(cfg, *capacity)
-		if err != nil {
-			fatal(err)
-		}
-		out, _ := json.MarshalIndent(rep, "", "  ")
-		out = append(out, '\n')
-		if err := os.WriteFile(*capOut, out, 0o644); err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(out)
-		fmt.Fprintf(os.Stderr, "capacity report written to %s\n", *capOut)
-		if rep.Verdict != "sustained" {
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *chaos != "" {

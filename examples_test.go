@@ -27,7 +27,6 @@ func TestExamplesAndTools(t *testing.T) {
 		{"motables", []string{"run", "./cmd/motables"}, "mapping(uregion)"},
 		{"mofigures", []string{"run", "./cmd/mofigures", "-fig", "8"}, "refinement"},
 		{"moquery", []string{"run", "./cmd/moquery", "-n", "10"}, "(airline: string"},
-		{"mobench-e6", []string{"run", "./cmd/mobench", "-quick", "-exp", "E6"}, "refinement partition"},
 	}
 	for _, r := range runs {
 		r := r

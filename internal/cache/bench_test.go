@@ -7,7 +7,7 @@ import (
 
 // BenchmarkMemoryGet measures the sharded-LRU hit path — the first
 // thing every cached query touches — under the allocation budget
-// (alloc_budgets.json): a warm hit must not allocate at all.
+// (TestAllocBudgets): a warm hit must not allocate at all.
 func BenchmarkMemoryGet(b *testing.B) {
 	m := NewMemory(1<<22, 4, nil)
 	keys := make([]Key, 256)

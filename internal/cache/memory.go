@@ -80,8 +80,8 @@ func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 }
 
 // Get returns the cached bytes for k, marking the entry most recently
-// used. A warm hit must not allocate (alloc_budgets.json pins it at
-// zero allocs/op).
+// used. A warm hit must not allocate (TestAllocBudgets pins it at zero
+// allocs/op).
 //
 // moguard: hotpath
 func (m *Memory) Get(k Key) ([]byte, bool) {

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkSnapshotNearest measures the best-first k-NN traversal over
 // a mixed base+delta snapshot — the index half of the /v1/nearby path,
-// pinned by an allocation budget (alloc_budgets.json).
+// pinned by an allocation budget (TestAllocBudgets).
 func BenchmarkSnapshotNearest(b *testing.B) {
 	f := buildKNNFixture(rand.New(rand.NewSource(11)), 5000, 0, 100)
 	b.ReportAllocs()

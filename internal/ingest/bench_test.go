@@ -78,7 +78,7 @@ func benchEpoch(b *testing.B) *Epoch {
 
 // BenchmarkEpochWindow measures the lock-free window query against a
 // pinned epoch — the /v1/window read path under the allocation budget
-// (alloc_budgets.json).
+// (TestAllocBudgets).
 func BenchmarkEpochWindow(b *testing.B) {
 	ep := benchEpoch(b)
 	rects := make([]geom.Rect, 32)

@@ -411,9 +411,6 @@ func (p *Pipeline) Flush() { p.bat.flushAll() }
 // pipeline rejects new batches afterwards; queries keep working.
 func (p *Pipeline) Close() { p.closeOnce.Do(p.bat.close) }
 
-// Store exposes the object store for benchmarks and diagnostics.
-func (p *Pipeline) Store() *Store { return p.store }
-
 // Epoch returns the current published epoch — the immutable snapshot
 // queries pin for their lifetime. Every acknowledged-and-flushed write
 // is visible in it (Flush establishes read-your-writes by draining the

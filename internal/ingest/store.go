@@ -346,8 +346,3 @@ func (s *Store) Counters() (applied, dropped, compacted int64) {
 func (s *Store) IndexStats() (base, delta, merges int) {
 	return s.idx.BaseLen(), s.idx.DeltaLen(), s.idx.Merges()
 }
-
-// ForceMergeIndex folds the delta buffer into a rebuilt base tree now,
-// regardless of the threshold — benchmarks use it to pin the
-// base/delta split.
-func (s *Store) ForceMergeIndex() { s.idx.ForceMerge() }

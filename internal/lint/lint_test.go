@@ -136,22 +136,6 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// TestShardLayoutGate runs lock-order over the fixture that models the
-// planned N-shard ingest layout (per-shard mutex class + manifest
-// mutex, order declared up front). It must stay finding-free: this is
-// the gate the sharding PR inherits, and the declared edge means a
-// future manifest-before-shard acquisition fails immediately instead
-// of waiting for a second witness to complete a cycle.
-func TestShardLayoutGate(t *testing.T) {
-	l := newTestLoader(t)
-	cfg := DefaultConfig(l.Module)
-	pkg := loadFixture(t, l, "lockordershard")
-	res := Run([]*Package{pkg}, []Check{checkByID(t, cfg, "lock-order")})
-	for _, f := range res.Findings {
-		t.Errorf("shard layout gate: %s", f)
-	}
-}
-
 // TestSuppressions exercises the directive machinery on the suppress
 // fixture: a respected directive removes its finding and counts in the
 // suppressed tally, a directive without a reason suppresses nothing and

@@ -1,6 +1,7 @@
 // Fixture for the lock-order check: a two-class acquisition cycle
 // (one half witnessed through a helper call), a declared-order
-// violation, same-class nesting, and the lockorder directive grammar.
+// violation beside a finding-free acquisition in the declared order,
+// same-class nesting, and the lockorder directive grammar.
 package lockorder
 
 import "sync"
@@ -41,6 +42,16 @@ func wrongOrder(c *C, d *D) {
 	defer d.mu.Unlock()
 	c.mu.Lock() // want `violating declared order`
 	c.mu.Unlock()
+}
+
+// rightOrder acquires in the declared order: no finding, and the
+// declared edge keeps the C/D pair out of the cycle report even though
+// wrongOrder witnesses the reverse.
+func rightOrder(c *C, d *D) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	d.mu.Lock()
+	d.mu.Unlock()
 }
 
 type E struct{ mu sync.Mutex }

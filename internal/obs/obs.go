@@ -26,13 +26,14 @@ func BucketLabels() []string {
 	return append(out, "+Inf")
 }
 
+// formatLE labels a bound in whole seconds only when that is exact
+// (2500 is "2500ms", not "2s").
 func formatLE(b float64) string {
-	switch {
-	case b >= 1000:
-		return itoa(int(b/1000)) + "s"
-	default:
-		return itoa(int(b)) + "ms"
+	ms := int(b)
+	if ms%1000 == 0 {
+		return itoa(ms/1000) + "s"
 	}
+	return itoa(ms) + "ms"
 }
 
 func itoa(n int) string {

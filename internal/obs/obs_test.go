@@ -32,6 +32,22 @@ func TestRequestCounters(t *testing.T) {
 	}
 }
 
+// TestBucketLabelsRoundTrip: every histogram label parses back to
+// exactly the bound it names, so a reader of latency_ms is never told
+// "2s" about a bucket that counts requests up to 2.5 s.
+func TestBucketLabelsRoundTrip(t *testing.T) {
+	labels := BucketLabels()
+	if len(labels) != len(bucketsMS)+1 || labels[len(bucketsMS)] != "+Inf" {
+		t.Fatalf("labels = %v", labels)
+	}
+	for i, ub := range bucketsMS {
+		d, err := time.ParseDuration(labels[i])
+		if err != nil || float64(d)/float64(time.Millisecond) != ub {
+			t.Errorf("label %q for bound %v ms parses to %v (%v)", labels[i], ub, d, err)
+		}
+	}
+}
+
 func TestOpTimings(t *testing.T) {
 	m := New(0)
 	m.RecordOp("inside", 2*time.Millisecond)

@@ -77,7 +77,7 @@ func BenchmarkQueryInstrumented(b *testing.B) {
 // BenchmarkSSEEventFrames measures rendering one Take batch of
 // subscription events as SSE frames — the per-event cost every
 // connected stream pays on every epoch publish, pinned by an
-// allocation budget (alloc_budgets.json).
+// allocation budget (TestAllocBudgets).
 func BenchmarkSSEEventFrames(b *testing.B) {
 	events := make([]live.Event, 8)
 	for i := range events {

@@ -312,7 +312,8 @@ func TestSSEEndToEnd(t *testing.T) {
 
 // TestSSEChurnUnderRace is the concurrency soak for the subsystem: with
 // ingestion flushing continuously, many subscribers come and go over
-// real HTTP streams, one deliberately slow consumer must observe
+// real HTTP streams (every unsubscribe a 200), concurrent /v1/nearby
+// readers always get a 200, one deliberately slow consumer must observe
 // drop-oldest with a lagged signal rather than stalling the pipeline,
 // and when the storm ends the registry closes every stream and no
 // goroutine leaks. Run under -race (tier-1 always does).
@@ -385,14 +386,47 @@ func TestSSEChurnUnderRace(t *testing.T) {
 				<-opened
 				time.Sleep(2 * time.Millisecond)
 				req, _ := http.NewRequest("DELETE", ts.URL+"/v1/subscribe/"+id, nil)
-				if resp, err := http.DefaultClient.Do(req); err == nil {
+				if resp, err := http.DefaultClient.Do(req); err != nil {
+					t.Errorf("unsubscribe %s: %v", id, err)
+				} else {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("unsubscribe %s: status %d", id, resp.StatusCode)
+					}
 				}
 				// Unsubscribe ends the stream with a bye; the reader exits.
 				<-readerDone
 			}
 		}()
+	}
+
+	// Nearby readers: a pinned epoch always answers, so every response
+	// is a 200 however the subscribers churn and the epochs advance.
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				url := fmt.Sprintf("%s/v1/nearby?x=%d&y=100&t=%d&k=3", ts.URL, i%2*1000, i%50)
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Errorf("GET %s: %v", url, err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d", url, resp.StatusCode)
+					return
+				}
+			}
+		}(r)
 	}
 
 	// The slow consumer: a tiny buffer and no reads while the storm

@@ -30,8 +30,11 @@ go test -race ./...
 echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against this tree)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> allocgate (hot-path allocation budgets, alloc_budgets.json)"
-go run ./cmd/mobench -exp allocgate
+echo "==> paper benchmarks, one iteration each (bench_test.go bodies must execute)"
+go test -run '^$' -bench . -benchtime 1x .
+
+echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the race build)"
+go test -run '^TestAllocBudgets$' ./internal/...
 
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving
@@ -44,9 +47,6 @@ go vet -tags=faultinject ./...
 
 echo "==> fuzz smoke: FuzzWALDecode (10s)"
 go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
-
-echo "==> live-query soak (10s subscriber churn under ingest)"
-go run ./cmd/mobench -exp soak -soak-dur 10s
 
 echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
 go test -race -tags=faultinject -count=1 ./internal/sim/
