@@ -39,9 +39,11 @@ verify:
 chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
-# Fuzz the WAL recovery decoders (longer than the verify smoke run).
+# Fuzz the WAL recovery decoders and the refinement sweep (longer than
+# the verify smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
+	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
 
 # Build and vet the failpoint-enabled binary variant.
 faultinject:

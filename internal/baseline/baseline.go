@@ -85,7 +85,7 @@ func (p NaiveMPoint) Inside(r NaiveMRegion) moving.MBool {
 			if _, ok := up.Iv.Intersect(ur.Iv); !ok {
 				continue
 			}
-			collected = append(collected, units.UPointInsideURegion(up, ur)...)
+			collected = units.UPointInsideURegion(collected, up, ur)
 		}
 	}
 	// Sort by interval start (insertion into an ordered list).

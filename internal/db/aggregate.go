@@ -21,7 +21,7 @@ func (starArg) String() string { return "*" }
 // isAggregateCall reports whether the call is an aggregate in row
 // context and returns the inner expression (nil for count(*)).
 func (q *queryEnv) isAggregateCall(c call) (bool, expr, error) {
-	switch strings.ToLower(c.fn) {
+	switch c.fn {
 	case "count":
 		if len(c.args) == 1 {
 			if _, star := c.args[0].(starArg); star {
@@ -33,7 +33,7 @@ func (q *queryEnv) isAggregateCall(c call) (bool, expr, error) {
 		if len(c.args) != 1 {
 			return false, nil, nil
 		}
-		t, err := q.typeOf(c.args[0])
+		_, t, err := q.bind(c.args[0])
 		if err != nil {
 			return false, nil, err
 		}
@@ -41,7 +41,7 @@ func (q *queryEnv) isAggregateCall(c call) (bool, expr, error) {
 		case TReal, TInt:
 			return true, c.args[0], nil
 		case TString, TBool:
-			if strings.EqualFold(c.fn, "min") || strings.EqualFold(c.fn, "max") {
+			if c.fn == "min" || c.fn == "max" {
 				return true, c.args[0], nil
 			}
 		}
@@ -189,7 +189,7 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 			if groupIdx(ref) < 0 {
 				return nil, fmt.Errorf("%w: column %q must appear in GROUP BY or inside an aggregate", ErrType, ref)
 			}
-			t, err := env.typeOf(ref)
+			_, t, err := env.bind(ref)
 			if err != nil {
 				return nil, err
 			}
@@ -206,23 +206,23 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 			return nil, err
 		}
 		if !agg {
-			return nil, fmt.Errorf("%w: %q is not an aggregate", ErrType, c.fn)
+			return nil, fmt.Errorf("%w: %q is not an aggregate", ErrType, c.text)
 		}
-		oc := outCol{fn: strings.ToLower(c.fn), inner: inner, name: name}
+		oc := outCol{fn: c.fn, name: name}
 		if inner != nil {
-			t, err := env.typeOf(inner)
-			if err != nil {
+			if oc.inner, oc.innerTyp, err = env.bind(inner); err != nil {
 				return nil, err
 			}
-			oc.innerTyp = t
 		}
 		acc := accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp}
 		cols = append(cols, oc)
 		schema = append(schema, Column{Name: name, Type: acc.resultType()})
 	}
-	for _, g := range stmt.groupBy {
-		t, err := env.typeOf(g)
-		if err != nil {
+	groupKeys := make([]expr, len(stmt.groupBy))
+	for k, g := range stmt.groupBy {
+		var t AttrType
+		var err error
+		if groupKeys[k], t, err = env.bind(g); err != nil {
 			return nil, err
 		}
 		switch t {
@@ -254,9 +254,9 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 					return nil
 				}
 			}
-			keyVals := make([]any, len(stmt.groupBy))
+			keyVals := make([]any, len(groupKeys))
 			var key strings.Builder
-			for k, g := range stmt.groupBy {
+			for k, g := range groupKeys {
 				v, err := env.eval(g)
 				if err != nil {
 					return err

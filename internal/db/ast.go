@@ -33,14 +33,34 @@ func (e colRef) String() string {
 	return e.qualifier + "." + e.name
 }
 
+// slot is a column reference bound to a query: the FROM item and the
+// column position it resolved to.
+type slot struct {
+	colRef
+	from, col int
+}
+
 // call is an operation application, e.g. length(trajectory(flight)).
+// fn is the operation's name in the function table (lower case), text
+// the name as the query spelled it, which derived column names keep.
 type call struct {
 	fn   string
+	text string
 	args []expr
 }
 
+// apply is a call bound to a query: the overload its argument types
+// selected, and the argument vector every row's evaluation fills (a
+// query is evaluated by one goroutine, and nested calls are distinct
+// nodes, so one vector per node suffices).
+type apply struct {
+	call
+	ov   overload
+	argv []any
+}
+
 func (e call) String() string {
-	s := e.fn + "("
+	s := e.text + "("
 	for i, a := range e.args {
 		if i > 0 {
 			s += ", "

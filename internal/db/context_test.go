@@ -88,6 +88,19 @@ func TestQueryContextRecordsOperatorTimings(t *testing.T) {
 	if ops["trajectory"].Count != int64(res.Len()) {
 		t.Errorf("trajectory count = %d, rows = %d", ops["trajectory"].Count, res.Len())
 	}
+	// A query may spell an operation in any case: the derived column
+	// keeps the spelling, the operator timings keep the table's name.
+	res, err = QueryContext(ctx, cat, "SELECT Length(TRAJECTORY(flight)) FROM planes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Schema[0].Name; got != "Length(TRAJECTORY(flight))" {
+		t.Errorf("derived column name = %q", got)
+	}
+	ops = m.Snapshot().Operators
+	if len(ops) != 2 || ops["trajectory"].Count != 2*int64(res.Len()) || ops["length"].Count != 2*int64(res.Len()) {
+		t.Errorf("operator timings after a mixed-case query: %v", ops)
+	}
 }
 
 func TestQueryContextDeadlineDuringInside(t *testing.T) {

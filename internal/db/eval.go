@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -176,7 +177,8 @@ func init() {
 	})
 }
 
-// binding resolves column references during typing and evaluation.
+// binding is one FROM item: the relation and the alias that column
+// references resolve against when the query is bound.
 type binding struct {
 	alias string
 	rel   *Relation
@@ -233,116 +235,114 @@ func (q *queryEnv) resolve(c colRef) (int, int, error) {
 	return found, col, nil
 }
 
-// typeOf statically types an expression.
-func (q *queryEnv) typeOf(e expr) (AttrType, error) {
+// bind statically types an expression and binds it to the query: every
+// column reference becomes a slot, every call an apply carrying the
+// overload its argument types select. It runs once per expression per
+// query; eval then runs per row on the bound tree without resolving
+// names, typing arguments or searching overloads again.
+func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 	switch ex := e.(type) {
 	case numLit:
-		return TReal, nil
+		return ex, TReal, nil
 	case strLit:
-		return TString, nil
+		return ex, TString, nil
 	case boolLit:
-		return TBool, nil
+		return ex, TBool, nil
 	case colRef:
 		bi, ci, err := q.resolve(ex)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		return q.binds[bi].rel.Schema[ci].Type, nil
+		return slot{colRef: ex, from: bi, col: ci}, q.binds[bi].rel.Schema[ci].Type, nil
 	case negop:
-		t, err := q.typeOf(ex.e)
+		inner, t, err := q.bind(ex.e)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		if t != TReal && t != TInt {
-			return 0, fmt.Errorf("%w: cannot negate %s", ErrType, t)
+			return nil, 0, fmt.Errorf("%w: cannot negate %s", ErrType, t)
 		}
-		return t, nil
+		return negop{e: inner}, t, nil
 	case notop:
-		t, err := q.typeOf(ex.e)
+		inner, t, err := q.bind(ex.e)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
 		if t != TBool {
-			return 0, fmt.Errorf("%w: NOT needs bool, got %s", ErrType, t)
+			return nil, 0, fmt.Errorf("%w: NOT needs bool, got %s", ErrType, t)
 		}
-		return TBool, nil
+		return notop{e: inner}, TBool, nil
 	case binop:
-		lt, err := q.typeOf(ex.l)
+		l, lt, err := q.bind(ex.l)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		rt, err := q.typeOf(ex.r)
+		r, rt, err := q.bind(ex.r)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
+		bound := binop{op: ex.op, l: l, r: r}
 		switch ex.op {
 		case "AND", "OR":
 			if lt != TBool || rt != TBool {
-				return 0, fmt.Errorf("%w: %s needs bools", ErrType, ex.op)
+				return nil, 0, fmt.Errorf("%w: %s needs bools", ErrType, ex.op)
 			}
-			return TBool, nil
+			return bound, TBool, nil
 		case "+", "-", "*", "/":
 			if lt != TReal || rt != TReal {
-				return 0, fmt.Errorf("%w: arithmetic needs reals, got %s and %s", ErrType, lt, rt)
+				return nil, 0, fmt.Errorf("%w: arithmetic needs reals, got %s and %s", ErrType, lt, rt)
 			}
-			return TReal, nil
+			return bound, TReal, nil
 		default: // comparisons
 			if lt != rt {
-				return 0, fmt.Errorf("%w: comparing %s with %s", ErrType, lt, rt)
+				return nil, 0, fmt.Errorf("%w: comparing %s with %s", ErrType, lt, rt)
 			}
 			switch lt {
 			case TReal, TInt, TString, TBool:
-				return TBool, nil
+				return bound, TBool, nil
 			}
-			return 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
+			return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
 		}
 	case call:
+		args := make([]expr, len(ex.args))
 		argTypes := make([]AttrType, len(ex.args))
 		for i, a := range ex.args {
 			if _, star := a.(starArg); star {
-				return 0, fmt.Errorf("%w: * is only valid in count(*) of an aggregate query", ErrType)
+				return nil, 0, fmt.Errorf("%w: * is only valid in count(*) of an aggregate query", ErrType)
 			}
-			t, err := q.typeOf(a)
-			if err != nil {
-				return 0, err
+			var err error
+			if args[i], argTypes[i], err = q.bind(a); err != nil {
+				return nil, 0, err
 			}
-			argTypes[i] = t
 		}
-		ov, err := lookupOverload(ex.fn, argTypes)
+		ov, err := lookupOverload(ex, argTypes)
 		if err != nil {
-			return 0, err
+			return nil, 0, err
 		}
-		return ov.ret, nil
+		ex.args = args // ex is this case's copy of the node
+		return apply{call: ex, ov: ov, argv: make([]any, len(args))}, ov.ret, nil
 	case starArg:
-		return 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
+		return nil, 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
 	}
-	return 0, fmt.Errorf("%w: unhandled expression %v", ErrType, e)
+	return nil, 0, fmt.Errorf("%w: unhandled expression %v", ErrType, e)
 }
 
-func lookupOverload(name string, args []AttrType) (overload, error) {
-	ovs, ok := funcTable[strings.ToLower(name)]
+// lookupOverload finds the overload of the called operation that takes
+// the given argument types.
+func lookupOverload(c call, args []AttrType) (overload, error) {
+	ovs, ok := funcTable[c.fn]
 	if !ok {
-		return overload{}, fmt.Errorf("%w: %q", ErrNoFunction, name)
+		return overload{}, fmt.Errorf("%w: %q", ErrNoFunction, c.text)
 	}
 	for _, ov := range ovs {
-		if len(ov.args) != len(args) {
-			continue
-		}
-		match := true
-		for i := range args {
-			if ov.args[i] != args[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.Equal(ov.args, args) {
 			return ov, nil
 		}
 	}
-	return overload{}, fmt.Errorf("%w: no overload of %q for %v", ErrType, name, args)
+	return overload{}, fmt.Errorf("%w: no overload of %q for %v", ErrType, c.text, args)
 }
 
-// eval evaluates an expression against the current tuples.
+// eval evaluates a bound expression against the current tuples.
 func (q *queryEnv) eval(e expr) (any, error) {
 	switch ex := e.(type) {
 	case numLit:
@@ -351,12 +351,8 @@ func (q *queryEnv) eval(e expr) (any, error) {
 		return ex.v, nil
 	case boolLit:
 		return ex.v, nil
-	case colRef:
-		bi, ci, err := q.resolve(ex)
-		if err != nil {
-			return nil, err
-		}
-		return q.tuples[bi][ci], nil
+	case slot:
+		return q.tuples[ex.from][ex.col], nil
 	case negop:
 		v, err := q.eval(ex.e)
 		if err != nil {
@@ -441,15 +437,8 @@ func (q *queryEnv) eval(e expr) (any, error) {
 			}
 		}
 		return compare(ex.op, l, r)
-	case call:
-		args := make([]any, len(ex.args))
-		argTypes := make([]AttrType, len(ex.args))
+	case apply:
 		for i, a := range ex.args {
-			t, err := q.typeOf(a)
-			if err != nil {
-				return nil, err
-			}
-			argTypes[i] = t
 			v, err := q.eval(a)
 			if err != nil {
 				return nil, err
@@ -457,21 +446,17 @@ func (q *queryEnv) eval(e expr) (any, error) {
 			if _, isU := v.(Undef); isU {
 				return Undef{}, nil
 			}
-			args[i] = v
-		}
-		ov, err := lookupOverload(ex.fn, argTypes)
-		if err != nil {
-			return nil, err
+			ex.argv[i] = v
 		}
 		if q.rec != nil {
 			start := time.Now()
-			v, err := ov.fn(q.ctx, args)
-			q.rec.RecordOp(strings.ToLower(ex.fn), time.Since(start))
+			v, err := ex.ov.fn(q.ctx, ex.argv)
+			q.rec.RecordOp(ex.fn, time.Since(start))
 			return v, err
 		}
-		return ov.fn(q.ctx, args)
+		return ex.ov.fn(q.ctx, ex.argv)
 	}
-	return nil, fmt.Errorf("%w: unhandled expression %v", ErrType, e)
+	return nil, fmt.Errorf("%w: unbound expression %v", ErrType, e)
 }
 
 func isUndef(v any) bool {
@@ -582,22 +567,19 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		aggMode = aggMode || has
 	}
 	if aggMode {
-		if stmt.where != nil {
-			t, err := env.typeOf(stmt.where)
-			if err != nil {
-				return nil, err
-			}
-			if t != TBool {
-				return nil, fmt.Errorf("%w: WHERE must be bool, got %s", ErrType, t)
-			}
+		if err := env.bindWhere(stmt); err != nil {
+			return nil, err
 		}
 		return runAggregate(env, stmt, items)
 	}
+	// The plan: every expression the row loop evaluates, bound once.
 	schema := make(Schema, 0, len(items))
 	names := map[string]int{}
-	for _, it := range items {
-		t, err := env.typeOf(it.e)
-		if err != nil {
+	project := make([]expr, len(items))
+	for k, it := range items {
+		var t AttrType
+		var err error
+		if project[k], t, err = env.bind(it.e); err != nil {
 			return nil, err
 		}
 		if t == TIReal {
@@ -613,14 +595,8 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		names[name] = len(schema)
 		schema = append(schema, Column{Name: name, Type: t})
 	}
-	if stmt.where != nil {
-		t, err := env.typeOf(stmt.where)
-		if err != nil {
-			return nil, err
-		}
-		if t != TBool {
-			return nil, fmt.Errorf("%w: WHERE must be bool, got %s", ErrType, t)
-		}
+	if err := env.bindWhere(stmt); err != nil {
+		return nil, err
 	}
 	// ORDER BY may reference output aliases; substitute them with the
 	// underlying expressions.
@@ -637,9 +613,10 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 			}
 		}
 	}
-	for _, ob := range stmt.orderBy {
-		t, err := env.typeOf(ob.e)
-		if err != nil {
+	for k, ob := range stmt.orderBy {
+		var t AttrType
+		var err error
+		if stmt.orderBy[k].e, t, err = env.bind(ob.e); err != nil {
 			return nil, err
 		}
 		switch t {
@@ -668,9 +645,9 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 					return nil // ⊥ filters the row, like SQL NULL
 				}
 			}
-			row := make(Tuple, len(items))
-			for k, it := range items {
-				v, err := env.eval(it.e)
+			row := make(Tuple, len(project))
+			for k, e := range project {
+				v, err := env.eval(e)
 				if err != nil {
 					return err
 				}
@@ -707,6 +684,23 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		out.tuples = out.tuples[:stmt.limit]
 	}
 	return out, nil
+}
+
+// bindWhere binds the statement's WHERE clause in place and checks that
+// it is a predicate.
+func (q *queryEnv) bindWhere(stmt *selectStmt) error {
+	if stmt.where == nil {
+		return nil
+	}
+	where, t, err := q.bind(stmt.where)
+	if err != nil {
+		return err
+	}
+	if t != TBool {
+		return fmt.Errorf("%w: WHERE must be bool, got %s", ErrType, t)
+	}
+	stmt.where = where
+	return nil
 }
 
 // sortRelation stably sorts the result rows by the evaluated ORDER BY

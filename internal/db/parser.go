@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 // ErrSyntax reports a malformed query.
@@ -306,7 +307,7 @@ func (p *parser) parseAtom() (expr, error) {
 			if _, err := p.expect(tokRParen, ""); err != nil {
 				return nil, err
 			}
-			return call{fn: t.text, args: args}, nil
+			return call{fn: strings.ToLower(t.text), text: t.text, args: args}, nil
 		}
 		// qualified column?
 		if p.accept(tokDot, "") {

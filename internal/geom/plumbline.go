@@ -10,14 +10,26 @@ package geom
 func Plumbline(p Point, segs []Segment) bool {
 	inside := false
 	for _, s := range segs {
-		if s.Contains(p) {
+		on, crosses := PlumbStep(p, s)
+		if on {
 			return true // boundary counts as inside (regions are closed sets)
 		}
-		if crossesBelow(p, s) {
+		if crosses {
 			inside = !inside
 		}
 	}
 	return inside
+}
+
+// PlumbStep is one boundary segment's part in the plumbline test, for
+// callers that produce the segments one at a time instead of collecting
+// them: on reports p lying on s (which decides the test: inside), and
+// otherwise crosses reports that the downward ray from p crosses s.
+func PlumbStep(p Point, s Segment) (on, crosses bool) {
+	if s.Contains(p) {
+		return true, false
+	}
+	return false, crossesBelow(p, s)
 }
 
 // crossesBelow reports whether segment s crosses the vertical ray going

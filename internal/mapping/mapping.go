@@ -79,6 +79,7 @@ func FromOrdered[U units.Unit[U]](us []U) Mapping[U] {
 func (m Mapping[U]) Validate() error {
 	for i, u := range m.us {
 		if err := u.Interval().Validate(); err != nil {
+			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: unit %d: %v", ErrInvalidMapping, i, err)
 		}
 		if i == 0 {
@@ -87,9 +88,11 @@ func (m Mapping[U]) Validate() error {
 		prev := m.us[i-1]
 		pi, ci := prev.Interval(), u.Interval()
 		if !pi.RDisjoint(ci) {
+			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: unit intervals %v and %v overlap or are out of order", ErrInvalidMapping, pi, ci)
 		}
 		if pi.Adjacent(ci) && prev.EqualFunc(u) {
+			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: adjacent units %v and %v carry equal values", ErrInvalidMapping, pi, ci)
 		}
 	}
@@ -181,11 +184,9 @@ func (m Mapping[U]) FinalUnit() (U, bool) {
 // clipping units at period boundaries.
 func (m Mapping[U]) AtPeriods(p temporal.Periods) Mapping[U] {
 	var out []U
-	ri := temporal.Refine(m.Intervals(), p.Intervals())
-	for _, r := range ri {
-		if r.A >= 0 && r.B >= 0 {
-			out = appendMerged(out, m.us[r.A].WithInterval(r.Iv))
-		}
+	sw := temporal.NewSweep(m.us, p.Intervals())
+	for r, ok := sw.NextCommon(); ok; r, ok = sw.NextCommon() {
+		out = appendMerged(out, m.us[r.A].WithInterval(r.Iv))
 	}
 	res := Mapping[U]{us: out}
 	debugValidate("AtPeriods", res)
@@ -234,6 +235,10 @@ type Builder[U units.Unit[U]] struct {
 	err error
 }
 
+// Grow makes room for n more units, for operations that know a bound on
+// their result (a sweep over n and m units emits fewer than n + m).
+func (b *Builder[U]) Grow(n int) { b.us = slices.Grow(b.us, n) }
+
 // Append adds a unit that must start no earlier than the previous one
 // ends; violations are recorded and surfaced by Build.
 func (b *Builder[U]) Append(u U) {
@@ -243,6 +248,7 @@ func (b *Builder[U]) Append(u U) {
 	if n := len(b.us); n > 0 {
 		pi := b.us[n-1].Interval()
 		if !pi.RDisjoint(u.Interval()) {
+			// moguard: allocok error construction runs only on the rejection path; an out-of-order append is a bug in the calling operation
 			b.err = fmt.Errorf("%w: unit %v appended after %v", ErrInvalidMapping, u.Interval(), pi)
 			return
 		}

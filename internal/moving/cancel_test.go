@@ -8,6 +8,7 @@ import (
 	"movingdb/internal/geom"
 	"movingdb/internal/spatial"
 	"movingdb/internal/temporal"
+	"movingdb/internal/units"
 )
 
 // longTrack builds a moving point with enough units that the ctx-aware
@@ -71,5 +72,63 @@ func TestCtxVariantsMatchPlainOnes(t *testing.T) {
 	}
 	if a.String() != r.Area().String() {
 		t.Errorf("AreaCtx disagrees with Area")
+	}
+}
+
+// pollCtx counts the cancellation polls it receives and reports
+// cancelled from the cancelAt-th poll on, so a test can cancel "in the
+// middle" of a sweep deterministically.
+type pollCtx struct {
+	context.Context
+	polls, cancelAt int
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls++; c.polls >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// stepRegion is a moving region of n units that do not merge: a square
+// that jumps between two sizes from unit to unit.
+func stepRegion(n int) MRegion {
+	us := make([]units.URegion, n)
+	for i := range us {
+		side := 10 + float64(i%2)
+		r := spatial.MustPolygonRegion(spatial.Ring(0, 0, side, 0, side, side, 0, side))
+		us[i] = staticURegion(r, temporal.RightHalfOpen(temporal.Instant(i), temporal.Instant(i+1)))
+	}
+	return MustMRegion(us...)
+}
+
+// TestStreamingSweepKeepsCancelCadence cancels InsideCtx and
+// IntersectsCtx in the middle of their refinement sweeps: the loops poll
+// on every cancelCheckEvery-th piece, so a context that turns cancelled
+// after its k-th poll stops the sweep at piece (k−1)·cancelCheckEvery —
+// within cancelCheckEvery pieces of the cancellation — having polled
+// exactly k times.
+func TestStreamingSweepKeepsCancelCadence(t *testing.T) {
+	n := 4 * cancelCheckEvery
+	p := longTrack(t, n)
+	sq := bigSquare(temporal.Closed(0, 1e9))
+	steps := stepRegion(n)
+	for _, k := range []int{1, 2, 4} {
+		ctx := &pollCtx{Context: context.Background(), cancelAt: k}
+		if _, err := p.InsideCtx(ctx, sq); !errors.Is(err, context.Canceled) || ctx.polls != k {
+			t.Errorf("InsideCtx cancelled at poll %d: err = %v after %d polls", k, err, ctx.polls)
+		}
+		ctx = &pollCtx{Context: context.Background(), cancelAt: k}
+		if _, err := steps.IntersectsCtx(ctx, steps); !errors.Is(err, context.Canceled) || ctx.polls != k {
+			t.Errorf("IntersectsCtx cancelled at poll %d: err = %v after %d polls", k, err, ctx.polls)
+		}
+	}
+	// A context that is never cancelled is polled once per
+	// cancelCheckEvery pieces of the whole partition, no more.
+	pieces := len(temporal.Refine(p.M.Intervals(), sq.M.Intervals()))
+	want := (pieces + cancelCheckEvery - 1) / cancelCheckEvery
+	ctx := &pollCtx{Context: context.Background(), cancelAt: pieces}
+	if _, err := p.InsideCtx(ctx, sq); err != nil || ctx.polls != want {
+		t.Errorf("InsideCtx over %d pieces: err = %v, %d polls, want %d", pieces, err, ctx.polls, want)
 	}
 }

@@ -93,10 +93,9 @@ func (b MBool) Or(c MBool) MBool {
 func liftBoolOp(b, c MBool, op func(x, y bool) bool) MBool {
 	var bld mapping.Builder[units.UBool]
 	bu, cu := b.M.Units(), c.M.Units()
-	for _, ri := range temporal.Refine(b.M.Intervals(), c.M.Intervals()) {
-		if ri.A < 0 || ri.B < 0 {
-			continue
-		}
+	bld.Grow(len(bu) + len(cu))
+	sw := temporal.NewSweep(bu, cu)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
 		bld.Append(units.UBool{Iv: ri.Iv, V: op(bu[ri.A].V, cu[ri.B].V)})
 	}
 	return MBool{M: bld.MustBuild()}

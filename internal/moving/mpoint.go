@@ -143,13 +143,14 @@ func (p MPoint) Length() float64 { return p.Trajectory().Length() }
 // moving point as a moving real, defined where both points are defined
 // (the lifted distance operation used by the spatio-temporal join of
 // Section 2).
+//
+// moguard: hotpath
 func (p MPoint) Distance(q MPoint) MReal {
 	var bld mapping.Builder[units.UReal]
 	pu, qu := p.M.Units(), q.M.Units()
-	for _, ri := range temporal.Refine(p.M.Intervals(), q.M.Intervals()) {
-		if ri.A < 0 || ri.B < 0 {
-			continue
-		}
+	bld.Grow(len(pu) + len(qu))
+	sw := temporal.NewSweep(pu, qu)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
 		bld.Append(pu[ri.A].DistanceTo(qu[ri.B], ri.Iv))
 	}
 	return MReal{M: bld.MustBuild()}
@@ -228,11 +229,14 @@ func (p MPoint) InsideRegionCtx(ctx context.Context, r spatial.Region) (MBool, e
 	// unit-pair kernel.
 	ur := staticURegion(r, temporal.Closed(temporal.NegInf, temporal.PosInf))
 	var bld mapping.Builder[units.UBool]
+	var buf [4]units.UBool
+	pieces := buf[:0]
 	for i, u := range p.M.Units() {
 		if err := cancelCheck(ctx, i); err != nil {
 			return MBool{}, err
 		}
-		for _, ub := range units.UPointInsideURegion(u, ur.WithInterval(u.Iv)) {
+		pieces = units.UPointInsideURegion(pieces[:0], u, ur.WithInterval(u.Iv))
+		for _, ub := range pieces {
 			bld.Append(ub)
 		}
 	}
@@ -251,11 +255,22 @@ func (p MPoint) Inside(r MRegion) MBool {
 
 // InsideCtx is Inside with cooperative cancellation along the
 // refinement partition — the O(n + m + S) loop the serving layer must
-// be able to abort when a request deadline expires.
+// be able to abort when a request deadline expires. The partition is
+// streamed, and the kernel's pieces pass through one small buffer into
+// the result, so the only allocation is the result's own unit array.
+//
+// moguard: hotpath
 func (p MPoint) InsideCtx(ctx context.Context, r MRegion) (MBool, error) {
 	var bld mapping.Builder[units.UBool]
 	pu, ru := p.M.Units(), r.M.Units()
-	for i, ri := range temporal.Refine(p.M.Intervals(), r.M.Intervals()) {
+	var buf [4]units.UBool
+	pieces := buf[:0]
+	sw := temporal.NewSweep(pu, ru)
+	for i := 0; ; i++ {
+		ri, ok := sw.Next()
+		if !ok {
+			break
+		}
 		if err := cancelCheck(ctx, i); err != nil {
 			return MBool{}, err
 		}
@@ -264,7 +279,8 @@ func (p MPoint) InsideCtx(ctx context.Context, r MRegion) (MBool, error) {
 		}
 		up := pu[ri.A].WithInterval(ri.Iv)
 		ur := ru[ri.B].WithInterval(ri.Iv)
-		for _, ub := range units.UPointInsideURegion(up, ur) {
+		pieces = units.UPointInsideURegion(pieces[:0], up, ur)
+		for _, ub := range pieces {
 			bld.Append(ub)
 		}
 	}

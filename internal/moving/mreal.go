@@ -130,8 +130,9 @@ func (r MReal) AtMax() MReal {
 func (r MReal) atValueNear(v float64) MReal {
 	tol := 1e-9 * math.Max(1, math.Abs(v))
 	var bld mapping.Builder[units.UReal]
+	var buf [5]temporal.Instant // InstantsNear yields at most five
 	for _, u := range r.M.Units() {
-		ts, all := u.InstantsNear(v, tol)
+		ts, all := u.InstantsNear(buf[:0], v, tol)
 		if all {
 			bld.Append(u)
 			continue
@@ -289,10 +290,9 @@ func (r MReal) Sub(s MReal) (MReal, bool) {
 func liftRealOp(r, s MReal, op func(a, b units.UReal, iv temporal.Interval) (units.UReal, bool)) (MReal, bool) {
 	var bld mapping.Builder[units.UReal]
 	ru, su := r.M.Units(), s.M.Units()
-	for _, ri := range temporal.Refine(r.M.Intervals(), s.M.Intervals()) {
-		if ri.A < 0 || ri.B < 0 {
-			continue
-		}
+	bld.Grow(len(ru) + len(su))
+	sw := temporal.NewSweep(ru, su)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
 		u, ok := op(ru[ri.A], su[ri.B], ri.Iv)
 		if !ok {
 			return MReal{}, false

@@ -161,7 +161,8 @@ func (r MRegion) Perimeter() (MReal, bool) {
 	var bld mapping.Builder[units.UReal]
 	for _, u := range r.M.Units() {
 		var total float64
-		for _, g := range u.AllMSegs() {
+		it := u.MSegs()
+		for g, more := it.Next(); more; g, more = it.Next() {
 			// Edge length at time t: |d0 + d1·t|; constant iff d1 = 0.
 			d1x, d1y := g.E.X1-g.S.X1, g.E.Y1-g.S.Y1
 			if !geom.ApproxZero(d1x) || !geom.ApproxZero(d1y) {

@@ -24,10 +24,8 @@ import (
 func (r MReal) LessThan(s MReal) (MBool, bool) {
 	var bld mapping.Builder[units.UBool]
 	ru, su := r.M.Units(), s.M.Units()
-	for _, ri := range temporal.Refine(r.M.Intervals(), s.M.Intervals()) {
-		if ri.A < 0 || ri.B < 0 {
-			continue
-		}
+	sw := temporal.NewSweep(ru, su)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
 		a := ru[ri.A].WithInterval(ri.Iv)
 		b := su[ri.B].WithInterval(ri.Iv)
 		diff, ok := comparableDiff(a, b)
@@ -195,7 +193,13 @@ func (r MRegion) Intersects(s MRegion) MBool {
 func (r MRegion) IntersectsCtx(ctx context.Context, s MRegion) (MBool, error) {
 	var bld mapping.Builder[units.UBool]
 	ru, su := r.M.Units(), s.M.Units()
-	for i, ri := range temporal.Refine(r.M.Intervals(), s.M.Intervals()) {
+	var pieces []units.UBool
+	sw := temporal.NewSweep(ru, su)
+	for i := 0; ; i++ {
+		ri, ok := sw.Next()
+		if !ok {
+			break
+		}
 		if err := cancelCheck(ctx, i); err != nil {
 			return MBool{}, err
 		}
@@ -204,7 +208,8 @@ func (r MRegion) IntersectsCtx(ctx context.Context, s MRegion) (MBool, error) {
 		}
 		ua := ru[ri.A].WithInterval(ri.Iv)
 		ub := su[ri.B].WithInterval(ri.Iv)
-		for _, piece := range units.URegionIntersects(ua, ub) {
+		pieces = units.URegionIntersects(pieces[:0], ua, ub)
+		for _, piece := range pieces {
 			bld.Append(piece)
 		}
 	}

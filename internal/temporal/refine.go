@@ -1,7 +1,5 @@
 package temporal
 
-import "slices"
-
 // RefinementInterval is one element of the refinement partition of two
 // interval sequences (Figure 8 of the paper): a maximal interval on
 // which membership in both sequences is constant. A and B carry the
@@ -12,91 +10,156 @@ type RefinementInterval struct {
 	A, B int
 }
 
-// Refine computes the refinement partition of two sequences of intervals
-// that are each ordered, pairwise disjoint and non-adjacent (the shape
-// of unit intervals inside a mapping, and of Periods). The result covers
+// Spanned is anything that occupies a time interval: the units of a
+// mapping, and an Interval itself.
+type Spanned interface {
+	Interval() Interval
+}
+
+// Interval returns i, so that interval sequences (Periods, the inputs of
+// Refine) are swept by the same code as unit arrays.
+func (i Interval) Interval() Interval { return i }
+
+// Sweep streams the refinement partition of two sequences that are each
+// ordered and pairwise disjoint (the shape of the unit array inside a
+// mapping, and of Periods): every lifted binary operation traverses the
+// two arrays through it and applies a unit-pair kernel per piece
+// (Section 5.2). It is the two-cursor merge of the two already ordered
+// endpoint streams — no endpoint array, no sort, no materialised
+// partition — and the only refinement implementation: the pieces cover
 // exactly the union of the two sequences, in temporal order, split at
-// every boundary of either input, with adjacent pieces of identical
-// membership merged. Binary operations on moving objects traverse this
-// partition and apply a unit-pair kernel per element (Section 5.2).
+// every boundary of either.
 //
-// The cost is O(n + m) in the input sizes.
+// The cost of a whole sweep is O(n + m), with Interval() called once per
+// element, and it allocates nothing.
+type Sweep[A, B Spanned] struct {
+	a    []A
+	b    []B
+	i, j int
+	// ia and ib cache a[i].Interval() and b[j].Interval().
+	ia, ib Interval
+	// at is where the sweep stands: everything before it is emitted.
+	at boundary
+}
+
+// boundary is a cut of the time axis just before (after == false) or
+// just after instant t. An interval is the half-open range of boundaries
+// from lo to hi — [s, e] runs from just before s to just after e, (s, e)
+// from just after s to just before e — which turns the four closure
+// cases into one comparison.
+type boundary struct {
+	t     Instant
+	after bool
+}
+
+func (b boundary) less(c boundary) bool {
+	return b.t < c.t || (b.t == c.t && !b.after && c.after)
+}
+
+func (i Interval) lo() boundary { return boundary{i.Start, !i.LC} }
+func (i Interval) hi() boundary { return boundary{i.End, i.RC} }
+
+// NewSweep starts the sweep over a and b.
+func NewSweep[A, B Spanned](a []A, b []B) Sweep[A, B] {
+	s := Sweep[A, B]{a: a, b: b, at: boundary{t: NegInf}}
+	if len(a) > 0 {
+		s.ia = a[0].Interval()
+	}
+	if len(b) > 0 {
+		s.ib = b[0].Interval()
+	}
+	return s
+}
+
+// Next returns the next piece of the partition; ok is false when both
+// sequences are exhausted.
+//
+// moguard: hotpath
+func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
+	// Drop the intervals that end at or before the current boundary.
+	for s.i < len(s.a) && !s.at.less(s.ia.hi()) {
+		if s.i++; s.i < len(s.a) {
+			s.ia = s.a[s.i].Interval()
+		}
+	}
+	for s.j < len(s.b) && !s.at.less(s.ib.hi()) {
+		if s.j++; s.j < len(s.b) {
+			s.ib = s.b[s.j].Interval()
+		}
+	}
+	moreA, moreB := s.i < len(s.a), s.j < len(s.b)
+	if !moreA && !moreB {
+		return RefinementInterval{}, false
+	}
+	// An interval covers the current boundary when it starts at or
+	// before it. In a gap of both sequences, jump to the earlier start.
+	inA := moreA && !s.at.less(s.ia.lo())
+	inB := moreB && !s.at.less(s.ib.lo())
+	if !inA && !inB {
+		if moreA && (!moreB || !s.ib.lo().less(s.ia.lo())) {
+			s.at, inA = s.ia.lo(), true
+			inB = moreB && !s.at.less(s.ib.lo())
+		} else {
+			s.at, inB = s.ib.lo(), true
+		}
+	}
+	// The piece runs to the nearest boundary at which membership
+	// changes: the end of a covering interval, the start of a waiting
+	// one.
+	ri = RefinementInterval{A: -1, B: -1}
+	end := boundary{PosInf, true}
+	if moreA {
+		if inA {
+			ri.A = s.i
+		}
+		end = changeAt(s.ia, inA)
+	}
+	if moreB {
+		if inB {
+			ri.B = s.j
+		}
+		if e := changeAt(s.ib, inB); e.less(end) {
+			end = e
+		}
+	}
+	ri.Iv = Interval{Start: s.at.t, End: end.t, LC: !s.at.after, RC: end.after}
+	s.at = end
+	return ri, true
+}
+
+// changeAt returns the boundary at which membership in iv changes next:
+// its end while it covers the sweep's position, its start while it
+// waits.
+func changeAt(iv Interval, covers bool) boundary {
+	if covers {
+		return iv.hi()
+	}
+	return iv.lo()
+}
+
+// NextCommon returns the next piece that both sequences cover — the
+// pieces a lifted binary operation produces a unit for.
+func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
+	for {
+		if ri, ok := s.Next(); !ok || (ri.A >= 0 && ri.B >= 0) {
+			return ri, ok
+		}
+	}
+}
+
+// Refine collects the refinement partition of two interval sequences
+// into a slice; see Sweep. The lifted operations stream the sweep
+// instead.
 func Refine(a, b []Interval) []RefinementInterval {
-	// Collect the cut instants: every start and end of either sequence.
-	cuts := make([]Instant, 0, 2*(len(a)+len(b)))
-	for _, iv := range a {
-		cuts = append(cuts, iv.Start, iv.End)
-	}
-	for _, iv := range b {
-		cuts = append(cuts, iv.Start, iv.End)
-	}
-	slices.Sort(cuts)
-	cuts = slices.Compact(cuts)
-	if len(cuts) == 0 {
+	if len(a)+len(b) == 0 {
 		return nil
 	}
-
-	// Walk the atomic decomposition — alternating degenerate [t_k, t_k]
-	// and open (t_k, t_{k+1}) atoms — and assign memberships with two
-	// advancing pointers per sequence.
-	var out []RefinementInterval
-	ia, ib := 0, 0
-	emit := func(atom Interval, idxA, idxB int) {
-		if idxA < 0 && idxB < 0 {
-			return
-		}
-		if n := len(out); n > 0 && out[n-1].A == idxA && out[n-1].B == idxB {
-			if u, ok := out[n-1].Iv.Union(atom); ok {
-				out[n-1].Iv = u
-				return
-			}
-		}
-		out = append(out, RefinementInterval{Iv: atom, A: idxA, B: idxB})
-	}
-	// coverPoint returns the index of the interval in seq containing t,
-	// advancing ptr past intervals entirely before t.
-	coverPoint := func(seq []Interval, ptr *int, t Instant) int {
-		for *ptr < len(seq) && seq[*ptr].End < t {
-			*ptr++
-		}
-		// The interval at *ptr may end exactly at t but open; peek ahead
-		// one position to handle [x, t) immediately followed by a later
-		// interval starting at t.
-		for k := *ptr; k < len(seq) && seq[k].Start <= t; k++ {
-			if seq[k].Contains(t) {
-				return k
-			}
-		}
-		return -1
-	}
-	// coverOpen returns the index of the interval containing the whole
-	// open atom (lo, hi). Because lo and hi are cuts, an interval either
-	// contains all of the atom or none of it.
-	coverOpen := func(seq []Interval, ptr *int, lo, hi Instant) int {
-		for *ptr < len(seq) && seq[*ptr].End <= lo {
-			*ptr++
-		}
-		if *ptr < len(seq) {
-			iv := seq[*ptr]
-			if iv.Start <= lo && hi <= iv.End {
-				return *ptr
-			}
-		}
-		return -1
-	}
-
-	for k, t := range cuts {
-		// Degenerate atom at the cut itself.
-		pa := coverPoint(a, &ia, t)
-		pb := coverPoint(b, &ib, t)
-		emit(AtInstant(t), pa, pb)
-		// Open atom up to the next cut.
-		if k+1 < len(cuts) {
-			lo, hi := t, cuts[k+1]
-			oa := coverOpen(a, &ia, lo, hi)
-			ob := coverOpen(b, &ib, lo, hi)
-			emit(Open(lo, hi), oa, ob)
-		}
+	// n + m + 1 pieces hold two sequences that each run gap-free; gaps
+	// on both sides make append grow it, to at most 2(n + m) − 1.
+	out := make([]RefinementInterval, 0, len(a)+len(b)+1)
+	s := NewSweep(a, b)
+	for ri, ok := s.Next(); ok; ri, ok = s.Next() {
+		out = append(out, ri)
 	}
 	return out
 }

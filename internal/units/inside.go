@@ -24,28 +24,32 @@ import (
 // because the boundary belongs to the region.
 //
 // The cost is O(s) for the stab candidates plus O(k log k) for sorting
-// the k crossings, matching the complexity stated in the paper.
-func UPointInsideURegion(up UPoint, ur URegion) []UBool {
+// the k crossings, matching the complexity stated in the paper. The
+// moving segments are walked in place and the boolean units are appended
+// to dst, so a caller that reuses dst pays no allocation per unit pair.
+//
+// moguard: hotpath
+func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 	iv, ok := up.Iv.Intersect(ur.Iv)
 	if !ok {
-		return nil
+		return dst
 	}
-	// Bounding cube rejection (constant time with stored cubes).
+	// Bounding cube rejection: both cubes are computed here from the
+	// vertices, O(s) arithmetic and no allocation.
 	if !up.Cube().Intersects(ur.Cube()) {
-		return []UBool{{Iv: iv, V: false}}
+		return append(dst, UBool{Iv: iv, V: false})
 	}
 
-	type crossing struct {
-		t     float64
-		touch bool // tangential: state does not flip
+	// A point unit rarely stabs more than a few boundary segments; more
+	// crossings than the buffer holds spill to the heap.
+	var buf [8]stab
+	crossings := buf[:0]
+	it := ur.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
+		stabs, n := stabTimes(up.M, g, iv)
+		crossings = append(crossings, stabs[:n]...)
 	}
-	var crossings []crossing
-	for _, g := range ur.AllMSegs() {
-		for _, c := range stabTimes(up.M, g, iv) {
-			crossings = append(crossings, crossing{t: c.t, touch: c.touch})
-		}
-	}
-	slices.SortFunc(crossings, func(a, b crossing) int {
+	slices.SortFunc(crossings, func(a, b stab) int {
 		switch {
 		case a.t < b.t:
 			return -1
@@ -69,7 +73,7 @@ func UPointInsideURegion(up UPoint, ur URegion) []UBool {
 			}
 			j++
 		}
-		merged = append(merged, crossing{t: crossings[i].t, touch: flips%2 == 0})
+		merged = append(merged, stab{t: crossings[i].t, touch: flips%2 == 0})
 		i = j
 	}
 	crossings = merged
@@ -100,7 +104,6 @@ func UPointInsideURegion(up UPoint, ur URegion) []UBool {
 	// Assemble alternating boolean units. True pieces are closed, false
 	// pieces open; touches inside a false piece contribute degenerate
 	// true instants.
-	var out []UBool
 	cur := iv.Start
 	curLC := iv.LC
 	emit := func(end temporal.Instant, endRC bool, v bool) {
@@ -128,7 +131,7 @@ func UPointInsideURegion(up UPoint, ur URegion) []UBool {
 		if cur > end {
 			return
 		}
-		out = append(out, UBool{Iv: temporal.Interval{Start: cur, End: end, LC: lc, RC: rc}, V: v})
+		dst = append(dst, UBool{Iv: temporal.Interval{Start: cur, End: end, LC: lc, RC: rc}, V: v})
 	}
 	for _, c := range crossings {
 		t := temporal.Instant(c.t)
@@ -152,17 +155,19 @@ func UPointInsideURegion(up UPoint, ur URegion) []UBool {
 		state = !state
 	}
 	emit(iv.End, iv.RC, state)
-	return out
+	return dst
 }
 
+// stab is one instant at which the moving point meets the region
+// boundary.
 type stab struct {
 	t     float64
-	touch bool
+	touch bool // tangential: the inside/outside state does not flip
 }
 
-// stabTimes returns the instants in iv at which the moving point p
+// stabTimes returns the n ≤ 2 instants in iv at which the moving point p
 // crosses (or touches) the moving segment g.
-func stabTimes(p MPoint, g MSeg, iv temporal.Interval) []stab {
+func stabTimes(p MPoint, g MSeg, iv temporal.Interval) (out [2]stab, n int) {
 	// f(t) = cross(e(t)−s(t), p(t)−s(t)), a quadratic.
 	dx0, dx1 := g.E.X0-g.S.X0, g.E.X1-g.S.X1
 	dy0, dy1 := g.E.Y0-g.S.Y0, g.E.Y1-g.S.Y1
@@ -171,19 +176,18 @@ func stabTimes(p MPoint, g MSeg, iv temporal.Interval) []stab {
 	a := dx1*wy1 - dy1*wx1
 	b := dx0*wy1 + dx1*wy0 - dy0*wx1 - dy1*wx0
 	c := dx0*wy0 - dy0*wx0
-	roots, all := QuadRoots(a, b, c)
+	roots, nr, all := QuadRoots(a, b, c)
 	if all {
 		// The point moves along the segment's supporting line; it is on
 		// the segment for a whole sub-interval. This non-generic case is
 		// handled conservatively as no crossings (state sampling decides
 		// membership), acceptable because the boundary belongs to the
 		// region on either side.
-		return nil
+		return out, 0
 	}
-	var out []stab
 	//molint:ignore float-eq degree classification: QuadRoots already folded near-zero leading coefficients, so a surviving nonzero is structural
-	touch := len(roots) == 1 && a != 0 // double root: tangential
-	for _, r := range roots {
+	touch := nr == 1 && a != 0 // double root: tangential
+	for _, r := range roots[:nr] {
 		t := temporal.Instant(r)
 		if !iv.Contains(t) {
 			continue
@@ -197,19 +201,31 @@ func stabTimes(p MPoint, g MSeg, iv temporal.Interval) []stab {
 		if !sp.Contains(p.Eval(t)) {
 			continue
 		}
-		out = append(out, stab{t: r, touch: touch})
+		out[n] = stab{t: r, touch: touch}
+		n++
 	}
-	return out
+	return out, n
 }
 
 // pointInRegionAt applies the plumbline test to decide whether the
-// moving point is inside the moving region at instant t.
+// moving point is inside the moving region at instant t, evaluating the
+// boundary segments one at a time.
 func pointInRegionAt(p MPoint, ur URegion, t temporal.Instant) bool {
-	segs := make([]geom.Segment, 0, ur.NumMSegs())
-	for _, g := range ur.AllMSegs() {
-		if s, ok := g.EvalSeg(t); ok {
-			segs = append(segs, s)
+	pt := p.Eval(t)
+	inside := false
+	it := ur.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
+		s, ok := g.EvalSeg(t)
+		if !ok {
+			continue
+		}
+		on, crosses := geom.PlumbStep(pt, s)
+		if on {
+			return true
+		}
+		if crosses {
+			inside = !inside
 		}
 	}
-	return geom.Plumbline(p.Eval(t), segs)
+	return inside
 }

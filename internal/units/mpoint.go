@@ -62,29 +62,24 @@ func (m MPoint) Cmp(n MPoint) int {
 	return 0
 }
 
-// meetTimes returns the instants at which the motions m and n coincide:
-// none, one, or always (identical motion).
-func (m MPoint) meetTimes(n MPoint) (ts []float64, always bool) {
-	xs, xAll := QuadRoots(0, m.X1-n.X1, m.X0-n.X0)
-	ys, yAll := QuadRoots(0, m.Y1-n.Y1, m.Y0-n.Y0)
+// meetTimes returns the instant at which the motions m and n coincide:
+// none, one (ok), or always (identical motion).
+func (m MPoint) meetTimes(n MPoint) (t float64, ok, always bool) {
+	xs, nx, xAll := QuadRoots(0, m.X1-n.X1, m.X0-n.X0)
+	ys, ny, yAll := QuadRoots(0, m.Y1-n.Y1, m.Y0-n.Y0)
 	switch {
 	case xAll && yAll:
-		return nil, true
+		return 0, false, true
 	case xAll:
-		return ys, false
+		return ys[0], ny > 0, false
 	case yAll:
-		return xs, false
+		return xs[0], nx > 0, false
 	}
-	// Both coordinates have isolated solution times; they must agree.
-	var out []float64
-	for _, tx := range xs {
-		for _, ty := range ys {
-			if geom.ApproxEq(tx, ty) {
-				out = append(out, tx)
-			}
-		}
+	// Both coordinates have an isolated solution time; they must agree.
+	if nx > 0 && ny > 0 && geom.ApproxEq(xs[0], ys[0]) {
+		return xs[0], true, false
 	}
-	return out, false
+	return 0, false, false
 }
 
 // String formats the motion as "(x0+x1·t, y0+y1·t)".
@@ -167,9 +162,9 @@ func (g MSeg) EvalSeg(t temporal.Instant) (geom.Segment, bool) {
 	return s, true
 }
 
-// DegenerateTimes returns the instants at which the two endpoints
+// DegenerateTimes returns the instant at which the two endpoints
 // coincide (the segment collapses to a point): none, one, or always.
-func (g MSeg) DegenerateTimes() (ts []float64, always bool) {
+func (g MSeg) DegenerateTimes() (t float64, ok, always bool) {
 	return g.S.meetTimes(g.E)
 }
 
@@ -185,50 +180,52 @@ func (g MSeg) Cmp(h MSeg) int {
 // String renders the moving segment by its endpoint motions.
 func (g MSeg) String() string { return fmt.Sprintf("[%v — %v]", g.S, g.E) }
 
-// msegCriticalTimes collects the instants where the geometric relation
-// between two moving segments can change: an endpoint of one crosses the
-// supporting line of the other (quadratic events), endpoints of the two
-// segments meet (linear events), and either segment degenerates. Between
-// consecutive critical times, static predicates such as p-intersect,
-// touch or overlap are constant.
-func msegCriticalTimes(g, h MSeg) (ts []float64, alwaysCollinear bool) {
-	add := func(roots []float64, all bool) bool {
-		ts = append(ts, roots...)
-		return all
-	}
+// appendCriticalTimes appends to ts the instants where the geometric
+// relation between two moving segments can change: an endpoint of one
+// crosses the supporting line of the other (quadratic events), endpoints
+// of the two segments meet (linear events), and either segment
+// degenerates. Between consecutive critical times, static predicates
+// such as p-intersect, touch or overlap are constant.
+func appendCriticalTimes(ts []float64, g, h MSeg) (out []float64, alwaysCollinear bool) {
 	// Endpoint-on-supporting-line events: cross(bE−bS, p−bS)(t) = 0 is a
 	// quadratic in t for each endpoint motion p of the other segment.
-	online := func(b MSeg, p MPoint) ([]float64, bool) {
-		// d(t) = bE(t) − bS(t); w(t) = p(t) − bS(t); cross(d, w) quadratic.
-		dx0, dx1 := b.E.X0-b.S.X0, b.E.X1-b.S.X1
-		dy0, dy1 := b.E.Y0-b.S.Y0, b.E.Y1-b.S.Y1
-		wx0, wx1 := p.X0-b.S.X0, p.X1-b.S.X1
-		wy0, wy1 := p.Y0-b.S.Y0, p.Y1-b.S.Y1
-		// cross = dx·wy − dy·wx, with dx(t) = dx0+dx1·t etc.
-		a := dx1*wy1 - dy1*wx1
-		bb := dx0*wy1 + dx1*wy0 - dy0*wx1 - dy1*wx0
-		c := dx0*wy0 - dy0*wx0
-		return QuadRoots(a, bb, c)
-	}
 	all := true
-	for _, pair := range []struct {
-		b MSeg
-		p MPoint
-	}{{g, h.S}, {g, h.E}, {h, g.S}, {h, g.E}} {
-		roots, a := online(pair.b, pair.p)
-		if !add(roots, a) {
-			all = false
+	online := func(b MSeg, p MPoint) {
+		roots, n, a := supportCrossings(b, p)
+		ts = append(ts, roots[:n]...)
+		all = all && a
+	}
+	online(g, h.S)
+	online(g, h.E)
+	online(h, g.S)
+	online(h, g.E)
+	meet := func(p, q MPoint) {
+		if t, ok, _ := p.meetTimes(q); ok {
+			ts = append(ts, t)
 		}
 	}
 	// Segment degeneracies.
-	for _, b := range []MSeg{g, h} {
-		roots, _ := b.DegenerateTimes()
-		ts = append(ts, roots...)
-	}
+	meet(g.S, g.E)
+	meet(h.S, h.E)
 	// Endpoint meeting events (linear).
-	for _, pq := range [][2]MPoint{{g.S, h.S}, {g.S, h.E}, {g.E, h.S}, {g.E, h.E}} {
-		roots, _ := pq[0].meetTimes(pq[1])
-		ts = append(ts, roots...)
-	}
+	meet(g.S, h.S)
+	meet(g.S, h.E)
+	meet(g.E, h.S)
+	meet(g.E, h.E)
 	return ts, all
+}
+
+// supportCrossings returns the instants at which the moving point p lies
+// on the supporting line of the moving segment b: the roots of
+// cross(bE(t)−bS(t), p(t)−bS(t)), a quadratic in t.
+func supportCrossings(b MSeg, p MPoint) (roots [2]float64, n int, all bool) {
+	dx0, dx1 := b.E.X0-b.S.X0, b.E.X1-b.S.X1
+	dy0, dy1 := b.E.Y0-b.S.Y0, b.E.Y1-b.S.Y1
+	wx0, wx1 := p.X0-b.S.X0, p.X1-b.S.X1
+	wy0, wy1 := p.Y0-b.S.Y0, p.Y1-b.S.Y1
+	// cross = dx·wy − dy·wx, with dx(t) = dx0+dx1·t etc.
+	qa := dx1*wy1 - dy1*wx1
+	qb := dx0*wy1 + dx1*wy0 - dy0*wx1 - dy1*wx0
+	qc := dx0*wy0 - dy0*wx0
+	return QuadRoots(qa, qb, qc)
 }

@@ -128,7 +128,7 @@ func TestInsideKernelAgreesWithSampling(t *testing.T) {
 		ur := MustURegion(iv(0, 10), MFace{Outer: mc})
 		up := UPoint{Iv: iv(0, 10), M: randMotion(rng)}
 
-		pieces := UPointInsideURegion(up, ur)
+		pieces := UPointInsideURegion(nil, up, ur)
 		// Coverage: the pieces partition [0,10].
 		var dur float64
 		for _, p := range pieces {

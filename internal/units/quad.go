@@ -11,24 +11,27 @@ import (
 // when classifying degree.
 const quadEps = 1e-12
 
-// QuadRoots returns the real roots of a·t² + b·t + c = 0 in ascending
-// order. A (near-)zero leading coefficient degrades gracefully to the
-// linear or constant case; an identically zero polynomial reports
-// all = true and no isolated roots.
-func QuadRoots(a, b, c float64) (roots []float64, all bool) {
+// QuadRoots returns the n ≤ 2 real roots of a·t² + b·t + c = 0 in
+// ascending order, by value: the stab and critical-time kernels call it
+// once per moving segment and must not allocate. A (near-)zero leading
+// coefficient degrades gracefully to the linear or constant case; an
+// identically zero polynomial reports all = true and no isolated roots.
+func QuadRoots(a, b, c float64) (roots [2]float64, n int, all bool) {
 	if math.Abs(a) < quadEps {
 		if math.Abs(b) < quadEps {
-			return nil, math.Abs(c) < quadEps
+			return roots, 0, math.Abs(c) < quadEps
 		}
-		return []float64{-c / b}, false
+		roots[0] = -c / b
+		return roots, 1, false
 	}
 	disc := b*b - 4*a*c
 	switch {
 	case disc < 0:
-		return nil, false
+		return roots, 0, false
 	//molint:ignore float-eq exact zero discriminant takes the closed-form double root; near-zero positives fall through to the stable two-root form that converges to the same value
 	case disc == 0:
-		return []float64{-b / (2 * a)}, false
+		roots[0] = -b / (2 * a)
+		return roots, 1, false
 	}
 	sq := math.Sqrt(disc)
 	// Numerically stable form: compute the larger-magnitude root first.
@@ -37,20 +40,7 @@ func QuadRoots(a, b, c float64) (roots []float64, all bool) {
 	if r1 > r2 {
 		r1, r2 = r2, r1
 	}
-	return []float64{r1, r2}, false
-}
-
-// rootsInOpen filters roots to those lying in the open part of the unit
-// interval (σ′), which is where the carrier set constraints of the
-// spatial unit types apply.
-func rootsInOpen(roots []float64, iv temporal.Interval) []float64 {
-	var out []float64
-	for _, r := range roots {
-		if iv.ContainsOpen(temporal.Instant(r)) {
-			out = append(out, r)
-		}
-	}
-	return out
+	return [2]float64{r1, r2}, 2, false
 }
 
 // criticalSamples returns probe instants that, together, decide a

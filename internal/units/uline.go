@@ -77,14 +77,12 @@ func (u ULine) Validate() error {
 		if !g.Coplanar() {
 			return fmt.Errorf("%w: rotating moving segment %v", ErrInvalidUnit, g)
 		}
-		ts, always := g.DegenerateTimes()
+		r, ok, always := g.DegenerateTimes()
 		if always {
 			return fmt.Errorf("%w: permanently degenerate moving segment %v", ErrInvalidUnit, g)
 		}
-		for _, r := range ts {
-			if u.Iv.ContainsOpen(temporal.Instant(r)) {
-				return fmt.Errorf("%w: moving segment %v degenerates at t=%g inside the unit", ErrInvalidUnit, g, r)
-			}
+		if ok && u.Iv.ContainsOpen(temporal.Instant(r)) {
+			return fmt.Errorf("%w: moving segment %v degenerates at t=%g inside the unit", ErrInvalidUnit, g, r)
 		}
 	}
 	// Pairwise: no collinear overlap at any inner instant.
@@ -101,7 +99,7 @@ func (u ULine) Validate() error {
 // overlapInstant reports an instant in the open unit interval at which
 // the two moving segments are collinear and overlapping, if one exists.
 func overlapInstant(g, h MSeg, iv temporal.Interval) (temporal.Instant, bool) {
-	critical, _ := msegCriticalTimes(g, h)
+	critical, _ := appendCriticalTimes(nil, g, h)
 	for _, t := range criticalSamples(iv, critical) {
 		sg, ok1 := g.EvalSeg(t)
 		sh, ok2 := h.EvalSeg(t)

@@ -106,14 +106,12 @@ func (u UPoint) SpeedUReal() UReal { return ConstUReal(u.Iv, u.M.Speed()) }
 // Passes reports whether the unit's point is at p at some instant of the
 // unit interval, and returns the earliest such instant.
 func (u UPoint) Passes(p geom.Point) (temporal.Instant, bool) {
-	ts, always := u.M.meetTimes(StaticMPoint(p))
+	r, ok, always := u.M.meetTimes(StaticMPoint(p))
 	if always {
 		return u.Iv.Start, true
 	}
-	for _, r := range ts {
-		if t := temporal.Instant(r); u.Iv.Contains(t) {
-			return t, true
-		}
+	if t := temporal.Instant(r); ok && u.Iv.Contains(t) {
+		return t, true
 	}
 	return 0, false
 }

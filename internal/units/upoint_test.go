@@ -55,25 +55,25 @@ func TestMPointThroughProperty(t *testing.T) {
 func TestMPointMeetTimes(t *testing.T) {
 	a, _ := MPointThrough(0, geom.Pt(0, 0), 10, geom.Pt(10, 0))
 	b, _ := MPointThrough(0, geom.Pt(10, 0), 10, geom.Pt(0, 0))
-	ts, always := a.meetTimes(b)
-	if always || len(ts) != 1 || ts[0] != 5 {
-		t.Errorf("meetTimes = %v, %v", ts, always)
+	ts, ok, always := a.meetTimes(b)
+	if always || !ok || ts != 5 {
+		t.Errorf("meetTimes = %v, %v, %v", ts, ok, always)
 	}
 	// Parallel, never meeting.
 	c, _ := MPointThrough(0, geom.Pt(0, 1), 10, geom.Pt(10, 1))
-	ts, always = a.meetTimes(c)
-	if always || len(ts) != 0 {
+	ts, ok, always = a.meetTimes(c)
+	if always || ok {
 		t.Errorf("parallel meetTimes = %v", ts)
 	}
 	// Identical motions.
-	_, always = a.meetTimes(a)
+	_, _, always = a.meetTimes(a)
 	if !always {
 		t.Error("identical motions: always expected")
 	}
 	// Same x-path but different y: meet only where both coordinates agree.
 	d, _ := MPointThrough(0, geom.Pt(0, 5), 10, geom.Pt(10, 5))
-	ts, always = a.meetTimes(d)
-	if always || len(ts) != 0 {
+	ts, ok, always = a.meetTimes(d)
+	if always || ok {
 		t.Errorf("never-meeting = %v", ts)
 	}
 }
@@ -206,9 +206,9 @@ func TestMSegEvalAndDegenerate(t *testing.T) {
 	if _, ok := g.EvalSeg(2); ok {
 		t.Error("degenerate instant not detected by EvalSeg")
 	}
-	ts, always := g.DegenerateTimes()
-	if always || len(ts) != 1 || ts[0] != 2 {
-		t.Errorf("DegenerateTimes = %v, %v", ts, always)
+	ts, ok, always := g.DegenerateTimes()
+	if always || !ok || ts != 2 {
+		t.Errorf("DegenerateTimes = %v, %v, %v", ts, ok, always)
 	}
 }
 

@@ -68,14 +68,12 @@ func (u UPoints) Validate() error {
 	}
 	for i := 0; i < len(u.Ms); i++ {
 		for j := i + 1; j < len(u.Ms); j++ {
-			ts, always := u.Ms[i].meetTimes(u.Ms[j])
+			r, ok, always := u.Ms[i].meetTimes(u.Ms[j])
 			if always {
 				return fmt.Errorf("%w: motions %v and %v identical", ErrInvalidUnit, u.Ms[i], u.Ms[j])
 			}
-			for _, r := range ts {
-				if u.Iv.ContainsOpen(temporal.Instant(r)) {
-					return fmt.Errorf("%w: motions %v and %v meet at t=%g inside the unit", ErrInvalidUnit, u.Ms[i], u.Ms[j], r)
-				}
+			if ok && u.Iv.ContainsOpen(temporal.Instant(r)) {
+				return fmt.Errorf("%w: motions %v and %v meet at t=%g inside the unit", ErrInvalidUnit, u.Ms[i], u.Ms[j], r)
 			}
 		}
 	}

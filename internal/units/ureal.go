@@ -59,16 +59,16 @@ func (u UReal) poly(t float64) float64 { return u.A*t*t + u.B*t + u.C }
 // extremumTimes returns the candidate instants for extrema of the unit
 // function within the unit interval: the interval bounds and, when the
 // quadratic has an interior vertex, that vertex.
-func (u UReal) extremumTimes() []temporal.Instant {
-	ts := []temporal.Instant{u.Iv.Start, u.Iv.End}
+func (u UReal) extremumTimes() (ts [3]temporal.Instant, n int) {
+	ts[0], ts[1], n = u.Iv.Start, u.Iv.End, 2
 	//molint:ignore float-eq vertex existence test; a near-zero quadratic coefficient puts the vertex far outside the unit interval where ContainsOpen discards it
 	if u.A != 0 {
 		v := temporal.Instant(-u.B / (2 * u.A))
 		if u.Iv.ContainsOpen(v) {
-			ts = append(ts, v)
+			ts[2], n = v, 3
 		}
 	}
-	return ts
+	return ts, n
 }
 
 // Min returns the minimum value the unit takes on its interval and an
@@ -76,7 +76,8 @@ func (u UReal) extremumTimes() []temporal.Instant {
 // still reported (it is attained in the closure).
 func (u UReal) Min() (float64, temporal.Instant) {
 	best, at := math.Inf(1), u.Iv.Start
-	for _, t := range u.extremumTimes() {
+	ts, n := u.extremumTimes()
+	for _, t := range ts[:n] {
 		//molint:ignore float-eq exact tie-break so the earliest attaining instant wins; a tolerant tie would misreport where the extremum is attained
 		if v := u.Eval(t); v < best || (v == best && t < at) {
 			best, at = v, t
@@ -89,7 +90,8 @@ func (u UReal) Min() (float64, temporal.Instant) {
 // is attained.
 func (u UReal) Max() (float64, temporal.Instant) {
 	best, at := math.Inf(-1), u.Iv.Start
-	for _, t := range u.extremumTimes() {
+	ts, n := u.extremumTimes()
+	for _, t := range ts[:n] {
 		//molint:ignore float-eq exact tie-break so the earliest attaining instant wins; a tolerant tie would misreport where the extremum is attained
 		if v := u.Eval(t); v > best || (v == best && t < at) {
 			best, at = v, t
@@ -101,18 +103,22 @@ func (u UReal) Max() (float64, temporal.Instant) {
 // TimesAt returns the instants within the unit interval at which the
 // unit function equals v; all reports an identically-v function.
 func (u UReal) TimesAt(v float64) (ts []temporal.Instant, all bool) {
+	return u.appendTimesAt(nil, v)
+}
+
+func (u UReal) appendTimesAt(ts []temporal.Instant, v float64) ([]temporal.Instant, bool) {
 	target := v
 	if u.Root {
 		if v < 0 {
-			return nil, false
+			return ts, false
 		}
 		target = v * v
 	}
-	roots, everywhere := QuadRoots(u.A, u.B, u.C-target)
+	roots, n, everywhere := QuadRoots(u.A, u.B, u.C-target)
 	if everywhere {
-		return nil, true
+		return ts, true
 	}
-	for _, r := range roots {
+	for _, r := range roots[:n] {
 		if t := temporal.Instant(r); u.Iv.Contains(t) {
 			ts = append(ts, t)
 		}
@@ -120,33 +126,36 @@ func (u UReal) TimesAt(v float64) (ts []temporal.Instant, all bool) {
 	return ts, false
 }
 
-// InstantsNear returns the instants within the unit interval at which
-// the unit function comes within tol of v: the roots of the exact
-// equation plus any interval endpoint or interior vertex whose value is
-// within tol. It is the robust companion of TimesAt for extremum
-// restriction (atmin/atmax), where the target value stems from a
-// different unit's floating point computation and exact root solving can
-// miss the attained extremum by one ulp. all reports a function within
-// tol of v everywhere on the interval.
-func (u UReal) InstantsNear(v, tol float64) (ts []temporal.Instant, all bool) {
-	exact, everywhere := u.TimesAt(v)
+// InstantsNear appends to dst the instants within the unit interval at
+// which the unit function comes within tol of v, ascending: the roots of
+// the exact equation plus any interval endpoint or interior vertex whose
+// value is within tol — at most five candidates, so a caller's small
+// stack buffer holds them. It is the robust companion of TimesAt for
+// extremum restriction (atmin/atmax), where the target value stems from
+// a different unit's floating point computation and exact root solving
+// can miss the attained extremum by one ulp. all reports a function
+// within tol of v everywhere on the interval.
+func (u UReal) InstantsNear(dst []temporal.Instant, v, tol float64) (ts []temporal.Instant, all bool) {
+	first := len(dst)
+	dst, everywhere := u.appendTimesAt(dst, v)
 	if everywhere {
-		return nil, true
+		return dst, true
 	}
-	cand := append([]temporal.Instant{}, exact...)
-	for _, t := range u.extremumTimes() {
+	ext, n := u.extremumTimes()
+	for _, t := range ext[:n] {
 		if u.Iv.Contains(t) && math.Abs(u.Eval(t)-v) <= tol {
-			cand = append(cand, t)
+			dst = append(dst, t)
 		}
 	}
 	// Sort and deduplicate (near-duplicates within no tolerance — exact
 	// instant equality only; distinct instants are distinct results).
+	cand := dst[first:]
 	for i := 1; i < len(cand); i++ {
 		for j := i; j > 0 && cand[j] < cand[j-1]; j-- {
 			cand[j], cand[j-1] = cand[j-1], cand[j]
 		}
 	}
-	out := cand[:0]
+	out := dst[:first]
 	for i, t := range cand {
 		if i == 0 || t != cand[i-1] {
 			out = append(out, t)
@@ -289,7 +298,8 @@ func (u UReal) ValueRange() (lo, hi float64, loClosed, hiClosed bool) {
 			hiClosed = true
 		}
 	}
-	for _, t := range u.extremumTimes() {
+	ts, n := u.extremumTimes()
+	for _, t := range ts[:n] {
 		consider(t)
 	}
 	return lo, hi, loClosed, hiClosed

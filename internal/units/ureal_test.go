@@ -13,40 +13,40 @@ func iv(s, e float64) temporal.Interval {
 }
 
 func TestQuadRoots(t *testing.T) {
-	r, all := QuadRoots(1, -3, 2) // (t-1)(t-2)
-	if all || len(r) != 2 || r[0] != 1 || r[1] != 2 {
-		t.Errorf("roots = %v, all = %v", r, all)
+	r, n, all := QuadRoots(1, -3, 2) // (t-1)(t-2)
+	if all || n != 2 || r[0] != 1 || r[1] != 2 {
+		t.Errorf("roots = %v, all = %v", r[:n], all)
 	}
-	r, all = QuadRoots(0, 2, -4) // linear
-	if all || len(r) != 1 || r[0] != 2 {
-		t.Errorf("linear roots = %v", r)
+	r, n, all = QuadRoots(0, 2, -4) // linear
+	if all || n != 1 || r[0] != 2 {
+		t.Errorf("linear roots = %v", r[:n])
 	}
-	r, all = QuadRoots(0, 0, 5) // no roots
-	if all || len(r) != 0 {
-		t.Errorf("constant roots = %v", r)
+	r, n, all = QuadRoots(0, 0, 5) // no roots
+	if all || n != 0 {
+		t.Errorf("constant roots = %v", r[:n])
 	}
-	_, all = QuadRoots(0, 0, 0)
+	_, _, all = QuadRoots(0, 0, 0)
 	if !all {
 		t.Error("zero polynomial should report all")
 	}
-	r, _ = QuadRoots(1, 0, 1) // no real roots
-	if len(r) != 0 {
-		t.Errorf("complex roots = %v", r)
+	r, n, _ = QuadRoots(1, 0, 1) // no real roots
+	if n != 0 {
+		t.Errorf("complex roots = %v", r[:n])
 	}
-	r, _ = QuadRoots(1, -2, 1) // double root at 1
-	if len(r) != 1 || r[0] != 1 {
-		t.Errorf("double root = %v", r)
+	r, n, _ = QuadRoots(1, -2, 1) // double root at 1
+	if n != 1 || r[0] != 1 {
+		t.Errorf("double root = %v", r[:n])
 	}
 }
 
 func TestQuadRootsProperty(t *testing.T) {
 	f := func(a, b, c int8) bool {
 		fa, fb, fc := float64(a), float64(b), float64(c)
-		roots, all := QuadRoots(fa, fb, fc)
+		roots, n, all := QuadRoots(fa, fb, fc)
 		if all {
 			return fa == 0 && fb == 0 && fc == 0
 		}
-		for _, r := range roots {
+		for _, r := range roots[:n] {
 			if v := fa*r*r + fb*r + fc; math.Abs(v) > 1e-6*max(1, math.Abs(r*r)) {
 				return false
 			}

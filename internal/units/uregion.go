@@ -16,16 +16,6 @@ import (
 // data structure records with its mcycles subarray (Section 4.2).
 type MCycle []MPoint
 
-// MSegs returns the moving segments spanned by consecutive ring
-// vertices.
-func (c MCycle) MSegs() []MSeg {
-	out := make([]MSeg, 0, len(c))
-	for i := range c {
-		out = append(out, MSeg{S: c[i], E: c[(i+1)%len(c)]})
-	}
-	return out
-}
-
 // Eval returns the vertex ring at time t.
 func (c MCycle) Eval(t temporal.Instant) []geom.Point {
 	out := make([]geom.Point, 0, len(c))
@@ -40,14 +30,6 @@ func (c MCycle) Eval(t temporal.Instant) []geom.Point {
 type MFace struct {
 	Outer MCycle
 	Holes []MCycle
-}
-
-// MCycles returns all cycles of the face, outer first.
-func (f MFace) MCycles() []MCycle {
-	out := make([]MCycle, 0, 1+len(f.Holes))
-	out = append(out, f.Outer)
-	out = append(out, f.Holes...)
-	return out
 }
 
 // URegion is the uregion unit type (Section 3.2.6): a set of moving
@@ -120,23 +102,53 @@ func (u URegion) EqualFunc(v URegion) bool {
 	return true
 }
 
-// AllMSegs returns every moving segment of every cycle of every face.
-func (u URegion) AllMSegs() []MSeg {
-	var out []MSeg
-	for _, f := range u.Faces {
-		for _, c := range f.MCycles() {
-			out = append(out, c.MSegs()...)
+// MSegCursor walks the moving segments of a uregion in place: face by
+// face, the outer cycle before the holes, each cycle as the segments
+// spanned by consecutive ring vertices. The unit stores rings of moving
+// vertices (Section 4.2), so the kernels read the segments off the rings
+// instead of materialising them per call.
+type MSegCursor struct {
+	faces []MFace
+	ring  MCycle // the cycle being walked
+	f, c  int    // face of ring; cycle after ring in that face (0 outer, k hole k−1)
+	i     int    // next vertex of ring
+}
+
+// MSegs starts a walk over every moving segment of the unit.
+func (u URegion) MSegs() MSegCursor { return MSegCursor{faces: u.Faces} }
+
+// Next returns the next moving segment; ok is false after the last one.
+func (it *MSegCursor) Next() (g MSeg, ok bool) {
+	for it.i == len(it.ring) {
+		if it.f == len(it.faces) {
+			return MSeg{}, false
 		}
+		face := &it.faces[it.f]
+		switch {
+		case it.c == 0:
+			it.ring = face.Outer
+		case it.c <= len(face.Holes):
+			it.ring = face.Holes[it.c-1]
+		default:
+			it.f, it.c, it.ring, it.i = it.f+1, 0, nil, 0
+			continue
+		}
+		it.c, it.i = it.c+1, 0
 	}
-	return out
+	s := it.ring[it.i]
+	if it.i++; it.i < len(it.ring) {
+		return MSeg{S: s, E: it.ring[it.i]}, true
+	}
+	return MSeg{S: s, E: it.ring[0]}, true
 }
 
 // NumMSegs returns the total number of moving segments.
 func (u URegion) NumMSegs() int {
 	n := 0
 	for _, f := range u.Faces {
-		for _, c := range f.MCycles() {
-			n += len(c)
+		n += len(f.Outer)
+		for _, h := range f.Holes {
+			n += len(h)
 		}
 	}
 	return n
@@ -150,29 +162,35 @@ func (u URegion) Validate() error {
 		return fmt.Errorf("%w: uregion needs at least one face", ErrInvalidUnit)
 	}
 	for _, f := range u.Faces {
-		for _, c := range f.MCycles() {
-			if len(c) < 3 {
-				return fmt.Errorf("%w: moving cycle with %d vertices", ErrInvalidUnit, len(c))
-			}
-			for _, g := range c.MSegs() {
-				if g.S == g.E {
-					return fmt.Errorf("%w: identical endpoint motions in moving cycle", ErrInvalidUnit)
-				}
-				if !g.Coplanar() {
-					return fmt.Errorf("%w: rotating moving segment %v", ErrInvalidUnit, g)
-				}
+		if len(f.Outer) < 3 {
+			return fmt.Errorf("%w: moving cycle with %d vertices", ErrInvalidUnit, len(f.Outer))
+		}
+		for _, h := range f.Holes {
+			if len(h) < 3 {
+				return fmt.Errorf("%w: moving cycle with %d vertices", ErrInvalidUnit, len(h))
 			}
 		}
 	}
+	// The pairwise check below needs the segments indexable.
+	msegs := make([]MSeg, 0, u.NumMSegs())
+	it := u.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
+		if g.S == g.E {
+			return fmt.Errorf("%w: identical endpoint motions in moving cycle", ErrInvalidUnit)
+		}
+		if !g.Coplanar() {
+			return fmt.Errorf("%w: rotating moving segment %v", ErrInvalidUnit, g)
+		}
+		msegs = append(msegs, g)
+	}
 	// Critical instants of all pairs; validity is constant in between.
-	msegs := u.AllMSegs()
 	var critical []float64
 	for i := 0; i < len(msegs); i++ {
-		ts, _ := msegs[i].DegenerateTimes()
-		critical = append(critical, ts...)
+		if t, ok, _ := msegs[i].DegenerateTimes(); ok {
+			critical = append(critical, t)
+		}
 		for j := i + 1; j < len(msegs); j++ {
-			ts, _ := msegCriticalTimes(msegs[i], msegs[j])
-			critical = append(critical, ts...)
+			critical, _ = appendCriticalTimes(critical, msegs[i], msegs[j])
 		}
 	}
 	for _, t := range criticalSamples(u.Iv, critical) {
@@ -235,8 +253,9 @@ func (u URegion) Eval(t temporal.Instant) spatial.Region {
 // odd/even fragment rule, and the face/cycle structure is rebuilt with
 // the region close operation.
 func (u URegion) EvalBoundary(t temporal.Instant) (spatial.Region, error) {
-	var raw []geom.Segment
-	for _, g := range u.AllMSegs() {
+	raw := make([]geom.Segment, 0, u.NumMSegs())
+	it := u.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
 		if s, ok := g.EvalSeg(t); ok {
 			raw = append(raw, s)
 		}
@@ -263,16 +282,26 @@ func (u URegion) EvalAt(t temporal.Instant) (spatial.Region, bool) {
 	return u.Eval(t), true
 }
 
-// Cube returns the 3D bounding cube over the unit interval.
+// Cube returns the 3D bounding cube over the unit interval: the motion
+// is linear, so the box of every moving vertex at the two interval ends
+// bounds the unit. It is recomputed from the vertices on each call and
+// allocates nothing.
 func (u URegion) Cube() geom.Cube {
 	r := geom.EmptyRect()
-	for _, g := range u.AllMSegs() {
-		for _, t := range []temporal.Instant{u.Iv.Start, u.Iv.End} {
-			p, q := g.Eval(t)
-			r = r.ExtendPoint(p).ExtendPoint(q)
+	for _, f := range u.Faces {
+		r = extendRing(r, f.Outer, u.Iv)
+		for _, h := range f.Holes {
+			r = extendRing(r, h, u.Iv)
 		}
 	}
 	return geom.Cube{Rect: r, MinT: float64(u.Iv.Start), MaxT: float64(u.Iv.End)}
+}
+
+func extendRing(r geom.Rect, c MCycle, iv temporal.Interval) geom.Rect {
+	for _, m := range c {
+		r = r.ExtendPoint(m.Eval(iv.Start)).ExtendPoint(m.Eval(iv.End))
+	}
+	return r
 }
 
 // String renders the unit.

@@ -200,7 +200,7 @@ func TestUPointInsideURegionStatic(t *testing.T) {
 	// Static square, point flying straight through it.
 	ur := MustURegion(iv(0, 10), MFace{Outer: translatingMCycle(sqRing(4, -2, 4), 0, 0)})
 	up, _ := UPointBetween(iv(0, 10), geom.Pt(0, 0), geom.Pt(10, 0))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	// Crossings at x=4 (t=4) and x=8 (t=8): false before, true inside,
 	// false after.
 	if len(ubs) != 3 {
@@ -222,7 +222,7 @@ func TestUPointInsideURegionMoving(t *testing.T) {
 	// starting behind: it catches up, passes through, and exits.
 	ur := MustURegion(iv(0, 20), MFace{Outer: translatingMCycle(sqRing(10, -5, 10), 1, 0)})
 	up, _ := UPointBetween(iv(0, 20), geom.Pt(0, 0), geom.Pt(40, 0))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	// Catch-up: point at 2t, region spans [10+t, 20+t]; enter when
 	// 2t = 10+t → t=10; exit when 2t = 20+t → t=20 (the end).
 	if len(ubs) != 2 {
@@ -239,7 +239,7 @@ func TestUPointInsideURegionMoving(t *testing.T) {
 func TestUPointInsideURegionNeverInside(t *testing.T) {
 	ur := MustURegion(iv(0, 10), MFace{Outer: translatingMCycle(sqRing(100, 100, 5), 0, 0)})
 	up, _ := UPointBetween(iv(0, 10), geom.Pt(0, 0), geom.Pt(1, 1))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	if len(ubs) != 1 || ubs[0].V {
 		t.Fatalf("units = %v", ubs)
 	}
@@ -251,7 +251,7 @@ func TestUPointInsideURegionNeverInside(t *testing.T) {
 func TestUPointInsideURegionAlwaysInside(t *testing.T) {
 	ur := MustURegion(iv(0, 10), MFace{Outer: translatingMCycle(sqRing(-100, -100, 200), 0, 0)})
 	up, _ := UPointBetween(iv(2, 8), geom.Pt(0, 0), geom.Pt(1, 1))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	if len(ubs) != 1 || !ubs[0].V {
 		t.Fatalf("units = %v", ubs)
 	}
@@ -268,7 +268,7 @@ func TestUPointInsideURegionWithHole(t *testing.T) {
 		Holes: []MCycle{translatingMCycle(sqRing(4, -2, 4), 0, 0)},
 	})
 	up, _ := UPointBetween(iv(0, 12), geom.Pt(0, 0), geom.Pt(12, 0))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	// Crossings at x=1, 4, 8, 11 → t the same (unit speed).
 	wantV := []bool{false, true, false, true, false}
 	if len(ubs) != len(wantV) {
@@ -294,7 +294,7 @@ func TestUPointInsideDiagonal(t *testing.T) {
 	diamond := []geom.Point{geom.Pt(5, 0), geom.Pt(10, 5), geom.Pt(5, 10), geom.Pt(0, 5)}
 	ur := MustURegion(iv(0, 10), MFace{Outer: translatingMCycle(diamond, 0.5, 0)})
 	up, _ := UPointBetween(iv(0, 10), geom.Pt(0, 0), geom.Pt(10, 10))
-	ubs := UPointInsideURegion(up, ur)
+	ubs := UPointInsideURegion(nil, up, ur)
 	var trueDur float64
 	for _, u := range ubs {
 		if u.V {

@@ -5,6 +5,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "==> go.mod go directive (root must equal bench/go.mod's)"
+root_go=$(sed -n 's/^go //p' go.mod) bench_go=$(sed -n 's/^go //p' bench/go.mod)
+if [ "$root_go" != "$bench_go" ]; then
+    echo "verify: FAIL root go.mod says go $root_go, bench/go.mod says go $bench_go: bench/go.mod is frozen and replaces the root, so a newer root directive breaks 'bash bench/run.sh' with \"updates to go.mod needed\"" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -34,6 +41,8 @@ echo "==> paper benchmarks, one iteration each (bench_test.go bodies must execut
 go test -run '^$' -bench . -benchtime 1x .
 
 echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the race build)"
+# Serving layers (ingest, index, cache, server) and the paper's kernels
+# (temporal, moving, db) — every package under internal/ that has one.
 go test -run '^TestAllocBudgets$' ./internal/...
 
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
@@ -47,6 +56,9 @@ go vet -tags=faultinject ./...
 
 echo "==> fuzz smoke: FuzzWALDecode (10s)"
 go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
+
+echo "==> fuzz smoke: FuzzRefine (10s; streaming sweep vs the sort-based oracle)"
+go test -run='^$' -fuzz=FuzzRefine -fuzztime=10s ./internal/temporal
 
 echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
 go test -race -tags=faultinject -count=1 ./internal/sim/
