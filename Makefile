@@ -39,11 +39,12 @@ verify:
 chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
-# Fuzz the WAL recovery decoders and the refinement sweep (longer than
-# the verify smoke runs).
+# Fuzz the WAL recovery decoders, the refinement sweep and the index
+# ladder (longer than the verify smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
+	$(GO) test -run='^$$' -fuzz=FuzzDynamic -fuzztime=60s ./internal/index
 
 # Build and vet the failpoint-enabled binary variant.
 faultinject:

@@ -158,8 +158,8 @@ func main() {
 	fmt.Printf("ingest: HTTP %d, accepted=%v wal_seq=%v\n", code, body["accepted"], body["seq"])
 
 	// Read-your-writes: a window query around live0's last fix finds it
-	// the instant the ack returns — the delta index covers the fresh
-	// units before any tree rebuild.
+	// the instant the ack returns — the index's tail covers the fresh
+	// units before any rung is built.
 	_, body = getJSON(base, fmt.Sprintf("/v1/window?x1=%g&y1=%g&x2=%g&y2=%g&t1=%g&t2=%g",
 		last.X-1, last.Y-1, last.X+1, last.Y+1, last.T-1, last.T))
 	fmt.Printf("window around live0's last fix: total=%v ids=%v\n", body["total"], body["ids"])

@@ -17,6 +17,7 @@ func TestAllocBudgets(t *testing.T) {
 		maxAllocs, maxBytes int64
 	}{
 		{"BenchmarkSnapshotNearest", BenchmarkSnapshotNearest, 11, 157500},
+		{"BenchmarkSnapshotSearch/ladder", func(b *testing.B) { benchSnapshotSearch(b, ladderSnapshot()) }, 0, 0},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

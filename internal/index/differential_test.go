@@ -1,0 +1,291 @@
+package index
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"movingdb/internal/geom"
+)
+
+// The differential net over Dynamic: whatever structure sits behind
+// InsertBatch and Snapshot, Snapshot.Search must equal a linear scan of
+// the entries inserted before the capture and Snapshot.Nearest must
+// equal brute force over them. The harness only uses the exported
+// surface, so it runs unchanged against any implementation.
+
+// dynModel is a Dynamic under test beside the oracle: every inserted
+// entry in insertion order, and the captured snapshots with the length
+// of that log at capture time.
+type dynModel struct {
+	t     *testing.T
+	rng   *rand.Rand
+	d     *Dynamic
+	all   []Entry
+	clock float64
+	snaps []dynCapture
+}
+
+type dynCapture struct {
+	snap Snapshot
+	n    int // entries inserted before the capture
+}
+
+// insertRun inserts n fresh cubes. Time-ordered runs advance the clock
+// the way ingest does (each rung becomes a time slab); shuffled runs
+// scatter over the whole history. single feeds them one InsertBatch
+// call per entry — the shape the batcher produces.
+func (m *dynModel) insertRun(n int, shuffled, single bool) {
+	lo := len(m.all)
+	for i := 0; i < n; i++ {
+		x, y := m.rng.Float64()*100, m.rng.Float64()*100
+		w, h, dur := m.rng.Float64()*8, m.rng.Float64()*8, m.rng.Float64()*4
+		t0 := m.clock
+		if shuffled {
+			t0 = m.rng.Float64() * (m.clock + 50)
+		} else {
+			m.clock += m.rng.Float64() * 0.05
+		}
+		m.all = append(m.all, Entry{
+			Cube: geom.Cube{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}, MinT: t0, MaxT: t0 + dur},
+			ID:   int64(len(m.all)),
+		})
+	}
+	if !single {
+		m.d.InsertBatch(m.all[lo:])
+	} else {
+		for i := lo; i < len(m.all); i++ {
+			m.d.Insert(m.all[i])
+		}
+	}
+	if got := m.d.Len(); got != len(m.all) {
+		m.t.Fatalf("Len = %d after %d inserts", got, len(m.all))
+	}
+	if err := m.d.Validate(); err != nil {
+		m.t.Fatalf("Validate after %d inserts: %v", len(m.all), err)
+	}
+}
+
+func (m *dynModel) capture() {
+	if len(m.snaps) < 6 {
+		m.snaps = append(m.snaps, dynCapture{m.d.Snapshot(), len(m.all)})
+	}
+}
+
+// views is every captured snapshot plus one taken now.
+func (m *dynModel) views() []dynCapture {
+	return append(slices.Clip(m.snaps), dynCapture{m.d.Snapshot(), len(m.all)})
+}
+
+func (m *dynModel) window(a, b byte) {
+	x, y := float64(a)/255*100, float64(b)/255*100
+	q := geom.Cube{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + m.rng.Float64()*30, MaxY: y + m.rng.Float64()*30}}
+	q.MinT = m.rng.Float64() * (m.clock + 10)
+	q.MaxT = q.MinT
+	if b&1 == 0 { // a period rather than an instant
+		q.MaxT += m.rng.Float64() * (m.clock + 10)
+	}
+	for vi, v := range m.views() {
+		if v.snap.Len() != v.n {
+			m.t.Fatalf("view %d: snapshot Len = %d, captured after %d inserts", vi, v.snap.Len(), v.n)
+		}
+		got, _ := v.snap.Search(q, []int64{-7})
+		if want := scanWindow(m.all[:v.n], q); got[0] != -7 || !slices.Equal(got[1:], want) {
+			m.t.Fatalf("view %d (%d of %d entries): Search = %v, scan = %v", vi, v.n, len(m.all), got, want)
+		}
+	}
+}
+
+func (m *dynModel) nearest(a, b byte) {
+	x, y := float64(a)/255*120-10, float64(b)/255*120-10
+	tq := m.rng.Float64() * (m.clock + 5)
+	k, radius := 1+m.rng.Intn(12), -1.0
+	switch a % 3 {
+	case 1:
+		radius = 5 + m.rng.Float64()*40
+	case 2:
+		k, radius = 0, 5+m.rng.Float64()*40
+	}
+	refine := func(id int64) (int64, float64, bool) {
+		return id, centreDist(m.all[id], x, y), id%11 != 0
+	}
+	for vi, v := range m.views() {
+		got, _ := v.snap.Nearest(x, y, tq, k, radius, refine)
+		if want := bruteNearest(m.all[:v.n], x, y, tq, k, radius); !slices.Equal(got, want) {
+			m.t.Fatalf("view %d (%d of %d entries) k=%d r=%.1f: Nearest = %v, brute force = %v", vi, v.n, len(m.all), k, radius, got, want)
+		}
+	}
+}
+
+// scanWindow is the Search oracle: the ids of the intersecting entries,
+// ascending.
+func scanWindow(entries []Entry, q geom.Cube) []int64 {
+	var out []int64
+	for _, e := range entries {
+		if e.Cube.Intersects(q) {
+			out = append(out, e.ID)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// centreDist is the harness's exact distance: to the centre of the
+// entry's rectangle, which is never closer than the rectangle itself —
+// the lower-bound contract Nearest's pruning relies on.
+func centreDist(e Entry, x, y float64) float64 {
+	return math.Hypot((e.Cube.Rect.MinX+e.Cube.Rect.MaxX)/2-x, (e.Cube.Rect.MinY+e.Cube.Rect.MaxY)/2-y)
+}
+
+// bruteNearest is the Nearest oracle for refine = (id, centreDist,
+// id%11 != 0): every live entry covering t within the radius, by
+// (distance, id), the first k.
+func bruteNearest(entries []Entry, x, y, t float64, k int, radius float64) []Neighbor {
+	var out []Neighbor
+	for _, e := range entries {
+		if e.ID%11 == 0 || t < e.Cube.MinT || t > e.Cube.MaxT {
+			continue
+		}
+		if d := centreDist(e, x, y); radius < 0 || d <= radius {
+			out = append(out, Neighbor{Key: e.ID, Dist: d})
+		}
+	}
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		if a.Dist != b.Dist {
+			return cmp.Compare(a.Dist, b.Dist)
+		}
+		return int(a.Key - b.Key)
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// checkDynamicOps runs an op stream, three bytes per op: the low two
+// bits of the first pick insert / capture / window / nearest, the next
+// two shape an insert run (shuffled times, single-entry batches), and
+// the other two bytes carry the run length or the query position.
+func checkDynamicOps(t *testing.T, seed int64, data []byte) {
+	const maxOps, maxEntries = 48, 24000
+	m := &dynModel{t: t, rng: rand.New(rand.NewSource(seed)), d: NewDynamic(nil, 0)}
+	for op := 0; op < maxOps && 3*op+2 < len(data); op++ {
+		kind, a, b := data[3*op], data[3*op+1], data[3*op+2]
+		switch kind & 3 {
+		case 0:
+			if n := 1 + (int(a)|int(b)<<8)%2000; len(m.all)+n <= maxEntries {
+				m.insertRun(n, kind&4 != 0, kind&8 != 0)
+			}
+		case 1:
+			m.capture()
+		case 2:
+			m.window(a, b)
+		case 3:
+			m.nearest(a, b)
+		}
+	}
+	m.window(128, 128)
+	m.nearest(128, 128)
+}
+
+// FuzzDynamic lets the fuzzer spell the op stream. The seeds cover an
+// empty index, runs that straddle the first fold, a snapshot held
+// across many folds, and shuffled-time inserts (rungs that are not time
+// slabs).
+func FuzzDynamic(f *testing.F) {
+	f.Add(int64(1), []byte{})
+	f.Add(int64(2), []byte{2, 9, 9, 3, 9, 9})
+	f.Add(int64(3), []byte{0, 255, 1, 1, 0, 0, 0, 1, 0, 2, 40, 40, 3, 40, 40})
+	f.Add(int64(4), []byte{8, 200, 2, 1, 0, 0, 8, 200, 2, 8, 200, 2, 2, 10, 200, 3, 100, 7, 0, 207, 7, 3, 30, 30})
+	f.Add(int64(5), []byte{4, 207, 7, 1, 0, 0, 12, 100, 3, 4, 207, 7, 2, 77, 3, 3, 200, 100, 0, 207, 7, 0, 207, 7, 2, 0, 0})
+	f.Add(int64(6), []byte{0, 207, 7, 0, 207, 7, 1, 0, 0, 0, 207, 7, 0, 207, 7, 0, 207, 7, 1, 0, 0, 0, 207, 7, 0, 207, 7, 0, 207, 7, 2, 50, 50, 3, 50, 50})
+	f.Fuzz(checkDynamicOps)
+}
+
+// TestDynamicMatchesOracle is the seeded property test over the same
+// harness: random op streams, weighted towards inserts so every stream
+// crosses several folds.
+func TestDynamicMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 3*40)
+		rng.Read(data)
+		for op := 0; op < len(data)/3; op++ {
+			if rng.Intn(3) == 0 {
+				data[3*op] &^= 3 // force an insert run
+			}
+		}
+		checkDynamicOps(t, seed, data)
+	}
+}
+
+// answersOf serialises a fixed battery of window and k-NN answers over
+// one snapshot.
+func answersOf(s Snapshot, all []Entry) []byte {
+	var buf []byte
+	for i := 0; i < 40; i++ {
+		x, y := float64((i*37)%90), float64((i*53)%90)
+		q := geom.Cube{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + 15, MaxY: y + 15}, MinT: float64(i), MaxT: float64(i + i%5)}
+		ids, _ := s.Search(q, nil)
+		nn, _ := s.Nearest(x, y, float64(i), 5, -1, func(id int64) (int64, float64, bool) {
+			return id, centreDist(all[id], x, y), true
+		})
+		buf = fmt.Appendf(buf, "%v %v\n", ids, nn)
+	}
+	return buf
+}
+
+// TestSnapshotIsolation: a snapshot captured before further inserts and
+// folds answers byte-identically while they happen and afterwards. Run
+// under -race it also proves the captured value shares no mutable state
+// with the writer.
+func TestSnapshotIsolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	all := randomCubes(rng, 9000)
+	const captured = 1300
+	// The threshold argument is small so that an implementation that
+	// honours it folds often; one that ignores it folds by its own rule.
+	d := NewDynamic(Build(slices.Clone(all[:300])), 64)
+	for _, e := range all[300:captured] {
+		d.Insert(e)
+	}
+	snap := d.Snapshot()
+	want := answersOf(snap, all)
+	if got := scanWindow(all[:captured], geom.Cube{Rect: geom.Rect{MaxX: 200, MaxY: 200}, MaxT: 200}); len(got) != captured || snap.Len() != captured {
+		t.Fatalf("fixture: snapshot Len = %d, scan sees %d, want %d", snap.Len(), len(got), captured)
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for lo := captured; lo < len(all); {
+			hi := min(lo+1+(lo*7)%97, len(all))
+			d.InsertBatch(all[lo:hi])
+			lo = hi
+		}
+	}()
+	for i := 0; i < 8; i++ {
+		if got := answersOf(snap, all); !bytes.Equal(got, want) {
+			t.Errorf("pass %d beside the writer: captured snapshot answered differently", i)
+			break
+		}
+	}
+	wg.Wait()
+
+	if got := answersOf(snap, all); !bytes.Equal(got, want) {
+		t.Fatal("captured snapshot answered differently after the writer finished")
+	}
+	if snap.Len() != captured || d.Len() != len(all) {
+		t.Fatalf("Len: snapshot %d (want %d), index %d (want %d)", snap.Len(), captured, d.Len(), len(all))
+	}
+	q := geom.Cube{Rect: geom.Rect{MinX: 20, MinY: 20, MaxX: 60, MaxY: 60}, MinT: 10, MaxT: 70}
+	if got, _ := d.Search(q, nil); !slices.Equal(got, scanWindow(all, q)) {
+		t.Fatal("index after the writer finished disagrees with the scan")
+	}
+}

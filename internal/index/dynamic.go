@@ -1,132 +1,149 @@
 package index
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 
 	"movingdb/internal/geom"
 )
 
-// DefaultMergeThreshold is the delta-buffer size at which a Dynamic
-// index folds the buffer into a rebuilt base tree.
-const DefaultMergeThreshold = 4096
+// tailCap is the number of entries the append-only tail holds before it
+// is folded into a rung. The tail is the only part a search scans
+// linearly, so it bounds that cost; the prototype rows that chose 512
+// are in DESIGN.md §8.
+const tailCap = 512
 
-// Dynamic makes the static STR tree incrementally maintainable, in the
-// LSM style the live ingestion path needs: inserts land in a delta
-// buffer that Search scans linearly alongside the immutable base tree,
-// and when the buffer grows past the merge threshold the base is
-// rebuilt by bulk-loading the merged entry set and the buffer is
-// emptied. Linear delta scans stay cheap because the buffer is bounded
-// by the threshold; the rebuild amortises to O(log n) bulk-load work
-// per insert. All methods are safe for concurrent use.
+// Dynamic makes the static STR tree incrementally maintainable by the
+// logarithmic method: a short ladder of immutable bulk-built rungs,
+// each at least twice the size of the next, plus one small append-only
+// tail. Inserts land in the tail; when it fills, the tail and every
+// trailing rung smaller than twice the running total are folded into
+// one Build, so an entry is rebuilt O(log n) times over its life and no
+// fold ever rebuilds history it does not have to (a binary counter's
+// carry chain). Search is a union over the O(log n) rungs and the tail.
+// Ingest is time-ordered, so each rung is a time slab and narrow-period
+// queries reject whole rungs at the root. All methods are safe for
+// concurrent use.
 type Dynamic struct {
-	mu        sync.RWMutex
-	base      *RTree  // moguard: guarded by mu
-	delta     []Entry // moguard: guarded by mu
-	threshold int     // moguard: immutable
-	merges    int     // moguard: guarded by mu
+	mu     sync.RWMutex
+	rungs  []*RTree // moguard: guarded by mu // largest first; replaced on fold, never written in place
+	tail   []Entry  // moguard: guarded by mu // append-only between folds, replaced on fold
+	merges int      // moguard: guarded by mu
 }
 
-// NewDynamic wraps a bulk-loaded base tree (nil means empty) with a
-// delta buffer that triggers a rebuild past threshold entries
-// (DefaultMergeThreshold when <= 0).
-func NewDynamic(base *RTree, threshold int) *Dynamic {
-	if base == nil {
-		base = Build(nil)
+// NewDynamic starts a ladder with base (nil means empty) as its one
+// rung. The second argument was the delta-merge threshold of the
+// base+delta design this replaced; it is ignored — the tail size is a
+// fixed constant — and kept only because the frozen bench/ module calls
+// NewDynamic with two arguments.
+func NewDynamic(base *RTree, _ int) *Dynamic {
+	d := &Dynamic{}
+	if base != nil && base.Len() > 0 {
+		// moguard: retained a built tree is immutable; the ladder shares it, never writes it
+		d.rungs = []*RTree{base}
 	}
-	if threshold <= 0 {
-		threshold = DefaultMergeThreshold
-	}
-	return &Dynamic{base: base, threshold: threshold}
+	return d
 }
 
-// Insert adds one entry and reports whether it triggered a merge.
+// Insert adds one entry; see InsertBatch.
 func (d *Dynamic) Insert(e Entry) bool { return d.InsertBatch([]Entry{e}) }
 
-// InsertBatch adds entries to the delta buffer, rebuilding the base
-// tree when the buffer exceeds the merge threshold. It reports whether
-// a merge happened.
+// InsertBatch adds entries (es is copied, not retained) and reports
+// whether it folded at least one existing rung into a larger one. Folds
+// run synchronously on the caller: on one core a background compactor
+// only moves the work, and the fold count must stay a function of the
+// insert sequence.
 func (d *Dynamic) InsertBatch(es []Entry) bool {
 	if len(es) == 0 {
 		return false
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.delta = append(d.delta, es...)
-	if len(d.delta) <= d.threshold {
+	if len(d.tail)+len(es) < tailCap {
+		if d.tail == nil {
+			d.tail = make([]Entry, 0, tailCap) // one allocation per fold cycle, not ten doublings
+		}
+		d.tail = append(d.tail, es...)
 		return false
 	}
-	d.mergeLocked()
-	return true
-}
-
-// ForceMerge folds a non-empty delta buffer into the base tree now.
-func (d *Dynamic) ForceMerge() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.delta) > 0 {
-		d.mergeLocked()
+	total, keep := len(d.tail)+len(es), len(d.rungs)
+	for keep > 0 && d.rungs[keep-1].Len() < 2*total {
+		keep--
+		total += d.rungs[keep].Len()
 	}
-}
-
-func (d *Dynamic) mergeLocked() {
-	all := make([]Entry, 0, len(d.base.entries)+len(d.delta))
-	all = append(all, d.base.entries...)
-	all = append(all, d.delta...)
-	d.base = Build(all)
-	d.delta = nil
-	d.merges++
+	all := make([]Entry, 0, total)
+	for _, r := range d.rungs[keep:] {
+		all = append(all, r.entries...)
+	}
+	all = append(append(all, d.tail...), es...)
+	// Publish by replacement: a captured Snapshot keeps the old rung
+	// slice and the old tail, neither of which is written again.
+	merged := keep < len(d.rungs)
+	d.rungs = append(slices.Clip(d.rungs[:keep]), Build(all))
+	d.tail = nil
+	if merged {
+		d.merges++
+	}
+	return merged
 }
 
 // Snapshot is an immutable point-in-time view of a Dynamic index: the
-// base tree pointer plus the delta buffer clipped to its length at
-// capture. Both are safe to search without any lock — the base tree is
-// never mutated after Build, and the delta slice's visible prefix is
-// append-only (inserts land past the captured length, merges swap in a
-// fresh slice and leave the captured one behind). The zero value is an
+// rung slice plus the tail clipped to its length at capture. Both are
+// safe to search without any lock — a rung is never mutated after
+// Build, a fold replaces the rung slice rather than writing into it,
+// and the tail's visible prefix is append-only (inserts land past the
+// captured length, a fold starts a fresh tail). The zero value is an
 // empty, searchable snapshot. Epoch-pinned readers hold one for their
-// whole lifetime, so a concurrent merge or insert never moves the data
+// whole lifetime, so a concurrent fold or insert never moves the data
 // out from under them.
 type Snapshot struct {
-	base  *RTree
-	delta []Entry
+	rungs []*RTree
+	tail  []Entry
 }
 
-// Snapshot captures the current base tree and delta prefix. The lock is
-// held only for the two pointer reads, not for any search that follows.
+// Snapshot captures the current rungs and tail prefix. The lock is held
+// only for the two slice-header reads, not for any search that follows.
 func (d *Dynamic) Snapshot() Snapshot {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return Snapshot{base: d.base, delta: d.delta}
+	return Snapshot{rungs: d.rungs, tail: d.tail}
 }
 
-// Search appends to out the IDs of all entries — base and captured
-// delta — whose cubes intersect q, and returns the number of nodes
-// visited plus delta entries scanned. Lock-free: the snapshot's data is
-// immutable. Duplicate IDs may appear when a unit was indexed in pieces
-// (an append merged into its predecessor adds a second entry for the
-// extension); callers dedupe during refinement.
+// Search appends to out the IDs of all entries — every rung and the
+// captured tail — whose cubes intersect q, and returns the number of
+// nodes visited plus tail entries scanned. Lock-free: the snapshot's
+// data is immutable. Duplicate IDs may appear when a unit was indexed
+// in pieces (an append merged into its predecessor adds a second entry
+// for the extension); callers dedupe during refinement.
 // Like RTree.Search, the appended region comes back sorted ascending.
+//
+// moguard: hotpath
 func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
-	start := len(out)
-	visited := 0
-	if s.base != nil {
-		out, visited = s.base.Search(q, out)
+	if q.IsEmpty() {
+		return out, 0
 	}
-	for _, e := range s.delta {
-		if e.Cube.Intersects(q) {
+	start := len(out)
+	visited := len(s.tail)
+	for _, r := range s.rungs {
+		var v int
+		out, v = r.collect(q, out)
+		visited += v
+	}
+	for i := range s.tail {
+		if e := &s.tail[i]; overlaps(&e.Cube, &q) {
 			out = append(out, e.ID)
 		}
 	}
 	slices.Sort(out[start:])
-	return out, visited + len(s.delta)
+	return out, visited
 }
 
 // Len returns the number of entries visible in the snapshot.
 func (s Snapshot) Len() int {
-	n := len(s.delta)
-	if s.base != nil {
-		n += s.base.Len()
+	n := len(s.tail)
+	for _, r := range s.rungs {
+		n += r.Len()
 	}
 	return n
 }
@@ -136,37 +153,32 @@ func (d *Dynamic) Search(q geom.Cube, out []int64) ([]int64, int) {
 	return d.Snapshot().Search(q, out)
 }
 
-// Len returns the total number of entries (base + delta).
-func (d *Dynamic) Len() int {
+// Len returns the total number of entries (rungs + tail).
+func (d *Dynamic) Len() int { return d.Snapshot().Len() }
+
+// Stats returns, as one consistent view, the entries held in rungs, the
+// entries waiting in the tail, and the number of folds that consumed at
+// least one existing rung.
+func (d *Dynamic) Stats() (rungEntries, tailEntries, merges int) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.base.Len() + len(d.delta)
+	for _, r := range d.rungs {
+		rungEntries += r.Len()
+	}
+	return rungEntries, len(d.tail), d.merges
 }
 
-// BaseLen returns the number of entries in the bulk-loaded base tree.
-func (d *Dynamic) BaseLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.base.Len()
-}
-
-// DeltaLen returns the number of entries waiting in the delta buffer.
-func (d *Dynamic) DeltaLen() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.delta)
-}
-
-// Merges returns how many delta-fold rebuilds have happened.
-func (d *Dynamic) Merges() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.merges
-}
-
-// Validate checks the structural invariants of the current base tree.
+// Validate checks the structural invariants of every rung and the
+// ladder's shape: each rung at least twice the size of the next.
 func (d *Dynamic) Validate() error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.base.Validate()
+	rungs := d.Snapshot().rungs
+	for i, r := range rungs {
+		if err := r.Validate(); err != nil {
+			return fmt.Errorf("rung %d: %w", i, err)
+		}
+		if i > 0 && rungs[i-1].Len() < 2*r.Len() {
+			return fmt.Errorf("index: rung %d has %d entries, under twice rung %d's %d", i-1, rungs[i-1].Len(), i, r.Len())
+		}
+	}
+	return nil
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Best-first nearest-neighbour traversal (Hjaltason & Samet style) over
-// a Snapshot: one priority queue holds tree nodes (ranked by the
-// minimum possible distance from the query point to their cube), entry
-// candidates (ranked the same way by their entry cube) and refined
+// a Snapshot: one priority queue holds the nodes of every rung (ranked
+// by the minimum possible distance from the query point to their cube),
+// entry candidates (ranked the same way by their entry cube) and refined
 // objects (ranked by exact distance). Popping in distance order
 // guarantees that when a refined object surfaces, nothing still queued
 // can beat it — every queued item's rank is a lower bound on anything
@@ -120,7 +120,7 @@ func cubeCoversT(c geom.Cube, t float64) bool {
 // the exact distance at t; ok = false marks the key as unable to
 // contribute (stale entry, object undefined at t) and the traversal
 // never asks about it again. Results come back in ascending (distance,
-// key) order; scanned counts visited tree nodes plus delta entries, for
+// key) order; scanned counts visited tree nodes plus tail entries, for
 // the scan-vs-index ablation. Deterministic: pure function of the
 // snapshot and the arguments (ties broken by key).
 //
@@ -132,15 +132,20 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 	// One pre-sized arena absorbs the frontier's churn; 64 slots cover a
 	// typical best-first frontier so push almost never grows the array.
 	h := make(knnHeap, 0, 64)
-	if s.base != nil && s.base.root >= 0 {
-		if nd := s.base.nodes[s.base.root]; cubeCoversT(nd.cube, t) {
+	// Every rung root seeds the frontier; a node id carries its rung in
+	// the high half (rung<<32 | node). Time-ordered ingest makes each
+	// rung a time slab, so most roots fail cubeCoversT right here. (A
+	// rung is never empty: NewDynamic drops an empty base.)
+	scanned := len(s.tail)
+	for ri, r := range s.rungs {
+		if nd := &r.nodes[r.root]; cubeCoversT(nd.cube, t) {
 			if d := minDistRect(x, y, nd.cube.Rect); d <= maxDist {
-				h.push(knnItem{dist: d, kind: knnNode, id: int64(s.base.root)})
+				h.push(knnItem{dist: d, kind: knnNode, id: int64(ri)<<32 | int64(r.root)})
 			}
 		}
 	}
-	scanned := len(s.delta)
-	for _, e := range s.delta {
+	for i := range s.tail {
+		e := &s.tail[i]
 		if !cubeCoversT(e.Cube, t) {
 			continue
 		}
@@ -177,9 +182,11 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 			}
 		default: // knnNode
 			scanned++
-			nd := s.base.nodes[it.id]
+			r := s.rungs[it.id>>32]
+			nd := &r.nodes[it.id&0xffffffff]
 			if nd.leaf {
-				for _, e := range s.base.entries[nd.lo:nd.hi] {
+				for i := nd.lo; i < nd.hi; i++ {
+					e := &r.entries[i]
 					if !cubeCoversT(e.Cube, t) {
 						continue
 					}
@@ -190,12 +197,12 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 				continue
 			}
 			for c := nd.lo; c < nd.hi; c++ {
-				child := s.base.nodes[c]
+				child := &r.nodes[c]
 				if !cubeCoversT(child.cube, t) {
 					continue
 				}
 				if d := minDistRect(x, y, child.cube.Rect); d <= maxDist {
-					h.push(knnItem{dist: d, kind: knnNode, id: int64(c)})
+					h.push(knnItem{dist: d, kind: knnNode, id: it.id&^0xffffffff | int64(c)})
 				}
 			}
 		}

@@ -11,8 +11,9 @@ import (
 )
 
 // knnFixture is a set of random points indexed as degenerate cubes,
-// split between the base tree and the delta buffer so best-first
-// traversal exercises both sources.
+// split between a bulk-loaded first rung and inserted entries (a second
+// rung or the tail, by size) so best-first traversal exercises every
+// source.
 type knnFixture struct {
 	xs, ys []float64
 	live   []bool // refine reports ok only for live ids
@@ -35,7 +36,7 @@ func buildKNNFixture(rng *rand.Rand, n int, tMin, tMax float64) *knnFixture {
 		}
 	}
 	split := len(entries) * 3 / 4
-	d := NewDynamic(Build(slices.Clone(entries[:split])), 1<<30)
+	d := NewDynamic(Build(slices.Clone(entries[:split])), 0)
 	d.InsertBatch(entries[split:])
 	f.snap = d.Snapshot()
 	return f
@@ -78,7 +79,7 @@ func (f *knnFixture) oracle(qx, qy float64, k int, maxDist float64) []Neighbor {
 }
 
 // TestNearestMatchesBruteForce is the k-NN property test: on 1000
-// random points, best-first traversal over base + delta must return
+// random points, best-first traversal over rung + tail must return
 // exactly the brute-force answer for random (query point, k, radius)
 // combinations, in (distance, id) order.
 func TestNearestMatchesBruteForce(t *testing.T) {
@@ -114,7 +115,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 func TestNearestTimePruning(t *testing.T) {
 	past := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 1, MinY: 1, MaxX: 1, MaxY: 1}, MinT: 0, MaxT: 10}, ID: 0}
 	now := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 5, MinY: 5, MaxX: 5, MaxY: 5}, MinT: 10, MaxT: 30}, ID: 1}
-	d := NewDynamic(Build([]Entry{past}), 1<<30)
+	d := NewDynamic(Build([]Entry{past}), 0)
 	d.Insert(now)
 	refined := map[int64]int{}
 	got, _ := d.Snapshot().Nearest(0, 0, 20, 5, -1, func(id int64) (int64, float64, bool) {
@@ -153,7 +154,7 @@ func TestSearchSortedAppend(t *testing.T) {
 		}
 	}
 	tree := Build(slices.Clone(entries[:300]))
-	dyn := NewDynamic(Build(slices.Clone(entries[:300])), 1<<30)
+	dyn := NewDynamic(Build(slices.Clone(entries[:300])), 0)
 	dyn.InsertBatch(entries[300:])
 	q := geom.Cube{Rect: geom.Rect{MinX: 20, MinY: 20, MaxX: 70, MaxY: 70}, MinT: 0, MaxT: 60}
 

@@ -45,91 +45,118 @@ type node struct {
 
 // Build bulk-loads an R-tree over the entries using STR: sort by x,
 // tile into vertical slabs, sort each slab by y, tile again, sort runs
-// by t. The input slice is copied.
+// by t. Build takes ownership of entries and reorders the slice in
+// place; the caller must not use it afterwards (every caller assembles
+// the slice for this call, so a defensive copy would only be a second
+// pass over 56-byte entries).
 func Build(entries []Entry) *RTree {
-	// moguard: allocok the built tree is the returned product; one allocation per index build, amortized over the flush batch
-	t := &RTree{entries: append([]Entry(nil), entries...)}
-	if len(t.entries) == 0 {
-		t.root = -1
+	// moguard: allocok the built tree is the returned product; one allocation per bulk load, amortized over the entries it indexes
+	t := &RTree{entries: entries, root: -1}
+	n := len(entries)
+	if n == 0 {
 		return t
 	}
-	t.strSort()
+	strSort(entries)
+	leaves := (n + fanout - 1) / fanout
+	// Σ leaves/fanoutᵏ, plus one rounding per level.
+	t.nodes = make([]node, 0, leaves+leaves/(fanout-1)+8)
 	// Leaves over runs of fanout entries.
-	level := make([]int, 0, (len(t.entries)+fanout-1)/fanout)
-	for lo := 0; lo < len(t.entries); lo += fanout {
-		hi := min(lo+fanout, len(t.entries))
+	for lo := 0; lo < n; lo += fanout {
+		hi := min(lo+fanout, n)
 		cube := geom.EmptyCube()
-		for _, e := range t.entries[lo:hi] {
-			cube = cube.Union(e.Cube)
+		for i := lo; i < hi; i++ {
+			cube = cube.Union(entries[i].Cube)
 		}
 		t.nodes = append(t.nodes, node{cube: cube, lo: lo, hi: hi, leaf: true})
-		level = append(level, len(t.nodes)-1)
 	}
 	t.height = 1
-	// Inner levels: children of one parent are contiguous by
-	// construction.
-	for len(level) > 1 {
-		next := make([]int, 0, (len(level)+fanout-1)/fanout)
-		for lo := 0; lo < len(level); lo += fanout {
-			hi := min(lo+fanout, len(level))
+	// Inner levels: a level is a contiguous run of nodes, so the
+	// children of one parent are contiguous by construction.
+	for first, end := 0, len(t.nodes); end-first > 1; first, end = end, len(t.nodes) {
+		for lo := first; lo < end; lo += fanout {
+			hi := min(lo+fanout, end)
 			cube := geom.EmptyCube()
-			for _, ni := range level[lo:hi] {
-				cube = cube.Union(t.nodes[ni].cube)
+			for c := lo; c < hi; c++ {
+				cube = cube.Union(t.nodes[c].cube)
 			}
-			t.nodes = append(t.nodes, node{cube: cube, lo: level[lo], hi: level[hi-1] + 1, leaf: false})
-			next = append(next, len(t.nodes)-1)
+			t.nodes = append(t.nodes, node{cube: cube, lo: lo, hi: hi})
 		}
-		level = next
 		t.height++
 	}
-	t.root = level[0]
+	t.root = len(t.nodes) - 1
 	return t
 }
 
-// strSort orders entries by the STR tiling.
-func (t *RTree) strSort() {
-	center := func(e Entry) (x, y, tm float64) {
-		return (e.Cube.Rect.MinX + e.Cube.Rect.MaxX) / 2,
-			(e.Cube.Rect.MinY + e.Cube.Rect.MaxY) / 2,
-			(e.Cube.MinT + e.Cube.MaxT) / 2
-	}
-	n := len(t.entries)
+// sortKey is what strSort sorts instead of the 56-byte entries: the
+// centre along the pass's axis and the entry's position in the input.
+type sortKey struct {
+	c float64
+	i int32
+}
+
+// strSort orders entries by the STR tiling. Each pass sorts 16-byte
+// keys; the entries themselves move once, at the end.
+func strSort(entries []Entry) {
+	n := len(entries)
 	leaves := (n + fanout - 1) / fanout
 	sx := int(math.Ceil(math.Cbrt(float64(leaves))))
 	slabX := sx * sx * fanout // entries per x-slab
 	slabY := sx * fanout      // entries per (x, y)-slab
 
-	slices.SortFunc(t.entries, func(a, b Entry) int {
-		ax, _, _ := center(a)
-		bx, _, _ := center(b)
-		return cmpF(ax, bx)
-	})
+	keys := make([]sortKey, n)
+	for i := range keys {
+		keys[i] = sortKey{c: entries[i].Cube.Rect.MinX + entries[i].Cube.Rect.MaxX, i: int32(i)}
+	}
+	sortKeys(keys)
 	for lo := 0; lo < n; lo += slabX {
-		hi := min(lo+slabX, n)
-		slices.SortFunc(t.entries[lo:hi], func(a, b Entry) int {
-			_, ay, _ := center(a)
-			_, by, _ := center(b)
-			return cmpF(ay, by)
-		})
-		for l2 := lo; l2 < hi; l2 += slabY {
-			h2 := min(l2+slabY, hi)
-			slices.SortFunc(t.entries[l2:h2], func(a, b Entry) int {
-				_, _, at := center(a)
-				_, _, bt := center(b)
-				return cmpF(at, bt)
-			})
+		slab := keys[lo:min(lo+slabX, n)]
+		for k := range slab {
+			r := &entries[slab[k].i].Cube.Rect
+			slab[k].c = r.MinY + r.MaxY
+		}
+		sortKeys(slab)
+		for l2 := 0; l2 < len(slab); l2 += slabY {
+			run := slab[l2:min(l2+slabY, len(slab))]
+			for k := range run {
+				c := &entries[run[k].i].Cube
+				run[k].c = c.MinT + c.MaxT
+			}
+			sortKeys(run)
+		}
+	}
+	// Apply the permutation in place, cycle by cycle: position j takes
+	// the entry keys[j].i names; a visited position is marked -1.
+	for i := range keys {
+		if keys[i].i < 0 {
+			continue
+		}
+		first := entries[i]
+		j := i
+		for {
+			src := int(keys[j].i)
+			keys[j].i = -1
+			if src == i {
+				entries[j] = first
+				break
+			}
+			entries[j] = entries[src]
+			j = src
 		}
 	}
 }
 
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+// sortKeys orders by (centre, input position) — a total order, so the
+// tiling is a function of the input alone.
+func sortKeys(keys []sortKey) {
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		switch {
+		case a.c < b.c:
+			return -1
+		case a.c > b.c:
+			return 1
+		}
+		return int(a.i - b.i)
+	})
 }
 
 // Len returns the number of indexed entries.
@@ -150,32 +177,55 @@ func (t *RTree) Height() int {
 // tie-breaking and cache keys derived from results are deterministic
 // regardless of tree shape.
 func (t *RTree) Search(q geom.Cube, out []int64) ([]int64, int) {
-	if t.root < 0 {
+	start := len(out)
+	out, visited := t.collect(q, out)
+	slices.Sort(out[start:])
+	return out, visited
+}
+
+// overlaps is e.Intersects(*q) for a q already known to be non-empty,
+// flat enough for the compiler to inline into the traversal loops.
+func overlaps(e, q *geom.Cube) bool {
+	return e.Rect.MinX <= q.Rect.MaxX && q.Rect.MinX <= e.Rect.MaxX &&
+		e.Rect.MinY <= q.Rect.MaxY && q.Rect.MinY <= e.Rect.MaxY &&
+		e.MinT <= q.MaxT && q.MinT <= e.MaxT && !e.IsEmpty()
+}
+
+// collect is Search without the final sort: the union over a ladder of
+// trees sorts once. The traversal is an explicit stack of nodes already
+// known to intersect q; a child's cube is tested before it is pushed.
+// visited counts every node whose cube was tested.
+func (t *RTree) collect(q geom.Cube, out []int64) ([]int64, int) {
+	if t.root < 0 || q.IsEmpty() {
 		return out, 0
 	}
-	start := len(out)
-	visited := 0
-	var rec func(ni int)
-	rec = func(ni int) {
-		visited++
-		nd := t.nodes[ni]
-		if !nd.cube.Intersects(q) {
-			return
-		}
+	visited := 1
+	if !overlaps(&t.nodes[t.root].cube, &q) {
+		return out, visited
+	}
+	// A node pops before its children push, so the stack holds at most
+	// (fanout-1)·height+1 nodes: 128 covers every tree an int32 entry
+	// position can address, and append keeps a deeper one correct.
+	var arena [128]int32
+	stack := append(arena[:0], int32(t.root))
+	for len(stack) > 0 {
+		nd := &t.nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
 		if nd.leaf {
-			for _, e := range t.entries[nd.lo:nd.hi] {
-				if e.Cube.Intersects(q) {
+			for i := nd.lo; i < nd.hi; i++ {
+				if e := &t.entries[i]; overlaps(&e.Cube, &q) {
 					out = append(out, e.ID)
 				}
 			}
-			return
+			continue
 		}
+		visited += nd.hi - nd.lo
 		for c := nd.lo; c < nd.hi; c++ {
-			rec(c)
+			if overlaps(&t.nodes[c].cube, &q) {
+				stack = append(stack, int32(c))
+			}
 		}
 	}
-	rec(t.root)
-	slices.Sort(out[start:])
 	return out, visited
 }
 

@@ -66,7 +66,7 @@ func (ix *MPointIndex) Window(rect geom.Rect, iv temporal.Interval) []int {
 
 // UPointInWindow reports exactly whether the unit is inside rect at
 // some instant of iv — the refinement predicate behind Window, exported
-// for the live ingestion path, which refines delta-index candidates
+// for the live ingestion path, which refines index candidates
 // against the current unit data of its object store.
 func UPointInWindow(u units.UPoint, rect geom.Rect, iv temporal.Interval) bool {
 	return unitInWindow(u.M.X0, u.M.X1, u.M.Y0, u.M.Y1, rect, u.Iv, iv)

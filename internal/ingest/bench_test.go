@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkAppendThroughput measures the full write path — validation,
-// WAL append, batching, unit construction, compaction, delta-index
-// insert — in observations per second.
+// WAL append, batching, unit construction, compaction, index insert
+// and folds — in observations per second.
 func BenchmarkAppendThroughput(b *testing.B) {
 	for _, batchSize := range []int{1, 32, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batchSize), func(b *testing.B) {
@@ -40,39 +40,23 @@ func BenchmarkAppendThroughput(b *testing.B) {
 	}
 }
 
-// benchDeltaPipeline builds a store with the given fraction of its
-// index entries still in the delta buffer (the rest merged into the
-// base tree).
-func benchDeltaPipeline(b *testing.B, total int, deltaFrac float64) *Pipeline {
+// benchEpoch pins one epoch for the read-path benchmarks: 20 000
+// observations of 100 objects fed through the pipeline, so the index is
+// the ladder ingest leaves behind (several rungs and a part-full tail).
+func benchEpoch(b *testing.B) *Epoch {
 	b.Helper()
-	g := workload.New(3)
-	const objects = 100
-	steps := total / objects
-	stream := toObservations(g.ObservationStream("d", objects, steps, 0, 1, 50))
-	split := int(float64(len(stream)) * (1 - deltaFrac))
-	p, err := Open(Config{FlushSize: 1, MaxAge: time.Hour, MaxQueued: 1 << 30, MergeThreshold: 1 << 30})
+	p, err := Open(Config{FlushSize: 1, MaxAge: time.Hour, MaxQueued: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ingestAll := func(obsns []Observation) {
-		for lo := 0; lo < len(obsns); lo += 512 {
-			if _, err := p.Ingest(obsns[lo:min(lo+512, len(obsns))]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		p.Flush()
-	}
-	ingestAll(stream[:split])
-	p.store.idx.ForceMerge() // everything so far into the base tree
-	ingestAll(stream[split:])
-	return p
-}
-
-// benchEpoch pins one mostly-merged epoch for the read-path benchmarks.
-func benchEpoch(b *testing.B) *Epoch {
-	b.Helper()
-	p := benchDeltaPipeline(b, 20000, 0.10)
 	b.Cleanup(p.Close)
+	stream := toObservations(workload.New(3).ObservationStream("d", 100, 200, 0, 1, 50))
+	for lo := 0; lo < len(stream); lo += 512 {
+		if _, err := p.Ingest(stream[lo:min(lo+512, len(stream))]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p.Flush()
 	return p.Epoch()
 }
 
@@ -118,31 +102,5 @@ func BenchmarkEpochNearest(b *testing.B) {
 		x := float64((i * 137) % 1000)
 		y := float64((i * 89) % 1000)
 		_ = ep.Nearest(x, y, 25, 10, -1)
-	}
-}
-
-// BenchmarkWindowDeltaFraction measures window-query latency as the
-// delta buffer grows relative to the base tree: 0% (fully merged), 10%
-// and 50% of entries unmerged. The spread is the price of deferring
-// rebuilds, and what the merge threshold trades against append cost.
-func BenchmarkWindowDeltaFraction(b *testing.B) {
-	for _, frac := range []float64{0, 0.10, 0.50} {
-		b.Run(fmt.Sprintf("delta=%d%%", int(frac*100)), func(b *testing.B) {
-			p := benchDeltaPipeline(b, 20000, frac)
-			defer p.Close()
-			base, delta, _ := p.store.IndexStats()
-			b.Logf("base=%d delta=%d", base, delta)
-			rects := make([]geom.Rect, 32)
-			for i := range rects {
-				x := float64((i * 131) % 900)
-				y := float64((i * 57) % 900)
-				rects[i] = geom.Rect{MinX: x, MinY: y, MaxX: x + 100, MaxY: y + 100}
-			}
-			iv := temporal.Closed(0, 50)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = p.Epoch().Window(rects[i%len(rects)], iv)
-			}
-		})
 	}
 }

@@ -214,8 +214,9 @@ func validateState(payload []byte) error {
 
 // storeFromState rebuilds the live object table from a checkpoint
 // image: objects in checkpoint order (which is registration order, so
-// entryIDs stay stable), the base index bulk-loaded over every unit.
-func storeFromState(payload []byte, mergeThreshold int, metrics *obs.Metrics) (*Store, error) {
+// entryIDs stay stable), the index bulk-loaded as one rung over every
+// unit.
+func storeFromState(payload []byte, metrics *obs.Metrics) (*Store, error) {
 	img, err := decodeState(payload)
 	if err != nil {
 		return nil, err
@@ -237,7 +238,7 @@ func storeFromState(payload []byte, mergeThreshold int, metrics *obs.Metrics) (*
 			entries = append(entries, index.Entry{Cube: u.Cube(), ID: entryID(oi, ui)})
 		}
 	}
-	s.idx = index.NewDynamic(index.Build(entries), mergeThreshold)
+	s.idx = index.NewDynamic(index.Build(entries), 0)
 	s.publish()
 	return s, nil
 }

@@ -107,7 +107,7 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if err := validateState(state); err != nil {
 		t.Fatalf("freshly encoded state rejected: %v", err)
 	}
-	st, err := storeFromState(state, 0, nil)
+	st, err := storeFromState(state, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func Frozen(ids []string, objects []moving.MPoint) (*Epoch, error) {
 	if len(ids) != len(objects) {
 		return nil, errors.New("ingest: ids and objects length mismatch")
 	}
-	st, err := newStore(ids, objects, 0, nil)
+	st, err := newStore(ids, objects, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -210,12 +210,13 @@ func TestEpochEquivalence(t *testing.T) {
 }
 
 // TestConcurrentIngestAndEpochReads races continuous ingestion (with
-// continuation merges and index merges) against continuous epoch
+// continuation merges and, 2 388 index entries being past four full
+// tails, index folds that merge rungs) against continuous epoch
 // queries — the race detector proves the COW publication protocol: no
 // read ever touches memory a writer mutates.
 func TestConcurrentIngestAndEpochReads(t *testing.T) {
 	g := workload.New(41)
-	p, err := Open(Config{FlushSize: 8, MaxAge: time.Hour, MergeThreshold: 64})
+	p, err := Open(Config{FlushSize: 8, MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,5 +279,8 @@ func TestConcurrentIngestAndEpochReads(t *testing.T) {
 	final := p.Epoch()
 	if got := len(final.Window(rect, iv)); got != 12 {
 		t.Fatalf("final window = %d objects, want 12", got)
+	}
+	if st := p.Stats(); st.IndexMerges == 0 {
+		t.Fatalf("no fold merged rungs: %+v", st)
 	}
 }

@@ -16,10 +16,13 @@
 //   - a write-ahead log on top of storage.PageStore: every acknowledged
 //     batch is logged before the ack, and Open replays the log, so
 //     acknowledged observations survive a crash;
-//   - incremental index maintenance: fresh bounding cubes go to a delta
-//     buffer (index.Dynamic) searched alongside the immutable STR tree
-//     and folded into a rebuilt tree when the buffer exceeds a
-//     threshold, LSM-style, so window queries stay correct mid-ingest.
+//   - incremental index maintenance: fresh bounding cubes go to the
+//     small append-only tail of index.Dynamic, a ladder of immutable STR
+//     rungs. A full tail (512 entries, a fixed constant) is folded, on
+//     the flushing goroutine, with every trailing rung smaller than
+//     twice the running total into one bulk load — O(log n) rebuilds per
+//     entry, never a rebuild of all history — so window queries stay
+//     correct mid-ingest and an ack never waits on the whole index.
 //
 // Lock order across the pipeline is batcher → store → index. Queries
 // take none of them: they read the published Epoch (epoch.go).
@@ -70,7 +73,7 @@ var (
 // only the seed data and the WAL medium carry state.
 type Config struct {
 	// SeedIDs and Seeds preload the object store (parallel slices);
-	// their units form the initial base index tree. Live observations
+	// their units form the index's first rung. Live observations
 	// may extend seeded objects.
 	SeedIDs []string
 	Seeds   []moving.MPoint
@@ -87,9 +90,6 @@ type Config struct {
 	// MaxQueued bounds the total buffered observations across objects;
 	// past it, Ingest returns ErrBackpressure. Default 65536.
 	MaxQueued int
-	// MergeThreshold is the delta-buffer size at which the index folds
-	// into a rebuilt base tree. Default index.DefaultMergeThreshold.
-	MergeThreshold int
 	// Metrics receives ingest counters and flush latencies (nil-safe).
 	Metrics *obs.Metrics
 	// LogIO overrides Log with a custom page-I/O implementation — the
@@ -173,7 +173,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Pipeline is the assembled write path: writes flow gate → WAL →
-// batcher → appender → delta index → epoch publish; queries pin Epoch().
+// batcher → appender → index → epoch publish; queries pin Epoch().
 type Pipeline struct {
 	store     *Store
 	wal       *wal
@@ -215,9 +215,9 @@ func Open(cfg Config) (*Pipeline, error) {
 		// The checkpoint state already contains the seed objects from the
 		// first open (they were live when it was written), so it
 		// supersedes cfg.Seeds entirely.
-		st, err = storeFromState(rec.state, cfg.MergeThreshold, cfg.Metrics)
+		st, err = storeFromState(rec.state, cfg.Metrics)
 	} else {
-		st, err = newStore(cfg.SeedIDs, cfg.Seeds, cfg.MergeThreshold, cfg.Metrics)
+		st, err = newStore(cfg.SeedIDs, cfg.Seeds, cfg.Metrics)
 	}
 	if err != nil {
 		return nil, err
@@ -438,7 +438,10 @@ func (p *Pipeline) Summaries() []ObjectSummary { return p.Epoch().Summaries() }
 // epoch.
 func (p *Pipeline) Snapshot(id string) (moving.MPoint, bool) { return p.Epoch().Snapshot(id) }
 
-// Stats is a point-in-time view of the pipeline.
+// Stats is a point-in-time view of the pipeline. The three index fields
+// keep the JSON names of the base+delta design the ladder replaced:
+// base_entries is the entries held in rungs, delta_entries the entries
+// in the tail, index_merges the folds that consumed an existing rung.
 type Stats struct {
 	Objects         int    `json:"objects"`
 	Units           int    `json:"units"`
@@ -462,7 +465,7 @@ type Stats struct {
 // Stats snapshots the pipeline counters.
 func (p *Pipeline) Stats() Stats {
 	applied, dropped, compacted := p.store.Counters()
-	base, delta, merges := p.store.IndexStats()
+	rungs, tail, merges := p.store.IndexStats()
 	ws := p.wal.stats()
 	degraded, _, _, _ := p.health.state()
 	dlb, dlo, _ := p.dead.stats()
@@ -473,8 +476,8 @@ func (p *Pipeline) Stats() Stats {
 		Applied:         applied,
 		Dropped:         dropped,
 		Compacted:       compacted,
-		BaseEntries:     base,
-		DeltaEntries:    delta,
+		BaseEntries:     rungs,
+		DeltaEntries:    tail,
 		IndexMerges:     merges,
 		WALSeq:          ws.seq,
 		WALPages:        ws.pages,

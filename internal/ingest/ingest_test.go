@@ -356,24 +356,24 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestWindowMatchesScan cross-checks the dynamic-index window path
-// against a scan over the snapshots, with part of the data still in the
-// delta buffer.
+// against a scan over the snapshots, with the data spread over index
+// rungs and a part-full tail.
 func TestWindowMatchesScan(t *testing.T) {
 	g := workload.New(11)
-	stream := g.ObservationStream("w", 12, 40, 0, 1, 8)
-	p, err := Open(Config{FlushSize: 4, MaxAge: time.Hour, MergeThreshold: 64})
+	stream := g.ObservationStream("w", 12, 120, 0, 1, 8)
+	p, err := Open(Config{FlushSize: 4, MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	feed(t, p, toObservations(stream), 37)
-	if _, delta, _ := p.store.IndexStats(); delta == 0 {
-		t.Fatal("test needs entries in the delta buffer to be meaningful")
+	if rungs, tail, merges := p.store.IndexStats(); rungs == 0 || tail == 0 || merges == 0 {
+		t.Fatalf("test needs merged rungs and a non-empty tail to be meaningful: rungs=%d tail=%d merges=%d", rungs, tail, merges)
 	}
 	for i := 0; i < 30; i++ {
 		x, y := float64(i*30), float64((i*17)%900)
 		rect := geom.Rect{MinX: x, MinY: y, MaxX: x + 120, MaxY: y + 120}
-		iv := temporal.Closed(temporal.Instant(i%30), temporal.Instant(i%30+10))
+		iv := temporal.Closed(temporal.Instant(i*4), temporal.Instant(i*4+10))
 		got := p.Epoch().Window(rect, iv)
 		var want []string
 		for _, sum := range p.Summaries() {

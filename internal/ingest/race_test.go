@@ -13,12 +13,14 @@ import (
 // TestConcurrentIngestAndQuery hammers the pipeline with writers and
 // readers at once — run under -race this is the acceptance check that
 // queries never observe the appender mid-mutation (the store lock
-// covers in-place tail updates) and the delta index tolerates
-// concurrent inserts, merges and searches.
+// covers in-place tail updates) and the index tolerates concurrent
+// inserts, folds and searches. Whatever the interleaving, the writer
+// with the latest timestamps gets 10 × 200 observations accepted —
+// past two full index tails, so at least one fold merges rungs.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	g := workload.New(21)
 	seedStream := g.ObservationStream("r", 10, 5, 0, 1, 5)
-	p, err := Open(Config{FlushSize: 8, MaxAge: 5 * time.Millisecond, MergeThreshold: 32})
+	p, err := Open(Config{FlushSize: 8, MaxAge: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			wg2 := workload.New(int64(100 + w))
-			stream := toObservations(wg2.ObservationStream("r", 10, 60, temporal.Instant(10+w), 1, 5))
+			stream := toObservations(wg2.ObservationStream("r", 10, 200, temporal.Instant(10+w), 1, 5))
 			for lo := 0; lo < len(stream); lo += 7 {
 				hi := min(lo+7, len(stream))
 				if _, err := p.Ingest(stream[lo:hi]); err != nil {
@@ -101,5 +103,8 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 	if err := p.store.idx.Validate(); err != nil {
 		t.Fatalf("index invalid after concurrent ingest: %v", err)
+	}
+	if st := p.Stats(); st.IndexMerges == 0 {
+		t.Fatalf("no fold merged rungs: %+v", st)
 	}
 }

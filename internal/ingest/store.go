@@ -70,9 +70,9 @@ type ObjectSummary struct {
 	To    float64 `json:"to"`
 }
 
-// newStore registers the seed objects and bulk-loads the base index
-// tree over their units.
-func newStore(ids []string, seeds []moving.MPoint, mergeThreshold int, metrics *obs.Metrics) (*Store, error) {
+// newStore registers the seed objects and bulk-loads the index's first
+// rung over their units.
+func newStore(ids []string, seeds []moving.MPoint, metrics *obs.Metrics) (*Store, error) {
 	s := &Store{ids: make(map[string]int, len(ids)), dirty: make(map[int]geom.Rect), metrics: metrics}
 	var entries []index.Entry
 	for i, id := range ids {
@@ -95,7 +95,7 @@ func newStore(ids []string, seeds []moving.MPoint, mergeThreshold int, metrics *
 			entries = append(entries, index.Entry{Cube: u.Cube(), ID: entryID(oi, ui)})
 		}
 	}
-	s.idx = index.NewDynamic(index.Build(entries), mergeThreshold)
+	s.idx = index.NewDynamic(index.Build(entries), 0)
 	s.publish()
 	return s, nil
 }
@@ -107,8 +107,8 @@ func entryID(oi, ui int) int64 { return int64(oi)<<32 | int64(ui) }
 // Non-monotone observations (t not after the object's latest) are
 // dropped and counted — replay reproduces the same decisions because
 // they depend only on the per-object observation order, which the WAL
-// preserves. Every accepted unit's bounding cube goes to the index
-// delta buffer; when an append compacts into its predecessor, the cube
+// preserves. Every accepted unit's bounding cube goes to the index's
+// tail; when an append compacts into its predecessor, the cube
 // of the incoming extension is indexed under the merged unit's id, so
 // the union of that unit's entries always covers its full extent.
 //
@@ -152,9 +152,10 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.dropped += int64(dropped)
 	s.compacted += int64(compacted)
 	s.mu.Unlock()
-	// Index maintenance outside the table lock would let a reader see
-	// units without their cubes; holding it keeps flush atomic from the
-	// readers' perspective. Lock order: store → index.
+	// The index insert runs after the table lock is released. No reader
+	// can see the units without their cubes: readers only see published
+	// epochs, and the batcher serialises apply → insert → publish for
+	// each flush under its own lock. The index synchronises itself.
 	if len(entries) > 0 {
 		if s.idx.InsertBatch(entries) {
 			s.metrics.RecordIndexMerge()
@@ -341,8 +342,6 @@ func (s *Store) Counters() (applied, dropped, compacted int64) {
 	return s.applied, s.dropped, s.compacted
 }
 
-// IndexStats reports the dynamic index's base size, delta size and
-// merge count.
-func (s *Store) IndexStats() (base, delta, merges int) {
-	return s.idx.BaseLen(), s.idx.DeltaLen(), s.idx.Merges()
-}
+// IndexStats reports, as one consistent view, the index entries held in
+// rungs, the entries in the tail, and the folds that merged rungs.
+func (s *Store) IndexStats() (rungs, tail, merges int) { return s.idx.Stats() }

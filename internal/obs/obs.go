@@ -80,7 +80,7 @@ type ingestStats struct {
 	compacted    int64 // appends merged into their predecessor unit
 	flushTotalNS int64
 	flushMaxNS   int64
-	indexMerges  int64 // delta-buffer folds into a rebuilt base tree
+	indexMerges  int64 // index folds that merged at least one existing rung
 	walRecords   int64
 	walPages     int64
 
@@ -289,8 +289,9 @@ func (m *Metrics) RecordIngestFlush(applied, dropped, compacted int, d time.Dura
 	}
 }
 
-// RecordIndexMerge counts one delta-buffer fold into a rebuilt base
-// tree.
+// RecordIndexMerge counts one index fold that merged at least one
+// existing rung into a larger one (a fold of the tail alone is not a
+// merge).
 func (m *Metrics) RecordIndexMerge() {
 	if m == nil {
 		return

@@ -60,6 +60,9 @@ go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
 echo "==> fuzz smoke: FuzzRefine (10s; streaming sweep vs the sort-based oracle)"
 go test -run='^$' -fuzz=FuzzRefine -fuzztime=10s ./internal/temporal
 
+echo "==> fuzz smoke: FuzzDynamic (10s; index ladder vs linear scan and brute-force k-NN)"
+go test -run='^$' -fuzz=FuzzDynamic -fuzztime=10s ./internal/index
+
 echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
 go test -race -tags=faultinject -count=1 ./internal/sim/
 
