@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/exec"
 	"strings"
 	"time"
 
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	summaryFlag := fs.Bool("summary", false, "append the per-check finding/suppression table (text format)")
 	suggestFlag := fs.Bool("suggest", false, "print the ready-to-paste annotation under findings that carry one (text format)")
 	staleFlag := fs.Bool("stale-suppressions", false, "report molint:ignore directives that no longer suppress anything")
-	escapesFlag := fs.Bool("escapes", false, "cross-check alloc-hot findings against `go build -gcflags=-m=2` escape analysis")
 	timingsFlag := fs.Bool("timings", false, "add per-check wall time to -summary and the JSON summary")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -137,14 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := lint.Options{StaleSuppressions: *staleFlag}
-	if *escapesFlag {
-		esc, err := runEscapeAnalysis(root, patterns)
-		if err != nil {
-			emit(stderr, "molint: escape analysis: %v\n", err)
-			return 2
-		}
-		opts.Escapes = esc
-	}
 	if *timingsFlag {
 		//molint:ignore det-path wall-clock timing is diagnostic output, gated behind -timings
 		opts.Clock = time.Now
@@ -188,22 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runEscapeAnalysis shells out to the gc toolchain for its escape
-// diagnostics. -m=2 prints to stderr; the build itself must succeed
-// (molint already typechecked the tree, so a failure here is
-// environmental). -gcflags applies to the named patterns only, which is
-// exactly the scope molint analyzed.
-func runEscapeAnalysis(root string, patterns []string) (*lint.EscapeData, error) {
-	args := append([]string{"build", "-gcflags=-m=2"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		return nil, fmt.Errorf("go build -gcflags=-m=2: %v", err)
-	}
-	return lint.ParseEscapes(root, string(out)), nil
 }
 
 // rel renders a finding with its path relative to the module root so

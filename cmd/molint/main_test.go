@@ -209,41 +209,6 @@ func TestStaleSuppressions(t *testing.T) {
 	}
 }
 
-// TestEscapesCLI runs the compiler cross-check end to end on the
-// alloc-hot fixture: -escapes shells out to go build -gcflags=-m=2,
-// joins the diagnostics positionally, and every alloc-hot finding
-// carries exactly one of the two tier markers — with both tiers
-// represented (fmt's interface arguments and the returned closure
-// escape; the never-escaping composite literal is static-only).
-func TestEscapesCLI(t *testing.T) {
-	code, stdout, stderr := runMolint(t,
-		"-escapes", "-checks=alloc-hot",
-		"./internal/lint/testdata/src/allochot",
-	)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr)
-	}
-	var findings, markers int
-	for _, line := range strings.Split(stdout, "\n") {
-		if !strings.Contains(line, "[alloc-hot]") {
-			continue
-		}
-		findings++
-		if strings.Contains(line, "[confirmed by compiler:") || strings.Contains(line, "[static-only:") {
-			markers++
-		}
-	}
-	if findings == 0 || markers != findings {
-		t.Fatalf("%d of %d alloc-hot findings carry a tier marker:\n%s", markers, findings, stdout)
-	}
-	if !strings.Contains(stdout, "[confirmed by compiler:") {
-		t.Errorf("no finding confirmed by the compiler:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "[static-only:") {
-		t.Errorf("no static-only finding:\n%s", stdout)
-	}
-}
-
 // TestJSONReportDeterministic runs the full suite over the whole module
 // twice and requires byte-identical JSON: map-order leaks, pointer
 // formatting, or clock reads anywhere in the pipeline would show up as

@@ -27,18 +27,6 @@ type Key struct {
 	Epoch uint64
 }
 
-// Stats is a point-in-time view of an adapter.
-type Stats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Puts      int64 `json:"puts"`
-	Evictions int64 `json:"evictions"`
-	Bytes     int64 `json:"bytes"`
-	Entries   int64 `json:"entries"`
-	Budget    int64 `json:"budget"`
-	Shards    int   `json:"shards"`
-}
-
 // ResultCache is the port. Implementations must be safe for concurrent
 // use; Get returns the stored bytes (which callers must treat as
 // immutable) and whether the key was present. Put may decline to store
@@ -47,7 +35,6 @@ type Stats struct {
 type ResultCache interface {
 	Get(k Key) ([]byte, bool)
 	Put(k Key, v []byte)
-	Stats() Stats
 }
 
 // seed is the process-wide hash seed for shard selection. One seed for

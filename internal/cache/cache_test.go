@@ -14,7 +14,8 @@ import (
 func key(q string, epoch uint64) Key { return Key{Route: "/v1/window", Query: q, Epoch: epoch} }
 
 func TestMemoryGetPut(t *testing.T) {
-	m := NewMemory(1<<20, 4, nil)
+	reg := obs.New(0)
+	m := NewMemory(1<<20, 4, reg)
 	k := key("x1=0&x2=1", 7)
 	if _, ok := m.Get(k); ok {
 		t.Fatal("hit on empty cache")
@@ -29,14 +30,15 @@ func TestMemoryGetPut(t *testing.T) {
 	if _, ok := m.Get(key("x1=0&x2=1", 8)); ok {
 		t.Fatal("stale hit across epochs")
 	}
-	st := m.Stats()
+	st := reg.Snapshot().Cache
 	if st.Hits != 1 || st.Misses != 2 || st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
 func TestMemoryReplace(t *testing.T) {
-	m := NewMemory(1<<20, 1, nil)
+	reg := obs.New(0)
+	m := NewMemory(1<<20, 1, reg)
 	k := key("q", 1)
 	m.Put(k, []byte("old"))
 	m.Put(k, []byte("newer value"))
@@ -44,8 +46,8 @@ func TestMemoryReplace(t *testing.T) {
 	if !ok || string(v) != "newer value" {
 		t.Fatalf("replace: %q %v", v, ok)
 	}
-	if st := m.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after replace", st.Entries)
+	if st := reg.Snapshot().Cache; st.Entries != 1 || st.Puts != 1 {
+		t.Fatalf("entries = %d, puts = %d after replace", st.Entries, st.Puts)
 	}
 }
 
@@ -57,16 +59,18 @@ func TestMemoryLRUEviction(t *testing.T) {
 	val := bytes.Repeat([]byte("v"), 100)
 	probe := key("q00", 1)
 	size := int64(len(val)+len(probe.Route)+len(probe.Query)) + entryOverhead
-	m := NewMemory(3*size+size/2, 1, nil)
+	budget := 3*size + size/2
+	reg := obs.New(0)
+	m := NewMemory(budget, 1, reg)
 	for i := 0; i < 8; i++ {
 		m.Put(key(fmt.Sprintf("q%02d", i), 1), val)
 	}
-	st := m.Stats()
-	if st.Bytes > st.Budget {
-		t.Fatalf("bytes %d over budget %d", st.Bytes, st.Budget)
+	st := reg.Snapshot().Cache
+	if st.Entries != 3 || st.Bytes != 3*int64(len(val)) || st.Entries*size > budget {
+		t.Fatalf("resident %d entries / %d value bytes, want 3 / %d inside budget %d", st.Entries, st.Bytes, 3*len(val), budget)
 	}
-	if st.Evictions != 5 {
-		t.Fatalf("evictions = %d, want 5 (capacity 3, 8 inserts)", st.Evictions)
+	if st.Evictions != 5 || st.EvictedBytes != 5*int64(len(val)) {
+		t.Fatalf("evictions = %d (%d bytes), want 5 (capacity 3, 8 inserts)", st.Evictions, st.EvictedBytes)
 	}
 	if _, ok := m.Get(key("q00", 1)); ok {
 		t.Fatal("oldest entry survived past budget")

@@ -25,8 +25,7 @@ const entryOverhead = 96
 // split evenly across shards. Entries larger than a shard's budget are
 // not cached at all.
 type Memory struct {
-	shards  []*shard     // moguard: immutable // built in NewMemory, slots never reassigned
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, nil-safe
+	shards []*shard // moguard: immutable // built in NewMemory, slots never reassigned
 }
 
 // shard is one LRU: a map keyed by Key into an intrusive doubly-linked
@@ -38,12 +37,10 @@ type shard struct {
 	tail    *entry         // moguard: guarded by mu // eviction candidate
 	bytes   int64          // moguard: guarded by mu
 	budget  int64          // moguard: immutable
-	hits    int64          // moguard: guarded by mu
-	misses  int64          // moguard: guarded by mu
-	puts    int64          // moguard: guarded by mu
-	evicted int64          // moguard: guarded by mu
 
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, nil-safe
+	// metrics.Cache holds the only hit/miss/put/evict counts and the
+	// byte/entry gauges; its counters are atomic and need no mu.
+	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 }
 
 type entry struct {
@@ -55,9 +52,12 @@ type entry struct {
 
 // NewMemory builds the adapter with the given total byte budget and
 // shard count (<= 0 selects the defaults; the shard count is rounded up
-// to a power of two). metrics receives hit/miss/put/evict counters and
-// is nil-safe.
+// to a power of two). metrics receives the hit/miss/put/evict counters
+// and byte/entry gauges; nil keeps them in a private registry.
 func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
+	if metrics == nil {
+		metrics = obs.New(0)
+	}
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
@@ -68,7 +68,7 @@ func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 	for n < shards {
 		n <<= 1
 	}
-	m := &Memory{shards: make([]*shard, n), metrics: metrics}
+	m := &Memory{shards: make([]*shard, n)}
 	per := budget / int64(n)
 	if per < 1 {
 		per = 1
@@ -89,17 +89,15 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
-		s.misses++
 		s.mu.Unlock()
-		s.metrics.RecordCacheMiss()
+		s.metrics.Cache.Misses.Inc()
 		return nil, false
 	}
-	s.hits++
 	s.unlinkLocked(e)
 	s.pushFrontLocked(e)
 	v := e.val
 	s.mu.Unlock()
-	s.metrics.RecordCacheHit()
+	s.metrics.Cache.Hits.Inc()
 	return v, true
 }
 
@@ -126,29 +124,28 @@ func (m *Memory) Put(k Key, v []byte) {
 		s.entries[k] = e
 		s.pushFrontLocked(e)
 		s.bytes += size
-		s.puts++
-		s.metricsPutLocked(len(v))
+		s.metrics.Cache.Puts.Inc()
+		s.metrics.Cache.Bytes.Add(int64(len(v)))
+		s.metrics.Cache.Entries.Inc()
 	}
-	var evictedN, evictedBytes int
+	var evictedN, evictedBytes int64
 	for s.bytes > s.budget && s.tail != nil {
 		victim := s.tail
 		s.unlinkLocked(victim)
 		delete(s.entries, victim.key)
 		s.bytes -= victim.size
-		s.evicted++
 		evictedN++
-		evictedBytes += len(victim.val)
+		evictedBytes += int64(len(victim.val))
 	}
 	s.mu.Unlock()
 	if evictedN > 0 {
-		s.metrics.RecordCacheEvict(evictedN, evictedBytes)
+		c := &s.metrics.Cache
+		c.Evictions.Add(evictedN)
+		c.EvictedBytes.Add(evictedBytes)
+		c.Bytes.Add(-evictedBytes)
+		c.Entries.Add(-evictedN)
 	}
 }
-
-// metricsPutLocked forwards the put to the registry. Split out so the
-// registry call happens while the accounting is consistent; the
-// registry locks itself. Caller holds s.mu.
-func (s *shard) metricsPutLocked(valBytes int) { s.metrics.RecordCachePut(valBytes) }
 
 // unlinkLocked removes e from the recency list. Caller holds s.mu.
 func (s *shard) unlinkLocked(e *entry) {
@@ -175,21 +172,4 @@ func (s *shard) pushFrontLocked(e *entry) {
 	if s.tail == nil {
 		s.tail = e
 	}
-}
-
-// Stats aggregates the shard counters.
-func (m *Memory) Stats() Stats {
-	out := Stats{Shards: len(m.shards)}
-	for _, s := range m.shards {
-		s.mu.Lock()
-		out.Hits += s.hits
-		out.Misses += s.misses
-		out.Puts += s.puts
-		out.Evictions += s.evicted
-		out.Bytes += s.bytes
-		out.Entries += int64(len(s.entries))
-		out.Budget += s.budget
-		s.mu.Unlock()
-	}
-	return out
 }

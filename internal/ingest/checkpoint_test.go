@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"movingdb/internal/obs"
 	"movingdb/internal/storage"
 	"movingdb/internal/workload"
 )
@@ -107,7 +108,7 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if err := validateState(state); err != nil {
 		t.Fatalf("freshly encoded state rejected: %v", err)
 	}
-	st, err := storeFromState(state, nil)
+	st, err := storeFromState(state, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}

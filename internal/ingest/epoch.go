@@ -7,6 +7,7 @@ import (
 	"movingdb/internal/index"
 	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
+	"movingdb/internal/obs"
 	"movingdb/internal/temporal"
 	"movingdb/internal/units"
 )
@@ -98,7 +99,7 @@ func Frozen(ids []string, objects []moving.MPoint) (*Epoch, error) {
 	if len(ids) != len(objects) {
 		return nil, errors.New("ingest: ids and objects length mismatch")
 	}
-	st, err := newStore(ids, objects, nil)
+	st, err := newStore(ids, objects, obs.New(0))
 	if err != nil {
 		return nil, err
 	}

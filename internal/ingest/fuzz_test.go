@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"movingdb/internal/obs"
 	"movingdb/internal/storage"
 )
 
@@ -41,7 +42,7 @@ func FuzzWALDecode(f *testing.F) {
 		if len(data) > 0 {
 			ps.Put(data)
 		}
-		w, rec, err := openWAL(pageStoreIO{ps}, nil)
+		w, rec, err := openWAL(pageStoreIO{ps}, obs.New(0))
 		if err != nil {
 			t.Fatalf("openWAL failed open on arbitrary bytes: %v", err)
 		}
@@ -51,7 +52,7 @@ func FuzzWALDecode(f *testing.F) {
 		if _, err := w.append([]Observation{{ObjectID: "post", T: 1, X: 0, Y: 0}}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
-		if _, rec2, err := openWAL(pageStoreIO{ps}, nil); err != nil || len(rec2.batches) < 1 {
+		if _, rec2, err := openWAL(pageStoreIO{ps}, obs.New(0)); err != nil || len(rec2.batches) < 1 {
 			t.Fatalf("re-scan after post-recovery append: err=%v batches=%d (was %d)", err, len(rec2.batches), n)
 		}
 	})

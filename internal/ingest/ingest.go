@@ -90,7 +90,8 @@ type Config struct {
 	// MaxQueued bounds the total buffered observations across objects;
 	// past it, Ingest returns ErrBackpressure. Default 65536.
 	MaxQueued int
-	// Metrics receives ingest counters and flush latencies (nil-safe).
+	// Metrics receives ingest counters and flush latencies. Default: a
+	// private registry nobody reads.
 	Metrics *obs.Metrics
 	// LogIO overrides Log with a custom page-I/O implementation — the
 	// fault-injection seam (internal/fault.Store satisfies it
@@ -168,6 +169,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.New(0)
 	}
 	return c
 }
@@ -258,7 +262,11 @@ func Open(cfg Config) (*Pipeline, error) {
 func (p *Pipeline) applyFlush(batch []Observation) {
 	start := time.Now()
 	applied, dropped, compacted := p.store.Apply(batch)
-	p.metrics.RecordIngestFlush(applied, dropped, compacted, time.Since(start))
+	m := &p.metrics.Ingest
+	m.Applied.Add(int64(applied))
+	m.Dropped.Add(int64(dropped))
+	m.Compacted.Add(int64(compacted))
+	m.Flush.Observe(time.Since(start))
 }
 
 // publishEpoch is the batcher's post-flush hook: it seals everything
@@ -332,12 +340,13 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 	seq, err := p.bat.enqueue(batch, p.logAppend)
 	switch {
 	case err == nil:
-		p.metrics.RecordIngestBatch(len(batch))
+		p.metrics.Ingest.Batches.Inc()
+		p.metrics.Ingest.Observations.Add(int64(len(batch)))
 		if p.wal.checkpointDue() {
 			p.checkpointNow(false)
 		}
 	case errors.Is(err, ErrBackpressure):
-		p.metrics.RecordIngestBackpressure()
+		p.metrics.Ingest.Backpressure.Inc()
 	}
 	return seq, err
 }

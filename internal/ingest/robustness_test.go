@@ -82,7 +82,7 @@ func TestTornWriteRepairedOnFailedAppend(t *testing.T) {
 		t.Fatalf("append after repair: seq=%d err=%v", seq, err)
 	}
 	// The surviving log replays cleanly: one batch, no quarantine.
-	var2, rec, err := openWAL(pageStoreIO{ps}, nil)
+	var2, rec, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil || len(rec.batches) != 1 || var2.quarantinedPages != 0 {
 		t.Fatalf("post-repair log: err=%v batches=%d quarantined=%d", err, len(rec.batches), var2.quarantinedPages)
 	}

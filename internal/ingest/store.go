@@ -41,7 +41,7 @@ type Store struct {
 	dropped   int64 // moguard: guarded by mu
 	compacted int64 // moguard: guarded by mu
 
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, nil-safe
+	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 }
 
 // object is one tracked object's live state. The unit array keeps the
@@ -158,7 +158,7 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	// each flush under its own lock. The index synchronises itself.
 	if len(entries) > 0 {
 		if s.idx.InsertBatch(entries) {
-			s.metrics.RecordIndexMerge()
+			s.metrics.Ingest.IndexMerges.Inc()
 		}
 	}
 	return applied, dropped, compacted

@@ -72,7 +72,7 @@ type wal struct {
 	quarantinedPages int      // moguard: guarded by mu
 	quarantined      [][]byte // moguard: guarded by mu
 
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, nil-safe
+	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 }
 
 // walStats is the point-in-time WAL view for Pipeline.Stats.
@@ -182,7 +182,8 @@ func (w *wal) quarantine(p, n int, cause string) {
 		}
 	}
 	w.quarantinedPages += n
-	w.metrics.RecordWALQuarantine(n, cause)
+	w.metrics.Ingest.WALQuarantined.Add(int64(n))
+	w.metrics.RecordIngestCause("wal_quarantine_"+cause, 1)
 }
 
 func pagesFor(n int) int { return (n + storage.PageSize - 1) / storage.PageSize }
@@ -222,7 +223,8 @@ func (w *wal) append(batch []Observation) (uint64, error) {
 	w.seq++
 	w.pages += ref.NumPages()
 	w.sinceCkpt += ref.NumPages()
-	w.metrics.RecordWALAppend(ref.NumPages())
+	w.metrics.Ingest.WALRecords.Inc()
+	w.metrics.Ingest.WALPages.Add(int64(ref.NumPages()))
 	return w.seq, nil
 }
 
@@ -255,7 +257,8 @@ func (w *wal) checkpoint(state []byte, dropPrevious bool) error {
 	}
 	ckpt := ref.FirstPage
 	w.pages += ref.NumPages()
-	w.metrics.RecordWALCheckpoint(ref.NumPages())
+	w.metrics.Ingest.WALCheckpoints.Inc()
+	w.metrics.Ingest.WALCheckpointPages.Add(int64(ref.NumPages()))
 	keep := w.ckptPage
 	if dropPrevious {
 		keep = ckpt

@@ -8,6 +8,7 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
+	"movingdb/internal/obs"
 	"movingdb/internal/storage"
 	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
@@ -15,7 +16,7 @@ import (
 
 func TestWALRoundTrip(t *testing.T) {
 	ps := storage.NewPageStore()
-	w, rec, err := openWAL(pageStoreIO{ps}, nil)
+	w, rec, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil || len(rec.batches) != 0 {
 		t.Fatalf("fresh wal: %v, %d batches", err, len(rec.batches))
 	}
@@ -30,7 +31,7 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Fatalf("append %d: seq=%d err=%v", i, seq, err)
 		}
 	}
-	_, rec2, err := openWAL(pageStoreIO{ps}, nil)
+	_, rec2, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestWALRoundTrip(t *testing.T) {
 // with the new record reachable by the next scan.
 func TestWALTornTailTruncated(t *testing.T) {
 	ps := storage.NewPageStore()
-	w, _, err := openWAL(pageStoreIO{ps}, nil)
+	w, _, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	ps.Truncate(2) // tear the big record
 
-	w2, rec2, err := openWAL(pageStoreIO{ps}, nil)
+	w2, rec2, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 	if seq, err := w2.append(small); err != nil || seq != 2 {
 		t.Fatalf("append after recovery: seq=%d err=%v", seq, err)
 	}
-	_, r, err := openWAL(pageStoreIO{ps}, nil)
+	_, r, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatalf("reopen after recovery: %v", err)
 	}
@@ -93,7 +94,7 @@ func TestWALTornTailTruncated(t *testing.T) {
 // the CRC must stop replay at the damaged record.
 func TestWALCorruptPayload(t *testing.T) {
 	ps := storage.NewPageStore()
-	w, _, err := openWAL(pageStoreIO{ps}, nil)
+	w, _, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestWALCorruptPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := openWAL(pageStoreIO{damaged}, nil)
+	_, rec2, err := openWAL(pageStoreIO{damaged}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestWALCorruptPayload(t *testing.T) {
 func TestWALGarbageStore(t *testing.T) {
 	ps := storage.NewPageStore()
 	ps.Put(bytes.Repeat([]byte{0xAB}, 3*storage.PageSize))
-	w, rec, err := openWAL(pageStoreIO{ps}, nil)
+	w, rec, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil || len(rec.batches) != 0 {
 		t.Fatalf("garbage store: %v, %d batches", err, len(rec.batches))
 	}
@@ -141,7 +142,7 @@ func TestWALGarbageStore(t *testing.T) {
 	if _, err := w.append([]Observation{{ObjectID: "a", T: 1, X: 0, Y: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	_, r, err := openWAL(pageStoreIO{ps}, nil)
+	_, r, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatalf("reopen after garbage recovery: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"movingdb/internal/obs"
 	"movingdb/internal/storage"
 )
 
@@ -16,7 +17,7 @@ import (
 // passes now that quarantine takes the lock.
 func TestWALQuarantineVsStatsRace(t *testing.T) {
 	ps := storage.NewPageStore()
-	w, _, err := openWAL(pageStoreIO{ps}, nil)
+	w, _, err := openWAL(pageStoreIO{ps}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}

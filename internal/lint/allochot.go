@@ -42,11 +42,15 @@ import (
 //
 // directive; the reason is mandatory. Under Options.StaleSuppressions,
 // allocok directives that cover no flagged site are themselves findings
-// — including directives whose site the compiler no longer considers
-// escaping after a fix. When escape data is present (molint -escapes),
-// every finding carries a two-tier severity marker: confirmed by the
-// compiler's -m=2 escape analysis, or static-only.
+// — including directives whose site a fix removed.
 type allocHot struct{ cfg *Config }
+
+// siteKey names one source line: where an allocok directive sits or
+// which line it covers.
+type siteKey struct {
+	file string
+	line int
+}
 
 func (allocHot) ID() string { return "alloc-hot" }
 
@@ -71,7 +75,7 @@ func (c allocHot) RunProgram(pass *ProgramPass) {
 	// allocok directives across every analyzed file, reasons validated
 	// up front so a suppression can never silently widen.
 	dirs := c.collectAllocok(pass, prog)
-	usedDir := map[escKey]bool{}
+	usedDir := map[siteKey]bool{}
 
 	// Scan the hot region in deterministic order.
 	for _, k := range prog.keys {
@@ -88,7 +92,7 @@ func (c allocHot) RunProgram(pass *ProgramPass) {
 	// Stale allocok audit: a directive that suppressed nothing this run
 	// is drift — the site was fixed, moved, or was never hot.
 	if pass.Stale {
-		keys := make([]escKey, 0, len(dirs))
+		keys := make([]siteKey, 0, len(dirs))
 		for k := range dirs {
 			keys = append(keys, k)
 		}
@@ -185,8 +189,8 @@ func (allocHot) hotRegion(prog *Program, roots []string) map[string]string {
 
 // collectAllocok parses every allocok directive in the analyzed files,
 // reporting the ones missing a reason.
-func (allocHot) collectAllocok(pass *ProgramPass, prog *Program) map[escKey]allocokDir {
-	out := map[escKey]allocokDir{}
+func (allocHot) collectAllocok(pass *ProgramPass, prog *Program) map[siteKey]allocokDir {
+	out := map[siteKey]allocokDir{}
 	for _, pf := range prog.files {
 		for _, cg := range pf.f.Comments {
 			for _, cm := range cg.List {
@@ -201,7 +205,7 @@ func (allocHot) collectAllocok(pass *ProgramPass, prog *Program) map[escKey]allo
 					pass.ReportAt(pos, "moguard: allocok is missing a reason")
 					continue
 				}
-				out[escKey{pos.Filename, pos.Line}] = allocokDir{
+				out[siteKey{pos.Filename, pos.Line}] = allocokDir{
 					file: pos.Filename, line: pos.Line, col: pos.Column, reason: reason,
 				}
 			}
@@ -219,8 +223,8 @@ type allocScan struct {
 	pass    *ProgramPass
 	pkg     *Package
 	root    string // display name of the attributed hot root
-	dirs    map[escKey]allocokDir
-	usedDir map[escKey]bool
+	dirs    map[siteKey]allocokDir
+	usedDir map[siteKey]bool
 	loops   []posSpan
 }
 
@@ -228,7 +232,7 @@ type posSpan struct{ lo, hi token.Pos }
 
 // scanAllocSites flags the allocation sites of one declaration in the
 // hot region.
-func scanAllocSites(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl, root string, dirs map[escKey]allocokDir, usedDir map[escKey]bool) {
+func scanAllocSites(pass *ProgramPass, pkg *Package, fd *ast.FuncDecl, root string, dirs map[siteKey]allocokDir, usedDir map[siteKey]bool) {
 	if fd.Body == nil {
 		return
 	}
@@ -499,20 +503,17 @@ func (s *allocScan) assign(st *ast.AssignStmt) {
 }
 
 // report files one allocation-site finding unless an adjacent allocok
-// directive covers it, threading the two-tier escape marker when
-// -escapes data is present.
+// directive covers it.
 func (s *allocScan) report(p token.Pos, format string, args ...any) {
 	pos := s.pkg.Fset.Position(p)
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if d, ok := s.dirs[escKey{pos.Filename, line}]; ok {
-			s.usedDir[escKey{d.file, d.line}] = true
+		if d, ok := s.dirs[siteKey{pos.Filename, line}]; ok {
+			s.usedDir[siteKey{d.file, d.line}] = true
 			s.pass.suppressed[suppKey{pos.Filename, pos.Line, s.pass.check}] = true
 			return
 		}
 	}
-	msg := fmt.Sprintf(format, args...)
-	s.pass.ReportAt(pos, "hot path (via %s): %s%s", s.root, msg,
-		escapeSuffix(s.pass.Escapes, pos.Filename, pos.Line))
+	s.pass.ReportAt(pos, "hot path (via %s): %s", s.root, fmt.Sprintf(format, args...))
 }
 
 // isSliceType reports whether t (or its underlying type) is a slice.

@@ -106,9 +106,6 @@ type ProgramPass struct {
 	// their own directive namespace (alloc-hot's allocok verb): the
 	// runner's stale audit only covers molint:ignore.
 	Stale bool
-	// Escapes is the compiler escape-diagnostic join from -escapes, nil
-	// when the cross-check was not requested.
-	Escapes *EscapeData
 	reporter
 }
 
@@ -218,11 +215,6 @@ type Options struct {
 	// Clock samples wall time around each check for Result.Timings. Nil
 	// disables timing (and keeps Run fully deterministic).
 	Clock func() time.Time
-	// Escapes carries parsed `go build -gcflags=-m=2` diagnostics
-	// (ParseEscapes) into the program passes; alloc-hot tiers its
-	// findings against it. Nil runs alloc-hot static-only with no tier
-	// markers.
-	Escapes *EscapeData
 }
 
 // Run executes every check over every package and returns deduplicated,
@@ -310,7 +302,7 @@ func RunOpts(pkgs []*Package, checks []Check, opts Options) Result {
 			return a.check < b.check
 		})
 		for _, pc := range progChecks {
-			pass := &ProgramPass{Prog: prog, Stale: opts.StaleSuppressions, Escapes: opts.Escapes,
+			pass := &ProgramPass{Prog: prog, Stale: opts.StaleSuppressions,
 				reporter: reporter{check: pc.ID(), findings: &res.Findings,
 					suppressed: suppressed, used: used, directives: globalDs}}
 			timed(pc.ID(), func() { pc.RunProgram(pass) })

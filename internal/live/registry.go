@@ -48,7 +48,8 @@ type Config struct {
 	// (dirty sets merged, both epochs' edges still detected — only the
 	// intermediate epoch attribution is lost). Default 64.
 	QueueCap int
-	// Metrics receives subscription/event/lag counters. Optional.
+	// Metrics receives subscription/event/lag counters. Default: a
+	// private registry nobody reads.
 	Metrics *obs.Metrics
 	// Now is the clock used to stamp publishes (injectable for tests).
 	// Defaults to time.Now.
@@ -66,6 +67,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Now == nil {
 		c.Now = time.Now
+	}
+	if c.Metrics == nil {
+		c.Metrics = obs.New(0)
 	}
 	return c
 }
@@ -166,7 +170,7 @@ func (r *Registry) Subscribe(p Predicate, ep *ingest.Epoch) (*Subscription, erro
 		r.regionSubs[s.key] = s
 		r.regions.Insert(index.Entry{Cube: fullTimeCube(s.bound), ID: s.key})
 	}
-	r.cfg.Metrics.RecordLiveSubscribe()
+	r.cfg.Metrics.Live.Subscribes.Inc()
 	return s, nil
 }
 
@@ -217,7 +221,7 @@ func (r *Registry) Unsubscribe(id string) bool {
 	r.mu.Unlock()
 	if ok {
 		s.close()
-		r.cfg.Metrics.RecordLiveUnsubscribe()
+		r.cfg.Metrics.Live.Unsubscribes.Inc()
 	}
 	return ok
 }
@@ -264,7 +268,10 @@ func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
 	// moguard: retained publish hand-off — the store builds a fresh dirty slice per publish and the epoch is frozen COW state
 	r.queue = append(r.queue, notice{ep: ep, dirty: dirty, pubNS: pubNS})
 	r.mu.Unlock()
-	r.cfg.Metrics.RecordLiveNotify(coalesced)
+	r.cfg.Metrics.Live.Notifies.Inc()
+	if coalesced {
+		r.cfg.Metrics.Live.Coalesced.Inc()
+	}
 	if err := fault.Hit("live.notify"); err != nil {
 		// Injected wake-up loss. The notice is already queued, so nothing
 		// is dropped — delivery is deferred until the next publish wakes
@@ -296,13 +303,16 @@ func (r *Registry) drain() {
 		cands := r.candidatesLocked(n)
 		r.mu.Unlock()
 		start := time.Now()
-		events, dropped := 0, 0
+		var events, dropped int64
 		for _, s := range cands {
 			ev, dr := s.evaluate(n)
-			events += ev
-			dropped += dr
+			events += int64(ev)
+			dropped += int64(dr)
 		}
-		r.cfg.Metrics.RecordLiveEval(len(cands), events, dropped, time.Since(start))
+		m := &r.cfg.Metrics.Live
+		m.Events.Add(events)
+		m.Dropped.Add(dropped)
+		m.Eval.ObserveN(len(cands), time.Since(start))
 	}
 }
 

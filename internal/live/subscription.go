@@ -20,7 +20,7 @@ type Subscription struct {
 	pred    Predicate    // moguard: immutable
 	bound   geom.Rect    // moguard: immutable
 	key     int64        // moguard: immutable // region-index key; 0 for id-bound forms
-	metrics *obs.Metrics // moguard: immutable // nil-safe
+	metrics *obs.Metrics // moguard: immutable // never nil
 
 	mu      sync.Mutex
 	state   bool                // moguard: guarded by mu // id-bound forms: last evaluated truth
@@ -55,7 +55,7 @@ func (s *Subscription) pushLocked(e Event) (dropped bool) {
 		dropped = true
 		if !s.lagged {
 			s.lagged = true
-			s.metrics.RecordLiveLagged()
+			s.metrics.Live.Lagged.Inc()
 		}
 	}
 	s.buf[(s.head+s.n)%len(s.buf)] = e

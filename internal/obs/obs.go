@@ -1,134 +1,161 @@
 // Package obs is the observability layer of the serving stack: request
-// counters, latency histograms, per-operator timings and a slow-query
-// log, all behind one mutex-protected registry that handlers and the
-// query evaluator feed. A snapshot of the registry is what /v1/metrics
-// serves (expvar-style JSON). The package has no dependencies beyond
-// the standard library so every layer — server, db, moving — may import
-// it freely.
+// counters, latency histograms, per-operator timings, write-path, cache
+// and live-query counters and a slow-query log. Every series is one of
+// three lock-free types — Counter, Timing, and the per-route histogram
+// built from them — that its owning layer updates directly; series
+// keyed by a label known only at run time (route, operator, cause,
+// failpoint site) live in a family. A snapshot of the registry is what
+// /v1/metrics serves (expvar-style JSON). The package has no dependencies beyond the standard library so
+// every layer — server, db, moving — may import it freely.
 package obs
 
 import (
 	"context"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
+// Counter is a count (only ever added to) or a gauge (added to and
+// subtracted from). The zero value is ready to use.
+type Counter struct{ v atomic.Int64 }
+
+// Inc adds one.
+func (c *Counter) Inc() { c.v.Add(1) }
+
+// Add adds n, which may be negative for a gauge.
+func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Load returns the current value.
+func (c *Counter) Load() int64 { return c.v.Load() }
+
+// raise lifts the value to n if n is larger. The common case — n is not
+// a new maximum — is one load and no write.
+func (c *Counter) raise(n int64) {
+	for {
+		old := c.v.Load()
+		if n <= old || c.v.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+// Timing accumulates durations: how many units of work they covered,
+// their total and the longest one. The zero value is ready to use.
+type Timing struct{ count, sumNS, maxNS Counter }
+
+// Observe records one unit of work that took d.
+func (t *Timing) Observe(d time.Duration) { t.ObserveN(1, d) }
+
+// ObserveN records one duration d that covered n units of work (an
+// evaluation round over n subscriptions): the average is per unit, the
+// maximum per call.
+func (t *Timing) ObserveN(n int, d time.Duration) {
+	t.count.Add(int64(n))
+	t.sumNS.Add(d.Nanoseconds())
+	t.maxNS.raise(d.Nanoseconds())
+}
+
+// read returns the unit count, the mean per unit and the longest
+// observation, the two times in nanoseconds divided by div (1e3 for µs,
+// 1e6 for ms).
+func (t *Timing) read(div float64) (count int64, avg, max float64) {
+	if count = t.count.Load(); count > 0 {
+		avg = float64(t.sumNS.Load()) / float64(count) / div
+	}
+	return count, avg, float64(t.maxNS.Load()) / div
+}
+
 // bucketsMS are the upper bounds (milliseconds, inclusive) of the
-// latency histogram; a final overflow bucket catches everything above.
-var bucketsMS = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// latency histogram and bucketLabels their "le"-style names; a final
+// overflow bucket catches everything above. A bound is labelled in
+// whole seconds only when that is exact (2500 is "2500ms", not "2s").
+var (
+	bucketsMS    = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+	bucketLabels = [...]string{"1ms", "2ms", "5ms", "10ms", "25ms", "50ms", "100ms", "250ms", "500ms", "1s", "2500ms", "5s", "+Inf"}
+)
 
-// BucketLabels names the histogram buckets in order, "le" style.
-func BucketLabels() []string {
-	out := make([]string, 0, len(bucketsMS)+1)
-	for _, b := range bucketsMS {
-		out = append(out, formatLE(b))
+// routeHist is one route's request metrics: a fixed-bucket latency
+// distribution with total and maximum, and a count per status code. It
+// keeps no request count (that is the sum of the buckets) and no error
+// count (the sum of the statuses from 400 up). HTTP status codes are
+// three digits, so the code itself indexes the table and counting one
+// is an atomic add with no map and no formatting — a string-keyed map
+// here cost an allocation per request. The zero value is ready to use;
+// at 4.9 KB it is created on a route's first request, not per
+// registered route.
+type routeHist struct {
+	buckets      [len(bucketLabels)]Counter
+	sumNS, maxNS Counter
+	statuses     [600]Counter // slot 0 takes codes outside the table
+}
+
+// observe records one request: four atomic operations.
+func (h *routeHist) observe(status int, d time.Duration) {
+	ns := d.Nanoseconds()
+	ms := float64(ns) / 1e6
+	slot := len(bucketsMS) // overflow
+	for i, ub := range bucketsMS {
+		if ms <= ub {
+			slot = i
+			break
+		}
 	}
-	return append(out, "+Inf")
-}
-
-// formatLE labels a bound in whole seconds only when that is exact
-// (2500 is "2500ms", not "2s").
-func formatLE(b float64) string {
-	ms := int(b)
-	if ms%1000 == 0 {
-		return itoa(ms/1000) + "s"
+	if status < 0 || status >= len(h.statuses) {
+		status = 0
 	}
-	return itoa(ms) + "ms"
+	h.statuses[status].Inc()
+	h.buckets[slot].Inc()
+	h.sumNS.Add(ns)
+	h.maxNS.raise(ns)
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// family is a set of series keyed by a label known only at run time.
+// Labels are few and appear early, so the set is a copy-on-write map:
+// get on a known label is one atomic load and a map read, and a
+// first-seen label copies the map and publishes it with a CAS, retrying
+// if another goroutine published first — so every caller of a label
+// gets the same series.
+type family[T any] struct{ m atomic.Pointer[map[string]*T] }
+
+func (f *family[T]) get(label string) *T {
+	for {
+		old := f.m.Load()
+		if old != nil {
+			if s, ok := (*old)[label]; ok {
+				return s
+			}
+		}
+		s := new(T)
+		next := map[string]*T{label: s}
+		if old != nil {
+			for k, v := range *old {
+				next[k] = v
+			}
+		}
+		if f.m.CompareAndSwap(old, &next) {
+			return s
+		}
 	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
+}
+
+// all returns the current label → series map, which is never written
+// again; callers must not write to it either.
+func (f *family[T]) all() map[string]*T {
+	if m := f.m.Load(); m != nil {
+		return *m
 	}
-	return string(buf[i:])
+	return nil
 }
 
-// routeStats accumulates per-route request metrics.
-type routeStats struct {
-	count    int64
-	errors   int64 // responses with status >= 400
-	timeouts int64 // 408s
-	statuses map[int]int64
-	totalNS  int64
-	maxNS    int64
-	buckets  []int64 // len(bucketsMS)+1
-}
-
-// opStats accumulates per-operator evaluation timings.
-type opStats struct {
-	count   int64
-	totalNS int64
-	maxNS   int64
-}
-
-// ingestStats accumulates write-path metrics: batch admission at the
-// gate, flush application, and index/WAL maintenance.
-type ingestStats struct {
-	batches      int64 // acknowledged batches
-	observations int64 // observations in acknowledged batches
-	backpressure int64 // batches rejected with queue-full
-	flushes      int64
-	applied      int64 // observations applied to the store
-	dropped      int64 // non-monotone observations dropped at apply
-	compacted    int64 // appends merged into their predecessor unit
-	flushTotalNS int64
-	flushMaxNS   int64
-	indexMerges  int64 // index folds that merged at least one existing rung
-	walRecords   int64
-	walPages     int64
-
-	// Fault-path counters (PR 3): WAL checkpoint/quarantine volume and
-	// the per-cause event map (retries, dead-letters, degraded flips,
-	// fail-fast rejections, quarantine causes).
-	walCheckpoints     int64
-	walCheckpointPages int64
-	walQuarantined     int64 // pages moved aside as corrupt
-	causes             map[string]int64
-}
-
-// cacheStats accumulates result-cache traffic (PR 6): hits and misses
-// at the lookup layer, puts and evictions at the adapter, plus running
-// byte/entry gauges maintained from the put/evict deltas.
-type cacheStats struct {
-	hits         int64
-	misses       int64
-	puts         int64
-	evictions    int64
-	evictedBytes int64
-	bytes        int64 // gauge: resident cached bytes
-	entries      int64 // gauge: resident cached entries
-}
-
-// epochStats tracks snapshot publication (PR 6): the current epoch
-// sequence, how many epochs have been published, and when the last one
-// was — /v1/metrics derives the epoch age from it.
-type epochStats struct {
-	seq         uint64
-	publishes   int64
-	publishedAt time.Time
-}
-
-// liveStats accumulates the standing-query subsystem's traffic (PR 7):
-// subscription churn, publish notifications reaching the registry,
-// evaluation work, emitted/dropped events and lagged streams.
-type liveStats struct {
-	subscribes   int64
-	unsubscribes int64
-	notifies     int64 // epoch publishes delivered to the notifier
-	coalesced    int64 // publishes merged under notifier backpressure
-	evaluated    int64 // subscription evaluations run
-	events       int64 // enter/leave events emitted to buffers
-	dropped      int64 // events evicted from full subscriber buffers
-	lagged       int64 // streams marked lagged by an eviction
-	evalTotalNS  int64
-	evalMaxNS    int64
+// counts copies a family of counters into a fresh map.
+func counts(f *family[Counter]) map[string]int64 {
+	out := make(map[string]int64, len(f.all()))
+	for label, c := range f.all() {
+		out[label] = c.Load()
+	}
+	return out
 }
 
 // SlowQuery is one entry of the slow-query log.
@@ -141,24 +168,79 @@ type SlowQuery struct {
 	TimedOut bool    `json:"timed_out"`
 }
 
+// slowRing keeps the last cap(buf) slow queries, oldest first. Entries
+// are structs with strings, so it is the one piece of the registry
+// behind a lock; only requests already slower than the threshold take
+// it.
+type slowRing struct {
+	mu  sync.Mutex
+	buf []SlowQuery // moguard: guarded by mu
+}
+
 // Metrics is the registry. The zero value is not usable; construct with
-// New. All methods are safe for concurrent use and safe on a nil
-// receiver (they become no-ops), so instrumented code does not need to
-// guard against a missing registry.
+// New. Everything is safe for concurrent use. The exported groups are
+// updated in place by the layer that owns the event (internal/cache,
+// internal/ingest, internal/live); constructors there replace a nil
+// registry with New(0), so only the Record methods — which the query
+// evaluator calls on whatever FromContext returned — accept a nil
+// receiver.
 type Metrics struct {
-	mu       sync.Mutex
-	start    time.Time              // moguard: immutable
-	routes   map[string]*routeStats // moguard: guarded by mu
-	ops      map[string]*opStats    // moguard: guarded by mu
-	slow     []SlowQuery            // moguard: guarded by mu // ring buffer, slowNext is the write cursor
-	slowCap  int                    // moguard: immutable
-	slowNext int                    // moguard: guarded by mu
-	slowLen  int                    // moguard: guarded by mu
-	ingest   ingestStats            // moguard: guarded by mu
-	cache    cacheStats             // moguard: guarded by mu
-	epoch    epochStats             // moguard: guarded by mu
-	live     liveStats              // moguard: guarded by mu
-	faults   map[string]int64       // moguard: guarded by mu // injected-fault trips by failpoint site
+	start  time.Time
+	routes family[routeHist]
+	ops    family[Timing]
+	slow   slowRing
+
+	// Ingest is the write path: batch admission at the gate, flush
+	// application, index and WAL maintenance.
+	Ingest struct {
+		Batches      Counter // acknowledged batches
+		Observations Counter // observations in acknowledged batches
+		Backpressure Counter // batches rejected with queue-full
+		Flush        Timing  // batcher flushes
+		Applied      Counter // observations applied to the store
+		Dropped      Counter // non-monotone observations dropped at apply
+		Compacted    Counter // appends merged into their predecessor unit
+		// IndexMerges counts index folds that merged at least one existing
+		// rung into a larger one (a fold of the tail alone is not a merge).
+		IndexMerges                        Counter
+		WALRecords, WALPages               Counter
+		WALCheckpoints, WALCheckpointPages Counter
+		WALQuarantined                     Counter // pages moved aside as corrupt
+	}
+	causes family[Counter] // write-path fault events, see RecordIngestCause
+
+	// Cache is result-cache traffic: hits and misses at lookup, puts and
+	// evictions at the adapter. Bytes and Entries are gauges the adapter
+	// moves by the put/evict deltas.
+	Cache struct {
+		Hits, Misses, Puts      Counter
+		Evictions, EvictedBytes Counter
+		Bytes, Entries          Counter
+	}
+
+	// Live is the standing-query subsystem: subscription churn, publish
+	// notifications reaching the registry, evaluation work, emitted and
+	// dropped events, lagged streams.
+	Live struct {
+		Subscribes, Unsubscribes Counter
+		Notifies                 Counter // epoch publishes delivered to the notifier
+		Coalesced                Counter // publishes merged under notifier backpressure
+		Eval                     Timing  // one round per ObserveN, n = subscriptions evaluated
+		Events                   Counter // enter/leave events emitted to buffers
+		Dropped                  Counter // events evicted from full subscriber buffers
+		Lagged                   Counter // streams marked lagged by an eviction
+	}
+
+	// epoch tracks snapshot publication: the current sequence, how many
+	// were published, and when the last one was (nanoseconds after
+	// start) — /v1/metrics derives the epoch age from it.
+	epoch struct {
+		seq         atomic.Uint64
+		publishedNS atomic.Int64
+		publishes   Counter
+	}
+
+	faults family[Counter] // injected-fault trips by failpoint site
 }
 
 // New returns an empty registry keeping up to slowCap slow-query
@@ -167,14 +249,35 @@ func New(slowCap int) *Metrics {
 	if slowCap <= 0 {
 		slowCap = 32
 	}
-	return &Metrics{
-		start:   time.Now(),
-		routes:  map[string]*routeStats{},
-		ops:     map[string]*opStats{},
-		slow:    make([]SlowQuery, slowCap),
-		slowCap: slowCap,
-		faults:  map[string]int64{},
+	return &Metrics{start: time.Now(), slow: slowRing{buf: make([]SlowQuery, 0, slowCap)}}
+}
+
+// RecordRequest counts one served request on the route with its final
+// status and latency: a family lookup and four atomic operations.
+func (m *Metrics) RecordRequest(route string, status int, d time.Duration) {
+	if m == nil {
+		return
 	}
+	m.routes.get(route).observe(status, d)
+}
+
+// RecordOp counts one evaluator operator invocation with its duration.
+func (m *Metrics) RecordOp(name string, d time.Duration) {
+	if m == nil {
+		return
+	}
+	m.ops.get(name).Observe(d)
+}
+
+// RecordIngestCause counts n write-path fault events of the named
+// cause — "wal_retry", "dead_letter", "degraded_fast_fail",
+// "checkpoint_failed", "epoch_publish_deferred", and
+// "wal_quarantine_<kind>" for what kind of record rotted.
+func (m *Metrics) RecordIngestCause(cause string, n int) {
+	if m == nil {
+		return
+	}
+	m.causes.get(cause).Add(int64(n))
 }
 
 // RecordFaultTrip counts one injected-fault trip at the named failpoint
@@ -184,223 +287,7 @@ func (m *Metrics) RecordFaultTrip(site string) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.faults[site]++
-}
-
-// RecordRequest counts one served request on the route with its final
-// status and latency.
-func (m *Metrics) RecordRequest(route string, status int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.routes[route]
-	if !ok {
-		rs = &routeStats{statuses: map[int]int64{}, buckets: make([]int64, len(bucketsMS)+1)}
-		m.routes[route] = rs
-	}
-	rs.count++
-	rs.statuses[status]++
-	if status >= 400 {
-		rs.errors++
-	}
-	if status == 408 {
-		rs.timeouts++
-	}
-	ns := d.Nanoseconds()
-	rs.totalNS += ns
-	if ns > rs.maxNS {
-		rs.maxNS = ns
-	}
-	ms := float64(ns) / 1e6
-	slot := len(bucketsMS) // overflow
-	for i, ub := range bucketsMS {
-		if ms <= ub {
-			slot = i
-			break
-		}
-	}
-	rs.buckets[slot]++
-}
-
-// RecordOp counts one evaluator operator invocation with its duration.
-func (m *Metrics) RecordOp(name string, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	os, ok := m.ops[name]
-	if !ok {
-		os = &opStats{}
-		m.ops[name] = os
-	}
-	os.count++
-	ns := d.Nanoseconds()
-	os.totalNS += ns
-	if ns > os.maxNS {
-		os.maxNS = ns
-	}
-}
-
-// RecordIngestBatch counts one acknowledged ingest batch of n
-// observations.
-func (m *Metrics) RecordIngestBatch(n int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.batches++
-	m.ingest.observations += int64(n)
-}
-
-// RecordIngestBackpressure counts one batch rejected because the write
-// queue was full.
-func (m *Metrics) RecordIngestBackpressure() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.backpressure++
-}
-
-// RecordIngestFlush counts one batcher flush: how many observations
-// were applied, dropped as non-monotone, or compacted into their
-// predecessor unit, and how long the flush took.
-func (m *Metrics) RecordIngestFlush(applied, dropped, compacted int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.flushes++
-	m.ingest.applied += int64(applied)
-	m.ingest.dropped += int64(dropped)
-	m.ingest.compacted += int64(compacted)
-	ns := d.Nanoseconds()
-	m.ingest.flushTotalNS += ns
-	if ns > m.ingest.flushMaxNS {
-		m.ingest.flushMaxNS = ns
-	}
-}
-
-// RecordIndexMerge counts one index fold that merged at least one
-// existing rung into a larger one (a fold of the tail alone is not a
-// merge).
-func (m *Metrics) RecordIndexMerge() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.indexMerges++
-}
-
-// RecordWALAppend counts one write-ahead log record of the given page
-// footprint.
-func (m *Metrics) RecordWALAppend(pages int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.walRecords++
-	m.ingest.walPages += int64(pages)
-}
-
-// RecordWALCheckpoint counts one checkpoint record of the given page
-// footprint.
-func (m *Metrics) RecordWALCheckpoint(pages int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.walCheckpoints++
-	m.ingest.walCheckpointPages += int64(pages)
-}
-
-// RecordWALQuarantine counts pages moved aside as corrupt during WAL
-// recovery, keyed by what kind of record rotted.
-func (m *Metrics) RecordWALQuarantine(pages int, cause string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ingest.walQuarantined += int64(pages)
-	m.causeLocked("wal_quarantine_"+cause, 1)
-}
-
-// RecordIngestCause counts n write-path fault events of the named
-// cause — "retry", "dead_letter", "degraded_enter", "degraded_exit",
-// "degraded_fast_fail", "checkpoint_error", and the quarantine causes.
-func (m *Metrics) RecordIngestCause(cause string, n int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.causeLocked(cause, int64(n))
-}
-
-func (m *Metrics) causeLocked(cause string, n int64) {
-	if m.ingest.causes == nil {
-		m.ingest.causes = map[string]int64{}
-	}
-	m.ingest.causes[cause] += n
-}
-
-// RecordCacheHit counts one result served from the cache.
-func (m *Metrics) RecordCacheHit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache.hits++
-}
-
-// RecordCacheMiss counts one lookup that had to evaluate.
-func (m *Metrics) RecordCacheMiss() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache.misses++
-}
-
-// RecordCachePut counts one result stored, growing the byte/entry
-// gauges.
-func (m *Metrics) RecordCachePut(bytes int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache.puts++
-	m.cache.bytes += int64(bytes)
-	m.cache.entries++
-}
-
-// RecordCacheEvict counts n entries of the given total size evicted to
-// stay inside the byte budget, shrinking the gauges.
-func (m *Metrics) RecordCacheEvict(n, bytes int) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache.evictions += int64(n)
-	m.cache.evictedBytes += int64(bytes)
-	m.cache.bytes -= int64(bytes)
-	m.cache.entries -= int64(n)
+	m.faults.get(site).Inc()
 }
 
 // RecordEpochPublish notes that the snapshot with the given sequence
@@ -409,76 +296,9 @@ func (m *Metrics) RecordEpochPublish(seq uint64) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epoch.seq = seq
-	m.epoch.publishes++
-	m.epoch.publishedAt = time.Now()
-}
-
-// RecordLiveSubscribe counts one standing-query subscription created.
-func (m *Metrics) RecordLiveSubscribe() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live.subscribes++
-}
-
-// RecordLiveUnsubscribe counts one subscription removed.
-func (m *Metrics) RecordLiveUnsubscribe() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live.unsubscribes++
-}
-
-// RecordLiveNotify counts one epoch publish handed to the notifier;
-// coalesced marks a publish merged into a neighbour because the
-// notifier queue was full.
-func (m *Metrics) RecordLiveNotify(coalesced bool) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live.notifies++
-	if coalesced {
-		m.live.coalesced++
-	}
-}
-
-// RecordLiveEval counts one notifier evaluation round: how many
-// subscriptions were evaluated, how many events were emitted, how many
-// were dropped from full buffers, and how long the round took.
-func (m *Metrics) RecordLiveEval(subs, events, dropped int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live.evaluated += int64(subs)
-	m.live.events += int64(events)
-	m.live.dropped += int64(dropped)
-	ns := d.Nanoseconds()
-	m.live.evalTotalNS += ns
-	if ns > m.live.evalMaxNS {
-		m.live.evalMaxNS = ns
-	}
-}
-
-// RecordLiveLagged counts one event stream marked lagged by a
-// drop-oldest eviction.
-func (m *Metrics) RecordLiveLagged() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.live.lagged++
+	m.epoch.seq.Store(seq)
+	m.epoch.publishedNS.Store(int64(time.Since(m.start)))
+	m.epoch.publishes.Inc()
 }
 
 // RecordSlowQuery appends an entry to the slow-query ring.
@@ -486,13 +306,13 @@ func (m *Metrics) RecordSlowQuery(e SlowQuery) {
 	if m == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.slow[m.slowNext] = e
-	m.slowNext = (m.slowNext + 1) % m.slowCap
-	if m.slowLen < m.slowCap {
-		m.slowLen++
+	r := &m.slow
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) == cap(r.buf) {
+		r.buf = r.buf[:copy(r.buf, r.buf[1:])]
 	}
+	r.buf = append(r.buf, e)
 }
 
 // RouteSnapshot is the JSON form of one route's counters.
@@ -582,113 +402,103 @@ type Snapshot struct {
 	Faults map[string]int64 `json:"faults,omitempty"`
 }
 
-// Snapshot copies the registry into its JSON-serialisable form. Safe on
-// a nil receiver (returns an empty snapshot).
+// Snapshot copies the registry into its JSON-serialisable form, into
+// fresh maps and slices. Each series is read atomically; the snapshot
+// is not one cut across series, so under load a route's count may be
+// one request ahead of its total.
 func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return Snapshot{Requests: map[string]RouteSnapshot{}, Operators: map[string]OpSnapshot{}, SlowQueries: []SlowQuery{}}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := Snapshot{
 		UptimeSeconds: time.Since(m.start).Seconds(),
-		Requests:      make(map[string]RouteSnapshot, len(m.routes)),
-		Operators:     make(map[string]OpSnapshot, len(m.ops)),
-		SlowQueries:   make([]SlowQuery, 0, m.slowLen),
+		Requests:      make(map[string]RouteSnapshot, len(m.routes.all())),
+		Operators:     make(map[string]OpSnapshot, len(m.ops.all())),
 	}
-	labels := BucketLabels()
-	for route, rs := range m.routes {
+	for route, h := range m.routes.all() {
 		snap := RouteSnapshot{
-			Count:     rs.count,
-			Errors:    rs.errors,
-			Timeouts:  rs.timeouts,
-			Statuses:  make(map[string]int64, len(rs.statuses)),
-			MaxMillis: float64(rs.maxNS) / 1e6,
-			LatencyMS: make(map[string]int64, len(labels)),
+			Statuses:  map[string]int64{},
+			MaxMillis: float64(h.maxNS.Load()) / 1e6,
+			LatencyMS: make(map[string]int64, len(bucketLabels)),
 		}
-		if rs.count > 0 {
-			snap.AvgMillis = float64(rs.totalNS) / float64(rs.count) / 1e6
+		for i, label := range bucketLabels {
+			n := h.buckets[i].Load()
+			snap.LatencyMS[label] = n
+			snap.Count += n
 		}
-		for code, n := range rs.statuses {
-			snap.Statuses[itoa(code)] = n
+		if snap.Count > 0 {
+			snap.AvgMillis = float64(h.sumNS.Load()) / float64(snap.Count) / 1e6
 		}
-		for i, label := range labels {
-			snap.LatencyMS[label] = rs.buckets[i]
+		for code := range h.statuses {
+			n := h.statuses[code].Load()
+			if n == 0 {
+				continue
+			}
+			snap.Statuses[strconv.Itoa(code)] = n
+			if code >= 400 {
+				snap.Errors += n
+			}
 		}
+		snap.Timeouts = snap.Statuses["408"]
 		out.Requests[route] = snap
 	}
-	for name, os := range m.ops {
-		snap := OpSnapshot{Count: os.count, MaxMicros: float64(os.maxNS) / 1e3}
-		if os.count > 0 {
-			snap.AvgMicros = float64(os.totalNS) / float64(os.count) / 1e3
-		}
+	for name, t := range m.ops.all() {
+		var snap OpSnapshot
+		snap.Count, snap.AvgMicros, snap.MaxMicros = t.read(1e3)
 		out.Operators[name] = snap
 	}
-	// Oldest-first over the ring.
-	for i := 0; i < m.slowLen; i++ {
-		idx := (m.slowNext - m.slowLen + i + m.slowCap) % m.slowCap
-		out.SlowQueries = append(out.SlowQueries, m.slow[idx])
-	}
-	ing := m.ingest
+
+	m.slow.mu.Lock()
+	out.SlowQueries = append(make([]SlowQuery, 0, len(m.slow.buf)), m.slow.buf...)
+	m.slow.mu.Unlock()
+
+	ing := &m.Ingest
 	out.Ingest = IngestSnapshot{
-		Batches:             ing.batches,
-		Observations:        ing.observations,
-		Backpressure:        ing.backpressure,
-		Flushes:             ing.flushes,
-		Applied:             ing.applied,
-		DroppedNonMonotone:  ing.dropped,
-		Compacted:           ing.compacted,
-		MaxFlushMillis:      float64(ing.flushMaxNS) / 1e6,
-		IndexMerges:         ing.indexMerges,
-		WALRecords:          ing.walRecords,
-		WALPages:            ing.walPages,
-		WALCheckpoints:      ing.walCheckpoints,
-		WALCheckpointPages:  ing.walCheckpointPages,
-		WALQuarantinedPages: ing.walQuarantined,
-		Causes:              make(map[string]int64, len(ing.causes)),
+		Batches:             ing.Batches.Load(),
+		Observations:        ing.Observations.Load(),
+		Backpressure:        ing.Backpressure.Load(),
+		Applied:             ing.Applied.Load(),
+		DroppedNonMonotone:  ing.Dropped.Load(),
+		Compacted:           ing.Compacted.Load(),
+		IndexMerges:         ing.IndexMerges.Load(),
+		WALRecords:          ing.WALRecords.Load(),
+		WALPages:            ing.WALPages.Load(),
+		WALCheckpoints:      ing.WALCheckpoints.Load(),
+		WALCheckpointPages:  ing.WALCheckpointPages.Load(),
+		WALQuarantinedPages: ing.WALQuarantined.Load(),
+		Causes:              counts(&m.causes),
 	}
-	for cause, n := range ing.causes {
-		out.Ingest.Causes[cause] = n
-	}
-	if ing.flushes > 0 {
-		out.Ingest.AvgFlushMillis = float64(ing.flushTotalNS) / float64(ing.flushes) / 1e6
-	}
+	out.Ingest.Flushes, out.Ingest.AvgFlushMillis, out.Ingest.MaxFlushMillis = ing.Flush.read(1e6)
+
+	c := &m.Cache
 	out.Cache = CacheSnapshot{
-		Hits:         m.cache.hits,
-		Misses:       m.cache.misses,
-		Puts:         m.cache.puts,
-		Evictions:    m.cache.evictions,
-		EvictedBytes: m.cache.evictedBytes,
-		Bytes:        m.cache.bytes,
-		Entries:      m.cache.entries,
+		Hits:         c.Hits.Load(),
+		Misses:       c.Misses.Load(),
+		Puts:         c.Puts.Load(),
+		Evictions:    c.Evictions.Load(),
+		EvictedBytes: c.EvictedBytes.Load(),
+		Bytes:        c.Bytes.Load(),
+		Entries:      c.Entries.Load(),
 	}
-	if lookups := m.cache.hits + m.cache.misses; lookups > 0 {
-		out.Cache.HitRatio = float64(m.cache.hits) / float64(lookups)
+	if lookups := out.Cache.Hits + out.Cache.Misses; lookups > 0 {
+		out.Cache.HitRatio = float64(out.Cache.Hits) / float64(lookups)
 	}
-	out.Epoch = EpochSnapshot{Seq: m.epoch.seq, Publishes: m.epoch.publishes}
-	if !m.epoch.publishedAt.IsZero() {
-		out.Epoch.AgeSeconds = time.Since(m.epoch.publishedAt).Seconds()
+
+	out.Epoch = EpochSnapshot{Seq: m.epoch.seq.Load(), Publishes: m.epoch.publishes.Load()}
+	if out.Epoch.Publishes > 0 {
+		out.Epoch.AgeSeconds = (time.Since(m.start) - time.Duration(m.epoch.publishedNS.Load())).Seconds()
 	}
+
+	l := &m.Live
 	out.Live = LiveSnapshot{
-		Subscribes:    m.live.subscribes,
-		Unsubscribes:  m.live.unsubscribes,
-		Notifies:      m.live.notifies,
-		Coalesced:     m.live.coalesced,
-		Evaluated:     m.live.evaluated,
-		Events:        m.live.events,
-		Dropped:       m.live.dropped,
-		Lagged:        m.live.lagged,
-		MaxEvalMicros: float64(m.live.evalMaxNS) / 1e3,
+		Subscribes:   l.Subscribes.Load(),
+		Unsubscribes: l.Unsubscribes.Load(),
+		Notifies:     l.Notifies.Load(),
+		Coalesced:    l.Coalesced.Load(),
+		Events:       l.Events.Load(),
+		Dropped:      l.Dropped.Load(),
+		Lagged:       l.Lagged.Load(),
 	}
-	if m.live.evaluated > 0 {
-		out.Live.AvgEvalMicros = float64(m.live.evalTotalNS) / float64(m.live.evaluated) / 1e3
-	}
-	if len(m.faults) > 0 {
-		out.Faults = make(map[string]int64, len(m.faults))
-		for site, n := range m.faults {
-			out.Faults[site] = n
-		}
-	}
+	out.Live.Evaluated, out.Live.AvgEvalMicros, out.Live.MaxEvalMicros = l.Eval.read(1e3)
+
+	out.Faults = counts(&m.faults)
 	return out
 }
 
@@ -706,7 +516,7 @@ func NewContext(ctx context.Context, m *Metrics) context.Context {
 }
 
 // FromContext extracts the registry, or nil when none was attached.
-// The nil result is safe to call methods on.
+// The nil result is safe to call the Record methods on.
 func FromContext(ctx context.Context) *Metrics {
 	m, _ := ctx.Value(ctxKey{}).(*Metrics)
 	return m

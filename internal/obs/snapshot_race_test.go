@@ -6,13 +6,12 @@ import (
 	"time"
 )
 
-// TestSnapshotDetachedUnderLoad encodes the result of auditing the
-// registry accessors for unlocked slice copies: Snapshot performs the
-// whole copy — slow-query ring, histogram buckets, status and cause
-// maps — under m.mu and into fresh storage, so a caller holding a
-// snapshot while writers keep recording sees neither races (checked by
-// -race) nor later mutations bleeding into its copy (checked by the
-// aliasing assertions below).
+// TestSnapshotDetachedUnderLoad: Snapshot copies everything — slow-query
+// ring, histogram buckets, status and cause maps — into fresh storage,
+// so a caller holding a snapshot while writers keep recording sees
+// neither races (checked by -race) nor later mutations bleeding into
+// its copy (checked by the aliasing assertions below). Each series is
+// read atomically; the snapshot is not one cut across series.
 func TestSnapshotDetachedUnderLoad(t *testing.T) {
 	m := New(4)
 	var wg sync.WaitGroup
@@ -31,7 +30,9 @@ func TestSnapshotDetachedUnderLoad(t *testing.T) {
 				m.RecordOp("atinstant", time.Microsecond)
 				m.RecordSlowQuery(SlowQuery{Route: "/v1/query", Millis: float64(i)})
 				m.RecordIngestCause("retry", 1)
-				m.RecordWALQuarantine(1, "record")
+				m.Ingest.WALQuarantined.Inc()
+				m.Cache.Hits.Inc()
+				m.Live.Eval.ObserveN(2, time.Microsecond)
 			}
 		}(w)
 	}

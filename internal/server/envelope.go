@@ -76,17 +76,23 @@ func writeRetryError(w http.ResponseWriter, status int, code, msg string, retryA
 	writeError(w, status, code, msg)
 }
 
-// writeEvalError maps an evaluation error onto the envelope: context
-// expiry (server deadline or client disconnect) is 408, the query
-// language's own error classes are 400, anything else is a 500.
-func writeEvalError(w http.ResponseWriter, err error) {
+// evalStatus maps an evaluation error onto the envelope: context expiry
+// (server deadline or client disconnect) is 408, the query language's
+// own error classes are 400, anything else is a 500.
+func evalStatus(err error) (status int, code string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		writeError(w, http.StatusRequestTimeout, CodeTimeout, err.Error())
+		return http.StatusRequestTimeout, CodeTimeout
 	case errors.Is(err, db.ErrSyntax), errors.Is(err, db.ErrType),
 		errors.Is(err, db.ErrNoFunction), errors.Is(err, db.ErrSchema):
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return http.StatusBadRequest, CodeBadRequest
 	default:
-		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
+		return http.StatusInternalServerError, CodeInternal
 	}
+}
+
+// writeEvalError writes the envelope evalStatus chose for err.
+func writeEvalError(w http.ResponseWriter, err error) {
+	status, code := evalStatus(err)
+	writeError(w, status, code, err.Error())
 }

@@ -261,18 +261,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, err := snap.QueryContext(ctx, req.SQL)
 		elapsed := time.Since(start)
-		timedOut := err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled))
+		// The entry carries the status the client is about to receive.
+		status := http.StatusOK
+		if err != nil {
+			status, _ = evalStatus(err)
+		}
+		timedOut := status == http.StatusRequestTimeout
 		if timedOut || elapsed >= s.cfg.SlowQueryThreshold {
 			entry := obs.SlowQuery{
 				Route:    "/v1/query",
 				Query:    truncate(req.Raw, 200),
 				Millis:   float64(elapsed.Nanoseconds()) / 1e6,
-				Status:   http.StatusOK,
+				Status:   status,
 				UnixMS:   time.Now().UnixMilli(),
 				TimedOut: timedOut,
-			}
-			if timedOut {
-				entry.Status = http.StatusRequestTimeout
 			}
 			s.metrics.RecordSlowQuery(entry)
 			s.logger.Printf("server: slow query (%.1fms, timed_out=%v): %s", entry.Millis, timedOut, entry.Query)

@@ -346,6 +346,25 @@ func TestQueryTimeoutEnvelopeAndMetrics(t *testing.T) {
 	}
 }
 
+// TestSlowQueryEntryCarriesClientStatus: a slow /v1/query that fails
+// with a non-timeout error must land in the slow-query ring with the
+// status the client received, not 200.
+func TestSlowQueryEntryCarriesClientStatus(t *testing.T) {
+	catalog, ids, objects := testObjects()
+	s, err := New(Config{Catalog: catalog, ObjectIDs: ids, Objects: objects, SlowQueryThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := get(t, s.Handler(), "/v1/query?q=SELECT+nosuch(flight)+FROM+planes")
+	if code != http.StatusBadRequest {
+		t.Fatalf("unknown function: %d %v", code, body)
+	}
+	slow := s.Metrics().Snapshot().SlowQueries
+	if len(slow) != 1 || slow[0].Status != http.StatusBadRequest || slow[0].TimedOut {
+		t.Fatalf("slow-query ring = %+v, want one entry with status 400", slow)
+	}
+}
+
 // TestConcurrentRequests exercises /v1/query and /v1/window in parallel
 // for the race detector.
 func TestConcurrentRequests(t *testing.T) {
