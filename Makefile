@@ -39,12 +39,15 @@ verify:
 chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
-# Fuzz the WAL recovery decoders, the refinement sweep and the index
-# ladder (longer than the verify smoke runs).
+# Fuzz the WAL recovery decoders, the refinement sweep, the index
+# ladder and the server's two wire scanners (longer than the verify
+# smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
 	$(GO) test -run='^$$' -fuzz=FuzzDynamic -fuzztime=60s ./internal/index
+	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=60s -fuzzminimizetime=1s ./internal/server
 
 # Build and vet the failpoint-enabled binary variant.
 faultinject:

@@ -6,7 +6,7 @@
 // without touching any handler.
 //
 // The key design carries the correctness argument. A key is
-// (route, canonical query, epoch): every query operator in this system
+// (route, decoded request, epoch): every query operator in this system
 // is deterministic, and an Epoch (internal/ingest) is an immutable
 // snapshot, so a result computed against an epoch is a pure function of
 // its key — a cached value can never be wrong for its key, only absent.
@@ -15,14 +15,19 @@
 // explicit purge protocol.
 package cache
 
-import "hash/maphash"
+import "math/bits"
 
-// Key identifies one cacheable result. Query must be the canonical
-// form of the request (one request shape, one string — the server's
-// typed decoders produce it), and Epoch the snapshot sequence the
-// result was computed against.
+// Key identifies one cacheable result: the route, the decoded request
+// and the epoch the result was computed against. The request travels as
+// values, not as a rendered string — an epoch route packs its floats
+// (math.Float64bits) and integers into Args, /v1/query puts its
+// canonical SQL in Query — so building, comparing and hashing a key
+// formats and allocates nothing, and two spellings of one request
+// ("10", "10.0", "1e1") are the same key because they decode to the
+// same bits.
 type Key struct {
 	Route string
+	Args  [8]uint64
 	Query string
 	Epoch uint64
 }
@@ -37,22 +42,27 @@ type ResultCache interface {
 	Put(k Key, v []byte)
 }
 
-// seed is the process-wide hash seed for shard selection. One seed for
-// every Memory instance keeps shard choice deterministic within a
-// process while still randomising it across processes.
-var seed = maphash.MakeSeed()
-
-// shardOf hashes a key onto [0, n). n must be a power of two.
-func shardOf(k Key, n int) int {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	_, _ = h.WriteString(k.Route)
-	_ = h.WriteByte(0)
-	_, _ = h.WriteString(k.Query)
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(k.Epoch >> (8 * i))
+// Hash is a 64-bit digest of the key: FNV-1a over the strings, one
+// multiply-fold per word, a final avalanche. It is a pure function of
+// the key (no per-process seed), so the same value picks the shard here
+// and names the entity in the server's ETag.
+//
+// moguard: hotpath
+func (k Key) Hash() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(k.Route); i++ {
+		h = (h ^ uint64(k.Route[i])) * prime
 	}
-	_, _ = h.Write(buf[:])
-	return int(h.Sum64() & uint64(n-1))
+	h = (h ^ 0xff) * prime // no byte of a path or a query: "ab"+"c" ≠ "a"+"bc"
+	for i := 0; i < len(k.Query); i++ {
+		h = (h ^ uint64(k.Query[i])) * prime
+	}
+	for _, a := range k.Args {
+		h = bits.RotateLeft64(h^a, 29) * prime
+	}
+	h = (h ^ k.Epoch) * prime
+	h ^= h >> 32
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }

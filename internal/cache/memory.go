@@ -16,10 +16,11 @@ const (
 	DefaultShards = 16
 )
 
-// entryOverhead approximates the per-entry bookkeeping bytes (map slot,
-// list pointers, key strings' headers) charged against the budget on
-// top of the key and value payloads.
-const entryOverhead = 96
+// entryOverhead approximates the per-entry bookkeeping bytes charged
+// against the budget on top of the key's strings and the value: the
+// 104-byte Key is held twice, in the entry (with the value header and
+// list pointers, a 160-byte allocation) and in the map slot.
+const entryOverhead = 256
 
 // Memory is the in-memory adapter: a sharded LRU with a byte budget
 // split evenly across shards. Entries larger than a shard's budget are
@@ -85,7 +86,7 @@ func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 //
 // moguard: hotpath
 func (m *Memory) Get(k Key) ([]byte, bool) {
-	s := m.shards[shardOf(k, len(m.shards))]
+	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
@@ -106,7 +107,7 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 // re-put of an existing key replaces its value.
 func (m *Memory) Put(k Key, v []byte) {
 	size := int64(len(v)) + int64(len(k.Route)) + int64(len(k.Query)) + entryOverhead
-	s := m.shards[shardOf(k, len(m.shards))]
+	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
 	if size > s.budget {
 		return
 	}

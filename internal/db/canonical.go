@@ -39,9 +39,16 @@ func Canonical(q string) (string, error) {
 		case tokNumber:
 			b.WriteString(strconv.FormatFloat(t.num, 'g', -1, 64))
 		case tokString:
-			b.WriteByte('\'')
+			// A literal cannot contain its own quote, so one holding a '
+			// was written in double quotes and must stay so: requoting it
+			// would end the string early and evaluate a different query.
+			quote := byte('\'')
+			if strings.IndexByte(t.text, quote) >= 0 {
+				quote = '"'
+			}
+			b.WriteByte(quote)
 			b.WriteString(t.text)
-			b.WriteByte('\'')
+			b.WriteByte(quote)
 		default:
 			// Keywords are already uppercased by the lexer; idents and
 			// punctuation pass through verbatim.

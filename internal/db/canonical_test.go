@@ -62,6 +62,31 @@ func TestCanonicalSyntaxError(t *testing.T) {
 	if _, err := Canonical("SELECT 'unterminated"); !errors.Is(err, ErrSyntax) {
 		t.Fatalf("err = %v, want ErrSyntax", err)
 	}
+	if _, err := parseQuery("SELECT 'unterminated"); !errors.Is(err, ErrSyntax) {
+		t.Fatalf("parseQuery err = %v, want ErrSyntax", err)
+	}
+}
+
+// TestCanonicalKeepsQuotedQuote: a double-quoted literal holding a '
+// must not be requoted with ' — `"a' OR '"` would become three tokens
+// of a different query (found by FuzzQueryParams as q="'" → 500).
+func TestCanonicalKeepsQuotedQuote(t *testing.T) {
+	for _, q := range []string{`SELECT id FROM f WHERE id = "a' OR '"`, `SELECT "'"`} {
+		c, err := Canonical(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := lex(q)
+		got, err := lex(c)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("%q canonicalised to %q: %d tokens (err %v), want %d", q, c, len(got), err, len(want))
+		}
+		for i := range want {
+			if got[i].kind != want[i].kind || got[i].text != want[i].text {
+				t.Fatalf("%q canonicalised to %q: token %d is %q, want %q", q, c, i, got[i].text, want[i].text)
+			}
+		}
+	}
 }
 
 func TestSnapshotQueryContext(t *testing.T) {

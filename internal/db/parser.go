@@ -46,7 +46,7 @@ func (p *parser) expect(k tokenKind, text string) (token, error) {
 func parseQuery(src string) (*selectStmt, error) {
 	toks, err := lex(src)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
 	}
 	p := &parser{toks: toks}
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {

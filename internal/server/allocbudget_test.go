@@ -17,6 +17,16 @@ func TestAllocBudgets(t *testing.T) {
 		maxAllocs, maxBytes int64
 	}{
 		{"BenchmarkSSEEventFrames", BenchmarkSSEEventFrames, 0, 0},
+		// A cache hit through the whole handler chain: the status writer,
+		// the ETag string and the slice holding it (27 allocs/op before
+		// the hit path stopped rendering strings).
+		{"BenchmarkCacheHitWindow", BenchmarkCacheHitWindow, 6, 400},
+		{"BenchmarkCacheHitAtInstant", BenchmarkCacheHitAtInstant, 6, 400},
+		{"BenchmarkCacheHitNearby", BenchmarkCacheHitNearby, 6, 400},
+		// n + 4 for n = 570 observations: one id string each, the batch.
+		{"BenchmarkIngestDecode570", BenchmarkIngestDecode570, 574, 40 << 10},
+		// The exact-size copy the cache retains (a 56 KiB body).
+		{"BenchmarkEncodeAtInstant1000", BenchmarkEncodeAtInstant1000, 2, 72 << 10},
 	} {
 		r := testing.Benchmark(c.bench)
 		if r.N == 0 {

@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"movingdb/internal/db"
+	"movingdb/internal/ingest"
 	"movingdb/internal/live"
 	"movingdb/internal/moving"
 	"movingdb/internal/workload"
@@ -107,4 +111,93 @@ func BenchmarkWindowInstrumented(b *testing.B) {
 			b.Fatalf("code = %d", rec.Code)
 		}
 	}
+}
+
+// reusedRecorder is a ResponseWriter whose header map and body buffer
+// survive between requests, so a benchmark loop measures the handler
+// and not the recorder (bench/client.go drives query_repeat the same
+// way).
+type reusedRecorder struct {
+	hdr  http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (r *reusedRecorder) Header() http.Header         { return r.hdr }
+func (r *reusedRecorder) WriteHeader(code int)        { r.code = code }
+func (r *reusedRecorder) Write(p []byte) (int, error) { return r.body.Write(p) }
+
+// benchCacheHit replays one pre-built request against the full handler
+// chain (mux, instrumentation, decode, key, cache hit, header writes):
+// the whole cost of a result-cache hit.
+func benchCacheHit(b *testing.B, url string) {
+	h := benchServer(b).Handler()
+	req := httptest.NewRequest("GET", url, nil)
+	rec := &reusedRecorder{hdr: http.Header{}}
+	h.ServeHTTP(rec, req) // the miss that fills the cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(rec.hdr)
+		rec.code = http.StatusOK
+		rec.body.Reset()
+		h.ServeHTTP(rec, req)
+		if rec.code != http.StatusOK || rec.hdr["X-Mo-Cache"][0] != "hit" {
+			b.Fatalf("code = %d, cache = %v", rec.code, rec.hdr["X-Mo-Cache"])
+		}
+	}
+}
+
+func BenchmarkCacheHitWindow(b *testing.B) {
+	benchCacheHit(b, "/v1/window?x1=0&y1=0&x2=500&y2=500&t1=0&t2=500&limit=10")
+}
+
+func BenchmarkCacheHitAtInstant(b *testing.B) { benchCacheHit(b, "/v1/atinstant?t=75.5") }
+
+func BenchmarkCacheHitNearby(b *testing.B) {
+	benchCacheHit(b, "/v1/nearby?x=500&y=500&t=75.5&k=5&radius=400")
+}
+
+// BenchmarkIngestDecode570 decodes one fleet_mixed tick: 570
+// observations as json.Marshal spells them. The budget is one string per
+// observation plus the batch slice.
+func BenchmarkIngestDecode570(b *testing.B) {
+	batch := make([]ingest.Observation, 570)
+	for i := range batch {
+		batch[i] = ingest.Observation{ObjectID: fmt.Sprintf("veh%04d", i), T: 17, X: 123.25 + float64(i)/7, Y: 4567.125 - float64(i)/3}
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := decodeObservations(body, 10000)
+		if err != nil || len(got) != len(batch) {
+			b.Fatalf("decoded %d observations, err %v", len(got), err)
+		}
+	}
+}
+
+// BenchmarkEncodeAtInstant1000 renders a 1000-position /v1/atinstant
+// body the way a cache miss does: appended into a reused buffer, then
+// cloned for the cache.
+func BenchmarkEncodeAtInstant1000(b *testing.B) {
+	ps := make([]ingest.Position, 1000)
+	for i := range ps {
+		ps[i] = ingest.Position{ID: fmt.Sprintf("veh%04d", i), X: 123.25 + float64(i)/7, Y: 4567.125 - float64(i)/3}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var buf, exact []byte
+	for i := 0; i < b.N; i++ {
+		var err error
+		if buf, err = appendAtInstantBody(buf[:0], 75.5, ps); err != nil {
+			b.Fatal(err)
+		}
+		exact = bytes.Clone(buf)
+	}
+	b.SetBytes(int64(len(exact)))
 }

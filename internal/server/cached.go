@@ -1,12 +1,11 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
+	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"movingdb/internal/cache"
 )
@@ -16,20 +15,37 @@ import (
 // here: the pinned epoch is both the cache-key component and the
 // snapshot the compute closure evaluates against, so a response can
 // never mix data from two epochs, and a cached body is byte-identical to
-// what a fresh evaluation of the same (query, epoch) would produce. That
-// identity is what licenses the strong ETag.
+// what a fresh evaluation of the same (request, epoch) would produce.
+// That identity is what licenses the strong ETag.
 
-// etagFor derives the strong entity tag of a cache key:
-// "<hash of route+query>-<epoch>". The epoch rides in clear so a tag
-// visibly changes exactly when the data does; the hash part pins the
-// request shape. Strong (unprefixed) because equal keys yield
-// byte-identical bodies.
-func etagFor(k cache.Key) string {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(k.Route))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(k.Query))
-	return fmt.Sprintf("\"%016x-%d\"", h.Sum64(), k.Epoch)
+// Response header values that never vary, shared by every response
+// (net/http only reads them).
+var (
+	hdrJSON = []string{"application/json"}
+	hdrHit  = []string{"hit"}
+	hdrMiss = []string{"miss"}
+)
+
+// scratch pools the buffers response bodies are built in and ingest
+// bodies are read into; what outlives the request is copied out.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// etagFor derives the strong entity tag of a cache key,
+// "<key hash>-<epoch>", and returns with it the epoch as X-MO-Epoch
+// spells it — a substring of the tag, so it is formatted once. The
+// epoch rides in clear so a tag visibly changes exactly when the data
+// does; the hash pins the request. Strong (unprefixed) because equal
+// keys yield byte-identical bodies.
+//
+// moguard: hotpath
+func etagFor(k cache.Key) (etag, epoch string) {
+	var buf [40]byte // '"', 16 hex digits, '-', 20 digits, '"'
+	b := strconv.AppendUint(append(buf[:0], '"'), k.Hash(), 16)
+	b = append(b, '-')
+	at := len(b)
+	b = append(strconv.AppendUint(b, k.Epoch, 10), '"')
+	etag = string(b)
+	return etag, etag[at : len(etag)-1]
 }
 
 // etagMatches implements the strong If-None-Match comparison: an exact
@@ -46,42 +62,39 @@ func etagMatches(header, etag string) bool {
 
 // serveCached answers a read request from the result cache, computing
 // and storing on miss (misses for the same key coalesce — one
-// evaluation feeds every concurrent duplicate). The response carries
-// the strong ETag, and an If-None-Match revalidation is answered 304
-// without touching the cache or the data. Every response names its
-// epoch in X-MO-Epoch and its cache outcome in X-MO-Cache.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, route, query string, epoch uint64, compute func() (any, error)) {
-	k := cache.Key{Route: route, Query: query, Epoch: epoch}
-	seqHdr := strconv.FormatUint(epoch, 10)
-	et := etagFor(k)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, et) {
-		w.Header().Set("ETag", et)
-		w.Header().Set("X-MO-Epoch", seqHdr)
+// evaluation feeds every concurrent duplicate). compute appends the
+// body to the scratch buffer it is handed; a right-sized copy is what
+// the cache retains. The response carries the strong ETag, and an
+// If-None-Match revalidation is answered 304 without touching the cache
+// or the data. Every response names its epoch in X-MO-Epoch and its
+// cache outcome in X-MO-Cache; header keys are written in canonical
+// form so net/http has nothing to normalise.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, k cache.Key, compute func(scratch []byte) ([]byte, error)) {
+	et, seq := etagFor(k)
+	vals := []string{et, seq} // one allocation carries both header values
+	h := w.Header()
+	if inm := r.Header["If-None-Match"]; len(inm) > 0 && etagMatches(inm[0], et) {
+		h["Etag"], h["X-Mo-Epoch"] = vals[:1:1], vals[1:]
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	body, hit, err := s.loader.Do(k, func() ([]byte, error) {
-		v, cerr := compute()
-		if cerr != nil {
-			return nil, cerr
-		}
-		b, merr := json.Marshal(v)
-		if merr != nil {
-			return nil, merr
-		}
-		return append(b, '\n'), nil
+		bp := scratch.Get().(*[]byte)
+		b, cerr := compute((*bp)[:0])
+		exact := bytes.Clone(b) // no capacity beyond its size class
+		*bp = b
+		scratch.Put(bp)
+		return exact, cerr
 	})
 	if err != nil {
 		writeEvalError(w, err)
 		return
 	}
-	w.Header().Set("ETag", et)
-	w.Header().Set("X-MO-Epoch", seqHdr)
-	outcome := "miss"
+	h["Etag"], h["X-Mo-Epoch"] = vals[:1:1], vals[1:]
+	h["X-Mo-Cache"] = hdrMiss
 	if hit {
-		outcome = "hit"
+		h["X-Mo-Cache"] = hdrHit
 	}
-	w.Header().Set("X-MO-Cache", outcome)
-	w.Header().Set("Content-Type", "application/json")
+	h["Content-Type"] = hdrJSON
 	_, _ = w.Write(body)
 }

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
-	"fmt"
 	"net/http"
+	"strconv"
 
 	"movingdb/internal/ingest"
 )
@@ -22,16 +22,22 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"this server has no live ingestion pipeline; restart it with ingestion enabled")
 		return
 	}
+	bp := scratch.Get().(*[]byte)
+	body := bytes.NewBuffer((*bp)[:0])
+	_, err := body.ReadFrom(r.Body)
 	var batch []ingest.Observation
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad ingest body: %v", err))
+	if err == nil {
+		batch, err = decodeObservations(body.Bytes(), s.cfg.MaxIngestBatch)
+	}
+	*bp = body.Bytes()
+	scratch.Put(bp)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad ingest body: "+err.Error())
 		return
 	}
 	if len(batch) > s.cfg.MaxIngestBatch {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch has %d observations; the limit is %d", len(batch), s.cfg.MaxIngestBatch))
+			"batch has "+strconv.Itoa(len(batch))+" observations; the limit is "+strconv.Itoa(s.cfg.MaxIngestBatch))
 		return
 	}
 	seq, err := s.ingest.Ingest(batch)
@@ -54,12 +60,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	synced := false
-	if r.URL.Query().Get("sync") == "1" {
+	p := parseParams(r.URL.RawQuery)
+	synced := p.vals[pSync] == "1"
+	if synced {
 		s.ingest.Flush()
-		synced = true
 	}
-	writeJSONStatus(w, http.StatusAccepted, map[string]any{
-		"accepted": len(batch), "seq": seq, "synced": synced,
-	})
+	var ack [64]byte
+	w.Header()["Content-Type"] = hdrJSON
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = w.Write(appendIngestAck(ack[:0], len(batch), seq, synced))
 }

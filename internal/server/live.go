@@ -7,9 +7,9 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
+	"movingdb/internal/cache"
 	"movingdb/internal/fault"
 	"movingdb/internal/geom"
 	"movingdb/internal/live"
@@ -35,19 +35,19 @@ type nearbyReq struct {
 }
 
 func (s *Server) decodeNearby(r *http.Request) (nearbyReq, error) {
-	p := newParams(r)
+	p := parseParams(r.URL.RawQuery)
 	req := nearbyReq{
-		X:      p.float("x"),
-		Y:      p.float("y"),
-		T:      p.float("t"),
-		K:      p.intMin("k", 0, 1),
+		X:      p.float(pX),
+		Y:      p.float(pY),
+		T:      p.float(pT),
+		K:      p.intMin(pK, 0, 1),
 		Radius: -1,
 	}
 	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
-	if raw := p.vals.Get("radius"); raw != "" {
+	if raw := p.vals[pRadius]; raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		if err != nil || !(v > 0) || math.IsInf(v, 1) {
-			p.fail(CodeBadRequest, "bad radius %q: want a positive finite number", raw)
+			p.fail(CodeBadRequest, "bad radius "+strconv.Quote(raw)+": want a positive finite number")
 		} else {
 			req.Radius = v
 		}
@@ -64,27 +64,19 @@ func (s *Server) decodeNearby(r *http.Request) (nearbyReq, error) {
 	return req, nil
 }
 
-func (q nearbyReq) canonical() string {
-	var b strings.Builder
-	b.WriteString("x=")
-	b.WriteString(fmtFloat(q.X))
-	b.WriteString("&y=")
-	b.WriteString(fmtFloat(q.Y))
-	b.WriteString("&t=")
-	b.WriteString(fmtFloat(q.T))
-	b.WriteString("&k=")
-	b.WriteString(strconv.Itoa(q.K))
-	b.WriteString("&radius=")
-	b.WriteString(fmtFloat(q.Radius))
-	return b.String()
+func (q nearbyReq) key(epoch uint64) cache.Key {
+	return cache.Key{Route: "/v1/nearby", Epoch: epoch, Args: [8]uint64{
+		math.Float64bits(q.X), math.Float64bits(q.Y), math.Float64bits(q.T),
+		uint64(q.K), math.Float64bits(q.Radius),
+	}}
 }
 
 // handleNearby answers ?x=&y=&t=&k=&radius= with the objects nearest
 // the point at the instant, best-first over the epoch's pinned index
 // snapshot — the getNearbyObjects operation of a moving objects
 // database. Results carry each object's exact position at t and its
-// distance, nearest first; responses are cached under (canonical
-// query, epoch) and carry the strong ETag.
+// distance, nearest first; responses are cached under (request,
+// epoch) and carry the strong ETag.
 func (s *Server) handleNearby(w http.ResponseWriter, r *http.Request) {
 	req, derr := s.decodeNearby(r)
 	if derr != nil {
@@ -92,12 +84,8 @@ func (s *Server) handleNearby(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/nearby", req.canonical(), ep.Seq(), func() (any, error) {
-		results := ep.Nearest(req.X, req.Y, temporal.Instant(req.T), req.K, req.Radius)
-		return map[string]any{
-			"t": req.T, "k": req.K, "radius": req.Radius,
-			"count": len(results), "results": results,
-		}, nil
+	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
+		return appendNearbyBody(scratch, req, ep.Nearest(req.X, req.Y, temporal.Instant(req.T), req.K, req.Radius))
 	})
 }
 

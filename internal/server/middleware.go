@@ -44,7 +44,7 @@ func (s *Server) instrument(route string, next http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
+		if s.cfg.MaxBodyBytes > 0 && r.Body != nil && r.Body != http.NoBody {
 			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
 		}
 		defer func() {

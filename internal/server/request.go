@@ -1,13 +1,13 @@
 package server
 
 import (
-	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
+	"movingdb/internal/cache"
 	"movingdb/internal/db"
 	"movingdb/internal/geom"
 )
@@ -15,9 +15,10 @@ import (
 // Typed request decoding. Each read route has a request struct and one
 // decode function that performs the whole validation pass; everything
 // downstream — evaluation, pagination, the cache key, the ETag — works
-// from the decoded struct's canonical() rendering, so a request can
-// never be keyed one way and evaluated another. Decode failures carry
-// an envelope code (default bad_request) via decodeError.
+// from the decoded struct, whose key() packs its values into the
+// cache.Key, so a request can never be keyed one way and evaluated
+// another. Decode failures carry an envelope code (default bad_request)
+// via decodeError.
 
 // decodeError is a validation failure with its envelope code.
 type decodeError struct {
@@ -37,45 +38,129 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 }
 
-// params reads query parameters, accumulating the first failure; decode
-// functions chain reads and check err() once at the end.
+// The query parameters the routes read.
+const (
+	pX1 = iota
+	pY1
+	pX2
+	pY2
+	pT1
+	pT2
+	pLimit
+	pOffset
+	pTimeoutMS
+	pT
+	pX
+	pY
+	pK
+	pRadius
+	pQ
+	pSync
+	numParams
+)
+
+var paramNames = [numParams]string{
+	pX1: "x1", pY1: "y1", pX2: "x2", pY2: "y2", pT1: "t1", pT2: "t2",
+	pLimit: "limit", pOffset: "offset", pTimeoutMS: "timeout_ms",
+	pT: "t", pX: "x", pY: "y", pK: "k", pRadius: "radius", pQ: "q", pSync: "sync",
+}
+
+// paramIndex is the inverse of paramNames.
+var paramIndex = func() map[string]int {
+	m := make(map[string]int, numParams)
+	for i, name := range paramNames {
+		m[name] = i
+	}
+	return m
+}()
+
+// params holds the first value of each known parameter of one request
+// and accumulates the first validation failure; decode functions chain
+// reads and check err once at the end.
 type params struct {
-	vals url.Values
+	vals [numParams]string
+	has  uint32 // bit i: vals[i] is taken, possibly by an empty value
 	err  *decodeError
 }
 
-func newParams(r *http.Request) *params { return &params{vals: r.URL.Query()} }
+// parseParams scans a raw query string once, with url.ParseQuery's
+// rules (which r.URL.Query() applies): the first value of a name wins,
+// '+' and %xx unescape in names and values, and a pair that is empty,
+// contains ';' or fails to unescape is dropped — so a later pair of
+// the same name can still win. It builds no map and, unless a pair
+// really is escaped, no string.
+//
+// moguard: hotpath
+func parseParams(raw string) params {
+	var p params
+	for raw != "" {
+		end, eq, escaped, semi := 0, -1, false, false
+		for ; end < len(raw) && raw[end] != '&'; end++ {
+			switch raw[end] {
+			case '=':
+				if eq < 0 {
+					eq = end
+				}
+			case '%', '+':
+				escaped = true
+			case ';':
+				semi = true
+			}
+		}
+		name, val := raw[:end], ""
+		if eq >= 0 {
+			name, val = raw[:eq], raw[eq+1:end]
+		}
+		raw = raw[min(end+1, len(raw)):]
+		if semi {
+			continue
+		}
+		if escaped {
+			var err error
+			if name, err = url.QueryUnescape(name); err != nil {
+				continue
+			}
+			if val, err = url.QueryUnescape(val); err != nil {
+				continue
+			}
+		}
+		if i, ok := paramIndex[name]; ok && p.has&(1<<i) == 0 {
+			p.vals[i], p.has = val, p.has|1<<i
+		}
+	}
+	return p
+}
 
-func (p *params) fail(code, format string, args ...any) {
+func (p *params) fail(code, msg string) {
 	if p.err == nil {
-		p.err = &decodeError{code: code, msg: fmt.Sprintf(format, args...)}
+		p.err = &decodeError{code: code, msg: msg}
 	}
 }
 
 // float reads a required finite float parameter. ParseFloat accepts
 // "NaN" and "Inf", which no read route can evaluate or render as JSON.
-func (p *params) float(name string) float64 {
-	raw := p.vals.Get(name)
+func (p *params) float(i int) float64 {
+	raw := p.vals[i]
 	if raw == "" {
-		p.fail(CodeBadRequest, "missing %s parameter", name)
+		p.fail(CodeBadRequest, "missing "+paramNames[i]+" parameter")
 		return 0
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
-		p.fail(CodeBadRequest, "bad %s: %v", name, err)
+		p.fail(CodeBadRequest, "bad "+paramNames[i]+": "+err.Error())
 		return 0
 	}
 	if isNonFinite(v) {
-		p.fail(CodeBadRequest, "bad %s %q: want a finite number", name, raw)
+		p.fail(CodeBadRequest, "bad "+paramNames[i]+" "+strconv.Quote(raw)+": want a finite number")
 		return 0
 	}
 	return v
 }
 
 // intMin reads an optional integer parameter with a default and an
-// exclusive-or-inclusive lower bound (min itself is allowed).
-func (p *params) intMin(name string, def, min int) int {
-	raw := p.vals.Get(name)
+// inclusive lower bound.
+func (p *params) intMin(i, def, min int) int {
+	raw := p.vals[i]
 	if raw == "" {
 		return def
 	}
@@ -85,7 +170,7 @@ func (p *params) intMin(name string, def, min int) int {
 		if min == 0 {
 			kind = "a non-negative integer"
 		}
-		p.fail(CodeBadRequest, "bad %s %q: want %s", name, raw, kind)
+		p.fail(CodeBadRequest, "bad "+paramNames[i]+" "+strconv.Quote(raw)+": want "+kind)
 		return def
 	}
 	return v
@@ -95,7 +180,7 @@ func (p *params) intMin(name string, def, min int) int {
 // /v1/query evaluates under the result; the epoch routes call it so a
 // malformed value is a 400 on every read route alike.
 func (p *params) timeout(def, max time.Duration) time.Duration {
-	raw := p.vals.Get("timeout_ms")
+	raw := p.vals[pTimeoutMS]
 	if raw == "" {
 		if def > max {
 			return max
@@ -104,7 +189,7 @@ func (p *params) timeout(def, max time.Duration) time.Duration {
 	}
 	ms, err := strconv.Atoi(raw)
 	if err != nil || ms <= 0 {
-		p.fail(CodeBadRequest, "bad timeout_ms %q: want a positive integer", raw)
+		p.fail(CodeBadRequest, "bad timeout_ms "+strconv.Quote(raw)+": want a positive integer")
 		return def
 	}
 	d := time.Duration(ms) * time.Millisecond
@@ -115,29 +200,24 @@ func (p *params) timeout(def, max time.Duration) time.Duration {
 }
 
 // pageReq is the resolved pagination of a list request: defaults
-// applied, caps enforced. Canonical renderings include the resolved
-// values, so "no limit given" and "limit=<default>" share a cache entry.
+// applied, caps enforced. Keys carry the resolved values, so "no limit
+// given" and "limit=<default>" share a cache entry.
 type pageReq struct {
 	Limit  int
 	Offset int
 }
 
 func (s *Server) decodePageInto(p *params) pageReq {
-	limit := p.intMin("limit", s.cfg.DefaultLimit, 1)
+	limit := p.intMin(pLimit, s.cfg.DefaultLimit, 1)
 	if limit > s.cfg.MaxLimit {
 		limit = s.cfg.MaxLimit
 	}
-	return pageReq{Limit: limit, Offset: p.intMin("offset", 0, 0)}
+	return pageReq{Limit: limit, Offset: p.intMin(pOffset, 0, 0)}
 }
-
-// fmtFloat renders a float in shortest round-trip form — the one
-// spelling every canonical string uses, so "10", "10.0" and "1e1" key
-// identically.
-func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // windowReq is a decoded /v1/window request. The rectangle is
 // normalised (min/max per axis) at decode time, so mirrored corner
-// orderings canonicalise — and cache — identically.
+// orderings key — and cache — identically.
 type windowReq struct {
 	Rect   geom.Rect
 	T1, T2 float64
@@ -145,17 +225,17 @@ type windowReq struct {
 }
 
 func (s *Server) decodeWindow(r *http.Request) (windowReq, error) {
-	p := newParams(r)
-	x1, y1 := p.float("x1"), p.float("y1")
-	x2, y2 := p.float("x2"), p.float("y2")
-	t1, t2 := p.float("t1"), p.float("t2")
+	p := parseParams(r.URL.RawQuery)
+	x1, y1 := p.float(pX1), p.float(pY1)
+	x2, y2 := p.float(pX2), p.float(pY2)
+	t1, t2 := p.float(pT1), p.float(pT2)
 	req := windowReq{
 		Rect: geom.Rect{
 			MinX: min(x1, x2), MinY: min(y1, y2),
 			MaxX: max(x1, x2), MaxY: max(y1, y2),
 		},
 		T1: t1, T2: t2,
-		Page: s.decodePageInto(p),
+		Page: s.decodePageInto(&p),
 	}
 	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if p.err == nil && t2 < t1 {
@@ -167,25 +247,13 @@ func (s *Server) decodeWindow(r *http.Request) (windowReq, error) {
 	return req, nil
 }
 
-func (q windowReq) canonical() string {
-	var b strings.Builder
-	b.WriteString("x1=")
-	b.WriteString(fmtFloat(q.Rect.MinX))
-	b.WriteString("&y1=")
-	b.WriteString(fmtFloat(q.Rect.MinY))
-	b.WriteString("&x2=")
-	b.WriteString(fmtFloat(q.Rect.MaxX))
-	b.WriteString("&y2=")
-	b.WriteString(fmtFloat(q.Rect.MaxY))
-	b.WriteString("&t1=")
-	b.WriteString(fmtFloat(q.T1))
-	b.WriteString("&t2=")
-	b.WriteString(fmtFloat(q.T2))
-	b.WriteString("&limit=")
-	b.WriteString(strconv.Itoa(q.Page.Limit))
-	b.WriteString("&offset=")
-	b.WriteString(strconv.Itoa(q.Page.Offset))
-	return b.String()
+func (q windowReq) key(epoch uint64) cache.Key {
+	return cache.Key{Route: "/v1/window", Epoch: epoch, Args: [8]uint64{
+		math.Float64bits(q.Rect.MinX), math.Float64bits(q.Rect.MinY),
+		math.Float64bits(q.Rect.MaxX), math.Float64bits(q.Rect.MaxY),
+		math.Float64bits(q.T1), math.Float64bits(q.T2),
+		uint64(q.Page.Limit), uint64(q.Page.Offset),
+	}}
 }
 
 // atInstantReq is a decoded /v1/atinstant request.
@@ -194,8 +262,8 @@ type atInstantReq struct {
 }
 
 func (s *Server) decodeAtInstant(r *http.Request) (atInstantReq, error) {
-	p := newParams(r)
-	req := atInstantReq{T: p.float("t")}
+	p := parseParams(r.URL.RawQuery)
+	req := atInstantReq{T: p.float(pT)}
 	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if p.err != nil {
 		return atInstantReq{}, p.err
@@ -203,7 +271,9 @@ func (s *Server) decodeAtInstant(r *http.Request) (atInstantReq, error) {
 	return req, nil
 }
 
-func (q atInstantReq) canonical() string { return "t=" + fmtFloat(q.T) }
+func (q atInstantReq) key(epoch uint64) cache.Key {
+	return cache.Key{Route: "/v1/atinstant", Epoch: epoch, Args: [8]uint64{math.Float64bits(q.T)}}
+}
 
 // objectsReq is a decoded /v1/objects request.
 type objectsReq struct {
@@ -211,24 +281,24 @@ type objectsReq struct {
 }
 
 func (s *Server) decodeObjects(r *http.Request) (objectsReq, error) {
-	p := newParams(r)
-	req := objectsReq{Page: s.decodePageInto(p)}
+	p := parseParams(r.URL.RawQuery)
+	req := objectsReq{Page: s.decodePageInto(&p)}
 	if p.err != nil {
 		return objectsReq{}, p.err
 	}
 	return req, nil
 }
 
-func (q objectsReq) canonical() string {
-	return "limit=" + strconv.Itoa(q.Page.Limit) + "&offset=" + strconv.Itoa(q.Page.Offset)
+func (q objectsReq) key(epoch uint64) cache.Key {
+	return cache.Key{Route: "/v1/objects", Epoch: epoch, Args: [8]uint64{uint64(q.Page.Limit), uint64(q.Page.Offset)}}
 }
 
 // queryReq is a decoded /v1/query request. SQL is the canonical
 // rendering (db.Canonical), so spelling variants of one query share a
 // cache entry; Raw keeps the client's text for the slow-query log. The
-// timeout is deliberately not part of the canonical form: a shorter
-// deadline either produces the same bytes or an error, and errors are
-// never cached.
+// timeout is deliberately not part of the key: a shorter deadline
+// either produces the same bytes or an error, and errors are never
+// cached.
 type queryReq struct {
 	SQL     string
 	Raw     string
@@ -236,18 +306,18 @@ type queryReq struct {
 }
 
 func (s *Server) decodeQuery(r *http.Request) (queryReq, error) {
-	p := newParams(r)
-	raw := p.vals.Get("q")
+	p := parseParams(r.URL.RawQuery)
+	raw := p.vals[pQ]
 	if raw == "" {
 		p.fail(CodeBadRequest, "missing q parameter")
 	} else if len(raw) > s.cfg.MaxQueryLen {
-		p.fail(CodeQueryTooLong, "query is %d bytes; the limit is %d", len(raw), s.cfg.MaxQueryLen)
+		p.fail(CodeQueryTooLong, "query is "+strconv.Itoa(len(raw))+" bytes; the limit is "+strconv.Itoa(s.cfg.MaxQueryLen))
 	}
 	req := queryReq{Raw: raw, Timeout: p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)}
 	if p.err == nil {
 		sql, err := db.Canonical(raw)
 		if err != nil {
-			p.fail(CodeBadRequest, "%v", err)
+			p.fail(CodeBadRequest, err.Error())
 		}
 		req.SQL = sql
 	}
@@ -257,4 +327,6 @@ func (s *Server) decodeQuery(r *http.Request) (queryReq, error) {
 	return req, nil
 }
 
-func (q queryReq) canonical() string { return "q=" + q.SQL }
+func (q queryReq) key(epoch uint64) cache.Key {
+	return cache.Key{Route: "/v1/query", Query: q.SQL, Epoch: epoch}
+}

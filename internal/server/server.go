@@ -19,6 +19,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -254,7 +255,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ep := s.pinEpoch()
 	catalog := s.Catalog
-	s.serveCached(w, r, "/v1/query", req.canonical(), ep.Seq(), func() (any, error) {
+	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
 		snap := db.Snapshot{Catalog: catalog, Epoch: ep.Seq()}
 		ctx, cancel := s.evalContext(r, req.Timeout)
 		defer cancel()
@@ -299,7 +300,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			rows = append(rows, row)
 		}
-		return map[string]any{"columns": cols, "rows": rows}, nil
+		// A cold route: encoding/json renders it, with the newline the
+		// hand-written bodies end in.
+		b, err := json.Marshal(map[string]any{"columns": cols, "rows": rows})
+		return append(append(scratch, b...), '\n'), err
 	})
 }
 
@@ -329,8 +333,8 @@ func (s *Server) handleAtInstant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/atinstant", req.canonical(), ep.Seq(), func() (any, error) {
-		return map[string]any{"t": req.T, "positions": ep.AtInstant(temporal.Instant(req.T))}, nil
+	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
+		return appendAtInstantBody(scratch, req.T, ep.AtInstant(temporal.Instant(req.T)))
 	})
 }
 
@@ -346,10 +350,10 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/window", req.canonical(), ep.Seq(), func() (any, error) {
+	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
 		all := ep.Window(req.Rect, temporal.Closed(temporal.Instant(req.T1), temporal.Instant(req.T2)))
 		lo, hi := pageBounds(len(all), req.Page.Limit, req.Page.Offset)
-		return map[string]any{"total": len(all), "limit": req.Page.Limit, "offset": req.Page.Offset, "ids": all[lo:hi]}, nil
+		return appendWindowBody(scratch, len(all), req.Page, all[lo:hi])
 	})
 }
 
@@ -362,10 +366,10 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	s.serveCached(w, r, "/v1/objects", req.canonical(), ep.Seq(), func() (any, error) {
+	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
 		sums := ep.Summaries()
 		lo, hi := pageBounds(len(sums), req.Page.Limit, req.Page.Offset)
-		return map[string]any{"total": len(sums), "limit": req.Page.Limit, "offset": req.Page.Offset, "objects": sums[lo:hi]}, nil
+		return appendObjectsBody(scratch, len(sums), req.Page, sums[lo:hi])
 	})
 }
 

@@ -37,7 +37,7 @@ func testObjects() (db.Catalog, []string, []moving.MPoint) {
 	return db.Catalog{"planes": planes}, ids, objects
 }
 
-func testServer(t *testing.T) *Server {
+func testServer(t testing.TB) *Server {
 	t.Helper()
 	catalog, ids, objects := testObjects()
 	s, err := New(Config{Catalog: catalog, ObjectIDs: ids, Objects: objects})

@@ -63,6 +63,12 @@ go test -run='^$' -fuzz=FuzzRefine -fuzztime=10s ./internal/temporal
 echo "==> fuzz smoke: FuzzDynamic (10s; index ladder vs linear scan and brute-force k-NN)"
 go test -run='^$' -fuzz=FuzzDynamic -fuzztime=10s ./internal/index
 
+echo "==> fuzz smoke: FuzzIngestDecode (10s; observation scanner vs encoding/json)"
+go test -run='^$' -fuzz=FuzzIngestDecode -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+
+echo "==> fuzz smoke: FuzzQueryParams (10s; RawQuery scanner vs url.ParseQuery, read routes never 5xx)"
+go test -run='^$' -fuzz=FuzzQueryParams -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+
 echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
 go test -race -tags=faultinject -count=1 ./internal/sim/
 
