@@ -17,9 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # Run the repository's own static-analysis suite (DESIGN.md §10) over
-# the default and faultinject build variants.
+# the default, faultinject and debugcheck build variants.
 lint:
-	$(GO) run ./cmd/molint -summary -stale-suppressions ./...
+	$(GO) run ./cmd/molint ./...
 
 # Run the paper-kernel tests with the runtime invariant assertions
 # compiled in (sliced-representation and halfsegment-order checks).

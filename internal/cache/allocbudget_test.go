@@ -2,30 +2,16 @@
 
 package cache
 
-import "testing"
+import (
+	"testing"
 
-// TestAllocBudgets is the runtime half of the hot-path allocation
-// contract (molint's alloc-hot check is the static half): each budgeted
-// benchmark must stay at or below its allocs/op ceiling (exact — the
-// workloads are seeded) and its B/op ceiling (~25% over the tuned
-// figure, for map and heap growth jitter). The race detector changes
-// allocation counts, hence the build constraint.
+	"movingdb/internal/allocbudget"
+)
+
+// TestAllocBudgets: a warm Get (Key.Hash, shard lookup, LRU touch)
+// allocates nothing.
 func TestAllocBudgets(t *testing.T) {
-	for _, c := range []struct {
-		name                string
-		bench               func(*testing.B)
-		maxAllocs, maxBytes int64
-	}{
-		{"BenchmarkMemoryGet", BenchmarkMemoryGet, 0, 0},
-	} {
-		r := testing.Benchmark(c.bench)
-		if r.N == 0 {
-			t.Errorf("%s did not run", c.name)
-			continue
-		}
-		if r.AllocsPerOp() > c.maxAllocs || r.AllocedBytesPerOp() > c.maxBytes {
-			t.Errorf("%s: %d allocs/op, %d B/op; budget %d allocs/op, %d B/op",
-				c.name, r.AllocsPerOp(), r.AllocedBytesPerOp(), c.maxAllocs, c.maxBytes)
-		}
-	}
+	allocbudget.Check(t,
+		allocbudget.Budget{Name: "BenchmarkMemoryGet", Bench: BenchmarkMemoryGet},
+	)
 }

@@ -46,8 +46,6 @@ type ResultCache interface {
 // multiply-fold per word, a final avalanche. It is a pure function of
 // the key (no per-process seed), so the same value picks the shard here
 // and names the entity in the server's ETag.
-//
-// moguard: hotpath
 func (k Key) Hash() uint64 {
 	const prime = 1099511628211
 	h := uint64(14695981039346656037)

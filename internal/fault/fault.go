@@ -215,7 +215,6 @@ func (in *Injector) evalTrip(site string) (action, bool, func(string)) {
 		mode:         pt.spec.Mode,
 		delay:        pt.spec.Delay,
 		keepFraction: kf,
-		// moguard: allocok allocates only when a failpoint trips, which never happens outside fault-injection runs
-		err: fmt.Errorf("%w at %s", ErrInjected, site),
+		err:          fmt.Errorf("%w at %s", ErrInjected, site),
 	}, true, in.onTrip
 }

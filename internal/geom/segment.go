@@ -23,7 +23,7 @@ func NewSegment(p, q Point) (Segment, error) {
 	case 1:
 		return Segment{Left: q, Right: p}, nil
 	}
-	// moguard: allocok error construction runs only on the rejection path; the kernels test p == q before they build a segment
+	// Rejection path only: the kernels test p == q before they build a segment.
 	return Segment{}, fmt.Errorf("geom: degenerate segment at %v", p)
 }
 

@@ -40,7 +40,7 @@ type Dynamic struct {
 func NewDynamic(base *RTree, _ int) *Dynamic {
 	d := &Dynamic{}
 	if base != nil && base.Len() > 0 {
-		// moguard: retained a built tree is immutable; the ladder shares it, never writes it
+		// A built tree is immutable; the ladder shares it, never writes it
 		d.rungs = []*RTree{base}
 	}
 	return d
@@ -117,8 +117,6 @@ func (d *Dynamic) Snapshot() Snapshot {
 // in pieces (an append merged into its predecessor adds a second entry
 // for the extension); callers dedupe during refinement.
 // Like RTree.Search, the appended region comes back sorted ascending.
-//
-// moguard: hotpath
 func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 	if q.IsEmpty() {
 		return out, 0

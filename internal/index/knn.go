@@ -62,7 +62,8 @@ func (h knnHeap) less(i, j int) bool {
 }
 
 func (h *knnHeap) push(it knnItem) {
-	// moguard: allocok growth is amortized by the pre-sized arena Nearest allocates; push itself must stay an append to keep the heap a plain slice
+	// Growth is amortized by the pre-sized arena Nearest allocates; push
+	// itself must stay an append to keep the heap a plain slice.
 	*h = append(*h, it)
 	i := len(*h) - 1
 	for i > 0 {
@@ -123,8 +124,6 @@ func cubeCoversT(c geom.Cube, t float64) bool {
 // key) order; scanned counts visited tree nodes plus tail entries, for
 // the scan-vs-index ablation. Deterministic: pure function of the
 // snapshot and the arguments (ties broken by key).
-//
-// moguard: hotpath
 func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(id int64) (key int64, dist float64, ok bool)) ([]Neighbor, int) {
 	if maxDist < 0 {
 		maxDist = math.Inf(1)
@@ -153,7 +152,8 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 			h.push(knnItem{dist: d, kind: knnEntry, id: e.ID})
 		}
 	}
-	// moguard: allocok refinement keys are sparse int64s from an unbounded domain; a map is the right dedup structure and it allocates once per query
+	// Refinement keys are sparse int64s from an unbounded domain: a map is
+	// the right dedup structure and it allocates once per query.
 	seen := make(map[int64]bool)
 	outCap := k
 	if outCap <= 0 {

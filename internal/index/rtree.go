@@ -50,7 +50,6 @@ type node struct {
 // the slice for this call, so a defensive copy would only be a second
 // pass over 56-byte entries).
 func Build(entries []Entry) *RTree {
-	// moguard: allocok the built tree is the returned product; one allocation per bulk load, amortized over the entries it indexes
 	t := &RTree{entries: entries, root: -1}
 	n := len(entries)
 	if n == 0 {

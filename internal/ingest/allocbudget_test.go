@@ -2,32 +2,23 @@
 
 package ingest
 
-import "testing"
+import (
+	"testing"
 
-// TestAllocBudgets is the runtime half of the hot-path allocation
-// contract (molint's alloc-hot check is the static half): each budgeted
-// benchmark must stay at or below its allocs/op ceiling (exact — the
-// workloads are seeded) and its B/op ceiling (~25% over the tuned
-// figure, for map and heap growth jitter). The race detector changes
-// allocation counts, hence the build constraint.
+	"movingdb/internal/allocbudget"
+)
+
+// TestAllocBudgets covers the write path's Store.Apply and the four
+// lock-free epoch reads behind /v1/window, /v1/atinstant, /v1/nearby
+// and /v1/objects.
 func TestAllocBudgets(t *testing.T) {
-	for _, c := range []struct {
-		name                string
-		bench               func(*testing.B)
-		maxAllocs, maxBytes int64
-	}{
-		{"BenchmarkEpochWindow", BenchmarkEpochWindow, 9, 2330},
-		{"BenchmarkEpochAtInstant", BenchmarkEpochAtInstant, 1, 4320},
-		{"BenchmarkEpochNearest", BenchmarkEpochNearest, 6, 4525},
-	} {
-		r := testing.Benchmark(c.bench)
-		if r.N == 0 {
-			t.Errorf("%s did not run", c.name)
-			continue
-		}
-		if r.AllocsPerOp() > c.maxAllocs || r.AllocedBytesPerOp() > c.maxBytes {
-			t.Errorf("%s: %d allocs/op, %d B/op; budget %d allocs/op, %d B/op",
-				c.name, r.AllocsPerOp(), r.AllocedBytesPerOp(), c.maxAllocs, c.maxBytes)
-		}
-	}
+	allocbudget.Check(t,
+		// 57 objects registered, their unit arrays grown by doubling, the
+		// batch's index entries and the tail they land in.
+		allocbudget.Budget{Name: "BenchmarkStoreApply", Bench: BenchmarkStoreApply, MaxAllocs: 325, MaxBytes: 206700},
+		allocbudget.Budget{Name: "BenchmarkEpochWindow", Bench: BenchmarkEpochWindow, MaxAllocs: 9, MaxBytes: 2330},
+		allocbudget.Budget{Name: "BenchmarkEpochAtInstant", Bench: BenchmarkEpochAtInstant, MaxAllocs: 1, MaxBytes: 4320},
+		allocbudget.Budget{Name: "BenchmarkEpochNearest", Bench: BenchmarkEpochNearest, MaxAllocs: 6, MaxBytes: 4525},
+		allocbudget.Budget{Name: "BenchmarkEpochSummaries", Bench: BenchmarkEpochSummaries, MaxAllocs: 1, MaxBytes: 5120},
+	)
 }

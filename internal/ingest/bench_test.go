@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"movingdb/internal/geom"
+	"movingdb/internal/obs"
 	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
 )
@@ -37,6 +38,26 @@ func BenchmarkAppendThroughput(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "obs/s")
 		})
+	}
+}
+
+// BenchmarkStoreApply measures one flush's worth of Store.Apply — unit
+// construction, compaction and the index insert, without the WAL and
+// batcher around it. Every iteration applies the same 570 observations
+// (one fleet_mixed tick) to a fresh store, so allocs/op is exact.
+func BenchmarkStoreApply(b *testing.B) {
+	batch := toObservations(workload.New(1).ObservationStream("a", 57, 10, 0, 1, 5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := newStore(nil, nil, obs.New(0))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if applied, _, _ := s.Apply(batch); applied != len(batch) {
+			b.Fatalf("applied %d of %d", applied, len(batch))
+		}
 	}
 }
 
@@ -102,5 +123,16 @@ func BenchmarkEpochNearest(b *testing.B) {
 		x := float64((i * 137) % 1000)
 		y := float64((i * 89) % 1000)
 		_ = ep.Nearest(x, y, 25, 10, -1)
+	}
+}
+
+// BenchmarkEpochSummaries measures the /v1/objects listing over the
+// epoch: one result slice, no per-object allocation.
+func BenchmarkEpochSummaries(b *testing.B) {
+	ep := benchEpoch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ep.Summaries()
 	}
 }

@@ -125,8 +125,6 @@ func (e *Epoch) IndexEntries() int { return e.idx.Len() }
 // against the sealed unit views. Dedup and ordering use a dense bitset
 // over object slots (slot index IS registration order), so the hot read
 // path does one bounded allocation and no sort.
-//
-// moguard: hotpath
 func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 	q := geom.Cube{Rect: rect, MinT: float64(iv.Start), MaxT: float64(iv.End)}
 	ids, _ := e.idx.Search(q, nil)
@@ -163,8 +161,6 @@ func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 
 // AtInstant returns the position of every object defined at t, in
 // registration order, lock-free against the sealed views.
-//
-// moguard: hotpath
 func (e *Epoch) AtInstant(t temporal.Instant) []Position {
 	out := make([]Position, 0, len(e.objs))
 	for _, v := range e.objs {
@@ -179,8 +175,6 @@ func (e *Epoch) AtInstant(t temporal.Instant) []Position {
 // Summaries lists the tracked objects in registration order. An object
 // that has a single observation and no unit yet reports zero units with
 // From == To == its observation time.
-//
-// moguard: hotpath
 func (e *Epoch) Summaries() []ObjectSummary {
 	out := make([]ObjectSummary, 0, len(e.objs))
 	for _, v := range e.objs {

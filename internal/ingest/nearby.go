@@ -26,8 +26,6 @@ type NearbyResult struct {
 // range queries are the two degenerate corners of the same traversal.
 // Ties in distance break by registration order, so the result is a pure
 // function of (query, epoch) — exactly what the result cache needs.
-//
-// moguard: hotpath
 func (e *Epoch) Nearest(x, y float64, t temporal.Instant, k int, radius float64) []NearbyResult {
 	refine := func(id int64) (int64, float64, bool) {
 		oi := int(id >> 32)

@@ -111,8 +111,6 @@ func entryID(oi, ui int) int64 { return int64(oi)<<32 | int64(ui) }
 // tail; when an append compacts into its predecessor, the cube
 // of the incoming extension is indexed under the merged unit's id, so
 // the union of that unit's entries always covers its full extent.
-//
-// moguard: hotpath
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.mu.Lock()
 	entries := make([]index.Entry, 0, len(batch))
@@ -121,7 +119,6 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 		if !ok {
 			oi = len(s.objs)
 			s.ids[ob.ObjectID] = oi
-			// moguard: allocok one allocation per newly registered object, not per observation
 			s.objs = append(s.objs, &object{id: ob.ObjectID})
 			s.added = true
 		}

@@ -10,7 +10,9 @@ import (
 
 // Config scopes the checks to package paths. All paths are full import
 // paths; an external test package ("…/storage_test") matches its base
-// package's entry. Nil slices mean "nowhere" except where documented.
+// package's entry. Nil slices mean "nowhere" except where documented;
+// guarded-by and goroutine-exit take no scope — a mutex-bearing struct
+// or a go statement is a concurrency contract wherever it lives.
 type Config struct {
 	// FloatEqPkgs are the packages where raw float64 ==/!= is banned
 	// (the Section 5 kernel packages). Test files are exempt: tests
@@ -38,23 +40,6 @@ type Config struct {
 	// IndexOnlyDataPkgs are the packages whose types count as database
 	// array elements for the index-only rule.
 	IndexOnlyDataPkgs []string
-	// GuardPkgs scopes the guarded-by lock-discipline check. Nil means
-	// every analyzed package: a mutex-bearing struct is a concurrency
-	// contract wherever it lives.
-	GuardPkgs []string
-	// AtomicPkgs scopes the atomic-mix check. Nil means every analyzed
-	// package.
-	AtomicPkgs []string
-	// GoroutineExitPkgs scopes the goroutine-exit check. Nil means
-	// every analyzed package.
-	GoroutineExitPkgs []string
-	// AliasRetainPkgs scopes the alias-retain check to the packages
-	// whose exported APIs receive caller-owned buffers (the hot
-	// data-structure surface). Nil means nowhere: the contract is
-	// opt-in per package, unlike the lock-order and publish-immutable
-	// invariants, which hold wherever a mutex or an atomic publish
-	// exists.
-	AliasRetainPkgs []string
 }
 
 // DefaultConfig returns the repository scope: which packages each
@@ -104,8 +89,8 @@ func DefaultConfig(module string) *Config {
 			j("internal/live"): {"predicate.go", "eval.go"},
 			// The simulator's fleets, oracle, chaos schedules and verdict
 			// hashing must replay bit-for-bit from the seed; the harness
-			// loop (run.go, capacity.go) paces and times against the wall
-			// clock on purpose.
+			// loop (run.go) paces and times against the wall clock on
+			// purpose.
 			j("internal/sim"): {"sim.go", "fleet.go", "oracle.go", "chaos.go", "verdict.go", "invariant.go"},
 		},
 		IndexOnlyPkgs: []string{j("internal/storage"), j("internal/index")},
@@ -113,7 +98,6 @@ func DefaultConfig(module string) *Config {
 			j("internal/geom"), j("internal/spatial"), j("internal/units"),
 			j("internal/moving"), j("internal/temporal"), j("internal/mapping"), j("internal/base"),
 		},
-		AliasRetainPkgs: []string{j("internal/index"), j("internal/ingest"), j("internal/cache"), j("internal/live")},
 	}
 	// The golden fixtures under internal/lint/testdata are in scope so
 	// that running molint directly on a fixture directory demonstrates
@@ -127,12 +111,10 @@ func DefaultConfig(module string) *Config {
 	cfg.DetPaths[fix("detpath")] = nil
 	cfg.IndexOnlyPkgs = append(cfg.IndexOnlyPkgs, fix("indexonly"))
 	cfg.IndexOnlyDataPkgs = append(cfg.IndexOnlyDataPkgs, fix("indexonly"))
-	cfg.AliasRetainPkgs = append(cfg.AliasRetainPkgs, fix("aliasretain"))
 	// molint's own CLI and library are part of the enforced surface:
 	// cmd/molint deliberately drops terminal-write errors behind
-	// suppressions, and both packages are det-path clean (the per-check
-	// clock is injected, never read in package lint) — keeping them in
-	// scope means those suppressions stay load-bearing rather than
+	// suppressions, and both packages are det-path clean — keeping them
+	// in scope means those suppressions stay load-bearing rather than
 	// rotting into stale ones.
 	cfg.ErrDropPkgs = append(cfg.ErrDropPkgs, j("cmd/molint"))
 	cfg.DetPaths[j("internal/lint")] = nil
@@ -148,13 +130,8 @@ func Checks(cfg *Config) []Check {
 		errDrop{cfg},
 		detPath{cfg},
 		indexOnly{cfg},
-		guardedBy{cfg},
-		atomicMix{cfg},
-		goroutineExit{cfg},
-		lockOrder{cfg},
-		publishImmutable{cfg},
-		aliasRetain{cfg},
-		allocHot{cfg},
+		guardedBy{},
+		goroutineExit{},
 	}
 }
 

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // goroutineExit demands a provable exit path from every goroutine
@@ -11,25 +10,21 @@ import (
 // be a range loop (it ends with its input, or when the channel
 // closes), a constant-bounded for loop, or contain a select with a
 // channel receive that returns or breaks — the done/quit-channel
-// idiom the batcher and probe loops use. A goroutine that provably
+// idiom the batcher and probe loops use. A loop that provably
 // terminates for reasons the analyzer cannot see carries
-// "// moguard: bounded <reason>" on the go statement (same line or the
-// line above). Named-function goroutines (go s.loop()) are out of
-// reach intraprocedurally and are not checked; test files are exempt —
-// the testing harness joins or times out its goroutines.
-type goroutineExit struct{ cfg *Config }
+// //molint:ignore goroutine-exit <reason>. Named-function goroutines
+// (go s.loop()) are out of reach intraprocedurally and are not checked;
+// test files are exempt — the testing harness joins or times out its
+// goroutines.
+type goroutineExit struct{}
 
 func (goroutineExit) ID() string { return "goroutine-exit" }
 
-func (c goroutineExit) Run(pass *Pass) {
-	if c.cfg.GoroutineExitPkgs != nil && !inScope(c.cfg.GoroutineExitPkgs, pass.Path) {
-		return
-	}
+func (goroutineExit) Run(pass *Pass) {
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f) {
 			continue
 		}
-		bounded := c.boundedDirectives(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -39,42 +34,14 @@ func (c goroutineExit) Run(pass *Pass) {
 			if !ok {
 				return true
 			}
-			line := pass.Fset.Position(gs.Pos()).Line
-			for _, l := range []int{line, line - 1} {
-				if reason, ok := bounded[l]; ok {
-					if reason != "" {
-						return true
-					}
-					pass.Report(gs.Pos(), "moguard: bounded is missing a reason")
-					break // fall through: the loops are still analyzed
-				}
-			}
 			for _, loop := range outermostLoops(fl.Body) {
-				if loopExits(pass, loop) {
-					continue
+				if !loopExits(pass, loop) {
+					pass.Report(loop.Pos(), "goroutine loop has no provable exit path (select on a done/quit channel, bound the loop, or suppress with molint:ignore goroutine-exit <reason>)")
 				}
-				pass.Report(loop.Pos(), "goroutine loop has no provable exit path (select on a done/quit channel, bound the loop, or annotate the go statement with moguard: bounded <reason>)")
 			}
 			return true
 		})
 	}
-}
-
-// boundedDirectives maps comment lines carrying a moguard bounded
-// directive to its reason ("" when the reason is missing).
-func (goroutineExit) boundedDirectives(pass *Pass, f *ast.File) map[int]string {
-	out := map[int]string{}
-	for _, cg := range f.Comments {
-		for _, cm := range cg.List {
-			body := moguardText(cm)
-			verb, rest, _ := strings.Cut(body, " ")
-			if verb != "bounded" {
-				continue // field verbs are guarded-by's to validate
-			}
-			out[pass.Fset.Position(cm.Pos()).Line] = strings.TrimSpace(rest)
-		}
-	}
-	return out
 }
 
 // loopExits reports whether one outermost goroutine loop provably

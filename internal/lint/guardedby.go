@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -24,15 +23,12 @@ import (
 // are exempt — the construction phase owns its values exclusively.
 // Test files are exempt: tests access state single-threaded around the
 // code under test, and the race detector covers them directly.
-type guardedBy struct{ cfg *Config }
+type guardedBy struct{}
 
 func (guardedBy) ID() string { return "guarded-by" }
 
-func (c guardedBy) Run(pass *Pass) {
-	if c.cfg.GuardPkgs != nil && !inScope(c.cfg.GuardPkgs, pass.Path) {
-		return
-	}
-	guards := collectStructGuards(pass, true)
+func (guardedBy) Run(pass *Pass) {
+	guards := collectStructGuards(pass)
 	if len(guards) == 0 {
 		return
 	}
@@ -63,44 +59,6 @@ func (c guardedBy) Run(pass *Pass) {
 			m.block(fd.Body.List, st)
 		}
 	}
-	// Annotation debt, deferred until after the walk so each finding can
-	// suggest the annotation the access pattern implies.
-	names := make([]string, 0, len(guards))
-	for n := range guards {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		g := guards[n]
-		for _, u := range g.unann {
-			pass.ReportSuggest(u.pos, suggestAnnotation(g, g.tally[u.name]),
-				"field %s of mutex-bearing struct %s needs a moguard annotation (guarded by <mu> / immutable / atomic / unguarded <reason>)", u.name, g.name)
-		}
-	}
-}
-
-// suggestAnnotation synthesizes the ready-to-paste moguard annotation
-// for an unannotated field: never written in a method means immutable
-// (construction-phase writes are exempt by design); otherwise the
-// mutex most often held across the field's accesses, ties and
-// never-locked access patterns falling back to the lexicographically
-// first mutex of the struct.
-func suggestAnnotation(g *structGuards, t *accessTally) string {
-	if t == nil || t.writes == 0 {
-		return "// moguard: immutable"
-	}
-	mus := make([]string, 0, len(g.mutexes))
-	for mu := range g.mutexes {
-		mus = append(mus, mu)
-	}
-	sort.Strings(mus)
-	best, bestN := mus[0], 0
-	for _, mu := range mus {
-		if n := t.held[mu]; n > bestN {
-			best, bestN = mu, n
-		}
-	}
-	return "// moguard: guarded by " + best
 }
 
 const (
@@ -460,27 +418,12 @@ func (m *guardMethod) check(sel *ast.SelectorExpr, v *types.Var, st map[string]i
 	}
 	fg, annotated := m.g.fields[name]
 	if !annotated {
-		// The missing annotation is reported at the declaration once the
-		// walk finishes; here the access just feeds the suggestion.
-		t := m.g.tally[name]
-		if t == nil {
-			t = &accessTally{held: map[string]int{}}
-			m.g.tally[name] = t
-		}
-		if need == lockW {
-			t.writes++
-		}
-		for mu := range m.g.mutexes {
-			if st[mu] >= lockR {
-				t.held[mu]++
-			}
-		}
-		return
+		return // the missing annotation is reported at the declaration
 	}
 	switch fg.kind {
 	case guardUnguarded, guardAtomic:
-		// unguarded: deliberately out of scope. atomic: atomic-mix owns
-		// every access to the field.
+		// unguarded: deliberately out of scope. atomic: a typed atomic
+		// (atomic.Int64, atomic.Pointer[T]) synchronises itself.
 	case guardImmutable:
 		if need == lockW {
 			m.pass.Report(sel.Pos(), "%s writes immutable field %s.%s (moguard: immutable means set only during construction)", m.name, m.g.name, name)

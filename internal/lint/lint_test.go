@@ -117,12 +117,7 @@ func TestFixtures(t *testing.T) {
 		{"detpath", "det-path"},
 		{"indexonly", "index-only"},
 		{"guardedby", "guarded-by"},
-		{"atomicmix", "atomic-mix"},
 		{"goroutineexit", "goroutine-exit"},
-		{"lockorder", "lock-order"},
-		{"publishimmutable", "publish-immutable"},
-		{"aliasretain", "alias-retain"},
-		{"allochot", "alloc-hot"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -139,7 +134,8 @@ func TestFixtures(t *testing.T) {
 // TestSuppressions exercises the directive machinery on the suppress
 // fixture: a respected directive removes its finding and counts in the
 // suppressed tally, a directive without a reason suppresses nothing and
-// is itself reported, and an unknown check ID is reported. The
+// is itself reported, an unknown check ID is reported, and a well-formed
+// directive that suppresses nothing is reported as stale. The
 // expectations are asserted programmatically because a want comment
 // cannot share a line with the directive it describes.
 func TestSuppressions(t *testing.T) {
@@ -159,6 +155,7 @@ func TestSuppressions(t *testing.T) {
 		{18, "suppress", "missing a reason"},
 		{19, "err-drop", "call discards error result"},
 		{23, "suppress", "unknown check"},
+		{28, "suppress", "molint:ignore ctx-loop suppresses nothing"},
 	}
 	if len(res.Findings) != len(want) {
 		for _, f := range res.Findings {
@@ -177,8 +174,8 @@ func TestSuppressions(t *testing.T) {
 // TestMolintSelfCheck turns every analyzer on the linter's own package
 // and every command with the scopes pointed at themselves. The tool
 // must hold itself to the conventions it enforces — including the
-// concurrency-discipline suite, which is nil-scoped (repo-wide) and so
-// covers these packages in the default configuration too.
+// concurrency checks, which are unscoped (repo-wide) and so cover these
+// packages in the default configuration too.
 func TestMolintSelfCheck(t *testing.T) {
 	l := newTestLoader(t)
 	dirs := []string{"internal/lint"}
@@ -193,8 +190,8 @@ func TestMolintSelfCheck(t *testing.T) {
 	}
 	// The original five conventions are scoped to the linter and its
 	// command as in PR 4 (the other commands legitimately read the
-	// clock and print best-effort); the three concurrency checks are
-	// nil-scoped and cover every loaded package, closing the
+	// clock and print best-effort); the two concurrency checks take no
+	// scope and cover every loaded package, closing the
 	// linter-lints-itself loop over all of cmd/.
 	self := []string{l.Module + "/internal/lint", l.Module + "/cmd/molint"}
 	cfg := &Config{
@@ -207,8 +204,6 @@ func TestMolintSelfCheck(t *testing.T) {
 		// trivially hold no pointers into the paper's arrays.
 		IndexOnlyPkgs:     self,
 		IndexOnlyDataPkgs: DefaultConfig(l.Module).IndexOnlyDataPkgs,
-		// Nil concurrency scopes: guarded-by, atomic-mix, and
-		// goroutine-exit run everywhere by construction.
 	}
 	var pkgs []*Package
 	for _, rel := range dirs {

@@ -240,10 +240,9 @@ func (l *Loader) tagOK(tag string) bool {
 
 func (l *Loader) typecheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.Fset, files, info)

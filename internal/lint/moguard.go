@@ -7,26 +7,22 @@ import (
 	"strings"
 )
 
-// The moguard directive grammar makes concurrency discipline a checked
-// contract instead of a comment convention. On struct fields:
+// The moguard directive grammar makes lock discipline a checked
+// contract instead of a comment convention. It has one use — declaring
+// how a struct field is synchronised — and four forms:
 //
 //	// moguard: guarded by <mu>    read/written only while holding <mu>
 //	//                             (RLock suffices for reads)
 //	// moguard: immutable          set during construction, never
 //	//                             written in a method
-//	// moguard: atomic             accessed only through sync/atomic
+//	// moguard: atomic             a typed atomic (atomic.Int64, ...)
 //	// moguard: unguarded <reason> deliberately unsynchronised
 //
-// and on go statements (same line or the line above):
-//
-//	// moguard: bounded <reason>   the goroutine provably terminates
-//	//                             for a reason the analyzer cannot see
-//
 // Every field of a struct that declares or embeds a sync.Mutex or
-// sync.RWMutex must carry one of the field forms (fields whose type is
-// itself from package sync — WaitGroup, Once, the mutexes — are exempt:
-// they synchronise themselves). The guarded-by check owns grammar
-// validation; atomic-mix and goroutine-exit consume the parsed result.
+// sync.RWMutex must carry one of them (fields whose type is itself from
+// package sync — WaitGroup, Once, the mutexes — are exempt: they
+// synchronise themselves). The guarded-by check parses, validates and
+// enforces the grammar; suppressions are molint:ignore, never moguard.
 const moguardPrefix = "moguard:"
 
 // guardKind classifies one field annotation.
@@ -50,28 +46,8 @@ type fieldGuard struct {
 type structGuards struct {
 	name    string
 	mutexes map[string]bool       // mutex-typed field names ("mu", embedded "Mutex")
-	rw      map[string]bool       // which of those are RWMutexes
 	fields  map[string]fieldGuard // annotated fields by name
 	vars    map[*types.Var]string // field object -> field name
-	// unann lists the fields that need an annotation and lack one, in
-	// declaration order. guardedBy reports them after walking the
-	// methods, so each finding can carry a ready-to-paste suggestion
-	// synthesized from how the field is actually accessed.
-	unann []unannField
-	// tally accumulates method accesses of unannotated fields.
-	tally map[string]*accessTally
-}
-
-// unannField is one missing-annotation site.
-type unannField struct {
-	name string
-	pos  token.Pos
-}
-
-// accessTally summarizes how methods touch one unannotated field.
-type accessTally struct {
-	writes int
-	held   map[string]int // mutex name -> accesses made while holding it
 }
 
 // moguardText extracts the directive body from a comment, or "" when
@@ -110,16 +86,6 @@ func parseFieldGuard(body string) (g fieldGuard, msg string) {
 			return g, "moguard: unguarded is missing a reason"
 		}
 		return fieldGuard{kind: guardUnguarded}, ""
-	case "bounded":
-		return g, "moguard: bounded applies to go statements, not struct fields"
-	case "retained":
-		return g, "moguard: retained applies to store statements, not struct fields"
-	case "lockorder":
-		return g, "moguard: lockorder applies at file scope, not struct fields"
-	case "hotpath":
-		return g, "moguard: hotpath applies to function declarations, not struct fields"
-	case "allocok":
-		return g, "moguard: allocok applies to allocation sites, not struct fields"
 	case "":
 		return g, "moguard: directive is missing a verb"
 	default:
@@ -127,27 +93,18 @@ func parseFieldGuard(body string) (g fieldGuard, msg string) {
 	}
 }
 
-// mutexKind reports whether t is sync.Mutex (1) or sync.RWMutex (2),
-// directly or behind one pointer; 0 otherwise.
-func mutexKind(t types.Type) int {
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex, directly
+// or behind one pointer.
+func isMutexType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return 0
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return 0
-	}
-	switch obj.Name() {
-	case "Mutex":
-		return 1
-	case "RWMutex":
-		return 2
-	}
-	return 0
+	return isSyncType(t) && (obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // isSyncType reports whether t is any type from package sync (a
@@ -184,11 +141,11 @@ func fieldAnnotation(field *ast.Field) (body string, pos token.Pos, ok bool) {
 }
 
 // collectStructGuards builds the annotation table for every named
-// struct type in the package. With report set (the guarded-by pass) it
-// also files the grammar findings — malformed directives, guards naming
-// a non-mutex, unannotated fields of mutex-bearing structs — so the
-// annotation debt of a package can never silently grow.
-func collectStructGuards(pass *Pass, report bool) map[string]*structGuards {
+// struct type in the package and files the grammar findings — malformed
+// directives, guards naming a non-mutex, unannotated fields of
+// mutex-bearing structs — so the annotation debt of a package can never
+// silently grow.
+func collectStructGuards(pass *Pass) map[string]*structGuards {
 	out := map[string]*structGuards{}
 	for _, f := range pass.Files {
 		if isTestFile(pass.Fset, f) {
@@ -210,7 +167,7 @@ func collectStructGuards(pass *Pass, report bool) map[string]*structGuards {
 				if !ok {
 					continue
 				}
-				g := collectOneStruct(pass, ts.Name.Name, st, report)
+				g := collectOneStruct(pass, ts.Name.Name, st)
 				if g != nil {
 					out[g.name] = g
 				}
@@ -220,14 +177,12 @@ func collectStructGuards(pass *Pass, report bool) map[string]*structGuards {
 	return out
 }
 
-func collectOneStruct(pass *Pass, name string, st *ast.StructType, report bool) *structGuards {
+func collectOneStruct(pass *Pass, name string, st *ast.StructType) *structGuards {
 	g := &structGuards{
 		name:    name,
 		mutexes: map[string]bool{},
-		rw:      map[string]bool{},
 		fields:  map[string]fieldGuard{},
 		vars:    map[*types.Var]string{},
-		tally:   map[string]*accessTally{},
 	}
 	// The typechecked struct supplies field objects for embedded fields,
 	// which have no name ident to look up in Defs.
@@ -287,11 +242,8 @@ func collectOneStruct(pass *Pass, name string, st *ast.StructType, report bool) 
 			if vars[i] != nil {
 				g.vars[vars[i]] = n
 			}
-			if k := mutexKind(tv.Type); k != 0 {
+			if isMutexType(tv.Type) {
 				g.mutexes[n] = true
-				if k == 2 {
-					g.rw[n] = true
-				}
 			}
 		}
 		fields = append(fields, pending{names: names, field: field, typ: tv.Type})
@@ -302,15 +254,11 @@ func collectOneStruct(pass *Pass, name string, st *ast.StructType, report bool) 
 		if has {
 			fg, msg := parseFieldGuard(body)
 			if msg != "" {
-				if report {
-					pass.Report(pos, "%s", msg)
-				}
+				pass.Report(pos, "%s", msg)
 				continue
 			}
 			if fg.kind == guardMutex && !g.mutexes[fg.mu] {
-				if report {
-					pass.Report(pos, "moguard: guarded by %s names no mutex field of %s", fg.mu, g.name)
-				}
+				pass.Report(pos, "moguard: guarded by %s names no mutex field of %s", fg.mu, g.name)
 				continue
 			}
 			for _, n := range p.names {
@@ -319,13 +267,11 @@ func collectOneStruct(pass *Pass, name string, st *ast.StructType, report bool) 
 			continue
 		}
 		// No annotation: fine unless the struct bears a mutex and the
-		// field is not itself a sync primitive. The finding is deferred
-		// to guardedBy.Run (after the method walk) so it can carry an
-		// annotation suggestion derived from the access pattern.
-		if report && len(g.mutexes) > 0 && !isSyncType(p.typ) {
+		// field is not itself a sync primitive.
+		if len(g.mutexes) > 0 && !isSyncType(p.typ) {
 			for _, n := range p.names {
 				if !g.mutexes[n] {
-					g.unann = append(g.unann, unannField{name: n, pos: p.field.Pos()})
+					pass.Report(p.field.Pos(), "field %s of mutex-bearing struct %s needs a moguard annotation (guarded by <mu> / immutable / atomic / unguarded <reason>)", n, g.name)
 				}
 			}
 		}

@@ -1,89 +1,15 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 )
 
-// Report is the machine-readable form of a Result, with file paths
-// rendered relative to the module root so output is stable across
-// checkouts and usable as CI annotations.
-type Report struct {
-	Findings []ReportFinding `json:"findings"`
-	Summary  ReportSummary   `json:"summary"`
-}
-
-// ReportFinding is one finding with a root-relative path.
-type ReportFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-	// Suggestion is the ready-to-paste fix from -suggest mode, when the
-	// check synthesized one.
-	Suggestion string `json:"suggestion,omitempty"`
-}
-
-// ReportSummary mirrors the text summary line plus the per-check table.
-type ReportSummary struct {
-	Findings   int                   `json:"findings"`
-	Suppressed int                   `json:"suppressed"`
-	Packages   int                   `json:"packages"`
-	Checks     map[string]CheckTally `json:"checks"`
-	// Timings is per-check wall time in milliseconds. Populated only
-	// under -timings: wall time varies run to run, and the JSON document
-	// is otherwise byte-identical across runs (a contract CI relies on).
-	Timings map[string]float64 `json:"timings_ms,omitempty"`
-}
-
-// NewReport converts a Result. root is the module root for
-// path-relativising; packages is the number of package variants
-// analyzed.
-func NewReport(root string, res Result, packages int) Report {
-	r := Report{
-		Findings: []ReportFinding{}, // never null in JSON
-		Summary: ReportSummary{
-			Findings:   len(res.Findings),
-			Suppressed: res.Suppressed,
-			Packages:   packages,
-			Checks:     res.Checks,
-		},
-	}
-	for _, f := range res.Findings {
-		r.Findings = append(r.Findings, ReportFinding{
-			File:       relPath(root, f.Pos.Filename),
-			Line:       f.Pos.Line,
-			Column:     f.Pos.Column,
-			Check:      f.Check,
-			Message:    f.Message,
-			Suggestion: f.Suggestion,
-		})
-	}
-	return r
-}
-
-// WithTimings attaches per-check wall times (as milliseconds) to the
-// summary. Kept out of NewReport so the default JSON document stays
-// byte-identical across runs.
-func (r Report) WithTimings(timings map[string]time.Duration) Report {
-	if len(timings) == 0 {
-		return r
-	}
-	r.Summary.Timings = map[string]float64{}
-	for id, d := range timings {
-		r.Summary.Timings[id] = float64(d.Microseconds()) / 1000
-	}
-	return r
-}
-
-// relPath renders file relative to root when it lives under it.
+// relPath renders file relative to the module root when it lives under
+// it, so output is stable across checkouts and usable as CI annotations.
 func relPath(root, file string) string {
 	if prefix := root + string(os.PathSeparator); strings.HasPrefix(file, prefix) {
 		return file[len(prefix):]
@@ -91,176 +17,47 @@ func relPath(root, file string) string {
 	return file
 }
 
-// WriteJSON emits the report as one indented JSON document.
-func (r Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+// WriteText emits one line per finding, the per-check tally table and
+// the closing summary line. packages is the number of package variants
+// analyzed.
+func (res Result) WriteText(w io.Writer, root string, packages int) error {
+	for _, f := range res.Findings {
+		f.Pos.Filename = relPath(root, f.Pos.Filename)
+		if _, err := fmt.Fprintln(w, f); err != nil {
+			return err
+		}
+	}
+	ids := make([]string, 0, len(res.Checks))
+	width := len("check")
+	for id := range res.Checks {
+		ids = append(ids, id)
+		width = max(width, len(id))
+	}
+	sort.Strings(ids)
+	if _, err := fmt.Fprintf(w, "%-*s  %8s  %10s\n", width, "check", "findings", "suppressed"); err != nil {
+		return err
+	}
+	for _, id := range ids {
+		t := res.Checks[id]
+		if _, err := fmt.Fprintf(w, "%-*s  %8d  %10d\n", width, id, t.Findings, t.Suppressed); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "molint: %d finding(s), %d suppressed, %d package(s)\n",
+		len(res.Findings), res.Suppressed, packages)
+	return err
 }
 
 // WriteGitHub emits findings as GitHub Actions workflow commands, which
 // the Actions runner turns into inline PR annotations.
-func (r Report) WriteGitHub(w io.Writer) error {
-	for _, f := range r.Findings {
+func (res Result) WriteGitHub(w io.Writer, root string, packages int) error {
+	for _, f := range res.Findings {
 		if _, err := fmt.Fprintf(w, "::error file=%s,line=%d,col=%d::[%s] %s\n",
-			f.File, f.Line, f.Column, f.Check, f.Message); err != nil {
+			relPath(root, f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Check, f.Message); err != nil {
 			return err
 		}
 	}
 	_, err := fmt.Fprintf(w, "::notice::molint: %d finding(s), %d suppressed, %d package(s)\n",
-		r.Summary.Findings, r.Summary.Suppressed, r.Summary.Packages)
+		len(res.Findings), res.Suppressed, packages)
 	return err
-}
-
-// WriteSummaryTable renders the per-check finding/suppression tallies
-// as an aligned text table, checks sorted by ID. When timings were
-// attached (the -timings flag) a wall-time column is appended; the
-// "callgraph" row covers the shared interprocedural build that the
-// program-wide checks amortize.
-func (r Report) WriteSummaryTable(w io.Writer) error {
-	ids := make([]string, 0, len(r.Summary.Checks))
-	width := len("check")
-	note := func(id string) {
-		ids = append(ids, id)
-		if len(id) > width {
-			width = len(id)
-		}
-	}
-	for id := range r.Summary.Checks {
-		note(id)
-	}
-	for id := range r.Summary.Timings {
-		if _, dup := r.Summary.Checks[id]; !dup {
-			note(id) // e.g. the shared "callgraph" build phase
-		}
-	}
-	sort.Strings(ids)
-	withMS := len(r.Summary.Timings) > 0
-	header := fmt.Sprintf("%-*s  %8s  %10s", width, "check", "findings", "suppressed")
-	if withMS {
-		header += fmt.Sprintf("  %9s", "ms")
-	}
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	for _, id := range ids {
-		t := r.Summary.Checks[id]
-		row := fmt.Sprintf("%-*s  %8d  %10d", width, id, t.Findings, t.Suppressed)
-		if withMS {
-			row += fmt.Sprintf("  %9.1f", r.Summary.Timings[id])
-		}
-		if _, err := fmt.Fprintln(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sarif mirrors the slice of SARIF 2.1.0 that GitHub code scanning
-// consumes: one run, the check catalog as rules, findings as results
-// anchored by root-relative artifact locations.
-type sarif struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI       string `json:"uri"`
-	URIBaseID string `json:"uriBaseId"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn"`
-}
-
-// WriteSARIF emits the report as a SARIF 2.1.0 document suitable for
-// github/codeql-action/upload-sarif. The rule catalog is derived from
-// the summary's check tallies so every enabled check appears even when
-// clean, and both rules and results are emitted in sorted order for
-// byte-stable output.
-func (r Report) WriteSARIF(w io.Writer) error {
-	ids := make([]string, 0, len(r.Summary.Checks))
-	for id := range r.Summary.Checks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	doc := sarif{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool: sarifTool{Driver: sarifDriver{
-				Name:  "molint",
-				Rules: []sarifRule{},
-			}},
-			Results: []sarifResult{},
-		}},
-	}
-	for _, id := range ids {
-		doc.Runs[0].Tool.Driver.Rules = append(doc.Runs[0].Tool.Driver.Rules, sarifRule{
-			ID:               id,
-			ShortDescription: sarifMessage{Text: "molint check " + id},
-		})
-	}
-	for _, f := range r.Findings {
-		msg := f.Message
-		if f.Suggestion != "" {
-			msg += " (suggested: " + f.Suggestion + ")"
-		}
-		doc.Runs[0].Results = append(doc.Runs[0].Results, sarifResult{
-			RuleID:  f.Check,
-			Level:   "error",
-			Message: sarifMessage{Text: msg},
-			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{
-					URI:       filepath.ToSlash(f.File),
-					URIBaseID: "%SRCROOT%",
-				},
-				Region: sarifRegion{StartLine: f.Line, StartColumn: f.Column},
-			}}},
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -1,7 +1,7 @@
 // Fixture for the goroutine-exit check: every go func literal needs a
 // provable exit path — a select on a done/quit channel that returns, a
-// bounded loop, a range loop, or an explicit moguard: bounded
-// annotation with a reason.
+// bounded loop, a range loop, or an explicit molint:ignore suppression
+// with a reason on the loop.
 package goroutineexit
 
 import "context"
@@ -60,16 +60,11 @@ func spawnAll(ctx context.Context, quit chan struct{}, items []int, n int) {
 		}
 	}()
 
-	// moguard: bounded drains a finite queue and returns
 	go func() {
+		//molint:ignore goroutine-exit drains a finite queue and returns
 		for !done() {
 			work()
 		}
-	}()
-
-	// moguard: bounded
-	go func() { // want `moguard: bounded is missing a reason`
-		work()
 	}()
 
 	go func() {

@@ -1,8 +1,8 @@
 // Fixture for the suppression machinery: a respected directive, a
 // directive missing its reason (which suppresses nothing and is itself
 // a finding), a directive naming an unknown check, and a well-formed
-// directive that suppresses nothing (reported only under
-// -stale-suppressions).
+// directive that suppresses nothing (which the stale audit reports as
+// a finding of its own).
 package suppress
 
 import "errors"
@@ -29,12 +29,5 @@ func stale() int {
 	return 0
 }
 
-// staleAllocok carries a well-formed allocok directive covering no
-// flagged allocation site (the function is not hot): alloc-hot's own
-// stale audit reports it under -stale-suppressions. New fixture
-// content goes BELOW this line — earlier line numbers are asserted
-// exactly by TestSuppressions.
-func staleAllocok() int {
-	// moguard: allocok nothing on the next line allocates on a hot path
-	return 0
-}
+// New fixture content goes below this line: the line numbers above are
+// asserted exactly by TestSuppressions.

@@ -244,8 +244,6 @@ func (r *Registry) rebuildRegionsLocked() {
 // merge (keeping the older timestamp and the newer epoch), which
 // preserves every edge because edges are state flips against the
 // subscription's last evaluated state.
-//
-// moguard: hotpath
 func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
 	pubNS := r.cfg.Now().UnixNano()
 	r.mu.Lock()
@@ -265,7 +263,8 @@ func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
 		r.queue = r.queue[1:]
 		coalesced = true
 	}
-	// moguard: retained publish hand-off — the store builds a fresh dirty slice per publish and the epoch is frozen COW state
+	// Publish hand-off: the store builds a fresh dirty slice per publish
+	// and the epoch is frozen COW state, so both are retained as is.
 	r.queue = append(r.queue, notice{ep: ep, dirty: dirty, pubNS: pubNS})
 	r.mu.Unlock()
 	r.cfg.Metrics.Live.Notifies.Inc()

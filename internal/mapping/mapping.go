@@ -79,7 +79,6 @@ func FromOrdered[U units.Unit[U]](us []U) Mapping[U] {
 func (m Mapping[U]) Validate() error {
 	for i, u := range m.us {
 		if err := u.Interval().Validate(); err != nil {
-			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: unit %d: %v", ErrInvalidMapping, i, err)
 		}
 		if i == 0 {
@@ -88,11 +87,9 @@ func (m Mapping[U]) Validate() error {
 		prev := m.us[i-1]
 		pi, ci := prev.Interval(), u.Interval()
 		if !pi.RDisjoint(ci) {
-			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: unit intervals %v and %v overlap or are out of order", ErrInvalidMapping, pi, ci)
 		}
 		if pi.Adjacent(ci) && prev.EqualFunc(u) {
-			// moguard: allocok error construction runs only on the rejection path of the debugcheck assertion
 			return fmt.Errorf("%w: adjacent units %v and %v carry equal values", ErrInvalidMapping, pi, ci)
 		}
 	}
@@ -248,7 +245,6 @@ func (b *Builder[U]) Append(u U) {
 	if n := len(b.us); n > 0 {
 		pi := b.us[n-1].Interval()
 		if !pi.RDisjoint(u.Interval()) {
-			// moguard: allocok error construction runs only on the rejection path; an out-of-order append is a bug in the calling operation
 			b.err = fmt.Errorf("%w: unit %v appended after %v", ErrInvalidMapping, u.Interval(), pi)
 			return
 		}

@@ -143,8 +143,6 @@ func (p MPoint) Length() float64 { return p.Trajectory().Length() }
 // moving point as a moving real, defined where both points are defined
 // (the lifted distance operation used by the spatio-temporal join of
 // Section 2).
-//
-// moguard: hotpath
 func (p MPoint) Distance(q MPoint) MReal {
 	var bld mapping.Builder[units.UReal]
 	pu, qu := p.M.Units(), q.M.Units()
@@ -258,8 +256,6 @@ func (p MPoint) Inside(r MRegion) MBool {
 // be able to abort when a request deadline expires. The partition is
 // streamed, and the kernel's pieces pass through one small buffer into
 // the result, so the only allocation is the result's own unit array.
-//
-// moguard: hotpath
 func (p MPoint) InsideCtx(ctx context.Context, r MRegion) (MBool, error) {
 	var bld mapping.Builder[units.UBool]
 	pu, ru := p.M.Units(), r.M.Units()

@@ -5,6 +5,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"movingdb/internal/allocbudget"
 )
 
 // BenchmarkRecordRequest is one request counted on a known route: a map
@@ -31,26 +33,10 @@ func BenchmarkRecordOp(b *testing.B) {
 }
 
 // TestAllocBudgets pins the two per-request recorders at zero: nothing
-// boxed, formatted or grown once the label has been seen. Same shape as
-// the other packages' TestAllocBudgets; the race detector changes
-// allocation counts, hence the build constraint.
+// boxed, formatted or grown once the label has been seen.
 func TestAllocBudgets(t *testing.T) {
-	for _, c := range []struct {
-		name                string
-		bench               func(*testing.B)
-		maxAllocs, maxBytes int64
-	}{
-		{"BenchmarkRecordRequest", BenchmarkRecordRequest, 0, 0},
-		{"BenchmarkRecordOp", BenchmarkRecordOp, 0, 0},
-	} {
-		r := testing.Benchmark(c.bench)
-		if r.N == 0 {
-			t.Errorf("%s did not run", c.name)
-			continue
-		}
-		if r.AllocsPerOp() > c.maxAllocs || r.AllocedBytesPerOp() > c.maxBytes {
-			t.Errorf("%s: %d allocs/op, %d B/op; budget %d allocs/op, %d B/op",
-				c.name, r.AllocsPerOp(), r.AllocedBytesPerOp(), c.maxAllocs, c.maxBytes)
-		}
-	}
+	allocbudget.Check(t,
+		allocbudget.Budget{Name: "BenchmarkRecordRequest", Bench: BenchmarkRecordRequest},
+		allocbudget.Budget{Name: "BenchmarkRecordOp", Bench: BenchmarkRecordOp},
+	)
 }

@@ -201,3 +201,30 @@ func BenchmarkEncodeAtInstant1000(b *testing.B) {
 	}
 	b.SetBytes(int64(len(exact)))
 }
+
+// BenchmarkEncodePagedBodies renders the other three hand-encoded read
+// bodies — /v1/window, /v1/objects, /v1/nearby, 100 rows each — into one
+// reused buffer: the encoders themselves allocate nothing.
+func BenchmarkEncodePagedBodies(b *testing.B) {
+	ids := make([]string, 100)
+	sums := make([]ingest.ObjectSummary, len(ids))
+	near := make([]ingest.NearbyResult, len(ids))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("veh%04d", i)
+		sums[i] = ingest.ObjectSummary{ID: ids[i], Units: i, From: 0.5, To: 17.25 + float64(i)}
+		near[i] = ingest.NearbyResult{ID: ids[i], X: 123.25 + float64(i)/7, Y: 4567.125 - float64(i)/3, Dist: float64(i) / 9}
+	}
+	pg := pageReq{Limit: 100}
+	buf := make([]byte, 0, 32<<10) // larger than the three bodies together
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var e1, e2, e3 error
+		buf, e1 = appendWindowBody(buf[:0], 1000, pg, ids)
+		buf, e2 = appendObjectsBody(buf, 1000, pg, sums)
+		buf, e3 = appendNearbyBody(buf, nearbyReq{X: 500, Y: 500, T: 75.5, K: 100, Radius: -1}, near)
+		if e1 != nil || e2 != nil || e3 != nil {
+			b.Fatal(e1, e2, e3)
+		}
+	}
+}

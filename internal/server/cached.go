@@ -36,8 +36,6 @@ var scratch = sync.Pool{New: func() any { return new([]byte) }}
 // epoch rides in clear so a tag visibly changes exactly when the data
 // does; the hash pins the request. Strong (unprefixed) because equal
 // keys yield byte-identical bodies.
-//
-// moguard: hotpath
 func etagFor(k cache.Key) (etag, epoch string) {
 	var buf [40]byte // '"', 16 hex digits, '-', 20 digits, '"'
 	b := strconv.AppendUint(append(buf[:0], '"'), k.Hash(), 16)

@@ -152,6 +152,11 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad subscribe body: %v", err))
 		return
 	}
+	// Decode stops after the first value; only whitespace may follow it.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad subscribe body: unexpected data after the object")
+		return
+	}
 	pred, err := body.predicate()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
@@ -203,8 +208,6 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 // reuse) and goes out in a single Write — every connected stream pays
 // this cost on every epoch publish, so the frame bytes are appended by
 // hand instead of through fmt and reflection-driven json.Marshal.
-//
-// moguard: hotpath
 func writeEventFrames(w io.Writer, scratch []byte, events []live.Event, lagged bool) []byte {
 	buf := scratch[:0]
 	if lagged {
@@ -288,7 +291,9 @@ func appendJSONString(b []byte, s string) []byte {
 		b = append(b, s...)
 		return append(b, '"')
 	}
-	// moguard: allocok escaping fallback is off the common path (non-ASCII or HTML-sensitive object ids); matching json.Marshal byte-for-byte beats the allocation
+	// The escaping fallback is off the common path (non-ASCII or
+	// HTML-sensitive object ids); matching json.Marshal byte for byte
+	// beats the allocation.
 	q, err := json.Marshal(s)
 	if err != nil {
 		// Marshalling a string cannot fail; keep the frame valid anyway.

@@ -172,6 +172,8 @@ func TestSubscribeFlow(t *testing.T) {
 		`{"predicate":"appears","object":"bus","region":{"x2":1}}`,                   // appears takes no object
 		`{"predicate":"sideways","object":"b","region":{"x2":1}}`,                    // unknown kind
 		`{"predicate":"inside","object":"b","bogus":1}`,                              // unknown field
+		`{"predicate":"appears","region":{"x2":1,"y2":1}} garbage`,                   // trailing data
+		`{"predicate":"appears","region":{"x2":1,"y2":1}}{"predicate":"bogus"}`,      // a second value
 		`{"predicate":"inside","object":"b","region":{"x1":5,"x2":5,"y1":1,"y2":1}}`, // degenerate point region is fine
 	} {
 		code, resp := post(t, h, "/v1/subscribe", bad)

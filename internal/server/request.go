@@ -89,8 +89,6 @@ type params struct {
 // contains ';' or fails to unescape is dropped — so a later pair of
 // the same name can still win. It builds no map and, unless a pair
 // really is escaped, no string.
-//
-// moguard: hotpath
 func parseParams(raw string) params {
 	var p params
 	for raw != "" {

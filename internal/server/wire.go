@@ -57,8 +57,6 @@ func skipSpace(b []byte, i int) int {
 // encoding/json converts them. ok is false — and the caller falls back
 // — on anything else, including input encoding/json would also reject.
 // sizeHint caps the capacity reserved up front.
-//
-// moguard: hotpath
 func scanObservations(b []byte, sizeHint int) (out []ingest.Observation, ok bool) {
 	i := skipSpace(b, 0)
 	if i == len(b) || b[i] != '[' {
@@ -216,7 +214,6 @@ func (j *jsonBody) int(n int) *jsonBody    { j.b = strconv.AppendInt(j.b, int64(
 
 func (j *jsonBody) float(f float64) *jsonBody {
 	if isNonFinite(f) && j.err == nil {
-		// moguard: allocok the error path of a body that is about to become a 500
 		j.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	j.b = appendJSONFloat(j.b, f)
@@ -245,7 +242,6 @@ func (j *jsonBody) sep(i int) *jsonBody {
 // The bodies. Members appear in sorted key order, as json.Marshal
 // writes a map; each ends in the newline the encoder path appended.
 
-// moguard: hotpath
 func appendAtInstantBody(b []byte, t float64, ps []ingest.Position) ([]byte, error) {
 	j := jsonBody{b: b}
 	j.raw(`{"positions":`)
@@ -259,7 +255,6 @@ func appendAtInstantBody(b []byte, t float64, ps []ingest.Position) ([]byte, err
 	return j.b, j.err
 }
 
-// moguard: hotpath
 func appendWindowBody(b []byte, total int, pg pageReq, ids []string) ([]byte, error) {
 	j := jsonBody{b: b}
 	j.raw(`{"ids":`)
@@ -273,7 +268,6 @@ func appendWindowBody(b []byte, total int, pg pageReq, ids []string) ([]byte, er
 	return j.b, j.err
 }
 
-// moguard: hotpath
 func appendObjectsBody(b []byte, total int, pg pageReq, sums []ingest.ObjectSummary) ([]byte, error) {
 	j := jsonBody{b: b}
 	j.raw(`{"limit":`).int(pg.Limit).raw(`,"objects":`)
@@ -288,7 +282,6 @@ func appendObjectsBody(b []byte, total int, pg pageReq, sums []ingest.ObjectSumm
 	return j.b, j.err
 }
 
-// moguard: hotpath
 func appendNearbyBody(b []byte, q nearbyReq, rs []ingest.NearbyResult) ([]byte, error) {
 	j := jsonBody{b: b}
 	j.raw(`{"count":`).int(len(rs)).raw(`,"k":`).int(q.K).raw(`,"radius":`).float(q.Radius).raw(`,"results":`)

@@ -241,7 +241,7 @@ func Run(cfg Config) (*Result, error) {
 
 	reg.Close()
 	readersDone := make(chan struct{})
-	go func() { // moguard: bounded wg.Wait returns once every reader sees bye or a dead listener
+	go func() { // wg.Wait returns once every reader sees bye or a dead listener
 		wg.Wait()
 		close(readersDone)
 	}()
@@ -587,8 +587,9 @@ func (r *run) subscribeAll(ids []string, wg *sync.WaitGroup) error {
 		rd := &sseReader{url: r.ts.URL + sr.EventsURL}
 		r.readers = append(r.readers, rd)
 		wg.Add(1)
-		go func() { // moguard: bounded the stream ends with a bye frame on registry close; a dead listener fails the GET
+		go func() {
 			defer wg.Done()
+			//molint:ignore goroutine-exit the stream ends with a bye frame on registry close; a dead listener fails the GET
 			for !rd.streamOnce(r.client) {
 				// Reconnect after an injected cut; the subscription survives.
 			}

@@ -2,18 +2,15 @@
 
 package temporal
 
-import "testing"
+import (
+	"testing"
 
-// TestAllocBudgets is the runtime half of the hot-path allocation
-// contract (molint's alloc-hot check is the static half): the
-// refinement sweep allocates nothing. The race detector changes
-// allocation counts, hence the build constraint.
+	"movingdb/internal/allocbudget"
+)
+
+// TestAllocBudgets: the refinement sweep (Sweep.Next) allocates nothing.
 func TestAllocBudgets(t *testing.T) {
-	r := testing.Benchmark(BenchmarkSweep)
-	if r.N == 0 {
-		t.Fatal("BenchmarkSweep did not run")
-	}
-	if r.AllocsPerOp() != 0 || r.AllocedBytesPerOp() != 0 {
-		t.Errorf("BenchmarkSweep: %d allocs/op, %d B/op; budget 0", r.AllocsPerOp(), r.AllocedBytesPerOp())
-	}
+	allocbudget.Check(t,
+		allocbudget.Budget{Name: "BenchmarkSweep", Bench: BenchmarkSweep},
+	)
 }

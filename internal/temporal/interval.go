@@ -58,11 +58,9 @@ func AtInstant(t Instant) Interval { return Interval{Start: t, End: t, LC: true,
 // degenerate interval is closed on both sides.
 func (i Interval) Validate() error {
 	if !(i.Start <= i.End) { // also rejects NaN
-		// moguard: allocok error construction runs only on the rejection path, never on an accepted observation
 		return fmt.Errorf("%w: start %v after end %v", ErrInvalidInterval, i.Start, i.End)
 	}
 	if i.Start == i.End && !(i.LC && i.RC) {
-		// moguard: allocok error construction runs only on the rejection path, never on an accepted observation
 		return fmt.Errorf("%w: degenerate interval at %v must be closed", ErrInvalidInterval, i.Start)
 	}
 	return nil

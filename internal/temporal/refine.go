@@ -73,8 +73,6 @@ func NewSweep[A, B Spanned](a []A, b []B) Sweep[A, B] {
 
 // Next returns the next piece of the partition; ok is false when both
 // sequences are exhausted.
-//
-// moguard: hotpath
 func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
 	// Drop the intervals that end at or before the current boundary.
 	for s.i < len(s.a) && !s.at.less(s.ia.hi()) {

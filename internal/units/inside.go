@@ -27,8 +27,6 @@ import (
 // the k crossings, matching the complexity stated in the paper. The
 // moving segments are walked in place and the boolean units are appended
 // to dst, so a caller that reuses dst pays no allocation per unit pair.
-//
-// moguard: hotpath
 func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 	iv, ok := up.Iv.Intersect(ur.Iv)
 	if !ok {

@@ -22,7 +22,6 @@ var ErrInvalidUnit = errors.New("units: invalid unit")
 // time t0 and point q at time t1. It requires t0 ≠ t1.
 func MPointThrough(t0 temporal.Instant, p geom.Point, t1 temporal.Instant, q geom.Point) (MPoint, error) {
 	if t0 == t1 {
-		// moguard: allocok error construction runs only on the degenerate-input path
 		return MPoint{}, fmt.Errorf("%w: motion through two points needs distinct instants", ErrInvalidUnit)
 	}
 	dt := float64(t1 - t0)
