@@ -22,9 +22,10 @@ lint:
 	$(GO) run ./cmd/molint ./...
 
 # Run the paper-kernel tests with the runtime invariant assertions
-# compiled in (sliced-representation and halfsegment-order checks).
+# compiled in (sliced-representation and halfsegment-order checks, and
+# the executor re-running the kernels on every pair its filter skips).
 debugcheck:
-	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving
+	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
 # vet, race-enabled tests, the faultinject build variant, and a fuzz
@@ -39,12 +40,13 @@ verify:
 chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
-# Fuzz the WAL recovery decoders, the refinement sweep, the index
-# ladder and the server's two wire scanners (longer than the verify
-# smoke runs).
+# Fuzz the WAL recovery decoders, the refinement sweep, the join
+# filters, the index ladder and the server's two wire scanners (longer
+# than the verify smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
+	$(GO) test -run='^$$' -fuzz=FuzzFilterConservative -fuzztime=60s -fuzzminimizetime=1s ./internal/moving
 	$(GO) test -run='^$$' -fuzz=FuzzDynamic -fuzztime=60s ./internal/index
 	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=60s -fuzzminimizetime=1s ./internal/server

@@ -3,7 +3,7 @@ package db
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Aggregation: COUNT / SUM / AVG / MIN / MAX with optional GROUP BY over
@@ -159,6 +159,28 @@ func (a *accumulator) resultType() AttrType {
 	return a.typ
 }
 
+// appendGroupKey appends the encoding of one grouping value to a group's
+// map key so that two rows share a key exactly when cmpKeys calls all
+// their grouping values equal: strings are length-prefixed (a separator
+// could occur inside one), and the two zeros of a real share one
+// spelling.
+func appendGroupKey(key []byte, v any) []byte {
+	switch x := v.(type) {
+	case string:
+		key = strconv.AppendInt(key, int64(len(x)), 10)
+		key = append(key, ':')
+		return append(key, x...)
+	case float64:
+		if x == 0 { // both zeros: -0 takes the spelling of +0, as cmpKeys orders them equal
+			x = 0
+		}
+		key = strconv.AppendFloat(key, x, 'g', -1, 64)
+	default:
+		key = fmt.Append(key, v)
+	}
+	return append(key, 0)
+}
+
 // runAggregate executes an aggregate-mode query.
 func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relation, error) {
 	// Classify the select items: group column or aggregate.
@@ -237,81 +259,57 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 		accs    []*accumulator
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group // first-seen order, which the result keeps
+	newGroup := func(keyVals []any) *group {
+		gr := &group{keyVals: keyVals}
+		for _, oc := range cols {
+			if oc.isGroup {
+				gr.accs = append(gr.accs, nil)
+				continue
+			}
+			gr.accs = append(gr.accs, &accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp})
+		}
+		order = append(order, gr)
+		return gr
+	}
 
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(env.binds) {
-			if err := env.checkCancel(); err != nil {
+	var key []byte
+	err := env.forEachRow(stmt, func() error {
+		keyVals := make([]any, len(groupKeys))
+		key = key[:0]
+		for k, g := range groupKeys {
+			v, err := env.eval(g)
+			if err != nil {
 				return err
 			}
-			if stmt.where != nil {
-				keep, err := env.eval(stmt.where)
-				if err != nil {
-					return err
-				}
-				if b, isB := keep.(bool); !isB || !b {
-					return nil
-				}
-			}
-			keyVals := make([]any, len(groupKeys))
-			var key strings.Builder
-			for k, g := range groupKeys {
-				v, err := env.eval(g)
-				if err != nil {
-					return err
-				}
-				keyVals[k] = v
-				fmt.Fprintf(&key, "%v\x00", v)
-			}
-			gr, ok := groups[key.String()]
-			if !ok {
-				gr = &group{keyVals: keyVals}
-				for _, oc := range cols {
-					if oc.isGroup {
-						gr.accs = append(gr.accs, nil)
-						continue
-					}
-					gr.accs = append(gr.accs, &accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp})
-				}
-				groups[key.String()] = gr
-				order = append(order, key.String())
-			}
-			for _, acc := range gr.accs {
-				if acc == nil {
-					continue
-				}
-				if err := acc.add(env); err != nil {
-					return err
-				}
-			}
-			return nil
+			keyVals[k] = v
+			key = appendGroupKey(key, v)
 		}
-		for _, t := range env.binds[i].rel.Scan() {
-			env.tuples[i] = t
-			if err := rec(i + 1); err != nil {
+		gr, ok := groups[string(key)]
+		if !ok {
+			gr = newGroup(keyVals)
+			groups[string(key)] = gr
+		}
+		for _, acc := range gr.accs {
+			if acc == nil {
+				continue
+			}
+			if err := acc.add(env); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	env.tuples = make([]Tuple, len(env.binds))
-	if err := rec(0); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	// A global aggregate over zero rows still yields one row.
-	if len(stmt.groupBy) == 0 && len(groups) == 0 {
-		gr := &group{}
-		for _, oc := range cols {
-			gr.accs = append(gr.accs, &accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp})
-		}
-		groups[""] = gr
-		order = append(order, "")
+	if len(stmt.groupBy) == 0 && len(order) == 0 {
+		newGroup(nil)
 	}
 
 	out := NewRelation("query", schema)
-	for _, k := range order {
-		gr := groups[k]
+	for _, gr := range order {
 		row := make(Tuple, len(cols))
 		for i, oc := range cols {
 			if oc.isGroup {

@@ -7,12 +7,8 @@ import (
 	"movingdb/internal/workload"
 )
 
-// BenchmarkJoinInside is the planes × storms join the analytics
-// workload's costliest statement is shaped like, on a 20 × 4 catalog:
-// per row the executor evaluates a bound predicate whose cost is the
-// inside kernel, and TestAllocBudgets holds what it allocates besides.
-func BenchmarkJoinInside(b *testing.B) {
-	g := workload.New(2000)
+// benchPlanes is the 20-flight relation of the join benchmarks.
+func benchPlanes(g *workload.Gen) *Relation {
 	planes := NewRelation("planes", Schema{
 		{Name: "id", Type: TString},
 		{Name: "flight", Type: TMPoint},
@@ -20,6 +16,16 @@ func BenchmarkJoinInside(b *testing.B) {
 	for _, f := range g.Flights(20, 200) {
 		planes.MustInsert(Tuple{f.ID, f.Flight})
 	}
+	return planes
+}
+
+// BenchmarkJoinInside is the planes × storms join of the analytics
+// workload's template a, on a 20 × 4 catalog: per row the executor asks
+// the filter and runs the inside kernel only on the pairs it cannot
+// exclude; TestAllocBudgets holds what the statement allocates.
+func BenchmarkJoinInside(b *testing.B) {
+	g := workload.New(2000)
+	planes := benchPlanes(g)
 	storms := NewRelation("storms", Schema{
 		{Name: "name", Type: TString},
 		{Name: "extent", Type: TMRegion},
@@ -38,6 +44,25 @@ func BenchmarkJoinInside(b *testing.B) {
 		}
 		if res.Len() == 0 {
 			b.Fatal("no plane meets a storm")
+		}
+	}
+}
+
+// BenchmarkJoinDistance is the self-join of the analytics workload's
+// template b on 20 planes: 190 ordered pairs through the distance
+// filter, the distance → atmin → initial → val chain on the survivors.
+func BenchmarkJoinDistance(b *testing.B) {
+	cat := Catalog{"planes": benchPlanes(workload.New(2000))}
+	const sql = "SELECT p.id, q.id FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 15"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Query(cat, sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() == 0 {
+			b.Fatal("no two planes come within 15")
 		}
 	}
 }

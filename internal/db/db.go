@@ -117,6 +117,7 @@ type Relation struct {
 	Name   string
 	Schema Schema
 	tuples []Tuple
+	sum    relBounds // filter summaries of tuples, see filter.go
 }
 
 // NewRelation returns an empty relation with the given schema.
@@ -135,6 +136,7 @@ func (r *Relation) Insert(t Tuple) error {
 		}
 	}
 	r.tuples = append(r.tuples, t)
+	r.sum = relBounds{} // rebuilt by the next query that filters on r
 	return nil
 }
 

@@ -186,14 +186,18 @@ type binding struct {
 
 type queryEnv struct {
 	binds []binding
-	// tuple values per from-item, set during evaluation.
+	// The current row: per from-item its tuple and the tuple's position
+	// in the relation (which the guards' summaries are indexed by), set
+	// by forEachRow.
 	tuples []Tuple
+	rows   []int
 	// ctx carries the request deadline; rec, when non-nil, receives
-	// per-operator timings; steps counts evaluated rows for the
-	// periodic cancellation check.
-	ctx   context.Context
-	rec   *obs.Metrics
-	steps int
+	// per-operator timings and the filter outcomes; steps counts
+	// evaluated rows for the periodic cancellation check.
+	ctx    context.Context
+	rec    *obs.Metrics
+	steps  int
+	filter [numShapes]filterCounts
 }
 
 // cancelCheckRows is how many candidate rows the evaluation loops
@@ -239,7 +243,8 @@ func (q *queryEnv) resolve(c colRef) (int, int, error) {
 // column reference becomes a slot, every call an apply carrying the
 // overload its argument types select. It runs once per expression per
 // query; eval then runs per row on the bound tree without resolving
-// names, typing arguments or searching overloads again.
+// names, typing arguments or searching overloads again. A node of one of
+// the filtered predicate shapes is bound as a guard (filter.go).
 func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 	switch ex := e.(type) {
 	case numLit:
@@ -299,7 +304,7 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 			}
 			switch lt {
 			case TReal, TInt, TString, TBool:
-				return bound, TBool, nil
+				return q.guarded(bound), TBool, nil
 			}
 			return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
 		}
@@ -320,7 +325,7 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 			return nil, 0, err
 		}
 		ex.args = args // ex is this case's copy of the node
-		return apply{call: ex, ov: ov, argv: make([]any, len(args))}, ov.ret, nil
+		return q.guarded(apply{call: ex, ov: ov, argv: make([]any, len(args))}), ov.ret, nil
 	case starArg:
 		return nil, 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
 	}
@@ -455,6 +460,8 @@ func (q *queryEnv) eval(e expr) (any, error) {
 			return v, err
 		}
 		return ex.ov.fn(q.ctx, ex.argv)
+	case *guard:
+		return q.evalGuard(ex)
 	}
 	return nil, fmt.Errorf("%w: unbound expression %v", ErrType, e)
 }
@@ -537,6 +544,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		return nil, err
 	}
 	env := &queryEnv{ctx: ctx, rec: obs.FromContext(ctx)}
+	defer env.flushFilterCounts()
 	for _, f := range stmt.from {
 		rel, ok := cat[f.rel]
 		if !ok {
@@ -628,53 +636,29 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	out := NewRelation("query", schema)
 	var sortKeys [][]any
 
-	// Cross product over the FROM relations.
-	env.tuples = make([]Tuple, len(env.binds))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(env.binds) {
-			if err := env.checkCancel(); err != nil {
+	err = env.forEachRow(stmt, func() error {
+		row := make(Tuple, len(project))
+		for k, e := range project {
+			v, err := env.eval(e)
+			if err != nil {
 				return err
 			}
-			if stmt.where != nil {
-				keep, err := env.eval(stmt.where)
+			row[k] = v
+		}
+		if len(stmt.orderBy) > 0 {
+			keys := make([]any, len(stmt.orderBy))
+			for k, ob := range stmt.orderBy {
+				v, err := env.eval(ob.e)
 				if err != nil {
 					return err
 				}
-				if b, isB := keep.(bool); !isB || !b {
-					return nil // ⊥ filters the row, like SQL NULL
-				}
+				keys[k] = v
 			}
-			row := make(Tuple, len(project))
-			for k, e := range project {
-				v, err := env.eval(e)
-				if err != nil {
-					return err
-				}
-				row[k] = v
-			}
-			if len(stmt.orderBy) > 0 {
-				keys := make([]any, len(stmt.orderBy))
-				for k, ob := range stmt.orderBy {
-					v, err := env.eval(ob.e)
-					if err != nil {
-						return err
-					}
-					keys[k] = v
-				}
-				sortKeys = append(sortKeys, keys)
-			}
-			return out.Insert(row)
+			sortKeys = append(sortKeys, keys)
 		}
-		for _, t := range env.binds[i].rel.Scan() {
-			env.tuples[i] = t
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
+		return out.Insert(row)
+	})
+	if err != nil {
 		return nil, err
 	}
 	if len(stmt.orderBy) > 0 {
@@ -701,6 +685,41 @@ func (q *queryEnv) bindWhere(stmt *selectStmt) error {
 	}
 	stmt.where = where
 	return nil
+}
+
+// forEachRow is the executor's one row loop: it runs fn on every row of
+// the cross product of the FROM relations, in nested-loop order, that
+// the bound WHERE clause keeps, checking for cancellation as it goes.
+// During fn the row is q.tuples and q.rows.
+func (q *queryEnv) forEachRow(stmt *selectStmt, fn func() error) error {
+	q.tuples = make([]Tuple, len(q.binds))
+	q.rows = make([]int, len(q.binds))
+	var rec func(i int) error
+	rec = func(i int) error {
+		if i == len(q.binds) {
+			if err := q.checkCancel(); err != nil {
+				return err
+			}
+			if stmt.where != nil {
+				keep, err := q.eval(stmt.where)
+				if err != nil {
+					return err
+				}
+				if b, isB := keep.(bool); !isB || !b {
+					return nil // ⊥ filters the row, like SQL NULL
+				}
+			}
+			return fn()
+		}
+		for k, t := range q.binds[i].rel.Scan() {
+			q.tuples[i], q.rows[i] = t, k
+			if err := rec(i + 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return rec(0)
 }
 
 // sortRelation stably sorts the result rows by the evaluated ORDER BY

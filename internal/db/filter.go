@@ -1,0 +1,237 @@
+package db
+
+import (
+	"fmt"
+	"sync"
+
+	"movingdb/internal/moving"
+)
+
+// The filter step of the executor. Two lifted predicates make up the
+// join workload — "was the point ever inside the region" and "did the
+// two points ever come within c" — and for both the moving package can
+// tell from bounding boxes that a pair never qualifies. bind recognises
+// the shapes once per query and wraps them in a guard; per row the guard
+// asks the filter first and runs the Section 5 kernels only for the
+// pairs it cannot exclude. A guard yields exactly what its kernels would
+// have, so it is valid wherever the expression stands (under NOT or OR,
+// in a projection, in ORDER BY), and rows keep nested-loop order.
+
+// relBounds holds the filter summaries of a relation: per mpoint or
+// mregion column, one summary per tuple, in tuple order. It lives
+// beside the tuples, is built by the first query that binds a guard on
+// the relation and is discarded by Insert.
+type relBounds struct {
+	once    sync.Once
+	points  [][]moving.PointBounds  // by column; nil unless the column is an mpoint
+	regions [][]moving.RegionBounds // by column; nil unless the column is an mregion
+}
+
+// bounds returns the relation's filter summaries, building them on
+// first use. Concurrent first queries build them once.
+func (r *Relation) bounds() *relBounds {
+	b := &r.sum
+	b.once.Do(func() {
+		b.points = make([][]moving.PointBounds, len(r.Schema))
+		b.regions = make([][]moving.RegionBounds, len(r.Schema))
+		for c, col := range r.Schema {
+			switch col.Type {
+			case TMPoint:
+				pbs := make([]moving.PointBounds, len(r.tuples))
+				for i, t := range r.tuples {
+					pbs[i] = t[c].(moving.MPoint).Bounds()
+				}
+				b.points[c] = pbs
+			case TMRegion:
+				rbs := make([]moving.RegionBounds, len(r.tuples))
+				for i, t := range r.tuples {
+					rbs[i] = t[c].(moving.MRegion).Bounds()
+				}
+				b.regions[c] = rbs
+			}
+		}
+	})
+	return b
+}
+
+// filterShape names a guarded predicate shape; it indexes the per-query
+// outcome counts and labels them in the metrics.
+type filterShape int
+
+const (
+	shapeInside filterShape = iota // sometimes(inside(mpoint, mregion))
+	shapeWithin                    // min / val(initial(atmin)) of distance(mpoint, mpoint), compared with a literal
+	numShapes
+)
+
+var shapeNames = [numShapes]string{"inside", "within"}
+
+// filterCounts tallies a query's filter outcomes for one shape in plain
+// ints; QueryContext flushes them to the metrics registry once.
+type filterCounts struct {
+	checked   int
+	skippedAt [moving.NoUnit + 1]int // by verdict; [moving.MayHold] stays 0
+}
+
+// guard is a bound predicate of a filtered shape over two column slots.
+// The embedded expression is the predicate as bound, evaluated when the
+// filter cannot exclude the pair; otherwise the guard is false, which is
+// what the kernels yield for a pair the filter excludes: sometimes of an
+// all-false or empty mbool, a comparison with ⊥ (no common lifetime), a
+// minimum above the literal.
+type guard struct {
+	expr
+	shape   filterShape
+	a, b    slot
+	c       float64 // shapeWithin: the distance literal
+	points  [2][]moving.PointBounds
+	regions []moving.RegionBounds // shapeInside: summaries of b's column
+}
+
+// verdict runs the filter on the current row's pair.
+func (g *guard) verdict(q *queryEnv) moving.Verdict {
+	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
+	p := q.tuples[g.a.from][g.a.col].(moving.MPoint)
+	if g.shape == shapeInside {
+		return moving.MayBeInside(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MRegion), g.regions[rb])
+	}
+	return moving.MayComeWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
+}
+
+// evalGuard answers a guarded predicate for the current row.
+func (q *queryEnv) evalGuard(g *guard) (any, error) {
+	n := &q.filter[g.shape]
+	n.checked++
+	v := g.verdict(q)
+	if v == moving.MayHold {
+		return q.eval(g.expr)
+	}
+	n.skippedAt[v]++
+	if debugFilter {
+		got, err := q.eval(g.expr)
+		if err != nil {
+			return nil, err // cancelled mid-kernel: nothing to compare
+		}
+		if got != false {
+			panic(fmt.Sprintf("debugcheck: db filter skipped %v on rows %v, but the kernels yield %v", g.expr, q.rows, got))
+		}
+	}
+	return false, nil
+}
+
+// flushFilterCounts reports the query's filter outcomes to the metrics
+// registry: one call per shape the query exercised.
+func (q *queryEnv) flushFilterCounts() {
+	for s, n := range q.filter {
+		if n.checked > 0 {
+			q.rec.RecordFilter(shapeNames[s], n.checked, n.skippedAt[moving.NoObject], n.skippedAt[moving.NoUnit])
+		}
+	}
+}
+
+// applyOf returns e as the bound call of the named operation on the
+// given argument types — a match on the overload bind selected, not on
+// the query text.
+func applyOf(e expr, fn string, args ...AttrType) (apply, bool) {
+	ap, ok := e.(apply)
+	if !ok || ap.fn != fn || len(ap.ov.args) != len(args) {
+		return apply{}, false
+	}
+	for i, t := range args {
+		if ap.ov.args[i] != t {
+			return apply{}, false
+		}
+	}
+	return ap, true
+}
+
+// slotPair returns the two arguments of a bound binary call when both
+// are plain column slots.
+func slotPair(ap apply) (a, b slot, ok bool) {
+	a, okA := ap.args[0].(slot)
+	b, okB := ap.args[1].(slot)
+	return a, b, okA && okB
+}
+
+// numConst returns the value of a numeric literal, plain or negated.
+func numConst(e expr) (float64, bool) {
+	sign := 1.0
+	if neg, isNeg := e.(negop); isNeg {
+		sign, e = -1, neg.e
+	}
+	lit, ok := e.(numLit)
+	return sign * lit.v, ok
+}
+
+// minDistance matches the two spellings of the closest approach of two
+// point columns: min(distance(a, b)) and val(initial(atmin(distance(a, b)))).
+func minDistance(e expr) (a, b slot, ok bool) {
+	inner, isMin := applyOf(e, "min", TMReal)
+	if !isMin {
+		val, isVal := applyOf(e, "val", TIReal)
+		if !isVal {
+			return a, b, false
+		}
+		initial, isInitial := applyOf(val.args[0], "initial", TMReal)
+		if !isInitial {
+			return a, b, false
+		}
+		if inner, ok = applyOf(initial.args[0], "atmin", TMReal); !ok {
+			return a, b, false
+		}
+	}
+	dist, isDist := applyOf(inner.args[0], "distance", TMPoint, TMPoint)
+	if !isDist {
+		return a, b, false
+	}
+	return slotPair(dist)
+}
+
+// boundsOf returns the summaries of the relation a slot reads from.
+func (q *queryEnv) boundsOf(s slot) *relBounds { return q.binds[s.from].rel.bounds() }
+
+// guarded wraps a freshly bound node in a guard when it has one of the
+// filtered shapes, and returns it unchanged otherwise.
+func (q *queryEnv) guarded(e expr) expr {
+	switch ex := e.(type) {
+	case apply:
+		if _, ok := applyOf(ex, "sometimes", TMBool); !ok {
+			return e
+		}
+		inside, ok := applyOf(ex.args[0], "inside", TMPoint, TMRegion)
+		if !ok {
+			return e
+		}
+		a, b, ok := slotPair(inside)
+		if !ok {
+			return e
+		}
+		g := &guard{expr: e, shape: shapeInside, a: a, b: b}
+		g.points[0] = q.boundsOf(a).points[a.col]
+		g.regions = q.boundsOf(b).regions[b.col]
+		return g
+	case binop:
+		// min < c, min <= c, and the mirrored c > min, c >= min.
+		dist, lit := ex.l, ex.r
+		switch ex.op {
+		case "<", "<=":
+		case ">", ">=":
+			dist, lit = ex.r, ex.l
+		default:
+			return e
+		}
+		c, ok := numConst(lit)
+		if !ok {
+			return e
+		}
+		a, b, ok := minDistance(dist)
+		if !ok {
+			return e
+		}
+		g := &guard{expr: e, shape: shapeWithin, a: a, b: b, c: c}
+		g.points[0] = q.boundsOf(a).points[a.col]
+		g.points[1] = q.boundsOf(b).points[b.col]
+		return g
+	}
+	return e
+}

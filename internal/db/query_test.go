@@ -541,3 +541,36 @@ func TestQueryAggregates(t *testing.T) {
 		t.Errorf("scalar-mode rows = %d", res.Len())
 	}
 }
+
+// Two rows share a group exactly when their grouping values are equal:
+// not when their printed forms happen to concatenate alike
+// (TestGroupByStringKeys), and not apart when the values differ only in
+// the sign of zero (TestGroupByZeroKeys).
+
+func groupKeyCatalog() Catalog {
+	r := NewRelation("r", Schema{{Name: "a", Type: TString}, {Name: "b", Type: TString}, {Name: "x", Type: TReal}})
+	r.MustInsert(Tuple{"a\x00", "b", 0.0})
+	r.MustInsert(Tuple{"a", "\x00b", math.Copysign(0, -1)})
+	r.MustInsert(Tuple{"a", "\x00b", 1.0})
+	return Catalog{"r": r}
+}
+
+func TestGroupByStringKeys(t *testing.T) {
+	res, err := Query(groupKeyCatalog(), "SELECT a, b, count(*) AS n FROM r GROUP BY a, b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 2 || res.Scan()[0][2].(int64) != 1 || res.Scan()[1][2].(int64) != 2 {
+		t.Errorf(`("a\x00", "b") and ("a", "\x00b") must be two groups of 1 and 2 rows, got %q`, res.Scan())
+	}
+}
+
+func TestGroupByZeroKeys(t *testing.T) {
+	res, err := Query(groupKeyCatalog(), "SELECT x, count(*) AS n FROM r GROUP BY x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 2 || res.Scan()[0][1].(int64) != 2 || res.Scan()[1][1].(int64) != 1 {
+		t.Errorf("0 and -0 must be one group of 2 rows beside the group of 1, got %v", res.Scan())
+	}
+}

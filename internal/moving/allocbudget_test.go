@@ -13,10 +13,13 @@ import (
 // segments, cubes, roots and crossings are all walked or held by value.
 // Inside (InsideCtx over units.UPointInsideURegion) grows its result by
 // append (a flight meets a storm in one to four boolean units); Distance
-// sizes its result once, AtMin allocates the second array.
+// sizes its result once, AtMin allocates the second array. The two
+// filters read stored summaries and the unit arrays: nothing.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkInside", Bench: BenchmarkInside, MaxAllocs: 1, MaxBytes: 128},
 		allocbudget.Budget{Name: "BenchmarkDistanceAtMinInitial", Bench: BenchmarkDistanceAtMinInitial, MaxAllocs: 2, MaxBytes: 640},
+		allocbudget.Budget{Name: "BenchmarkMayBeInside", Bench: BenchmarkMayBeInside, MaxAllocs: 0, MaxBytes: 0},
+		allocbudget.Budget{Name: "BenchmarkMayComeWithin", Bench: BenchmarkMayComeWithin, MaxAllocs: 0, MaxBytes: 0},
 	)
 }

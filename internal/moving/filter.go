@@ -1,0 +1,168 @@
+package moving
+
+import (
+	"math"
+
+	"movingdb/internal/geom"
+	"movingdb/internal/temporal"
+)
+
+// The filter step of a filter-and-refine join (Section 4.2 stores a
+// bounding cube with every spatial unit for exactly this): two
+// conservative predicates that decide from bounding boxes alone that a
+// lifted predicate can never hold for a pair, so that the Section 5
+// kernel need not run. A filter may err only towards MayHold — what it
+// rejects is provably false. Each runs an object-level test on
+// summaries computed once per value (PointBounds, RegionBounds) and then
+// a unit-level pass along the common pieces of the two unit arrays, the
+// same seeking sweep the kernels use, and allocates nothing.
+
+// Verdict is the outcome of a filter for one pair.
+type Verdict uint8
+
+const (
+	// MayHold: the boxes do not exclude the pair; the kernel decides.
+	MayHold Verdict = iota
+	// NoObject: excluded by the whole-value summaries.
+	NoObject
+	// NoUnit: excluded on every common piece of the two unit arrays.
+	NoUnit
+)
+
+// PointBounds summarises a moving point for the filters: the closed hull
+// of its definition time (Start > End for the empty value), the box of
+// the whole movement, and Mag, a bound on the magnitude of every
+// intermediate the distance kernel forms — the largest
+// |X0| + |Y0| + (|X1| + |Y1|)·|t| over the units and their instants —
+// which scales the distance filter's rounding margin. A value whose Mag
+// is not finite (an unbounded interval, non-finite coefficients) is
+// never filtered.
+type PointBounds struct {
+	Start, End temporal.Instant
+	Box        geom.Rect
+	Mag        float64
+}
+
+// Bounds computes the moving point's filter summary.
+func (p MPoint) Bounds() PointBounds {
+	b := PointBounds{Start: temporal.PosInf, End: temporal.NegInf, Box: p.BBox()}
+	us := p.M.Units()
+	if len(us) == 0 {
+		return b
+	}
+	b.Start, b.End = us[0].Iv.Start, us[len(us)-1].Iv.End
+	for _, u := range us {
+		t := math.Max(math.Abs(float64(u.Iv.Start)), math.Abs(float64(u.Iv.End)))
+		b.Mag = math.Max(b.Mag, math.Abs(u.M.X0)+math.Abs(u.M.Y0)+(math.Abs(u.M.X1)+math.Abs(u.M.Y1))*t)
+	}
+	if !finite(b.Mag) {
+		b.Mag = math.Inf(1) // NaN (0·∞) included: comparisons must fail closed
+	}
+	return b
+}
+
+// RegionBounds summarises a moving region: the cube of the whole value
+// and, per unit, the spatial rectangle of that unit's bounding cube
+// (its time extent is the unit interval, which the unit array already
+// holds). A rectangle poisoned by NaN (a static vertex over an unbounded
+// interval evaluates 0·∞) is widened to the whole plane.
+type RegionBounds struct {
+	Cube  geom.Cube
+	Units []geom.Rect
+}
+
+// Bounds computes the moving region's filter summary: one cube
+// evaluation per unit.
+func (r MRegion) Bounds() RegionBounds {
+	us := r.M.Units()
+	b := RegionBounds{Cube: geom.EmptyCube(), Units: make([]geom.Rect, len(us))}
+	for i, u := range us {
+		c := u.Cube()
+		if !c.Rect.IsEmpty() && !(c.Rect.MinX <= c.Rect.MaxX && c.Rect.MinY <= c.Rect.MaxY) {
+			inf := math.Inf(1)
+			c.Rect = geom.Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
+		}
+		b.Units[i] = c.Rect
+		b.Cube = b.Cube.Union(c)
+	}
+	return b
+}
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+
+// MayBeInside reports whether boxes allow p to be inside r at some
+// instant; pb and rb are p.Bounds() and r.Bounds(). Any verdict but
+// MayHold implies !p.Inside(r).Sometimes().
+//
+// It needs no tolerance: a unit's motion is linear and floating-point
+// evaluation of x0 + x1·t is monotone in t, so the position at any
+// instant of a piece lies within the positions at the ends of the whole
+// unit. The sliced point box tested here is the very box
+// UPointInsideURegion computes, the stored region rectangle contains the
+// sliced one it computes, and so a piece rejected here is a piece the
+// kernel's own cube test answers false for.
+func MayBeInside(p MPoint, pb PointBounds, r MRegion, rb RegionBounds) Verdict {
+	if !finite(pb.Mag) {
+		return MayHold
+	}
+	if !(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect) {
+		return NoObject
+	}
+	pu := p.M.Units()
+	sw := temporal.NewSweep(pu, r.M.Units())
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+		if pu[ri.A].WithInterval(ri.Iv).BBox().Intersects(rb.Units[ri.B]) {
+			return MayHold
+		}
+	}
+	return NoUnit
+}
+
+// withinMargin scales the rounding margin of MayComeWithin: the filter
+// rejects only when the box distance exceeds c by more than
+// withinMargin·(1 + |c| + pb.Mag + qb.Mag).
+//
+// Why that dominates the kernels' rounding: whatever min, or
+// val(initial(atmin(·))), reports is the root of the quadratic
+// UPoint.DistanceTo formed, evaluated at an instant of a common piece.
+// DistanceTo builds |Δ0 + Δ1·t|² from coefficient differences of
+// magnitude at most W = pb.Mag + qb.Mag, so the evaluated radicand is
+// off by a few dozen ulps of W² — below 10⁻¹⁴·W² — from the exact
+// squared distance D², and D is at least the box distance up to a few
+// ulps of W. With box distance > c + 10⁻⁶·(1 + |c| + W) the radicand
+// stays above c² + 10⁻¹²·W² − 10⁻¹⁴·W²: positive (never a NaN root) and
+// its root above c. The 1 + |c| part absorbs the rounding of the
+// squared comparison itself.
+const withinMargin = 1e-6
+
+// MayComeWithin reports whether boxes allow p and q to come within
+// distance c of each other (c ≤ 0 is treated as 0); pb and qb are their
+// Bounds(). Any verdict but MayHold implies that p.Distance(q) is
+// nowhere defined or that its minimum — as Min reports it and as
+// val(initial(atmin(·))) reports it — exceeds c.
+func MayComeWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) Verdict {
+	limit := math.Max(c, 0)
+	limit += withinMargin * (1 + limit + pb.Mag + qb.Mag)
+	if !finite(limit) {
+		return MayHold
+	}
+	if !(pb.Start <= qb.End && qb.Start <= pb.End) || beyond(pb.Box, qb.Box, limit) {
+		return NoObject
+	}
+	pu, qu := p.M.Units(), q.M.Units()
+	sw := temporal.NewSweep(pu, qu)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+		if !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox(), limit) {
+			return MayHold
+		}
+	}
+	return NoUnit
+}
+
+// beyond reports whether every point of a is farther than d from every
+// point of b. Empty rectangles are beyond everything.
+func beyond(a, b geom.Rect, d float64) bool {
+	dx := math.Max(0, math.Max(a.MinX-b.MaxX, b.MinX-a.MaxX))
+	dy := math.Max(0, math.Max(a.MinY-b.MaxY, b.MinY-a.MaxY))
+	return dx*dx+dy*dy > d*d
+}

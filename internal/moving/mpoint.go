@@ -263,15 +263,12 @@ func (p MPoint) InsideCtx(ctx context.Context, r MRegion) (MBool, error) {
 	pieces := buf[:0]
 	sw := temporal.NewSweep(pu, ru)
 	for i := 0; ; i++ {
-		ri, ok := sw.Next()
+		ri, ok := sw.NextCommon()
 		if !ok {
 			break
 		}
 		if err := cancelCheck(ctx, i); err != nil {
 			return MBool{}, err
-		}
-		if ri.A < 0 || ri.B < 0 {
-			continue
 		}
 		up := pu[ri.A].WithInterval(ri.Iv)
 		ur := ru[ri.B].WithInterval(ri.Iv)

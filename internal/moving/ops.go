@@ -196,15 +196,12 @@ func (r MRegion) IntersectsCtx(ctx context.Context, s MRegion) (MBool, error) {
 	var pieces []units.UBool
 	sw := temporal.NewSweep(ru, su)
 	for i := 0; ; i++ {
-		ri, ok := sw.Next()
+		ri, ok := sw.NextCommon()
 		if !ok {
 			break
 		}
 		if err := cancelCheck(ctx, i); err != nil {
 			return MBool{}, err
-		}
-		if ri.A < 0 || ri.B < 0 {
-			continue
 		}
 		ua := ru[ri.A].WithInterval(ri.Iv)
 		ub := su[ri.B].WithInterval(ri.Iv)

@@ -188,7 +188,10 @@ type Metrics struct {
 	start  time.Time
 	routes family[routeHist]
 	ops    family[Timing]
-	slow   slowRing
+	// filters counts, per guarded predicate shape, what the executor's
+	// filter step did with the candidate pairs; see RecordFilter.
+	filters family[filterSeries]
+	slow    slowRing
 
 	// Ingest is the write path: batch admission at the gate, flush
 	// application, index and WAL maintenance.
@@ -269,6 +272,25 @@ func (m *Metrics) RecordOp(name string, d time.Duration) {
 	m.ops.get(name).Observe(d)
 }
 
+// filterSeries is the outcome of the executor's filter step for one
+// predicate shape: pairs checked and pairs excluded at each level.
+type filterSeries struct{ checked, skippedObject, skippedUnit Counter }
+
+// RecordFilter adds one query's filter outcomes for the named predicate
+// shape ("inside", "within"): candidate pairs checked, and of those the
+// pairs excluded by the whole-object summaries and by the unit-level
+// pass. The evaluator tallies in plain ints and calls this once per
+// query and shape; the pairs that reached the kernels are the rest.
+func (m *Metrics) RecordFilter(shape string, checked, skippedObject, skippedUnit int) {
+	if m == nil {
+		return
+	}
+	f := m.filters.get(shape)
+	f.checked.Add(int64(checked))
+	f.skippedObject.Add(int64(skippedObject))
+	f.skippedUnit.Add(int64(skippedUnit))
+}
+
 // RecordIngestCause counts n write-path fault events of the named
 // cause — "wal_retry", "dead_letter", "degraded_fast_fail",
 // "checkpoint_failed", "epoch_publish_deferred", and
@@ -333,6 +355,17 @@ type OpSnapshot struct {
 	MaxMicros float64 `json:"max_us"`
 }
 
+// FilterSnapshot is the JSON form of one predicate shape's filter
+// outcomes. Kernel counts the pairs the filter could not exclude, so
+// kernel / checked is the share of attempted pairs that cost a Section 5
+// kernel run.
+type FilterSnapshot struct {
+	Checked       int64 `json:"checked"`
+	SkippedObject int64 `json:"skipped_object"`
+	SkippedUnit   int64 `json:"skipped_unit"`
+	Kernel        int64 `json:"kernel"`
+}
+
 // IngestSnapshot is the JSON form of the write-path counters.
 type IngestSnapshot struct {
 	Batches            int64   `json:"batches"`
@@ -389,14 +422,15 @@ type LiveSnapshot struct {
 
 // Snapshot is the full registry state served at /v1/metrics.
 type Snapshot struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Requests      map[string]RouteSnapshot `json:"requests"`
-	Operators     map[string]OpSnapshot    `json:"operators"`
-	SlowQueries   []SlowQuery              `json:"slow_queries"`
-	Ingest        IngestSnapshot           `json:"ingest"`
-	Cache         CacheSnapshot            `json:"cache"`
-	Epoch         EpochSnapshot            `json:"epoch"`
-	Live          LiveSnapshot             `json:"live"`
+	UptimeSeconds float64                   `json:"uptime_seconds"`
+	Requests      map[string]RouteSnapshot  `json:"requests"`
+	Operators     map[string]OpSnapshot     `json:"operators"`
+	Filters       map[string]FilterSnapshot `json:"filters"` // by predicate shape; empty until a filtered query ran
+	SlowQueries   []SlowQuery               `json:"slow_queries"`
+	Ingest        IngestSnapshot            `json:"ingest"`
+	Cache         CacheSnapshot             `json:"cache"`
+	Epoch         EpochSnapshot             `json:"epoch"`
+	Live          LiveSnapshot              `json:"live"`
 	// Faults counts injected failpoint trips by site; empty outside
 	// faultinject builds and chaos runs.
 	Faults map[string]int64 `json:"faults,omitempty"`
@@ -411,6 +445,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		UptimeSeconds: time.Since(m.start).Seconds(),
 		Requests:      make(map[string]RouteSnapshot, len(m.routes.all())),
 		Operators:     make(map[string]OpSnapshot, len(m.ops.all())),
+		Filters:       make(map[string]FilterSnapshot, len(m.filters.all())),
 	}
 	for route, h := range m.routes.all() {
 		snap := RouteSnapshot{
@@ -443,6 +478,14 @@ func (m *Metrics) Snapshot() Snapshot {
 		var snap OpSnapshot
 		snap.Count, snap.AvgMicros, snap.MaxMicros = t.read(1e3)
 		out.Operators[name] = snap
+	}
+	for shape, f := range m.filters.all() {
+		// Skips before checked, the reverse of RecordFilter's order, so a
+		// concurrent flush cannot make kernel read negative.
+		snap := FilterSnapshot{SkippedUnit: f.skippedUnit.Load(), SkippedObject: f.skippedObject.Load()}
+		snap.Checked = f.checked.Load()
+		snap.Kernel = snap.Checked - snap.SkippedObject - snap.SkippedUnit
+		out.Filters[shape] = snap
 	}
 
 	m.slow.mu.Lock()

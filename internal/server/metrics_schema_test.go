@@ -67,6 +67,8 @@ func TestMetricsSchemaGolden(t *testing.T) {
 	do("GET", q, "", 200)
 	do("GET", q, "", 200)
 	do("GET", "/v1/query?q=SELECT+nosuch(flight)+FROM+planes", "", 400)
+	// A predicate of a filtered shape, for the filters family.
+	do("GET", "/v1/query?q=SELECT+count(*)+FROM+planes+p,+planes+q+WHERE+min(distance(p.flight,+q.flight))+<+5", "", 200)
 	do("GET", "/v1/atinstant?t=45", "", 200)
 	do("GET", "/v1/window?x1=0&y1=0&x2=500&y2=500&t1=0&t2=500", "", 200)
 	do("GET", "/v1/objects?limit=2", "", 200)

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"movingdb/internal/cache"
 	"movingdb/internal/db"
@@ -307,9 +308,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// truncate cuts s to at most n bytes, on a rune boundary so that the
+// result is valid UTF-8 whenever s is, and marks the cut.
 func truncate(s string, n int) string {
 	if len(s) <= n {
 		return s
+	}
+	for n > 0 && !utf8.RuneStart(s[n]) {
+		n--
 	}
 	return s[:n] + "…"
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"movingdb/internal/db"
 	"movingdb/internal/ingest"
@@ -362,6 +365,30 @@ func TestSlowQueryEntryCarriesClientStatus(t *testing.T) {
 	slow := s.Metrics().Snapshot().SlowQueries
 	if len(slow) != 1 || slow[0].Status != http.StatusBadRequest || slow[0].TimedOut {
 		t.Fatalf("slow-query ring = %+v, want one entry with status 400", slow)
+	}
+}
+
+// TestSlowQueryTextCutOnRuneBoundary: the slow-query entry keeps the
+// first 200 bytes of the statement; a multi-byte rune straddling byte
+// 200 must be dropped whole, not cut into invalid UTF-8 (which
+// encoding/json would then serve as U+FFFD from /v1/metrics).
+func TestSlowQueryTextCutOnRuneBoundary(t *testing.T) {
+	catalog, ids, objects := testObjects()
+	s, err := New(Config{Catalog: catalog, ObjectIDs: ids, Objects: objects, SlowQueryThreshold: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT id FROM planes WHERE id <> '"
+	sql += strings.Repeat("x", 199-len(sql)) + "é" + strings.Repeat("y", 20) + "'" // é occupies bytes 199 and 200
+	if code, body := get(t, s.Handler(), "/v1/query?q="+url.QueryEscape(sql)); code != http.StatusOK {
+		t.Fatalf("query: %d %v", code, body)
+	}
+	slow := s.Metrics().Snapshot().SlowQueries
+	if len(slow) != 1 {
+		t.Fatalf("slow-query ring = %+v, want one entry", slow)
+	}
+	if got, want := slow[0].Query, sql[:199]+"…"; got != want || !utf8.ValidString(got) {
+		t.Errorf("slow-query text = %q, want %q", got, want)
 	}
 }
 

@@ -136,13 +136,67 @@ func changeAt(iv Interval, covers bool) boundary {
 }
 
 // NextCommon returns the next piece that both sequences cover — the
-// pieces a lifted binary operation produces a unit for.
+// pieces a lifted binary operation produces a unit for. It does not walk
+// the pieces only one sequence covers: it jumps to the later of the two
+// current starts, seeks the other cursor there by binary search on the
+// ordered array (Section 4), and ends when either sequence is
+// exhausted, so two values whose lifetimes overlap in k of their n + m
+// units cost O(k + log(n + m)).
 func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 	for {
-		if ri, ok := s.Next(); !ok || (ri.A >= 0 && ri.B >= 0) {
-			return ri, ok
+		s.i, s.ia = seek(s.a, s.i, s.ia, s.at)
+		s.j, s.ib = seek(s.b, s.j, s.ib, s.at)
+		if s.i == len(s.a) || s.j == len(s.b) {
+			return RefinementInterval{}, false
+		}
+		lo := s.ia.lo()
+		if lo.less(s.ib.lo()) {
+			lo = s.ib.lo()
+		}
+		if !s.at.less(lo) {
+			break // both cover the sweep's position
+		}
+		s.at = lo
+	}
+	end := s.ia.hi()
+	if s.ib.hi().less(end) {
+		end = s.ib.hi()
+	}
+	ri := RefinementInterval{
+		Iv: Interval{Start: s.at.t, End: end.t, LC: !s.at.after, RC: end.after},
+		A:  s.i, B: s.j,
+	}
+	s.at = end
+	return ri, true
+}
+
+// seek returns the first position at or after k whose element ends after
+// the boundary at, together with that element's interval (iv caches
+// xs[k].Interval() on entry). The element after k is tried before the
+// binary search: in a gap-free sequence it is the answer.
+func seek[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {
+	if k == len(xs) || at.less(iv.hi()) {
+		return k, iv
+	}
+	if k++; k == len(xs) {
+		return k, iv
+	}
+	if iv = xs[k].Interval(); at.less(iv.hi()) {
+		return k, iv
+	}
+	lo, hi := k+1, len(xs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if at.less(xs[mid].Interval().hi()) {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	if lo < len(xs) {
+		iv = xs[lo].Interval()
+	}
+	return lo, iv
 }
 
 // Refine collects the refinement partition of two interval sequences

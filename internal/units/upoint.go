@@ -57,7 +57,8 @@ func (u UPoint) EndPoint() geom.Point { return u.M.Eval(u.Iv.End) }
 // extremes are attained at the interval ends because the motion is
 // linear.
 func (u UPoint) BBox() geom.Rect {
-	return geom.EmptyRect().ExtendPoint(u.StartPoint()).ExtendPoint(u.EndPoint())
+	p, q := u.StartPoint(), u.EndPoint()
+	return geom.Rect{MinX: min(p.X, q.X), MinY: min(p.Y, q.Y), MaxX: max(p.X, q.X), MaxY: max(p.Y, q.Y)}
 }
 
 // Cube returns the 3D bounding cube stored with the unit (Section 4.2).

@@ -36,7 +36,7 @@ echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the rac
 go test -run '^TestAllocBudgets$' ./internal/...
 
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
-go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving
+go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
 
 echo "==> go build -tags=faultinject ./..."
 go build -tags=faultinject ./...
@@ -49,6 +49,9 @@ go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
 
 echo "==> fuzz smoke: FuzzRefine (10s; streaming sweep vs the sort-based oracle)"
 go test -run='^$' -fuzz=FuzzRefine -fuzztime=10s ./internal/temporal
+
+echo "==> fuzz smoke: FuzzFilterConservative (10s; the join filters may only exclude what the kernels answer false for)"
+go test -run='^$' -fuzz=FuzzFilterConservative -fuzztime=10s -fuzzminimizetime=1s ./internal/moving
 
 echo "==> fuzz smoke: FuzzDynamic (10s; index ladder vs linear scan and brute-force k-NN)"
 go test -run='^$' -fuzz=FuzzDynamic -fuzztime=10s ./internal/index
