@@ -28,8 +28,9 @@ debugcheck:
 	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
-# vet, race-enabled tests, the faultinject build variant, and a fuzz
-# smoke run over the WAL decoders.
+# vet, race-enabled tests, every benchmark body of the root package,
+# internal/index and internal/ingest once, the faultinject build
+# variant, and the fuzz smoke runs.
 verify:
 	./scripts/verify.sh
 

@@ -10,9 +10,11 @@
 // is deterministic, and an Epoch (internal/ingest) is an immutable
 // snapshot, so a result computed against an epoch is a pure function of
 // its key — a cached value can never be wrong for its key, only absent.
-// Epoch advance therefore invalidates for free: new epoch, new keys,
-// and the entries of retired epochs age out of the LRU without any
-// explicit purge protocol.
+// Epoch advance therefore invalidates by mismatch: new epoch, new keys,
+// no purge protocol. Epochs only advance, so an entry of a retired epoch
+// can never be asked for again; Memory drops those from its LRU tail on
+// the next Put (memory.go) rather than holding their bodies until byte
+// pressure evicts them.
 package cache
 
 import "math/bits"

@@ -96,6 +96,49 @@ func TestMemoryLRUEviction(t *testing.T) {
 	}
 }
 
+// TestMemoryRetiresOldEpochs: far inside the byte budget, a Put drops
+// the entries of epochs older than the newest the shard has been handed
+// — from the tail, counted as evictions — while a frozen epoch (one
+// value forever, 0 included) retires nothing, and an old-epoch entry a
+// straggler refreshed to the head is met on a later Put.
+func TestMemoryRetiresOldEpochs(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 100)
+	reg := obs.New(0)
+	m := NewMemory(1<<20, 1, reg)
+	for i := 0; i < 50; i++ {
+		m.Put(key(fmt.Sprintf("q%02d", i), 0), val)
+	}
+	if st := reg.Snapshot().Cache; st.Entries != 50 || st.Evictions != 0 {
+		t.Fatalf("frozen epoch: %d entries, %d evictions, want 50, 0", st.Entries, st.Evictions)
+	}
+	m.Put(key("q00", 1), val)
+	st := reg.Snapshot().Cache
+	if st.Entries != 1 || st.Evictions != 50 || st.EvictedBytes != 50*int64(len(val)) || st.Bytes != int64(len(val)) {
+		t.Fatalf("after epoch 1's first put: %+v, want 1 entry, 50 evictions", st)
+	}
+	if _, ok := m.Get(key("q00", 1)); !ok {
+		t.Fatal("the current epoch's entry was retired")
+	}
+	// A straggler still pinned to epoch 1 stores a result after epoch 2
+	// arrived: it lands at the head, is not dropped while live entries
+	// sit behind it, and goes once it has sunk to the tail.
+	m.Put(key("a", 2), val)
+	m.Put(key("late", 1), val)
+	if _, ok := m.Get(key("late", 1)); !ok {
+		t.Fatal("a straggler's entry was dropped ahead of the live tail")
+	}
+	m.Get(key("a", 2))
+	m.Put(key("b", 2), val)
+	if _, ok := m.Get(key("late", 1)); ok {
+		t.Fatal("a retired entry at the tail outlived a put")
+	}
+	for _, q := range []string{"a", "b"} {
+		if _, ok := m.Get(key(q, 2)); !ok {
+			t.Fatalf("live entry %s was dropped", q)
+		}
+	}
+}
+
 func TestMemoryOversizedValueNotCached(t *testing.T) {
 	m := NewMemory(256, 1, nil)
 	k := key("big", 1)

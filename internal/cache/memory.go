@@ -24,7 +24,10 @@ const entryOverhead = 256
 
 // Memory is the in-memory adapter: a sharded LRU with a byte budget
 // split evenly across shards. Entries larger than a shard's budget are
-// not cached at all.
+// not cached at all. Epochs only advance, and a reader pins the current
+// one, so an entry keyed by an epoch older than the newest a shard has
+// been handed can never be asked for again; Put drops such entries from
+// the LRU tail instead of letting their bodies wait for byte pressure.
 type Memory struct {
 	shards []*shard // moguard: immutable // built in NewMemory, slots never reassigned
 }
@@ -37,6 +40,7 @@ type shard struct {
 	head    *entry         // moguard: guarded by mu // most recently used
 	tail    *entry         // moguard: guarded by mu // eviction candidate
 	bytes   int64          // moguard: guarded by mu
+	newest  uint64         // moguard: guarded by mu // highest Key.Epoch Put has seen
 	budget  int64          // moguard: immutable
 
 	// metrics.Cache holds the only hit/miss/put/evict counts and the
@@ -100,10 +104,15 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 	return v, true
 }
 
-// Put stores v under k, evicting least-recently-used entries until the
-// shard is back inside its budget. Oversized values are dropped; a
-// re-put of an existing key replaces its value. Put takes ownership of
-// v: callers hand over freshly marshaled response bytes.
+// Put stores v under k, then evicts from the LRU tail while the shard is
+// over its budget or the tail's epoch is retired (older than the newest
+// this shard has been handed — learned from the keys, so the port needs
+// no epoch signal). Retired entries are never touched again, so they
+// gather at the tail and the sweep costs what it evicts; one that a
+// straggling reader of an old epoch refreshed is simply met later. A
+// frozen server's single epoch retires nothing. Oversized values are
+// dropped; a re-put of an existing key replaces its value. Put takes
+// ownership of v: callers hand over freshly marshaled response bytes.
 func (m *Memory) Put(k Key, v []byte) {
 	size := int64(len(v)) + int64(len(k.Route)) + int64(len(k.Query)) + entryOverhead
 	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
@@ -111,6 +120,7 @@ func (m *Memory) Put(k Key, v []byte) {
 		return
 	}
 	s.mu.Lock()
+	s.newest = max(s.newest, k.Epoch)
 	if e, ok := s.entries[k]; ok {
 		s.bytes += int64(len(v)) - int64(len(e.val))
 		e.val = v
@@ -127,7 +137,7 @@ func (m *Memory) Put(k Key, v []byte) {
 		s.metrics.Cache.Entries.Inc()
 	}
 	var evictedN, evictedBytes int64
-	for s.bytes > s.budget && s.tail != nil {
+	for s.tail != nil && (s.bytes > s.budget || s.tail.key.Epoch < s.newest) {
 		victim := s.tail
 		s.unlinkLocked(victim)
 		delete(s.entries, victim.key)

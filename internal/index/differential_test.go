@@ -39,16 +39,21 @@ type dynCapture struct {
 // insertRun inserts n fresh cubes. Time-ordered runs advance the clock
 // the way ingest does (each rung becomes a time slab); shuffled runs
 // scatter over the whole history. single feeds them one InsertBatch
-// call per entry — the shape the batcher produces.
-func (m *dynModel) insertRun(n int, shuffled, single bool) {
+// call per entry. coincident runs are a tick of parked trackers: equal
+// extents at four lattice points and one instant, so whole slabs of the
+// fold's sort keys tie and the order falls to the input position.
+func (m *dynModel) insertRun(n int, shuffled, single, coincident bool) {
 	lo := len(m.all)
 	for i := 0; i < n; i++ {
 		x, y := m.rng.Float64()*100, m.rng.Float64()*100
 		w, h, dur := m.rng.Float64()*8, m.rng.Float64()*8, m.rng.Float64()*4
 		t0 := m.clock
-		if shuffled {
+		switch {
+		case coincident:
+			x, y, w, h, dur = float64(m.rng.Intn(2))*50, float64(m.rng.Intn(2))*50, 8, 8, 4
+		case shuffled:
 			t0 = m.rng.Float64() * (m.clock + 50)
-		} else {
+		default:
 			m.clock += m.rng.Float64() * 0.05
 		}
 		m.all = append(m.all, Entry{
@@ -168,9 +173,10 @@ func bruteNearest(entries []Entry, x, y, t float64, k int, radius float64) []Nei
 }
 
 // checkDynamicOps runs an op stream, three bytes per op: the low two
-// bits of the first pick insert / capture / window / nearest, the next
-// two shape an insert run (shuffled times, single-entry batches), and
-// the other two bytes carry the run length or the query position.
+// bits of the first pick insert / capture / window / nearest, three more
+// shape an insert run (4 shuffled times, 8 single-entry batches, 64
+// coincident centres), and the other two bytes carry the run length or
+// the query position.
 func checkDynamicOps(t *testing.T, seed int64, data []byte) {
 	const maxOps, maxEntries = 48, 24000
 	m := &dynModel{t: t, rng: rand.New(rand.NewSource(seed)), d: NewDynamic(nil, 0)}
@@ -179,7 +185,7 @@ func checkDynamicOps(t *testing.T, seed int64, data []byte) {
 		switch kind & 3 {
 		case 0:
 			if n := 1 + (int(a)|int(b)<<8)%2000; len(m.all)+n <= maxEntries {
-				m.insertRun(n, kind&4 != 0, kind&8 != 0)
+				m.insertRun(n, kind&4 != 0, kind&8 != 0, kind&64 != 0)
 			}
 		case 1:
 			m.capture()
@@ -195,8 +201,10 @@ func checkDynamicOps(t *testing.T, seed int64, data []byte) {
 
 // FuzzDynamic lets the fuzzer spell the op stream. The seeds cover an
 // empty index, runs that straddle the first fold, a snapshot held
-// across many folds, and shuffled-time inserts (rungs that are not time
-// slabs).
+// across many folds, shuffled-time inserts (rungs that are not time
+// slabs), folds over coincident centres, and a carry chain whose last
+// fold (8000 entries: runs of 128) sorts runs on both sides of the radix
+// cut-over.
 func FuzzDynamic(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{2, 9, 9, 3, 9, 9})
@@ -204,6 +212,8 @@ func FuzzDynamic(f *testing.F) {
 	f.Add(int64(4), []byte{8, 200, 2, 1, 0, 0, 8, 200, 2, 8, 200, 2, 2, 10, 200, 3, 100, 7, 0, 207, 7, 3, 30, 30})
 	f.Add(int64(5), []byte{4, 207, 7, 1, 0, 0, 12, 100, 3, 4, 207, 7, 2, 77, 3, 3, 200, 100, 0, 207, 7, 0, 207, 7, 2, 0, 0})
 	f.Add(int64(6), []byte{0, 207, 7, 0, 207, 7, 1, 0, 0, 0, 207, 7, 0, 207, 7, 0, 207, 7, 1, 0, 0, 0, 207, 7, 0, 207, 7, 0, 207, 7, 2, 50, 50, 3, 50, 50})
+	f.Add(int64(7), []byte{64, 207, 7, 1, 0, 0, 64, 87, 2, 0, 207, 7, 72, 44, 1, 2, 0, 0, 2, 128, 128, 3, 0, 0, 3, 127, 127, 64, 207, 7, 2, 127, 1, 3, 255, 255})
+	f.Add(int64(8), []byte{0, 207, 7, 0, 207, 7, 1, 0, 0, 0, 207, 7, 64, 207, 7, 2, 60, 60, 3, 60, 60, 2, 0, 0, 3, 0, 0})
 	f.Fuzz(checkDynamicOps)
 }
 

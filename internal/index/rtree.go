@@ -50,16 +50,21 @@ type node struct {
 // the slice for this call, so a defensive copy would only be a second
 // pass over 56-byte entries).
 func Build(entries []Entry) *RTree {
+	strSort(entries)
+	return pack(entries)
+}
+
+// pack builds the tree over entries as they lie: leaves over runs of
+// fanout entries, then levels of parents until one root.
+func pack(entries []Entry) *RTree {
 	t := &RTree{entries: entries, root: -1}
 	n := len(entries)
 	if n == 0 {
 		return t
 	}
-	strSort(entries)
 	leaves := (n + fanout - 1) / fanout
 	// Σ leaves/fanoutᵏ, plus one rounding per level.
 	t.nodes = make([]node, 0, leaves+leaves/(fanout-1)+8)
-	// Leaves over runs of fanout entries.
 	for lo := 0; lo < n; lo += fanout {
 		hi := min(lo+fanout, n)
 		cube := geom.EmptyCube()
@@ -86,15 +91,14 @@ func Build(entries []Entry) *RTree {
 	return t
 }
 
-// sortKey is what strSort sorts instead of the 56-byte entries: the
-// centre along the pass's axis and the entry's position in the input.
-type sortKey struct {
-	c float64
-	i int32
-}
-
-// strSort orders entries by the STR tiling. Each pass sorts 16-byte
-// keys; the entries themselves move once, at the end.
+// strSort orders entries by the STR tiling. Each pass sorts packed
+// 8-byte keys — high half a 32-bit fixed-point position of the entry's
+// centre inside the axis's [min, max] over the whole input, low half the
+// entry's input position — so the order is (coarse centre, position), a
+// total order on any input, and the 56-byte entries move once, at the
+// end. A coarse key is sound because the tiling is only a packing
+// heuristic: node cubes are unions of their real children, so no search
+// answer depends on it.
 func strSort(entries []Entry) {
 	n := len(entries)
 	leaves := (n + fanout - 1) / fanout
@@ -102,38 +106,56 @@ func strSort(entries []Entry) {
 	slabX := sx * sx * fanout // entries per x-slab
 	slabY := sx * fanout      // entries per (x, y)-slab
 
-	keys := make([]sortKey, n)
-	for i := range keys {
-		keys[i] = sortKey{c: entries[i].Cube.Rect.MinX + entries[i].Cube.Rect.MaxX, i: int32(i)}
+	var ax [3]axis
+	for i := range ax {
+		ax[i] = axis{lo: math.Inf(1), hi: math.Inf(-1)}
 	}
-	sortKeys(keys)
+	for i := range entries {
+		c := &entries[i].Cube
+		ax[0].extend(c.Rect.MinX + c.Rect.MaxX)
+		ax[1].extend(c.Rect.MinY + c.Rect.MaxY)
+		ax[2].extend(c.MinT + c.MaxT)
+	}
+	for i := range ax {
+		if d := ax[i].hi - ax[i].lo; d > 0 && d <= math.MaxFloat64 {
+			ax[i].scale = math.MaxUint32 / d
+		}
+	}
+	buf := make([]uint64, 2*n) // keys, then the radix passes' scratch
+	keys, scratch := buf[:n], buf[n:]
+	for i := range keys {
+		r := &entries[i].Cube.Rect
+		keys[i] = ax[0].key(r.MinX+r.MaxX)<<32 | uint64(i)
+	}
+	sortPacked(keys, scratch)
 	for lo := 0; lo < n; lo += slabX {
 		slab := keys[lo:min(lo+slabX, n)]
-		for k := range slab {
-			r := &entries[slab[k].i].Cube.Rect
-			slab[k].c = r.MinY + r.MaxY
+		for k, key := range slab {
+			r := &entries[uint32(key)].Cube.Rect
+			slab[k] = ax[1].key(r.MinY+r.MaxY)<<32 | key&math.MaxUint32
 		}
-		sortKeys(slab)
+		sortPacked(slab, scratch)
 		for l2 := 0; l2 < len(slab); l2 += slabY {
 			run := slab[l2:min(l2+slabY, len(slab))]
-			for k := range run {
-				c := &entries[run[k].i].Cube
-				run[k].c = c.MinT + c.MaxT
+			for k, key := range run {
+				c := &entries[uint32(key)].Cube
+				run[k] = ax[2].key(c.MinT+c.MaxT)<<32 | key&math.MaxUint32
 			}
-			sortKeys(run)
+			sortPacked(run, scratch)
 		}
 	}
 	// Apply the permutation in place, cycle by cycle: position j takes
-	// the entry keys[j].i names; a visited position is marked -1.
+	// the entry keys[j]'s low half names; a visited position is marked.
+	const visited = math.MaxUint64
 	for i := range keys {
-		if keys[i].i < 0 {
+		if keys[i] == visited {
 			continue
 		}
 		first := entries[i]
 		j := i
 		for {
-			src := int(keys[j].i)
-			keys[j].i = -1
+			src := int(uint32(keys[j]))
+			keys[j] = visited
 			if src == i {
 				entries[j] = first
 				break
@@ -144,18 +166,72 @@ func strSort(entries []Entry) {
 	}
 }
 
-// sortKeys orders by (centre, input position) — a total order, so the
-// tiling is a function of the input alone.
-func sortKeys(keys []sortKey) {
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		switch {
-		case a.c < b.c:
-			return -1
-		case a.c > b.c:
-			return 1
+// axis is the range of the finite centres along one axis and the factor
+// that spreads it over 32 bits. scale stays 0 for an axis with one
+// distinct centre or a range too wide to scale: every finite centre
+// keys 0 and the order falls to the input position.
+type axis struct{ lo, hi, scale float64 }
+
+func (a *axis) extend(c float64) {
+	if c-c == 0 { // finite
+		a.lo, a.hi = min(a.lo, c), max(a.hi, c)
+	}
+}
+
+// key maps a centre to its 32-bit position inside [lo, hi], monotone in
+// c. Centres that are not finite get a definite place: -Inf first, +Inf
+// and NaN (an unbounded cube's -Inf + +Inf) last.
+func (a *axis) key(c float64) uint64 {
+	switch f := (c - a.lo) * a.scale; {
+	case f >= math.MaxUint32, c > a.hi, c != c:
+		return math.MaxUint32
+	case f > 0:
+		return uint64(f)
+	}
+	return 0
+}
+
+// radixMin is the run length under which sortPacked hands the run to
+// slices.Sort: clearing and scanning eight 256-counter histograms costs
+// more than pdqsort on a short run of machine words (BenchmarkBuild read
+// best at 128 of 16 … 8192).
+const radixMin = 128
+
+// sortPacked sorts keys ascending: an LSD radix sort, one byte a digit,
+// that counts all eight digits in one scan and skips every digit on
+// which all keys agree. scratch must be at least as long as keys.
+func sortPacked(keys, scratch []uint64) {
+	n := len(keys)
+	if n < radixMin {
+		slices.Sort(keys)
+		return
+	}
+	var count [8][256]uint32
+	for _, k := range keys {
+		for d := range count {
+			count[d][byte(k>>(8*d))]++
 		}
-		return int(a.i - b.i)
-	})
+	}
+	src, dst := keys, scratch[:n]
+	for d := range count {
+		c := &count[d]
+		if c[byte(src[0]>>(8*d))] == uint32(n) {
+			continue
+		}
+		sum := uint32(0)
+		for b, m := range c {
+			c[b], sum = sum, sum+m
+		}
+		for _, k := range src {
+			b := byte(k >> (8 * d))
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // Len returns the number of indexed entries.

@@ -5,9 +5,13 @@ import (
 	"time"
 )
 
-// batcher buffers admitted observations per object and hands each
-// object's run to the apply sink when the buffer reaches flushSize or
-// its oldest observation has waited maxAge. The queue is bounded by
+// batcher buffers admitted observations per object and drains an
+// object's run when its buffer reaches flushSize or its oldest
+// observation has waited maxAge. One batcher operation (an admission, a
+// ticker pass, a flush, a quiesce) concatenates every run it drains, in
+// admission order, and hands the lot to the apply sink in one call, so
+// whatever the sink does per call — the store lock, the index insert —
+// it does once per operation, not once per object. The queue is bounded by
 // maxQueued observations across all objects; admission past the bound
 // fails with ErrBackpressure before anything is logged or buffered.
 //
@@ -25,11 +29,11 @@ type batcher struct {
 	maxQueued int                 // moguard: immutable
 	maxAge    time.Duration       // moguard: immutable
 	apply     func([]Observation) // moguard: immutable
-	// afterFlush runs once per batcher operation that flushed at least
-	// one buffer, still under the lock — the epoch-publication hook, so
-	// one admission or ticker pass that drains many objects publishes
-	// one epoch, not one per object. Takes the store lock inside (lock
-	// order batcher → store). Nil-safe.
+	// afterFlush runs once per batcher operation that drained at least
+	// one buffer, right after its apply and still under the lock — the
+	// epoch-publication hook, so one admission or ticker pass that drains
+	// many objects publishes one epoch, not one per object. Takes the
+	// store lock inside (lock order batcher → store). Nil-safe.
 	afterFlush func() // moguard: immutable
 
 	done chan struct{} // moguard: immutable
@@ -98,31 +102,35 @@ func (b *batcher) enqueue(batch []Observation, log func([]Observation) (uint64, 
 		buf.obs = append(buf.obs, o)
 		b.queued++
 	}
-	flushed := 0
+	var run []Observation
 	for _, o := range batch {
 		if buf := b.bufs[o.ObjectID]; buf != nil && len(buf.obs) >= b.flushSize {
-			b.flushLocked(o.ObjectID, buf)
-			flushed++
+			run = b.takeLocked(run, o.ObjectID, buf)
 		}
 	}
-	b.publishLocked(flushed)
+	b.drainLocked(run)
 	return seq, nil
 }
 
-// publishLocked fires the epoch-publication hook when n buffers were
-// flushed. Caller holds b.mu.
-func (b *batcher) publishLocked(n int) {
-	if n > 0 && b.afterFlush != nil {
-		b.afterFlush()
-	}
-}
-
-// flushLocked hands one object's buffered run to the apply sink and
-// releases its queue share. Caller holds b.mu.
-func (b *batcher) flushLocked(id string, buf *objBuf) {
+// takeLocked removes one object's buffer, releases its queue share and
+// appends its run to run. Caller holds b.mu.
+func (b *batcher) takeLocked(run []Observation, id string, buf *objBuf) []Observation {
 	delete(b.bufs, id)
 	b.queued -= len(buf.obs)
-	b.apply(buf.obs)
+	return append(run, buf.obs...)
+}
+
+// drainLocked ends a batcher operation: the runs it took go to the
+// apply sink in one call, then the epoch-publication hook fires. Caller
+// holds b.mu.
+func (b *batcher) drainLocked(run []Observation) {
+	if len(run) == 0 {
+		return
+	}
+	b.apply(run)
+	if b.afterFlush != nil {
+		b.afterFlush()
+	}
 }
 
 // flushAged flushes every buffer whose oldest observation has waited at
@@ -131,7 +139,7 @@ func (b *batcher) flushAged() {
 	cutoff := time.Now().Add(-b.maxAge)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.publishLocked(b.flushOrderedLocked(func(buf *objBuf) bool { return !buf.first.After(cutoff) }))
+	b.drainOrderedLocked(func(buf *objBuf) bool { return !buf.first.After(cutoff) })
 }
 
 // flushAll synchronously drains every buffer (also used for the final
@@ -139,16 +147,15 @@ func (b *batcher) flushAged() {
 func (b *batcher) flushAll() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.publishLocked(b.flushOrderedLocked(func(*objBuf) bool { return true }))
+	b.drainOrderedLocked(func(*objBuf) bool { return true })
 }
 
-// flushOrderedLocked flushes the buffers selected by keep-predicate
-// pred in admission order, compacting the order list, and returns how
-// many buffers it flushed. Caller holds b.mu.
-func (b *batcher) flushOrderedLocked(pred func(*objBuf) bool) int {
+// drainOrderedLocked drains the buffers pred selects, in admission
+// order, compacting the order list. Caller holds b.mu.
+func (b *batcher) drainOrderedLocked(pred func(*objBuf) bool) {
 	remaining := b.order[:0]
 	seen := make(map[string]bool, len(b.order))
-	flushed := 0
+	var run []Observation
 	for _, id := range b.order {
 		if seen[id] {
 			continue // duplicate entry from a size-flush/re-admit cycle
@@ -159,14 +166,13 @@ func (b *batcher) flushOrderedLocked(pred func(*objBuf) bool) int {
 			continue // already flushed by the size trigger
 		}
 		if pred(buf) {
-			b.flushLocked(id, buf)
-			flushed++
+			run = b.takeLocked(run, id, buf)
 		} else {
 			remaining = append(remaining, id)
 		}
 	}
 	b.order = remaining
-	return flushed
+	b.drainLocked(run)
 }
 
 // quiesce drains every buffer and then runs f, all under the lock, so
@@ -177,7 +183,7 @@ func (b *batcher) flushOrderedLocked(pred func(*objBuf) bool) int {
 func (b *batcher) quiesce(f func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.publishLocked(b.flushOrderedLocked(func(*objBuf) bool { return true }))
+	b.drainOrderedLocked(func(*objBuf) bool { return true })
 	f()
 }
 

@@ -61,6 +61,41 @@ func BenchmarkStoreApply(b *testing.B) {
 	}
 }
 
+// BenchmarkPipelineTick measures one fleet_mixed write tick through the
+// whole pipeline: 570 trackers, one observation each, Ingest (WAL append
+// and buffering) then Flush (one drain: apply, index fold, epoch
+// publish). Every iteration runs the same second tick on a fresh
+// pipeline whose first, untimed tick registered the fleet, so allocs/op
+// is exact — the budget that keeps per-object slices, locks and sink
+// calls from creeping back into the drain.
+func BenchmarkPipelineTick(b *testing.B) {
+	const objects = 570
+	stream := toObservations(workload.New(1).ObservationStream("t", objects, 1, 0, 1, 5))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Ingest(stream[:objects]); err != nil {
+			b.Fatal(err)
+		}
+		p.Flush()
+		b.StartTimer()
+		if _, err := p.Ingest(stream[objects:]); err != nil {
+			b.Fatal(err)
+		}
+		p.Flush()
+		b.StopTimer()
+		if s := p.Stats(); s.Units != objects || s.Epoch != 3 {
+			b.Fatalf("tick left %d units at epoch %d, want %d at 3", s.Units, s.Epoch, objects)
+		}
+		p.Close()
+		b.StartTimer()
+	}
+}
+
 // benchEpoch pins one epoch for the read-path benchmarks: 20 000
 // observations of 100 objects fed through the pipeline, so the index is
 // the ladder ingest leaves behind (several rungs and a part-full tail).

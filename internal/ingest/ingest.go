@@ -257,8 +257,9 @@ func Open(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// applyFlush is the batcher's flush sink: it applies one object's
-// buffered run of observations to the store and records the latency.
+// applyFlush is the batcher's apply sink: it applies everything one
+// batcher operation drained — the runs of every selected object, in
+// admission order — to the store in one call and records the latency.
 func (p *Pipeline) applyFlush(batch []Observation) {
 	start := time.Now()
 	applied, dropped, compacted := p.store.Apply(batch)
@@ -271,7 +272,7 @@ func (p *Pipeline) applyFlush(batch []Observation) {
 
 // publishEpoch is the batcher's post-flush hook: it seals everything
 // the flushes just applied into the next epoch and publishes it. Runs
-// once per batcher operation, after every per-object apply (and its
+// once per batcher operation, after its one apply (and that apply's
 // index insert) completed, so the epoch's object views and index
 // snapshot agree exactly. A configured OnPublish hook (the live
 // standing-query notifier) is handed the epoch and the per-object dirty

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -36,6 +37,12 @@ type Store struct {
 	dirty map[int]geom.Rect     // moguard: guarded by mu
 	added bool                  // moguard: guarded by mu
 	epoch atomic.Pointer[Epoch] // moguard: atomic
+
+	// rank[oi] is slot oi's place among the ranked slots in ascending id
+	// order; idRankLocked extends it by the slots registered since, so a
+	// publish orders its dirty list by integer rank and compares id
+	// strings only when an object registers.
+	rank []int32 // moguard: guarded by mu
 
 	applied   int64 // moguard: guarded by mu
 	dropped   int64 // moguard: guarded by mu
@@ -103,12 +110,13 @@ func newStore(ids []string, seeds []moving.MPoint, metrics *obs.Metrics) (*Store
 // entryID packs (object, unit) into the index payload id.
 func entryID(oi, ui int) int64 { return int64(oi)<<32 | int64(ui) }
 
-// Apply extends the mappings with a batch of observations, in order.
+// Apply extends the mappings with a batch of observations, in order —
+// everything one batcher operation drained, or one replayed WAL record.
 // Non-monotone observations (t not after the object's latest) are
 // dropped and counted — replay reproduces the same decisions because
 // they depend only on the per-object observation order, which the WAL
-// preserves. Every accepted unit's bounding cube goes to the index's
-// tail; when an append compacts into its predecessor, the cube
+// preserves. Every accepted unit's bounding cube goes to the index in
+// one InsertBatch; when an append compacts into its predecessor, the cube
 // of the incoming extension is indexed under the merged unit's id, so
 // the union of that unit's entries always covers its full extent.
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
@@ -287,31 +295,59 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	for oi := sealed; oi < len(s.objs); oi++ {
 		next.objs[oi] = viewOf(s.objs[oi])
 	}
+	// Deterministic notification order: dirty map iteration is random,
+	// but subscribers observe event order per epoch — ascending id, here
+	// as ascending rank packed above the slot.
 	var dirty []DirtyObject
 	if len(s.dirty) > 0 {
-		dirty = make([]DirtyObject, 0, len(s.dirty))
-	}
-	for oi, rect := range s.dirty {
-		if oi < sealed {
-			next.objs[oi] = viewOf(s.objs[oi])
+		rank := s.idRankLocked()
+		keys := make([]uint64, 0, len(s.dirty))
+		for oi := range s.dirty {
+			keys = append(keys, uint64(rank[oi])<<32|uint64(oi))
 		}
-		dirty = append(dirty, DirtyObject{ID: s.objs[oi].id, Rect: rect, New: oi >= sealed})
-	}
-	// Deterministic notification order: dirty map iteration is random,
-	// but subscribers observe event order per epoch.
-	slices.SortFunc(dirty, func(a, b DirtyObject) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
+		slices.Sort(keys)
+		dirty = make([]DirtyObject, 0, len(keys))
+		for _, k := range keys {
+			oi := int(uint32(k))
+			if oi < sealed {
+				next.objs[oi] = viewOf(s.objs[oi])
+			}
+			dirty = append(dirty, DirtyObject{ID: s.objs[oi].id, Rect: s.dirty[oi], New: oi >= sealed})
 		}
-		return 0
-	})
+	}
 	clear(s.dirty)
 	s.added = false
 	s.epoch.Store(next)
 	return next, dirty, true
+}
+
+// idRankLocked returns rank covering every registered slot: the slots
+// added since the last call are sorted by id and merged into the ranked
+// order, one pass over the table. Caller holds s.mu.
+func (s *Store) idRankLocked() []int32 {
+	old := len(s.rank)
+	if old == len(s.objs) {
+		return s.rank
+	}
+	cmp := func(a, b int32) int { return strings.Compare(s.objs[a].id, s.objs[b].id) }
+	ranked := make([]int32, old) // the ranked slots in id order: rank's inverse
+	for oi, r := range s.rank {
+		ranked[r] = int32(oi)
+	}
+	fresh := make([]int32, 0, len(s.objs)-old)
+	for oi := old; oi < len(s.objs); oi++ {
+		fresh = append(fresh, int32(oi))
+	}
+	slices.SortFunc(fresh, cmp)
+	s.rank = make([]int32, len(s.objs))
+	for r := range s.rank {
+		if len(fresh) == 0 || len(ranked) > 0 && cmp(ranked[0], fresh[0]) < 0 {
+			s.rank[ranked[0]], ranked = int32(r), ranked[1:]
+		} else {
+			s.rank[fresh[0]], fresh = int32(r), fresh[1:]
+		}
+	}
+	return s.rank
 }
 
 // Len returns the number of tracked objects.
