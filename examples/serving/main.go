@@ -126,9 +126,10 @@ func main() {
 	}
 
 	// The same catalog with a 5ms budget: the evaluator observes the
-	// deadline inside the plane×storm inside() kernels and the server
-	// answers with the 408 envelope.
-	code, body := getJSON(base, "/v1/query?timeout_ms=5&q=SELECT+name+FROM+planes,+storms+WHERE+sometimes(inside(flight,+extent))")
+	// deadline inside the plane×storm inside() walk and the server
+	// answers with the 408 envelope. (The storms are crossed in twice:
+	// the filtered two-way join would beat the deadline.)
+	code, body := getJSON(base, "/v1/query?timeout_ms=5&q=SELECT+s.name+FROM+planes,+storms+s,+storms+r+WHERE+sometimes(inside(flight,+s.extent))")
 	env := body["error"].(map[string]any)
 	fmt.Printf("timed-out query: HTTP %d, code=%v\n", code, env["code"])
 

@@ -66,3 +66,60 @@ func BenchmarkJoinDistance(b *testing.B) {
 		}
 	}
 }
+
+// analyticsCatalog is the catalog of bench/'s analytics_sql workload:
+// 200 flights and 16 storms of 64 units and 12 vertices from data seed
+// 2000, generated in that order.
+func analyticsCatalog() Catalog {
+	g := workload.New(2000)
+	planes := NewRelation("planes", Schema{
+		{Name: "airline", Type: TString},
+		{Name: "id", Type: TString},
+		{Name: "flight", Type: TMPoint},
+	})
+	for _, f := range g.Flights(200, 200) {
+		planes.MustInsert(Tuple{f.Airline, f.ID, f.Flight})
+	}
+	storms := NewRelation("storms", Schema{
+		{Name: "name", Type: TString},
+		{Name: "extent", Type: TMRegion},
+	})
+	for i := 0; i < 16; i++ {
+		storms.MustInsert(Tuple{fmt.Sprintf("storm%02d", i), g.Storm(0, 64, 12, 6)})
+	}
+	return Catalog{"planes": planes, "storms": storms}
+}
+
+// The statements of that workload's templates a, b and d, their seeded
+// literals fixed.
+const (
+	templateA = "SELECT p.id, s.name FROM planes p, storms s WHERE sometimes(inside(p.flight, s.extent)) AND p.id <> 'none'"
+	templateB = "SELECT p.id, q.id FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 15.000"
+	templateD = "SELECT p.id, duration(inside(p.flight, s.extent)) AS exposure FROM planes p, storms s WHERE s.name = 'storm00' AND sometimes(inside(p.flight, s.extent)) AND p.id <> 'none' ORDER BY exposure DESC LIMIT 10"
+)
+
+// benchTemplate runs one statement against the full analytics catalog,
+// so that a template's share of an analytics_sql cycle (a + b + 3·c +
+// 3·d) is one `go test -bench Template` away. The first query builds the
+// relations' summaries; it is not timed.
+func benchTemplate(b *testing.B, sql string) {
+	cat := analyticsCatalog()
+	if _, err := Query(cat, sql); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Query(cat, sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() == 0 {
+			b.Fatal("no rows")
+		}
+	}
+}
+
+func BenchmarkTemplateA(b *testing.B) { benchTemplate(b, templateA) }
+func BenchmarkTemplateB(b *testing.B) { benchTemplate(b, templateB) }
+func BenchmarkTemplateD(b *testing.B) { benchTemplate(b, templateD) }

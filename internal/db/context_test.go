@@ -6,7 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"movingdb/internal/geom"
+	"movingdb/internal/moving"
 	"movingdb/internal/obs"
+	"movingdb/internal/spatial"
+	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
 )
 
@@ -101,12 +105,40 @@ func TestQueryContextRecordsOperatorTimings(t *testing.T) {
 	if len(ops) != 2 || ops["trajectory"].Count != 2*int64(res.Len()) || ops["length"].Count != 2*int64(res.Len()) {
 		t.Errorf("operator timings after a mixed-case query: %v", ops)
 	}
+	// ORDER BY an output alias sorts on the projected column: one
+	// evaluation per row, not a second one for the key.
+	res, err = QueryContext(ctx, cat, "SELECT id, length(trajectory(flight)) AS len FROM planes ORDER BY len DESC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = m.Snapshot().Operators
+	if ops["trajectory"].Count != 3*int64(res.Len()) || ops["length"].Count != 3*int64(res.Len()) {
+		t.Errorf("operator timings after ORDER BY an alias over %d rows: %v", res.Len(), ops)
+	}
+}
+
+// deadlineAfter is a context whose Err turns DeadlineExceeded on its n-th
+// call: a deadline that expires at a chosen poll, not at a wall-clock
+// time a faster join could beat.
+type deadlineAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *deadlineAfter) Err() error {
+	if c.calls++; c.calls >= c.n {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func TestQueryContextDeadlineDuringInside(t *testing.T) {
-	// The deadline expires while the evaluator is inside the lifted
-	// `inside` kernels of a plane×storm cross product, so cancellation
-	// must be observed by the operators themselves, not only at entry.
+	// The deadline expires while the evaluator is inside the fused
+	// sometimes(inside) walk, so cancellation must be observed by the walk
+	// itself, not only at entry or between rows. QueryContext polls once
+	// on entry and the row loop not before its 64th row, so a second poll
+	// that comes earlier is the walk's — which returns the context's error
+	// bare, where the row loop wraps it.
 	planes := NewRelation("planes", Schema{
 		{Name: "id", Type: TString},
 		{Name: "flight", Type: TMPoint},
@@ -122,11 +154,38 @@ func TestQueryContextDeadlineDuringInside(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		storms.MustInsert(Tuple{"S", g.Storm(0, 120, 10, 4)})
 	}
-	cat := Catalog{"planes": planes, "storms": storms}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	_, err := QueryContext(ctx, cat, "SELECT name FROM planes, storms WHERE sometimes(inside(flight, extent))")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	// The mirror: one pair whose only kernel piece is its last. The walk
+	// polls on the first piece it walks, whether or not the boxes refuse it.
+	late := NewRelation("planes", planes.Schema)
+	var samples []moving.Sample
+	for i := 0; i <= 100; i++ {
+		samples = append(samples, moving.Sample{T: temporal.Instant(i), P: geom.Pt(float64(i), float64(i%2))})
+	}
+	flight, err := moving.MPointFromSamples(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.MustInsert(Tuple{"L", flight})
+	goal := NewRelation("storms", storms.Schema)
+	goal.MustInsert(Tuple{"G", moving.StaticMRegion(spatial.MustPolygonRegion(spatial.Ring(99.5, -1, 110, -1, 110, 2, 99.5, 2)), temporal.Closed(0, 1000))})
+
+	const sql = "SELECT name FROM planes, storms WHERE sometimes(inside(flight, extent))"
+	for name, cat := range map[string]Catalog{
+		"cross product": {"planes": planes, "storms": storms},
+		"late kernel":   {"planes": late, "storms": goal},
+	} {
+		if res, err := Query(cat, sql); err != nil || res.Len() == 0 {
+			t.Fatalf("%s: without a deadline: %v rows, err = %v", name, res, err)
+		}
+		m := obs.New(0)
+		ctx := &deadlineAfter{Context: obs.NewContext(context.Background(), m), n: 2}
+		if _, err := QueryContext(ctx, cat, sql); err != context.DeadlineExceeded || ctx.calls != 2 {
+			t.Errorf("%s: err = %v after %d polls, want the walk's bare context.DeadlineExceeded at the second", name, err, ctx.calls)
+		}
+		// The interrupted walk counts as a kernel run on both ledgers.
+		snap := m.Snapshot()
+		if ran, kernel := snap.Operators["inside"].Count, snap.Filters["inside"].Kernel; (ran != kernel && !debugFilter) || kernel == 0 {
+			t.Errorf("%s: the inside operator ran %d times, the filter passed %d pairs", name, ran, kernel)
+		}
 	}
 }

@@ -606,25 +606,27 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	if err := env.bindWhere(stmt); err != nil {
 		return nil, err
 	}
-	// ORDER BY may reference output aliases; substitute them with the
-	// underlying expressions.
-	aliases := map[string]expr{}
-	for _, it := range items {
+	// An ORDER BY key that names an output alias sorts on the projected
+	// column (the later of two items with that alias): the row already
+	// holds its value. Every other key is bound as an expression.
+	aliasCol := map[string]int{}
+	for k, it := range items {
 		if it.alias != "" {
-			aliases[it.alias] = it.e
+			aliasCol[it.alias] = k
 		}
 	}
+	keyCol := make([]int, len(stmt.orderBy)) // the projected column a key reads, or -1
 	for k, ob := range stmt.orderBy {
+		keyCol[k] = -1
 		if ref, isCol := ob.e.(colRef); isCol && ref.qualifier == "" {
-			if sub, ok := aliases[ref.name]; ok {
-				stmt.orderBy[k].e = sub
+			if c, ok := aliasCol[ref.name]; ok {
+				keyCol[k] = c
 			}
 		}
-	}
-	for k, ob := range stmt.orderBy {
 		var t AttrType
-		var err error
-		if stmt.orderBy[k].e, t, err = env.bind(ob.e); err != nil {
+		if c := keyCol[k]; c >= 0 {
+			t = schema[c].Type
+		} else if stmt.orderBy[k].e, t, err = env.bind(ob.e); err != nil {
 			return nil, err
 		}
 		switch t {
@@ -648,6 +650,10 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		if len(stmt.orderBy) > 0 {
 			keys := make([]any, len(stmt.orderBy))
 			for k, ob := range stmt.orderBy {
+				if keyCol[k] >= 0 {
+					keys[k] = row[keyCol[k]]
+					continue
+				}
 				v, err := env.eval(ob.e)
 				if err != nil {
 					return err

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"movingdb/internal/moving"
 )
@@ -74,11 +75,13 @@ type filterCounts struct {
 }
 
 // guard is a bound predicate of a filtered shape over two column slots.
-// The embedded expression is the predicate as bound, evaluated when the
-// filter cannot exclude the pair; otherwise the guard is false, which is
-// what the kernels yield for a pair the filter excludes: sometimes of an
-// all-false or empty mbool, a comparison with ⊥ (no common lifetime), a
-// minimum above the literal.
+// For shapeWithin the embedded expression is the predicate as bound,
+// evaluated when the filter cannot exclude the pair; otherwise the guard
+// is false, which is what the kernels yield for a pair the filter
+// excludes: a comparison with ⊥ (no common lifetime), a minimum above the
+// literal. For shapeInside the moving package filters and refines in one
+// walk and the guard yields its answer; the expression is kept for
+// String() and for the debugcheck re-run.
 type guard struct {
 	expr
 	shape   filterShape
@@ -88,35 +91,51 @@ type guard struct {
 	regions []moving.RegionBounds // shapeInside: summaries of b's column
 }
 
-// verdict runs the filter on the current row's pair.
-func (g *guard) verdict(q *queryEnv) moving.Verdict {
+// answer runs the guard on the current row's pair: the filter and, where
+// it cannot exclude the pair, the kernels. A fused inside walk that
+// reached the kernel (or was cancelled on the way) is the query's
+// `inside` operator call, so the operator count equals the filter's
+// kernel count.
+func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
 	p := q.tuples[g.a.from][g.a.col].(moving.MPoint)
 	if g.shape == shapeInside {
-		return moving.MayBeInside(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MRegion), g.regions[rb])
+		start := time.Now()
+		hit, v, err := moving.SometimesInside(q.ctx, p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MRegion), g.regions[rb])
+		if v == moving.MayHold || err != nil {
+			q.rec.RecordOp("inside", time.Since(start))
+		}
+		return hit, v, err
 	}
-	return moving.MayComeWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
+	v := moving.MayComeWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
+	if v != moving.MayHold {
+		return false, v, nil
+	}
+	hit, err := q.eval(g.expr)
+	return hit, v, err
 }
 
 // evalGuard answers a guarded predicate for the current row.
 func (q *queryEnv) evalGuard(g *guard) (any, error) {
 	n := &q.filter[g.shape]
 	n.checked++
-	v := g.verdict(q)
-	if v == moving.MayHold {
-		return q.eval(g.expr)
+	hit, v, err := g.answer(q)
+	if err != nil {
+		return nil, err
 	}
-	n.skippedAt[v]++
+	if v != moving.MayHold {
+		n.skippedAt[v]++
+	}
 	if debugFilter {
 		got, err := q.eval(g.expr)
 		if err != nil {
 			return nil, err // cancelled mid-kernel: nothing to compare
 		}
-		if got != false {
-			panic(fmt.Sprintf("debugcheck: db filter skipped %v on rows %v, but the kernels yield %v", g.expr, q.rows, got))
+		if got != hit {
+			panic(fmt.Sprintf("debugcheck: db guard answered %v (verdict %d) for %v on rows %v, but the kernels yield %v", hit, v, g.expr, q.rows, got))
 		}
 	}
-	return false, nil
+	return hit, nil
 }
 
 // flushFilterCounts reports the query's filter outcomes to the metrics

@@ -2,8 +2,10 @@
 
 package db
 
-// debugFilter makes every guard re-run the kernels for a pair its filter
-// excluded and panic unless they yield false — a disagreement is a
-// filter that is not conservative, a bug and not an input error.
-// Compiled in only under the debugcheck build tag.
+// debugFilter makes every guard also evaluate the expression it stands
+// for — sometimes(inside(…)) composed from the kernels, the distance
+// chain — for every pair it answers, skipped by the filter or not, and
+// panic unless the two agree: a disagreement is a filter that is not
+// conservative or a fused walk that parts from the kernels, a bug and
+// not an input error. Compiled in only under the debugcheck build tag.
 const debugFilter = true

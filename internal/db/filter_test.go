@@ -19,8 +19,8 @@ import (
 // The executor's guards may change what a query costs, never what it
 // answers: every filtered spelling is held to a brute-force loop that
 // calls the Section 5 kernels for every pair, over seeded random
-// catalogs. Under -tags=debugcheck the same runs re-check every skipped
-// pair inside the executor.
+// catalogs. Under -tags=debugcheck the same runs re-check, inside the
+// executor, every pair a guard answered — skipped or not.
 
 // plane and storm are the brute-force side's view of the catalog.
 type plane struct {
@@ -222,8 +222,12 @@ func filterCases(rng *rand.Rand, ps []plane, ss []storm) []filterCase {
 	sort.SliceStable(hitFirst, func(i, j int) bool {
 		return strings.HasPrefix(hitFirst[i], "true") && !strings.HasPrefix(hitFirst[j], "true")
 	})
-	cases = append(cases, filterCase{"SELECT sometimes(inside(p.flight, s.extent)) AS hit, p.id, s.name FROM planes p, storms s ORDER BY hit DESC",
-		hitFirst, 2 * pss, 0}) // once for the projection, once for the key
+	cases = append(cases,
+		filterCase{"SELECT sometimes(inside(p.flight, s.extent)) AS hit, p.id, s.name FROM planes p, storms s ORDER BY sometimes(inside(p.flight, s.extent)) DESC",
+			hitFirst, 2 * pss, 0}, // once for the projection, once for the key
+		filterCase{"SELECT sometimes(inside(p.flight, s.extent)) AS hit, p.id, s.name FROM planes p, storms s ORDER BY hit DESC",
+			hitFirst, pss, 0}, // an alias as the key reads the projected column
+	)
 	return cases
 }
 
@@ -267,12 +271,32 @@ func TestFilterCountsReachMetrics(t *testing.T) {
 	if got.Checked != int64(len(ps)*len(ss)) || got.SkippedObject == 0 || got.SkippedUnit == 0 || got.Kernel == 0 {
 		t.Errorf("inside outcomes = %+v over %d pairs: every level should have fired", got, len(ps)*len(ss))
 	}
-	// (A debugcheck build runs the kernel on the skipped pairs too.)
+	// The fused walk is the query's inside operator and builds no moving
+	// bool for a sometimes to read. (A debugcheck build also evaluates the
+	// composed expression for every pair.)
 	if ran := snap.Operators["inside"].Count; ran != got.Kernel && !debugFilter {
 		t.Errorf("the inside kernel ran %d times, the filter passed %d pairs", ran, got.Kernel)
 	}
+	if _, ok := snap.Operators["sometimes"]; ok && !debugFilter {
+		t.Errorf("a guarded sometimes(inside) recorded a sometimes operator: %+v", snap.Operators)
+	}
 	if _, ok := snap.Filters["within"]; ok {
 		t.Errorf("a shape the query does not use was reported: %+v", snap.Filters)
+	}
+}
+
+// TestFilterCountsOnBenchCatalog pins what the filter leaves of template a
+// on the analytics workload's catalog: fusing the unit pass with the
+// refinement must not move a pair from one outcome to another.
+func TestFilterCountsOnBenchCatalog(t *testing.T) {
+	m := obs.New(0)
+	res, err := QueryContext(obs.NewContext(context.Background(), m), analyticsCatalog(), templateA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obs.FilterSnapshot{Checked: 3200, SkippedObject: 1169, SkippedUnit: 1337, Kernel: 694}
+	if got := m.Snapshot().Filters["inside"]; got != want || res.Len() != 499 {
+		t.Errorf("template a: %d rows, filters.inside = %+v; want 499 rows, %+v", res.Len(), got, want)
 	}
 }
 

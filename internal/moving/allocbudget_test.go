@@ -13,13 +13,14 @@ import (
 // segments, cubes, roots and crossings are all walked or held by value.
 // Inside (InsideCtx over units.UPointInsideURegion) grows its result by
 // append (a flight meets a storm in one to four boolean units); Distance
-// sizes its result once, AtMin allocates the second array. The two
-// filters read stored summaries and the unit arrays: nothing.
+// sizes its result once, AtMin allocates the second array. The fused
+// inside walk and the distance filter read stored summaries and the unit
+// arrays, and the walk's kernel pieces stay in a stack buffer: nothing.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkInside", Bench: BenchmarkInside, MaxAllocs: 1, MaxBytes: 128},
 		allocbudget.Budget{Name: "BenchmarkDistanceAtMinInitial", Bench: BenchmarkDistanceAtMinInitial, MaxAllocs: 2, MaxBytes: 640},
-		allocbudget.Budget{Name: "BenchmarkMayBeInside", Bench: BenchmarkMayBeInside, MaxAllocs: 0, MaxBytes: 0},
+		allocbudget.Budget{Name: "BenchmarkSometimesInside", Bench: BenchmarkSometimesInside, MaxAllocs: 0, MaxBytes: 0},
 		allocbudget.Budget{Name: "BenchmarkMayComeWithin", Bench: BenchmarkMayComeWithin, MaxAllocs: 0, MaxBytes: 0},
 	)
 }

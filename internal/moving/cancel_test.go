@@ -102,21 +102,31 @@ func stepRegion(n int) MRegion {
 	return MustMRegion(us...)
 }
 
-// TestStreamingSweepKeepsCancelCadence cancels InsideCtx and
-// IntersectsCtx in the middle of their refinement sweeps: the loops poll
+// TestStreamingSweepKeepsCancelCadence cancels InsideCtx, SometimesInside
+// and IntersectsCtx in the middle of their refinement sweeps: the loops poll
 // on every cancelCheckEvery-th common piece, so a context that turns cancelled
 // after its k-th poll stops the sweep at piece (k−1)·cancelCheckEvery —
 // within cancelCheckEvery pieces of the cancellation — having polled
-// exactly k times.
+// exactly k times. The fused walk counts the pieces it walks, not the
+// pieces its kernel runs on: against a square the track reaches only in
+// its last unit, every piece before that is refused by the stored boxes
+// and the polls still fall on pieces 0, 64, 128, 192.
 func TestStreamingSweepKeepsCancelCadence(t *testing.T) {
 	n := 4 * cancelCheckEvery
 	p := longTrack(t, n)
 	sq := bigSquare(temporal.Closed(0, 1e9))
+	x := float64(n)
+	late := StaticMRegion(spatial.MustPolygonRegion(spatial.Ring(x-0.5, -1, x+10, -1, x+10, 2, x-0.5, 2)), temporal.Closed(0, 1e9))
+	pb, lb := p.Bounds(), late.Bounds()
 	steps := stepRegion(n)
 	for _, k := range []int{1, 2, 4} {
 		ctx := &pollCtx{Context: context.Background(), cancelAt: k}
 		if _, err := p.InsideCtx(ctx, sq); !errors.Is(err, context.Canceled) || ctx.polls != k {
 			t.Errorf("InsideCtx cancelled at poll %d: err = %v after %d polls", k, err, ctx.polls)
+		}
+		ctx = &pollCtx{Context: context.Background(), cancelAt: k}
+		if hit, _, err := SometimesInside(ctx, p, pb, late, lb); hit || !errors.Is(err, context.Canceled) || ctx.polls != k {
+			t.Errorf("SometimesInside cancelled at poll %d: %v, err = %v after %d polls", k, hit, err, ctx.polls)
 		}
 		ctx = &pollCtx{Context: context.Background(), cancelAt: k}
 		if _, err := steps.IntersectsCtx(ctx, steps); !errors.Is(err, context.Canceled) || ctx.polls != k {
@@ -136,5 +146,15 @@ func TestStreamingSweepKeepsCancelCadence(t *testing.T) {
 	ctx := &pollCtx{Context: context.Background(), cancelAt: pieces}
 	if _, err := p.InsideCtx(ctx, sq); err != nil || ctx.polls != want {
 		t.Errorf("InsideCtx over %d common pieces: err = %v, %d polls, want %d", pieces, err, ctx.polls, want)
+	}
+	// The fused walk visits the same pieces when the only true one is the
+	// last, and one piece — one poll — when the first one is true.
+	ctx = &pollCtx{Context: context.Background(), cancelAt: pieces}
+	if hit, v, err := SometimesInside(ctx, p, pb, late, lb); !hit || v != MayHold || err != nil || ctx.polls != want {
+		t.Errorf("SometimesInside, true in the last of %d pieces: %v, verdict %d, err = %v, %d polls, want %d", pieces, hit, v, err, ctx.polls, want)
+	}
+	ctx = &pollCtx{Context: context.Background(), cancelAt: pieces}
+	if hit, _, err := SometimesInside(ctx, p, pb, sq, sq.Bounds()); !hit || err != nil || ctx.polls != 1 {
+		t.Errorf("SometimesInside, true in the first piece: %v, err = %v, %d polls, want 1", hit, err, ctx.polls)
 	}
 }

@@ -1,21 +1,25 @@
 package moving
 
 import (
+	"context"
 	"math"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/temporal"
+	"movingdb/internal/units"
 )
 
 // The filter step of a filter-and-refine join (Section 4.2 stores a
-// bounding cube with every spatial unit for exactly this): two
-// conservative predicates that decide from bounding boxes alone that a
-// lifted predicate can never hold for a pair, so that the Section 5
-// kernel need not run. A filter may err only towards MayHold — what it
-// rejects is provably false. Each runs an object-level test on
-// summaries computed once per value (PointBounds, RegionBounds) and then
-// a unit-level pass along the common pieces of the two unit arrays, the
-// same seeking sweep the kernels use, and allocates nothing.
+// bounding cube with every spatial unit for exactly this): bounding
+// boxes decide that a lifted predicate can never hold for a pair, or for
+// a piece of it, so that the Section 5 kernel need not run there. A
+// filter may err only towards MayHold — what it rejects is provably
+// false. Each runs an object-level test on summaries computed once per
+// value (PointBounds, RegionBounds: the whole value's box and one stored
+// box per unit, flat arrays beside the unit arrays) and then one pass
+// along the common pieces of the two unit arrays, the same seeking sweep
+// the kernels use, and allocates nothing. SometimesInside refines in
+// that same pass; MayComeWithin leaves the refinement to its caller.
 
 // Verdict is the outcome of a filter for one pair.
 type Verdict uint8
@@ -31,27 +35,31 @@ const (
 
 // PointBounds summarises a moving point for the filters: the closed hull
 // of its definition time (Start > End for the empty value), the box of
-// the whole movement, and Mag, a bound on the magnitude of every
-// intermediate the distance kernel forms — the largest
-// |X0| + |Y0| + (|X1| + |Y1|)·|t| over the units and their instants —
-// which scales the distance filter's rounding margin. A value whose Mag
-// is not finite (an unbounded interval, non-finite coefficients) is
-// never filtered.
+// the whole movement, the box of every unit (its time extent is the unit
+// interval, which the unit array already holds), and Mag, a bound on the
+// magnitude of every intermediate the distance kernel forms — the
+// largest |X0| + |Y0| + (|X1| + |Y1|)·|t| over the units and their
+// instants — which scales the distance filter's rounding margin. A value
+// whose Mag is not finite (an unbounded interval, non-finite
+// coefficients) is never filtered.
 type PointBounds struct {
 	Start, End temporal.Instant
 	Box        geom.Rect
+	Units      []geom.Rect
 	Mag        float64
 }
 
 // Bounds computes the moving point's filter summary.
 func (p MPoint) Bounds() PointBounds {
-	b := PointBounds{Start: temporal.PosInf, End: temporal.NegInf, Box: p.BBox()}
 	us := p.M.Units()
+	b := PointBounds{Start: temporal.PosInf, End: temporal.NegInf, Box: geom.EmptyRect(), Units: make([]geom.Rect, len(us))}
 	if len(us) == 0 {
 		return b
 	}
 	b.Start, b.End = us[0].Iv.Start, us[len(us)-1].Iv.End
-	for _, u := range us {
+	for i, u := range us {
+		b.Units[i] = u.BBox()
+		b.Box = b.Box.Union(b.Units[i])
 		t := math.Max(math.Abs(float64(u.Iv.Start)), math.Abs(float64(u.Iv.End)))
 		b.Mag = math.Max(b.Mag, math.Abs(u.M.X0)+math.Abs(u.M.Y0)+(math.Abs(u.M.X1)+math.Abs(u.M.Y1))*t)
 	}
@@ -90,32 +98,57 @@ func (r MRegion) Bounds() RegionBounds {
 
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
-// MayBeInside reports whether boxes allow p to be inside r at some
-// instant; pb and rb are p.Bounds() and r.Bounds(). Any verdict but
-// MayHold implies !p.Inside(r).Sometimes().
+// SometimesInside answers sometimes(inside(p, r)) — it equals
+// p.Inside(r).Sometimes() — in one walk along the common pieces of the
+// two unit arrays, filtering and refining as it goes; pb and rb are
+// p.Bounds() and r.Bounds(). Per piece it asks the two stored unit boxes,
+// then the point's box sliced to the piece against the stored region
+// box, and runs units.UPointInsideURegion only on a piece neither
+// refuses, returning at the first true unit; no moving bool is built.
+// The verdict says how far the pair got: NoObject, NoUnit (every piece
+// was refused, the kernel never ran) or MayHold. ctx is polled on every
+// cancelCheckEvery-th piece walked, the first included — InsideCtx's
+// cadence.
 //
-// It needs no tolerance: a unit's motion is linear and floating-point
-// evaluation of x0 + x1·t is monotone in t, so the position at any
-// instant of a piece lies within the positions at the ends of the whole
-// unit. The sliced point box tested here is the very box
-// UPointInsideURegion computes, the stored region rectangle contains the
-// sliced one it computes, and so a piece rejected here is a piece the
-// kernel's own cube test answers false for.
-func MayBeInside(p MPoint, pb PointBounds, r MRegion, rb RegionBounds) Verdict {
-	if !finite(pb.Mag) {
-		return MayHold
+// A refused piece is one the kernel's own cube test answers false for,
+// and that needs no tolerance: a unit's motion is linear and
+// floating-point evaluation of x0 + x1·t is monotone in t, so the
+// position at any instant of a piece lies within the positions at the
+// ends of the whole unit. The sliced point box is the very box
+// UPointInsideURegion computes and lies within the stored one; the
+// stored region rectangle contains the sliced one the kernel computes.
+// A point whose Mag is not finite is walked unfiltered.
+func SometimesInside(ctx context.Context, p MPoint, pb PointBounds, r MRegion, rb RegionBounds) (bool, Verdict, error) {
+	filtered := finite(pb.Mag)
+	if filtered && (!(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect)) {
+		return false, NoObject, nil
 	}
-	if !(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect) {
-		return NoObject
+	verdict := NoUnit
+	if !filtered {
+		verdict = MayHold
 	}
-	pu := p.M.Units()
-	sw := temporal.NewSweep(pu, r.M.Units())
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		if pu[ri.A].WithInterval(ri.Iv).BBox().Intersects(rb.Units[ri.B]) {
-			return MayHold
+	pu, ru := p.M.Units(), r.M.Units()
+	var buf [4]units.UBool
+	sw := temporal.NewSweep(pu, ru)
+	for i := 0; ; i++ {
+		ri, ok := sw.NextCommon()
+		if !ok {
+			return false, verdict, nil
+		}
+		if err := cancelCheck(ctx, i); err != nil {
+			return false, verdict, err
+		}
+		up := pu[ri.A].WithInterval(ri.Iv)
+		if filtered && !(pb.Units[ri.A].Intersects(rb.Units[ri.B]) && up.BBox().Intersects(rb.Units[ri.B])) {
+			continue
+		}
+		verdict = MayHold
+		for _, ub := range units.UPointInsideURegion(buf[:0], up, ru[ri.B].WithInterval(ri.Iv)) {
+			if ub.V {
+				return true, MayHold, nil
+			}
 		}
 	}
-	return NoUnit
 }
 
 // withinMargin scales the rounding margin of MayComeWithin: the filter
@@ -152,6 +185,11 @@ func MayComeWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64
 	pu, qu := p.M.Units(), q.M.Units()
 	sw := temporal.NewSweep(pu, qu)
 	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+		// The stored boxes contain the sliced ones: what they put beyond
+		// the limit, slicing cannot bring back.
+		if beyond(pb.Units[ri.A], qb.Units[ri.B], limit) {
+			continue
+		}
 		if !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox(), limit) {
 			return MayHold
 		}

@@ -1,6 +1,7 @@
 package moving_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,10 +14,13 @@ import (
 	"movingdb/internal/workload"
 )
 
-// The filters may only exclude what the kernels answer false for. The
-// fuzz target spells pairs of moving points unit by unit and holds each
-// verdict other than MayHold to the kernels; the seeded tests do the
-// same over workload data and also hold the filters to being useful.
+// The filters may only exclude what the kernels answer false for, and
+// the fused inside walk must answer what the kernels answer. The fuzz
+// target spells pairs of moving points unit by unit and holds
+// SometimesInside to equality with sometimes(inside) and each
+// MayComeWithin verdict other than MayHold to the kernels; the seeded
+// tests do the same over hand-built and workload data and also hold the
+// filters to being useful.
 
 // fuzzRegions is the table a fuzz input picks its moving region from.
 func fuzzRegions() []moving.MRegion {
@@ -72,12 +76,48 @@ func decodeTrack(raw []byte, origin geom.Point, t0 temporal.Instant) (moving.MPo
 	return moving.MPoint{M: m}, err == nil
 }
 
-// checkFilters holds both filters to the kernels for one (p, q, r, c).
+// refMayBeInside is the filter pass the executor ran before the inside
+// walk was fused with its refinement, kept as the specification of
+// SometimesInside's verdict: MayHold for a point whose Mag is not finite,
+// NoObject by the whole-value summaries, else MayHold exactly when some
+// common piece's sliced point box meets the stored region rectangle.
+func refMayBeInside(p moving.MPoint, pb moving.PointBounds, r moving.MRegion, rb moving.RegionBounds) moving.Verdict {
+	if math.IsInf(pb.Mag, 0) || math.IsNaN(pb.Mag) {
+		return moving.MayHold
+	}
+	if !(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect) {
+		return moving.NoObject
+	}
+	pu := p.M.Units()
+	sw := temporal.NewSweep(pu, r.M.Units())
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+		if pu[ri.A].WithInterval(ri.Iv).BBox().Intersects(rb.Units[ri.B]) {
+			return moving.MayHold
+		}
+	}
+	return moving.NoUnit
+}
+
+// checkInside holds the fused walk to the composed kernels and to the
+// reference verdict for one (p, r), and returns what it answered.
+func checkInside(t *testing.T, p moving.MPoint, r moving.MRegion) (bool, moving.Verdict) {
+	t.Helper()
+	pb, rb := p.Bounds(), r.Bounds()
+	got, v, err := moving.SometimesInside(context.Background(), p, pb, r, rb)
+	if want := p.Inside(r).Sometimes(); err != nil || got != want {
+		t.Errorf("SometimesInside = %v, %v, but sometimes(inside) = %v\n p %v\n inside %v", got, err, want, p, p.Inside(r))
+	}
+	if want := refMayBeInside(p, pb, r, rb); v != want || (got && v != moving.MayHold) {
+		t.Errorf("SometimesInside = %v with verdict %d, the filter pass says %d\n p %v", got, v, want, p)
+	}
+	return got, v
+}
+
+// checkFilters holds the inside walk and the distance filter to the
+// kernels for one (p, q, r, c).
 func checkFilters(t *testing.T, p, q moving.MPoint, r moving.MRegion, c float64) {
 	t.Helper()
-	if v := moving.MayBeInside(p, p.Bounds(), r, r.Bounds()); v != moving.MayHold && p.Inside(r).Sometimes() {
-		t.Errorf("MayBeInside = %d, but the point is inside at some time\n p %v\n inside %v", v, p, p.Inside(r))
-	}
+	checkInside(t, p, r)
 	for _, pair := range [][2]moving.MPoint{{p, q}, {q, p}} {
 		a, b := pair[0], pair[1]
 		v := moving.MayComeWithin(a, a.Bounds(), b, b.Bounds(), c)
@@ -118,6 +158,12 @@ func FuzzFilterConservative(f *testing.F) {
 		{[]byte{7, 30, 0, gap | 7, 30, 0, 7, 0, 30}, []byte{3, 0, n(-30), gap | 3, 0, n(-30)}, 3, 200, 90, 40, 0},
 		{[]byte{7, 1, 0}, []byte{7, 1, 0}, 0, 0, 1e-7, 1e-7, 4},                // closer than the margin can resolve; unbounded region
 		{[]byte{7, 127, 127}, []byte{7, n(-128), n(-128)}, 0, 1e9, 1e9, 10, 5}, // large coordinates; nowhere-defined region
+		// For the fused walk, against the square [480, 520]² that exists on [2, 9].
+		{[]byte{1, 30, 0, rest | 7, 0, 0, 7, n(-30), 0}, []byte{1, 0, 10}, 0, 0, 0, 5, 3},     // inside only in the last common piece
+		{[]byte{1, 10, 0, 1, n(-10), 0}, []byte{1, 0, 10}, 0, 0, 0, 5, 3},                     // inside only at the one shared instant, t = 2
+		{[]byte{1, 15, n(-5), 7, n(-20), 20}, []byte{1, 0, 10}, 0, 0, 0, 5, 3},                // only touches the corner (520, 520), at t = 3
+		{[]byte{rest | 7, 0, 0, rest | 7, 0, 0}, []byte{1, 0, 10}, 0, 0, 0, 5, 4},             // rests in the square of the unbounded region (NaN cube)
+		{[]byte{7, 1, 0, 7, n(-1), 0, 7, 0, 1, 7, 0, n(-1)}, []byte{1, 0, 10}, 0, 0, 0, 5, 2}, // many pieces of a storm with an eye
 	} {
 		f.Add(s.a, s.b, s.bt, s.ox, s.oy, s.c, s.region)
 	}
@@ -135,6 +181,65 @@ func FuzzFilterConservative(f *testing.F) {
 		}
 		checkFilters(t, p, q, regions[int(region)%len(regions)], c)
 	})
+}
+
+// stepSquares is a moving region of n units that do not merge: the
+// square [0, 10]² grows to [0, 11]² on every other unit [i, i+1); the
+// last unit is closed.
+func stepSquares(n int) moving.MRegion {
+	us := make([]units.URegion, n)
+	for i := range us {
+		side := 10 + float64(i%2)
+		sq := spatial.MustPolygonRegion(spatial.Ring(0, 0, side, 0, side, side, 0, side))
+		iv := temporal.RightHalfOpen(temporal.Instant(i), temporal.Instant(i+1))
+		iv.RC = i == n-1
+		us[i] = moving.StaticMRegion(sq, iv).M.Units()[0]
+	}
+	return moving.MustMRegion(us...)
+}
+
+// TestSometimesInsideEdges runs the fused walk over pairs built for the
+// places it could part from the composed kernels — where the first true
+// piece is, how little of it there is, and what switches the boxes off —
+// and holds the answer and the verdict to what each pair was built for.
+func TestSometimesInsideEdges(t *testing.T) {
+	track := func(samples ...moving.Sample) moving.MPoint {
+		p, err := moving.MPointFromSamples(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	at := func(ti float64, x, y float64) moving.Sample {
+		return moving.Sample{T: temporal.Instant(ti), P: geom.Pt(x, y)}
+	}
+	forever := temporal.Closed(temporal.NegInf, temporal.PosInf)
+	unit := spatial.MustPolygonRegion(spatial.Ring(0, 0, 10, 0, 10, 10, 0, 10))
+	steps := stepSquares(8)
+	for _, tc := range []struct {
+		name    string
+		p       moving.MPoint
+		r       moving.MRegion
+		want    bool
+		verdict moving.Verdict
+	}{
+		{"true only in the last common piece", track(at(0, 100, 5), at(7, 20, 5), at(8, 5, 5)), steps, true, moving.MayHold},
+		{"true only at the one shared instant", track(at(8, 5, 5), at(12, 50, 5)), steps, true, moving.MayHold},
+		{"a touch of the corner is the only true", track(at(0, 19, 1), at(8, 3, 17)), steps, true, moving.MayHold},
+		{"passes the corner's box, never the square", track(at(0, 22, 1), at(8, 6, 17)), steps, false, moving.MayHold},
+		{"unit boxes refuse every piece", track(at(0, 30, 5), at(4, 30, 40), at(8, 5, 40)), steps, false, moving.NoUnit},
+		{"disjoint lifetimes", track(at(9, 5, 5), at(12, 5, 5)), steps, false, moving.NoObject},
+		{"non-finite Mag, inside", moving.MustMPoint(units.StaticUPoint(forever, geom.Pt(5, 5))), steps, true, moving.MayHold},
+		{"non-finite Mag, far away: walked unfiltered", moving.MustMPoint(units.StaticUPoint(forever, geom.Pt(500, 5))), steps, false, moving.MayHold},
+		{"non-finite Mag, nowhere-defined region", moving.MustMPoint(units.StaticUPoint(forever, geom.Pt(5, 5))), moving.MRegion{}, false, moving.MayHold},
+		{"nowhere-defined region", track(at(0, 5, 5), at(8, 6, 6)), moving.MRegion{}, false, moving.NoObject},
+		{"nowhere-defined point", moving.MPoint{}, steps, false, moving.NoObject},
+		{"NaN-poisoned region rectangle", track(at(0, 5, 5), at(8, 6, 6)), moving.StaticMRegion(unit, forever), true, moving.MayHold},
+	} {
+		if got, v := checkInside(t, tc.p, tc.r); got != tc.want || v != tc.verdict {
+			t.Errorf("%s: SometimesInside = %v with verdict %d, built for %v with %d", tc.name, got, v, tc.want, tc.verdict)
+		}
+	}
 }
 
 // TestFiltersOnWorkload holds the filters to the kernels on every pair
@@ -157,13 +262,14 @@ func TestFiltersOnWorkload(t *testing.T) {
 		for _, s := range storms {
 			checkFilters(t, f.Flight, f.Flight, s, 15)
 			inside.pairs++
-			switch moving.MayBeInside(f.Flight, pb, s, s.Bounds()) {
+			hit, v := checkInside(t, f.Flight, s)
+			switch v {
 			case moving.NoObject:
 				inside.object++
 			case moving.NoUnit:
 				inside.unit++
 			}
-			if f.Flight.Inside(s).Sometimes() {
+			if hit {
 				inside.true++
 			}
 		}
@@ -196,7 +302,7 @@ func TestFiltersOnWorkload(t *testing.T) {
 // The filter benchmarks run each predicate over the pairs of the
 // benchmark catalog; TestAllocBudgets holds them to zero allocations.
 
-func BenchmarkMayBeInside(b *testing.B) {
+func BenchmarkSometimesInside(b *testing.B) {
 	g := workload.New(2000)
 	flights := g.Flights(16, 200)
 	storm := g.Storm(0, 64, 12, 6)
@@ -205,11 +311,14 @@ func BenchmarkMayBeInside(b *testing.B) {
 		pbs[i] = f.Flight.Bounds()
 	}
 	rb := storm.Bounds()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(flights)
-		moving.MayBeInside(flights[k].Flight, pbs[k], storm, rb)
+		if _, _, err := moving.SometimesInside(ctx, flights[k].Flight, pbs[k], storm, rb); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -303,11 +303,13 @@ func TestHealthz(t *testing.T) {
 // ?timeout_ms=10 query over a catalog of 100+ moving regions crossed
 // with flights returns a 408 envelope in bounded time because the
 // evaluator observes cancellation, and the metrics registry afterwards
-// shows the request with its latency and the timeout counted.
+// shows the request with its latency and the timeout counted. The storms
+// are crossed in twice: the filtered planes × storms join alone finishes
+// inside the deadline, 400 000 rows need some fifty times as long.
 func TestQueryTimeoutEnvelopeAndMetrics(t *testing.T) {
 	s := stormServer(t, 40, 100)
 	h := s.Handler()
-	q := "/v1/query?timeout_ms=10&q=SELECT+name+FROM+planes,+storms+WHERE+sometimes(inside(flight,+extent))"
+	q := "/v1/query?timeout_ms=10&q=SELECT+s.name+FROM+planes,+storms+s,+storms+r+WHERE+sometimes(inside(flight,+s.extent))"
 	start := time.Now()
 	code, body := get(t, h, q)
 	elapsed := time.Since(start)

@@ -30,8 +30,8 @@ echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against
 echo "==> paper benchmarks, one iteration each (bench_test.go bodies must execute)"
 go test -run '^$' -bench . -benchtime 1x .
 
-echo "==> index and ingest benchmarks, one iteration each (a broken BenchmarkBuild or BenchmarkPipelineTick must not wait for TestAllocBudgets)"
-go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest
+echo "==> index, ingest, db and moving benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick or BenchmarkTemplateA must not wait for TestAllocBudgets)"
+go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving
 
 echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the race build)"
 # Serving layers and the paper's kernels — every package under
