@@ -29,8 +29,9 @@ debugcheck:
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
 # vet, race-enabled tests, every benchmark body of the root package,
-# internal/index and internal/ingest once, the faultinject build
-# variant, and the fuzz smoke runs.
+# internal/index, internal/ingest, internal/db, internal/moving and
+# internal/server once, the faultinject build variant, and the fuzz
+# smoke runs.
 verify:
 	./scripts/verify.sh
 
@@ -42,8 +43,8 @@ chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
 # Fuzz the WAL recovery decoders, the refinement sweep, the join
-# filters, the index ladder and the server's two wire scanners (longer
-# than the verify smoke runs).
+# filters, the index ladder, the server's two wire scanners and its
+# float writer (longer than the verify smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDynamic -fuzztime=60s ./internal/index
 	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=60s -fuzzminimizetime=1s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzJSONFloat -fuzztime=60s ./internal/server
 
 # Build and vet the failpoint-enabled binary variant.
 faultinject:

@@ -99,8 +99,9 @@ func (m *dynModel) window(a, b byte) {
 		if v.snap.Len() != v.n {
 			m.t.Fatalf("view %d: snapshot Len = %d, captured after %d inserts", vi, v.snap.Len(), v.n)
 		}
+		// Search appends in no particular order, after what out holds.
 		got, _ := v.snap.Search(q, []int64{-7})
-		if want := scanWindow(m.all[:v.n], q); got[0] != -7 || !slices.Equal(got[1:], want) {
+		if want := scanWindow(m.all[:v.n], q); got[0] != -7 || !slices.Equal(sorted(got[1:]), want) {
 			m.t.Fatalf("view %d (%d of %d entries): Search = %v, scan = %v", vi, v.n, len(m.all), got, want)
 		}
 	}
@@ -138,6 +139,14 @@ func scanWindow(entries []Entry, q geom.Cube) []int64 {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// sorted returns a sorted copy of ids: Snapshot.Search's order is
+// unspecified, so its answers compare as sets.
+func sorted(ids []int64) []int64 {
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	return ids
 }
 
 // centreDist is the harness's exact distance: to the centre of the
@@ -242,6 +251,7 @@ func answersOf(s Snapshot, all []Entry) []byte {
 		x, y := float64((i*37)%90), float64((i*53)%90)
 		q := geom.Cube{Rect: geom.Rect{MinX: x, MinY: y, MaxX: x + 15, MaxY: y + 15}, MinT: float64(i), MaxT: float64(i + i%5)}
 		ids, _ := s.Search(q, nil)
+		slices.Sort(ids)
 		nn, _ := s.Nearest(x, y, float64(i), 5, -1, func(id int64) (int64, float64, bool) {
 			return id, centreDist(all[id], x, y), true
 		})
@@ -295,7 +305,7 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatalf("Len: snapshot %d (want %d), index %d (want %d)", snap.Len(), captured, d.Len(), len(all))
 	}
 	q := geom.Cube{Rect: geom.Rect{MinX: 20, MinY: 20, MaxX: 60, MaxY: 60}, MinT: 10, MaxT: 70}
-	if got, _ := d.Search(q, nil); !slices.Equal(got, scanWindow(all, q)) {
+	if got, _ := d.Search(q, nil); !slices.Equal(sorted(got), scanWindow(all, q)) {
 		t.Fatal("index after the writer finished disagrees with the scan")
 	}
 }

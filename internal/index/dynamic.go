@@ -115,13 +115,14 @@ func (d *Dynamic) Snapshot() Snapshot {
 // nodes visited plus tail entries scanned. Lock-free: the snapshot's
 // data is immutable. Duplicate IDs may appear when a unit was indexed
 // in pieces (an append merged into its predecessor adds a second entry
-// for the extension); callers dedupe during refinement.
-// Like RTree.Search, the appended region comes back sorted ascending.
+// for the extension). Unlike RTree.Search, the appended IDs come back
+// in no particular order: the callers dedupe and order by themselves
+// (ingest.Epoch.Window by object slot, the live registry by
+// subscription id), so a sort here would be paid for and thrown away.
 func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 	if q.IsEmpty() {
 		return out, 0
 	}
-	start := len(out)
 	visited := len(s.tail)
 	for _, r := range s.rungs {
 		var v int
@@ -133,7 +134,6 @@ func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 			out = append(out, e.ID)
 		}
 	}
-	slices.Sort(out[start:])
 	return out, visited
 }
 

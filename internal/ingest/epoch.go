@@ -61,27 +61,29 @@ func viewOf(o *object) *objView {
 	return v
 }
 
-// unit returns the i-th unit of the sealed array.
-func (v *objView) unit(i int) units.UPoint {
+// unit returns the i-th unit of the sealed array in place. Both places
+// it can live are immutable after capture: the prefix element, or for
+// i = n-1 the tail copy, never the alias.
+func (v *objView) unit(i int) *units.UPoint {
 	if i == v.n-1 {
-		return v.tail
+		return &v.tail
 	}
-	return v.prefix[i]
+	return &v.prefix[i]
 }
 
 // unitAt finds the unit whose interval contains t by binary search over
 // the temporally ordered, pairwise-disjoint sealed array (the same
-// search as mapping.FindUnit, routed through unit() so the live tail is
-// never read through the alias).
+// search as mapping.FindUnit). Probes read interval headers in place;
+// only the unit found is copied out.
 func (v *objView) unitAt(t temporal.Instant) (units.UPoint, bool) {
 	lo, hi := 0, v.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		u := v.unit(mid)
+		iv := &v.unit(mid).Iv
 		switch {
-		case u.Iv.Contains(t):
-			return u, true
-		case t < u.Iv.Start || (t == u.Iv.Start && !u.Iv.LC):
+		case iv.Contains(t):
+			return *v.unit(mid), true
+		case t < iv.Start || (t == iv.Start && !iv.LC):
 			hi = mid
 		default:
 			lo = mid + 1
@@ -145,7 +147,7 @@ func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 		// Refining against the sealed unit is safe: units only grow, so
 		// the unit at capture contains every extent its earlier index
 		// entries covered.
-		if index.UPointInWindow(v.unit(ui), rect, iv) {
+		if index.UPointInWindow(*v.unit(ui), rect, iv) {
 			seen[oi] = true
 			hits++
 		}

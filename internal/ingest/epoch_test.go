@@ -209,6 +209,47 @@ func TestEpochEquivalence(t *testing.T) {
 	}
 }
 
+// TestEpochWindowLaterCandidateRefines: Snapshot.Search returns
+// candidates in no particular order, so Window's per-object dedupe must
+// not settle an object on its first candidate. "zig" has two units whose
+// boxes both meet the query: unit 0 runs the diagonal (0,0)→(10,10),
+// its box covers the corner [0,4]×[6,10] but the path never enters it;
+// unit 1, indexed later, runs (10,10)→(0,10) and does. "dot" sits still
+// outside the corner.
+func TestEpochWindowLaterCandidateRefines(t *testing.T) {
+	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Ingest([]Observation{
+		{ObjectID: "dot", T: 0, X: 20, Y: 20}, {ObjectID: "dot", T: 20, X: 20, Y: 20},
+		{ObjectID: "zig", T: 0, X: 0, Y: 0}, {ObjectID: "zig", T: 10, X: 10, Y: 10}, {ObjectID: "zig", T: 20, X: 0, Y: 10},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.Flush()
+	ep := p.Epoch()
+	rect, iv := geom.Rect{MinX: 0, MinY: 6, MaxX: 4, MaxY: 10}, temporal.Closed(0, 20)
+
+	// The premise: both of zig's units are candidates, only the later one
+	// refines true.
+	zig := ep.objs[ep.ids["zig"]]
+	cands, _ := ep.idx.Search(geom.Cube{Rect: rect, MinT: 0, MaxT: 20}, nil)
+	refined := map[int]bool{}
+	for _, id := range cands {
+		if oi, ui := int(id>>32), int(id&0xffffffff); oi == ep.ids["zig"] {
+			refined[ui] = index.UPointInWindow(*zig.unit(ui), rect, iv)
+		}
+	}
+	if zig.n != 2 || len(refined) != 2 || refined[0] || !refined[1] {
+		t.Fatalf("premise: zig has %d units; candidate unit -> refines: %v, want {0: false, 1: true}", zig.n, refined)
+	}
+	if got := ep.Window(rect, iv); len(got) != 1 || got[0] != "zig" {
+		t.Fatalf("Window = %v, want [zig]", got)
+	}
+}
+
 // TestConcurrentIngestAndEpochReads races continuous ingestion (with
 // continuation merges and, 2 388 index entries being past four full
 // tails, index folds that merge rungs) against continuous epoch

@@ -25,5 +25,9 @@ func TestAllocBudgets(t *testing.T) {
 		// The exact-size copy the cache retains (a 56 KiB body).
 		allocbudget.Budget{Name: "BenchmarkEncodeAtInstant1000", Bench: BenchmarkEncodeAtInstant1000, MaxAllocs: 1, MaxBytes: 72 << 10},
 		allocbudget.Budget{Name: "BenchmarkEncodePagedBodies", Bench: BenchmarkEncodePagedBodies},
+		allocbudget.Budget{Name: "BenchmarkAppendJSONFloat/writer", Bench: benchAppendJSONFloat},
+		// A /v1/atinstant miss's compute: the epoch's position slice
+		// (1 000 × 32 B); the unit search and the encoder add nothing.
+		allocbudget.Budget{Name: "BenchmarkAtInstantBody/n=1000", Bench: benchAtInstantBody, MaxAllocs: 1, MaxBytes: 41000},
 	)
 }

@@ -5,14 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"testing"
+	"time"
 
 	"movingdb/internal/db"
 	"movingdb/internal/ingest"
 	"movingdb/internal/live"
 	"movingdb/internal/moving"
+	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
 )
 
@@ -200,6 +205,97 @@ func BenchmarkEncodeAtInstant1000(b *testing.B) {
 		exact = bytes.Clone(buf)
 	}
 	b.SetBytes(int64(len(exact)))
+}
+
+// jsonFloatBenchValues are 4 096 coordinates as the hot routes carry
+// them: seeded, in the world's [0, 1000) square, all seventeen digits.
+func jsonFloatBenchValues() []float64 {
+	rng := rand.New(rand.NewSource(4096))
+	vs := make([]float64, 4096)
+	for i := range vs {
+		vs[i] = rng.Float64() * 1000
+	}
+	return vs
+}
+
+// BenchmarkAppendJSONFloat renders the same 4 096 values with the
+// Schubfach writer and with strconv's shortest path (what the writer
+// replaced; every value is in 'f' range). ns/op is per value.
+func BenchmarkAppendJSONFloat(b *testing.B) {
+	b.Run("writer", benchAppendJSONFloat)
+	b.Run("strconv", func(b *testing.B) {
+		vs := jsonFloatBenchValues()
+		buf := make([]byte, 0, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf = strconv.AppendFloat(buf[:0], vs[i%len(vs)], 'f', -1, 64)
+		}
+	})
+}
+
+func benchAppendJSONFloat(b *testing.B) {
+	vs := jsonFloatBenchValues()
+	buf := make([]byte, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendJSONFloat(buf[:0], vs[i%len(vs)])
+	}
+}
+
+// BenchmarkAtInstantBody is the compute of a /v1/atinstant miss on
+// query_unique's frozen data (1 000 objects × 60 steps, workload seed
+// 20000, ingested one step per batch): the epoch's unit search for every
+// object, then the body appended into a reused buffer.
+func BenchmarkAtInstantBody(b *testing.B) {
+	b.Run("n=1000", benchAtInstantBody)
+}
+
+const frozenSteps = 60
+
+// frozenEpoch is query_unique's data, built once per test binary (the
+// allocation budget runs the benchmark body several times).
+var frozenEpoch = sync.OnceValues(func() (*ingest.Epoch, error) {
+	const objects = 1000
+	ws := workload.New(20000).ObservationStream("obj", objects, frozenSteps, 0, 1, 8)
+	stream := make([]ingest.Observation, len(ws))
+	for i, w := range ws {
+		stream[i] = ingest.Observation{ObjectID: w.ID, T: float64(w.T), X: w.P.X, Y: w.P.Y}
+	}
+	p, err := ingest.Open(ingest.Config{MaxAge: time.Hour, MaxQueued: len(stream) + 1})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	for lo := 0; lo < len(stream); lo += objects {
+		if _, err := p.Ingest(stream[lo : lo+objects]); err != nil {
+			return nil, err
+		}
+	}
+	p.Flush()
+	return p.Epoch(), nil
+})
+
+func benchAtInstantBody(b *testing.B) {
+	ep, err := frozenEpoch()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ts := make([]float64, 1024)
+	for i := range ts {
+		ts[i] = rng.Float64() * frozenSteps
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := ts[i%len(ts)]
+		if buf, err = appendAtInstantBody(buf[:0], t, ep.AtInstant(temporal.Instant(t))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkEncodePagedBodies renders the other three hand-encoded read

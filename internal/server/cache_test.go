@@ -74,9 +74,21 @@ func TestCacheHitAndConditionalGet(t *testing.T) {
 	if rec := getRec(t, h, testWindowURL, map[string]string{"If-None-Match": `"deadbeef-9"`}); rec.Code != 200 {
 		t.Errorf("mismatched If-None-Match: %d, want 200", rec.Code)
 	}
-	// Weak tags never strong-match.
-	if rec := getRec(t, h, testWindowURL, map[string]string{"If-None-Match": "W/" + et}); rec.Code != 200 {
-		t.Errorf("weak If-None-Match: %d, want 200", rec.Code)
+	// If-None-Match compares weakly (RFC 9110 §13.1.2): W/ on a listed
+	// tag does not stop it matching, in any position of a list.
+	for inm, want := range map[string]int{
+		"W/" + et:               http.StatusNotModified,
+		`W/"a", "b"`:            200,
+		`W/"a", W/` + et:        http.StatusNotModified,
+		`"b",` + et:             http.StatusNotModified,
+		`W/"a" ,  ` + et + ` `:  http.StatusNotModified,
+		"W/" + et[:len(et)-1]:   200, // unterminated: not the same tag
+		`w/` + et:               200, // the prefix is case-sensitive
+		`W/"a", "b", "deadbee"`: 200,
+	} {
+		if rec := getRec(t, h, testWindowURL, map[string]string{"If-None-Match": inm}); rec.Code != want {
+			t.Errorf("If-None-Match %s: %d, want %d", inm, rec.Code, want)
+		}
 	}
 	// Wildcard matches anything.
 	if rec := getRec(t, h, testWindowURL, map[string]string{"If-None-Match": "*"}); rec.Code != http.StatusNotModified {

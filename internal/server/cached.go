@@ -46,12 +46,15 @@ func etagFor(k cache.Key) (etag, epoch string) {
 	return etag, etag[at : len(etag)-1]
 }
 
-// etagMatches implements the strong If-None-Match comparison: an exact
-// quoted-tag match or "*". Weak tags (W/"...") never strong-match.
+// etagMatches implements If-None-Match's weak comparison (RFC 9110
+// §13.1.2): a listed tag matches when its quoted part equals ours,
+// whether or not it carries W/ (ours never does); "*" matches any.
 func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
 		part = strings.TrimSpace(part)
-		if part == "*" || part == etag {
+		if part == "*" || strings.TrimPrefix(part, "W/") == etag {
 			return true
 		}
 	}

@@ -302,25 +302,6 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, q...)
 }
 
-// appendJSONFloat appends f exactly as encoding/json renders a
-// float64: shortest form, 'f' notation for ordinary magnitudes, and
-// the exponent cleaned of its leading zero otherwise.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
 // handleEvents streams a subscription's events as Server-Sent Events:
 // one "enter"/"leave" event per predicate flip (data is the Event
 // JSON, id the per-subscription sequence), an explicit "lagged" event

@@ -30,8 +30,8 @@ echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against
 echo "==> paper benchmarks, one iteration each (bench_test.go bodies must execute)"
 go test -run '^$' -bench . -benchtime 1x .
 
-echo "==> index, ingest, db and moving benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick or BenchmarkTemplateA must not wait for TestAllocBudgets)"
-go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving
+echo "==> index, ingest, db, moving and server benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick, BenchmarkTemplateA or BenchmarkAtInstantBody must not wait for TestAllocBudgets)"
+go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving ./internal/server
 
 echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the race build)"
 # Serving layers and the paper's kernels — every package under
@@ -64,6 +64,9 @@ go test -run='^$' -fuzz=FuzzIngestDecode -fuzztime=10s -fuzzminimizetime=1s ./in
 
 echo "==> fuzz smoke: FuzzQueryParams (10s; RawQuery scanner vs url.ParseQuery, read routes never 5xx)"
 go test -run='^$' -fuzz=FuzzQueryParams -fuzztime=10s -fuzzminimizetime=1s ./internal/server
+
+echo "==> fuzz smoke: FuzzJSONFloat (10s; Schubfach float writer vs json.Marshal, bit pattern by bit pattern)"
+go test -run='^$' -fuzz=FuzzJSONFloat -fuzztime=10s ./internal/server
 
 echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
 go test -race -tags=faultinject -count=1 ./internal/sim/
