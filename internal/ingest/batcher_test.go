@@ -13,6 +13,7 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/obs"
+	"movingdb/internal/storage"
 	"movingdb/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func unitsByID(s *Store) map[string]string {
 	defer s.mu.RUnlock()
 	out := make(map[string]string, len(s.objs))
 	for _, o := range s.objs {
-		out[o.id] = fmt.Sprintf("%v last=%v seen=%v", o.units, o.last, o.seen)
+		out[o.ID] = fmt.Sprintf("%v last=%v seen=%v", o.Units, o.Last, o.Seen)
 	}
 	return out
 }
@@ -65,11 +66,11 @@ func TestDrainMatchesPerObjectApply(t *testing.T) {
 		}
 	}
 
-	drained, err := newStore(nil, nil, obs.New(0))
+	drained, err := newStore(&storage.History{}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reference, err := newStore(nil, nil, obs.New(0))
+	reference, err := newStore(&storage.History{}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDrainMatchesPerObjectApply(t *testing.T) {
 		}
 	}
 
-	replayed, err := newStore(nil, nil, obs.New(0))
+	replayed, err := newStore(&storage.History{}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +186,7 @@ func TestDrainMatchesPerObjectApply(t *testing.T) {
 // unrelated to their ids — the id rank is extended, not rebuilt — and
 // when only some of them move.
 func TestDirtyOrderAcrossRegistrations(t *testing.T) {
-	s, err := newStore(nil, nil, obs.New(0))
+	s, err := newStore(&storage.History{}, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
 	}

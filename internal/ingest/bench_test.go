@@ -7,6 +7,7 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/obs"
+	"movingdb/internal/storage"
 	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
 )
@@ -50,7 +51,7 @@ func BenchmarkStoreApply(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := newStore(nil, nil, obs.New(0))
+		s, err := newStore(&storage.History{}, obs.New(0))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,5 +170,44 @@ func BenchmarkEpochSummaries(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ep.Summaries()
+	}
+}
+
+// fleetStore is a fleet-shaped store for the checkpoint codec: 570
+// objects and 150 steps, which compaction leaves at ≈ 100 units an
+// object, ≈ 2.8 MB encoded.
+func fleetStore(b *testing.B) *Store {
+	b.Helper()
+	s, err := newStore(&storage.History{}, obs.New(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Apply(toObservations(workload.New(1).ObservationStream("f", 570, 150, 0, 1, 5)))
+	return s
+}
+
+// BenchmarkCheckpointEncode measures the payload a checkpoint writes
+// under the batcher quiesce: encodeState over the whole store.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	s := fleetStore(b)
+	b.SetBytes(int64(len(encodeState(s))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = encodeState(s)
+	}
+}
+
+// BenchmarkCheckpointDecode measures what the recovery scan does with
+// that payload: storage.DecodeHistory, every check included.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	payload := encodeState(fleetStore(b))
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := storage.DecodeHistory(payload); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

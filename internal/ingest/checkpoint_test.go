@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -93,7 +94,8 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 }
 
 // TestCheckpointStateRoundTrip pins the state codec on its own: encode
-// the live store, rebuild from the payload, compare fingerprints.
+// the live store, rebuild from the payload, compare fingerprints and
+// re-encode to the same bytes.
 func TestCheckpointStateRoundTrip(t *testing.T) {
 	g := workload.New(3)
 	stream := toObservations(g.ObservationStream("s", 5, 40, 0, 1, 4))
@@ -105,12 +107,16 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	ingestStream(t, p, stream, 9)
 	p.Flush()
 	state := encodeState(p.store)
-	if err := validateState(state); err != nil {
+	h, err := storage.DecodeHistory(state)
+	if err != nil {
 		t.Fatalf("freshly encoded state rejected: %v", err)
 	}
-	st, err := storeFromState(state, obs.New(0))
+	st, err := newStore(&h, obs.New(0))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeState(st), state) {
+		t.Fatal("rebuilt store encodes differently")
 	}
 	p2 := &Pipeline{store: st, wal: &wal{io: pageStoreIO{storage.NewPageStore()}}, health: newHealth(3, time.Second), dead: newDeadLetter(16)}
 	p2.bat = newBatcher(1<<20, 1<<20, time.Hour, p2.applyFlush, p2.publishEpoch)
@@ -223,5 +229,36 @@ func TestDirtyRecoveryRecheckpoints(t *testing.T) {
 	}
 	if got := fingerprint(p3); got != want {
 		t.Fatalf("third open diverged:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestV1CheckpointQuarantined: the checkpoint layout before storage's
+// (version 1) has no migration. A version 1 record with a valid CRC
+// reads as a corrupt checkpoint — quarantined, never fatal — and the
+// batches around it replay to the same state.
+func TestV1CheckpointQuarantined(t *testing.T) {
+	stream := toObservations(workload.New(29).ObservationStream("v", 4, 30, 0, 1, 4))
+	cfg := Config{FlushSize: 1 << 20, MaxAge: time.Hour, CheckpointPages: -1, Log: storage.NewPageStore()}
+	p, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	half := len(stream) / 2
+	ingestStream(t, p, stream[:half], 7)
+	p.Flush()
+	v1 := append(binary.LittleEndian.AppendUint32(nil, 1), make([]byte, 4+24)...) // no objects, zero counters
+	if err := p.wal.checkpoint(v1, false); err != nil {
+		t.Fatal(err)
+	}
+	ingestStream(t, p, stream[half:], 7)
+	p.Flush()
+	p2, _ := reopenFromImage(t, cfg.Log, Config{CheckpointPages: -1})
+	defer p2.Close()
+	if st := p2.Stats(); st.WALQuarantined == 0 {
+		t.Fatal("version 1 checkpoint was not quarantined")
+	}
+	if got, want := fingerprint(p2), fingerprint(p); got != want {
+		t.Fatalf("recovery around a version 1 checkpoint diverged:\n got %s\nwant %s", got, want)
 	}
 }

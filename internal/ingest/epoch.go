@@ -8,6 +8,7 @@ import (
 	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
+	"movingdb/internal/storage"
 	"movingdb/internal/temporal"
 	"movingdb/internal/units"
 )
@@ -52,11 +53,11 @@ type objView struct {
 }
 
 // viewOf seals an object's current state. Caller holds the store lock.
-func viewOf(o *object) *objView {
-	v := &objView{id: o.id, n: len(o.units), seen: o.seen, last: o.last}
+func viewOf(o *storage.Track) *objView {
+	v := &objView{id: o.ID, n: len(o.Units), seen: o.Seen, last: o.Last}
 	if v.n > 0 {
-		v.prefix = o.units[: v.n-1 : v.n-1]
-		v.tail = o.units[v.n-1]
+		v.prefix = o.Units[: v.n-1 : v.n-1]
+		v.tail = o.Units[v.n-1]
 	}
 	return v
 }
@@ -101,7 +102,7 @@ func Frozen(ids []string, objects []moving.MPoint) (*Epoch, error) {
 	if len(ids) != len(objects) {
 		return nil, errors.New("ingest: ids and objects length mismatch")
 	}
-	st, err := newStore(ids, objects, obs.New(0))
+	st, err := newStore(seedHistory(ids, objects), obs.New(0))
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,14 @@ func FuzzWALDecode(f *testing.F) {
 	bomb := binary.LittleEndian.AppendUint32(nil, 0xFFFFFFF0)
 	f.Add(bomb)
 	f.Add(encodeRecord(walKindBatch, 1, encodeBatch([]Observation{{ObjectID: "r", T: 9, X: 8, Y: 7}})))
-	f.Add(encodeRecord(walKindCheckpoint, 0, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+	f.Add(encodeRecord(walKindCheckpoint, 0, storage.EncodeHistory(storage.History{})))
+	s, err := newStore(&storage.History{}, obs.New(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Apply([]Observation{{ObjectID: "c", T: 0}, {ObjectID: "c", T: 1, X: 1}, {ObjectID: "c", T: 2, X: 1, Y: 1}, {ObjectID: "d", T: 5}})
+	f.Add(encodeState(s))
+	f.Add(encodeRecord(walKindCheckpoint, 0, encodeState(s)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if batch, err := decodeBatch(data); err == nil {
@@ -32,11 +39,8 @@ func FuzzWALDecode(f *testing.F) {
 				t.Fatalf("accepted batch does not round-trip")
 			}
 		}
-		if img, err := decodeState(data); err == nil {
-			_ = img
-			if err := validateState(data); err != nil {
-				t.Fatalf("decodeState accepted what validateState rejects: %v", err)
-			}
+		if h, err := storage.DecodeHistory(data); err == nil && !bytes.Equal(storage.EncodeHistory(h), data) {
+			t.Fatalf("accepted checkpoint state does not round-trip")
 		}
 		ps := storage.NewPageStore()
 		if len(data) > 0 {
@@ -68,10 +72,18 @@ func TestDecodeBatchCountBomb(t *testing.T) {
 			t.Fatalf("count %#x over empty payload accepted", count)
 		}
 	}
-	// Same bomb inside a checkpoint state: object and unit counts.
-	state := binary.LittleEndian.AppendUint32(nil, stateVersion)
-	state = binary.LittleEndian.AppendUint32(state, 0xFFFFFFF0)
-	if err := validateState(state); err == nil {
-		t.Fatal("object-count bomb accepted")
+	// Same bomb inside a checkpoint state: the framing's array count,
+	// then the root's object and unit counts over empty arrays.
+	if _, err := storage.DecodeHistory([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}); err == nil {
+		t.Fatal("array-count bomb accepted")
+	}
+	e, err := storage.Unflatten(storage.EncodeHistory(storage.History{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(e.Root[4:], 0xFFFFFFF0)
+	binary.LittleEndian.PutUint32(e.Root[8:], 0xFFFFFFF0)
+	if _, err := storage.DecodeHistory(e.Flatten()); err == nil {
+		t.Fatal("object- and unit-count bomb accepted")
 	}
 }

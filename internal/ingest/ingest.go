@@ -214,15 +214,14 @@ func Open(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	w.ckptEvery = cfg.CheckpointPages
-	var st *Store
-	if rec.state != nil {
-		// The checkpoint state already contains the seed objects from the
-		// first open (they were live when it was written), so it
-		// supersedes cfg.Seeds entirely.
-		st, err = storeFromState(rec.state, cfg.Metrics)
-	} else {
-		st, err = newStore(cfg.SeedIDs, cfg.Seeds, cfg.Metrics)
+	// A checkpoint already contains the seed objects from the first open
+	// (they were live when it was written), so it supersedes cfg.Seeds
+	// entirely.
+	h := rec.state
+	if h == nil {
+		h = seedHistory(cfg.SeedIDs, cfg.Seeds)
 	}
+	st, err := newStore(h, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"movingdb/internal/index"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
+	"movingdb/internal/storage"
 	"movingdb/internal/temporal"
 	"movingdb/internal/units"
 )
@@ -22,10 +23,16 @@ import (
 // queries pin the published Epoch (an immutable copy-on-write view, see
 // epoch.go) and never contend with a flush.
 type Store struct {
-	mu   sync.RWMutex
-	ids  map[string]int // moguard: guarded by mu
-	objs []*object      // moguard: guarded by mu
-	idx  *index.Dynamic // moguard: immutable // set in newStore; synchronises itself
+	mu  sync.RWMutex
+	ids map[string]int // moguard: guarded by mu
+	idx *index.Dynamic // moguard: immutable // set in newStore; synchronises itself
+
+	// objs holds each tracked object's live state as the track a
+	// checkpoint stores. Its unit array keeps the canonical online shape:
+	// every unit right-half-open except the last, which is closed at the
+	// latest observation (Last, or the seed endpoint) — exactly the
+	// offline builder's chaining, maintained incrementally.
+	objs []*storage.Track // moguard: guarded by mu
 
 	// Epoch machinery: dirty maps the object slots touched since the
 	// last publish to the bounding rectangle of their movement in that
@@ -51,17 +58,6 @@ type Store struct {
 	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 }
 
-// object is one tracked object's live state. The unit array keeps the
-// canonical online shape: every unit right-half-open except the last,
-// which is closed at the latest observation — exactly the offline
-// builder's chaining, maintained incrementally.
-type object struct {
-	id    string
-	units []units.UPoint
-	last  moving.Sample // latest accepted observation (or seed endpoint)
-	seen  bool          // false until the first observation arrives
-}
-
 // Position is one object's location at a queried instant.
 type Position struct {
 	ID string  `json:"id"`
@@ -77,28 +73,27 @@ type ObjectSummary struct {
 	To    float64 `json:"to"`
 }
 
-// newStore registers the seed objects and bulk-loads the index's first
-// rung over their units.
-func newStore(ids []string, seeds []moving.MPoint, metrics *obs.Metrics) (*Store, error) {
-	s := &Store{ids: make(map[string]int, len(ids)), dirty: make(map[int]geom.Rect), metrics: metrics}
+// newStore is the one constructor: it builds the object table from h —
+// seeds (seedHistory), a recovered checkpoint or a frozen data set — in
+// track order, which is registration order, so entryIDs stay stable. The
+// store takes ownership of the tracks and bulk-loads the index's first
+// rung over every unit.
+func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
+	s := &Store{ids: make(map[string]int, len(h.Tracks)), dirty: make(map[int]geom.Rect), metrics: metrics}
+	s.applied, s.dropped, s.compacted = h.Applied, h.Dropped, h.Compacted
 	var entries []index.Entry
-	for i, id := range ids {
-		if id == "" {
-			return nil, fmt.Errorf("ingest: seed %d has an empty id", i)
+	for i := range h.Tracks {
+		t := &h.Tracks[i]
+		if t.ID == "" {
+			return nil, fmt.Errorf("ingest: object %d has an empty id", i)
 		}
-		if _, dup := s.ids[id]; dup {
-			return nil, fmt.Errorf("ingest: duplicate seed id %q", id)
-		}
-		o := &object{id: id, units: append([]units.UPoint(nil), seeds[i].M.Units()...)}
-		if n := len(o.units); n > 0 {
-			last := o.units[n-1]
-			o.last = moving.Sample{T: last.Iv.End, P: last.EndPoint()}
-			o.seen = true
+		if _, dup := s.ids[t.ID]; dup {
+			return nil, fmt.Errorf("ingest: duplicate object id %q", t.ID)
 		}
 		oi := len(s.objs)
-		s.ids[id] = oi
-		s.objs = append(s.objs, o)
-		for ui, u := range o.units {
+		s.ids[t.ID] = oi
+		s.objs = append(s.objs, t)
+		for ui, u := range t.Units {
 			entries = append(entries, index.Entry{Cube: u.Cube(), ID: entryID(oi, ui)})
 		}
 	}
@@ -127,30 +122,30 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 		if !ok {
 			oi = len(s.objs)
 			s.ids[ob.ObjectID] = oi
-			s.objs = append(s.objs, &object{id: ob.ObjectID})
+			s.objs = append(s.objs, &storage.Track{ID: ob.ObjectID})
 			s.added = true
 		}
 		o := s.objs[oi]
 		smp := moving.Sample{T: temporal.Instant(ob.T), P: geom.Pt(ob.X, ob.Y)}
-		if !o.seen {
-			o.last, o.seen = smp, true
+		if !o.Seen {
+			o.Last, o.Seen = smp, true
 			s.markDirtyLocked(oi, smp.P, smp.P)
 			applied++
 			continue
 		}
-		if smp.T <= o.last.T {
+		if smp.T <= o.Last.T {
 			dropped++
 			continue
 		}
-		s.markDirtyLocked(oi, o.last.P, smp.P)
-		u := unitBetween(o.last, smp)
+		s.markDirtyLocked(oi, o.Last.P, smp.P)
+		u := unitBetween(o.Last, smp)
 		cube := u.Cube() // pre-merge: the extension's own extent
-		ui, merged := o.append(u)
+		ui, merged := appendUnit(o, u)
 		if merged {
 			compacted++
 		}
 		entries = append(entries, index.Entry{Cube: cube, ID: entryID(oi, ui)})
-		o.last = smp
+		o.Last = smp
 		applied++
 	}
 	s.applied += int64(applied)
@@ -187,23 +182,23 @@ func unitBetween(a, b moving.Sample) units.UPoint {
 	return u
 }
 
-// append chains u onto the unit array: the closed tail is re-opened on
+// appendUnit chains u onto o's unit array: the closed tail is re-opened on
 // the right (the offline builder's half-open chaining, applied online)
 // and the incoming unit is merged into it when the motion continues
 // unchanged — the adjacent-equal-value minimality rule as compaction.
 // It returns the index of the unit now covering u's interval and
 // whether a merge happened.
-func (o *object) append(u units.UPoint) (int, bool) {
-	n := len(o.units)
+func appendUnit(o *storage.Track, u units.UPoint) (int, bool) {
+	n := len(o.Units)
 	if n == 0 {
-		o.units = append(o.units, u)
+		o.Units = append(o.Units, u)
 		return 0, false
 	}
-	lu := o.units[n-1]
+	lu := o.Units[n-1]
 	if lu.Iv.RC {
 		if !lu.Iv.IsDegenerate() {
 			lu = lu.WithInterval(temporal.MustInterval(lu.Iv.Start, lu.Iv.End, lu.Iv.LC, false))
-			o.units[n-1] = lu
+			o.Units[n-1] = lu
 		} else {
 			// A degenerate closed tail (possible in seeded mappings)
 			// cannot re-open; chain the new unit left-open instead.
@@ -212,11 +207,11 @@ func (o *object) append(u units.UPoint) (int, bool) {
 	}
 	if lu.Iv.RAdjacent(u.Iv) && lu.EqualFunc(u) {
 		if iv, ok := lu.Iv.Union(u.Iv); ok {
-			o.units[n-1] = lu.WithInterval(iv)
+			o.Units[n-1] = lu.WithInterval(iv)
 			return n - 1, true
 		}
 	}
-	o.units = append(o.units, u)
+	o.Units = append(o.Units, u)
 	return n, false
 }
 
@@ -245,7 +240,7 @@ type DirtyObject struct {
 
 // CurrentEpoch returns the published epoch — the immutable view the
 // serving read path queries. Lock-free; never nil once the store is
-// constructed (newStore and storeFromState both publish).
+// constructed (newStore publishes).
 func (s *Store) CurrentEpoch() *Epoch { return s.epoch.Load() }
 
 // publish seals the objects touched since the last publish into a new
@@ -312,7 +307,7 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 			if oi < sealed {
 				next.objs[oi] = viewOf(s.objs[oi])
 			}
-			dirty = append(dirty, DirtyObject{ID: s.objs[oi].id, Rect: s.dirty[oi], New: oi >= sealed})
+			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi], New: oi >= sealed})
 		}
 	}
 	clear(s.dirty)
@@ -329,7 +324,7 @@ func (s *Store) idRankLocked() []int32 {
 	if old == len(s.objs) {
 		return s.rank
 	}
-	cmp := func(a, b int32) int { return strings.Compare(s.objs[a].id, s.objs[b].id) }
+	cmp := func(a, b int32) int { return strings.Compare(s.objs[a].ID, s.objs[b].ID) }
 	ranked := make([]int32, old) // the ranked slots in id order: rank's inverse
 	for oi, r := range s.rank {
 		ranked[r] = int32(oi)
@@ -363,7 +358,7 @@ func (s *Store) UnitCount() int {
 	defer s.mu.RUnlock()
 	n := 0
 	for _, o := range s.objs {
-		n += len(o.units)
+		n += len(o.Units)
 	}
 	return n
 }

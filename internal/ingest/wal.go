@@ -25,7 +25,7 @@ import (
 //	                so a flipped kind/seq/length is caught too
 //	payload: batch — count uint32, then per observation
 //	         idLen uint32, id bytes, t/x/y float64;
-//	         checkpoint — the encoded appender state (checkpoint.go)
+//	         checkpoint — the appender state, storage.EncodeHistory
 //
 // Recovery classifies damage by where and what it is:
 //
@@ -84,11 +84,11 @@ type walStats struct {
 }
 
 // walRecovery is what openWAL salvaged: the newest valid checkpoint
-// state (nil if none), the batch records after it, and whether the
-// scan quarantined anything — a dirty log should be re-checkpointed so
-// the damaged region stops being re-read on every open.
+// state as the scan decoded it (nil if none), the batch records after
+// it, and whether the scan quarantined anything — a dirty log should be
+// re-checkpointed so the damaged region stops being re-read on open.
 type walRecovery struct {
-	state   []byte
+	state   *storage.History
 	batches [][]Observation
 	dirty   bool
 }
@@ -138,8 +138,10 @@ func openWAL(pio PageIO, metrics *obs.Metrics) (*wal, walRecovery, error) {
 				// After compaction the log starts at a checkpoint whose
 				// seq is absolute, so the rule is seq >= current, not
 				// equality; the state then covers everything seen.
-				if bad = seq < w.seq || validateState(payload) != nil; !bad {
-					rec.state = payload
+				var h storage.History
+				h, err = storage.DecodeHistory(payload)
+				if bad = seq < w.seq || err != nil; !bad {
+					rec.state = &h
 					rec.batches = rec.batches[:0]
 					w.seq = seq
 					w.ckptPage = p

@@ -65,10 +65,20 @@ func Must[U units.Unit[U]](us ...U) Mapping[U] {
 	return m
 }
 
+// NewOrdered validates units that are already in interval order — a
+// stored units array — and wraps them without copying. Unlike New it
+// does not sort: an array out of order is invalid.
+func NewOrdered[U units.Unit[U]](us []U) (Mapping[U], error) {
+	m := Mapping[U]{us: us}
+	if err := m.Validate(); err != nil {
+		return Mapping[U]{}, err
+	}
+	return m, nil
+}
+
 // FromOrdered wraps an already ordered and validated unit slice without
-// copying or checking; for trusted construction paths (storage decode
-// verifies separately, operations produce ordered output by
-// construction).
+// copying or checking; for trusted construction paths (operations
+// produce ordered output by construction).
 func FromOrdered[U units.Unit[U]](us []U) Mapping[U] {
 	m := Mapping[U]{us: us}
 	debugValidate("FromOrdered", m)
@@ -77,21 +87,26 @@ func FromOrdered[U units.Unit[U]](us []U) Mapping[U] {
 
 // Validate checks the carrier set constraints of Section 3.2.4.
 func (m Mapping[U]) Validate() error {
+	// Each unit is read once and carried as prev: stored arrays are
+	// checked on every decode, and a generic call on a slice element
+	// costs a copy per call.
+	var prev U
+	var pi temporal.Interval
 	for i, u := range m.us {
-		if err := u.Interval().Validate(); err != nil {
+		ci := u.Interval()
+		if err := ci.Validate(); err != nil {
 			return fmt.Errorf("%w: unit %d: %v", ErrInvalidMapping, i, err)
 		}
-		if i == 0 {
-			continue
+		if i > 0 {
+			if !pi.RDisjoint(ci) {
+				return fmt.Errorf("%w: unit intervals %v and %v overlap or are out of order", ErrInvalidMapping, pi, ci)
+			}
+			// In order, two units can only meet at the earlier one's end.
+			if pi.RAdjacent(ci) && prev.EqualFunc(u) {
+				return fmt.Errorf("%w: adjacent units %v and %v carry equal values", ErrInvalidMapping, pi, ci)
+			}
 		}
-		prev := m.us[i-1]
-		pi, ci := prev.Interval(), u.Interval()
-		if !pi.RDisjoint(ci) {
-			return fmt.Errorf("%w: unit intervals %v and %v overlap or are out of order", ErrInvalidMapping, pi, ci)
-		}
-		if pi.Adjacent(ci) && prev.EqualFunc(u) {
-			return fmt.Errorf("%w: adjacent units %v and %v carry equal values", ErrInvalidMapping, pi, ci)
-		}
+		prev, pi = u, ci
 	}
 	return nil
 }

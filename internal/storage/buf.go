@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrCorrupt reports a malformed encoding.
@@ -25,7 +26,7 @@ type writer struct {
 }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) boolv(b bool) { w.u8(map[bool]uint8{false: 0, true: 1}[b]) }
+func (w *writer) boolv(b bool) { w.u8(boolByte(b)) }
 func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
@@ -35,6 +36,21 @@ func (w *writer) f64(v float64) {
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)
+}
+
+// grow extends the buffer by n bytes and returns them for a put*
+// record function to overwrite in full, so capacity reserved up front
+// is not cleared a second time.
+func (w *writer) grow(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
+}
+
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // reader deserialises from a byte slice, tracking an offset and a sticky
@@ -61,7 +77,26 @@ func (r *reader) u8() uint8 {
 	return v
 }
 
-func (r *reader) boolv() bool { return r.u8() != 0 }
+// boolv reads a bool byte; anything but 0 or 1 is corrupt, so every
+// accepted encoding re-encodes to the same bytes.
+func (r *reader) boolv() bool {
+	v := r.u8()
+	if v > 1 && r.err == nil {
+		r.err = fmt.Errorf("%w: bool byte %d at offset %d", ErrCorrupt, v, r.off-1)
+	}
+	return v == 1
+}
+
+// next consumes n bytes for a get* record function; zeros once the
+// buffer is short (the sticky error says where).
+func (r *reader) next(n int) []byte {
+	if r.err != nil || n > len(r.buf)-r.off {
+		r.fail("record")
+		return make([]byte, n)
+	}
+	r.off += n
+	return r.buf[r.off-n : r.off]
+}
 
 func (r *reader) u32() uint32 {
 	if r.err != nil || r.off+4 > len(r.buf) {
@@ -94,6 +129,17 @@ func (r *reader) str() string {
 	s := string(r.buf[r.off : r.off+n])
 	r.off += n
 	return s
+}
+
+// readRecords reads buf as consecutive records until it is used up; an
+// array that ends inside a record is corrupt.
+func readRecords[T any](buf []byte, read func(*reader) T) ([]T, error) {
+	r := reader{buf: buf}
+	var out []T
+	for r.off < len(r.buf) && r.err == nil {
+		out = append(out, read(&r))
+	}
+	return out, r.done()
 }
 
 // done checks that the whole buffer was consumed.

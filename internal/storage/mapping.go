@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
@@ -33,17 +35,11 @@ func EncodeMBool(b moving.MBool) Encoded {
 // DecodeMBool reverses EncodeMBool, re-validating the mapping
 // constraints.
 func DecodeMBool(e Encoded) (moving.MBool, error) {
-	us, err := decodeUnits(e, func(r *reader) (units.UBool, error) {
+	m, err := decodeUnits(e, records(func(r *reader) (units.UBool, error) {
 		iv, err := readInterval(r)
-		if err != nil {
-			return units.UBool{}, err
-		}
-		return units.UBool{Iv: iv, V: r.boolv()}, nil
-	})
-	if err != nil {
-		return moving.MBool{}, err
-	}
-	return moving.NewMBool(us...)
+		return units.UBool{Iv: iv, V: r.boolv()}, err
+	}))
+	return moving.MBool{M: m}, err
 }
 
 // EncodeMInt stores a moving int.
@@ -59,17 +55,11 @@ func EncodeMInt(b moving.MInt) Encoded {
 
 // DecodeMInt reverses EncodeMInt.
 func DecodeMInt(e Encoded) (moving.MInt, error) {
-	us, err := decodeUnits(e, func(r *reader) (units.UInt, error) {
+	m, err := decodeUnits(e, records(func(r *reader) (units.UInt, error) {
 		iv, err := readInterval(r)
-		if err != nil {
-			return units.UInt{}, err
-		}
-		return units.UInt{Iv: iv, V: r.i64()}, nil
-	})
-	if err != nil {
-		return moving.MInt{}, err
-	}
-	return moving.NewMInt(us...)
+		return units.UInt{Iv: iv, V: r.i64()}, err
+	}))
+	return moving.MInt{M: m}, err
 }
 
 // EncodeMString stores a moving string. String payloads live in a
@@ -93,7 +83,7 @@ func DecodeMString(e Encoded) (moving.MString, error) {
 		return moving.MString{}, fmt.Errorf("%w: mstring needs 2 arrays", ErrCorrupt)
 	}
 	strs := e.Arrays[1]
-	us, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, func(r *reader) (units.UString, error) {
+	m, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, records(func(r *reader) (units.UString, error) {
 		iv, err := readInterval(r)
 		if err != nil {
 			return units.UString{}, err
@@ -103,11 +93,8 @@ func DecodeMString(e Encoded) (moving.MString, error) {
 			return units.UString{}, fmt.Errorf("%w: string payload range", ErrCorrupt)
 		}
 		return units.UString{Iv: iv, V: string(strs[off : off+n])}, nil
-	})
-	if err != nil {
-		return moving.MString{}, err
-	}
-	return moving.NewMString(us...)
+	}))
+	return moving.MString{M: m}, err
 }
 
 // EncodeMReal stores a moving real: fixed-size (interval, a, b, c, root)
@@ -127,17 +114,46 @@ func EncodeMReal(m moving.MReal) Encoded {
 
 // DecodeMReal reverses EncodeMReal.
 func DecodeMReal(e Encoded) (moving.MReal, error) {
-	us, err := decodeUnits(e, func(r *reader) (units.UReal, error) {
+	m, err := decodeUnits(e, records(func(r *reader) (units.UReal, error) {
 		iv, err := readInterval(r)
-		if err != nil {
-			return units.UReal{}, err
-		}
-		return units.UReal{Iv: iv, A: r.f64(), B: r.f64(), C: r.f64(), Root: r.boolv()}, nil
-	})
-	if err != nil {
-		return moving.MReal{}, err
+		return units.UReal{Iv: iv, A: r.f64(), B: r.f64(), C: r.f64(), Root: r.boolv()}, err
+	}))
+	return moving.MReal{M: m}, err
+}
+
+// upointSize is one mpoint unit record: the interval, then the motion.
+const upointSize = intervalSize + motionSize
+
+// appendUPoints and getUPoints are the mpoint unit records, shared by
+// EncodeMPoint/DecodeMPoint and EncodeHistory/DecodeHistory's units
+// array.
+func appendUPoints(w *writer, us []units.UPoint) {
+	b := w.grow(len(us) * upointSize)
+	for i := range us {
+		r := b[i*upointSize : (i+1)*upointSize]
+		putInterval(r, us[i].Iv)
+		putMotion(r[intervalSize:], us[i].M)
 	}
-	return moving.NewMReal(us...)
+}
+
+// getUPoints decodes an array of n unit records, which must fill it
+// exactly; the size check bounds n before anything is allocated. The
+// caller checks the intervals, as a mapping.
+func getUPoints(b []byte, n int) ([]units.UPoint, error) {
+	if n != len(b)/upointSize || len(b)%upointSize != 0 {
+		return nil, fmt.Errorf("%w: %d mpoint units in a %d-byte array", ErrCorrupt, n, len(b))
+	}
+	us := make([]units.UPoint, n)
+	for i := range us {
+		r := b[i*upointSize : (i+1)*upointSize]
+		iv, ok := getInterval(r)
+		m := getMotion(r[intervalSize:])
+		if !ok || !finite(m.X0) || !finite(m.X1) || !finite(m.Y0) || !finite(m.Y1) {
+			return nil, fmt.Errorf("%w: unit record %d: flags %d, %d, motion %+v", ErrCorrupt, i, r[16], r[17], m)
+		}
+		us[i] = units.UPoint{Iv: iv, M: m}
+	}
+	return us, nil
 }
 
 // EncodeMPoint stores a moving point: fixed-size
@@ -145,78 +161,86 @@ func DecodeMReal(e Encoded) (moving.MReal, error) {
 func EncodeMPoint(m moving.MPoint) Encoded {
 	var root, arr writer
 	root.u32(uint32(m.M.Len()))
-	for _, u := range m.M.Units() {
-		writeInterval(&arr, u.Iv)
-		arr.f64(u.M.X0)
-		arr.f64(u.M.X1)
-		arr.f64(u.M.Y0)
-		arr.f64(u.M.Y1)
-	}
+	appendUPoints(&arr, m.M.Units())
 	return Encoded{Root: root.buf, Arrays: [][]byte{arr.buf}}
 }
 
 // DecodeMPoint reverses EncodeMPoint.
 func DecodeMPoint(e Encoded) (moving.MPoint, error) {
-	us, err := decodeUnits(e, func(r *reader) (units.UPoint, error) {
-		iv, err := readInterval(r)
-		if err != nil {
-			return units.UPoint{}, err
-		}
-		return units.UPoint{Iv: iv, M: units.MPoint{X0: r.f64(), X1: r.f64(), Y0: r.f64(), Y1: r.f64()}}, nil
-	})
-	if err != nil {
-		return moving.MPoint{}, err
-	}
-	return moving.NewMPoint(us...)
+	m, err := decodeUnits(e, getUPoints)
+	return moving.MPoint{M: m}, err
 }
 
-// decodeUnits reads the unit count from the root record and applies the
-// per-unit reader to the (first) units array.
-func decodeUnits[U any](e Encoded, read func(*reader) (U, error)) ([]U, error) {
+// decodeUnits reads the unit count from the root record, decodes the
+// one units array with decode and checks the result as a mapping in
+// stored order: an array that is out of order, overlapping or not
+// minimal is corrupt, never re-sorted.
+func decodeUnits[U units.Unit[U]](e Encoded, decode func(arr []byte, n int) ([]U, error)) (mapping.Mapping[U], error) {
 	if len(e.Arrays) != 1 {
-		return nil, fmt.Errorf("%w: mapping needs 1 units array", ErrCorrupt)
+		return mapping.Mapping[U]{}, fmt.Errorf("%w: mapping needs 1 units array", ErrCorrupt)
 	}
 	root := reader{buf: e.Root}
 	n := int(root.u32())
 	if err := root.done(); err != nil {
-		return nil, err
+		return mapping.Mapping[U]{}, err
 	}
-	arr := reader{buf: e.Arrays[0]}
-	// Unit records are at least an interval (18 bytes); reject counts
-	// the array cannot possibly hold before allocating.
-	const minUnitRec = 8 + 8 + 1 + 1
-	if n > len(arr.buf)/minUnitRec {
-		return nil, fmt.Errorf("%w: unit count %d exceeds array capacity", ErrCorrupt, n)
+	us, err := decode(e.Arrays[0], n)
+	if err != nil {
+		return mapping.Mapping[U]{}, err
 	}
-	us := make([]U, 0, n)
-	for i := 0; i < n; i++ {
-		u, err := read(&arr)
-		if err != nil {
-			return nil, err
+	m, err := mapping.NewOrdered(us)
+	if err != nil {
+		return m, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return m, nil
+}
+
+// records adapts a per-record reader to decodeUnits: it reads the n
+// unit records one by one (mpoints take getUPoints, a whole-array pass).
+func records[U any](read func(*reader) (U, error)) func([]byte, int) ([]U, error) {
+	return func(buf []byte, n int) ([]U, error) {
+		// A record is at least an interval: reject counts the array
+		// cannot possibly hold before allocating.
+		if n > len(buf)/intervalSize {
+			return nil, fmt.Errorf("%w: unit count %d exceeds array capacity", ErrCorrupt, n)
 		}
-		if arr.err != nil {
-			return nil, arr.err
+		arr := reader{buf: buf}
+		us := make([]U, 0, n)
+		for i := 0; i < n; i++ {
+			u, err := read(&arr)
+			if err != nil {
+				return nil, err
+			}
+			us = append(us, u)
 		}
-		us = append(us, u)
+		return us, arr.done()
 	}
-	if err := arr.done(); err != nil {
-		return nil, err
-	}
-	return us, nil
 }
 
 // --- variable size units: mpoints / mregion (Figure 7 layout) ---
 
-func writeMPointRec(w *writer, m units.MPoint) {
-	w.f64(m.X0)
-	w.f64(m.X1)
-	w.f64(m.Y0)
-	w.f64(m.Y1)
+// motionSize is one stored linear motion: x0, x1, y0, y1.
+const motionSize = 4 * 8
+
+func putMotion(b []byte, m units.MPoint) {
+	binary.LittleEndian.PutUint64(b, math.Float64bits(m.X0))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(m.X1))
+	binary.LittleEndian.PutUint64(b[16:], math.Float64bits(m.Y0))
+	binary.LittleEndian.PutUint64(b[24:], math.Float64bits(m.Y1))
 }
 
-func readMPointRec(r *reader) units.MPoint {
-	return units.MPoint{X0: r.f64(), X1: r.f64(), Y0: r.f64(), Y1: r.f64()}
+func getMotion(b []byte) units.MPoint {
+	return units.MPoint{
+		X0: math.Float64frombits(binary.LittleEndian.Uint64(b)),
+		X1: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		Y0: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		Y1: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+	}
 }
+
+func writeMPointRec(w *writer, m units.MPoint) { putMotion(w.grow(motionSize), m) }
+
+func readMPointRec(r *reader) units.MPoint { return getMotion(r.next(motionSize)) }
 
 // EncodeMPoints stores a moving point set: the units array holds
 // (interval, start, end) records whose indices reference the shared
@@ -242,15 +266,11 @@ func DecodeMPoints(e Encoded) (moving.MPoints, error) {
 	if len(e.Arrays) != 2 {
 		return moving.MPoints{}, fmt.Errorf("%w: mpoints needs 2 arrays", ErrCorrupt)
 	}
-	subR := reader{buf: e.Arrays[1]}
-	var pool []units.MPoint
-	for subR.off < len(subR.buf) {
-		pool = append(pool, readMPointRec(&subR))
-	}
-	if err := subR.done(); err != nil {
+	pool, err := readRecords(e.Arrays[1], readMPointRec)
+	if err != nil {
 		return moving.MPoints{}, err
 	}
-	us, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, func(r *reader) (units.UPoints, error) {
+	m, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, records(func(r *reader) (units.UPoints, error) {
 		iv, err := readInterval(r)
 		if err != nil {
 			return units.UPoints{}, err
@@ -260,11 +280,8 @@ func DecodeMPoints(e Encoded) (moving.MPoints, error) {
 			return units.UPoints{}, fmt.Errorf("%w: subarray range [%d,%d)", ErrCorrupt, lo, hi)
 		}
 		return units.NewUPoints(iv, pool[lo:hi]...)
-	})
-	if err != nil {
-		return moving.MPoints{}, err
-	}
-	return moving.NewMPoints(us...)
+	}))
+	return moving.MPoints{M: m}, err
 }
 
 // EncodeMRegion stores a moving region with the subarrays of
@@ -310,30 +327,18 @@ func DecodeMRegion(e Encoded) (moving.MRegion, error) {
 	if len(e.Arrays) != 4 {
 		return moving.MRegion{}, fmt.Errorf("%w: mregion needs 4 arrays", ErrCorrupt)
 	}
-	vertR := reader{buf: e.Arrays[3]}
-	var verts []units.MPoint
-	for vertR.off < len(vertR.buf) {
-		verts = append(verts, readMPointRec(&vertR))
-	}
-	if err := vertR.done(); err != nil {
+	verts, err := readRecords(e.Arrays[3], readMPointRec)
+	if err != nil {
 		return moving.MRegion{}, err
 	}
 	type cycRec struct{ off, n int }
-	cycR := reader{buf: e.Arrays[2]}
-	var cycles []cycRec
-	for cycR.off < len(cycR.buf) {
-		cycles = append(cycles, cycRec{int(cycR.u32()), int(cycR.u32())})
-	}
-	if err := cycR.done(); err != nil {
+	cycles, err := readRecords(e.Arrays[2], func(r *reader) cycRec { return cycRec{int(r.u32()), int(r.u32())} })
+	if err != nil {
 		return moving.MRegion{}, err
 	}
 	type faceRec struct{ first, n int }
-	faceR := reader{buf: e.Arrays[1]}
-	var faces []faceRec
-	for faceR.off < len(faceR.buf) {
-		faces = append(faces, faceRec{int(faceR.u32()), int(faceR.u32())})
-	}
-	if err := faceR.done(); err != nil {
+	faces, err := readRecords(e.Arrays[1], func(r *reader) faceRec { return faceRec{int(r.u32()), int(r.u32())} })
+	if err != nil {
 		return moving.MRegion{}, err
 	}
 	mkCycle := func(c cycRec) (units.MCycle, error) {
@@ -342,7 +347,7 @@ func DecodeMRegion(e Encoded) (moving.MRegion, error) {
 		}
 		return units.MCycle(verts[c.off : c.off+c.n]), nil
 	}
-	us, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, func(r *reader) (units.URegion, error) {
+	m, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, records(func(r *reader) (units.URegion, error) {
 		iv, err := readInterval(r)
 		if err != nil {
 			return units.URegion{}, err
@@ -372,13 +377,6 @@ func DecodeMRegion(e Encoded) (moving.MRegion, error) {
 			mfs = append(mfs, mf)
 		}
 		return units.URegionUnchecked(iv, mfs), nil
-	})
-	if err != nil {
-		return moving.MRegion{}, err
-	}
-	m2, err := mapping.New(us...)
-	if err != nil {
-		return moving.MRegion{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return moving.MRegion{M: m2}, nil
+	}))
+	return moving.MRegion{M: m}, err
 }

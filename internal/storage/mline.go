@@ -36,17 +36,11 @@ func DecodeMLine(e Encoded) (moving.MLine, error) {
 	if len(e.Arrays) != 2 {
 		return moving.MLine{}, fmt.Errorf("%w: mline needs 2 arrays", ErrCorrupt)
 	}
-	subR := reader{buf: e.Arrays[1]}
-	var pool []units.MSeg
-	for subR.off < len(subR.buf) {
-		s := readMPointRec(&subR)
-		t := readMPointRec(&subR)
-		pool = append(pool, units.MSeg{S: s, E: t})
-	}
-	if err := subR.done(); err != nil {
+	pool, err := readRecords(e.Arrays[1], func(r *reader) units.MSeg { return units.MSeg{S: readMPointRec(r), E: readMPointRec(r)} })
+	if err != nil {
 		return moving.MLine{}, err
 	}
-	us, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, func(r *reader) (units.ULine, error) {
+	m, err := decodeUnits(Encoded{Root: e.Root, Arrays: e.Arrays[:1]}, records(func(r *reader) (units.ULine, error) {
 		iv, err := readInterval(r)
 		if err != nil {
 			return units.ULine{}, err
@@ -61,9 +55,6 @@ func DecodeMLine(e Encoded) (moving.MLine, error) {
 			}
 		}
 		return units.ULineUnchecked(iv, pool[lo:hi]), nil
-	})
-	if err != nil {
-		return moving.MLine{}, err
-	}
-	return moving.NewMLine(us...)
+	}))
+	return moving.MLine{M: m}, err
 }

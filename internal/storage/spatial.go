@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/spatial"
@@ -52,6 +54,11 @@ func Unflatten(buf []byte) (Encoded, error) {
 	root := buf[r.off : r.off+rootLen]
 	r.off += rootLen
 	n := int(r.u32())
+	if r.err != nil || n > (len(buf)-r.off)/4 {
+		// Every array costs at least its length word: bound the count
+		// by the bytes present before allocating for it.
+		return Encoded{}, fmt.Errorf("%w: bad array count", ErrCorrupt)
+	}
 	arrays := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		al := int(r.u32())
@@ -117,15 +124,11 @@ func DecodePoints(e Encoded) (spatial.Points, error) {
 	if err := root.done(); err != nil {
 		return spatial.Points{}, err
 	}
-	arr := reader{buf: e.Arrays[0]}
-	if n != len(arr.buf)/16 {
+	if n != len(e.Arrays[0])/16 {
 		return spatial.Points{}, fmt.Errorf("%w: point count %d does not match array size", ErrCorrupt, n)
 	}
-	pts := make([]geom.Point, 0, n)
-	for i := 0; i < n && arr.err == nil; i++ {
-		pts = append(pts, geom.Pt(arr.f64(), arr.f64()))
-	}
-	if err := arr.done(); err != nil {
+	pts, err := readRecords(e.Arrays[0], readPoint)
+	if err != nil {
 		return spatial.Points{}, err
 	}
 	out := spatial.NewPoints(pts...)
@@ -134,6 +137,8 @@ func DecodePoints(e Encoded) (spatial.Points, error) {
 	}
 	return out, nil
 }
+
+func readPoint(r *reader) geom.Point { return geom.Pt(r.f64(), r.f64()) }
 
 // --- halfsegments (shared by line and region) ---
 
@@ -296,12 +301,8 @@ func DecodeRegion(e Encoded) (spatial.Region, error) {
 	}
 
 	// Ring vertices.
-	ringR := reader{buf: e.Arrays[3]}
-	var ringPts []geom.Point
-	for ringR.off < len(ringR.buf) {
-		ringPts = append(ringPts, geom.Pt(ringR.f64(), ringR.f64()))
-	}
-	if err := ringR.done(); err != nil {
+	ringPts, err := readRecords(e.Arrays[3], readPoint)
+	if err != nil {
 		return spatial.Region{}, err
 	}
 
@@ -310,16 +311,12 @@ func DecodeRegion(e Encoded) (spatial.Region, error) {
 		off, n int
 		hole   bool
 	}
-	cycR := reader{buf: e.Arrays[1]}
 	const cycRecSize = 4 + 4 + 1
-	if nCycles != len(cycR.buf)/cycRecSize {
+	if nCycles != len(e.Arrays[1])/cycRecSize {
 		return spatial.Region{}, fmt.Errorf("%w: cycle count %d does not match array size", ErrCorrupt, nCycles)
 	}
-	cycles := make([]cycRec, 0, nCycles)
-	for i := 0; i < nCycles && cycR.err == nil; i++ {
-		cycles = append(cycles, cycRec{off: int(cycR.u32()), n: int(cycR.u32()), hole: cycR.boolv()})
-	}
-	if err := cycR.done(); err != nil {
+	cycles, err := readRecords(e.Arrays[1], func(r *reader) cycRec { return cycRec{off: int(r.u32()), n: int(r.u32()), hole: r.boolv()} })
+	if err != nil {
 		return spatial.Region{}, err
 	}
 
@@ -389,24 +386,36 @@ func DecodeRegion(e Encoded) (spatial.Region, error) {
 
 // --- intervals and periods ---
 
-func writeInterval(w *writer, iv temporal.Interval) {
-	w.f64(float64(iv.Start))
-	w.f64(float64(iv.End))
-	w.boolv(iv.LC)
-	w.boolv(iv.RC)
+// intervalSize is one stored interval: start and end, then the left
+// and right closure flags.
+const intervalSize = 8 + 8 + 1 + 1
+
+func putInterval(b []byte, iv temporal.Interval) {
+	binary.LittleEndian.PutUint64(b, math.Float64bits(float64(iv.Start)))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(float64(iv.End)))
+	b[16], b[17] = boolByte(iv.LC), boolByte(iv.RC)
 }
 
+// getInterval reads an interval record; ok is false unless both flag
+// bytes are 0 or 1. Decoders check the interval itself where they use it
+// (mapping.Validate, temporal.NewPeriods).
+func getInterval(b []byte) (iv temporal.Interval, ok bool) {
+	return temporal.Interval{
+		Start: temporal.Instant(math.Float64frombits(binary.LittleEndian.Uint64(b))),
+		End:   temporal.Instant(math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))),
+		LC:    b[16] == 1,
+		RC:    b[17] == 1,
+	}, b[16] <= 1 && b[17] <= 1
+}
+
+func writeInterval(w *writer, iv temporal.Interval) { putInterval(w.grow(intervalSize), iv) }
+
 func readInterval(r *reader) (temporal.Interval, error) {
-	s, e := r.f64(), r.f64()
-	lc, rc := r.boolv(), r.boolv()
-	if r.err != nil {
-		return temporal.Interval{}, r.err
+	iv, ok := getInterval(r.next(intervalSize))
+	if !ok && r.err == nil {
+		r.err = fmt.Errorf("%w: closure flags at offset %d", ErrCorrupt, r.off-intervalSize)
 	}
-	iv, err := temporal.NewInterval(temporal.Instant(s), temporal.Instant(e), lc, rc)
-	if err != nil {
-		return temporal.Interval{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return iv, nil
+	return iv, r.err
 }
 
 // EncodePeriods stores a range(instant) value as the root count plus an
@@ -431,8 +440,7 @@ func DecodePeriods(e Encoded) (temporal.Periods, error) {
 		return temporal.Periods{}, err
 	}
 	arr := reader{buf: e.Arrays[0]}
-	const ivRecSize = 8 + 8 + 1 + 1
-	if n != len(arr.buf)/ivRecSize {
+	if n != len(arr.buf)/intervalSize {
 		return temporal.Periods{}, fmt.Errorf("%w: interval count %d does not match array size", ErrCorrupt, n)
 	}
 	ivs := make([]temporal.Interval, 0, n)

@@ -400,6 +400,25 @@ func TestDecodeNeverPanicsOnTruncation(t *testing.T) {
 	// Failure injection: every decoder must reject truncated or
 	// bit-flipped encodings with an error — never panic, never return
 	// silently corrupted values that fail validation later.
+	//
+	// An array count no input could hold: 8 bytes claiming 2^31 arrays
+	// must be bounded before Unflatten allocates for them.
+	if _, err := Unflatten([]byte{0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("array-count bomb: %v", err)
+	}
+	// An array that ends inside a record must stop the record loop, not
+	// spin on the short read.
+	partial := make([]byte, 20)
+	for name, e := range map[string]Encoded{
+		"region":  {Root: make([]byte, 60), Arrays: [][]byte{nil, nil, nil, partial}},
+		"mpoints": {Root: make([]byte, 4), Arrays: [][]byte{nil, partial}},
+		"mline":   {Root: make([]byte, 4), Arrays: [][]byte{nil, partial}},
+		"mregion": {Root: make([]byte, 4), Arrays: [][]byte{nil, nil, nil, partial}},
+	} {
+		if err := decodeAll(name, e); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s with a partial record: %v", name, err)
+		}
+	}
 	g := workloadValues(t)
 	for name, enc := range g {
 		flat := enc.Flatten()
@@ -469,6 +488,8 @@ func decodeAll(name string, e Encoded) error {
 		_, err = DecodeMPoint(e)
 	case "mpoints":
 		_, err = DecodeMPoints(e)
+	case "mline":
+		_, err = DecodeMLine(e)
 	case "mregion":
 		_, err = DecodeMRegion(e)
 	case "mreal":

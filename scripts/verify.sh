@@ -50,6 +50,9 @@ go vet -tags=faultinject ./...
 echo "==> fuzz smoke: FuzzWALDecode (10s)"
 go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
 
+echo "==> fuzz smoke: FuzzMPointRoundTrip (10s; storage mpoint codec never panics, accepted bytes re-encode identically)"
+go test -run='^$' -fuzz=FuzzMPointRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
+
 echo "==> fuzz smoke: FuzzRefine (10s; streaming sweep vs the sort-based oracle)"
 go test -run='^$' -fuzz=FuzzRefine -fuzztime=10s ./internal/temporal
 
