@@ -12,9 +12,9 @@
 // Read routes answer from immutable epoch snapshots behind a result
 // cache keyed on (route, canonical query, epoch): responses carry a
 // strong ETag and X-MO-Epoch, If-None-Match revalidates to 304, and
-// -cache-bytes / -cache-shards size the cache (negative bytes disable
-// it). Without -ingest the flights are frozen into epoch 0; with it the
-// server runs the live trajectory ingestion pipeline: POST /v1/ingest
+// -cache-bytes sizes the cache (negative disables it). Without -ingest
+// the flights are frozen into epoch 0; with it the server runs the live
+// trajectory ingestion pipeline: POST /v1/ingest
 // enqueues observation batches (202 acknowledged, 429 under
 // backpressure), acknowledged batches are write-ahead logged, and every
 // flush publishes the next epoch. The process shuts down gracefully on
@@ -63,13 +63,12 @@ func main() {
 	maxBody := flag.Int64("max-body", 1<<20, "maximum request body in bytes")
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache budget in bytes (0 = 32 MiB default, negative disables)")
-	cacheShards := flag.Int("cache-shards", 0, "result cache shard count, rounded up to a power of two (0 = default)")
 	liveIngest := flag.Bool("ingest", false, "enable the live ingestion pipeline (POST /v1/ingest)")
 	flushSize := flag.Int("ingest-flush-size", 32, "observations per object buffered before a flush")
 	flushAge := flag.Duration("ingest-flush-age", 100*time.Millisecond, "maximum buffering delay before a flush")
 	maxQueued := flag.Int("ingest-max-queued", 65536, "queued observations before backpressure (429)")
 	ckptPages := flag.Int("ingest-checkpoint-pages", 256, "WAL pages between checkpoints (-1 disables)")
-	retries := flag.Int("ingest-retries", 4, "WAL append attempts before a batch is dead-lettered")
+	retries := flag.Int("ingest-retries", 4, "WAL append attempts before a batch is refused as a dead letter")
 	degradedAfter := flag.Int("ingest-degraded-after", 3, "consecutive failed batches before degraded mode (503)")
 	probeEvery := flag.Duration("ingest-probe-interval", time.Second, "store probe interval while degraded")
 	sseHeartbeat := flag.Duration("sse-heartbeat", 15*time.Second, "SSE event-stream keepalive interval")
@@ -123,7 +122,6 @@ func main() {
 		Logger:             logger,
 		Metrics:            metrics,
 		CacheBytes:         *cacheBytes,
-		CacheShards:        *cacheShards,
 	}
 	var pipe *ingest.Pipeline
 	var reg *live.Registry

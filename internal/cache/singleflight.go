@@ -33,9 +33,6 @@ func NewLoader(c ResultCache) *Loader {
 	return &Loader{cache: c, inflight: make(map[Key]*flight)}
 }
 
-// Cache returns the underlying port (nil when storage is disabled).
-func (l *Loader) Cache() ResultCache { return l.cache }
-
 // Do returns the cached bytes for k, or computes them exactly once
 // across concurrent callers. hit reports whether the result came from
 // the cache (a waiter that piggybacked on another caller's computation

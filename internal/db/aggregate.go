@@ -2,7 +2,6 @@ package db
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -190,7 +189,6 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 		fn       string
 		inner    expr
 		innerTyp AttrType
-		name     string
 	}
 	groupIdx := func(ref colRef) int {
 		for i, g := range stmt.groupBy {
@@ -203,10 +201,6 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 	var cols []outCol
 	schema := make(Schema, 0, len(items))
 	for _, it := range items {
-		name := it.alias
-		if name == "" {
-			name = it.e.String()
-		}
 		if ref, isCol := it.e.(colRef); isCol {
 			if groupIdx(ref) < 0 {
 				return nil, fmt.Errorf("%w: column %q must appear in GROUP BY or inside an aggregate", ErrType, ref)
@@ -215,8 +209,8 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 			if err != nil {
 				return nil, err
 			}
-			cols = append(cols, outCol{isGroup: true, groupRef: ref, name: name})
-			schema = append(schema, Column{Name: name, Type: t})
+			cols = append(cols, outCol{isGroup: true, groupRef: ref})
+			schema = append(schema, Column{Name: columnName(schema, it), Type: t})
 			continue
 		}
 		c, isCall := it.e.(call)
@@ -230,7 +224,7 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 		if !agg {
 			return nil, fmt.Errorf("%w: %q is not an aggregate", ErrType, c.text)
 		}
-		oc := outCol{fn: c.fn, name: name}
+		oc := outCol{fn: c.fn}
 		if inner != nil {
 			if oc.inner, oc.innerTyp, err = env.bind(inner); err != nil {
 				return nil, err
@@ -238,7 +232,7 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 		}
 		acc := accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp}
 		cols = append(cols, oc)
-		schema = append(schema, Column{Name: name, Type: acc.resultType()})
+		schema = append(schema, Column{Name: columnName(schema, it), Type: acc.resultType()})
 	}
 	groupKeys := make([]expr, len(stmt.groupBy))
 	for k, g := range stmt.groupBy {
@@ -340,19 +334,14 @@ func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relatio
 			}
 			idxs[k] = i
 		}
-		sort.SliceStable(out.tuples, func(a, b int) bool {
+		keys := make([][]any, len(out.tuples))
+		for r, t := range out.tuples {
+			keys[r] = make([]any, len(idxs))
 			for k, i := range idxs {
-				c := cmpKeys(out.tuples[a][i], out.tuples[b][i])
-				if c == 0 {
-					continue
-				}
-				if stmt.orderBy[k].desc {
-					return c > 0
-				}
-				return c < 0
+				keys[r][k] = t[i]
 			}
-			return false
-		})
+		}
+		sortRelation(out, keys, stmt.orderBy)
 	}
 	if stmt.limit >= 0 && stmt.limit < len(out.tuples) {
 		out.tuples = out.tuples[:stmt.limit]

@@ -79,15 +79,12 @@ func needSpace(prev, next token) bool {
 	return true
 }
 
-// Snapshot pins a catalog to the ingestion epoch it was derived from.
-// Every relation reachable through the catalog must be immutable — in
-// the serving layer they are materialised from one ingest.Epoch — so a
-// query result against a Snapshot is a pure function of
-// (canonical query, Epoch). That purity is what makes (query, epoch)
-// a sound cache key and a sound ETag.
+// Snapshot pins an immutable catalog: every relation reachable through
+// it must never change, so a query result against a Snapshot is a pure
+// function of the canonical query — what makes a cached result and its
+// ETag sound.
 type Snapshot struct {
-	Catalog Catalog // moguard: immutable // relations materialised from one epoch
-	Epoch   uint64  // moguard: immutable
+	Catalog Catalog // moguard: immutable
 }
 
 // QueryContext evaluates sql against the pinned catalog.

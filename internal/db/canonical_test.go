@@ -93,7 +93,7 @@ func TestSnapshotQueryContext(t *testing.T) {
 	r := NewRelation("nums", Schema{{Name: "n", Type: TReal}})
 	r.MustInsert(Tuple{1.0})
 	r.MustInsert(Tuple{5.0})
-	s := Snapshot{Catalog: Catalog{"nums": r}, Epoch: 42}
+	s := Snapshot{Catalog: Catalog{"nums": r}}
 	out, err := s.QueryContext(context.Background(), "SELECT n FROM nums WHERE n > 2")
 	if err != nil {
 		t.Fatal(err)

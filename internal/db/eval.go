@@ -471,37 +471,11 @@ func isUndef(v any) bool {
 	return ok
 }
 
+// compare applies a comparison operator to two defined values of one
+// scalar type.
 func compare(op string, l, r any) (any, error) {
-	var c int
-	switch lv := l.(type) {
-	case float64:
-		rv := r.(float64)
-		switch {
-		case lv < rv:
-			c = -1
-		case lv > rv:
-			c = 1
-		}
-	case int64:
-		rv := r.(int64)
-		switch {
-		case lv < rv:
-			c = -1
-		case lv > rv:
-			c = 1
-		}
-	case string:
-		rv := r.(string)
-		c = strings.Compare(lv, rv)
-	case bool:
-		rv := r.(bool)
-		switch {
-		case !lv && rv:
-			c = -1
-		case lv && !rv:
-			c = 1
-		}
-	default:
+	c, ok := cmpScalars(l, r)
+	if !ok {
 		return nil, fmt.Errorf("%w: cannot compare %T", ErrType, l)
 	}
 	switch op {
@@ -582,7 +556,6 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	}
 	// The plan: every expression the row loop evaluates, bound once.
 	schema := make(Schema, 0, len(items))
-	names := map[string]int{}
 	project := make([]expr, len(items))
 	for k, it := range items {
 		var t AttrType
@@ -593,15 +566,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		if t == TIReal {
 			return nil, fmt.Errorf("%w: intime values cannot be selected; wrap with val() or inst()", ErrType)
 		}
-		name := it.alias
-		if name == "" {
-			name = it.e.String()
-		}
-		if _, dup := names[name]; dup {
-			name = fmt.Sprintf("%s#%d", name, len(schema))
-		}
-		names[name] = len(schema)
-		schema = append(schema, Column{Name: name, Type: t})
+		schema = append(schema, Column{Name: columnName(schema, it), Type: t})
 	}
 	if err := env.bindWhere(stmt); err != nil {
 		return nil, err
@@ -674,6 +639,20 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		out.tuples = out.tuples[:stmt.limit]
 	}
 	return out, nil
+}
+
+// columnName names the result column of item, the next after schema,
+// in both row and aggregate mode: the item's alias, else its expression
+// text, with "#<position>" appended when an earlier column has the name.
+func columnName(schema Schema, it selectItem) string {
+	name := it.alias
+	if name == "" {
+		name = it.e.String()
+	}
+	if schema.Index(name) >= 0 {
+		name = fmt.Sprintf("%s#%d", name, len(schema))
+	}
+	return name
 }
 
 // bindWhere binds the statement's WHERE clause in place and checks that
@@ -755,6 +734,8 @@ func sortRelation(out *Relation, keys [][]any, order []orderItem) {
 	out.tuples = tuples
 }
 
+// cmpKeys orders two sort or aggregate keys: scalars by cmpScalars, ⊥
+// after every defined value.
 func cmpKeys(a, b any) int {
 	if isUndef(a) || isUndef(b) {
 		switch {
@@ -766,33 +747,40 @@ func cmpKeys(a, b any) int {
 			return -1
 		}
 	}
+	c, _ := cmpScalars(a, b)
+	return c
+}
+
+// cmpScalars is the one three-way comparison of two values of one
+// scalar type (false before true; a NaN equals everything); ok is false
+// for a type with no order.
+func cmpScalars(a, b any) (c int, ok bool) {
 	switch av := a.(type) {
 	case float64:
-		bv := b.(float64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
+		return cmp3(av, b.(float64)), true
 	case int64:
-		bv := b.(int64)
-		switch {
-		case av < bv:
-			return -1
-		case av > bv:
-			return 1
-		}
+		return cmp3(av, b.(int64)), true
 	case string:
-		return strings.Compare(av, b.(string))
+		return strings.Compare(av, b.(string)), true
 	case bool:
 		bv := b.(bool)
 		switch {
 		case !av && bv:
-			return -1
+			return -1, true
 		case av && !bv:
-			return 1
+			return 1, true
 		}
+		return 0, true
+	}
+	return 0, false
+}
+
+func cmp3[T float64 | int64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
 	return 0
 }

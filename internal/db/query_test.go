@@ -3,6 +3,7 @@ package db
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -572,5 +573,31 @@ func TestGroupByZeroKeys(t *testing.T) {
 	}
 	if res.Len() != 2 || res.Scan()[0][1].(int64) != 2 || res.Scan()[1][1].(int64) != 1 {
 		t.Errorf("0 and -0 must be one group of 2 rows beside the group of 1, got %v", res.Scan())
+	}
+}
+
+// TestOutputNamesDeduplicate: both modes name a repeated output column
+// by one rule, "#<position>" after the first.
+func TestOutputNamesDeduplicate(t *testing.T) {
+	for _, c := range []struct {
+		sql  string
+		want []string
+	}{
+		{"SELECT a, a FROM r", []string{"a", "a#1"}},
+		{"SELECT count(*), count(*) FROM r", []string{"count(*)", "count(*)#1"}},
+		{"SELECT a, count(*) AS a FROM r GROUP BY a", []string{"a", "a#1"}},
+		{"SELECT a, count(*) AS n, count(*) AS n, a FROM r GROUP BY a", []string{"a", "n", "n#2", "a#3"}},
+	} {
+		res, err := Query(groupKeyCatalog(), c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var got []string
+		for _, col := range res.Schema {
+			got = append(got, col.Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: columns %q, want %q", c.sql, got, c.want)
+		}
 	}
 }

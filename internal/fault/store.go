@@ -25,10 +25,6 @@ func NewStore(in *Injector, name string, ps *storage.PageStore) *Store {
 	return &Store{in: in, name: name, ps: ps}
 }
 
-// Underlying returns the wrapped page store (for image capture in
-// crash tests).
-func (s *Store) Underlying() *storage.PageStore { return s.ps }
-
 // Put stores data as a new large object, subject to the "<name>.put"
 // failpoint: error modes fail with nothing written, torn mode lands a
 // prefix of the bytes (padded to whole pages, as a real device would

@@ -115,10 +115,10 @@ func (d *Dynamic) Snapshot() Snapshot {
 // nodes visited plus tail entries scanned. Lock-free: the snapshot's
 // data is immutable. Duplicate IDs may appear when a unit was indexed
 // in pieces (an append merged into its predecessor adds a second entry
-// for the extension). Unlike RTree.Search, the appended IDs come back
-// in no particular order: the callers dedupe and order by themselves
-// (ingest.Epoch.Window by object slot, the live registry by
-// subscription id), so a sort here would be paid for and thrown away.
+// for the extension). The appended IDs come back in no particular
+// order: the callers dedupe and order by themselves (ingest.Epoch.Window
+// by object slot, the live registry by subscription id), so a sort here
+// would be paid for and thrown away.
 func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 	if q.IsEmpty() {
 		return out, 0
@@ -126,7 +126,7 @@ func (s Snapshot) Search(q geom.Cube, out []int64) ([]int64, int) {
 	visited := len(s.tail)
 	for _, r := range s.rungs {
 		var v int
-		out, v = r.collect(q, out)
+		out, v = r.Search(q, out)
 		visited += v
 	}
 	for i := range s.tail {

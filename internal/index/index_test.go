@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"movingdb/internal/geom"
-	"movingdb/internal/moving"
 	"movingdb/internal/temporal"
-	"movingdb/internal/workload"
 )
 
 func randomCubes(rng *rand.Rand, n int) []Entry {
@@ -72,59 +70,6 @@ func TestRTreePrunes(t *testing.T) {
 	_, visited := tr.Search(q, nil)
 	if visited >= len(tr.nodes) {
 		t.Fatalf("no pruning: visited %d of %d nodes", visited, len(tr.nodes))
-	}
-}
-
-func TestWindowQueryMatchesScan(t *testing.T) {
-	g := workload.New(8)
-	objects := make([]moving.MPoint, 40)
-	for i := range objects {
-		objects[i] = g.RandomTrajectory(0, 50, 10, 2)
-	}
-	ix := BuildMPointIndex(objects)
-	if err := ix.Tree().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 40; trial++ {
-		x, y := rng.Float64()*900, rng.Float64()*900
-		rect := geom.Rect{MinX: x, MinY: y, MaxX: x + 100, MaxY: y + 100}
-		t0 := temporal.Instant(rng.Float64() * 400)
-		iv := temporal.Closed(t0, t0+60)
-		got := ix.Window(rect, iv)
-		want := ScanWindow(objects, rect, iv)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: index %v != scan %v", trial, got, want)
-		}
-	}
-}
-
-func TestWindowRefinementIsExact(t *testing.T) {
-	// An object whose bounding cube intersects the window but whose path
-	// never enters it: the diagonal of a square window's complement.
-	p, err := moving.MPointFromSamples([]moving.Sample{
-		{T: 0, P: geom.Pt(0, 10)},
-		{T: 10, P: geom.Pt(10, 0)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := BuildMPointIndex([]moving.MPoint{p})
-	// Window in the lower-left corner: the cube [0,10]² intersects it,
-	// the diagonal path x+y=10 does not.
-	rect := geom.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}
-	if got := ix.Window(rect, temporal.Closed(0, 10)); len(got) != 0 {
-		t.Fatalf("false positive: %v", got)
-	}
-	// A window the path clips.
-	rect2 := geom.Rect{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7}
-	if got := ix.Window(rect2, temporal.Closed(0, 10)); len(got) != 1 {
-		t.Fatalf("missed hit: %v", got)
-	}
-	// Same window, but a query interval before the crossing time
-	// (crossing happens around t ∈ [3, 7]).
-	if got := ix.Window(rect2, temporal.Closed(0, 2)); len(got) != 0 {
-		t.Fatalf("temporal refinement failed: %v", got)
 	}
 }
 

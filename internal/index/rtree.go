@@ -245,19 +245,6 @@ func (t *RTree) Height() int {
 	return t.height
 }
 
-// Search appends to out the IDs of all entries whose cubes intersect the
-// query cube and returns the result along with the number of nodes
-// visited (for the scan-vs-index ablation). The appended region is
-// sorted ascending (duplicates preserved), so refinement order, k-NN
-// tie-breaking and cache keys derived from results are deterministic
-// regardless of tree shape.
-func (t *RTree) Search(q geom.Cube, out []int64) ([]int64, int) {
-	start := len(out)
-	out, visited := t.collect(q, out)
-	slices.Sort(out[start:])
-	return out, visited
-}
-
 // overlaps is e.Intersects(*q) for a q already known to be non-empty,
 // flat enough for the compiler to inline into the traversal loops.
 func overlaps(e, q *geom.Cube) bool {
@@ -266,11 +253,12 @@ func overlaps(e, q *geom.Cube) bool {
 		e.MinT <= q.MaxT && q.MinT <= e.MaxT && !e.IsEmpty()
 }
 
-// collect is Search without the final sort: the union over a ladder of
-// trees sorts once. The traversal is an explicit stack of nodes already
-// known to intersect q; a child's cube is tested before it is pushed.
-// visited counts every node whose cube was tested.
-func (t *RTree) collect(q geom.Cube, out []int64) ([]int64, int) {
+// Search appends to out the IDs of all entries whose cubes intersect the
+// query cube, in no particular order, and returns the result along with
+// the number of nodes visited: every node whose cube was tested. The
+// traversal is an explicit stack of nodes already known to intersect q;
+// a child's cube is tested before it is pushed.
+func (t *RTree) Search(q geom.Cube, out []int64) ([]int64, int) {
 	if t.root < 0 || q.IsEmpty() {
 		return out, 0
 	}

@@ -9,65 +9,11 @@ import (
 	"movingdb/internal/units"
 )
 
-// MPointIndex indexes the units of a collection of moving points for
-// spatio-temporal window queries: "which objects were inside rectangle W
-// at some instant of period P". The R-tree over unit cubes gives the
-// candidate set; an exact refinement step solves the per-unit linear
-// containment (the coordinates of a upoint are linear in t, so the times
-// inside an axis-aligned window form an interval computable in closed
-// form).
-type MPointIndex struct {
-	tree    *RTree
-	objects []moving.MPoint
-}
-
-// BuildMPointIndex indexes every unit of every object; the entry ID
-// encodes (object, unit).
-func BuildMPointIndex(objects []moving.MPoint) *MPointIndex {
-	var entries []Entry
-	for oi, p := range objects {
-		for ui, u := range p.M.Units() {
-			entries = append(entries, Entry{Cube: u.Cube(), ID: int64(oi)<<32 | int64(ui)})
-		}
-	}
-	return &MPointIndex{tree: Build(entries), objects: objects}
-}
-
-// Tree exposes the underlying R-tree (for statistics).
-func (ix *MPointIndex) Tree() *RTree { return ix.tree }
-
-// Window reports the object indices that are inside rect during iv at
-// some instant, in ascending order. The refinement step is exact.
-func (ix *MPointIndex) Window(rect geom.Rect, iv temporal.Interval) []int {
-	q := geom.Cube{Rect: rect, MinT: float64(iv.Start), MaxT: float64(iv.End)}
-	ids, _ := ix.tree.Search(q, nil)
-	seen := make(map[int]bool)
-	var out []int
-	for _, id := range ids {
-		oi := int(id >> 32)
-		ui := int(id & 0xffffffff)
-		if seen[oi] {
-			continue
-		}
-		u := ix.objects[oi].M.Units()[ui]
-		if unitInWindow(u.M.X0, u.M.X1, u.M.Y0, u.M.Y1, rect, u.Iv, iv) {
-			seen[oi] = true
-			out = append(out, oi)
-		}
-	}
-	// Ascending object order for deterministic results.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // UPointInWindow reports exactly whether the unit is inside rect at
-// some instant of iv — the refinement predicate behind Window, exported
-// for the live ingestion path, which refines index candidates
-// against the current unit data of its object store.
+// some instant of iv: the coordinates of a upoint are linear in t, so
+// the times inside an axis-aligned window form an interval computable
+// in closed form. ingest.Epoch.Window refines its index candidates with
+// it.
 func UPointInWindow(u units.UPoint, rect geom.Rect, iv temporal.Interval) bool {
 	return unitInWindow(u.M.X0, u.M.X1, u.M.Y0, u.M.Y1, rect, u.Iv, iv)
 }
@@ -125,8 +71,10 @@ func clampLinear(c0, c1, minV, maxV, lo, hi float64) (float64, float64, bool) {
 	return lo, hi, true
 }
 
-// ScanWindow answers the same query by scanning every unit of every
-// object — the baseline for the index ablation.
+// ScanWindow reports, in ascending order, the indices of the objects
+// inside rect at some instant of iv by testing every unit of every
+// object: the reference the indexed window (ingest.Epoch.Window) is
+// tested and benchmarked against.
 func ScanWindow(objects []moving.MPoint, rect geom.Rect, iv temporal.Interval) []int {
 	var out []int
 	for oi, p := range objects {

@@ -17,8 +17,8 @@ import (
 // fingerprints answer every atinstant/window query identically.
 func fingerprint(p *Pipeline) string {
 	var buf bytes.Buffer
-	for _, s := range p.Summaries() {
-		m, _ := p.Snapshot(s.ID)
+	for _, s := range p.Epoch().Summaries() {
+		m, _ := p.Epoch().Snapshot(s.ID)
 		fmt.Fprintf(&buf, "%s: %v\n", s.ID, m.M.Units())
 	}
 	applied, dropped, compacted := p.store.Counters()
@@ -118,7 +118,7 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeState(st), state) {
 		t.Fatal("rebuilt store encodes differently")
 	}
-	p2 := &Pipeline{store: st, wal: &wal{io: pageStoreIO{storage.NewPageStore()}}, health: newHealth(3, time.Second), dead: newDeadLetter(16)}
+	p2 := &Pipeline{store: st, wal: &wal{io: pageStoreIO{storage.NewPageStore()}}, health: newHealth(3, time.Second)}
 	p2.bat = newBatcher(1<<20, 1<<20, time.Hour, p2.applyFlush, p2.publishEpoch)
 	defer p2.Close()
 	if got, want := fingerprint(p2), fingerprint(p); got != want {

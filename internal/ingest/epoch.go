@@ -118,10 +118,6 @@ func (e *Epoch) Seq() uint64 { return e.seq }
 // Objects returns the number of tracked objects in the epoch.
 func (e *Epoch) Objects() int { return len(e.objs) }
 
-// IndexEntries returns the number of index entries visible to the
-// epoch's pinned index view.
-func (e *Epoch) IndexEntries() int { return e.idx.Len() }
-
 // Window reports the ids of objects inside rect at some instant of iv,
 // in ascending registration order, computed without taking any lock:
 // candidates come from the pinned index snapshot and refinement runs

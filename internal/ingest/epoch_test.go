@@ -325,3 +325,36 @@ func TestConcurrentIngestAndEpochReads(t *testing.T) {
 		t.Fatalf("no fold merged rungs: %+v", st)
 	}
 }
+
+// TestWindowRefinementIsExact: an object whose bounding cube meets the
+// window but whose path never enters it is not reported, and the
+// temporal constraint is refined as exactly as the spatial one.
+func TestWindowRefinementIsExact(t *testing.T) {
+	p, err := moving.MPointFromSamples([]moving.Sample{
+		{T: 0, P: geom.Pt(0, 10)},
+		{T: 10, P: geom.Pt(10, 0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := Frozen([]string{"diag"}, []moving.MPoint{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Window in the lower-left corner: the cube [0,10]² intersects it,
+	// the diagonal path x+y=10 does not.
+	rect := geom.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 3}
+	if got := ep.Window(rect, temporal.Closed(0, 10)); len(got) != 0 {
+		t.Fatalf("false positive: %v", got)
+	}
+	// A window the path clips.
+	rect2 := geom.Rect{MinX: 4, MinY: 4, MaxX: 7, MaxY: 7}
+	if got := ep.Window(rect2, temporal.Closed(0, 10)); len(got) != 1 {
+		t.Fatalf("missed hit: %v", got)
+	}
+	// Same window, but a query interval before the crossing time
+	// (crossing happens around t ∈ [3, 7]).
+	if got := ep.Window(rect2, temporal.Closed(0, 2)); len(got) != 0 {
+		t.Fatalf("temporal refinement failed: %v", got)
+	}
+}

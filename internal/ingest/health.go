@@ -23,6 +23,10 @@ type health struct {
 	cause     string    // moguard: guarded by mu
 	since     time.Time // moguard: guarded by mu
 	lastProbe time.Time // moguard: guarded by mu
+	// Cumulative dead letters: batches (and their observations) that
+	// exhausted their retries and were refused with ErrDegraded.
+	deadBatches int // moguard: guarded by mu
+	deadObs     int // moguard: guarded by mu
 }
 
 func newHealth(threshold int, probeEvery time.Duration) *health {
@@ -45,11 +49,13 @@ func (h *health) allowAttempt(now time.Time) bool {
 	return false
 }
 
-// onFailure records one exhausted-retry failure and flips to degraded
-// at the threshold.
-func (h *health) onFailure(cause string, now time.Time) {
+// onFailure records one exhausted-retry failure of a batch of n
+// observations and flips to degraded at the threshold.
+func (h *health) onFailure(cause string, n int, now time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.deadBatches++
+	h.deadObs += n
 	h.consec++
 	if !h.degraded && h.consec >= h.threshold {
 		h.degraded = true
@@ -69,61 +75,22 @@ func (h *health) onSuccess() {
 	h.cause = ""
 }
 
-func (h *health) state() (degraded bool, cause string, since time.Time, consec int) {
+func (h *health) report() Health {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.degraded, h.cause, h.since, h.consec
-}
-
-// deadLetter is the capped buffer of batches that exhausted their
-// retries — poisoned or unlucky work kept for operator inspection and
-// replay instead of silently vanishing. The cap is in observations;
-// when adding a batch would exceed it, the oldest batches are evicted
-// (and counted) first: recent failures are the ones an operator will
-// look at.
-type deadLetter struct {
-	mu       sync.Mutex
-	capObs   int             // moguard: immutable
-	batches  [][]Observation // moguard: guarded by mu
-	obsCount int             // moguard: guarded by mu
-	dropped  int64           // moguard: guarded by mu
-}
-
-func newDeadLetter(capObs int) *deadLetter { return &deadLetter{capObs: capObs} }
-
-func (d *deadLetter) add(batch []Observation) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(batch) > d.capObs {
-		d.dropped += int64(len(batch))
-		return
+	r := Health{
+		Degraded: h.degraded, Cause: h.cause, ConsecutiveFailures: h.consec,
+		DeadLetterBatches: h.deadBatches, DeadLetterObs: h.deadObs,
 	}
-	for d.obsCount+len(batch) > d.capObs && len(d.batches) > 0 {
-		d.dropped += int64(len(d.batches[0]))
-		d.obsCount -= len(d.batches[0])
-		d.batches = d.batches[1:]
+	if h.degraded {
+		r.SinceUnixMS = h.since.UnixMilli()
 	}
-	d.batches = append(d.batches, batch)
-	d.obsCount += len(batch)
+	return r
 }
 
-// drain removes and returns every buffered batch, oldest first.
-func (d *deadLetter) drain() [][]Observation {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := d.batches
-	d.batches = nil
-	d.obsCount = 0
-	return out
-}
-
-func (d *deadLetter) stats() (batches, observations int, dropped int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.batches), d.obsCount, d.dropped
-}
-
-// Health is the pipeline's health report, served by /v1/healthz.
+// Health is the pipeline's health report, served by /v1/healthz. The
+// dead-letter fields count, since Open, the batches that exhausted their
+// retries; none of them was acknowledged, so none is kept.
 type Health struct {
 	Degraded            bool   `json:"degraded"`
 	Cause               string `json:"cause,omitempty"`
@@ -131,5 +98,4 @@ type Health struct {
 	ConsecutiveFailures int    `json:"consecutive_failures"`
 	DeadLetterBatches   int    `json:"dead_letter_batches"`
 	DeadLetterObs       int    `json:"dead_letter_observations"`
-	DeadLetterDropped   int64  `json:"dead_letter_dropped"`
 }

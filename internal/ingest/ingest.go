@@ -37,11 +37,9 @@ import (
 	"time"
 
 	"movingdb/internal/fault"
-	"movingdb/internal/geom"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
 	"movingdb/internal/storage"
-	"movingdb/internal/temporal"
 )
 
 // Observation is one timestamped position report for one object — the
@@ -108,12 +106,6 @@ type Config struct {
 	// jitter, capped at RetryMaxWait. Defaults 2ms and 50ms.
 	RetryBase    time.Duration
 	RetryMaxWait time.Duration
-	// RetrySeed seeds the jitter RNG, making backoff schedules
-	// reproducible in tests. Default 1.
-	RetrySeed int64
-	// DeadLetterCap bounds the dead-letter buffer in observations.
-	// Default 4096.
-	DeadLetterCap int
 	// DegradedThreshold is how many consecutive exhausted-retry failures
 	// flip the pipeline to degraded (fail-fast) mode. Default 3.
 	DegradedThreshold int
@@ -158,12 +150,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryMaxWait == 0 {
 		c.RetryMaxWait = 50 * time.Millisecond
 	}
-	if c.RetrySeed == 0 {
-		c.RetrySeed = 1
-	}
-	if c.DeadLetterCap == 0 {
-		c.DeadLetterCap = 4096
-	}
 	if c.DegradedThreshold == 0 {
 		c.DegradedThreshold = 3
 	}
@@ -183,7 +169,6 @@ type Pipeline struct {
 	wal       *wal
 	bat       *batcher
 	health    *health
-	dead      *deadLetter
 	metrics   *obs.Metrics
 	closeOnce sync.Once
 
@@ -193,7 +178,7 @@ type Pipeline struct {
 	maxAge        time.Duration // flush cadence, for Retry-After hints
 	maxQueued     int
 	probeInterval time.Duration
-	rng           *rand.Rand // jitter; touched only under bat.mu (logAppend)
+	rng           *rand.Rand // jitter, seeded 1 so backoff schedules repeat; touched only under bat.mu (logAppend)
 
 	onPublish func(*Epoch, []DirtyObject) // immutable after Open
 }
@@ -232,7 +217,6 @@ func Open(cfg Config) (*Pipeline, error) {
 		store:         st,
 		wal:           w,
 		health:        newHealth(cfg.DegradedThreshold, cfg.ProbeInterval),
-		dead:          newDeadLetter(cfg.DeadLetterCap),
 		metrics:       cfg.Metrics,
 		retryAttempts: cfg.RetryAttempts,
 		retryBase:     cfg.RetryBase,
@@ -240,7 +224,7 @@ func Open(cfg Config) (*Pipeline, error) {
 		maxAge:        cfg.MaxAge,
 		maxQueued:     cfg.MaxQueued,
 		probeInterval: cfg.ProbeInterval,
-		rng:           rand.New(rand.NewSource(cfg.RetrySeed)),
+		rng:           rand.New(rand.NewSource(1)),
 		onPublish:     cfg.OnPublish,
 	}
 	p.bat = newBatcher(cfg.FlushSize, cfg.MaxQueued, cfg.MaxAge, p.applyFlush, p.publishEpoch)
@@ -333,9 +317,8 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 		}
 	}
 	if !p.health.allowAttempt(time.Now()) {
-		_, cause, _, _ := p.health.state()
 		p.metrics.RecordIngestCause("degraded_fast_fail", 1)
-		return 0, fmt.Errorf("%w (%s)", ErrDegraded, cause)
+		return 0, fmt.Errorf("%w (%s)", ErrDegraded, p.health.report().Cause)
 	}
 	seq, err := p.bat.enqueue(batch, p.logAppend)
 	switch {
@@ -353,11 +336,11 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 
 // logAppend is the batcher's log hook: the WAL append wrapped in a
 // bounded retry loop with exponential backoff and jitter for transient
-// store faults. Exhausting the budget moves the batch to the
-// dead-letter buffer, advances the health state machine toward
-// degraded mode, and reports ErrDegraded — the batch was never
-// acknowledged, so the caller knows it is not durable. Runs under the
-// batcher lock (which also serialises p.rng).
+// store faults. Exhausting the budget counts the batch as a dead
+// letter, advances the health state machine toward degraded mode, and
+// reports ErrDegraded — the batch was never acknowledged, so the caller
+// knows it is not durable. Runs under the batcher lock (which also
+// serialises p.rng).
 func (p *Pipeline) logAppend(batch []Observation) (uint64, error) {
 	var err error
 	wait := p.retryBase
@@ -375,8 +358,7 @@ func (p *Pipeline) logAppend(batch []Observation) (uint64, error) {
 			return seq, nil
 		}
 	}
-	p.health.onFailure(err.Error(), time.Now())
-	p.dead.add(batch)
+	p.health.onFailure(err.Error(), len(batch), time.Now())
 	p.metrics.RecordIngestCause("dead_letter", len(batch))
 	return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
 }
@@ -394,21 +376,9 @@ func (p *Pipeline) checkpointNow(dropPrevious bool) {
 	})
 }
 
-// Health reports the degradation state machine and dead-letter buffer.
-func (p *Pipeline) Health() Health {
-	degraded, cause, since, consec := p.health.state()
-	h := Health{Degraded: degraded, Cause: cause, ConsecutiveFailures: consec}
-	if degraded {
-		h.SinceUnixMS = since.UnixMilli()
-	}
-	h.DeadLetterBatches, h.DeadLetterObs, h.DeadLetterDropped = p.dead.stats()
-	return h
-}
-
-// DrainDeadLetters removes and returns the batches that exhausted
-// their retries, oldest first — for operator inspection or replay once
-// the store recovers.
-func (p *Pipeline) DrainDeadLetters() [][]Observation { return p.dead.drain() }
+// Health reports the degradation state machine and the dead-letter
+// counts.
+func (p *Pipeline) Health() Health { return p.health.report() }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -425,27 +395,6 @@ func (p *Pipeline) Close() { p.closeOnce.Do(p.bat.close) }
 // is visible in it (Flush establishes read-your-writes by draining the
 // batcher and publishing).
 func (p *Pipeline) Epoch() *Epoch { return p.store.CurrentEpoch() }
-
-// Window reports the ids of objects inside rect at some instant of iv,
-// answered lock-free against the current epoch's pinned index view with
-// exact refinement, in ascending registration order.
-func (p *Pipeline) Window(rect geom.Rect, iv temporal.Interval) []string {
-	return p.Epoch().Window(rect, iv)
-}
-
-// AtInstant returns the position of every object defined at t, answered
-// lock-free against the current epoch.
-func (p *Pipeline) AtInstant(t temporal.Instant) []Position {
-	return p.Epoch().AtInstant(t)
-}
-
-// Summaries lists the tracked objects in registration order, from the
-// current epoch.
-func (p *Pipeline) Summaries() []ObjectSummary { return p.Epoch().Summaries() }
-
-// Snapshot returns a copy of one object's mapping as of the current
-// epoch.
-func (p *Pipeline) Snapshot(id string) (moving.MPoint, bool) { return p.Epoch().Snapshot(id) }
 
 // Stats is a point-in-time view of the pipeline. The three index fields
 // keep the JSON names of the base+delta design the ladder replaced:
@@ -476,8 +425,7 @@ func (p *Pipeline) Stats() Stats {
 	applied, dropped, compacted := p.store.Counters()
 	rungs, tail, merges := p.store.IndexStats()
 	ws := p.wal.stats()
-	degraded, _, _, _ := p.health.state()
-	dlb, dlo, _ := p.dead.stats()
+	h := p.health.report()
 	return Stats{
 		Objects:         p.store.Len(),
 		Units:           p.store.UnitCount(),
@@ -492,9 +440,9 @@ func (p *Pipeline) Stats() Stats {
 		WALPages:        ws.pages,
 		WALCheckpoints:  ws.checkpoints,
 		WALQuarantined:  ws.quarantinedPages,
-		DeadLetterBatch: dlb,
-		DeadLetterObs:   dlo,
-		Degraded:        degraded,
+		DeadLetterBatch: h.DeadLetterBatches,
+		DeadLetterObs:   h.DeadLetterObs,
+		Degraded:        h.Degraded,
 		Epoch:           p.Epoch().Seq(),
 	}
 }

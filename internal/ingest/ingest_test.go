@@ -77,7 +77,7 @@ func TestOnlineMatchesOffline(t *testing.T) {
 					if err != nil {
 						t.Fatalf("offline build %s: %v", id, err)
 					}
-					got, ok := p.Snapshot(id)
+					got, ok := p.Epoch().Snapshot(id)
 					if !ok {
 						t.Fatalf("object %s missing from live store", id)
 					}
@@ -120,7 +120,7 @@ func TestCompactionMergesContinuedMotion(t *testing.T) {
 		send(float64(i), float64(i), 0)
 	}
 	p.Flush()
-	mp, _ := p.Snapshot("a")
+	mp, _ := p.Epoch().Snapshot("a")
 	if n := mp.M.Len(); n != 1 {
 		t.Fatalf("collinear run: want 1 unit, got %d", n)
 	}
@@ -130,7 +130,7 @@ func TestCompactionMergesContinuedMotion(t *testing.T) {
 	send(6, 4, 1)
 	send(7, 4, 1)
 	p.Flush()
-	mp, _ = p.Snapshot("a")
+	mp, _ = p.Epoch().Snapshot("a")
 	if n := mp.M.Len(); n != 3 {
 		t.Fatalf("turn+rest: want 3 units, got %d", n)
 	}
@@ -170,7 +170,7 @@ func TestNonMonotoneDropped(t *testing.T) {
 	if applied != 3 || dropped != 2 {
 		t.Fatalf("want applied=3 dropped=2, got %d/%d", applied, dropped)
 	}
-	mp, _ := p.Snapshot("a")
+	mp, _ := p.Epoch().Snapshot("a")
 	if err := mp.M.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSeededPipelineExtends(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Flush()
-	mp, _ := p.Snapshot("s")
+	mp, _ := p.Epoch().Snapshot("s")
 	if err := mp.M.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -268,13 +268,13 @@ func TestSeededPipelineExtends(t *testing.T) {
 		t.Fatalf("want 2 units (extended seed + turn), got %d", n)
 	}
 	// The base index covers the seeded extent, the delta the live one.
-	if got := p.Window(geom.Rect{MinX: 4, MinY: -1, MaxX: 6, MaxY: 1}, temporal.Closed(0, 20)); len(got) != 1 || got[0] != "s" {
+	if got := p.Epoch().Window(geom.Rect{MinX: 4, MinY: -1, MaxX: 6, MaxY: 1}, temporal.Closed(0, 20)); len(got) != 1 || got[0] != "s" {
 		t.Fatalf("seeded extent window: %v", got)
 	}
-	if got := p.Window(geom.Rect{MinX: 10, MinY: 4, MaxX: 12, MaxY: 6}, temporal.Closed(0, 20)); len(got) != 1 || got[0] != "s" {
+	if got := p.Epoch().Window(geom.Rect{MinX: 10, MinY: 4, MaxX: 12, MaxY: 6}, temporal.Closed(0, 20)); len(got) != 1 || got[0] != "s" {
 		t.Fatalf("live extent window: %v", got)
 	}
-	if got := p.Window(geom.Rect{MinX: 100, MinY: 100, MaxX: 200, MaxY: 200}, temporal.Closed(0, 20)); len(got) != 0 {
+	if got := p.Epoch().Window(geom.Rect{MinX: 100, MinY: 100, MaxX: 200, MaxY: 200}, temporal.Closed(0, 20)); len(got) != 0 {
 		t.Fatalf("empty window: %v", got)
 	}
 }
@@ -294,7 +294,7 @@ func TestDegenerateSeedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Flush()
-	mp, _ := p.Snapshot("d")
+	mp, _ := p.Epoch().Snapshot("d")
 	if err := mp.M.Validate(); err != nil {
 		t.Fatalf("degenerate tail chain: %v", err)
 	}
@@ -324,7 +324,7 @@ func TestAgeFlush(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, ok := p.Snapshot("a"); ok {
+		if _, ok := p.Epoch().Snapshot("a"); ok {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -347,7 +347,7 @@ func TestCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, ok := p.Snapshot("a"); !ok {
+	if _, ok := p.Epoch().Snapshot("a"); !ok {
 		t.Fatal("close did not drain the buffers")
 	}
 	if _, err := p.Ingest([]Observation{{ObjectID: "b", T: 1, X: 0, Y: 0}}); !errors.Is(err, ErrClosed) {
@@ -376,8 +376,8 @@ func TestWindowMatchesScan(t *testing.T) {
 		iv := temporal.Closed(temporal.Instant(i*4), temporal.Instant(i*4+10))
 		got := p.Epoch().Window(rect, iv)
 		var want []string
-		for _, sum := range p.Summaries() {
-			mp, _ := p.Snapshot(sum.ID)
+		for _, sum := range p.Epoch().Summaries() {
+			mp, _ := p.Epoch().Snapshot(sum.ID)
 			for _, u := range mp.M.Units() {
 				if index.UPointInWindow(u, rect, iv) {
 					want = append(want, sum.ID)

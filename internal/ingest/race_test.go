@@ -64,10 +64,10 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 				default:
 				}
 				rect := geom.Rect{MinX: float64(i % 900), MinY: 0, MaxX: float64(i%900) + 150, MaxY: 1000}
-				_ = p.Window(rect, temporal.Closed(0, 100))
-				_ = p.AtInstant(temporal.Instant(i % 70))
-				_ = p.Summaries()
-				_, _ = p.Snapshot("r0")
+				_ = p.Epoch().Window(rect, temporal.Closed(0, 100))
+				_ = p.Epoch().AtInstant(temporal.Instant(i % 70))
+				_ = p.Epoch().Summaries()
+				_, _ = p.Epoch().Snapshot("r0")
 				_ = p.Stats()
 				if i%10 == 0 {
 					p.Flush()
@@ -95,8 +95,8 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 	p.Flush()
 	// Post-conditions: every mapping valid, index consistent.
-	for _, sum := range p.Summaries() {
-		mp, _ := p.Snapshot(sum.ID)
+	for _, sum := range p.Epoch().Summaries() {
+		mp, _ := p.Epoch().Snapshot(sum.ID)
 		if err := mp.M.Validate(); err != nil {
 			t.Fatalf("%s: invalid after concurrent ingest: %v", sum.ID, err)
 		}

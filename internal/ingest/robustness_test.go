@@ -89,14 +89,14 @@ func TestTornWriteRepairedOnFailedAppend(t *testing.T) {
 }
 
 // TestDegradedModeAndRecovery walks the whole state machine: persistent
-// fault → dead letters accumulate → threshold flips to degraded
+// fault → dead letters are counted → threshold flips to degraded
 // (fail-fast, no store hammering) → reads still serve → fault clears →
 // probe write recovers → healthy again.
 func TestDegradedModeAndRecovery(t *testing.T) {
 	m := obs.New(0)
 	p, in, _ := faultPipeline(t, Config{
 		Metrics: m, CheckpointPages: -1,
-		RetryAttempts: 2, DegradedThreshold: 2, DeadLetterCap: 100,
+		RetryAttempts: 2, DegradedThreshold: 2,
 		ProbeInterval: time.Hour, // probed manually below, for determinism
 	})
 	defer p.Close()
@@ -105,7 +105,7 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Flush()
-	preFault := len(p.AtInstant(1.5))
+	preFault := len(p.Epoch().AtInstant(1.5))
 
 	in.Set("wal.put", fault.Spec{Mode: fault.ModeError}) // persistent
 	for i := 0; i < 2; i++ {
@@ -129,7 +129,7 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 		t.Fatal("fast-fail not counted")
 	}
 	// Reads keep serving the last consistent state.
-	if got := len(p.AtInstant(1.5)); got != preFault {
+	if got := len(p.Epoch().AtInstant(1.5)); got != preFault {
 		t.Fatalf("reads changed under degradation: %d positions, want %d", got, preFault)
 	}
 	// Fault clears; once the probe timer expires one write is let
@@ -142,45 +142,9 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 	if _, err := p.Ingest([]Observation{{ObjectID: "d", T: 1, X: 0, Y: 0}}); err != nil {
 		t.Fatalf("probe write after fault cleared: %v", err)
 	}
-	if h := p.Health(); h.Degraded {
-		t.Fatalf("still degraded after successful probe: %+v", h)
-	}
-	// Dead letters are inspectable and drain once.
-	dead := p.DrainDeadLetters()
-	if len(dead) != 2 || dead[0][0].ObjectID != "b" {
-		t.Fatalf("dead letters: %v", dead)
-	}
-	if again := p.DrainDeadLetters(); len(again) != 0 {
-		t.Fatal("drain is not destructive")
-	}
-}
-
-// TestDeadLetterCapEvictsOldest pins the bounded-buffer policy: the cap
-// is in observations and eviction drops the oldest batches first,
-// counting what it dropped.
-func TestDeadLetterCapEvictsOldest(t *testing.T) {
-	d := newDeadLetter(5)
-	mk := func(id string, n int) []Observation {
-		b := make([]Observation, n)
-		for i := range b {
-			b[i] = Observation{ObjectID: id}
-		}
-		return b
-	}
-	d.add(mk("a", 2))
-	d.add(mk("b", 2))
-	d.add(mk("c", 2)) // 6 > 5: evicts a
-	if b, o, dr := d.stats(); b != 2 || o != 4 || dr != 2 {
-		t.Fatalf("after eviction: batches=%d obs=%d dropped=%d", b, o, dr)
-	}
-	got := d.drain()
-	if len(got) != 2 || got[0][0].ObjectID != "b" || got[1][0].ObjectID != "c" {
-		t.Fatalf("drained %v", got)
-	}
-	// A batch larger than the whole cap is dropped outright.
-	d.add(mk("huge", 9))
-	if b, _, dr := d.stats(); b != 0 || dr != 11 {
-		t.Fatalf("oversized batch: batches=%d dropped=%d", b, dr)
+	// The dead-letter counts are cumulative: recovery does not reset them.
+	if h := p.Health(); h.Degraded || h.DeadLetterBatches != 2 || h.DeadLetterObs != 2 {
+		t.Fatalf("after successful probe: %+v", h)
 	}
 }
 

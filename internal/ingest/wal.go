@@ -35,7 +35,7 @@ import (
 //     artifact, not corruption).
 //   - A checkpoint record that is fully present but fails its CRC,
 //     its sequence rule, or state validation is quarantined (its pages
-//     are moved aside and counted) and skipped: the records around it
+//     are counted and skipped over): the records around it
 //     still chain on seq, so the previous checkpoint plus the suffix
 //     replay reconstruct the same state. Recovery never fails open.
 //   - A batch record that is fully present but corrupt ends trust in
@@ -53,10 +53,6 @@ const (
 
 	walKindBatch      = 1
 	walKindCheckpoint = 2
-
-	// quarantineKeepPages bounds the in-memory copy of quarantined
-	// pages (the count is unbounded; the bytes are a diagnostic aid).
-	quarantineKeepPages = 64
 )
 
 type wal struct {
@@ -68,9 +64,8 @@ type wal struct {
 	sinceCkpt int    // moguard: guarded by mu // batch pages appended since the last checkpoint
 	ckptPage  int    // moguard: guarded by mu // first page of the newest valid checkpoint, -1 none
 
-	checkpoints      int64    // moguard: guarded by mu
-	quarantinedPages int      // moguard: guarded by mu
-	quarantined      [][]byte // moguard: guarded by mu
+	checkpoints      int64 // moguard: guarded by mu
+	quarantinedPages int   // moguard: guarded by mu
 
 	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 }
@@ -152,11 +147,11 @@ func openWAL(pio PageIO, metrics *obs.Metrics) (*wal, walRecovery, error) {
 		if bad {
 			rec.dirty = true
 			if kind == walKindCheckpoint {
-				w.quarantine(p, n, "checkpoint")
+				w.quarantine(n, "checkpoint")
 				p += n
 				continue
 			}
-			w.quarantine(p, pio.NumPages()-p, "record")
+			w.quarantine(pio.NumPages()-p, "record")
 			break
 		}
 		p += n
@@ -168,21 +163,14 @@ func openWAL(pio PageIO, metrics *obs.Metrics) (*wal, walRecovery, error) {
 	return w, rec, nil
 }
 
-// quarantine moves the pages of a corrupt record aside: their bytes
-// are copied into a bounded in-memory buffer (the "file moved aside")
-// and the damage is counted per cause. openWAL calls it during the
-// single-threaded scan, but it takes the lock anyway: a wal handed to
-// the pipeline serves stats() concurrently, and an unlocked write here
-// would race with that read the moment quarantine gained a post-open
-// caller.
-func (w *wal) quarantine(p, n int, cause string) {
+// quarantine counts the n pages of a corrupt record, per cause. openWAL
+// calls it during the single-threaded scan, but it takes the lock
+// anyway: a wal handed to the pipeline serves stats() concurrently, and
+// an unlocked write here would race with that read the moment
+// quarantine gained a post-open caller.
+func (w *wal) quarantine(n int, cause string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if raw, err := w.io.Get(storage.LOBRef{FirstPage: p, Length: n * storage.PageSize}); err == nil {
-		for off := 0; off < len(raw) && len(w.quarantined) < quarantineKeepPages; off += storage.PageSize {
-			w.quarantined = append(w.quarantined, raw[off:off+storage.PageSize])
-		}
-	}
 	w.quarantinedPages += n
 	w.metrics.Ingest.WALQuarantined.Add(int64(n))
 	w.metrics.RecordIngestCause("wal_quarantine_"+cause, 1)

@@ -200,7 +200,7 @@ func TestCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := p2.Snapshot(id)
+		got, ok := p2.Epoch().Snapshot(id)
 		if !ok {
 			t.Fatalf("acknowledged object %s lost in the crash", id)
 		}

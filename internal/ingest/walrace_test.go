@@ -9,9 +9,8 @@ import (
 )
 
 // TestWALQuarantineVsStatsRace reproduces the violation the guarded-by
-// check surfaced: wal.quarantine used to mutate quarantinedPages and
-// the quarantined page buffer without w.mu while stats() reads them
-// under it. openWAL's scan is single-threaded, so the bug was latent —
+// check surfaced: wal.quarantine used to mutate quarantinedPages
+// without w.mu while stats() reads it under it. openWAL's scan is single-threaded, so the bug was latent —
 // but nothing stops a post-open caller, and this test is exactly that
 // caller. Under -race it fails against the unlocked quarantine and
 // passes now that quarantine takes the lock.
@@ -29,7 +28,7 @@ func TestWALQuarantineVsStatsRace(t *testing.T) {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 200; i++ {
-			w.quarantine(i, 1, "test")
+			w.quarantine(1, "test")
 		}
 	}()
 	go func() {

@@ -51,9 +51,6 @@ type Config struct {
 	// Metrics receives subscription/event/lag counters. Default: a
 	// private registry nobody reads.
 	Metrics *obs.Metrics
-	// Now is the clock used to stamp publishes (injectable for tests).
-	// Defaults to time.Now.
-	Now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -64,9 +61,6 @@ func (c Config) withDefaults() Config {
 		c.QueueCap = 64
 	} else if c.QueueCap < 2 {
 		c.QueueCap = 2 // the overflow path coalesces the two oldest notices
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.New(0)
@@ -189,13 +183,6 @@ func (r *Registry) Get(id string) (*Subscription, bool) {
 	return s, ok
 }
 
-// Len returns the number of active subscriptions.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subs)
-}
-
 // Unsubscribe removes a subscription and ends its event stream. The
 // region index keeps a tombstone (the Dynamic index is append-only)
 // until enough pile up to amortise a rebuild over the survivors.
@@ -245,7 +232,7 @@ func (r *Registry) rebuildRegionsLocked() {
 // preserves every edge because edges are state flips against the
 // subscription's last evaluated state.
 func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
-	pubNS := r.cfg.Now().UnixNano()
+	pubNS := time.Now().UnixNano()
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()

@@ -39,14 +39,9 @@ type apiError struct {
 	Message string `json:"message"`
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeJSONStatus is writeJSON with an explicit status code (the ingest
-// route acknowledges with 202).
-func writeJSONStatus(w http.ResponseWriter, status int, v any) {
+// writeJSON answers status with v rendered by encoding/json, for the
+// routes no hand-written body serves.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -54,9 +49,7 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 
 // writeError emits the v1 error envelope with the given status.
 func writeError(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]apiError{"error": {Code: code, Message: msg}})
+	writeJSON(w, status, map[string]apiError{"error": {Code: code, Message: msg}})
 }
 
 // writeRetryError is writeError plus a Retry-After header (RFC 9110

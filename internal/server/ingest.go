@@ -9,6 +9,9 @@ import (
 	"movingdb/internal/ingest"
 )
 
+// maxIngestBatch bounds the observations in one POST /v1/ingest body.
+const maxIngestBatch = 10000
+
 // handleIngest accepts a JSON array of observations
 // [{"id": "...", "t": .., "x": .., "y": ..}, ...] and enqueues it on
 // the live pipeline. 202 means the batch is in the write-ahead log and
@@ -27,7 +30,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	_, err := body.ReadFrom(r.Body)
 	var batch []ingest.Observation
 	if err == nil {
-		batch, err = decodeObservations(body.Bytes(), s.cfg.MaxIngestBatch)
+		batch, err = decodeObservations(body.Bytes(), maxIngestBatch)
 	}
 	*bp = body.Bytes()
 	scratch.Put(bp)
@@ -35,9 +38,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad ingest body: "+err.Error())
 		return
 	}
-	if len(batch) > s.cfg.MaxIngestBatch {
+	if len(batch) > maxIngestBatch {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
-			"batch has "+strconv.Itoa(len(batch))+" observations; the limit is "+strconv.Itoa(s.cfg.MaxIngestBatch))
+			"batch has "+strconv.Itoa(len(batch))+" observations; the limit is "+strconv.Itoa(maxIngestBatch))
 		return
 	}
 	seq, err := s.ingest.Ingest(batch)

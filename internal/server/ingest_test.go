@@ -112,23 +112,23 @@ func TestIngestBackpressure429(t *testing.T) {
 // fields, an empty batch, a missing id, and an oversized batch.
 func TestIngestBadRequests(t *testing.T) {
 	s, _ := liveServer(t, ingest.Config{})
-	sv := s
-	sv.cfg.MaxIngestBatch = 3
-	h := sv.Handler()
+	h := s.Handler()
+	one := `{"id":"a","t":1,"x":0,"y":0}`
+	oversized := "[" + strings.Repeat(one+",", maxIngestBatch) + one + "]"
 	for _, body := range []string{
 		`{`,
 		`{"observations":[]}`,
 		`[]`,
 		`[{"id":"","t":1,"x":0,"y":0}]`,
 		`[{"id":"a","t":1,"x":0,"y":0,"bogus":1}]`,
-		`[{"id":"a","t":1,"x":0,"y":0},{"id":"a","t":2,"x":0,"y":0},{"id":"a","t":3,"x":0,"y":0},{"id":"a","t":4,"x":0,"y":0}]`,
+		oversized,
 	} {
 		code, resp := post(t, h, "/v1/ingest", body)
 		if code != http.StatusBadRequest {
-			t.Fatalf("body %s: want 400, got %d %v", body, code, resp)
+			t.Fatalf("body %.80s: want 400, got %d %v", body, code, resp)
 		}
 		if c, _ := envelope(t, resp); c != CodeBadRequest {
-			t.Fatalf("body %s: error code %s", body, c)
+			t.Fatalf("body %.80s: error code %s", body, c)
 		}
 	}
 }

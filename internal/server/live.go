@@ -167,7 +167,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, err.Error())
 		return
 	}
-	writeJSONStatus(w, http.StatusCreated, map[string]any{
+	writeJSON(w, http.StatusCreated, map[string]any{
 		"subscription_id": sub.ID(),
 		"predicate":       sub.Predicate().String(),
 		"events_url":      "/v1/subscribe/" + sub.ID() + "/events",
@@ -184,7 +184,7 @@ func (s *Server) handleSubscription(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no such subscription")
 		return
 	}
-	writeJSON(w, sub.Info())
+	writeJSON(w, http.StatusOK, sub.Info())
 }
 
 // handleUnsubscribe removes a standing query and ends its stream.
@@ -197,7 +197,7 @@ func (s *Server) handleUnsubscribe(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, CodeNotFound, "no such subscription")
 		return
 	}
-	writeJSON(w, map[string]any{"unsubscribed": id})
+	writeJSON(w, http.StatusOK, map[string]any{"unsubscribed": id})
 }
 
 // writeEventFrames renders one batch of subscription events as SSE
@@ -214,20 +214,16 @@ func writeEventFrames(w io.Writer, scratch []byte, events []live.Event, lagged b
 		buf = append(buf, "event: lagged\ndata: {\"lagged\":true}\n\n"...)
 	}
 	for _, e := range events {
-		mark := len(buf)
-		buf = append(buf, "id: "...)
-		buf = strconv.AppendUint(buf, e.Seq, 10)
-		buf = append(buf, "\nevent: "...)
-		buf = append(buf, e.Edge...)
-		buf = append(buf, "\ndata: "...)
-		var ok bool
-		if buf, ok = appendEventJSON(buf, e); !ok {
-			// Unrenderable event (non-finite coordinate): dropped, exactly
-			// as the json.Marshal error path used to do.
-			buf = buf[:mark]
-			continue
+		// The data line is the live.Event as json.Marshal renders it.
+		j := jsonBody{b: buf}
+		j.raw("id: ").uint(e.Seq).raw("\nevent: ").raw(e.Edge).raw("\ndata: ")
+		j.raw(`{"seq":`).uint(e.Seq).raw(`,"epoch":`).uint(e.Epoch).raw(`,"edge":`).str(e.Edge).raw(`,"object":`).str(e.Object)
+		j.raw(`,"t":`).float(e.T).raw(`,"x":`).float(e.X).raw(`,"y":`).float(e.Y).raw(`,"pub_unix_ns":`).int(e.PubUnixNS).raw("}\n\n")
+		if j.err == nil {
+			// An unrenderable event (non-finite coordinate) is dropped,
+			// exactly as the json.Marshal error path used to do.
+			buf = j.b
 		}
-		buf = append(buf, "\n\n"...)
 	}
 	if len(buf) > 0 {
 		// Write failures surface as the closed connection on the next
@@ -235,33 +231,6 @@ func writeEventFrames(w io.Writer, scratch []byte, events []live.Event, lagged b
 		w.Write(buf)
 	}
 	return buf
-}
-
-// appendEventJSON renders one live.Event byte-identically to
-// json.Marshal (same field order, float forms, and HTML-safe string
-// escaping) without reflection or intermediate allocation. ok is false
-// when a coordinate is non-finite, where json.Marshal would error.
-func appendEventJSON(b []byte, e live.Event) ([]byte, bool) {
-	if isNonFinite(e.T) || isNonFinite(e.X) || isNonFinite(e.Y) {
-		return b, false
-	}
-	b = append(b, `{"seq":`...)
-	b = strconv.AppendUint(b, e.Seq, 10)
-	b = append(b, `,"epoch":`...)
-	b = strconv.AppendUint(b, e.Epoch, 10)
-	b = append(b, `,"edge":`...)
-	b = appendJSONString(b, e.Edge)
-	b = append(b, `,"object":`...)
-	b = appendJSONString(b, e.Object)
-	b = append(b, `,"t":`...)
-	b = appendJSONFloat(b, e.T)
-	b = append(b, `,"x":`...)
-	b = appendJSONFloat(b, e.X)
-	b = append(b, `,"y":`...)
-	b = appendJSONFloat(b, e.Y)
-	b = append(b, `,"pub_unix_ns":`...)
-	b = strconv.AppendInt(b, e.PubUnixNS, 10)
-	return append(b, '}'), true
 }
 
 func isNonFinite(f float64) bool {

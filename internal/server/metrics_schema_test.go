@@ -18,7 +18,7 @@ import (
 	"movingdb/internal/obs"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics_schema.golden from this run")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*_schema.golden files from this run")
 
 // TestMetricsSchemaGolden pins the shape of /v1/metrics: after one
 // request per route, one ingest batch, one subscription with an event
@@ -89,14 +89,52 @@ func TestMetricsSchemaGolden(t *testing.T) {
 
 	set := map[string]bool{}
 	keyPaths("", body, set)
+	checkSchemaGolden(t, "/v1/metrics", "testdata/metrics_schema.golden", set)
+}
+
+// TestHealthzSchemaGolden pins the shape of /v1/healthz for a read-only
+// server and for a live one (pipeline counters and the health block),
+// the same way TestMetricsSchemaGolden pins /v1/metrics: probes and
+// operators read these keys by name.
+func TestHealthzSchemaGolden(t *testing.T) {
+	catalog, ids, objects := testObjects()
+	ro, err := New(Config{Catalog: catalog, ObjectIDs: ids, Objects: objects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ingest.Open(ingest.Config{SeedIDs: ids, Seeds: objects})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	lv, err := New(Config{Catalog: catalog, Ingest: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := map[string]bool{}
+	for _, sv := range []struct {
+		name string
+		s    *Server
+	}{{"readonly", ro}, {"live", lv}} {
+		code, body := get(t, sv.s.Handler(), "/v1/healthz")
+		if code != http.StatusOK {
+			t.Fatalf("%s healthz: %d %v", sv.name, code, body)
+		}
+		keyPaths(sv.name, body, set)
+	}
+	checkSchemaGolden(t, "/v1/healthz", "testdata/healthz_schema.golden", set)
+}
+
+// checkSchemaGolden compares the sorted key paths in set with the golden
+// file, or rewrites the file under -update.
+func checkSchemaGolden(t *testing.T, route, golden string, set map[string]bool) {
+	t.Helper()
 	paths := make([]string, 0, len(set))
 	for p := range set {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	got := strings.Join(paths, "\n") + "\n"
-
-	const golden = "testdata/metrics_schema.golden"
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -111,7 +149,7 @@ func TestMetricsSchemaGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		t.Errorf("/v1/metrics key paths differ from %s (-update regenerates it; only do that for an intended schema change)\ngot:\n%s\nwant:\n%s", golden, got, want)
+		t.Errorf("%s key paths differ from %s (-update regenerates it; only do that for an intended schema change)\ngot:\n%s\nwant:\n%s", route, golden, got, want)
 	}
 }
 

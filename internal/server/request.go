@@ -190,11 +190,12 @@ func (p *params) timeout(def, max time.Duration) time.Duration {
 		p.fail(CodeBadRequest, "bad timeout_ms "+strconv.Quote(raw)+": want a positive integer")
 		return def
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > max {
-		d = max
+	// Cap in milliseconds: the product with time.Millisecond of a large
+	// ms overflows to a negative deadline.
+	if ms > int(max/time.Millisecond) {
+		return max
 	}
-	return d
+	return time.Duration(ms) * time.Millisecond
 }
 
 // pageReq is the resolved pagination of a list request: defaults

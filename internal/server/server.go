@@ -54,9 +54,6 @@ type Config struct {
 	// pipeline and the read routes pin its current epoch. Nil serves
 	// read-only.
 	Ingest *ingest.Pipeline
-	// MaxIngestBatch bounds the number of observations per POST
-	// /v1/ingest request. Default 10000.
-	MaxIngestBatch int
 	// Live is the standing-query registry behind /v1/subscribe and the
 	// SSE event streams. Nil disables the subscription routes (503
 	// unavailable); wire the same registry into the pipeline's OnPublish
@@ -67,16 +64,13 @@ type Config struct {
 	SSEHeartbeat time.Duration
 
 	// Cache is the result cache behind the read routes. Nil builds the
-	// in-memory sharded LRU with CacheBytes budget; supply an adapter to
-	// use an external tier.
+	// in-memory sharded LRU with CacheBytes budget and the default shard
+	// count; supply an adapter to use an external tier.
 	Cache cache.ResultCache
 	// CacheBytes is the in-memory cache budget when Cache is nil:
 	// 0 selects the default (32 MiB), negative disables result caching
 	// (misses still coalesce).
 	CacheBytes int64
-	// CacheShards is the shard count of the in-memory cache (0 selects
-	// the default; rounded up to a power of two).
-	CacheShards int
 
 	// QueryTimeout is the default evaluation deadline per request
 	// (overridable per request with ?timeout_ms=). Default 10s.
@@ -126,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowQueryThreshold == 0 {
 		c.SlowQueryThreshold = 500 * time.Millisecond
 	}
-	if c.MaxIngestBatch == 0 {
-		c.MaxIngestBatch = 10000
-	}
 	if c.SSEHeartbeat == 0 {
 		c.SSEHeartbeat = 15 * time.Second
 	}
@@ -144,9 +135,6 @@ func (c Config) withDefaults() Config {
 // Server serves a catalog of relations plus the tracked moving point
 // objects of the pinned epoch.
 type Server struct {
-	// Catalog mirrors Config.Catalog.
-	Catalog db.Catalog
-
 	cfg Config
 	// pinEpoch returns the epoch a read evaluates against: the pipeline's
 	// current one, or the frozen epoch 0 of a read-only server. Never nil.
@@ -176,10 +164,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	rc := cfg.Cache
 	if rc == nil && cfg.CacheBytes >= 0 {
-		rc = cache.NewMemory(cfg.CacheBytes, cfg.CacheShards, cfg.Metrics)
+		rc = cache.NewMemory(cfg.CacheBytes, 0, cfg.Metrics)
 	}
 	return &Server{
-		Catalog:  cfg.Catalog,
 		cfg:      cfg,
 		pinEpoch: pinEpoch,
 		ingest:   cfg.Ingest,
@@ -255,9 +242,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ep := s.pinEpoch()
-	catalog := s.Catalog
+	snap := db.Snapshot{Catalog: s.cfg.Catalog}
 	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
-		snap := db.Snapshot{Catalog: catalog, Epoch: ep.Seq()}
 		ctx, cancel := s.evalContext(r, req.Timeout)
 		defer cancel()
 		start := time.Now()
@@ -383,7 +369,7 @@ func (s *Server) handleObjects(w http.ResponseWriter, r *http.Request) {
 // Never cached — it is the cache's own scoreboard.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("X-MO-Epoch", strconv.FormatUint(s.pinEpoch().Seq(), 10))
-	writeJSON(w, s.metrics.Snapshot())
+	writeJSON(w, http.StatusOK, s.metrics.Snapshot())
 }
 
 // handleHealthz reports liveness and the sizes of the served data; with
@@ -398,7 +384,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{
 		"status":    "ok",
 		"objects":   ep.Objects(),
-		"relations": len(s.Catalog),
+		"relations": len(s.cfg.Catalog),
 	}
 	if s.ingest != nil {
 		body["ingest"] = s.ingest.Stats()
@@ -409,5 +395,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			body["cause"] = h.Cause
 		}
 	}
-	writeJSON(w, body)
+	writeJSON(w, http.StatusOK, body)
 }

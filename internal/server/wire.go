@@ -208,9 +208,10 @@ type jsonBody struct {
 	err error
 }
 
-func (j *jsonBody) raw(s string) *jsonBody { j.b = append(j.b, s...); return j }
-func (j *jsonBody) str(s string) *jsonBody { j.b = appendJSONString(j.b, s); return j }
-func (j *jsonBody) int(n int) *jsonBody    { j.b = strconv.AppendInt(j.b, int64(n), 10); return j }
+func (j *jsonBody) raw(s string) *jsonBody  { j.b = append(j.b, s...); return j }
+func (j *jsonBody) str(s string) *jsonBody  { j.b = appendJSONString(j.b, s); return j }
+func (j *jsonBody) int(n int64) *jsonBody   { j.b = strconv.AppendInt(j.b, n, 10); return j }
+func (j *jsonBody) uint(n uint64) *jsonBody { j.b = strconv.AppendUint(j.b, n, 10); return j }
 
 func (j *jsonBody) float(f float64) *jsonBody {
 	if isNonFinite(f) && j.err == nil {
@@ -264,27 +265,27 @@ func appendWindowBody(b []byte, total int, pg pageReq, ids []string) ([]byte, er
 		}
 		j.raw("]")
 	}
-	j.raw(`,"limit":`).int(pg.Limit).raw(`,"offset":`).int(pg.Offset).raw(`,"total":`).int(total).raw("}\n")
+	j.raw(`,"limit":`).int(int64(pg.Limit)).raw(`,"offset":`).int(int64(pg.Offset)).raw(`,"total":`).int(int64(total)).raw("}\n")
 	return j.b, j.err
 }
 
 func appendObjectsBody(b []byte, total int, pg pageReq, sums []ingest.ObjectSummary) ([]byte, error) {
 	j := jsonBody{b: b}
-	j.raw(`{"limit":`).int(pg.Limit).raw(`,"objects":`)
+	j.raw(`{"limit":`).int(int64(pg.Limit)).raw(`,"objects":`)
 	if j.open(sums == nil) {
 		for i := range sums {
 			o := &sums[i]
-			j.sep(i).raw(`{"id":`).str(o.ID).raw(`,"units":`).int(o.Units).raw(`,"from":`).float(o.From).raw(`,"to":`).float(o.To).raw("}")
+			j.sep(i).raw(`{"id":`).str(o.ID).raw(`,"units":`).int(int64(o.Units)).raw(`,"from":`).float(o.From).raw(`,"to":`).float(o.To).raw("}")
 		}
 		j.raw("]")
 	}
-	j.raw(`,"offset":`).int(pg.Offset).raw(`,"total":`).int(total).raw("}\n")
+	j.raw(`,"offset":`).int(int64(pg.Offset)).raw(`,"total":`).int(int64(total)).raw("}\n")
 	return j.b, j.err
 }
 
 func appendNearbyBody(b []byte, q nearbyReq, rs []ingest.NearbyResult) ([]byte, error) {
 	j := jsonBody{b: b}
-	j.raw(`{"count":`).int(len(rs)).raw(`,"k":`).int(q.K).raw(`,"radius":`).float(q.Radius).raw(`,"results":`)
+	j.raw(`{"count":`).int(int64(len(rs))).raw(`,"k":`).int(int64(q.K)).raw(`,"radius":`).float(q.Radius).raw(`,"results":`)
 	if j.open(rs == nil) {
 		for i := range rs {
 			r := &rs[i]

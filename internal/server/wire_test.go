@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -278,4 +279,30 @@ func FuzzQueryParams(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTimeoutParamCaps: ?timeout_ms= is capped in milliseconds before
+// it becomes a Duration, so a value whose product with time.Millisecond
+// overflows is the cap, not a negative deadline that answers 408 at once.
+func TestTimeoutParamCaps(t *testing.T) {
+	const def, max = 10 * time.Second, 60 * time.Second
+	h := testServer(t).Handler()
+	for _, c := range []struct {
+		ms   string
+		want time.Duration
+		code int
+	}{
+		{"9223372036854775807", max, http.StatusOK},
+		{strconv.FormatInt(int64(max/time.Millisecond)+1, 10), max, http.StatusOK},
+		{"0", def, http.StatusBadRequest},
+	} {
+		p := parseParams("timeout_ms=" + c.ms)
+		if got := p.timeout(def, max); got != c.want || (p.err != nil) != (c.code != http.StatusOK) {
+			t.Errorf("timeout_ms=%s: %v (err %v), want %v", c.ms, got, p.err, c.want)
+		}
+		code, body := get(t, h, "/v1/query?q=SELECT+id+FROM+planes+LIMIT+1&timeout_ms="+c.ms)
+		if code != c.code {
+			t.Errorf("/v1/query with timeout_ms=%s: %d %v, want %d", c.ms, code, body, c.code)
+		}
+	}
 }

@@ -18,9 +18,8 @@ const PageSize = 4096
 // statistics expose how many pages a read touches.
 type PageStore struct {
 	pages [][]byte
-	// Stats.
-	PagesWritten int
-	PagesRead    int
+	// PagesRead counts the pages Get has touched.
+	PagesRead int
 }
 
 // NewPageStore returns an empty page store.
@@ -45,7 +44,6 @@ func (s *PageStore) Put(data []byte) LOBRef {
 		page := make([]byte, PageSize)
 		copy(page, data[off:end])
 		s.pages = append(s.pages, page)
-		s.PagesWritten++
 	}
 	if len(data) == 0 {
 		// Zero-length objects still get a ref but no pages.

@@ -33,10 +33,13 @@ go test -run '^$' -bench . -benchtime 1x .
 echo "==> index, ingest, db, moving and server benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick, BenchmarkTemplateA or BenchmarkAtInstantBody must not wait for TestAllocBudgets)"
 go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving ./internal/server
 
-echo "==> hot-path allocation budgets (TestAllocBudgets is excluded from the race build)"
-# Serving layers and the paper's kernels — every package under
-# internal/ that has one; the budgets are the whole allocation contract.
-go test -run '^TestAllocBudgets$' ./internal/...
+echo "==> tests excluded from the race build (//go:build !race: allocation budgets, the float writer's encoding/json oracle)"
+# Every Test function in a !race file, collected by name so a new one
+# cannot be missed: the TestAllocBudgets tables (the whole allocation
+# contract) and TestDigits8 / TestJSONFloatRandomSweep.
+norace=$(grep -l '^//go:build !race' $(find internal -name '*_test.go') |
+    xargs sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' | sort -u | paste -sd '|' -)
+go test -run "^($norace)\$" ./internal/...
 
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
