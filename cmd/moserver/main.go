@@ -14,11 +14,12 @@
 // strong ETag and X-MO-Epoch, If-None-Match revalidates to 304, and
 // -cache-bytes sizes the cache (negative disables it). Without -ingest
 // the flights are frozen into epoch 0; with it the server runs the live
-// trajectory ingestion pipeline: POST /v1/ingest
-// enqueues observation batches (202 acknowledged, 429 under
-// backpressure), acknowledged batches are write-ahead logged, and every
-// flush publishes the next epoch. The process shuts down gracefully on
-// SIGINT/SIGTERM.
+// trajectory ingestion pipeline: POST /v1/ingest admits observation
+// batches (202 acknowledged, 429 under backpressure), acknowledged
+// batches are write-ahead logged and wait in one pending run in log
+// order, and every drain of that run (on -ingest-flush-size,
+// -ingest-flush-age or ?sync=1) applies it in that order and publishes
+// the next epoch. The process shuts down gracefully on SIGINT/SIGTERM.
 //
 // Example:
 //
@@ -64,8 +65,8 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache budget in bytes (0 = 32 MiB default, negative disables)")
 	liveIngest := flag.Bool("ingest", false, "enable the live ingestion pipeline (POST /v1/ingest)")
-	flushSize := flag.Int("ingest-flush-size", 32, "observations per object buffered before a flush")
-	flushAge := flag.Duration("ingest-flush-age", 100*time.Millisecond, "maximum buffering delay before a flush")
+	flushSize := flag.Int("ingest-flush-size", 32, "a drain runs when any object has this many observations pending")
+	flushAge := flag.Duration("ingest-flush-age", 100*time.Millisecond, "maximum pending delay before a drain")
 	maxQueued := flag.Int("ingest-max-queued", 65536, "queued observations before backpressure (429)")
 	ckptPages := flag.Int("ingest-checkpoint-pages", 256, "WAL pages between checkpoints (-1 disables)")
 	retries := flag.Int("ingest-retries", 4, "WAL append attempts before a batch is refused as a dead letter")
@@ -213,8 +214,8 @@ func main() {
 		reg.Close()
 	}
 	if pipe != nil {
-		// After the HTTP drain no new batches can arrive; Close flushes
-		// every buffered observation into the store so acknowledged
+		// After the HTTP drain no new batches can arrive; Close drains
+		// every pending observation into the store so acknowledged
 		// writes are applied, not just logged, before the process exits.
 		pipe.Close()
 		st := pipe.Stats()

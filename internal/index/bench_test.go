@@ -55,7 +55,7 @@ func benchBuild(b *testing.B, n int) {
 
 // BenchmarkDynamicInsert measures the amortised cost of an insert,
 // folds included, feeding n entries one InsertBatch call each — a
-// batcher drain of one unit, the case the tail exists for (a fleet
+// pipeline drain of one unit, the case the tail exists for (a fleet
 // tick's drain is BenchmarkBuild's). The ladder's shape: ns/entry grows
 // no faster than log n (the base+delta design it replaced was linear).
 func BenchmarkDynamicInsert(b *testing.B) {

@@ -64,7 +64,7 @@ func TestDynamicMergeValidate(t *testing.T) {
 }
 
 // TestLadderInvariants checks the shape after every insert, for the
-// batcher's single-entry inserts and for mixed batch sizes: each rung at
+// single-entry inserts of one-unit drains and for mixed batch sizes: each rung at
 // least twice the size of the next and the last at least a full tail —
 // so every rung outweighs everything after it and the rung count is at
 // most ⌈log₂(n / tailCap)⌉ + 1 — the tail below tailCap, nothing lost,

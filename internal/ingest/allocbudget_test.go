@@ -9,7 +9,7 @@ import (
 )
 
 // TestAllocBudgets covers the write path — Store.Apply alone and one
-// whole tick through batcher, store, index and publish — and the four
+// whole tick through admission, store, index and publish — and the four
 // lock-free epoch reads behind /v1/window, /v1/atinstant, /v1/nearby
 // and /v1/objects.
 func TestAllocBudgets(t *testing.T) {
@@ -17,12 +17,12 @@ func TestAllocBudgets(t *testing.T) {
 		// 57 objects registered, their unit arrays grown by doubling, the
 		// batch's index entries and the tail they land in.
 		allocbudget.Budget{Name: "BenchmarkStoreApply", Bench: BenchmarkStoreApply, MaxAllocs: 325, MaxBytes: 206700},
-		// Per object: its buffer and the buffer's one-observation slice, its
-		// first unit array, its re-sealed view (4 × 570); per tick: the WAL
-		// record, the drained run's growth, one entry slice, one fold, one
-		// epoch. Reads 2311 to 2313 from process to process (the buffer and
-		// dirty maps' overflow buckets follow the hash seed); anything done
-		// once per object again would add 570.
+		// Per object: its first unit array and its re-sealed view
+		// (2 × 570); per tick: the WAL record, the pending run, one entry
+		// slice, one fold, one epoch. Reads 1159 since the per-object
+		// buffers (2 × 570 more) became one pending run; the ceiling is
+		// still the buffered design's 2311 to 2313 plus the hash-seed
+		// jitter of the dirty map's overflow buckets.
 		allocbudget.Budget{Name: "BenchmarkPipelineTick", Bench: BenchmarkPipelineTick, MaxAllocs: 2320, MaxBytes: 535400},
 		allocbudget.Budget{Name: "BenchmarkEpochWindow", Bench: BenchmarkEpochWindow, MaxAllocs: 9, MaxBytes: 2330},
 		allocbudget.Budget{Name: "BenchmarkEpochAtInstant", Bench: BenchmarkEpochAtInstant, MaxAllocs: 1, MaxBytes: 4320},

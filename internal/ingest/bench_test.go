@@ -44,7 +44,7 @@ func BenchmarkAppendThroughput(b *testing.B) {
 
 // BenchmarkStoreApply measures one flush's worth of Store.Apply — unit
 // construction, compaction and the index insert, without the WAL and
-// batcher around it. Every iteration applies the same 570 observations
+// the pending run around it. Every iteration applies the same 570 observations
 // (one fleet_mixed tick) to a fresh store, so allocs/op is exact.
 func BenchmarkStoreApply(b *testing.B) {
 	batch := toObservations(workload.New(1).ObservationStream("a", 57, 10, 0, 1, 5))
@@ -64,11 +64,11 @@ func BenchmarkStoreApply(b *testing.B) {
 
 // BenchmarkPipelineTick measures one fleet_mixed write tick through the
 // whole pipeline: 570 trackers, one observation each, Ingest (WAL append
-// and buffering) then Flush (one drain: apply, index fold, epoch
+// and the pending run) then Flush (one drain: apply, index fold, epoch
 // publish). Every iteration runs the same second tick on a fresh
 // pipeline whose first, untimed tick registered the fleet, so allocs/op
-// is exact — the budget that keeps per-object slices, locks and sink
-// calls from creeping back into the drain.
+// is exact — the budget that keeps per-object slices and locks from
+// creeping back into the drain.
 func BenchmarkPipelineTick(b *testing.B) {
 	const objects = 570
 	stream := toObservations(workload.New(1).ObservationStream("t", objects, 1, 0, 1, 5))
@@ -187,7 +187,7 @@ func fleetStore(b *testing.B) *Store {
 }
 
 // BenchmarkCheckpointEncode measures the payload a checkpoint writes
-// under the batcher quiesce: encodeState over the whole store.
+// under the pipeline lock: encodeState over the whole store.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	s := fleetStore(b)
 	b.SetBytes(int64(len(encodeState(s))))

@@ -118,10 +118,7 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeState(st), state) {
 		t.Fatal("rebuilt store encodes differently")
 	}
-	p2 := &Pipeline{store: st, wal: &wal{io: pageStoreIO{storage.NewPageStore()}}, health: newHealth(3, time.Second)}
-	p2.bat = newBatcher(1<<20, 1<<20, time.Hour, p2.applyFlush, p2.publishEpoch)
-	defer p2.Close()
-	if got, want := fingerprint(p2), fingerprint(p); got != want {
+	if got, want := fingerprint(&Pipeline{store: st}), fingerprint(p); got != want {
 		t.Fatalf("state round trip diverged:\n got %s\nwant %s", got, want)
 	}
 }

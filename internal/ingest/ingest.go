@@ -9,8 +9,12 @@
 //
 // The pipeline has four parts:
 //
-//   - a batcher with a bounded queue and backpressure, grouping
-//     observations per object and flushing on size or age;
+//   - admission with a bounded queue and backpressure: admitted
+//     observations wait in one run, in write-ahead-log order, and the
+//     whole run drains into the store on size (any object with FlushSize
+//     pending), on age (the run's oldest entry MaxAge old) or on Flush,
+//     so every drain applies a contiguous suffix of the log in log order
+//     and replaying the log rebuilds exactly the state that was served;
 //   - an appender (the Store) extending each object's mapping under the
 //     invariants, with online compaction;
 //   - a write-ahead log on top of storage.PageStore: every acknowledged
@@ -24,7 +28,7 @@
 //     entry, never a rebuild of all history — so window queries stay
 //     correct mid-ingest and an ack never waits on the whole index.
 //
-// Lock order across the pipeline is batcher → store → index. Queries
+// Lock order across the pipeline is pipeline → store → index. Queries
 // take none of them: they read the published Epoch (epoch.go).
 package ingest
 
@@ -79,14 +83,14 @@ type Config struct {
 	// records are replayed by Open; nil creates a fresh store (useful
 	// for tests and benchmarks that do not exercise recovery).
 	Log *storage.PageStore
-	// FlushSize flushes an object's buffered observations once it
-	// reaches this many. Default 32.
+	// FlushSize drains the pending run once any object has this many
+	// observations in it. Default 32.
 	FlushSize int
-	// MaxAge flushes an object's buffered observations once the oldest
-	// has waited this long. Default 100ms.
+	// MaxAge drains the pending run once its oldest observation has
+	// waited this long. Default 100ms.
 	MaxAge time.Duration
-	// MaxQueued bounds the total buffered observations across objects;
-	// past it, Ingest returns ErrBackpressure. Default 65536.
+	// MaxQueued bounds the pending run; past it, Ingest returns
+	// ErrBackpressure. Default 65536.
 	MaxQueued int
 	// Metrics receives ingest counters and flush latencies. Default: a
 	// private registry nobody reads.
@@ -115,11 +119,29 @@ type Config struct {
 	// OnPublish, when set, is called after every epoch publish with the
 	// new epoch and the objects whose state changed since the previous
 	// one — the hook the live query subsystem's standing-query notifier
-	// hangs off. It runs on the flush path (under the batcher lock), so
+	// hangs off. It runs on the drain path (under the pipeline lock), so
 	// implementations must be fast and must never call back into the
 	// pipeline; hand the work to another goroutine (live.Registry.Notify
 	// does exactly that).
 	OnPublish func(ep *Epoch, dirty []DirtyObject)
+}
+
+// validate rejects negative tuning values: zero asks for the default,
+// and no negative value means anything (CheckpointPages' -1 aside).
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"FlushSize", int64(c.FlushSize)}, {"MaxAge", int64(c.MaxAge)}, {"MaxQueued", int64(c.MaxQueued)},
+		{"RetryAttempts", int64(c.RetryAttempts)}, {"RetryBase", int64(c.RetryBase)}, {"RetryMaxWait", int64(c.RetryMaxWait)},
+		{"DegradedThreshold", int64(c.DegradedThreshold)}, {"ProbeInterval", int64(c.ProbeInterval)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("ingest: negative %s (%d)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -162,36 +184,51 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Pipeline is the assembled write path: writes flow gate → WAL →
-// batcher → appender → index → epoch publish; queries pin Epoch().
+// Pipeline is the assembled write path: writes flow gate → WAL → run →
+// appender → index → epoch publish; queries pin Epoch().
+//
+// mu serialises admission, the WAL append included, with every drain,
+// so run is always the log's unapplied suffix, in log order.
 type Pipeline struct {
-	store     *Store
-	wal       *wal
-	bat       *batcher
-	health    *health
-	metrics   *obs.Metrics
+	store     *Store                      // moguard: immutable
+	wal       *wal                        // moguard: immutable
+	health    *health                     // moguard: immutable
+	metrics   *obs.Metrics                // moguard: immutable
+	onPublish func(*Epoch, []DirtyObject) // moguard: immutable
+
+	flushSize     int           // moguard: immutable
+	maxQueued     int           // moguard: immutable
+	maxAge        time.Duration // moguard: immutable
+	retryAttempts int           // moguard: immutable
+	retryBase     time.Duration // moguard: immutable
+	retryMaxWait  time.Duration // moguard: immutable
+	probeInterval time.Duration // moguard: immutable
+
+	mu      sync.Mutex
+	run     []Observation  // moguard: guarded by mu // admitted, not yet applied, in WAL order
+	pending map[string]int // moguard: guarded by mu // observations per object in run
+	first   time.Time      // moguard: guarded by mu // admission time of run[0]
+	closed  bool           // moguard: guarded by mu
+	rng     *rand.Rand     // moguard: guarded by mu // backoff jitter, seeded 1 so schedules repeat
+
+	done      chan struct{} // moguard: immutable // stops the age ticker
+	ticker    sync.WaitGroup
 	closeOnce sync.Once
-
-	retryAttempts int
-	retryBase     time.Duration
-	retryMaxWait  time.Duration
-	maxAge        time.Duration // flush cadence, for Retry-After hints
-	maxQueued     int
-	probeInterval time.Duration
-	rng           *rand.Rand // jitter, seeded 1 so backoff schedules repeat; touched only under bat.mu (logAppend)
-
-	onPublish func(*Epoch, []DirtyObject) // immutable after Open
 }
 
 // Open builds the pipeline: it seeds the object store, recovers the
 // write-ahead log found on the medium — newest valid checkpoint state,
-// if any, plus replay of the batch records after it — and starts the
-// flush loop. Recovery never fails open on damage: torn tails are
-// truncated and corrupt records quarantined (see openWAL); only
-// impossible configurations (mismatched seeds) error.
+// if any, plus replay of the batch records after it — publishes the
+// opening epoch and starts the age ticker. Recovery never fails open on
+// damage: torn tails are truncated and corrupt records quarantined (see
+// openWAL); only impossible configurations (mismatched seeds, negative
+// tuning values) error.
 func Open(cfg Config) (*Pipeline, error) {
 	if len(cfg.SeedIDs) != len(cfg.Seeds) {
 		return nil, errors.New("ingest: seed ids and objects length mismatch")
+	}
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	w, rec, err := openWAL(cfg.LogIO, cfg.Metrics)
@@ -221,13 +258,15 @@ func Open(cfg Config) (*Pipeline, error) {
 		retryAttempts: cfg.RetryAttempts,
 		retryBase:     cfg.RetryBase,
 		retryMaxWait:  cfg.RetryMaxWait,
+		flushSize:     cfg.FlushSize,
 		maxAge:        cfg.MaxAge,
 		maxQueued:     cfg.MaxQueued,
 		probeInterval: cfg.ProbeInterval,
+		pending:       make(map[string]int),
 		rng:           rand.New(rand.NewSource(1)),
 		onPublish:     cfg.OnPublish,
+		done:          make(chan struct{}),
 	}
-	p.bat = newBatcher(cfg.FlushSize, cfg.MaxQueued, cfg.MaxAge, p.applyFlush, p.publishEpoch)
 	// Replayed batches were applied directly to the store above; publish
 	// them as the opening epoch so the first reader sees recovered data.
 	p.publishEpoch()
@@ -237,35 +276,66 @@ func Open(cfg Config) (*Pipeline, error) {
 		// re-reading) the damaged region on every open.
 		p.checkpointNow(true)
 	}
+	p.ticker.Add(1)
+	go func() {
+		defer p.ticker.Done()
+		tick := time.NewTicker(max(p.maxAge/4, time.Millisecond))
+		defer tick.Stop()
+		for {
+			select {
+			case <-p.done:
+				return
+			case <-tick.C:
+				p.drainAged()
+			}
+		}
+	}()
 	return p, nil
 }
 
-// applyFlush is the batcher's apply sink: it applies everything one
-// batcher operation drained — the runs of every selected object, in
-// admission order — to the store in one call and records the latency.
-func (p *Pipeline) applyFlush(batch []Observation) {
+// drainLocked applies the whole pending run to the store in one call —
+// one store lock, one entry slice, one InsertBatch — records the
+// latency and publishes one epoch. The run's backing array is released,
+// not kept for reuse, so a burst does not pin its peak size. Caller
+// holds p.mu.
+func (p *Pipeline) drainLocked() {
+	if len(p.run) == 0 {
+		return
+	}
 	start := time.Now()
-	applied, dropped, compacted := p.store.Apply(batch)
+	applied, dropped, compacted := p.store.Apply(p.run)
+	p.run = nil
+	clear(p.pending)
 	m := &p.metrics.Ingest
 	m.Applied.Add(int64(applied))
 	m.Dropped.Add(int64(dropped))
 	m.Compacted.Add(int64(compacted))
 	m.Flush.Observe(time.Since(start))
+	p.publishEpoch()
 }
 
-// publishEpoch is the batcher's post-flush hook: it seals everything
-// the flushes just applied into the next epoch and publishes it. Runs
-// once per batcher operation, after its one apply (and that apply's
-// index insert) completed, so the epoch's object views and index
-// snapshot agree exactly. A configured OnPublish hook (the live
-// standing-query notifier) is handed the epoch and the per-object dirty
-// rectangles in the same call, still on the flush path — it must only
-// enqueue.
+// drainAged is the ticker's pass: it drains the run once its oldest
+// observation has waited maxAge.
+func (p *Pipeline) drainAged() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.run) > 0 && time.Since(p.first) >= p.maxAge {
+		p.drainLocked()
+	}
+}
+
+// publishEpoch seals everything the drains since the last publish
+// applied into the next epoch and publishes it. It runs once per drain,
+// after its one apply (and that apply's index insert) completed, so the
+// epoch's object views and index snapshot agree exactly. A configured
+// OnPublish hook (the live standing-query notifier) is handed the epoch
+// and the per-object dirty rectangles in the same call, still on the
+// drain path — it must only enqueue.
 func (p *Pipeline) publishEpoch() {
 	if err := fault.Hit("epoch.publish"); err != nil {
-		// Injected publish failure. The flushed state stays applied and the
+		// Injected publish failure. The drained state stays applied and the
 		// store keeps accumulating the dirty set, so this defers publication
-		// rather than losing it: the next successful flush publishes one
+		// rather than losing it: the next successful drain publishes one
 		// epoch covering everything since the last published one. Readers
 		// keep serving the last published epoch throughout.
 		p.metrics.RecordIngestCause("epoch_publish_deferred", 1)
@@ -281,8 +351,8 @@ func (p *Pipeline) publishEpoch() {
 
 // RetryAfterHint maps a write-path rejection to how long a client
 // should wait before retrying, for the HTTP Retry-After header.
-// Backpressure clears as flushes drain the queue, so the hint is the
-// flush cadence (doubled while the queue is more than half full); a
+// Backpressure clears as drains empty the queue, so the hint is the
+// drain cadence (doubled while the queue is more than half full); a
 // degraded pipeline admits one probe per probe interval, so retrying
 // sooner than that can only hit the fast-fail path. Zero means "no
 // hint": the error carries no retry semantics.
@@ -290,7 +360,7 @@ func (p *Pipeline) RetryAfterHint(err error) time.Duration {
 	switch {
 	case errors.Is(err, ErrBackpressure):
 		d := p.maxAge
-		if p.maxQueued > 0 && p.bat.depth() > p.maxQueued/2 {
+		if p.depth() > p.maxQueued/2 {
 			d *= 2
 		}
 		return d
@@ -301,7 +371,7 @@ func (p *Pipeline) RetryAfterHint(err error) time.Duration {
 }
 
 // Ingest validates and admits one batch. On success the batch is in the
-// write-ahead log — it survives a crash from here on — and buffered for
+// write-ahead log — it survives a crash from here on — and pending
 // apply; the returned sequence number is its WAL position. A full queue
 // returns ErrBackpressure with nothing logged.
 func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
@@ -320,7 +390,7 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 		p.metrics.RecordIngestCause("degraded_fast_fail", 1)
 		return 0, fmt.Errorf("%w (%s)", ErrDegraded, p.health.report().Cause)
 	}
-	seq, err := p.bat.enqueue(batch, p.logAppend)
+	seq, err := p.admit(batch)
 	switch {
 	case err == nil:
 		p.metrics.Ingest.Batches.Inc()
@@ -334,14 +404,47 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 	return seq, err
 }
 
-// logAppend is the batcher's log hook: the WAL append wrapped in a
-// bounded retry loop with exponential backoff and jitter for transient
-// store faults. Exhausting the budget counts the batch as a dead
-// letter, advances the health state machine toward degraded mode, and
-// reports ErrDegraded — the batch was never acknowledged, so the caller
-// knows it is not durable. Runs under the batcher lock (which also
-// serialises p.rng).
-func (p *Pipeline) logAppend(batch []Observation) (uint64, error) {
+// admit runs the bound check, the WAL append and the append to the run
+// under one lock, so acknowledged order is log order is run order. An
+// admission that brings any object to flushSize pending drains the whole
+// run before returning: the size trigger is synchronous, only the age
+// trigger rides the ticker.
+func (p *Pipeline) admit(batch []Observation) (uint64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		return 0, ErrClosed
+	}
+	if len(p.run)+len(batch) > p.maxQueued {
+		return 0, ErrBackpressure
+	}
+	seq, err := p.logAppendLocked(batch)
+	if err != nil {
+		return 0, err
+	}
+	if len(p.run) == 0 {
+		p.first = time.Now()
+	}
+	p.run = append(p.run, batch...)
+	full := false
+	for _, o := range batch {
+		n := p.pending[o.ObjectID] + 1
+		p.pending[o.ObjectID] = n
+		full = full || n >= p.flushSize
+	}
+	if full {
+		p.drainLocked()
+	}
+	return seq, nil
+}
+
+// logAppendLocked is the WAL append wrapped in a bounded retry loop
+// with exponential backoff and jitter for transient store faults.
+// Exhausting the budget counts the batch as a dead letter, advances the
+// health state machine toward degraded mode, and reports ErrDegraded —
+// the batch was never acknowledged, so the caller knows it is not
+// durable. Caller holds p.mu, which also serialises p.rng.
+func (p *Pipeline) logAppendLocked(batch []Observation) (uint64, error) {
 	var err error
 	wait := p.retryBase
 	for attempt := 0; attempt < p.retryAttempts; attempt++ {
@@ -363,17 +466,18 @@ func (p *Pipeline) logAppend(batch []Observation) (uint64, error) {
 	return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
 }
 
-// checkpointNow quiesces the batcher (drain all buffers, block
-// admission), snapshots the store, and writes the checkpoint — the
-// snapshot is therefore consistent with exactly the WAL sequence it is
-// stamped with. Checkpoint failure is not an ingest failure: the log
-// stays valid, just longer, and the next trigger retries.
+// checkpointNow drains the run and writes the checkpoint under p.mu, so
+// no admission (and therefore no WAL append) interleaves: the snapshot
+// is consistent with exactly the WAL sequence it is stamped with.
+// Checkpoint failure is not an ingest failure: the log stays valid, just
+// longer, and the next trigger retries.
 func (p *Pipeline) checkpointNow(dropPrevious bool) {
-	p.bat.quiesce(func() {
-		if err := p.wal.checkpoint(encodeState(p.store), dropPrevious); err != nil {
-			p.metrics.RecordIngestCause("checkpoint_failed", 1)
-		}
-	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.drainLocked()
+	if err := p.wal.checkpoint(encodeState(p.store), dropPrevious); err != nil {
+		p.metrics.RecordIngestCause("checkpoint_failed", 1)
+	}
 }
 
 // Health reports the degradation state machine and the dead-letter
@@ -382,18 +486,38 @@ func (p *Pipeline) Health() Health { return p.health.report() }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// Flush synchronously drains every buffered observation into the store,
+// Flush synchronously drains the pending run into the store,
 // establishing read-your-writes for everything acknowledged so far.
-func (p *Pipeline) Flush() { p.bat.flushAll() }
+func (p *Pipeline) Flush() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.drainLocked()
+}
 
-// Close stops the flush loop and drains the remaining buffers. The
-// pipeline rejects new batches afterwards; queries keep working.
-func (p *Pipeline) Close() { p.closeOnce.Do(p.bat.close) }
+// Close stops the age ticker and drains the pending run. The pipeline
+// rejects new batches afterwards; queries keep working.
+func (p *Pipeline) Close() {
+	p.closeOnce.Do(func() {
+		p.mu.Lock()
+		p.closed = true
+		p.mu.Unlock()
+		close(p.done)
+		p.ticker.Wait()
+		p.Flush()
+	})
+}
+
+// depth returns the number of pending observations.
+func (p *Pipeline) depth() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.run)
+}
 
 // Epoch returns the current published epoch — the immutable snapshot
 // queries pin for their lifetime. Every acknowledged-and-flushed write
 // is visible in it (Flush establishes read-your-writes by draining the
-// batcher and publishing).
+// run and publishing).
 func (p *Pipeline) Epoch() *Epoch { return p.store.CurrentEpoch() }
 
 // Stats is a point-in-time view of the pipeline. The three index fields
@@ -429,7 +553,7 @@ func (p *Pipeline) Stats() Stats {
 	return Stats{
 		Objects:         p.store.Len(),
 		Units:           p.store.UnitCount(),
-		QueueDepth:      p.bat.depth(),
+		QueueDepth:      p.depth(),
 		Applied:         applied,
 		Dropped:         dropped,
 		Compacted:       compacted,

@@ -236,6 +236,33 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsNegativeConfig: zero asks for a default, and a negative
+// tuning value is an Open error, not a pipeline that nil-dereferences on
+// its first Ingest (RetryAttempts) or refuses every batch (MaxQueued).
+// CheckpointPages keeps -1 as "off".
+func TestOpenRejectsNegativeConfig(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"FlushSize":         {FlushSize: -1},
+		"MaxAge":            {MaxAge: -time.Millisecond},
+		"MaxQueued":         {MaxQueued: -1},
+		"RetryAttempts":     {RetryAttempts: -1},
+		"RetryBase":         {RetryBase: -time.Millisecond},
+		"RetryMaxWait":      {RetryMaxWait: -time.Millisecond},
+		"DegradedThreshold": {DegradedThreshold: -1},
+		"ProbeInterval":     {ProbeInterval: -time.Second},
+	} {
+		if p, err := Open(cfg); err == nil {
+			p.Close()
+			t.Errorf("negative %s: Open succeeded", name)
+		}
+	}
+	p, err := Open(Config{CheckpointPages: -1})
+	if err != nil {
+		t.Fatalf("CheckpointPages -1: %v", err)
+	}
+	p.Close()
+}
+
 // TestSeededPipelineExtends checks that live observations extend seeded
 // (offline-built) mappings and the window index sees both the seeded
 // base units and the live delta units.
@@ -309,7 +336,7 @@ func TestDegenerateSeedTail(t *testing.T) {
 	}
 }
 
-// TestAgeFlush checks that buffered observations become visible without
+// TestAgeFlush checks that pending observations become visible without
 // an explicit flush once MaxAge passes.
 func TestAgeFlush(t *testing.T) {
 	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: 10 * time.Millisecond})
@@ -334,7 +361,7 @@ func TestAgeFlush(t *testing.T) {
 	}
 }
 
-// TestCloseDrains checks that Close applies everything still buffered
+// TestCloseDrains checks that Close applies everything still pending
 // and further ingest fails with ErrClosed.
 func TestCloseDrains(t *testing.T) {
 	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
@@ -348,7 +375,7 @@ func TestCloseDrains(t *testing.T) {
 	}
 	p.Close()
 	if _, ok := p.Epoch().Snapshot("a"); !ok {
-		t.Fatal("close did not drain the buffers")
+		t.Fatal("close did not drain the pending run")
 	}
 	if _, err := p.Ingest([]Observation{{ObjectID: "b", T: 1, X: 0, Y: 0}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)

@@ -106,11 +106,11 @@ func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 func entryID(oi, ui int) int64 { return int64(oi)<<32 | int64(ui) }
 
 // Apply extends the mappings with a batch of observations, in order —
-// everything one batcher operation drained, or one replayed WAL record.
-// Non-monotone observations (t not after the object's latest) are
-// dropped and counted — replay reproduces the same decisions because
-// they depend only on the per-object observation order, which the WAL
-// preserves. Every accepted unit's bounding cube goes to the index in
+// one drained run, or one replayed WAL record. A run is consecutive WAL
+// records concatenated, so applying it leaves the state that applying
+// the records one by one leaves, slot order included. Non-monotone
+// observations (t not after the object's latest) are dropped and
+// counted. Every accepted unit's bounding cube goes to the index in
 // one InsertBatch; when an append compacts into its predecessor, the cube
 // of the incoming extension is indexed under the merged unit's id, so
 // the union of that unit's entries always covers its full extent.
@@ -154,8 +154,8 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.mu.Unlock()
 	// The index insert runs after the table lock is released. No reader
 	// can see the units without their cubes: readers only see published
-	// epochs, and the batcher serialises apply → insert → publish for
-	// each flush under its own lock. The index synchronises itself.
+	// epochs, and the pipeline serialises apply → insert → publish for
+	// each drain under its own lock. The index synchronises itself.
 	if len(entries) > 0 {
 		if s.idx.InsertBatch(entries) {
 			s.metrics.Ingest.IndexMerges.Inc()
@@ -261,8 +261,8 @@ func (s *Store) publish() (*Epoch, []DirtyObject, bool) {
 // of the immutable prefix plus one unit copied by value), and the
 // frozen ids map is recopied only when an object was registered. The
 // index snapshot is captured in the same critical section, so the view
-// and its index agree exactly — every flush completes its store apply
-// and its index insert before the batcher triggers publish. Caller
+// and its index agree exactly — every drain completes its store apply
+// and its index insert before the pipeline triggers publish. Caller
 // holds s.mu.
 func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	prev := s.epoch.Load()

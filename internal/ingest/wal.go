@@ -197,8 +197,8 @@ func encodeRecord(kind uint32, seq uint64, payload []byte) []byte {
 }
 
 // append logs one batch and returns its sequence number. The caller
-// (the batcher) serialises appends with enqueue admission, so WAL order
-// equals apply order. A failed Put may have left torn pages behind;
+// (Pipeline.admit) serialises appends with admission to the pending run,
+// so WAL order equals apply order. A failed Put may have left torn pages behind;
 // they are truncated away so the committed prefix stays scannable and
 // the next append lands exactly where recovery will look for it.
 func (w *wal) append(batch []Observation) (uint64, error) {

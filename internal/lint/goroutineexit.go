@@ -10,7 +10,7 @@ import (
 // be a range loop (it ends with its input, or when the channel
 // closes), a constant-bounded for loop, or contain a select with a
 // channel receive that returns or breaks — the done/quit-channel
-// idiom the batcher and probe loops use. A loop that provably
+// idiom the ingest age ticker and probe loops use. A loop that provably
 // terminates for reasons the analyzer cannot see carries
 // //molint:ignore goroutine-exit <reason>. Named-function goroutines
 // (go s.loop()) are out of reach intraprocedurally and are not checked;

@@ -199,7 +199,7 @@ type Metrics struct {
 		Batches      Counter // acknowledged batches
 		Observations Counter // observations in acknowledged batches
 		Backpressure Counter // batches rejected with queue-full
-		Flush        Timing  // batcher drains: one apply per operation, however many objects
+		Flush        Timing  // drains of the pending run: one apply each, however many objects
 		Applied      Counter // observations applied to the store
 		Dropped      Counter // non-monotone observations dropped at apply
 		Compacted    Counter // appends merged into their predecessor unit

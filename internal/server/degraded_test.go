@@ -94,7 +94,7 @@ func TestDegradedMode503AndRecovery(t *testing.T) {
 }
 
 // TestGracefulRestartDrain is the SIGTERM-path contract at the HTTP
-// level: batches acked 202 but still buffered (no sync, no age flush)
+// level: batches acked 202 but still pending (no sync, no age drain)
 // are drained into the store by Close — the shutdown path's explicit
 // drain — and a server restarted from the medium's durable image
 // serves them identically.
@@ -113,7 +113,7 @@ func TestGracefulRestartDrain(t *testing.T) {
 		t.Fatalf("test premise broken: applied=%d queued=%d", st.Applied, st.QueueDepth)
 	}
 	// Graceful shutdown: the HTTP server has stopped accepting (not
-	// modelled here); Close drains every buffered observation.
+	// modelled here); Close drains every pending observation.
 	p.Close()
 	if st := p.Stats(); st.Applied != 4 || st.QueueDepth != 0 {
 		t.Fatalf("drain incomplete: applied=%d queued=%d", st.Applied, st.QueueDepth)
