@@ -29,8 +29,8 @@ debugcheck:
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
 # vet, race-enabled tests, every benchmark body of the root package,
-# internal/index, internal/ingest, internal/db, internal/moving and
-# internal/server once, the faultinject build variant, and the fuzz
+# internal/index, internal/ingest, internal/db, internal/moving,
+# internal/server and internal/live once, the faultinject build variant, and the fuzz
 # smoke runs.
 verify:
 	./scripts/verify.sh

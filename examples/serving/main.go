@@ -99,7 +99,6 @@ func main() {
 		Ingest:             pipe,
 		Metrics:            metrics,
 		QueryTimeout:       2 * time.Second,
-		DefaultLimit:       100,
 		SlowQueryThreshold: 50 * time.Millisecond,
 	})
 	if err != nil {

@@ -151,9 +151,8 @@ func TestEpochCurrentAndCurrentInside(t *testing.T) {
 
 // TestPublishDirtySets exercises the OnPublish hook contract: called
 // once per epoch advance with the id-sorted dirty set, where each
-// rectangle spans the object's movement since the previous publish and
-// New marks first registration; a flush that changes nothing publishes
-// (and notifies) nothing.
+// rectangle spans the object's movement since the previous publish; a
+// flush that changes nothing publishes (and notifies) nothing.
 func TestPublishDirtySets(t *testing.T) {
 	type call struct {
 		seq   uint64
@@ -185,9 +184,6 @@ func TestPublishDirtySets(t *testing.T) {
 	if len(d) != 2 || d[0].ID != "car1" || d[1].ID != "car2" {
 		t.Fatalf("dirty set not id-sorted: %+v", d)
 	}
-	if !d[0].New || !d[1].New {
-		t.Fatalf("first registration not marked New: %+v", d)
-	}
 	if d[0].Rect.MinX != 10 || d[0].Rect.MaxX != 10 || d[0].Rect.MinY != 20 {
 		t.Fatalf("car1 rect: %+v", d[0].Rect)
 	}
@@ -201,7 +197,7 @@ func TestPublishDirtySets(t *testing.T) {
 		t.Fatalf("publish calls after move: %d", len(calls))
 	}
 	d = calls[1].dirty
-	if len(d) != 1 || d[0].ID != "car1" || d[0].New {
+	if len(d) != 1 || d[0].ID != "car1" {
 		t.Fatalf("second dirty set: %+v", d)
 	}
 	want := geom.Rect{MinX: 10, MinY: 5, MaxX: 100, MaxY: 20}

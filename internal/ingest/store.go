@@ -231,11 +231,10 @@ func (s *Store) markDirtyLocked(oi int, from, to geom.Point) {
 // was inside a region at the previous epoch, its old position, and
 // therefore the rectangle, still overlaps that region, so rectangle
 // intersection is a complete candidate filter for both enter and leave
-// edges) and whether the object was first registered in this window.
+// edges).
 type DirtyObject struct {
 	ID   string
 	Rect geom.Rect
-	New  bool
 }
 
 // CurrentEpoch returns the published epoch — the immutable view the
@@ -307,7 +306,7 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 			if oi < sealed {
 				next.objs[oi] = viewOf(s.objs[oi])
 			}
-			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi], New: oi >= sealed})
+			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi]})
 		}
 	}
 	clear(s.dirty)

@@ -83,7 +83,7 @@ func DefaultConfig(module string) *Config {
 			j("internal/ingest"): {"store.go", "epoch.go"},
 			// Standing-query evaluation must be a pure fold over the epoch
 			// sequence — same publishes in, same edges out — so predicate
-			// logic and candidate selection are deterministic; the registry
+			// logic and the dirty-set filter are deterministic; the registry
 			// and subscription files around them stamp wall-clock publish
 			// times and measure evaluation latency on purpose.
 			j("internal/live"): {"predicate.go", "eval.go"},

@@ -2,6 +2,7 @@ package live
 
 import (
 	"slices"
+	"strings"
 
 	"movingdb/internal/ingest"
 	"movingdb/internal/moving"
@@ -13,56 +14,40 @@ import (
 // brute-force oracle and keeps event order reproducible: molint's
 // det-path check covers this file.
 
-// candidatesLocked selects the subscriptions one queued publish can
-// affect: the id-bound subs of dirty subjects plus the region-scoped
-// subs whose bounding rectangles intersect a dirty object's movement
-// rectangle (an R-tree query over the subscription index — the data
-// structure turned around to index queries). The movement rectangle
-// spans the object's old position through its new one, so the filter is
-// complete for both enter and leave edges. Candidates come back in
-// ascending subscription-id order, which fixes the evaluation (and so
-// the event emission) order. Caller holds r.mu.
-func (r *Registry) candidatesLocked(n notice) []*Subscription {
-	cands := make(map[string]*Subscription)
-	var keys []int64
-	for _, d := range n.dirty {
-		for _, s := range r.byObject[d.ID] {
-			if s.bound.Intersects(d.Rect) {
-				cands[s.id] = s
-			}
-		}
-		keys, _ = r.regions.Search(fullTimeCube(d.Rect), keys[:0])
-		for _, k := range keys {
-			if s, ok := r.regionSubs[k]; ok {
-				cands[s.id] = s
-			}
-		}
-	}
-	ids := make([]string, 0, len(cands))
-	for id := range cands {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	out := make([]*Subscription, len(ids))
-	for i, id := range ids {
-		out[i] = cands[id]
-	}
-	return out
-}
-
 // evaluate folds one publish into the subscription's edge-trigger
-// state, emitting an event per flip. Id-bound forms compare the
+// state, emitting an event per flip, and reports whether the publish
+// was a candidate for it. The dirty set is the filter: a predicate can
+// only flip for an object whose movement rectangle (old position
+// through new) meets the predicate's bound, so an id-bound form looks
+// its subject up in the id-sorted dirty set and appears needs some
+// dirty rectangle to meet its region. Publishes no newer than the seed
+// epoch are history the seed already holds. Id-bound forms compare the
 // subject's latest position against the remembered truth; appears
 // diffs the dirty objects against the member set.
-func (s *Subscription) evaluate(n notice) (events, dropped int) {
+func (s *Subscription) evaluate(n notice) (cand bool, events, dropped int) {
+	seq := n.ep.Seq()
+	if seq <= s.seedSeq {
+		return false, 0, 0
+	}
+	meets := func(d ingest.DirtyObject) bool { return s.bound.Intersects(d.Rect) }
+	if s.pred.idBound() {
+		i, ok := slices.BinarySearchFunc(n.dirty, s.pred.Object, func(d ingest.DirtyObject, id string) int {
+			return strings.Compare(d.ID, id)
+		})
+		if !ok || !meets(n.dirty[i]) {
+			return false, 0, 0
+		}
+	} else if !slices.ContainsFunc(n.dirty, meets) {
+		return false, 0, 0
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, 0
+		return true, 0, 0
 	}
 	emit := func(edge, obj string, smp moving.Sample) {
 		e := Event{
-			Epoch:     n.ep.Seq(),
+			Epoch:     seq,
 			Edge:      edge,
 			Object:    obj,
 			T:         float64(smp.T),
@@ -86,10 +71,10 @@ func (s *Subscription) evaluate(n notice) (events, dropped int) {
 				emit("leave", s.pred.Object, smp)
 			}
 		}
-		return events, dropped
+		return true, events, dropped
 	}
 	for _, d := range n.dirty {
-		if !s.bound.Intersects(d.Rect) {
+		if !meets(d) {
 			continue
 		}
 		smp, ok := n.ep.Current(d.ID)
@@ -104,13 +89,14 @@ func (s *Subscription) evaluate(n notice) (events, dropped int) {
 			emit("leave", d.ID, smp)
 		}
 	}
-	return events, dropped
+	return true, events, dropped
 }
 
 // seed initialises the edge-trigger state from an epoch so a
 // subscription does not fire for objects already satisfying the
 // predicate at subscribe time — events are flips relative to the state
-// when the subscription was created.
+// when the subscription was created. For appears, holds is the region
+// containment CurrentInside already tested.
 func (s *Subscription) seed(ep *ingest.Epoch) {
 	if ep == nil {
 		return
@@ -123,15 +109,13 @@ func (s *Subscription) seed(ep *ingest.Epoch) {
 		return
 	}
 	for _, id := range ep.CurrentInside(s.bound) {
-		if smp, ok := ep.Current(id); ok && s.pred.holds(smp.P) {
-			s.members[id] = struct{}{}
-		}
+		s.members[id] = struct{}{}
 	}
 }
 
 // mergeDirty unions two id-sorted dirty sets — the coalescing step when
-// the notifier queue overflows. Movement rectangles union, the New flag
-// ors, and the result stays id-sorted.
+// the notifier queue overflows. Movement rectangles union and the
+// result stays id-sorted.
 func mergeDirty(a, b []ingest.DirtyObject) []ingest.DirtyObject {
 	out := make([]ingest.DirtyObject, 0, len(a)+len(b))
 	i, j := 0, 0
@@ -146,7 +130,6 @@ func mergeDirty(a, b []ingest.DirtyObject) []ingest.DirtyObject {
 		default:
 			m := a[i]
 			m.Rect = m.Rect.Union(b[j].Rect)
-			m.New = m.New || b[j].New
 			out = append(out, m)
 			i++
 			j++

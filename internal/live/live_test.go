@@ -19,7 +19,24 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
-	r := NewRegistry(cfg)
+	return rigOn(t, NewRegistry(cfg))
+}
+
+// manualRegistry builds a registry without its notifier goroutine, as
+// BenchmarkRegistryNotify does: publishes stay queued until the caller
+// runs drain, so what was queued when is exact.
+func manualRegistry(cfg Config) *Registry {
+	return &Registry{
+		cfg:  cfg.withDefaults(),
+		subs: make(map[string]*Subscription),
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
+	}
+}
+
+// rigOn wires a pipeline into the given registry.
+func rigOn(t *testing.T, r *Registry) *rig {
+	t.Helper()
 	p, err := ingest.Open(ingest.Config{
 		FlushSize: 1 << 20, MaxAge: time.Hour, MaxQueued: 1 << 30,
 		OnPublish: r.Notify,
@@ -133,6 +150,35 @@ func TestSeedSuppressesExistingTruth(t *testing.T) {
 	}
 }
 
+// TestNoEventsBeforeSeedEpoch: publishes still queued when a client
+// subscribes are history its seed already holds. bus enters box at
+// epoch 2 and leaves at epoch 3; both notices wait in the queue while
+// the subscription seeds from epoch 3, so draining them must emit
+// nothing — and a later move still fires its edge.
+func TestNoEventsBeforeSeedEpoch(t *testing.T) {
+	rg := rigOn(t, manualRegistry(Config{}))
+	rg.move(map[string][2]float64{"bus": {150, 150}}) // epoch 2: inside
+	rg.move(map[string][2]float64{"bus": {500, 500}}) // epoch 3: outside
+	ep := rg.p.Epoch()
+	if ep.Seq() != 3 {
+		t.Fatalf("seed epoch %d, want 3", ep.Seq())
+	}
+	sub, err := rg.r.Subscribe(Predicate{Kind: KindInside, Object: "bus", Region: box}, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg.r.drain()
+	if evs, _ := sub.Take(); len(evs) != 0 {
+		t.Fatalf("events for publishes before the subscription: %+v", evs)
+	}
+	rg.move(map[string][2]float64{"bus": {160, 160}}) // epoch 4: enter
+	rg.r.drain()
+	evs, _ := sub.Take()
+	if len(evs) != 1 || evs[0].Edge != "enter" || evs[0].Epoch != 4 || evs[0].Seq != 1 || evs[0].X != 160 {
+		t.Fatalf("events after the seed: %+v", evs)
+	}
+}
+
 func TestAppearsDiff(t *testing.T) {
 	rg := newRig(t, Config{})
 	rg.move(map[string][2]float64{"a": {150, 150}, "b": {0, 0}})
@@ -233,40 +279,6 @@ func TestUnsubscribeEndsStream(t *testing.T) {
 	}
 }
 
-func TestRegionIndexRebuildShedsTombstones(t *testing.T) {
-	rg := newRig(t, Config{})
-	ids := make([]string, 0, 100)
-	for i := 0; i < 100; i++ {
-		s, err := rg.r.Subscribe(Predicate{Kind: KindAppears, Region: box}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, s.ID())
-	}
-	for _, id := range ids[:90] {
-		rg.r.Unsubscribe(id)
-	}
-	rg.r.mu.Lock()
-	tombs, entries := rg.r.tombstones, rg.r.regions.Len()
-	rg.r.mu.Unlock()
-	// The 65th removal trips the rebuild (tombstones exceed both the
-	// floor and the survivor count); the remaining removals tombstone
-	// again. What matters: a rebuild shed the bulk, and the index holds
-	// exactly the survivors plus the post-rebuild tombstones.
-	if tombs >= 90 {
-		t.Fatalf("no rebuild happened: %d tombstones", tombs)
-	}
-	if entries != 10+tombs {
-		t.Fatalf("index entries %d, want survivors+tombstones %d", entries, 10+tombs)
-	}
-	// The survivors still receive events.
-	sub, _ := rg.r.Get(ids[95])
-	rg.move(map[string][2]float64{"m": {150, 150}})
-	if evs := collect(t, sub, 1); evs[0].Object != "m" {
-		t.Fatalf("survivor events: %+v", evs)
-	}
-}
-
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	rg := newRig(t, Config{})
 	sub, err := rg.r.Subscribe(Predicate{Kind: KindAppears, Region: box}, nil)
@@ -290,22 +302,19 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 
 func TestMergeDirty(t *testing.T) {
 	a := []ingest.DirtyObject{
-		{ID: "a", Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, New: true},
+		{ID: "a", Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}},
 		{ID: "c", Rect: geom.Rect{MinX: 5, MinY: 5, MaxX: 6, MaxY: 6}},
 	}
 	b := []ingest.DirtyObject{
 		{ID: "a", Rect: geom.Rect{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3}},
-		{ID: "b", Rect: geom.Rect{MinX: 9, MinY: 9, MaxX: 9, MaxY: 9}, New: true},
+		{ID: "b", Rect: geom.Rect{MinX: 9, MinY: 9, MaxX: 9, MaxY: 9}},
 	}
 	m := mergeDirty(a, b)
 	if len(m) != 3 || m[0].ID != "a" || m[1].ID != "b" || m[2].ID != "c" {
 		t.Fatalf("merge: %+v", m)
 	}
-	if !m[0].New || m[0].Rect.MaxX != 3 || m[0].Rect.MinX != 0 {
+	if m[0].Rect.MaxX != 3 || m[0].Rect.MinX != 0 {
 		t.Fatalf("union of a: %+v", m[0])
-	}
-	if !m[1].New || m[2].New {
-		t.Fatalf("New flags: %+v", m)
 	}
 }
 

@@ -2,12 +2,11 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"movingdb/internal/fault"
-	"movingdb/internal/geom"
-	"movingdb/internal/index"
 	"movingdb/internal/ingest"
 	"movingdb/internal/obs"
 )
@@ -68,26 +67,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Registry owns the standing queries: subscriptions indexed two ways
-// (by subject object id for the id-bound forms, through an R-tree over
-// bounding rectangles for the region-scoped forms — the same index
-// structure the data path uses, turned around to index queries), a
-// bounded queue of epoch publishes, and one notifier goroutine that
-// drains the queue and evaluates only the subscriptions whose bounds
-// intersect the publish's dirty set. Safe for concurrent use.
+// Registry owns the standing queries: one list of subscriptions in
+// subscribe order beside a by-id map for the routes, a bounded queue of
+// epoch publishes, and one notifier goroutine that drains the queue and
+// hands each publish to every subscription, which filters it by the
+// dirty set itself (eval.go). Safe for concurrent use.
 type Registry struct {
 	cfg Config // moguard: immutable
 
-	mu         sync.Mutex
-	subs       map[string]*Subscription            // moguard: guarded by mu
-	byObject   map[string]map[string]*Subscription // moguard: guarded by mu // id-bound subs keyed by subject, then sub id
-	regions    *index.Dynamic                      // moguard: guarded by mu // region-scoped subs; rebuilt when tombstones pile up
-	regionSubs map[int64]*Subscription             // moguard: guarded by mu // region-index key → sub; absent = tombstone
-	tombstones int                                 // moguard: guarded by mu
-	nextID     uint64                              // moguard: guarded by mu
-	nextKey    int64                               // moguard: guarded by mu
-	queue      []notice                            // moguard: guarded by mu
-	closed     bool                                // moguard: guarded by mu
+	mu     sync.Mutex
+	subs   map[string]*Subscription // moguard: guarded by mu
+	order  []*Subscription          // moguard: guarded by mu // the same subs in subscribe order
+	nextID uint64                   // moguard: guarded by mu
+	queue  []notice                 // moguard: guarded by mu
+	closed bool                     // moguard: guarded by mu
 
 	wake chan struct{} // moguard: immutable
 	done chan struct{} // moguard: immutable
@@ -98,13 +91,10 @@ type Registry struct {
 // must Close it to stop the goroutine and end every event stream.
 func NewRegistry(cfg Config) *Registry {
 	r := &Registry{
-		cfg:        cfg.withDefaults(),
-		subs:       make(map[string]*Subscription),
-		byObject:   make(map[string]map[string]*Subscription),
-		regions:    index.NewDynamic(nil, 0),
-		regionSubs: make(map[int64]*Subscription),
-		wake:       make(chan struct{}, 1),
-		done:       make(chan struct{}),
+		cfg:  cfg.withDefaults(),
+		subs: make(map[string]*Subscription),
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	r.wg.Add(1)
 	go func() {
@@ -123,8 +113,10 @@ func NewRegistry(cfg Config) *Registry {
 
 // Subscribe registers a standing query and seeds its edge-trigger state
 // from ep (nil means "nothing inside yet": the first publish placing an
-// object inside the predicate emits an enter). Returns the subscription
-// whose Events stream the caller reads.
+// object inside the predicate emits an enter). Publishes up to ep's,
+// even those still queued, are history the seed already holds and
+// produce no events. Returns the subscription whose Events stream the
+// caller reads.
 func (r *Registry) Subscribe(p Predicate, ep *ingest.Epoch) (*Subscription, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -135,44 +127,24 @@ func (r *Registry) Subscribe(p Predicate, ep *ingest.Epoch) (*Subscription, erro
 		return nil, fmt.Errorf("live: registry is closed")
 	}
 	r.nextID++
-	var key int64
-	if !p.idBound() {
-		r.nextKey++
-		key = r.nextKey
-	}
 	s := &Subscription{
 		id:      fmt.Sprintf("s%d", r.nextID),
 		pred:    p,
 		bound:   p.Bound(),
-		key:     key,
 		buf:     make([]Event, r.cfg.BufferCap),
 		members: make(map[string]struct{}),
 		ch:      make(chan struct{}, 1),
 		doneCh:  make(chan struct{}),
 		metrics: r.cfg.Metrics,
 	}
+	if ep != nil {
+		s.seedSeq = ep.Seq()
+	}
 	s.seed(ep)
 	r.subs[s.id] = s
-	if p.idBound() {
-		m := r.byObject[p.Object]
-		if m == nil {
-			m = make(map[string]*Subscription)
-			r.byObject[p.Object] = m
-		}
-		m[s.id] = s
-	} else {
-		r.regionSubs[s.key] = s
-		r.regions.Insert(index.Entry{Cube: fullTimeCube(s.bound), ID: s.key})
-	}
+	r.order = append(r.order, s)
 	r.cfg.Metrics.Live.Subscribes.Inc()
 	return s, nil
-}
-
-// fullTimeCube lifts a rectangle into the index's (x, y, t) space with
-// an unbounded time extent — subscriptions outlive any epoch.
-func fullTimeCube(rect geom.Rect) geom.Cube {
-	const inf = 1e308
-	return geom.Cube{Rect: rect, MinT: -inf, MaxT: inf}
 }
 
 // Get returns a subscription by id.
@@ -183,27 +155,14 @@ func (r *Registry) Get(id string) (*Subscription, bool) {
 	return s, ok
 }
 
-// Unsubscribe removes a subscription and ends its event stream. The
-// region index keeps a tombstone (the Dynamic index is append-only)
-// until enough pile up to amortise a rebuild over the survivors.
+// Unsubscribe removes a subscription and ends its event stream.
 func (r *Registry) Unsubscribe(id string) bool {
 	r.mu.Lock()
 	s, ok := r.subs[id]
 	if ok {
 		delete(r.subs, id)
-		if s.pred.idBound() {
-			m := r.byObject[s.pred.Object]
-			delete(m, id)
-			if len(m) == 0 {
-				delete(r.byObject, s.pred.Object)
-			}
-		} else {
-			delete(r.regionSubs, s.key)
-			r.tombstones++
-			if r.tombstones > 64 && r.tombstones > len(r.regionSubs) {
-				r.rebuildRegionsLocked()
-			}
-		}
+		i := slices.Index(r.order, s)
+		r.order = slices.Delete(r.order, i, i+1)
 	}
 	r.mu.Unlock()
 	if ok {
@@ -211,17 +170,6 @@ func (r *Registry) Unsubscribe(id string) bool {
 		r.cfg.Metrics.Live.Unsubscribes.Inc()
 	}
 	return ok
-}
-
-// rebuildRegionsLocked re-indexes the surviving region subscriptions,
-// shedding tombstoned entries. Caller holds r.mu.
-func (r *Registry) rebuildRegionsLocked() {
-	entries := make([]index.Entry, 0, len(r.regionSubs))
-	for key, s := range r.regionSubs {
-		entries = append(entries, index.Entry{Cube: fullTimeCube(s.bound), ID: key})
-	}
-	r.regions = index.NewDynamic(index.Build(entries), 0)
-	r.tombstones = 0
 }
 
 // Notify is the ingest pipeline's OnPublish hook. It runs on the flush
@@ -271,11 +219,12 @@ func (r *Registry) Notify(ep *ingest.Epoch, dirty []ingest.DirtyObject) {
 }
 
 // drain evaluates queued publishes in order until the queue is empty.
-// The registry lock covers only the queue pop and the candidate lookup;
-// evaluation and delivery run outside it, so a slow evaluation never
-// blocks the ingest flush path (Notify only ever waits for a candidate
-// collection, not for an evaluation). Per-subscription event order is
-// still total: this is the only goroutine that evaluates.
+// The registry lock covers only the queue pop and the copy of the
+// subscription list; filtering, evaluation and delivery run outside it,
+// so a slow evaluation never blocks the ingest flush path (Notify only
+// ever waits for a list copy, not for an evaluation). Per-subscription
+// event order is still total: this is the only goroutine that
+// evaluates.
 func (r *Registry) drain() {
 	for {
 		r.mu.Lock()
@@ -286,19 +235,23 @@ func (r *Registry) drain() {
 		n := r.queue[0]
 		r.queue[0] = notice{}
 		r.queue = r.queue[1:]
-		cands := r.candidatesLocked(n)
+		subs := slices.Clone(r.order)
 		r.mu.Unlock()
 		start := time.Now()
+		var cands int
 		var events, dropped int64
-		for _, s := range cands {
-			ev, dr := s.evaluate(n)
+		for _, s := range subs {
+			cand, ev, dr := s.evaluate(n)
+			if cand {
+				cands++
+			}
 			events += int64(ev)
 			dropped += int64(dr)
 		}
 		m := &r.cfg.Metrics.Live
 		m.Events.Add(events)
 		m.Dropped.Add(dropped)
-		m.Eval.ObserveN(len(cands), time.Since(start))
+		m.Eval.ObserveN(cands, time.Since(start))
 	}
 }
 
@@ -313,10 +266,7 @@ func (r *Registry) Close() {
 	}
 	r.closed = true
 	r.queue = nil
-	subs := make([]*Subscription, 0, len(r.subs))
-	for _, s := range r.subs {
-		subs = append(subs, s)
-	}
+	subs := slices.Clone(r.order) // Unsubscribe deletes from r.order in place
 	r.mu.Unlock()
 	close(r.done)
 	r.wg.Wait()

@@ -19,7 +19,7 @@ type Subscription struct {
 	id      string       // moguard: immutable
 	pred    Predicate    // moguard: immutable
 	bound   geom.Rect    // moguard: immutable
-	key     int64        // moguard: immutable // region-index key; 0 for id-bound forms
+	seedSeq uint64       // moguard: immutable // seed epoch's Seq (0 for nil); publishes up to it are history
 	metrics *obs.Metrics // moguard: immutable // never nil
 
 	mu      sync.Mutex

@@ -55,9 +55,7 @@ func (s *Server) decodeNearby(r *http.Request) (nearbyReq, error) {
 	if p.err == nil && req.K == 0 && req.Radius < 0 {
 		p.fail(CodeBadRequest, "need k= (nearest count) or radius= (range), or both")
 	}
-	if req.K > s.cfg.MaxLimit {
-		req.K = s.cfg.MaxLimit
-	}
+	req.K = min(req.K, maxLimit)
 	if p.err != nil {
 		return nearbyReq{}, p.err
 	}

@@ -206,11 +206,15 @@ type pageReq struct {
 	Offset int
 }
 
-func (s *Server) decodePageInto(p *params) pageReq {
-	limit := p.intMin(pLimit, s.cfg.DefaultLimit, 1)
-	if limit > s.cfg.MaxLimit {
-		limit = s.cfg.MaxLimit
-	}
+// Pagination of list responses: the limit when none is given, and the
+// cap on any limit (and on /v1/nearby's k).
+const (
+	defaultLimit = 1000
+	maxLimit     = 10000
+)
+
+func decodePageInto(p *params) pageReq {
+	limit := min(p.intMin(pLimit, defaultLimit, 1), maxLimit)
 	return pageReq{Limit: limit, Offset: p.intMin(pOffset, 0, 0)}
 }
 
@@ -234,7 +238,7 @@ func (s *Server) decodeWindow(r *http.Request) (windowReq, error) {
 			MaxX: max(x1, x2), MaxY: max(y1, y2),
 		},
 		T1: t1, T2: t2,
-		Page: s.decodePageInto(&p),
+		Page: decodePageInto(&p),
 	}
 	p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)
 	if p.err == nil && t2 < t1 {
@@ -281,7 +285,7 @@ type objectsReq struct {
 
 func (s *Server) decodeObjects(r *http.Request) (objectsReq, error) {
 	p := parseParams(r.URL.RawQuery)
-	req := objectsReq{Page: s.decodePageInto(&p)}
+	req := objectsReq{Page: decodePageInto(&p)}
 	if p.err != nil {
 		return objectsReq{}, p.err
 	}

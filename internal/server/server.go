@@ -81,10 +81,6 @@ type Config struct {
 	MaxQueryLen int
 	// MaxBodyBytes bounds request bodies. Default 1 MiB.
 	MaxBodyBytes int64
-	// DefaultLimit and MaxLimit control pagination of list responses.
-	// Defaults 1000 and 10000.
-	DefaultLimit int
-	MaxLimit     int
 	// SlowQueryThreshold is the latency above which a /v1/query request
 	// lands in the slow-query log. Default 500ms.
 	SlowQueryThreshold time.Duration
@@ -110,12 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 1 << 20
-	}
-	if c.DefaultLimit == 0 {
-		c.DefaultLimit = 1000
-	}
-	if c.MaxLimit == 0 {
-		c.MaxLimit = 10000
 	}
 	if c.SlowQueryThreshold == 0 {
 		c.SlowQueryThreshold = 500 * time.Millisecond

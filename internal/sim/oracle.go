@@ -147,8 +147,8 @@ func holds(p live.Predicate, pt geom.Point) bool {
 }
 
 // evaluate folds one publish into a subscription mirror, replicating
-// Registry.candidatesLocked + Subscription.evaluate: the candidate
-// filter (bound ∩ movement rectangle) gates evaluation, edges are state
+// Subscription.evaluate: the dirty-set filter (bound ∩ movement
+// rectangle) gates evaluation, edges are state
 // flips against the new epoch's current samples, and events carry the
 // publishing epoch and the object's latest sample. Event positions use
 // the post-publish prefix, so current() is computed against the sample

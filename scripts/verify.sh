@@ -30,8 +30,8 @@ echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against
 echo "==> paper benchmarks, one iteration each (bench_test.go bodies must execute)"
 go test -run '^$' -bench . -benchtime 1x .
 
-echo "==> index, ingest, db, moving and server benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick, BenchmarkTemplateA or BenchmarkAtInstantBody must not wait for TestAllocBudgets)"
-go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving ./internal/server
+echo "==> index, ingest, db, moving, server and live benchmarks, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick, BenchmarkTemplateA or BenchmarkAtInstantBody must not wait for TestAllocBudgets; BenchmarkRegistryDrain runs nowhere else)"
+go test -run '^$' -bench . -benchtime 1x ./internal/index ./internal/ingest ./internal/db ./internal/moving ./internal/server ./internal/live
 
 echo "==> tests excluded from the race build (//go:build !race: allocation budgets, the float writer's encoding/json oracle)"
 # Every Test function in a !race file, collected by name so a new one
