@@ -43,12 +43,14 @@ chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
 # Fuzz the WAL recovery decoders, replay against the live pipeline, the
-# storage mpoint codec, the refinement sweep, the join filters, the
+# epoch's atinstant search against a linear scan, the storage mpoint
+# codec, the refinement sweep, the join filters, the
 # index ladder, the server's two wire scanners and its float writer
 # (longer than the verify smoke runs).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzReplayMatchesLive -fuzztime=60s -fuzzminimizetime=1s ./internal/ingest
+	$(GO) test -run='^$$' -fuzz=FuzzEpochAtInstant -fuzztime=60s -fuzzminimizetime=1s ./internal/ingest
 	$(GO) test -run='^$$' -fuzz=FuzzMPointRoundTrip -fuzztime=60s -fuzzminimizetime=1s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
 	$(GO) test -run='^$$' -fuzz=FuzzFilterConservative -fuzztime=60s -fuzzminimizetime=1s ./internal/moving

@@ -137,7 +137,7 @@ func BenchmarkEpochWindow(b *testing.B) {
 }
 
 // BenchmarkEpochAtInstant measures the projection of every object onto
-// one instant — the /v1/objects?t= read path under the allocation
+// one instant — the /v1/atinstant read path under the allocation
 // budget.
 func BenchmarkEpochAtInstant(b *testing.B) {
 	ep := benchEpoch(b)

@@ -26,7 +26,8 @@ func encodeState(s *Store) []byte {
 }
 
 // seedHistory turns seed mappings into the store's opening state: each
-// object owns a copy of its units and resumes from the end of the last.
+// object owns a copy of its units, with their starts column, and resumes
+// from the end of the last.
 func seedHistory(ids []string, seeds []moving.MPoint) *storage.History {
 	h := &storage.History{Tracks: make([]storage.Track, len(ids))}
 	for i, id := range ids {
@@ -36,5 +37,6 @@ func seedHistory(ids []string, seeds []moving.MPoint) *storage.History {
 			t.Last, t.Seen = moving.Sample{T: t.Units[n-1].Iv.End, P: t.Units[n-1].EndPoint()}, true
 		}
 	}
+	h.FillStarts()
 	return h
 }

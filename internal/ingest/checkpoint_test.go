@@ -121,6 +121,14 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 	if got, want := fingerprint(&Pipeline{store: st}), fingerprint(p); got != want {
 		t.Fatalf("state round trip diverged:\n got %s\nwant %s", got, want)
 	}
+	// The decoded tracks share one units array and one starts array:
+	// growing each object in slot order must leave every other column
+	// intact.
+	for _, id := range slotOrder(st) {
+		last, _ := p.Epoch().Current(id)
+		st.Apply([]Observation{{ObjectID: id, T: float64(last.T) + 1, X: last.P.X + 1, Y: last.P.Y}})
+		requireStartsColumns(t, st)
+	}
 }
 
 // TestCorruptCheckpointFallsBack rots the newest checkpoint record in

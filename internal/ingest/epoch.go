@@ -36,28 +36,32 @@ type Epoch struct {
 	idx  index.Snapshot
 }
 
-// objView is one object's sealed state inside an epoch. The unit array
-// is captured copy-on-write: prefix aliases the live array's elements
-// [0, n-1), which the appender never touches again (it only rewrites
-// the final unit in place — re-opening the closed tail, merging a
-// continuation — and appends past it), and tail is a value copy of
-// element n-1, the only slot that can still change. Readers therefore
-// must go through unit(i), never through a raw slice.
+// objView is one object's sealed state inside an epoch, n units long
+// (n = len(starts); 0 = no units yet). The unit array is captured
+// copy-on-write: prefix aliases the live array's elements [0, n-1),
+// which the appender never touches again (it only rewrites the final
+// unit in place — re-opening the closed tail, merging a continuation —
+// and appends past it), and tail is a value copy of element n-1, the
+// only slot that can still change. Readers therefore must go through
+// unit(i), never through a raw slice. starts aliases all n entries of
+// the live starts column, the tail's included: no rewrite changes a
+// unit's start.
 type objView struct {
 	id     string
-	prefix []units.UPoint // immutable alias: live units[0 : n-1]
-	tail   units.UPoint   // copy of live units[n-1] at capture
-	n      int            // unit count at capture (0 = no units yet)
+	starts []temporal.Instant // immutable alias: live Starts[0 : n]
+	prefix []units.UPoint     // immutable alias: live units[0 : n-1]
+	tail   units.UPoint       // copy of live units[n-1] at capture
 	seen   bool
 	last   moving.Sample
 }
 
 // viewOf seals an object's current state. Caller holds the store lock.
 func viewOf(o *storage.Track) *objView {
-	v := &objView{id: o.ID, n: len(o.Units), seen: o.Seen, last: o.Last}
-	if v.n > 0 {
-		v.prefix = o.Units[: v.n-1 : v.n-1]
-		v.tail = o.Units[v.n-1]
+	n := len(o.Units)
+	v := &objView{id: o.ID, starts: o.Starts[:n:n], seen: o.Seen, last: o.Last}
+	if n > 0 {
+		v.prefix = o.Units[: n-1 : n-1]
+		v.tail = o.Units[n-1]
 	}
 	return v
 }
@@ -66,28 +70,39 @@ func viewOf(o *storage.Track) *objView {
 // it can live are immutable after capture: the prefix element, or for
 // i = n-1 the tail copy, never the alias.
 func (v *objView) unit(i int) *units.UPoint {
-	if i == v.n-1 {
+	if i == len(v.prefix) {
 		return &v.tail
 	}
 	return &v.prefix[i]
 }
 
-// unitAt finds the unit whose interval contains t by binary search over
-// the temporally ordered, pairwise-disjoint sealed array (the same
-// search as mapping.FindUnit). Probes read interval headers in place;
-// only the unit found is copied out.
+// unitAt finds the unit whose interval contains t (§5.1): a binary
+// search of the starts column for the last unit i starting at or before
+// t, then at most two units read. The units are ordered and disjoint,
+// so no unit after i can contain t, and none before i either — except
+// when t is i's own start and i is left-open: then t can still be the
+// closed end of unit i-1, a degenerate [t, t] or a predecessor closed at
+// t. Only the unit found is copied out.
 func (v *objView) unitAt(t temporal.Instant) (units.UPoint, bool) {
-	lo, hi := 0, v.n
+	lo, hi := 0, len(v.starts)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		iv := &v.unit(mid).Iv
-		switch {
-		case iv.Contains(t):
-			return *v.unit(mid), true
-		case t < iv.Start || (t == iv.Start && !iv.LC):
-			hi = mid
-		default:
+		mid := int(uint(lo+hi) >> 1)
+		if v.starts[mid] <= t {
 			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	i := lo - 1
+	if i < 0 {
+		return units.UPoint{}, false
+	}
+	if u := v.unit(i); u.Iv.Contains(t) {
+		return *u, true
+	}
+	if i > 0 && t == v.starts[i] {
+		if u := v.unit(i - 1); u.Iv.Contains(t) {
+			return *u, true
 		}
 	}
 	return units.UPoint{}, false
@@ -135,7 +150,7 @@ func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 			continue
 		}
 		v := e.objs[oi]
-		if ui >= v.n {
+		if ui >= len(v.starts) {
 			// The entry references a unit appended after this epoch was
 			// sealed (a newer epoch's index snapshot would see it); it
 			// cannot contribute to this epoch's answer.
@@ -161,14 +176,19 @@ func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 // AtInstant returns the position of every object defined at t, in
 // registration order, lock-free against the sealed views.
 func (e *Epoch) AtInstant(t temporal.Instant) []Position {
-	out := make([]Position, 0, len(e.objs))
+	return e.AppendAtInstant(make([]Position, 0, len(e.objs)), t)
+}
+
+// AppendAtInstant is AtInstant appending to dst, so a caller can reuse
+// one buffer across queries.
+func (e *Epoch) AppendAtInstant(dst []Position, t temporal.Instant) []Position {
 	for _, v := range e.objs {
 		if u, ok := v.unitAt(t); ok {
 			p := u.Eval(t)
-			out = append(out, Position{ID: v.id, X: p.X, Y: p.Y})
+			dst = append(dst, Position{ID: v.id, X: p.X, Y: p.Y})
 		}
 	}
-	return out
+	return dst
 }
 
 // Summaries lists the tracked objects in registration order. An object
@@ -177,9 +197,9 @@ func (e *Epoch) AtInstant(t temporal.Instant) []Position {
 func (e *Epoch) Summaries() []ObjectSummary {
 	out := make([]ObjectSummary, 0, len(e.objs))
 	for _, v := range e.objs {
-		sum := ObjectSummary{ID: v.id, Units: v.n}
-		if v.n > 0 {
-			sum.From = float64(v.unit(0).Iv.Start)
+		sum := ObjectSummary{ID: v.id, Units: len(v.starts)}
+		if len(v.starts) > 0 {
+			sum.From = float64(v.starts[0])
 			sum.To = float64(v.tail.Iv.End)
 		} else if v.seen {
 			sum.From, sum.To = float64(v.last.T), float64(v.last.T)
@@ -197,9 +217,9 @@ func (e *Epoch) Snapshot(id string) (moving.MPoint, bool) {
 		return moving.MPoint{}, false
 	}
 	v := e.objs[oi]
-	us := make([]units.UPoint, 0, v.n)
+	us := make([]units.UPoint, 0, len(v.starts))
 	us = append(us, v.prefix...)
-	if v.n > 0 {
+	if len(v.starts) > 0 {
 		us = append(us, v.tail)
 	}
 	return moving.MPoint{M: mapping.FromOrdered(us)}, true

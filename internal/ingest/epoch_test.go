@@ -242,8 +242,8 @@ func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 			refined[ui] = index.UPointInWindow(*zig.unit(ui), rect, iv)
 		}
 	}
-	if zig.n != 2 || len(refined) != 2 || refined[0] || !refined[1] {
-		t.Fatalf("premise: zig has %d units; candidate unit -> refines: %v, want {0: false, 1: true}", zig.n, refined)
+	if len(zig.starts) != 2 || len(refined) != 2 || refined[0] || !refined[1] {
+		t.Fatalf("premise: zig has %d units; candidate unit -> refines: %v, want {0: false, 1: true}", len(zig.starts), refined)
 	}
 	if got := ep.Window(rect, iv); len(got) != 1 || got[0] != "zig" {
 		t.Fatalf("Window = %v, want [zig]", got)

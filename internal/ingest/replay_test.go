@@ -27,11 +27,31 @@ func slotOrder(s *Store) []string {
 
 // requireSameState requires the pipeline reopened on live's log to
 // encode byte-identically to live's store: slots, unit arrays, last
-// samples and counters.
+// samples and counters. The starts columns, which are not encoded, must
+// hold on both sides.
 func requireSameState(t *testing.T, live, replayed *Pipeline) {
 	t.Helper()
 	if !bytes.Equal(encodeState(replayed.store), encodeState(live.store)) {
 		t.Fatalf("replay rebuilt a different state: live slot order %v, replay %v", slotOrder(live.store), slotOrder(replayed.store))
+	}
+	requireStartsColumns(t, live.store)
+	requireStartsColumns(t, replayed.store)
+}
+
+// requireStartsColumns requires every track of s to carry one start per
+// unit, each its unit's interval start.
+func requireStartsColumns(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, o := range s.objs {
+		ok := len(o.Starts) == len(o.Units)
+		for i := 0; ok && i < len(o.Units); i++ {
+			ok = o.Starts[i] == o.Units[i].Iv.Start
+		}
+		if !ok {
+			t.Fatalf("object %q: starts column %v does not match its units %v", o.ID, o.Starts, o.Units)
+		}
 	}
 }
 

@@ -187,11 +187,14 @@ func unitBetween(a, b moving.Sample) units.UPoint {
 // and the incoming unit is merged into it when the motion continues
 // unchanged — the adjacent-equal-value minimality rule as compaction.
 // It returns the index of the unit now covering u's interval and
-// whether a merge happened.
+// whether a merge happened. Only the two appends extend o.Starts: the
+// re-open, the left-open chaining and the merge change the closure flags
+// or the end of an interval, never its start, so a start once appended
+// never changes.
 func appendUnit(o *storage.Track, u units.UPoint) (int, bool) {
 	n := len(o.Units)
 	if n == 0 {
-		o.Units = append(o.Units, u)
+		o.Units, o.Starts = append(o.Units, u), append(o.Starts, u.Iv.Start)
 		return 0, false
 	}
 	lu := o.Units[n-1]
@@ -211,7 +214,7 @@ func appendUnit(o *storage.Track, u units.UPoint) (int, bool) {
 			return n - 1, true
 		}
 	}
-	o.Units = append(o.Units, u)
+	o.Units, o.Starts = append(o.Units, u), append(o.Starts, u.Iv.Start)
 	return n, false
 }
 

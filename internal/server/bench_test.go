@@ -247,7 +247,8 @@ func benchAppendJSONFloat(b *testing.B) {
 // BenchmarkAtInstantBody is the compute of a /v1/atinstant miss on
 // query_unique's frozen data (1 000 objects × 60 steps, workload seed
 // 20000, ingested one step per batch): the epoch's unit search for every
-// object, then the body appended into a reused buffer.
+// object appended into a reused position buffer, then the body appended
+// into a reused byte buffer, as handleAtInstant does with its pools.
 func BenchmarkAtInstantBody(b *testing.B) {
 	b.Run("n=1000", benchAtInstantBody)
 }
@@ -287,14 +288,19 @@ func benchAtInstantBody(b *testing.B) {
 	for i := range ts {
 		ts[i] = rng.Float64() * frozenSteps
 	}
+	var ps []ingest.Position
 	var buf []byte
+	body := func(t float64) {
+		ps = ep.AppendAtInstant(ps[:0], temporal.Instant(t))
+		if buf, err = appendAtInstantBody(buf[:0], t, ps); err != nil {
+			b.Fatal(err)
+		}
+	}
+	body(frozenSteps / 2) // grow both buffers, as a warm pool has
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := ts[i%len(ts)]
-		if buf, err = appendAtInstantBody(buf[:0], t, ep.AtInstant(temporal.Instant(t))); err != nil {
-			b.Fatal(err)
-		}
+		body(ts[i%len(ts)])
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"movingdb/internal/cache"
+	"movingdb/internal/ingest"
 )
 
 // The epoch-pinned read path. Every read handler decodes its request,
@@ -29,6 +30,11 @@ var (
 // scratch pools the buffers response bodies are built in and ingest
 // bodies are read into; what outlives the request is copied out.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// positions pools the buffers an /v1/atinstant miss collects its
+// positions in; the body encoded from them is what outlives the request.
+// A buffer is never nil, so an empty answer encodes as [], not null.
+var positions = sync.Pool{New: func() any { return &[]ingest.Position{} }}
 
 // etagFor derives the strong entity tag of a cache key,
 // "<key hash>-<epoch>", and returns with it the epoch as X-MO-Epoch

@@ -316,7 +316,11 @@ func (s *Server) handleAtInstant(w http.ResponseWriter, r *http.Request) {
 	}
 	ep := s.pinEpoch()
 	s.serveCached(w, r, req.key(ep.Seq()), func(scratch []byte) ([]byte, error) {
-		return appendAtInstantBody(scratch, req.T, ep.AtInstant(temporal.Instant(req.T)))
+		pp := positions.Get().(*[]ingest.Position)
+		*pp = ep.AppendAtInstant((*pp)[:0], temporal.Instant(req.T))
+		body, err := appendAtInstantBody(scratch, req.T, *pp)
+		positions.Put(pp)
+		return body, err
 	})
 }
 

@@ -36,12 +36,15 @@ const (
 
 // Track is one object of a History: its unit array in temporal order
 // and the latest sample the appender extends it from (Seen is false
-// until the object has one).
+// until the object has one). Starts is the dense column of the units'
+// interval starts, Starts[i] == Units[i].Iv.Start, that §5.1's atinstant
+// binary-searches; it is derived from Units and never encoded.
 type Track struct {
-	ID    string
-	Units []units.UPoint
-	Seen  bool
-	Last  moving.Sample
+	ID     string
+	Units  []units.UPoint
+	Starts []temporal.Instant
+	Seen   bool
+	Last   moving.Sample
 }
 
 // History is a table of tracks in registration order, plus the
@@ -49,6 +52,28 @@ type Track struct {
 type History struct {
 	Tracks                      []Track
 	Applied, Dropped, Compacted int64
+}
+
+// FillStarts derives every track's Starts column from its units. The
+// columns share one array (one allocation, not one per object), each
+// capped at its own end so that appending to one never writes into the
+// next.
+func (h *History) FillStarts() {
+	n := 0
+	for _, t := range h.Tracks {
+		n += len(t.Units)
+	}
+	starts := make([]temporal.Instant, n)
+	lo := 0
+	for i := range h.Tracks {
+		t := &h.Tracks[i]
+		hi := lo + len(t.Units)
+		for k, u := range t.Units {
+			starts[lo+k] = u.Iv.Start
+		}
+		t.Starts = starts[lo:hi:hi]
+		lo = hi
+	}
 }
 
 // EncodeHistory writes h flattened, straight into one buffer of the
@@ -98,7 +123,8 @@ func EncodeHistory(h History) []byte {
 // with units seen and resuming at its final unit's end, a seen sample
 // finite. The tracks' unit slices share one array (one allocation, not
 // one per object), each capped at its own end so that appending to one
-// never writes into the next.
+// never writes into the next; FillStarts lays out their Starts columns
+// the same way.
 func DecodeHistory(buf []byte) (History, error) {
 	e, err := Unflatten(buf)
 	if err != nil {
@@ -150,6 +176,7 @@ func DecodeHistory(buf []byte) (History, error) {
 	if idEnd != len(ids) || end != nUnits {
 		return History{}, fmt.Errorf("%w: arrays extend past the last object", ErrCorrupt)
 	}
+	h.FillStarts()
 	return h, nil
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
+	"movingdb/internal/temporal"
 	"movingdb/internal/units"
 )
 
@@ -50,13 +51,37 @@ func TestHistoryRoundTrip(t *testing.T) {
 			}
 			// The tracks share one decoded array; each is capped at its
 			// own end, so the appender growing one cannot write into the
-			// next.
-			if cap(tr.Units) != len(tr.Units) {
-				t.Fatalf("track %q: cap %d past its %d units", tr.ID, cap(tr.Units), len(tr.Units))
+			// next. The starts columns share a second one the same way.
+			if cap(tr.Units) != len(tr.Units) || cap(tr.Starts) != len(tr.Starts) {
+				t.Fatalf("track %q: cap %d/%d past its %d units/%d starts", tr.ID, cap(tr.Units), cap(tr.Starts), len(tr.Units), len(tr.Starts))
 			}
+		}
+		requireStarts(t, got)
+		// Grow every track in turn, as the appender does: no track's units
+		// or starts may change under another's append.
+		for i := range got.Tracks {
+			tr := &got.Tracks[i]
+			tr.Units, tr.Starts = append(tr.Units, units.UPoint{}), append(tr.Starts, -1)
+			requireStarts(t, History{Tracks: got.Tracks[i+1:]})
+			tr.Units, tr.Starts = tr.Units[:len(tr.Units)-1], tr.Starts[:len(tr.Starts)-1]
 		}
 		if !bytes.Equal(EncodeHistory(got), buf) {
 			t.Fatal("decoded history re-encodes differently")
+		}
+	}
+}
+
+// requireStarts requires every track's Starts column to be its units'
+// interval starts.
+func requireStarts(t *testing.T, h History) {
+	t.Helper()
+	for _, tr := range h.Tracks {
+		want := make([]temporal.Instant, len(tr.Units))
+		for i, u := range tr.Units {
+			want[i] = u.Iv.Start
+		}
+		if !slices.Equal(tr.Starts, want) {
+			t.Fatalf("track %q: starts %v, its units start at %v", tr.ID, tr.Starts, want)
 		}
 	}
 }

@@ -56,6 +56,9 @@ go test -run='^$' -fuzz=FuzzWALDecode -fuzztime=10s ./internal/ingest
 echo "==> fuzz smoke: FuzzReplayMatchesLive (10s; a pipeline reopened on its log encodes byte-identically to the live store)"
 go test -run='^$' -fuzz=FuzzReplayMatchesLive -fuzztime=10s -fuzzminimizetime=1s ./internal/ingest
 
+echo "==> fuzz smoke: FuzzEpochAtInstant (10s; the epoch's starts-column search vs baseline's linear scan)"
+go test -run='^$' -fuzz=FuzzEpochAtInstant -fuzztime=10s -fuzzminimizetime=1s ./internal/ingest
+
 echo "==> fuzz smoke: FuzzMPointRoundTrip (10s; storage mpoint codec never panics, accepted bytes re-encode identically)"
 go test -run='^$' -fuzz=FuzzMPointRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/storage
 
