@@ -28,10 +28,9 @@ debugcheck:
 	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
-# vet, race-enabled tests, every benchmark body of the root package,
-# internal/index, internal/ingest, internal/db, internal/moving,
-# internal/server and internal/live once, the faultinject build variant, and the fuzz
-# smoke runs.
+# vet, race-enabled tests, every benchmark body of the root package and
+# of internal/... once, the faultinject build variant, and the fuzz
+# smoke runs (scripts/fuzz.sh).
 verify:
 	./scripts/verify.sh
 
@@ -42,22 +41,10 @@ verify:
 chaos:
 	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
 
-# Fuzz the WAL recovery decoders, replay against the live pipeline, the
-# epoch's atinstant search against a linear scan, the storage mpoint
-# codec, the refinement sweep, the join filters, the
-# index ladder, the server's two wire scanners and its float writer
-# (longer than the verify smoke runs).
+# Every fuzz target (the list is scripts/fuzz.sh), 60 s each: longer
+# than the verify smoke runs.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzWALDecode -fuzztime=60s ./internal/ingest
-	$(GO) test -run='^$$' -fuzz=FuzzReplayMatchesLive -fuzztime=60s -fuzzminimizetime=1s ./internal/ingest
-	$(GO) test -run='^$$' -fuzz=FuzzEpochAtInstant -fuzztime=60s -fuzzminimizetime=1s ./internal/ingest
-	$(GO) test -run='^$$' -fuzz=FuzzMPointRoundTrip -fuzztime=60s -fuzzminimizetime=1s ./internal/storage
-	$(GO) test -run='^$$' -fuzz=FuzzRefine -fuzztime=60s ./internal/temporal
-	$(GO) test -run='^$$' -fuzz=FuzzFilterConservative -fuzztime=60s -fuzzminimizetime=1s ./internal/moving
-	$(GO) test -run='^$$' -fuzz=FuzzDynamic -fuzztime=60s ./internal/index
-	$(GO) test -run='^$$' -fuzz=FuzzIngestDecode -fuzztime=60s -fuzzminimizetime=1s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=60s -fuzzminimizetime=1s ./internal/server
-	$(GO) test -run='^$$' -fuzz=FuzzJSONFloat -fuzztime=60s ./internal/server
+	./scripts/fuzz.sh 60s
 
 # Build and vet the failpoint-enabled binary variant.
 faultinject:

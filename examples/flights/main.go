@@ -1,15 +1,17 @@
 // Flights: the running example of Section 2 of the paper, executed end
 // to end on the mini relational engine — a planes relation with an
 // mpoint attribute, the "Lufthansa flights longer than L" selection, and
-// the "pairs of planes closer than d" spatio-temporal join.
+// the "pairs of planes closer than d" spatio-temporal join, both stated
+// in the Section 2 SQL dialect and run by db.Query.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strconv"
 
 	"movingdb/internal/db"
-	"movingdb/internal/moving"
 	"movingdb/internal/workload"
 )
 
@@ -29,48 +31,44 @@ func main() {
 	for _, f := range workload.New(*seed).Flights(*n, 200) {
 		planes.MustInsert(db.Tuple{f.Airline, f.ID, f.Flight})
 	}
+	cat := db.Catalog{"planes": planes}
 	fmt.Printf("planes%v with %d tuples\n\n", planes.Schema, planes.Len())
 
-	// Query 1:
-	//   SELECT airline, id FROM planes
-	//   WHERE airline = "Lufthansa" AND length(trajectory(flight)) > minlen
 	fmt.Printf("Q1: Lufthansa flights with trajectory longer than %.0f\n", *minLen)
-	q1 := planes.Select(func(t db.Tuple) bool {
-		return db.Get[string](planes, t, "airline") == "Lufthansa" &&
-			db.Get[moving.MPoint](planes, t, "flight").Trajectory().Length() > *minLen
-	})
-	res1, err := q1.Project("airline", "id")
-	if err != nil {
-		panic(err)
+	q1 := query(cat, "SELECT airline, id, length(trajectory(flight)) AS len\n"+
+		"    FROM planes\n"+
+		"    WHERE airline = 'Lufthansa' AND length(trajectory(flight)) > "+literal(*minLen))
+	for _, t := range q1.Scan() {
+		fmt.Printf("  %-10s %-6s length=%.1f\n", t[0], t[1], t[2])
 	}
-	for _, t := range res1.Scan() {
-		fl := q1.Select(func(u db.Tuple) bool { return db.Get[string](q1, u, "id") == t[1] }).Scan()[0]
-		mp := db.Get[moving.MPoint](q1, fl, "flight")
-		fmt.Printf("  %-10s %-6s length=%.1f\n", t[0], t[1], mp.Length())
-	}
-	fmt.Printf("  (%d rows)\n\n", res1.Len())
+	fmt.Printf("  (%d rows)\n\n", q1.Len())
 
-	// Query 2 (spatio-temporal join):
-	//   SELECT p.airline, p.id, q.airline, q.id FROM planes p, planes q
-	//   WHERE val(initial(atmin(distance(p.flight, q.flight)))) < maxdist
 	fmt.Printf("Q2: pairs of planes that came closer than %.0f\n", *maxDist)
-	pairs := 0
-	for i, a := range planes.Scan() {
-		for j, b := range planes.Scan() {
-			if i >= j {
-				continue
-			}
-			pa := db.Get[moving.MPoint](planes, a, "flight")
-			pb := db.Get[moving.MPoint](planes, b, "flight")
-			d := pa.Distance(pb)
-			first, ok := d.AtMin().Initial()
-			if !ok || first.Val >= *maxDist {
-				continue
-			}
-			pairs++
-			fmt.Printf("  %-10s %-6s ~ %-10s %-6s  min distance %.2f at t=%.1f\n",
-				a[0], a[1], b[0], b[1], first.Val, float64(first.Inst))
-		}
+	q2 := query(cat, "SELECT p.airline, p.id, q.airline, q.id,\n"+
+		"           val(initial(atmin(distance(p.flight, q.flight)))) AS mindist,\n"+
+		"           inst(initial(atmin(distance(p.flight, q.flight)))) AS at\n"+
+		"    FROM planes p, planes q\n"+
+		"    WHERE p.id < q.id\n"+
+		"      AND val(initial(atmin(distance(p.flight, q.flight)))) < "+literal(*maxDist))
+	for _, t := range q2.Scan() {
+		fmt.Printf("  %-10s %-6s ~ %-10s %-6s  min distance %.2f at t=%.1f\n",
+			t[0], t[1], t[2], t[3], t[4], t[5])
 	}
-	fmt.Printf("  (%d pairs)\n", pairs)
+	fmt.Printf("  (%d pairs)\n", q2.Len())
 }
+
+// query prints a statement and runs it; a failing statement ends the
+// program.
+func query(cat db.Catalog, sql string) *db.Relation {
+	fmt.Printf("  %s\n", sql)
+	res, err := db.Query(cat, sql)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		os.Exit(1)
+	}
+	return res
+}
+
+// literal renders a flag value as a numeric literal of the query
+// language.
+func literal(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

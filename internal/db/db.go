@@ -3,10 +3,9 @@
 // extensible DBMS (Secondo / Informix data blade) the paper targets. It
 // provides schemas, tuples, in-memory and storage-backed relations
 // (attributes encoded with the Section 4 data structures, large arrays
-// spilled to a page store), and the usual iterator operators: scan,
-// selection, projection and nested-loop join. The two queries of
-// Section 2 are built on top of it (see the flights example and
-// cmd/moquery).
+// spilled to a page store), and one way to query them: the SQL dialect
+// of Section 2, run by Query. The two queries of Section 2 are
+// statements in it (see the flights example and cmd/moquery).
 package db
 
 import (
@@ -14,10 +13,7 @@ import (
 	"fmt"
 	"strings"
 
-	"movingdb/internal/moving"
-	"movingdb/internal/spatial"
 	"movingdb/internal/storage"
-	"movingdb/internal/temporal"
 )
 
 // AttrType enumerates the attribute types the engine hosts.
@@ -42,37 +38,58 @@ const (
 	TPoints
 )
 
+// typeRow is one row of the type table: the attribute type's name in
+// the paper, a test that a value holds the type's Go representation, and
+// its Section 4 codec.
+type typeRow struct {
+	name   string
+	holds  func(any) bool
+	encode func(any) storage.Encoded
+	decode func(storage.Encoded) (any, error)
+}
+
+// newTypeRow builds the table row of an attribute type whose values are Go
+// values of type T, from T's storage codec.
+func newTypeRow[T any](name string, enc func(T) storage.Encoded, dec func(storage.Encoded) (T, error)) typeRow {
+	return typeRow{
+		name:   name,
+		holds:  func(v any) bool { _, ok := v.(T); return ok },
+		encode: func(v any) storage.Encoded { return enc(v.(T)) },
+		decode: func(e storage.Encoded) (any, error) { return dec(e) },
+	}
+}
+
+// typeTable names each storable attribute type once. TIReal, which a
+// query may compute but never store, has no row.
+var typeTable = [...]typeRow{
+	TString:  newTypeRow("string", storage.EncodeString, storage.DecodeString),
+	TInt:     newTypeRow("int", storage.EncodeInt, storage.DecodeInt),
+	TReal:    newTypeRow("real", storage.EncodeReal, storage.DecodeReal),
+	TBool:    newTypeRow("bool", storage.EncodeBool, storage.DecodeBool),
+	TPeriods: newTypeRow("range(instant)", storage.EncodePeriods, storage.DecodePeriods),
+	TRegion:  newTypeRow("region", storage.EncodeRegion, storage.DecodeRegion),
+	TLine:    newTypeRow("line", storage.EncodeLine, storage.DecodeLine),
+	TMPoint:  newTypeRow("mpoint", storage.EncodeMPoint, storage.DecodeMPoint),
+	TMRegion: newTypeRow("mregion", storage.EncodeMRegion, storage.DecodeMRegion),
+	TMReal:   newTypeRow("mreal", storage.EncodeMReal, storage.DecodeMReal),
+	TMBool:   newTypeRow("mbool", storage.EncodeMBool, storage.DecodeMBool),
+	TMPoints: newTypeRow("mpoints", storage.EncodeMPoints, storage.DecodeMPoints),
+	TMLine:   newTypeRow("mline", storage.EncodeMLine, storage.DecodeMLine),
+	TPoints:  newTypeRow("points", storage.EncodePoints, storage.DecodePoints),
+}
+
+// row returns t's row of the type table; false for a type without one.
+func (t AttrType) row() (typeRow, bool) {
+	if t < 0 || int(t) >= len(typeTable) {
+		return typeRow{}, false
+	}
+	return typeTable[t], true
+}
+
 // String names the attribute type as in the paper's examples.
 func (t AttrType) String() string {
-	switch t {
-	case TString:
-		return "string"
-	case TInt:
-		return "int"
-	case TReal:
-		return "real"
-	case TBool:
-		return "bool"
-	case TPeriods:
-		return "range(instant)"
-	case TRegion:
-		return "region"
-	case TLine:
-		return "line"
-	case TMPoint:
-		return "mpoint"
-	case TMRegion:
-		return "mregion"
-	case TMReal:
-		return "mreal"
-	case TMBool:
-		return "mbool"
-	case TMPoints:
-		return "mpoints"
-	case TMLine:
-		return "mline"
-	case TPoints:
-		return "points"
+	if r, ok := t.row(); ok {
+		return r.name
 	}
 	return fmt.Sprintf("AttrType(%d)", int(t))
 }
@@ -148,51 +165,8 @@ func (r *Relation) MustInsert(t Tuple) {
 }
 
 func typeOK(at AttrType, v any) bool {
-	switch at {
-	case TString:
-		_, ok := v.(string)
-		return ok
-	case TInt:
-		_, ok := v.(int64)
-		return ok
-	case TReal:
-		_, ok := v.(float64)
-		return ok
-	case TBool:
-		_, ok := v.(bool)
-		return ok
-	case TPeriods:
-		_, ok := v.(temporal.Periods)
-		return ok
-	case TRegion:
-		_, ok := v.(spatial.Region)
-		return ok
-	case TLine:
-		_, ok := v.(spatial.Line)
-		return ok
-	case TMPoint:
-		_, ok := v.(moving.MPoint)
-		return ok
-	case TMRegion:
-		_, ok := v.(moving.MRegion)
-		return ok
-	case TMReal:
-		_, ok := v.(moving.MReal)
-		return ok
-	case TMBool:
-		_, ok := v.(moving.MBool)
-		return ok
-	case TMPoints:
-		_, ok := v.(moving.MPoints)
-		return ok
-	case TMLine:
-		_, ok := v.(moving.MLine)
-		return ok
-	case TPoints:
-		_, ok := v.(spatial.Points)
-		return ok
-	}
-	return false
+	r, ok := at.row()
+	return ok && r.holds(v)
 }
 
 // Len returns the number of tuples.
@@ -200,74 +174,6 @@ func (r *Relation) Len() int { return len(r.tuples) }
 
 // Scan returns the tuples (shared; read-only).
 func (r *Relation) Scan() []Tuple { return r.tuples }
-
-// Select returns the tuples satisfying pred, as a new relation with the
-// same schema.
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := NewRelation(r.Name+"_sel", r.Schema)
-	for _, t := range r.tuples {
-		if pred(t) {
-			out.tuples = append(out.tuples, t)
-		}
-	}
-	return out
-}
-
-// Project returns a new relation with only the named columns.
-func (r *Relation) Project(cols ...string) (*Relation, error) {
-	idx := make([]int, 0, len(cols))
-	schema := make(Schema, 0, len(cols))
-	for _, c := range cols {
-		i := r.Schema.Index(c)
-		if i < 0 {
-			return nil, fmt.Errorf("%w: no column %q", ErrSchema, c)
-		}
-		idx = append(idx, i)
-		schema = append(schema, r.Schema[i])
-	}
-	out := NewRelation(r.Name+"_proj", schema)
-	for _, t := range r.tuples {
-		nt := make(Tuple, len(idx))
-		for k, i := range idx {
-			nt[k] = t[i]
-		}
-		out.tuples = append(out.tuples, nt)
-	}
-	return out, nil
-}
-
-// Extend returns a new relation with an extra computed column.
-func (r *Relation) Extend(name string, at AttrType, f func(Tuple) any) *Relation {
-	schema := append(append(Schema{}, r.Schema...), Column{Name: name, Type: at})
-	out := NewRelation(r.Name, schema)
-	for _, t := range r.tuples {
-		nt := append(append(Tuple{}, t...), f(t))
-		out.tuples = append(out.tuples, nt)
-	}
-	return out
-}
-
-// Join returns the nested-loop join of r and s on pred; column names of
-// s are prefixed when they clash.
-func (r *Relation) Join(s *Relation, pred func(a, b Tuple) bool) *Relation {
-	schema := append(Schema{}, r.Schema...)
-	for _, c := range s.Schema {
-		name := c.Name
-		if schema.Index(name) >= 0 {
-			name = s.Name + "." + name
-		}
-		schema = append(schema, Column{Name: name, Type: c.Type})
-	}
-	out := NewRelation(r.Name+"_join_"+s.Name, schema)
-	for _, a := range r.tuples {
-		for _, b := range s.tuples {
-			if pred(a, b) {
-				out.tuples = append(out.tuples, append(append(Tuple{}, a...), b...))
-			}
-		}
-	}
-	return out
-}
 
 // Get returns the value of the named column in the tuple.
 func Get[T any](r *Relation, t Tuple, col string) T {
@@ -359,69 +265,17 @@ func (r *StoredRelation) Load() (*Relation, error) {
 }
 
 func encodeAttr(at AttrType, v any) (storage.Encoded, error) {
-	switch at {
-	case TString:
-		return storage.EncodeString(v.(string)), nil
-	case TInt:
-		return storage.EncodeInt(v.(int64)), nil
-	case TReal:
-		return storage.EncodeReal(v.(float64)), nil
-	case TBool:
-		return storage.EncodeBool(v.(bool)), nil
-	case TPeriods:
-		return storage.EncodePeriods(v.(temporal.Periods)), nil
-	case TRegion:
-		return storage.EncodeRegion(v.(spatial.Region)), nil
-	case TLine:
-		return storage.EncodeLine(v.(spatial.Line)), nil
-	case TMPoint:
-		return storage.EncodeMPoint(v.(moving.MPoint)), nil
-	case TMRegion:
-		return storage.EncodeMRegion(v.(moving.MRegion)), nil
-	case TMReal:
-		return storage.EncodeMReal(v.(moving.MReal)), nil
-	case TMBool:
-		return storage.EncodeMBool(v.(moving.MBool)), nil
-	case TMPoints:
-		return storage.EncodeMPoints(v.(moving.MPoints)), nil
-	case TMLine:
-		return storage.EncodeMLine(v.(moving.MLine)), nil
-	case TPoints:
-		return storage.EncodePoints(v.(spatial.Points)), nil
+	r, ok := at.row()
+	if !ok {
+		return storage.Encoded{}, fmt.Errorf("%w: unsupported attribute type %v", ErrSchema, at)
 	}
-	return storage.Encoded{}, fmt.Errorf("%w: unsupported attribute type %v", ErrSchema, at)
+	return r.encode(v), nil
 }
 
 func decodeAttr(at AttrType, e storage.Encoded) (any, error) {
-	switch at {
-	case TString:
-		return storage.DecodeString(e)
-	case TInt:
-		return storage.DecodeInt(e)
-	case TReal:
-		return storage.DecodeReal(e)
-	case TBool:
-		return storage.DecodeBool(e)
-	case TPeriods:
-		return storage.DecodePeriods(e)
-	case TRegion:
-		return storage.DecodeRegion(e)
-	case TLine:
-		return storage.DecodeLine(e)
-	case TMPoint:
-		return storage.DecodeMPoint(e)
-	case TMRegion:
-		return storage.DecodeMRegion(e)
-	case TMReal:
-		return storage.DecodeMReal(e)
-	case TMBool:
-		return storage.DecodeMBool(e)
-	case TMPoints:
-		return storage.DecodeMPoints(e)
-	case TMLine:
-		return storage.DecodeMLine(e)
-	case TPoints:
-		return storage.DecodePoints(e)
+	r, ok := at.row()
+	if !ok {
+		return nil, fmt.Errorf("%w: unsupported attribute type %v", ErrSchema, at)
 	}
-	return nil, fmt.Errorf("%w: unsupported attribute type %v", ErrSchema, at)
+	return r.decode(e)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"movingdb/internal/base"
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
 	"movingdb/internal/spatial"
@@ -28,115 +29,89 @@ func planesRelation(t *testing.T, n int) *Relation {
 	return rel
 }
 
-func TestInsertTypeChecking(t *testing.T) {
-	rel := NewRelation("r", Schema{{Name: "a", Type: TString}, {Name: "b", Type: TReal}})
-	if err := rel.Insert(Tuple{"x", 1.5}); err != nil {
-		t.Fatal(err)
+// typeSample is one value of an attribute type, the type's name in the
+// paper, and a check that a value read back from storage is the sample.
+type typeSample struct {
+	name  string
+	v     any
+	check func(any) bool
+}
+
+// typeSamples returns a sample of every attribute type in the type table
+// and fails the test for a row without one, so a new row cannot skip the
+// type-checking and storage tests.
+func typeSamples(t *testing.T) map[AttrType]typeSample {
+	t.Helper()
+	iv := temporal.Closed(0, 9)
+	mp, _ := moving.MPointFromSamples([]moving.Sample{
+		{T: 0, P: geom.Pt(0, 0)}, {T: 9, P: geom.Pt(9, 9)},
+	})
+	var mc units.MCycle
+	for _, p := range spatial.Ring(0, 0, 8, 0, 8, 8, 0, 8) {
+		mc = append(mc, units.MPoint{X0: p.X, X1: 1, Y0: p.Y})
 	}
+	a := units.MPoint{X0: 0, X1: 1}
+	bm := units.MPoint{X0: 0, X1: 1, Y0: 5}
+	samples := map[AttrType]typeSample{
+		TString: {"string", "hello", func(v any) bool { return v == "hello" }},
+		TInt:    {"int", int64(-7), func(v any) bool { return v == int64(-7) }},
+		TReal:   {"real", 2.5, func(v any) bool { return v == 2.5 }},
+		TBool:   {"bool", true, func(v any) bool { return v == true }},
+		TPeriods: {"range(instant)", temporal.MustPeriods(temporal.Closed(0, 2), temporal.Closed(5, 7)),
+			func(v any) bool { return v.(temporal.Periods).Contains(6) }},
+		TRegion: {"region", spatial.MustPolygonRegion(spatial.Ring(0, 0, 4, 0, 4, 4, 0, 4)),
+			func(v any) bool { return v.(spatial.Region).Area() == 16 }},
+		TLine: {"line", spatial.MustLine(geom.Seg(0, 0, 1, 1)),
+			func(v any) bool { return v.(spatial.Line).NumSegments() == 1 }},
+		TMPoint: {"mpoint", mp,
+			func(v any) bool { return v.(moving.MPoint).AtInstant(4.5).P == geom.Pt(4.5, 4.5) }},
+		TMRegion: {"mregion", moving.MustMRegion(units.MustURegion(iv, units.MFace{Outer: mc})),
+			func(v any) bool { snap, ok := v.(moving.MRegion).AtInstant(3); return ok && snap.Area() == 64 }},
+		TMReal: {"mreal", moving.MustMReal(units.NewUReal(iv, 1, 0, 0, false)),
+			func(v any) bool { return v.(moving.MReal).AtInstant(3) == base.Def(9.0) }},
+		TMBool: {"mbool", moving.MustMBool(units.UBool{Iv: iv, V: true}),
+			func(v any) bool { return v.(moving.MBool).AtInstant(3) == base.Def(true) }},
+		TMPoints: {"mpoints", moving.MustMPoints(units.MustUPoints(iv, a, bm)),
+			func(v any) bool { got, ok := v.(moving.MPoints).AtInstant(3); return ok && got.Len() == 2 }},
+		TMLine: {"mline", moving.MustMLine(units.MustULine(iv, units.MustMSeg(a, bm))),
+			func(v any) bool { got, ok := v.(moving.MLine).AtInstant(3); return ok && got.NumSegments() == 1 }},
+		TPoints: {"points", spatial.NewPoints(geom.Pt(1, 2), geom.Pt(3, 4)),
+			func(v any) bool { return v.(spatial.Points).Len() == 2 }},
+	}
+	for i := range typeTable {
+		if _, ok := samples[AttrType(i)]; !ok {
+			t.Fatalf("no sample value for attribute type %d", i)
+		}
+	}
+	return samples
+}
+
+func TestInsertTypeChecking(t *testing.T) {
+	samples := typeSamples(t)
+	for at, s := range samples {
+		if at.String() != s.name {
+			t.Errorf("AttrType(%d).String() = %q, want %q", int(at), at, s.name)
+		}
+		for bt := range samples {
+			err := NewRelation("r", Schema{{Name: "a", Type: bt}}).Insert(Tuple{s.v})
+			if bt == at && err != nil {
+				t.Errorf("%s column rejected its own sample: %v", bt, err)
+			}
+			if bt != at && !errors.Is(err, ErrSchema) {
+				t.Errorf("%s column accepted a %s value: %v", bt, at, err)
+			}
+		}
+		// TIReal has no row in the type table: no column of it stores a value.
+		if err := NewRelation("r", Schema{{Name: "a", Type: TIReal}}).Insert(Tuple{s.v}); !errors.Is(err, ErrSchema) {
+			t.Errorf("intime column accepted a %s value: %v", at, err)
+		}
+	}
+	rel := NewRelation("r", Schema{{Name: "a", Type: TString}, {Name: "b", Type: TReal}})
 	if err := rel.Insert(Tuple{"x"}); !errors.Is(err, ErrSchema) {
 		t.Error("arity violation accepted")
 	}
-	if err := rel.Insert(Tuple{"x", "not a real"}); !errors.Is(err, ErrSchema) {
-		t.Error("type violation accepted")
-	}
-	if rel.Len() != 1 {
+	if rel.Len() != 0 {
 		t.Errorf("Len = %d", rel.Len())
-	}
-}
-
-func TestQuery1LufthansaLongFlights(t *testing.T) {
-	// SELECT airline, id FROM planes
-	// WHERE airline = "Lufthansa" AND length(trajectory(flight)) > L
-	rel := planesRelation(t, 60)
-	const minLen = 400.0
-	res := rel.Select(func(tu Tuple) bool {
-		if Get[string](rel, tu, "airline") != "Lufthansa" {
-			return false
-		}
-		return Get[moving.MPoint](rel, tu, "flight").Trajectory().Length() > minLen
-	})
-	proj, err := res.Project("airline", "id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Len() == 0 {
-		t.Fatal("no qualifying flights; workload too small?")
-	}
-	// Verify every result row truly qualifies and no qualifying row is
-	// missing.
-	want := 0
-	for _, tu := range rel.Scan() {
-		if Get[string](rel, tu, "airline") == "Lufthansa" &&
-			Get[moving.MPoint](rel, tu, "flight").Length() > minLen {
-			want++
-		}
-	}
-	if proj.Len() != want {
-		t.Errorf("result rows = %d, want %d", proj.Len(), want)
-	}
-	for _, tu := range proj.Scan() {
-		if proj.Schema.Index("flight") >= 0 {
-			t.Error("projection kept flight column")
-		}
-		_ = tu
-	}
-}
-
-func TestQuery2ClosePairsJoin(t *testing.T) {
-	// SELECT ... FROM planes p, planes q
-	// WHERE val(initial(atmin(distance(p.flight, q.flight)))) < d
-	rel := planesRelation(t, 25)
-	const maxDist = 30.0
-	joined := rel.Join(rel, func(a, b Tuple) bool {
-		pa := Get[moving.MPoint](rel, a, "flight")
-		pb := Get[moving.MPoint](rel, b, "flight")
-		ida := Get[string](rel, a, "id")
-		idb := Get[string](rel, b, "id")
-		if ida >= idb { // avoid self-pairs and symmetric duplicates
-			return false
-		}
-		d := pa.Distance(pb)
-		first, ok := d.AtMin().Initial()
-		return ok && first.Val < maxDist
-	})
-	// Cross-check with a direct minimum computation.
-	want := 0
-	tuples := rel.Scan()
-	for i := range tuples {
-		for j := range tuples {
-			ida := Get[string](rel, tuples[i], "id")
-			idb := Get[string](rel, tuples[j], "id")
-			if ida >= idb {
-				continue
-			}
-			d := Get[moving.MPoint](rel, tuples[i], "flight").Distance(Get[moving.MPoint](rel, tuples[j], "flight"))
-			if mn, _, ok := d.Min(); ok && mn < maxDist {
-				want++
-			}
-		}
-	}
-	if joined.Len() != want {
-		t.Errorf("join rows = %d, want %d", joined.Len(), want)
-	}
-	// Join schema disambiguates clashing names.
-	if joined.Schema.Index("planes.airline") < 0 {
-		t.Errorf("join schema = %v", joined.Schema)
-	}
-}
-
-func TestExtend(t *testing.T) {
-	rel := planesRelation(t, 10)
-	ext := rel.Extend("len", TReal, func(tu Tuple) any {
-		return Get[moving.MPoint](rel, tu, "flight").Length()
-	})
-	if ext.Schema.Index("len") != 3 {
-		t.Fatalf("schema = %v", ext.Schema)
-	}
-	for _, tu := range ext.Scan() {
-		l := Get[float64](ext, tu, "len")
-		if l <= 0 || math.IsNaN(l) {
-			t.Errorf("len = %v", l)
-		}
 	}
 }
 
@@ -209,49 +184,18 @@ func TestStoredRelationWithRegions(t *testing.T) {
 }
 
 func TestStoredRelationAllTypes(t *testing.T) {
-	// Every attribute type survives the storage round trip inside a
-	// relation.
-	rel := NewRelation("everything", Schema{
-		{Name: "s", Type: TString},
-		{Name: "i", Type: TInt},
-		{Name: "r", Type: TReal},
-		{Name: "b", Type: TBool},
-		{Name: "per", Type: TPeriods},
-		{Name: "reg", Type: TRegion},
-		{Name: "lin", Type: TLine},
-		{Name: "pts", Type: TPoints},
-		{Name: "mp", Type: TMPoint},
-		{Name: "mr", Type: TMRegion},
-		{Name: "mrl", Type: TMReal},
-		{Name: "mb", Type: TMBool},
-		{Name: "mps", Type: TMPoints},
-		{Name: "ml", Type: TMLine},
-	})
-	iv := temporal.Closed(0, 9)
-	mp, _ := moving.MPointFromSamples([]moving.Sample{
-		{T: 0, P: geom.Pt(0, 0)}, {T: 9, P: geom.Pt(9, 9)},
-	})
-	var mc units.MCycle
-	for _, p := range spatial.Ring(0, 0, 8, 0, 8, 8, 0, 8) {
-		mc = append(mc, units.MPoint{X0: p.X, X1: 1, Y0: p.Y})
+	// Every attribute type of the type table survives the storage round
+	// trip inside a relation.
+	samples := typeSamples(t)
+	var schema Schema
+	var tuple Tuple
+	for i := range typeTable {
+		at := AttrType(i)
+		schema = append(schema, Column{Name: at.String(), Type: at})
+		tuple = append(tuple, samples[at].v)
 	}
-	mr := moving.MustMRegion(units.MustURegion(iv, units.MFace{Outer: mc}))
-	a := units.MPoint{X0: 0, X1: 1}
-	bm := units.MPoint{X0: 0, X1: 1, Y0: 5}
-	mps := moving.MustMPoints(units.MustUPoints(iv, a, bm))
-	ml := moving.MustMLine(units.MustULine(iv, units.MustMSeg(a, bm)))
-
-	rel.MustInsert(Tuple{
-		"hello", int64(-7), 2.5, true,
-		temporal.MustPeriods(temporal.Closed(0, 2), temporal.Closed(5, 7)),
-		spatial.MustPolygonRegion(spatial.Ring(0, 0, 4, 0, 4, 4, 0, 4)),
-		spatial.MustLine(geom.Seg(0, 0, 1, 1)),
-		spatial.NewPoints(geom.Pt(1, 2), geom.Pt(3, 4)),
-		mp, mr,
-		moving.MustMReal(units.NewUReal(iv, 1, 0, 0, false)),
-		moving.MustMBool(units.UBool{Iv: iv, V: true}),
-		mps, ml,
-	})
+	rel := NewRelation("everything", schema)
+	rel.MustInsert(tuple)
 	ps := storage.NewPageStore()
 	stored, err := StoreRelation(rel, ps)
 	if err != nil {
@@ -261,30 +205,10 @@ func TestStoredRelationAllTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tu := back.Scan()[0]
-	if Get[string](back, tu, "s") != "hello" || Get[int64](back, tu, "i") != -7 ||
-		Get[float64](back, tu, "r") != 2.5 || !Get[bool](back, tu, "b") {
-		t.Error("base attributes lost")
-	}
-	if !Get[temporal.Periods](back, tu, "per").Contains(6) {
-		t.Error("periods lost")
-	}
-	if Get[spatial.Region](back, tu, "reg").Area() != 16 {
-		t.Error("region lost")
-	}
-	if Get[spatial.Points](back, tu, "pts").Len() != 2 {
-		t.Error("points lost")
-	}
-	if got := Get[moving.MPoint](back, tu, "mp").AtInstant(4.5); got.P != geom.Pt(4.5, 4.5) {
-		t.Errorf("mpoint lost: %v", got)
-	}
-	if snap, ok := Get[moving.MRegion](back, tu, "mr").AtInstant(3); !ok || snap.Area() != 64 {
-		t.Error("mregion lost")
-	}
-	if got, ok := Get[moving.MPoints](back, tu, "mps").AtInstant(3); !ok || got.Len() != 2 {
-		t.Error("mpoints lost")
-	}
-	if got, ok := Get[moving.MLine](back, tu, "ml").AtInstant(3); !ok || got.NumSegments() != 1 {
-		t.Error("mline lost")
+	for i, v := range back.Scan()[0] {
+		at := schema[i].Type
+		if !typeOK(at, v) || !samples[at].check(v) {
+			t.Errorf("%s lost in the storage round trip: %v", at, v)
+		}
 	}
 }

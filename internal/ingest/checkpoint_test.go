@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -45,6 +46,15 @@ func reopenFromImage(t *testing.T, ps *storage.PageStore, cfg Config) (*Pipeline
 		t.Fatal(err)
 	}
 	return p, recovered
+}
+
+// forceCheckpoint writes a checkpoint whether or not one is due,
+// keeping the previous one: the tests' way to place a checkpoint at an
+// exact point of the log.
+func forceCheckpoint(p *Pipeline) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.checkpointLocked(false)
 }
 
 // ingestStream pushes the stream through p in small batches, fataling
@@ -91,6 +101,60 @@ func TestCheckpointBoundsReplay(t *testing.T) {
 		t.Fatalf("restart from compacted log diverged:\n got %s\nwant %s", got, want)
 	}
 	p.Close()
+}
+
+// TestCheckpointOncePerCrossing: one crossing of CheckpointPages writes
+// one checkpoint. Ingest reads checkpointDue after admit released p.mu,
+// so a second batch that crossed together with the first reaches
+// checkpointNow after the first already wrote; that second trigger must
+// not re-encode the whole history for no new batch.
+func TestCheckpointOncePerCrossing(t *testing.T) {
+	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour, CheckpointPages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for i := 0; p.Stats().WALCheckpoints == 0; i++ {
+		if _, err := p.Ingest([]Observation{{ObjectID: "c", T: float64(i), X: float64(i), Y: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.checkpointNow(false) // the second trigger of the same crossing
+	if n := p.Stats().WALCheckpoints; n != 1 {
+		t.Fatalf("one crossing wrote %d checkpoints, want 1", n)
+	}
+}
+
+// TestConcurrentIngestCheckpointsOncePerCrossing is the same contract
+// under contention (run it with -race): eight ingesters cross the
+// threshold together over and over, and the checkpoint count stays
+// within the batch pages logged divided by CheckpointPages.
+func TestConcurrentIngestCheckpointsOncePerCrossing(t *testing.T) {
+	const ingesters, batches, every = 8, 40, 4
+	m := obs.New(0)
+	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour, CheckpointPages: every, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < ingesters; g++ {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				if _, err := p.Ingest([]Observation{{ObjectID: id, T: float64(i), X: float64(i), Y: 1}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(fmt.Sprintf("g%d", g))
+	}
+	wg.Wait()
+	pages := m.Ingest.WALPages.Load()
+	if n := p.Stats().WALCheckpoints; n == 0 || n > pages/every {
+		t.Fatalf("%d batch pages wrote %d checkpoints, want 1..%d", pages, n, pages/every)
+	}
 }
 
 // TestCheckpointStateRoundTrip pins the state codec on its own: encode
@@ -146,9 +210,9 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 	}
 	third := len(stream) / 3
 	ingestStream(t, p, stream[:third], 7)
-	p.checkpointNow(false) // ckpt1
+	forceCheckpoint(p) // ckpt1
 	ingestStream(t, p, stream[third:2*third], 7)
-	p.checkpointNow(false) // ckpt2: log is now [ckpt1][batches][ckpt2]
+	forceCheckpoint(p) // ckpt2: log is now [ckpt1][batches][ckpt2]
 	ingestStream(t, p, stream[2*third:], 7)
 	p.Flush()
 	want := fingerprint(p)
@@ -196,7 +260,7 @@ func TestDirtyRecoveryRecheckpoints(t *testing.T) {
 	}
 	half := len(stream) / 2
 	ingestStream(t, p, stream[:half], 7)
-	p.checkpointNow(false)
+	forceCheckpoint(p)
 	ingestStream(t, p, stream[half:], 7)
 	p.Flush()
 	want := fingerprint(p)

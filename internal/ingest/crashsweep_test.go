@@ -79,7 +79,7 @@ func TestCrashPointSweep(t *testing.T) {
 			t.Fatalf("batch %d: seq=%d err=%v", i, seq, err)
 		}
 		if i == 3 || i == 7 {
-			p.checkpointNow(false)
+			forceCheckpoint(p)
 		}
 	}
 	if st := p.Stats(); st.WALCheckpoints != 2 {

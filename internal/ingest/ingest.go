@@ -469,11 +469,23 @@ func (p *Pipeline) logAppendLocked(batch []Observation) (uint64, error) {
 // checkpointNow drains the run and writes the checkpoint under p.mu, so
 // no admission (and therefore no WAL append) interleaves: the snapshot
 // is consistent with exactly the WAL sequence it is stamped with.
-// Checkpoint failure is not an ingest failure: the log stays valid, just
-// longer, and the next trigger retries.
+// Ingest reads checkpointDue after admit released p.mu, so concurrent
+// batches that cross CheckpointPages together all arrive here: the
+// re-check under p.mu lets only the first pay the O(history) encode.
+// The dirty-recovery rewrite (dropPrevious) always writes. Checkpoint
+// failure is not an ingest failure: the log stays valid, just longer,
+// and the next trigger retries.
 func (p *Pipeline) checkpointNow(dropPrevious bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if dropPrevious || p.wal.checkpointDue() {
+		p.checkpointLocked(dropPrevious)
+	}
+}
+
+// checkpointLocked is checkpointNow's write, due or not. Caller holds
+// p.mu.
+func (p *Pipeline) checkpointLocked(dropPrevious bool) {
 	p.drainLocked()
 	if err := p.wal.checkpoint(encodeState(p.store), dropPrevious); err != nil {
 		p.metrics.RecordIngestCause("checkpoint_failed", 1)

@@ -124,7 +124,7 @@ func FuzzReplayMatchesLive(f *testing.F) {
 			case 0:
 				p.Flush()
 			case 1:
-				p.checkpointNow(false)
+				forceCheckpoint(p)
 			default:
 				n := min(1+int(op>>2&3), len(data))
 				if n == 0 {

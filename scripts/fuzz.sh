@@ -1,0 +1,30 @@
+#!/bin/sh
+# Fuzz smokes: every native fuzz target in the repository, one after
+# another, each for <fuzztime> (default 10s). scripts/verify.sh runs it
+# at 10s and `make fuzz` at 60s; this file is the one list of targets.
+# Targets that stall while minimising a failure get -fuzzminimizetime=1s.
+#
+#   scripts/fuzz.sh [fuzztime]
+set -eu
+
+cd "$(dirname "$0")/.."
+fuzztime=${1:-10s}
+
+# smoke <package> <target> <what it checks> [extra go test flags]
+smoke() {
+    pkg=$1 target=$2 what=$3
+    shift 3
+    echo "==> fuzz smoke: $target ($fuzztime; $what)"
+    go test -run='^$' -fuzz="$target" -fuzztime="$fuzztime" "$@" "$pkg"
+}
+
+smoke ./internal/ingest FuzzWALDecode "WAL decoders never panic, the recovery scan never fails open"
+smoke ./internal/ingest FuzzReplayMatchesLive "a pipeline reopened on its log encodes byte-identically to the live store" -fuzzminimizetime=1s
+smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs baseline's linear scan" -fuzzminimizetime=1s
+smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
+smoke ./internal/temporal FuzzRefine "streaming sweep vs the sort-based oracle"
+smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for" -fuzzminimizetime=1s
+smoke ./internal/index FuzzDynamic "index ladder vs linear scan and brute-force k-NN"
+smoke ./internal/server FuzzIngestDecode "observation scanner vs encoding/json" -fuzzminimizetime=1s
+smoke ./internal/server FuzzQueryParams "RawQuery scanner vs url.ParseQuery, read routes never 5xx" -fuzzminimizetime=1s
+smoke ./internal/server FuzzJSONFloat "Schubfach float writer vs json.Marshal, bit pattern by bit pattern"
