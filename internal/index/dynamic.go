@@ -10,9 +10,11 @@ import (
 
 // tailCap is the number of entries the append-only tail holds before it
 // is folded into a rung. The tail is the only part a search scans
-// linearly, so it bounds that cost; the prototype rows that chose 512
-// are in DESIGN.md §8.
-const tailCap = 512
+// linearly, so it bounds that cost. The ingest store indexes one entry
+// per sealed chunk of 8 units, so 64 entries cover the 512 units the
+// tail covered when an entry was one observation; the rows that chose
+// it are in DESIGN.md §8.
+const tailCap = 64
 
 // Dynamic makes the static STR tree incrementally maintainable by the
 // logarithmic method: a short ladder of immutable bulk-built rungs,
@@ -110,12 +112,24 @@ func (d *Dynamic) Snapshot() Snapshot {
 	return Snapshot{rungs: d.rungs, tail: d.tail}
 }
 
+// WithRung returns s with r searched as one more rung. r is shared, not
+// copied, and s is left as it was; an empty r adds nothing, so every
+// rung a snapshot searches has a root. The ingest store adds its open
+// chunks this way: entries that are rebuilt on every publish and never
+// enter the ladder.
+func (s Snapshot) WithRung(r *RTree) Snapshot {
+	if r.Len() > 0 {
+		s.rungs = append(slices.Clip(s.rungs), r)
+	}
+	return s
+}
+
 // Search appends to out the IDs of all entries — every rung and the
 // captured tail — whose cubes intersect q, and returns the number of
 // nodes visited plus tail entries scanned. Lock-free: the snapshot's
-// data is immutable. Duplicate IDs may appear when a unit was indexed
-// in pieces (an append merged into its predecessor adds a second entry
-// for the extension). The appended IDs come back in no particular
+// data is immutable. An ID comes back once per matching entry, so one
+// the caller indexed twice can come back twice; the ingest store indexes
+// each chunk of units once. The appended IDs come back in no particular
 // order: the callers dedupe and order by themselves (ingest.Epoch.Window
 // by object slot, the live registry by subscription id), so a sort here
 // would be paid for and thrown away.

@@ -17,11 +17,14 @@ import (
 //
 // The traversal is time-aware: the query asks for neighbours at one
 // instant t, so nodes and entries whose cube time range excludes t are
-// pruned outright. That prune is complete because the store keeps the
-// union of a unit's entry cubes covering the unit's full extent (see
-// Store.Apply): for any object defined at t, at least one entry's time
-// range contains t, and that entry's spatial rect contains the object's
-// position at t — so its minimum distance is a sound lower bound.
+// pruned outright. That prune is complete because every entry the
+// ingest store indexes is one chunk of an object's units, and the
+// chunk's cube, sealed (a ladder entry) or open (the epoch's extra rung),
+// contains every unit of the chunk (see Store.Apply). For any object
+// defined at t, the chunk holding its unit at t therefore has an entry
+// whose time range contains t and whose spatial rect contains the
+// object's position at t — so its minimum distance is a sound lower
+// bound.
 
 // Neighbor is one nearest-neighbour result: the caller's refinement key
 // (for the epoch read path, the object slot) and the exact distance
@@ -31,8 +34,12 @@ type Neighbor struct {
 	Dist float64
 }
 
-// Queue item kinds, ordered so that on a distance tie refined results
-// pop before the candidates that could only match them.
+// Queue item kinds, ordered so that on a distance tie nodes and entries
+// pop before refined results: every object at that distance is refined
+// before any is emitted, so tied results come out by key. (Refined
+// first let an object whose entry cube contained the query point be
+// emitted ahead of a lower key whose entry still waited at the tied
+// distance.)
 const (
 	knnNode uint8 = iota
 	knnEntry
@@ -45,8 +52,8 @@ type knnItem struct {
 	id   int64 // node index, entry payload id, or refinement key
 }
 
-// knnHeap is a plain binary min-heap over (dist, kind desc, id asc) —
-// a deterministic total order, so traversal and tie-breaking are pure
+// knnHeap is a plain binary min-heap over (dist, kind, id) — a
+// deterministic total order, so traversal and tie-breaking are pure
 // functions of the snapshot.
 type knnHeap []knnItem
 
@@ -56,7 +63,7 @@ func (h knnHeap) less(i, j int) bool {
 		return a.dist < b.dist
 	}
 	if a.kind != b.kind {
-		return a.kind > b.kind
+		return a.kind < b.kind
 	}
 	return a.id < b.id
 }
@@ -134,7 +141,8 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 	// Every rung root seeds the frontier; a node id carries its rung in
 	// the high half (rung<<32 | node). Time-ordered ingest makes each
 	// rung a time slab, so most roots fail cubeCoversT right here. (A
-	// rung is never empty: NewDynamic drops an empty base.)
+	// rung is never empty: NewDynamic drops an empty base, WithRung an
+	// empty rung.)
 	scanned := len(s.tail)
 	for ri, r := range s.rungs {
 		if nd := &r.nodes[r.root]; cubeCoversT(nd.cube, t) {
@@ -153,8 +161,10 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 		}
 	}
 	// Refinement keys are sparse int64s from an unbounded domain: a map is
-	// the right dedup structure and it allocates once per query.
-	seen := make(map[int64]bool)
+	// the right dedup structure. Sized for 16 keys up front: a k = 10 query
+	// over chunk cubes refines a few more objects than it returns, and
+	// growing from the default size cost one more allocation than this.
+	seen := make(map[int64]bool, 16)
 	outCap := k
 	if outCap <= 0 {
 		outCap = 16 // radius query: no count bound, start small

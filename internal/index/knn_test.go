@@ -130,6 +130,20 @@ func TestNearestTimePruning(t *testing.T) {
 	}
 }
 
+// TestNearestTiesByKey: two objects at the same exact distance come out
+// by key even when the higher key's entry cube holds the query point, so
+// it is refined first, and the lower key's entry waits at exactly the
+// tied distance.
+func TestNearestTiesByKey(t *testing.T) {
+	wide := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 0}, MaxT: 1}, ID: 1}
+	point := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 0, MaxY: 0}, MaxT: 1}, ID: 0}
+	snap := NewDynamic(Build([]Entry{wide, point}), 0).Snapshot()
+	got, _ := snap.Nearest(1.75, 0, 0, 2, -1, func(id int64) (int64, float64, bool) { return id, 1.75, true })
+	if want := []Neighbor{{Key: 0, Dist: 1.75}, {Key: 1, Dist: 1.75}}; !slices.Equal(got, want) {
+		t.Fatalf("Nearest = %v, want %v", got, want)
+	}
+}
+
 // TestNearestEmpty: an empty snapshot and a k=0, radius<0 call both
 // return no neighbors without panicking.
 func TestNearestEmpty(t *testing.T) {

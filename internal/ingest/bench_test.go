@@ -97,6 +97,45 @@ func BenchmarkPipelineTick(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestEpisode measures one whole fleet_mixed write episode:
+// 570 trackers at speed 8 for 201 ticks, each tick one Ingest and one
+// Flush on a pipeline opened fresh for the iteration. Unlike
+// BenchmarkPipelineTick, which starts every tick on an empty ladder, it
+// pays every fold the episode's sealed chunks cause. It reports the mean
+// tick, the entries the final epoch's index holds (the ladder's sealed
+// chunks plus one open chunk per object) and the folds that merged rungs.
+func BenchmarkIngestEpisode(b *testing.B) {
+	const objects, ticks = 570, 201
+	// The generator, seed and shape of bench/'s fleet_mixed stream.
+	stream := toObservations(workload.New(570).ObservationStream("veh", objects, ticks-1, 0, 1, 8))
+	var st Stats
+	var entries int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for lo := 0; lo < len(stream); lo += objects {
+			if _, err := p.Ingest(stream[lo : lo+objects]); err != nil {
+				b.Fatal(err)
+			}
+			p.Flush()
+		}
+		b.StopTimer()
+		st, entries = p.Stats(), p.Epoch().idx.Len()
+		p.Close()
+		b.StartTimer()
+	}
+	if bound := st.Units/chunkUnits + objects; entries > bound {
+		b.Fatalf("the index holds %d entries for %d units of %d objects, over units/%d + objects = %d", entries, st.Units, objects, chunkUnits, bound)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ticks), "us/tick")
+	b.ReportMetric(float64(entries), "entries")
+	b.ReportMetric(float64(st.IndexMerges), "merging-folds")
+}
+
 // benchEpoch pins one epoch for the read-path benchmarks: 20 000
 // observations of 100 objects fed through the pipeline, so the index is
 // the ladder ingest leaves behind (several rungs and a part-full tail).

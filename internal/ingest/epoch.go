@@ -135,33 +135,30 @@ func (e *Epoch) Objects() int { return len(e.objs) }
 
 // Window reports the ids of objects inside rect at some instant of iv,
 // in ascending registration order, computed without taking any lock:
-// candidates come from the pinned index snapshot and refinement runs
-// against the sealed unit views. Dedup and ordering use a dense bitset
-// over object slots (slot index IS registration order), so the hot read
-// path does one bounded allocation and no sort.
+// candidates are chunks from the pinned index snapshot, and refinement
+// walks a candidate chunk's units in the sealed view, stopping at the
+// first that is inside. Dedup and ordering use a dense bitset over
+// object slots (slot index IS registration order), so the hot read path
+// does one bounded allocation and no sort.
 func (e *Epoch) Window(rect geom.Rect, iv temporal.Interval) []string {
 	q := geom.Cube{Rect: rect, MinT: float64(iv.Start), MaxT: float64(iv.End)}
 	ids, _ := e.idx.Search(q, nil)
 	seen := make([]bool, len(e.objs))
 	hits := 0
 	for _, id := range ids {
-		oi, ui := int(id>>32), int(id&0xffffffff)
+		oi, c := int(id>>32), int(id&0xffffffff)
 		if oi >= len(e.objs) || seen[oi] {
 			continue
 		}
+		// The snapshot was captured with the views, so chunk c is this
+		// view's; an open chunk ends at the view's last unit.
 		v := e.objs[oi]
-		if ui >= len(v.starts) {
-			// The entry references a unit appended after this epoch was
-			// sealed (a newer epoch's index snapshot would see it); it
-			// cannot contribute to this epoch's answer.
-			continue
-		}
-		// Refining against the sealed unit is safe: units only grow, so
-		// the unit at capture contains every extent its earlier index
-		// entries covered.
-		if index.UPointInWindow(*v.unit(ui), rect, iv) {
-			seen[oi] = true
-			hits++
+		for i, n := c*chunkUnits, min((c+1)*chunkUnits, len(v.starts)); i < n; i++ {
+			if index.UPointInWindow(*v.unit(i), rect, iv) {
+				seen[oi] = true
+				hits++
+				break
+			}
 		}
 	}
 	out := make([]string, 0, hits)

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,18 +174,8 @@ func TestEpochEquivalence(t *testing.T) {
 	}
 	for _, rect := range rects {
 		for _, iv := range ivs {
-			got := ep.Window(rect, iv)
-			want := map[string]bool{}
-			for _, oi := range index.ScanWindow(objs, rect, iv) {
-				want[sums[oi].ID] = true
-			}
-			if len(got) != len(want) {
+			if got, want := ep.Window(rect, iv), scanWindow(ep, rect, iv); !slices.Equal(got, want) {
 				t.Fatalf("rect %v iv %v: epoch window %v, brute force %v", rect, iv, got, want)
-			}
-			for _, id := range got {
-				if !want[id] {
-					t.Fatalf("rect %v iv %v: epoch window has %s, brute force does not", rect, iv, id)
-				}
 			}
 		}
 	}
@@ -209,41 +200,48 @@ func TestEpochEquivalence(t *testing.T) {
 	}
 }
 
-// TestEpochWindowLaterCandidateRefines: Snapshot.Search returns
-// candidates in no particular order, so Window's per-object dedupe must
-// not settle an object on its first candidate. "zig" has two units whose
-// boxes both meet the query: unit 0 runs the diagonal (0,0)→(10,10),
-// its box covers the corner [0,4]×[6,10] but the path never enters it;
-// unit 1, indexed later, runs (10,10)→(0,10) and does. "dot" sits still
-// outside the corner.
+// TestEpochWindowLaterCandidateRefines: an index entry is a chunk of
+// units, so Window must walk a candidate chunk past its first unit.
+// "zig" has nine units, so chunk 0 (units 0–7) is sealed and chunk 1
+// (unit 8) is open. Unit 0 runs the diagonal (0,0)→(10,10): its box
+// covers the window [3,5]×[8,10] but the path never enters it. Unit 1
+// runs (10,10)→(0,10) and does; units 2–8 stay clear of it. "dot" sits
+// still outside the window.
 func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, err := p.Ingest([]Observation{
-		{ObjectID: "dot", T: 0, X: 20, Y: 20}, {ObjectID: "dot", T: 20, X: 20, Y: 20},
-		{ObjectID: "zig", T: 0, X: 0, Y: 0}, {ObjectID: "zig", T: 10, X: 10, Y: 10}, {ObjectID: "zig", T: 20, X: 0, Y: 10},
-	}); err != nil {
+	obs := []Observation{{ObjectID: "dot", T: 0, X: 20, Y: 20}, {ObjectID: "dot", T: 90, X: 20, Y: 20}}
+	for i, pt := range [][2]float64{{0, 0}, {10, 10}, {0, 10}, {0, 20}, {20, 20}, {20, 30}, {30, 30}, {30, 40}, {40, 40}, {40, 50}} {
+		obs = append(obs, Observation{ObjectID: "zig", T: float64(10 * i), X: pt[0], Y: pt[1]})
+	}
+	if _, err := p.Ingest(obs); err != nil {
 		t.Fatal(err)
 	}
 	p.Flush()
 	ep := p.Epoch()
-	rect, iv := geom.Rect{MinX: 0, MinY: 6, MaxX: 4, MaxY: 10}, temporal.Closed(0, 20)
+	rect, iv := geom.Rect{MinX: 3, MinY: 8, MaxX: 5, MaxY: 10}, temporal.Closed(0, 90)
 
-	// The premise: both of zig's units are candidates, only the later one
+	// The premise: the ladder holds one sealed chunk, and it is zig's one
+	// candidate, chunk 0, whose first unit refines false and whose second
 	// refines true.
-	zig := ep.objs[ep.ids["zig"]]
-	cands, _ := ep.idx.Search(geom.Cube{Rect: rect, MinT: 0, MaxT: 20}, nil)
-	refined := map[int]bool{}
+	zi := ep.ids["zig"]
+	zig := ep.objs[zi]
+	cands, _ := ep.idx.Search(geom.Cube{Rect: rect, MinT: 0, MaxT: 90}, nil)
+	var chunks []int
 	for _, id := range cands {
-		if oi, ui := int(id>>32), int(id&0xffffffff); oi == ep.ids["zig"] {
-			refined[ui] = index.UPointInWindow(*zig.unit(ui), rect, iv)
+		if int(id>>32) == zi {
+			chunks = append(chunks, int(id&0xffffffff))
 		}
 	}
-	if len(zig.starts) != 2 || len(refined) != 2 || refined[0] || !refined[1] {
-		t.Fatalf("premise: zig has %d units; candidate unit -> refines: %v, want {0: false, 1: true}", len(zig.starts), refined)
+	rungs, tail, _ := p.store.IndexStats()
+	if rungs+tail != 1 || len(zig.starts) != 9 || len(chunks) != 1 || chunks[0] != 0 {
+		t.Fatalf("premise: %d sealed chunks, zig has %d units, candidate chunks %v; want 1, 9, [0]", rungs+tail, len(zig.starts), chunks)
+	}
+	if index.UPointInWindow(*zig.unit(0), rect, iv) || !index.UPointInWindow(*zig.unit(1), rect, iv) {
+		t.Fatal("premise: want unit 0 outside the window and unit 1 inside")
 	}
 	if got := ep.Window(rect, iv); len(got) != 1 || got[0] != "zig" {
 		t.Fatalf("Window = %v, want [zig]", got)
@@ -251,7 +249,7 @@ func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 }
 
 // TestConcurrentIngestAndEpochReads races continuous ingestion (with
-// continuation merges and, 2 388 index entries being past four full
+// continuation merges and, 291 sealed chunks being past four full
 // tails, index folds that merge rungs) against continuous epoch
 // queries — the race detector proves the COW publication protocol: no
 // read ever touches memory a writer mutates.
@@ -263,7 +261,7 @@ func TestConcurrentIngestAndEpochReads(t *testing.T) {
 	}
 	defer p.Close()
 
-	stream := toObservations(g.ObservationStream("r", 12, 200, 0, 1, 4))
+	stream := toObservations(g.ObservationStream("r", 12, 300, 0, 1, 4))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)

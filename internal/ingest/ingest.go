@@ -532,10 +532,10 @@ func (p *Pipeline) depth() int {
 // run and publishing).
 func (p *Pipeline) Epoch() *Epoch { return p.store.CurrentEpoch() }
 
-// Stats is a point-in-time view of the pipeline. The three index fields
-// keep the JSON names of the base+delta design the ladder replaced:
-// base_entries is the entries held in rungs, delta_entries the entries
-// in the tail, index_merges the folds that consumed an existing rung.
+// Stats is a point-in-time view of the pipeline. The index fields count
+// the ladder's sealed-chunk entries: rung_entries in rungs, tail_entries
+// in the tail, and index_merges the folds that consumed an existing
+// rung. The open chunks, rebuilt into each epoch, are not counted.
 type Stats struct {
 	Objects         int    `json:"objects"`
 	Units           int    `json:"units"`
@@ -543,8 +543,8 @@ type Stats struct {
 	Applied         int64  `json:"applied"`
 	Dropped         int64  `json:"dropped"`
 	Compacted       int64  `json:"compacted"`
-	BaseEntries     int    `json:"base_entries"`
-	DeltaEntries    int    `json:"delta_entries"`
+	RungEntries     int    `json:"rung_entries"`
+	TailEntries     int    `json:"tail_entries"`
 	IndexMerges     int    `json:"index_merges"`
 	WALSeq          uint64 `json:"wal_seq"`
 	WALPages        int    `json:"wal_pages"`
@@ -569,8 +569,8 @@ func (p *Pipeline) Stats() Stats {
 		Applied:         applied,
 		Dropped:         dropped,
 		Compacted:       compacted,
-		BaseEntries:     rungs,
-		DeltaEntries:    tail,
+		RungEntries:     rungs,
+		TailEntries:     tail,
 		IndexMerges:     merges,
 		WALSeq:          ws.seq,
 		WALPages:        ws.pages,

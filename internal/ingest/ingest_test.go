@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"movingdb/internal/geom"
-	"movingdb/internal/index"
 	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
 	"movingdb/internal/obs"
@@ -383,36 +382,27 @@ func TestCloseDrains(t *testing.T) {
 }
 
 // TestWindowMatchesScan cross-checks the dynamic-index window path
-// against a scan over the snapshots, with the data spread over index
-// rungs and a part-full tail.
+// against a scan over the snapshots, with the sealed chunks spread over
+// index rungs (at least one fold merged rungs) and a part-full tail, and
+// the open chunks in the epoch's extra rung.
 func TestWindowMatchesScan(t *testing.T) {
 	g := workload.New(11)
-	stream := g.ObservationStream("w", 12, 120, 0, 1, 8)
+	stream := g.ObservationStream("w", 12, 240, 0, 1, 8)
 	p, err := Open(Config{FlushSize: 4, MaxAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	feed(t, p, toObservations(stream), 37)
-	if rungs, tail, merges := p.store.IndexStats(); rungs == 0 || tail == 0 || merges == 0 {
-		t.Fatalf("test needs merged rungs and a non-empty tail to be meaningful: rungs=%d tail=%d merges=%d", rungs, tail, merges)
+	rungs, tail, merges := p.store.IndexStats()
+	if open := p.Epoch().idx.Len() - rungs - tail; rungs == 0 || tail == 0 || merges == 0 || open == 0 {
+		t.Fatalf("test needs merged rungs, a non-empty tail and open chunks to be meaningful: rungs=%d tail=%d merges=%d open=%d", rungs, tail, merges, open)
 	}
 	for i := 0; i < 30; i++ {
 		x, y := float64(i*30), float64((i*17)%900)
 		rect := geom.Rect{MinX: x, MinY: y, MaxX: x + 120, MaxY: y + 120}
 		iv := temporal.Closed(temporal.Instant(i*4), temporal.Instant(i*4+10))
-		got := p.Epoch().Window(rect, iv)
-		var want []string
-		for _, sum := range p.Epoch().Summaries() {
-			mp, _ := p.Epoch().Snapshot(sum.ID)
-			for _, u := range mp.M.Units() {
-				if index.UPointInWindow(u, rect, iv) {
-					want = append(want, sum.ID)
-					break
-				}
-			}
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
+		if got, want := p.Epoch().Window(rect, iv), scanWindow(p.Epoch(), rect, iv); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("query %d (%v, %v): index %v, scan %v", i, rect, iv, got, want)
 		}
 	}

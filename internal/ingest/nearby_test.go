@@ -1,10 +1,8 @@
 package ingest
 
 import (
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,36 +11,11 @@ import (
 	"movingdb/internal/workload"
 )
 
-// nearbyOracle computes the expected /v1/nearby answer by brute force
-// over the epoch's own AtInstant evaluation: every defined object's
-// exact position at t, ordered by (distance, id), radius-filtered,
-// truncated to k (k <= 0 unbounded).
-func nearbyOracle(e *Epoch, x, y float64, t temporal.Instant, k int, radius float64) []NearbyResult {
-	var all []NearbyResult
-	for _, p := range e.AtInstant(t) {
-		d := math.Hypot(p.X-x, p.Y-y)
-		if radius >= 0 && d > radius {
-			continue
-		}
-		all = append(all, NearbyResult{ID: p.ID, X: p.X, Y: p.Y, Dist: d})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
-	if k > 0 && len(all) > k {
-		all = all[:k]
-	}
-	return all
-}
-
 // TestEpochNearestOracle is the acceptance property test: over 1000
 // live objects, best-first k-NN through the epoch's index snapshot must
-// match the brute-force oracle exactly — ids, order, and distances —
-// for random query points at random instants, with and without a
-// radius bound.
+// match the brute-force oracle (bruteNearest) exactly — ids, order,
+// positions and distances — for random query points at random instants,
+// with and without a radius bound.
 func TestEpochNearestOracle(t *testing.T) {
 	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour, MaxQueued: 1 << 30})
 	if err != nil {
@@ -81,17 +54,8 @@ func TestEpochNearestOracle(t *testing.T) {
 			k = 0
 			radius = 30 + rng.Float64()*150
 		}
-		got := e.Nearest(x, y, ti, k, radius)
-		want := nearbyOracle(e, x, y, ti, k, radius)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (k=%d r=%.1f t=%v): got %d results, want %d", trial, k, radius, ti, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-9 ||
-				math.Abs(got[i].X-want[i].X) > 1e-9 || math.Abs(got[i].Y-want[i].Y) > 1e-9 {
-				t.Fatalf("trial %d (k=%d r=%.1f t=%v) result %d: got %+v, want %+v",
-					trial, k, radius, ti, i, got[i], want[i])
-			}
+		if got, want := e.Nearest(x, y, ti, k, radius), bruteNearest(e, x, y, ti, k, radius); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (k=%d r=%.1f t=%v): got %+v, want %+v", trial, k, radius, ti, got, want)
 		}
 	}
 }

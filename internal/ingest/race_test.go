@@ -15,8 +15,9 @@ import (
 // queries never observe the appender mid-mutation (the store lock
 // covers in-place tail updates) and the index tolerates concurrent
 // inserts, folds and searches. Whatever the interleaving, the writer
-// with the latest timestamps gets 10 × 200 observations accepted —
-// past two full index tails, so at least one fold merges rungs.
+// with the latest timestamps gets 10 × 400 observations accepted — alone
+// they seal over 330 chunks, past five full index tails, so at least one
+// fold merges rungs.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	g := workload.New(21)
 	seedStream := g.ObservationStream("r", 10, 5, 0, 1, 5)
@@ -37,7 +38,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			wg2 := workload.New(int64(100 + w))
-			stream := toObservations(wg2.ObservationStream("r", 10, 200, temporal.Instant(10+w), 1, 5))
+			stream := toObservations(wg2.ObservationStream("r", 10, 400, temporal.Instant(10+w), 1, 5))
 			for lo := 0; lo < len(stream); lo += 7 {
 				hi := min(lo+7, len(stream))
 				if _, err := p.Ingest(stream[lo:hi]); err != nil {

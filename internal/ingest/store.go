@@ -16,8 +16,13 @@ import (
 	"movingdb/internal/units"
 )
 
+// chunkUnits is the number of units one index entry covers: chunk c of
+// an object is its units [c·chunkUnits, (c+1)·chunkUnits). The sweep
+// that chose 8 is in DESIGN.md §8.
+const chunkUnits = 8
+
 // Store is the live object table: per-object unit arrays extended by
-// the appender plus the dynamic index over their bounding cubes. One
+// the appender plus the dynamic index over their chunks' cubes. One
 // RWMutex guards the table for the write path and the administrative
 // readers (stats, checkpoints); the serving read path does not use it —
 // queries pin the published Epoch (an immutable copy-on-write view, see
@@ -33,6 +38,13 @@ type Store struct {
 	// latest observation (Last, or the seed endpoint) — exactly the
 	// offline builder's chaining, maintained incrementally.
 	objs []*storage.Track // moguard: guarded by mu
+
+	// open[oi] is slot oi's open chunk as an index entry as of the last
+	// publish: the cube of its last ≤ chunkUnits units, an empty cube
+	// while it has none. Sealed chunks live in idx; the open ones change
+	// with every append, so each publish builds them into one extra rung
+	// of its epoch's snapshot.
+	open []index.Entry // moguard: guarded by mu
 
 	// Epoch machinery: dirty maps the object slots touched since the
 	// last publish to the bounding rectangle of their movement in that
@@ -77,10 +89,11 @@ type ObjectSummary struct {
 // seeds (seedHistory), a recovered checkpoint or a frozen data set — in
 // track order, which is registration order, so entryIDs stay stable. The
 // store takes ownership of the tracks and bulk-loads the index's first
-// rung over every unit.
+// rung over every sealed chunk.
 func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 	s := &Store{ids: make(map[string]int, len(h.Tracks)), dirty: make(map[int]geom.Rect), metrics: metrics}
 	s.applied, s.dropped, s.compacted = h.Applied, h.Dropped, h.Compacted
+	s.open = make([]index.Entry, 0, len(h.Tracks))
 	var entries []index.Entry
 	for i := range h.Tracks {
 		t := &h.Tracks[i]
@@ -93,30 +106,54 @@ func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 		oi := len(s.objs)
 		s.ids[t.ID] = oi
 		s.objs = append(s.objs, t)
-		for ui, u := range t.Units {
-			entries = append(entries, index.Entry{Cube: u.Cube(), ID: entryID(oi, ui)})
+		open := openChunk(len(t.Units))
+		for c := 0; c < open; c++ {
+			entries = append(entries, chunkEntry(oi, t.Units, c))
 		}
+		s.open = append(s.open, chunkEntry(oi, t.Units, open))
 	}
 	s.idx = index.NewDynamic(index.Build(entries), 0)
 	s.publish()
 	return s, nil
 }
 
-// entryID packs (object, unit) into the index payload id.
-func entryID(oi, ui int) int64 { return int64(oi)<<32 | int64(ui) }
+// entryID packs (object, chunk) into the index payload id.
+func entryID(oi, c int) int64 { return int64(oi)<<32 | int64(c) }
+
+// openChunk is the chunk holding the last of n units; every chunk before
+// it is sealed. With no units it is chunk 0, empty.
+func openChunk(n int) int { return max(n-1, 0) / chunkUnits }
+
+// chunkEntry is chunk c of slot oi, whose units are us, as an index
+// entry: the union of the cubes of the chunk's units — its first
+// len(us) − c·chunkUnits while it is open, all chunkUnits once sealed.
+func chunkEntry(oi int, us []units.UPoint, c int) index.Entry {
+	cube := geom.EmptyCube()
+	for _, u := range us[c*chunkUnits : min((c+1)*chunkUnits, len(us))] {
+		cube = cube.Union(u.Cube())
+	}
+	return index.Entry{Cube: cube, ID: entryID(oi, c)}
+}
 
 // Apply extends the mappings with a batch of observations, in order —
 // one drained run, or one replayed WAL record. A run is consecutive WAL
 // records concatenated, so applying it leaves the state that applying
 // the records one by one leaves, slot order included. Non-monotone
 // observations (t not after the object's latest) are dropped and
-// counted. Every accepted unit's bounding cube goes to the index in
-// one InsertBatch; when an append compacts into its predecessor, the cube
-// of the incoming extension is indexed under the merged unit's id, so
-// the union of that unit's entries always covers its full extent.
+// counted. The index holds one entry per sealed chunk of an object's
+// units: chunk c is sealed once unit (c+1)·chunkUnits is appended, after
+// which appendUnit, which rewrites only the last unit, never touches it
+// again, so its cube — the union of its units' cubes — is final. The
+// chunks this batch seals go to the index in one InsertBatch. The open
+// chunk of each object is not indexed here: publish rebuilds its cube
+// from the units, so every chunk's cube, sealed or open, contains every
+// unit of the chunk.
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.mu.Lock()
-	entries := make([]index.Entry, 0, len(batch))
+	// A chunk seals at most once per chunkUnits accepted observations of
+	// its object; a batch that seals more than its average share (a
+	// lock-step fleet crossing a chunk boundary together) grows this.
+	entries := make([]index.Entry, 0, len(batch)/chunkUnits)
 	for _, ob := range batch {
 		oi, ok := s.ids[ob.ObjectID]
 		if !ok {
@@ -138,13 +175,12 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 			continue
 		}
 		s.markDirtyLocked(oi, o.Last.P, smp.P)
-		u := unitBetween(o.Last, smp)
-		cube := u.Cube() // pre-merge: the extension's own extent
-		ui, merged := appendUnit(o, u)
+		ui, merged := appendUnit(o, unitBetween(o.Last, smp))
 		if merged {
 			compacted++
+		} else if c := ui / chunkUnits; ui%chunkUnits == 0 && c > 0 {
+			entries = append(entries, chunkEntry(oi, o.Units, c-1))
 		}
-		entries = append(entries, index.Entry{Cube: cube, ID: entryID(oi, ui)})
 		o.Last = smp
 		applied++
 	}
@@ -264,14 +300,16 @@ func (s *Store) publish() (*Epoch, []DirtyObject, bool) {
 // frozen ids map is recopied only when an object was registered. The
 // index snapshot is captured in the same critical section, so the view
 // and its index agree exactly — every drain completes its store apply
-// and its index insert before the pipeline triggers publish. Caller
+// and its index insert before the pipeline triggers publish. The dirty
+// slots' open-chunk cubes are recomputed from their units, and every
+// open chunk is STR-built into one more rung of that snapshot. Caller
 // holds s.mu.
 func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	prev := s.epoch.Load()
 	if prev != nil && len(s.dirty) == 0 && !s.added {
 		return prev, nil, false
 	}
-	next := &Epoch{seq: 1, idx: s.idx.Snapshot()}
+	next := &Epoch{seq: 1}
 	if prev != nil {
 		next.seq = prev.seq + 1
 	}
@@ -292,6 +330,9 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	for oi := sealed; oi < len(s.objs); oi++ {
 		next.objs[oi] = viewOf(s.objs[oi])
 	}
+	// A slot registered since the last publish is dirty: the loop below
+	// fills its open entry.
+	s.open = append(s.open, make([]index.Entry, len(s.objs)-len(s.open))...)
 	// Deterministic notification order: dirty map iteration is random,
 	// but subscribers observe event order per epoch — ascending id, here
 	// as ascending rank packed above the slot.
@@ -309,9 +350,18 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 			if oi < sealed {
 				next.objs[oi] = viewOf(s.objs[oi])
 			}
+			us := s.objs[oi].Units
+			s.open[oi] = chunkEntry(oi, us, openChunk(len(us)))
 			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi]})
 		}
 	}
+	open := make([]index.Entry, 0, len(s.open))
+	for _, e := range s.open {
+		if !e.Cube.IsEmpty() {
+			open = append(open, e)
+		}
+	}
+	next.idx = s.idx.Snapshot().WithRung(index.Build(open))
 	clear(s.dirty)
 	s.added = false
 	s.epoch.Store(next)

@@ -21,6 +21,7 @@ smoke() {
 smoke ./internal/ingest FuzzWALDecode "WAL decoders never panic, the recovery scan never fails open"
 smoke ./internal/ingest FuzzReplayMatchesLive "a pipeline reopened on its log encodes byte-identically to the live store" -fuzzminimizetime=1s
 smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs baseline's linear scan" -fuzzminimizetime=1s
+smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
 smoke ./internal/temporal FuzzRefine "streaming sweep vs the sort-based oracle"
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for" -fuzzminimizetime=1s
