@@ -23,9 +23,11 @@ lint:
 
 # Run the paper-kernel tests with the runtime invariant assertions
 # compiled in (sliced-representation and halfsegment-order checks, and
-# the executor re-running the kernels on every pair its filter skips).
+# the executor re-running the kernels on every pair its filter skips),
+# and the ingest tests, whose epochs hand the appender's units to
+# mapping.FromOrdered.
 debugcheck:
-	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
+	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
 # vet, race-enabled tests, every benchmark body of the root package and

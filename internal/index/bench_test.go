@@ -53,26 +53,32 @@ func benchBuild(b *testing.B, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
 }
 
-// BenchmarkDynamicInsert measures the amortised cost of an insert,
-// folds included, feeding n entries one InsertBatch call each — a
-// pipeline drain of one unit, the case the tail exists for (a fleet
-// tick's drain is BenchmarkBuild's). The ladder's shape: ns/entry grows
-// no faster than log n (the base+delta design it replaced was linear).
-func BenchmarkDynamicInsert(b *testing.B) {
+// BenchmarkFold measures the amortised cost of an entry, folds
+// included, feeding n entries 64 at a time — the sealed chunks the
+// ingest store folds at once (a fleet tick's drain is BenchmarkBuild's).
+// The ladder's shape: ns/entry grows no faster than log n (the
+// base+delta design it replaced was linear).
+func BenchmarkFold(b *testing.B) {
 	for _, n := range []int{1e3, 1e4, 1e5} {
 		b.Run(fmt.Sprintf("n=%.0e", float64(n)), func(b *testing.B) {
 			src := fleetCubes(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d := NewDynamic(nil, 0)
-				for _, e := range src {
-					d.Insert(e)
-				}
+				foldBy(src, 64)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
 		})
 	}
+}
+
+// foldBy folds es into an empty ladder n entries at a time.
+func foldBy(es []Entry, n int) Snapshot {
+	var s Snapshot
+	for lo := 0; lo < len(es); lo += n {
+		s, _ = s.Fold(es[lo:min(lo+n, len(es))])
+	}
+	return s
 }
 
 // benchSnapshotSearch runs the window mix of bench/'s delta sweep
@@ -87,22 +93,16 @@ func benchSnapshotSearch(b *testing.B, snap Snapshot) {
 	}
 }
 
-// ladderSnapshot is 20 000 fleet cubes inserted one at a time: the
-// ladder ingest leaves behind, several rungs and a part-full tail.
-func ladderSnapshot() Snapshot {
-	d := NewDynamic(nil, 0)
-	for _, e := range fleetCubes(20000) {
-		d.Insert(e)
-	}
-	return d.Snapshot()
-}
+// ladderSnapshot is 20 000 fleet cubes folded 64 at a time: the ladder
+// ingest leaves behind, several rungs.
+func ladderSnapshot() Snapshot { return foldBy(fleetCubes(20000), 64) }
 
 // BenchmarkSnapshotSearch compares the union search over a full ladder
 // with the same entries bulk-loaded as one rung: the price of searching
-// O(log n) trees and a tail instead of one tree.
+// O(log n) trees instead of one.
 func BenchmarkSnapshotSearch(b *testing.B) {
 	b.Run("rungs=1", func(b *testing.B) {
-		benchSnapshotSearch(b, NewDynamic(Build(fleetCubes(20000)), 0).Snapshot())
+		benchSnapshotSearch(b, Snapshot{}.WithRung(Build(fleetCubes(20000))))
 	})
 	b.Run("ladder", func(b *testing.B) { benchSnapshotSearch(b, ladderSnapshot()) })
 }

@@ -13,33 +13,33 @@ import (
 	"movingdb/internal/geom"
 )
 
-// The differential net over Dynamic: whatever structure sits behind
-// InsertBatch and Snapshot, Snapshot.Search must equal a linear scan of
-// the entries inserted before the capture and Snapshot.Nearest must
-// equal brute force over them. The harness only uses the exported
-// surface, so it runs unchanged against any implementation.
+// The differential net over the ladder: whatever rungs Fold builds,
+// Snapshot.Search must equal a linear scan of the entries folded before
+// the capture and Snapshot.Nearest must equal brute force over them. The
+// harness only uses the exported surface, so it runs unchanged against
+// any implementation.
 
-// dynModel is a Dynamic under test beside the oracle: every inserted
-// entry in insertion order, and the captured snapshots with the length
-// of that log at capture time.
+// dynModel is a ladder under test beside the oracle: every folded entry
+// in insertion order, and the captured snapshots with the length of that
+// log at capture time.
 type dynModel struct {
-	t     *testing.T
-	rng   *rand.Rand
-	d     *Dynamic
-	all   []Entry
-	clock float64
-	snaps []dynCapture
+	t      *testing.T
+	rng    *rand.Rand
+	ladder Snapshot
+	all    []Entry
+	clock  float64
+	snaps  []dynCapture
 }
 
 type dynCapture struct {
 	snap Snapshot
-	n    int // entries inserted before the capture
+	n    int // entries folded before the capture
 }
 
 // insertRun inserts n fresh cubes. Time-ordered runs advance the clock
 // the way ingest does (each rung becomes a time slab); shuffled runs
-// scatter over the whole history. single feeds them one InsertBatch
-// call per entry. coincident runs are a tick of parked trackers: equal
+// scatter over the whole history. single folds them one entry at a
+// time. coincident runs are a tick of parked trackers: equal
 // extents at four lattice points and one instant, so whole slabs of the
 // fold's sort keys tie and the order falls to the input position.
 func (m *dynModel) insertRun(n int, shuffled, single, coincident bool) {
@@ -62,29 +62,29 @@ func (m *dynModel) insertRun(n int, shuffled, single, coincident bool) {
 		})
 	}
 	if !single {
-		m.d.InsertBatch(m.all[lo:])
+		m.ladder, _ = m.ladder.Fold(m.all[lo:])
 	} else {
 		for i := lo; i < len(m.all); i++ {
-			m.d.Insert(m.all[i])
+			m.ladder, _ = m.ladder.Fold(m.all[i : i+1])
 		}
 	}
-	if got := m.d.Len(); got != len(m.all) {
+	if got := m.ladder.Len(); got != len(m.all) {
 		m.t.Fatalf("Len = %d after %d inserts", got, len(m.all))
 	}
-	if err := m.d.Validate(); err != nil {
+	if err := m.ladder.Validate(); err != nil {
 		m.t.Fatalf("Validate after %d inserts: %v", len(m.all), err)
 	}
 }
 
 func (m *dynModel) capture() {
 	if len(m.snaps) < 6 {
-		m.snaps = append(m.snaps, dynCapture{m.d.Snapshot(), len(m.all)})
+		m.snaps = append(m.snaps, dynCapture{m.ladder, len(m.all)})
 	}
 }
 
 // views is every captured snapshot plus one taken now.
 func (m *dynModel) views() []dynCapture {
-	return append(slices.Clip(m.snaps), dynCapture{m.d.Snapshot(), len(m.all)})
+	return append(slices.Clip(m.snaps), dynCapture{m.ladder, len(m.all)})
 }
 
 func (m *dynModel) window(a, b byte) {
@@ -183,12 +183,12 @@ func bruteNearest(entries []Entry, x, y, t float64, k int, radius float64) []Nei
 
 // checkDynamicOps runs an op stream, three bytes per op: the low two
 // bits of the first pick insert / capture / window / nearest, three more
-// shape an insert run (4 shuffled times, 8 single-entry batches, 64
+// shape an insert run (4 shuffled times, 8 single-entry folds, 64
 // coincident centres), and the other two bytes carry the run length or
 // the query position.
 func checkDynamicOps(t *testing.T, seed int64, data []byte) {
 	const maxOps, maxEntries = 48, 24000
-	m := &dynModel{t: t, rng: rand.New(rand.NewSource(seed)), d: NewDynamic(nil, 0)}
+	m := &dynModel{t: t, rng: rand.New(rand.NewSource(seed))}
 	for op := 0; op < maxOps && 3*op+2 < len(data); op++ {
 		kind, a, b := data[3*op], data[3*op+1], data[3*op+2]
 		switch kind & 3 {
@@ -260,33 +260,32 @@ func answersOf(s Snapshot, all []Entry) []byte {
 	return buf
 }
 
-// TestSnapshotIsolation: a snapshot captured before further inserts and
-// folds answers byte-identically while they happen and afterwards. Run
-// under -race it also proves the captured value shares no mutable state
-// with the writer.
+// TestSnapshotIsolation: a ladder captured before further folds answers
+// byte-identically while they happen and afterwards. Run under -race it
+// also proves the captured value shares no mutable state with the
+// writer's later folds.
 func TestSnapshotIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	all := randomCubes(rng, 9000)
 	const captured = 1300
-	// The threshold argument is small so that an implementation that
-	// honours it folds often; one that ignores it folds by its own rule.
-	d := NewDynamic(Build(slices.Clone(all[:300])), 64)
-	for _, e := range all[300:captured] {
-		d.Insert(e)
+	snap := Snapshot{}.WithRung(Build(slices.Clone(all[:300])))
+	for lo := 300; lo < captured; lo += 64 {
+		snap, _ = snap.Fold(all[lo:min(lo+64, captured)])
 	}
-	snap := d.Snapshot()
 	want := answersOf(snap, all)
 	if got := scanWindow(all[:captured], geom.Cube{Rect: geom.Rect{MaxX: 200, MaxY: 200}, MaxT: 200}); len(got) != captured || snap.Len() != captured {
 		t.Fatalf("fixture: snapshot Len = %d, scan sees %d, want %d", snap.Len(), len(got), captured)
 	}
 
 	var wg sync.WaitGroup
+	var ladder Snapshot
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		ladder = snap
 		for lo := captured; lo < len(all); {
 			hi := min(lo+1+(lo*7)%97, len(all))
-			d.InsertBatch(all[lo:hi])
+			ladder, _ = ladder.Fold(all[lo:hi])
 			lo = hi
 		}
 	}()
@@ -301,11 +300,11 @@ func TestSnapshotIsolation(t *testing.T) {
 	if got := answersOf(snap, all); !bytes.Equal(got, want) {
 		t.Fatal("captured snapshot answered differently after the writer finished")
 	}
-	if snap.Len() != captured || d.Len() != len(all) {
-		t.Fatalf("Len: snapshot %d (want %d), index %d (want %d)", snap.Len(), captured, d.Len(), len(all))
+	if snap.Len() != captured || ladder.Len() != len(all) {
+		t.Fatalf("Len: snapshot %d (want %d), ladder %d (want %d)", snap.Len(), captured, ladder.Len(), len(all))
 	}
 	q := geom.Cube{Rect: geom.Rect{MinX: 20, MinY: 20, MaxX: 60, MaxY: 60}, MinT: 10, MaxT: 70}
-	if got, _ := d.Search(q, nil); !slices.Equal(sorted(got), scanWindow(all, q)) {
-		t.Fatal("index after the writer finished disagrees with the scan")
+	if got, _ := ladder.Search(q, nil); !slices.Equal(sorted(got), scanWindow(all, q)) {
+		t.Fatal("ladder after the writer finished disagrees with the scan")
 	}
 }

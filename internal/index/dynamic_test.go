@@ -10,8 +10,8 @@ import (
 	"movingdb/internal/geom"
 )
 
-// TestDynamicSearchMatchesScan cross-checks the union search (rungs +
-// tail) against a scan over all entries, at several splits between the
+// TestDynamicSearchMatchesScan cross-checks the union search over every
+// rung against a scan over all entries, at several splits between the
 // bulk-loaded first rung and the inserted rest, including an empty
 // first rung and nothing inserted.
 func TestDynamicSearchMatchesScan(t *testing.T) {
@@ -20,8 +20,8 @@ func TestDynamicSearchMatchesScan(t *testing.T) {
 	for _, split := range []int{0, 1, 1500, 2999, 3000} {
 		d := NewDynamic(Build(slices.Clone(entries[:split])), 0)
 		d.InsertBatch(entries[split:])
-		if d.Len() != len(entries) {
-			t.Fatalf("split=%d: Len=%d", split, d.Len())
+		if n := d.Snapshot().Len(); n != len(entries) {
+			t.Fatalf("split=%d: Len=%d", split, n)
 		}
 		for trial := 0; trial < 30; trial++ {
 			q := randomCubes(rng, 1)[0].Cube
@@ -34,84 +34,82 @@ func TestDynamicSearchMatchesScan(t *testing.T) {
 }
 
 // TestDynamicMergeValidate: every rung of the ladder must pass the
-// R-tree invariant checks across repeated folds, driven by inserting
-// well past the fixed tail size.
+// R-tree invariant checks across repeated folds of growing batches, at
+// least one fold must merge rungs, and no entry may be lost.
 func TestDynamicMergeValidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	d := NewDynamic(Build(randomCubes(rng, 100)), 0)
-	total := 100
+	ladder := Snapshot{}.WithRung(Build(randomCubes(rng, 100)))
+	total, merges := 100, 0
 	for round := 0; round < 40; round++ {
 		batch := randomCubes(rng, 50+round)
 		for i := range batch {
 			batch[i].ID = int64(total + i) // keep ids distinct across rounds
 		}
-		d.InsertBatch(batch)
+		var merged bool
+		if ladder, merged = ladder.Fold(batch); merged {
+			merges++
+		}
 		total += len(batch)
-		if err := d.Validate(); err != nil {
+		if err := ladder.Validate(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
-	rungs, tail, merges := d.Stats()
 	if merges == 0 {
-		t.Fatalf("%d inserts past a tail of %d must have merged rungs", total, tailCap)
+		t.Fatalf("%d entries in 41 folds merged no rungs", total)
 	}
-	if tail >= tailCap {
-		t.Fatalf("tail not folded: %d entries", tail)
-	}
-	if rungs+tail != total || d.Len() != total {
-		t.Fatalf("entries lost across folds: rungs %d + tail %d, Len %d, inserted %d", rungs, tail, d.Len(), total)
+	if ladder.Len() != total {
+		t.Fatalf("entries lost across folds: Len %d, folded %d", ladder.Len(), total)
 	}
 }
 
-// TestLadderInvariants checks the shape after every insert, for the
-// single-entry inserts of one-unit drains and for mixed batch sizes: each rung at
-// least twice the size of the next and the last at least a full tail —
-// so every rung outweighs everything after it and the rung count is at
-// most ⌈log₂(n / tailCap)⌉ + 1 — the tail below tailCap, nothing lost,
-// and every rung a valid tree. It also pins the amortisation: the
-// entries moved by all folds together stay within log₂ n per insert.
+// TestLadderInvariants checks the shape after every fold, for folds of
+// one entry (the pure binary counter), of 64 (the ingest store folds its
+// sealed chunks 64 at a time) and of mixed sizes: each rung at least
+// twice the size of the next and the last at least the smallest fold m
+// — so every rung outweighs everything after it and the rung count is
+// at most ⌈log₂(n / m)⌉ + 1 — nothing lost, and every rung a valid tree.
+// It also pins the amortisation: the entries moved by all folds
+// together stay within log₂ n per entry.
 func TestLadderInvariants(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		batch func(i int) int
 	}{
 		{"single", func(int) int { return 1 }},
+		{"chunks", func(int) int { return 64 }},
 		{"mixed", func(i int) int { return 1 + (i*i*7)%1300 }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(12))
-			d := NewDynamic(nil, 0)
+			var ladder Snapshot
 			const n = 20000
-			inserted, moved := 0, 0
+			inserted, moved, smallest := 0, 0, n
 			for i := 0; inserted < n; i++ {
-				before := d.Snapshot().rungs
-				d.InsertBatch(randomCubes(rng, c.batch(i)))
-				inserted += c.batch(i)
-				snap := d.Snapshot()
-				if len(snap.tail) >= tailCap {
-					t.Fatalf("after %d: tail holds %d", inserted, len(snap.tail))
+				size := c.batch(i)
+				ladder, _ = ladder.Fold(randomCubes(rng, size))
+				inserted += size
+				smallest = min(smallest, size)
+				if ladder.Len() != inserted {
+					t.Fatalf("after %d: Len = %d", inserted, ladder.Len())
 				}
-				if snap.Len() != inserted || d.Len() != inserted {
-					t.Fatalf("after %d: Len = %d / %d", inserted, snap.Len(), d.Len())
-				}
-				for ri, r := range snap.rungs {
-					if ri+1 < len(snap.rungs) && r.Len() < 2*snap.rungs[ri+1].Len() {
-						t.Fatalf("after %d: rung %d has %d entries, the next %d", inserted, ri, r.Len(), snap.rungs[ri+1].Len())
+				rungs := ladder.rungs
+				for ri, r := range rungs {
+					if ri+1 < len(rungs) && r.Len() < 2*rungs[ri+1].Len() {
+						t.Fatalf("after %d: rung %d has %d entries, the next %d", inserted, ri, r.Len(), rungs[ri+1].Len())
 					}
 				}
-				if k := len(snap.rungs); k > 0 {
-					if last := snap.rungs[k-1].Len(); last < tailCap {
-						t.Fatalf("after %d: last rung holds %d < tailCap", inserted, last)
-					}
-					if bound := bits.Len(uint((inserted-1)/tailCap)) + 1; k > bound {
-						t.Fatalf("after %d: %d rungs, bound %d", inserted, k, bound)
-					}
+				k := len(rungs)
+				if last := rungs[k-1].Len(); last < smallest {
+					t.Fatalf("after %d: last rung holds %d < the smallest fold's %d", inserted, last, smallest)
 				}
-				if k := len(snap.rungs); k > 0 && (len(before) < k || before[k-1] != snap.rungs[k-1]) {
-					moved += snap.rungs[k-1].Len() // a fold built this rung
-					if err := d.Validate(); err != nil {
-						t.Fatalf("after %d: %v", inserted, err)
-					}
+				if bound := bits.Len(uint((inserted-1)/smallest)) + 1; k > bound {
+					t.Fatalf("after %d: %d rungs, bound %d", inserted, k, bound)
+				}
+				// Every fold builds the last rung; the ones above it are
+				// shared with the ladder before, already checked.
+				moved += rungs[k-1].Len()
+				if err := rungs[k-1].Validate(); err != nil {
+					t.Fatalf("after %d: %v", inserted, err)
 				}
 			}
 			if perEntry, bound := float64(moved)/float64(inserted), math.Log2(float64(inserted)); perEntry > bound {
@@ -152,7 +150,7 @@ func TestSearchReusedOutSlice(t *testing.T) {
 
 // TestSearchEmptyCubes pins geom.Cube.Intersects' semantics on the
 // inlined overlap test: an inverted (empty) cube matches nothing,
-// whether it is the query or an indexed entry, in a rung or in the tail.
+// whether it is the query or an indexed entry.
 func TestSearchEmptyCubes(t *testing.T) {
 	world := geom.Cube{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 100, MaxY: 100}, MinT: 0, MaxT: 100}
 	inverted := geom.Cube{Rect: geom.Rect{MinX: 60, MinY: 10, MaxX: 40, MaxY: 20}, MinT: 0, MaxT: 100}

@@ -19,8 +19,8 @@ import (
 // instant t, so nodes and entries whose cube time range excludes t are
 // pruned outright. That prune is complete because every entry the
 // ingest store indexes is one chunk of an object's units, and the
-// chunk's cube, sealed (a ladder entry) or open (the epoch's extra rung),
-// contains every unit of the chunk (see Store.Apply). For any object
+// chunk's cube, sealed or open, in a folded rung or the epoch's extra
+// rung, contains every unit of the chunk (see Store.Apply). For any object
 // defined at t, the chunk holding its unit at t therefore has an entry
 // whose time range contains t and whose spatial rect contains the
 // object's position at t — so its minimum distance is a sound lower
@@ -128,8 +128,8 @@ func cubeCoversT(c geom.Cube, t float64) bool {
 // the exact distance at t; ok = false marks the key as unable to
 // contribute (stale entry, object undefined at t) and the traversal
 // never asks about it again. Results come back in ascending (distance,
-// key) order; scanned counts visited tree nodes plus tail entries, for
-// the scan-vs-index ablation. Deterministic: pure function of the
+// key) order; scanned counts visited tree nodes, for the scan-vs-index
+// ablation. Deterministic: pure function of the
 // snapshot and the arguments (ties broken by key).
 func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(id int64) (key int64, dist float64, ok bool)) ([]Neighbor, int) {
 	if maxDist < 0 {
@@ -141,23 +141,14 @@ func (s Snapshot) Nearest(x, y, t float64, k int, maxDist float64, refine func(i
 	// Every rung root seeds the frontier; a node id carries its rung in
 	// the high half (rung<<32 | node). Time-ordered ingest makes each
 	// rung a time slab, so most roots fail cubeCoversT right here. (A
-	// rung is never empty: NewDynamic drops an empty base, WithRung an
-	// empty rung.)
-	scanned := len(s.tail)
+	// rung is never empty: Fold builds none from nothing, WithRung drops
+	// an empty one.)
+	scanned := 0
 	for ri, r := range s.rungs {
 		if nd := &r.nodes[r.root]; cubeCoversT(nd.cube, t) {
 			if d := minDistRect(x, y, nd.cube.Rect); d <= maxDist {
 				h.push(knnItem{dist: d, kind: knnNode, id: int64(ri)<<32 | int64(r.root)})
 			}
-		}
-	}
-	for i := range s.tail {
-		e := &s.tail[i]
-		if !cubeCoversT(e.Cube, t) {
-			continue
-		}
-		if d := minDistRect(x, y, e.Cube.Rect); d <= maxDist {
-			h.push(knnItem{dist: d, kind: knnEntry, id: e.ID})
 		}
 	}
 	// Refinement keys are sparse int64s from an unbounded domain: a map is

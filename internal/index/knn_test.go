@@ -11,9 +11,8 @@ import (
 )
 
 // knnFixture is a set of random points indexed as degenerate cubes,
-// split between a bulk-loaded first rung and inserted entries (a second
-// rung or the tail, by size) so best-first traversal exercises every
-// source.
+// split between a bulk-loaded first rung and a folded second one, so
+// best-first traversal seeds its frontier from more than one root.
 type knnFixture struct {
 	xs, ys []float64
 	live   []bool // refine reports ok only for live ids
@@ -36,9 +35,7 @@ func buildKNNFixture(rng *rand.Rand, n int, tMin, tMax float64) *knnFixture {
 		}
 	}
 	split := len(entries) * 3 / 4
-	d := NewDynamic(Build(slices.Clone(entries[:split])), 0)
-	d.InsertBatch(entries[split:])
-	f.snap = d.Snapshot()
+	f.snap, _ = Snapshot{}.WithRung(Build(slices.Clone(entries[:split]))).Fold(entries[split:])
 	return f
 }
 
@@ -79,7 +76,7 @@ func (f *knnFixture) oracle(qx, qy float64, k int, maxDist float64) []Neighbor {
 }
 
 // TestNearestMatchesBruteForce is the k-NN property test: on 1000
-// random points, best-first traversal over rung + tail must return
+// random points, best-first traversal over two rungs must return
 // exactly the brute-force answer for random (query point, k, radius)
 // combinations, in (distance, id) order.
 func TestNearestMatchesBruteForce(t *testing.T) {
@@ -115,10 +112,9 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 func TestNearestTimePruning(t *testing.T) {
 	past := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 1, MinY: 1, MaxX: 1, MaxY: 1}, MinT: 0, MaxT: 10}, ID: 0}
 	now := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 5, MinY: 5, MaxX: 5, MaxY: 5}, MinT: 10, MaxT: 30}, ID: 1}
-	d := NewDynamic(Build([]Entry{past}), 0)
-	d.Insert(now)
+	snap, _ := Snapshot{}.WithRung(Build([]Entry{past})).Fold([]Entry{now})
 	refined := map[int64]int{}
-	got, _ := d.Snapshot().Nearest(0, 0, 20, 5, -1, func(id int64) (int64, float64, bool) {
+	got, _ := snap.Nearest(0, 0, 20, 5, -1, func(id int64) (int64, float64, bool) {
 		refined[id]++
 		return id, float64(id), true
 	})
@@ -137,7 +133,7 @@ func TestNearestTimePruning(t *testing.T) {
 func TestNearestTiesByKey(t *testing.T) {
 	wide := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 2, MaxY: 0}, MaxT: 1}, ID: 1}
 	point := Entry{Cube: geom.Cube{Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 0, MaxY: 0}, MaxT: 1}, ID: 0}
-	snap := NewDynamic(Build([]Entry{wide, point}), 0).Snapshot()
+	snap := Snapshot{}.WithRung(Build([]Entry{wide, point}))
 	got, _ := snap.Nearest(1.75, 0, 0, 2, -1, func(id int64) (int64, float64, bool) { return id, 1.75, true })
 	if want := []Neighbor{{Key: 0, Dist: 1.75}, {Key: 1, Dist: 1.75}}; !slices.Equal(got, want) {
 		t.Fatalf("Nearest = %v, want %v", got, want)

@@ -43,7 +43,7 @@ func BenchmarkAppendThroughput(b *testing.B) {
 }
 
 // BenchmarkStoreApply measures one flush's worth of Store.Apply — unit
-// construction, compaction and the index insert, without the WAL and
+// construction, compaction and chunk sealing, without the WAL and
 // the pending run around it. Every iteration applies the same 570 observations
 // (one fleet_mixed tick) to a fresh store, so allocs/op is exact.
 func BenchmarkStoreApply(b *testing.B) {
@@ -105,9 +105,7 @@ func BenchmarkPipelineTick(b *testing.B) {
 // tick, the entries the final epoch's index holds (the ladder's sealed
 // chunks plus one open chunk per object) and the folds that merged rungs.
 func BenchmarkIngestEpisode(b *testing.B) {
-	const objects, ticks = 570, 201
-	// The generator, seed and shape of bench/'s fleet_mixed stream.
-	stream := toObservations(workload.New(570).ObservationStream("veh", objects, ticks-1, 0, 1, 8))
+	stream := episodeStream()
 	var st Stats
 	var entries int
 	for i := 0; i < b.N; i++ {
@@ -117,28 +115,45 @@ func BenchmarkIngestEpisode(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		for lo := 0; lo < len(stream); lo += objects {
-			if _, err := p.Ingest(stream[lo : lo+objects]); err != nil {
-				b.Fatal(err)
-			}
-			p.Flush()
-		}
+		ingestTicks(b, p, stream)
 		b.StopTimer()
 		st, entries = p.Stats(), p.Epoch().idx.Len()
 		p.Close()
 		b.StartTimer()
 	}
-	if bound := st.Units/chunkUnits + objects; entries > bound {
-		b.Fatalf("the index holds %d entries for %d units of %d objects, over units/%d + objects = %d", entries, st.Units, objects, chunkUnits, bound)
+	if bound := st.Units/chunkUnits + episodeObjects; entries > bound {
+		b.Fatalf("the index holds %d entries for %d units of %d objects, over units/%d + objects = %d", entries, st.Units, episodeObjects, chunkUnits, bound)
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*ticks), "us/tick")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*episodeTicks), "us/tick")
 	b.ReportMetric(float64(entries), "entries")
 	b.ReportMetric(float64(st.IndexMerges), "merging-folds")
 }
 
+// episodeObjects trackers for episodeTicks ticks: the shape of bench/'s
+// fleet_mixed write stream.
+const episodeObjects, episodeTicks = 570, 201
+
+// episodeStream is fleet_mixed's stream: the generator, seed and shape
+// bench/ uses, trackers at speed 8.
+func episodeStream() []Observation {
+	return toObservations(workload.New(570).ObservationStream("veh", episodeObjects, episodeTicks-1, 0, 1, 8))
+}
+
+// ingestTicks feeds stream one tick of episodeObjects observations at a
+// time, each one Ingest and one Flush.
+func ingestTicks(tb testing.TB, p *Pipeline, stream []Observation) {
+	for lo := 0; lo < len(stream); lo += episodeObjects {
+		if _, err := p.Ingest(stream[lo : lo+episodeObjects]); err != nil {
+			tb.Fatal(err)
+		}
+		p.Flush()
+	}
+}
+
 // benchEpoch pins one epoch for the read-path benchmarks: 20 000
 // observations of 100 objects fed through the pipeline, so the index is
-// the ladder ingest leaves behind (several rungs and a part-full tail).
+// the ladder ingest leaves behind (several rungs, and sealed chunks
+// waiting for a fold in the extra rung beside the open ones).
 func benchEpoch(b *testing.B) *Epoch {
 	b.Helper()
 	p, err := Open(Config{FlushSize: 1, MaxAge: time.Hour, MaxQueued: 1 << 30})

@@ -22,8 +22,8 @@ func fingerprint(p *Pipeline) string {
 		m, _ := p.Epoch().Snapshot(s.ID)
 		fmt.Fprintf(&buf, "%s: %v\n", s.ID, m.M.Units())
 	}
-	applied, dropped, compacted := p.store.Counters()
-	fmt.Fprintf(&buf, "counters: %d %d %d\n", applied, dropped, compacted)
+	st := p.store.stats()
+	fmt.Fprintf(&buf, "counters: %d %d %d\n", st.Applied, st.Dropped, st.Compacted)
 	return buf.String()
 }
 

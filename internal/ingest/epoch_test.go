@@ -224,8 +224,8 @@ func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 	ep := p.Epoch()
 	rect, iv := geom.Rect{MinX: 3, MinY: 8, MaxX: 5, MaxY: 10}, temporal.Closed(0, 90)
 
-	// The premise: the ladder holds one sealed chunk, and it is zig's one
-	// candidate, chunk 0, whose first unit refines false and whose second
+	// The premise: the index holds one sealed chunk, still waiting for a
+	// fold, and it is zig's one candidate, chunk 0, whose first unit refines false and whose second
 	// refines true.
 	zi := ep.ids["zig"]
 	zig := ep.objs[zi]
@@ -236,9 +236,9 @@ func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 			chunks = append(chunks, int(id&0xffffffff))
 		}
 	}
-	rungs, tail, _ := p.store.IndexStats()
-	if rungs+tail != 1 || len(zig.starts) != 9 || len(chunks) != 1 || chunks[0] != 0 {
-		t.Fatalf("premise: %d sealed chunks, zig has %d units, candidate chunks %v; want 1, 9, [0]", rungs+tail, len(zig.starts), chunks)
+	st := p.Stats()
+	if sealed := st.RungEntries + st.TailEntries; sealed != 1 || len(zig.starts) != 9 || len(chunks) != 1 || chunks[0] != 0 {
+		t.Fatalf("premise: %d sealed chunks, zig has %d units, candidate chunks %v; want 1, 9, [0]", sealed, len(zig.starts), chunks)
 	}
 	if index.UPointInWindow(*zig.unit(0), rect, iv) || !index.UPointInWindow(*zig.unit(1), rect, iv) {
 		t.Fatal("premise: want unit 0 outside the window and unit 1 inside")
@@ -249,8 +249,8 @@ func TestEpochWindowLaterCandidateRefines(t *testing.T) {
 }
 
 // TestConcurrentIngestAndEpochReads races continuous ingestion (with
-// continuation merges and, 291 sealed chunks being past four full
-// tails, index folds that merge rungs) against continuous epoch
+// continuation merges and, 291 sealed chunks being more than four folds
+// of 64, index folds that merge rungs) against continuous epoch
 // queries — the race detector proves the COW publication protocol: no
 // read ever touches memory a writer mutates.
 func TestConcurrentIngestAndEpochReads(t *testing.T) {

@@ -20,16 +20,18 @@
 //   - a write-ahead log on top of storage.PageStore: every acknowledged
 //     batch is logged before the ack, and Open replays the log, so
 //     acknowledged observations survive a crash;
-//   - incremental index maintenance: fresh bounding cubes go to the
-//     small append-only tail of index.Dynamic, a ladder of immutable STR
-//     rungs. A full tail (512 entries, a fixed constant) is folded, on
-//     the flushing goroutine, with every trailing rung smaller than
-//     twice the running total into one bulk load — O(log n) rebuilds per
-//     entry, never a rebuild of all history — so window queries stay
-//     correct mid-ingest and an ack never waits on the whole index.
+//   - incremental index maintenance: the store owns a ladder of
+//     immutable STR rungs over each object's sealed chunks of units.
+//     Once 64 sealed chunks wait, the drain that sealed the last folds
+//     them, with every trailing rung smaller than twice the running
+//     total, into one bulk load — O(log n) rebuilds per entry, never a
+//     rebuild of all history — and until then every publish builds them,
+//     with the open chunks, into its epoch's one extra rung, so window
+//     queries stay correct mid-ingest and an ack never waits on the
+//     whole index.
 //
-// Lock order across the pipeline is pipeline → store → index. Queries
-// take none of them: they read the published Epoch (epoch.go).
+// Lock order across the pipeline is pipeline → store. Queries take
+// neither: they read the published Epoch (epoch.go).
 package ingest
 
 import (
@@ -294,10 +296,9 @@ func Open(cfg Config) (*Pipeline, error) {
 }
 
 // drainLocked applies the whole pending run to the store in one call —
-// one store lock, one entry slice, one InsertBatch — records the
-// latency and publishes one epoch. The run's backing array is released,
-// not kept for reuse, so a burst does not pin its peak size. Caller
-// holds p.mu.
+// one store lock, at most one fold — records the latency and publishes
+// one epoch. The run's backing array is released, not kept for reuse, so
+// a burst does not pin its peak size. Caller holds p.mu.
 func (p *Pipeline) drainLocked() {
 	if len(p.run) == 0 {
 		return
@@ -326,11 +327,12 @@ func (p *Pipeline) drainAged() {
 
 // publishEpoch seals everything the drains since the last publish
 // applied into the next epoch and publishes it. It runs once per drain,
-// after its one apply (and that apply's index insert) completed, so the
-// epoch's object views and index snapshot agree exactly. A configured
-// OnPublish hook (the live standing-query notifier) is handed the epoch
-// and the per-object dirty rectangles in the same call, still on the
-// drain path — it must only enqueue.
+// after its one apply (and that apply's fold, if any) completed; the
+// store builds the epoch's object views and index under one lock, so
+// they agree exactly. A configured OnPublish hook (the live
+// standing-query notifier) is handed the epoch and the per-object dirty
+// rectangles in the same call, still on the drain path — it must only
+// enqueue.
 func (p *Pipeline) publishEpoch() {
 	if err := fault.Hit("epoch.publish"); err != nil {
 		// Injected publish failure. The drained state stays applied and the
@@ -532,10 +534,13 @@ func (p *Pipeline) depth() int {
 // run and publishing).
 func (p *Pipeline) Epoch() *Epoch { return p.store.CurrentEpoch() }
 
-// Stats is a point-in-time view of the pipeline. The index fields count
-// the ladder's sealed-chunk entries: rung_entries in rungs, tail_entries
-// in the tail, and index_merges the folds that consumed an existing
-// rung. The open chunks, rebuilt into each epoch, are not counted.
+// Stats is a point-in-time view of the pipeline. The store's fields are
+// one cut of it; the queue, log, health and epoch fields are read just
+// after. The index fields count the ladder's sealed-chunk entries:
+// rung_entries folded into rungs, tail_entries waiting for a fold (each
+// epoch searches them in its extra rung, with the open chunks, which are
+// not counted), and index_merges the folds that consumed an existing
+// rung.
 type Stats struct {
 	Objects         int    `json:"objects"`
 	Units           int    `json:"units"`
@@ -558,27 +563,12 @@ type Stats struct {
 
 // Stats snapshots the pipeline counters.
 func (p *Pipeline) Stats() Stats {
-	applied, dropped, compacted := p.store.Counters()
-	rungs, tail, merges := p.store.IndexStats()
+	st := p.store.stats()
 	ws := p.wal.stats()
 	h := p.health.report()
-	return Stats{
-		Objects:         p.store.Len(),
-		Units:           p.store.UnitCount(),
-		QueueDepth:      p.depth(),
-		Applied:         applied,
-		Dropped:         dropped,
-		Compacted:       compacted,
-		RungEntries:     rungs,
-		TailEntries:     tail,
-		IndexMerges:     merges,
-		WALSeq:          ws.seq,
-		WALPages:        ws.pages,
-		WALCheckpoints:  ws.checkpoints,
-		WALQuarantined:  ws.quarantinedPages,
-		DeadLetterBatch: h.DeadLetterBatches,
-		DeadLetterObs:   h.DeadLetterObs,
-		Degraded:        h.Degraded,
-		Epoch:           p.Epoch().Seq(),
-	}
+	st.QueueDepth = p.depth()
+	st.WALSeq, st.WALPages, st.WALCheckpoints, st.WALQuarantined = ws.seq, ws.pages, ws.checkpoints, ws.quarantinedPages
+	st.DeadLetterBatch, st.DeadLetterObs, st.Degraded = h.DeadLetterBatches, h.DeadLetterObs, h.Degraded
+	st.Epoch = p.Epoch().Seq()
+	return st
 }

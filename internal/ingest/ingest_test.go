@@ -133,7 +133,7 @@ func TestCompactionMergesContinuedMotion(t *testing.T) {
 	if n := mp.M.Len(); n != 3 {
 		t.Fatalf("turn+rest: want 3 units, got %d", n)
 	}
-	if _, _, compacted := p.store.Counters(); compacted != 4 {
+	if compacted := p.store.stats().Compacted; compacted != 4 {
 		t.Fatalf("want 4 compactions (3 collinear + 1 rest), got %d", compacted)
 	}
 	if err := mp.M.Validate(); err != nil {
@@ -165,9 +165,8 @@ func TestNonMonotoneDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Flush()
-	applied, dropped, _ := p.store.Counters()
-	if applied != 3 || dropped != 2 {
-		t.Fatalf("want applied=3 dropped=2, got %d/%d", applied, dropped)
+	if st := p.store.stats(); st.Applied != 3 || st.Dropped != 2 {
+		t.Fatalf("want applied=3 dropped=2, got %d/%d", st.Applied, st.Dropped)
 	}
 	mp, _ := p.Epoch().Snapshot("a")
 	if err := mp.M.Validate(); err != nil {
@@ -381,10 +380,11 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
-// TestWindowMatchesScan cross-checks the dynamic-index window path
-// against a scan over the snapshots, with the sealed chunks spread over
-// index rungs (at least one fold merged rungs) and a part-full tail, and
-// the open chunks in the epoch's extra rung.
+// TestWindowMatchesScan cross-checks the index window path against a
+// scan over the snapshots, with the sealed chunks spread over ladder
+// rungs (at least one fold merged rungs) and some still waiting for a
+// fold, so the epoch's extra rung holds sealed chunks beside the open
+// ones.
 func TestWindowMatchesScan(t *testing.T) {
 	g := workload.New(11)
 	stream := g.ObservationStream("w", 12, 240, 0, 1, 8)
@@ -394,16 +394,35 @@ func TestWindowMatchesScan(t *testing.T) {
 	}
 	defer p.Close()
 	feed(t, p, toObservations(stream), 37)
-	rungs, tail, merges := p.store.IndexStats()
-	if open := p.Epoch().idx.Len() - rungs - tail; rungs == 0 || tail == 0 || merges == 0 || open == 0 {
-		t.Fatalf("test needs merged rungs, a non-empty tail and open chunks to be meaningful: rungs=%d tail=%d merges=%d open=%d", rungs, tail, merges, open)
+	st := p.Stats()
+	if open := p.Epoch().idx.Len() - st.RungEntries - st.TailEntries; st.RungEntries == 0 || st.TailEntries == 0 || st.IndexMerges == 0 || open == 0 {
+		t.Fatalf("test needs merged rungs, waiting sealed chunks (tail_entries > 0) and open chunks to be meaningful: %+v, open=%d", st, open)
 	}
+	// The periods run to the stream's end, where the waiting chunks are.
 	for i := 0; i < 30; i++ {
 		x, y := float64(i*30), float64((i*17)%900)
 		rect := geom.Rect{MinX: x, MinY: y, MaxX: x + 120, MaxY: y + 120}
-		iv := temporal.Closed(temporal.Instant(i*4), temporal.Instant(i*4+10))
+		iv := temporal.Closed(temporal.Instant(i*8), temporal.Instant(i*8+10))
 		if got, want := p.Epoch().Window(rect, iv), scanWindow(p.Epoch(), rect, iv); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("query %d (%v, %v): index %v, scan %v", i, rect, iv, got, want)
 		}
+	}
+}
+
+// TestFoldRulePinned feeds BenchmarkIngestEpisode's stream, 570 trackers
+// for 201 ticks, and pins what the fold rule leaves behind: the entries
+// of the final epoch's index (every sealed chunk plus one open chunk per
+// object) and the folds that merged rungs. Both are functions of the
+// insert sequence alone, so they move only if the carry rule, the
+// 64-chunk fold threshold or chunk sealing does.
+func TestFoldRulePinned(t *testing.T) {
+	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ingestTicks(t, p, episodeStream())
+	if entries, merges := p.Epoch().idx.Len(), p.Stats().IndexMerges; entries != 10036 || merges != 56 {
+		t.Fatalf("episode left %d index entries after %d merging folds, want 10036 after 56", entries, merges)
 	}
 }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -13,10 +14,10 @@ import (
 // TestConcurrentIngestAndQuery hammers the pipeline with writers and
 // readers at once — run under -race this is the acceptance check that
 // queries never observe the appender mid-mutation (the store lock
-// covers in-place tail updates) and the index tolerates concurrent
-// inserts, folds and searches. Whatever the interleaving, the writer
-// with the latest timestamps gets 10 × 400 observations accepted — alone
-// they seal over 330 chunks, past five full index tails, so at least one
+// covers in-place updates of the last unit) and epochs tolerate
+// concurrent folds. Whatever the interleaving, the writer with the
+// latest timestamps gets 10 × 400 observations accepted — alone they
+// seal over 330 chunks, more than five folds of 64, so at least one
 // fold merges rungs.
 func TestConcurrentIngestAndQuery(t *testing.T) {
 	g := workload.New(21)
@@ -102,10 +103,69 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			t.Fatalf("%s: invalid after concurrent ingest: %v", sum.ID, err)
 		}
 	}
-	if err := p.store.idx.Validate(); err != nil {
+	p.store.mu.RLock()
+	err = p.store.ladder.Validate()
+	p.store.mu.RUnlock()
+	if err != nil {
 		t.Fatalf("index invalid after concurrent ingest: %v", err)
 	}
 	if st := p.Stats(); st.IndexMerges == 0 {
 		t.Fatalf("no fold merged rungs: %+v", st)
+	}
+}
+
+// TestStatsIsOneCut: Stats reads the store's counters and sizes under
+// one lock, so no drain lands between them. In an unseeded pipeline that
+// drops nothing, every applied observation is an object's first, a new
+// unit or a compaction, so every reading taken beside concurrent
+// ingesters must satisfy applied = objects + units + compacted.
+func TestStatsIsOneCut(t *testing.T) {
+	p, err := Open(Config{FlushSize: 3, MaxAge: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	const writers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// A prefix per writer: no two writers share an object, so
+			// nothing arrives out of time order and nothing is dropped.
+			stream := toObservations(workload.New(int64(60+w)).ObservationStream(fmt.Sprintf("w%d-", w), 8, 400, 0, 1, 5))
+			for lo := 0; lo < len(stream); lo += 5 {
+				if _, err := p.Ingest(stream[lo:min(lo+5, len(stream))]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		wg.Wait()
+	}()
+	// A failed reading stops the readings, not the test: the writers
+	// finish before the deferred Close.
+	oneCut := func(st Stats) bool {
+		if st.Dropped != 0 || st.Applied != int64(st.Objects+st.Units)+st.Compacted {
+			t.Errorf("not one cut: applied %d, objects %d + units %d + compacted %d, dropped %d", st.Applied, st.Objects, st.Units, st.Compacted, st.Dropped)
+			return false
+		}
+		return true
+	}
+	for running := true; running && oneCut(p.Stats()); {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+	}
+	<-done
+	p.Flush()
+	if st := p.Stats(); oneCut(st) && st.Applied != writers*8*401 {
+		t.Fatalf("applied %d of %d observations", st.Applied, writers*8*401)
 	}
 }

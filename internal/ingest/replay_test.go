@@ -89,7 +89,7 @@ func TestReplayRebuildsServedState(t *testing.T) {
 	}
 	p.Flush()
 	p.Close()
-	if n := p.store.Len(); n != 9 {
+	if n := p.store.stats().Objects; n != 9 {
 		t.Fatalf("premise: %d objects, want 9", n)
 	}
 	r, err := Open(Config{Log: log, CheckpointPages: -1})

@@ -21,16 +21,21 @@ import (
 // that chose 8 is in DESIGN.md §8.
 const chunkUnits = 8
 
+// foldChunks is the number of sealed chunks that wait outside the
+// ladder before Apply folds them in. Until then every publish rebuilds
+// them into its epoch's extra rung, so it bounds that rebuild; the rows
+// that chose 64 are in DESIGN.md §8.
+const foldChunks = 64
+
 // Store is the live object table: per-object unit arrays extended by
-// the appender plus the dynamic index over their chunks' cubes. One
-// RWMutex guards the table for the write path and the administrative
+// the appender plus the index ladder over their chunks' cubes. One
+// RWMutex guards all of it for the write path and the administrative
 // readers (stats, checkpoints); the serving read path does not use it —
 // queries pin the published Epoch (an immutable copy-on-write view, see
 // epoch.go) and never contend with a flush.
 type Store struct {
 	mu  sync.RWMutex
 	ids map[string]int // moguard: guarded by mu
-	idx *index.Dynamic // moguard: immutable // set in newStore; synchronises itself
 
 	// objs holds each tracked object's live state as the track a
 	// checkpoint stores. Its unit array keeps the canonical online shape:
@@ -39,12 +44,19 @@ type Store struct {
 	// offline builder's chaining, maintained incrementally.
 	objs []*storage.Track // moguard: guarded by mu
 
-	// open[oi] is slot oi's open chunk as an index entry as of the last
-	// publish: the cube of its last ≤ chunkUnits units, an empty cube
-	// while it has none. Sealed chunks live in idx; the open ones change
-	// with every append, so each publish builds them into one extra rung
-	// of its epoch's snapshot.
-	open []index.Entry // moguard: guarded by mu
+	// ladder holds the folded sealed chunks: immutable rungs, replaced by
+	// a fold and never written, so every epoch shares them as they are.
+	// waiting holds the sealed chunks not yet folded, fewer than
+	// foldChunks, and merges counts the folds that merged a rung. open[oi]
+	// is slot oi's open chunk as an index entry as of the last publish:
+	// the cube of its last ≤ chunkUnits units, an empty cube while it has
+	// none. Open chunks change with every append, so each publish builds
+	// them, with the waiting chunks, into one extra rung of its epoch's
+	// snapshot.
+	ladder  index.Snapshot // moguard: guarded by mu
+	waiting []index.Entry  // moguard: guarded by mu
+	merges  int            // moguard: guarded by mu
+	open    []index.Entry  // moguard: guarded by mu
 
 	// Epoch machinery: dirty maps the object slots touched since the
 	// last publish to the bounding rectangle of their movement in that
@@ -88,10 +100,11 @@ type ObjectSummary struct {
 // newStore is the one constructor: it builds the object table from h —
 // seeds (seedHistory), a recovered checkpoint or a frozen data set — in
 // track order, which is registration order, so entryIDs stay stable. The
-// store takes ownership of the tracks and bulk-loads the index's first
+// store takes ownership of the tracks and bulk-loads the ladder's first
 // rung over every sealed chunk.
 func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 	s := &Store{ids: make(map[string]int, len(h.Tracks)), dirty: make(map[int]geom.Rect), metrics: metrics}
+	s.waiting = make([]index.Entry, 0, foldChunks)
 	s.applied, s.dropped, s.compacted = h.Applied, h.Dropped, h.Compacted
 	s.open = make([]index.Entry, 0, len(h.Tracks))
 	var entries []index.Entry
@@ -112,7 +125,7 @@ func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 		}
 		s.open = append(s.open, chunkEntry(oi, t.Units, open))
 	}
-	s.idx = index.NewDynamic(index.Build(entries), 0)
+	s.ladder = s.ladder.WithRung(index.Build(entries))
 	s.publish()
 	return s, nil
 }
@@ -140,20 +153,18 @@ func chunkEntry(oi int, us []units.UPoint, c int) index.Entry {
 // records concatenated, so applying it leaves the state that applying
 // the records one by one leaves, slot order included. Non-monotone
 // observations (t not after the object's latest) are dropped and
-// counted. The index holds one entry per sealed chunk of an object's
+// counted. The ladder holds one entry per sealed chunk of an object's
 // units: chunk c is sealed once unit (c+1)·chunkUnits is appended, after
 // which appendUnit, which rewrites only the last unit, never touches it
 // again, so its cube — the union of its units' cubes — is final. The
-// chunks this batch seals go to the index in one InsertBatch. The open
-// chunk of each object is not indexed here: publish rebuilds its cube
-// from the units, so every chunk's cube, sealed or open, contains every
-// unit of the chunk.
+// chunks this batch seals join the waiting ones, and once foldChunks
+// wait they fold into the ladder together. The open chunk of each
+// object is not indexed here: publish rebuilds its cube from the units,
+// so every chunk's cube, sealed or open, contains every unit of the
+// chunk.
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.mu.Lock()
-	// A chunk seals at most once per chunkUnits accepted observations of
-	// its object; a batch that seals more than its average share (a
-	// lock-step fleet crossing a chunk boundary together) grows this.
-	entries := make([]index.Entry, 0, len(batch)/chunkUnits)
+	defer s.mu.Unlock()
 	for _, ob := range batch {
 		oi, ok := s.ids[ob.ObjectID]
 		if !ok {
@@ -179,7 +190,7 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 		if merged {
 			compacted++
 		} else if c := ui / chunkUnits; ui%chunkUnits == 0 && c > 0 {
-			entries = append(entries, chunkEntry(oi, o.Units, c-1))
+			s.waiting = append(s.waiting, chunkEntry(oi, o.Units, c-1))
 		}
 		o.Last = smp
 		applied++
@@ -187,13 +198,14 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	s.applied += int64(applied)
 	s.dropped += int64(dropped)
 	s.compacted += int64(compacted)
-	s.mu.Unlock()
-	// The index insert runs after the table lock is released. No reader
-	// can see the units without their cubes: readers only see published
-	// epochs, and the pipeline serialises apply → insert → publish for
-	// each drain under its own lock. The index synchronises itself.
-	if len(entries) > 0 {
-		if s.idx.InsertBatch(entries) {
+	if len(s.waiting) >= foldChunks {
+		var merged bool
+		s.ladder, merged = s.ladder.Fold(s.waiting)
+		// A fresh buffer per fold cycle: reusing this one would pin
+		// whatever size a large batch (a recovery, a frozen load) grew it to.
+		s.waiting = make([]index.Entry, 0, foldChunks)
+		if merged {
+			s.merges++
 			s.metrics.Ingest.IndexMerges.Inc()
 		}
 	}
@@ -298,12 +310,10 @@ func (s *Store) publish() (*Epoch, []DirtyObject, bool) {
 // slots are re-sealed (constant work per object: a slice-header alias
 // of the immutable prefix plus one unit copied by value), and the
 // frozen ids map is recopied only when an object was registered. The
-// index snapshot is captured in the same critical section, so the view
-// and its index agree exactly — every drain completes its store apply
-// and its index insert before the pipeline triggers publish. The dirty
-// slots' open-chunk cubes are recomputed from their units, and every
-// open chunk is STR-built into one more rung of that snapshot. Caller
-// holds s.mu.
+// ladder is read in the same critical section, so the view and its index
+// agree exactly. The dirty slots' open-chunk cubes are recomputed from
+// their units, and the waiting sealed chunks and every open chunk are
+// STR-built into one more rung on top of the ladder. Caller holds s.mu.
 func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	prev := s.epoch.Load()
 	if prev != nil && len(s.dirty) == 0 && !s.added {
@@ -355,13 +365,14 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi]})
 		}
 	}
-	open := make([]index.Entry, 0, len(s.open))
+	extra := make([]index.Entry, 0, len(s.waiting)+len(s.open))
+	extra = append(extra, s.waiting...)
 	for _, e := range s.open {
 		if !e.Cube.IsEmpty() {
-			open = append(open, e)
+			extra = append(extra, e)
 		}
 	}
-	next.idx = s.idx.Snapshot().WithRung(index.Build(open))
+	next.idx = s.ladder.WithRung(index.Build(extra))
 	clear(s.dirty)
 	s.added = false
 	s.epoch.Store(next)
@@ -397,31 +408,24 @@ func (s *Store) idRankLocked() []int32 {
 	return s.rank
 }
 
-// Len returns the number of tracked objects.
-func (s *Store) Len() int {
+// stats fills the store's part of Stats: the counters, the table's size
+// and the ladder's, read under one lock so they are one cut — applied
+// equals objects + units + compacted in every reading of an unseeded
+// store that dropped nothing.
+func (s *Store) stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.objs)
-}
-
-// UnitCount returns the total number of units across objects.
-func (s *Store) UnitCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, o := range s.objs {
-		n += len(o.Units)
+	st := Stats{
+		Objects:     len(s.objs),
+		Applied:     s.applied,
+		Dropped:     s.dropped,
+		Compacted:   s.compacted,
+		RungEntries: s.ladder.Len(),
+		TailEntries: len(s.waiting),
+		IndexMerges: s.merges,
 	}
-	return n
+	for _, o := range s.objs {
+		st.Units += len(o.Units)
+	}
+	return st
 }
-
-// Counters returns the cumulative apply statistics.
-func (s *Store) Counters() (applied, dropped, compacted int64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.applied, s.dropped, s.compacted
-}
-
-// IndexStats reports, as one consistent view, the index entries held in
-// rungs, the entries in the tail, and the folds that merged rungs.
-func (s *Store) IndexStats() (rungs, tail, merges int) { return s.idx.Stats() }

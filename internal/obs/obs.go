@@ -204,7 +204,7 @@ type Metrics struct {
 		Dropped      Counter // non-monotone observations dropped at apply
 		Compacted    Counter // appends merged into their predecessor unit
 		// IndexMerges counts index folds that merged at least one existing
-		// rung into a larger one (a fold of the tail alone is not a merge).
+		// rung into a larger one (a fold into no rung is not a merge).
 		IndexMerges                        Counter
 		WALRecords, WALPages               Counter
 		WALCheckpoints, WALCheckpointPages Counter

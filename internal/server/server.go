@@ -326,7 +326,8 @@ func (s *Server) handleAtInstant(w http.ResponseWriter, r *http.Request) {
 
 // handleWindow answers ?x1=&y1=&x2=&y2=&t1=&t2= with the ids of objects
 // inside the window during the interval: the epoch's immutable index
-// snapshot (rungs + tail prefix) with exact refinement, so it sees
+// snapshot (the ladder's rungs and the extra rung) with exact
+// refinement, so it sees
 // every write flushed before the pin. Results paginate with
 // ?limit=&offset=; the envelope carries the total match count.
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {

@@ -42,7 +42,7 @@ norace=$(grep -l '^//go:build !race' $(find internal -name '*_test.go') |
 go test -run "^($norace)\$" ./internal/...
 
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
-go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db
+go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
 echo "==> go build -tags=faultinject ./..."
 go build -tags=faultinject ./...
