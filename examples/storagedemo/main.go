@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	t0, _ := long.DefTime().MinInstant()
+	t0, _ := long.DefTime().Min()
 	fmt.Printf("round trip ok: position at start %v == %v\n\n", decoded.AtInstant(t0), long.AtInstant(t0))
 
 	// Equality by representation: same value, same bytes.

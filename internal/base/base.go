@@ -1,8 +1,8 @@
 // Package base implements the discrete base types of the moving objects
 // data model (Section 3.2.1): int, real, string and bool, each extended
-// with the undefined value ⊥, plus the generic range(α) type constructor
-// over totally ordered base domains (Section 3.2.3) and the intime(α)
-// pairs.
+// with the undefined value ⊥, and the intime(α) pairs of Section 3.2.3.
+// The range(α) constructor lives in package temporal, beside
+// range(instant).
 package base
 
 import (
@@ -63,3 +63,13 @@ type (
 	// InstantVal is the discrete instant type (time domain ∪ {⊥}).
 	InstantVal = Value[temporal.Instant]
 )
+
+// Intime is the intime(α) type constructor: a pair of a time instant and
+// a value (Section 3.2.3).
+type Intime[T any] struct {
+	Inst temporal.Instant
+	Val  T
+}
+
+// String formats the pair as "(t, v)".
+func (p Intime[T]) String() string { return fmt.Sprintf("(%v, %v)", p.Inst, p.Val) }

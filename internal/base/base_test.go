@@ -1,8 +1,11 @@
 package base
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"movingdb/internal/temporal"
 )
 
 func TestValueUndef(t *testing.T) {
@@ -43,43 +46,41 @@ func TestValueKinds(t *testing.T) {
 	}
 }
 
+// range(real) is the range constructor of Section 3.2.3 applied to the
+// base type real. Its code is package temporal's, shared with
+// range(instant); these tests hold it to the paper over the reals.
+
+type (
+	realInterval = temporal.IntervalOf[float64]
+	realRange    = temporal.RangeOf[float64]
+)
+
+func closedReal(s, e float64) realInterval {
+	return realInterval{Start: s, End: e, LC: true, RC: true}
+}
+
 func TestIntervalValidation(t *testing.T) {
-	if _, err := NewInterval[int64](5, 2, true, true); err == nil {
+	if (realInterval{Start: 5, End: 2, LC: true, RC: true}).Validate() == nil {
 		t.Error("reversed interval accepted")
 	}
-	if _, err := NewInterval[int64](2, 2, false, true); err == nil {
+	if (realInterval{Start: 2, End: 2, RC: true}).Validate() == nil {
 		t.Error("half-open degenerate accepted")
 	}
-	iv := ClosedInterval[int64](1, 5)
+	iv := closedReal(1, 5)
 	if !iv.Contains(1) || !iv.Contains(5) || iv.Contains(0) || iv.Contains(6) {
 		t.Error("Contains wrong")
 	}
-	half := MustInterval[int64](1, 5, false, true)
+	half := realInterval{Start: 1, End: 5, RC: true}
 	if half.Contains(1) || !half.Contains(5) {
 		t.Error("closure flags ignored")
 	}
 }
 
-func TestDiscreteAdjacency(t *testing.T) {
-	a := ClosedInterval[int64](1, 2)
-	b := ClosedInterval[int64](3, 4)
-	if !a.Adjacent(b, IntSucc) {
-		t.Error("[1,2] and [3,4] adjacent over int")
-	}
-	if a.Adjacent(b, nil) {
-		t.Error("[1,2] and [3,4] not adjacent over a dense domain")
-	}
-	c := ClosedInterval[int64](4, 5)
-	if b.Disjoint(c) {
-		t.Error("[3,4] and [4,5] share 4")
-	}
-}
-
 func TestRangeCanonicalDense(t *testing.T) {
-	r, err := NewRange(
-		MustInterval(0.0, 2.0, true, false),
-		MustInterval(2.0, 4.0, true, true),
-		MustInterval(6.0, 7.0, true, true),
+	r, err := temporal.NewRange(
+		realInterval{Start: 0, End: 2, LC: true},
+		closedReal(2, 4),
+		closedReal(6, 7),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -87,27 +88,7 @@ func TestRangeCanonicalDense(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("canonical = %v", r)
 	}
-	if r.Intervals()[0] != ClosedInterval(0.0, 4.0) {
-		t.Errorf("merged = %v", r.Intervals()[0])
-	}
-	if err := r.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
-	}
-}
-
-func TestRangeCanonicalDiscrete(t *testing.T) {
-	r, err := NewDiscreteRange(IntSucc,
-		ClosedInterval[int64](1, 2),
-		ClosedInterval[int64](3, 4), // adjacent over int: merge
-		ClosedInterval[int64](10, 12),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 2 {
-		t.Fatalf("canonical = %v", r)
-	}
-	if r.Intervals()[0] != ClosedInterval[int64](1, 4) {
+	if r.Intervals()[0] != closedReal(0, 4) {
 		t.Errorf("merged = %v", r.Intervals()[0])
 	}
 	if err := r.Validate(); err != nil {
@@ -116,10 +97,7 @@ func TestRangeCanonicalDiscrete(t *testing.T) {
 }
 
 func TestRangeContains(t *testing.T) {
-	r, _ := NewRange(
-		MustInterval(0.0, 2.0, true, false),
-		ClosedInterval(5.0, 7.0),
-	)
+	r, _ := temporal.NewRange(realInterval{Start: 0, End: 2, LC: true}, closedReal(5, 7))
 	cases := []struct {
 		v    float64
 		want bool
@@ -138,78 +116,83 @@ func TestRangeContains(t *testing.T) {
 }
 
 func TestRangeSetOps(t *testing.T) {
-	r, _ := NewRange(ClosedInterval(0.0, 4.0))
-	s, _ := NewRange(ClosedInterval(2.0, 6.0), ClosedInterval(8.0, 9.0))
+	r, _ := temporal.NewRange(closedReal(0, 4))
+	s, _ := temporal.NewRange(closedReal(2, 6), closedReal(8, 9))
 	u := r.Union(s)
-	if u.Len() != 2 || u.Intervals()[0] != ClosedInterval(0.0, 6.0) {
+	if u.Len() != 2 || u.Intervals()[0] != closedReal(0, 6) {
 		t.Errorf("union = %v", u)
 	}
 	i := r.Intersect(s)
-	if i.Len() != 1 || i.Intervals()[0] != ClosedInterval(2.0, 4.0) {
+	if i.Len() != 1 || i.Intervals()[0] != closedReal(2, 4) {
 		t.Errorf("intersect = %v", i)
 	}
 	// Open/closed boundary handling in intersection.
-	a, _ := NewRange(MustInterval(0.0, 2.0, true, false))
-	b, _ := NewRange(ClosedInterval(2.0, 3.0))
+	a, _ := temporal.NewRange(realInterval{Start: 0, End: 2, LC: true})
+	b, _ := temporal.NewRange(closedReal(2, 3))
 	if !a.Intersect(b).IsEmpty() {
 		t.Errorf("[0,2) ∩ [2,3] = %v", a.Intersect(b))
 	}
 }
 
-func TestRangeStringRange(t *testing.T) {
-	r, err := NewRange(ClosedInterval("apple", "cherry"), ClosedInterval("kiwi", "mango"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Contains("banana") || r.Contains("grape") || !r.Contains("kiwi") {
-		t.Error("string range membership wrong")
-	}
-}
-
 func TestRangeEqualCanonical(t *testing.T) {
-	r1, _ := NewRange(MustInterval(0.0, 1.0, true, false), ClosedInterval(1.0, 2.0))
-	r2, _ := NewRange(ClosedInterval(0.0, 2.0))
+	r1, _ := temporal.NewRange(realInterval{Start: 0, End: 1, LC: true}, closedReal(1, 2))
+	r2, _ := temporal.NewRange(closedReal(0, 2))
 	if !r1.Equal(r2) {
 		t.Errorf("canonical forms differ: %v vs %v", r1, r2)
 	}
 }
 
 func TestRangeSetOpsProperty(t *testing.T) {
-	mk := func(raw []int8) Range[float64] {
-		var ivs []Interval[float64]
+	// Closed intervals from random endpoint pairs; the expected membership
+	// is read off the generated pairs, not off the ranges under test, at
+	// every endpoint and every midpoint between consecutive endpoints.
+	pairs := func(raw []int8) [][2]float64 {
+		var out [][2]float64
 		for k := 0; k+1 < len(raw); k += 2 {
-			s, e := float64(raw[k]), float64(raw[k+1])
-			if s > e {
-				s, e = e, s
-			}
-			ivs = append(ivs, ClosedInterval(s, e))
+			out = append(out, [2]float64{float64(min(raw[k], raw[k+1])), float64(max(raw[k], raw[k+1]))})
 		}
-		r, _ := NewRange(ivs...)
+		return out
+	}
+	mk := func(ps [][2]float64) realRange {
+		ivs := make([]realInterval, len(ps))
+		for k, p := range ps {
+			ivs[k] = closedReal(p[0], p[1])
+		}
+		r, err := temporal.NewRange(ivs...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return r
 	}
-	f := func(raw1, raw2 []int8, probe int8) bool {
-		r, s := mk(raw1), mk(raw2)
-		v := float64(probe)
-		inR, inS := r.Contains(v), s.Contains(v)
-		if r.Union(s).Contains(v) != (inR || inS) {
+	in := func(ps [][2]float64, v float64) bool {
+		return slices.ContainsFunc(ps, func(p [2]float64) bool { return p[0] <= v && v <= p[1] })
+	}
+	f := func(raw1, raw2 []int8) bool {
+		ps, qs := pairs(raw1), pairs(raw2)
+		r, s := mk(ps), mk(qs)
+		u, i := r.Union(s), r.Intersect(s)
+		if u.Validate() != nil || i.Validate() != nil {
 			return false
 		}
-		if r.Intersect(s).Contains(v) != (inR && inS) {
-			return false
+		ends := []float64{-200, 200}
+		for _, p := range append(ps, qs...) {
+			ends = append(ends, p[0], p[1])
 		}
-		return r.Union(s).Validate() == nil && r.Intersect(s).Validate() == nil
+		slices.Sort(ends)
+		probes := slices.Clone(ends)
+		for k := 1; k < len(ends); k++ {
+			probes = append(probes, (ends[k-1]+ends[k])/2)
+		}
+		for _, v := range probes {
+			inR, inS := in(ps, v), in(qs, v)
+			if u.Contains(v) != (inR || inS) || i.Contains(v) != (inR && inS) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIntSuccOverflow(t *testing.T) {
-	if _, ok := IntSucc(int64(^uint64(0) >> 1)); ok {
-		t.Error("IntSucc at MaxInt64 must fail")
-	}
-	if s, ok := IntSucc(41); !ok || s != 42 {
-		t.Error("IntSucc(41) wrong")
 	}
 }
 

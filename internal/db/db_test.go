@@ -139,7 +139,7 @@ func TestStoredRelationRoundTrip(t *testing.T) {
 		if p1.M.Len() != p2.M.Len() {
 			t.Fatal("unit count mismatch after round trip")
 		}
-		mid, _ := p2.DefTime().MinInstant()
+		mid, _ := p2.DefTime().Min()
 		if p1.AtInstant(mid) != p2.AtInstant(mid) {
 			t.Fatal("position mismatch after round trip")
 		}

@@ -35,20 +35,7 @@ type Mapping[U units.Unit[U]] struct {
 func New[U units.Unit[U]](us ...U) (Mapping[U], error) {
 	work := make([]U, len(us))
 	copy(work, us)
-	slices.SortFunc(work, func(a, b U) int {
-		ia, ib := a.Interval(), b.Interval()
-		switch {
-		case ia.Start < ib.Start:
-			return -1
-		case ia.Start > ib.Start:
-			return 1
-		case ia.LC && !ib.LC:
-			return -1
-		case !ia.LC && ib.LC:
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(work, func(a, b U) int { return a.Interval().Compare(b.Interval()) })
 	m := Mapping[U]{us: work}
 	if err := m.Validate(); err != nil {
 		return Mapping[U]{}, err
@@ -130,7 +117,7 @@ func (m Mapping[U]) FindUnit(t temporal.Instant) (int, bool) {
 		switch {
 		case iv.Contains(t):
 			return mid, true
-		case t < iv.Start || (t == iv.Start && !iv.LC):
+		case iv.StartsAfter(t):
 			hi = mid
 		default:
 			lo = mid + 1

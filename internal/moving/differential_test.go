@@ -226,7 +226,7 @@ func TestRestrictionCommutes(t *testing.T) {
 		flights, storms := diffData(seed)
 		for _, f := range flights {
 			dt := f.Flight.DefTime()
-			lo, _ := dt.MinInstant()
+			lo, _ := dt.Min()
 			// Three windows that cut units in their interior, the middle
 			// one half-open.
 			per := temporal.MustPeriods(

@@ -2,6 +2,7 @@ package moving
 
 import (
 	"math"
+	"slices"
 
 	"movingdb/internal/base"
 	"movingdb/internal/mapping"
@@ -146,7 +147,7 @@ func (r MReal) atValueNear(v float64) MReal {
 
 // At restricts the moving real to the times where its value lies in the
 // given real range.
-func (r MReal) At(rng base.Range[float64]) MReal {
+func (r MReal) At(rng temporal.RangeOf[float64]) MReal {
 	var bld mapping.Builder[units.UReal]
 	for _, u := range r.M.Units() {
 		for _, piece := range urealInRange(u, rng) {
@@ -158,7 +159,7 @@ func (r MReal) At(rng base.Range[float64]) MReal {
 
 // urealInRange returns the sub-units of u during which its value lies in
 // rng, in temporal order.
-func urealInRange(u units.UReal, rng base.Range[float64]) []units.UReal {
+func urealInRange(u units.UReal, rng temporal.RangeOf[float64]) []units.UReal {
 	// Collect candidate boundary crossing times for all interval
 	// endpoints of the range, then classify the pieces in between.
 	var critical []temporal.Instant
@@ -195,8 +196,8 @@ func splitInterval(iv temporal.Interval, cuts []temporal.Instant) []temporal.Int
 	if len(inner) == 0 {
 		return []temporal.Interval{iv}
 	}
-	sortInstants(inner)
-	inner = dedupInstants(inner)
+	slices.Sort(inner)
+	inner = slices.Compact(inner)
 	var out []temporal.Interval
 	cur, curLC := iv.Start, iv.LC
 	for _, c := range inner {
@@ -206,24 +207,6 @@ func splitInterval(iv temporal.Interval, cuts []temporal.Instant) []temporal.Int
 		cur, curLC = c, false
 	}
 	out = append(out, temporal.Interval{Start: cur, End: iv.End, LC: curLC, RC: iv.RC})
-	return out
-}
-
-func sortInstants(ts []temporal.Instant) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j] < ts[j-1]; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}
-
-func dedupInstants(ts []temporal.Instant) []temporal.Instant {
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || t != ts[i-1] {
-			out = append(out, t)
-		}
-	}
 	return out
 }
 
@@ -248,12 +231,8 @@ func (r MReal) CmpConst(v float64, keep func(sign int) bool) MBool {
 		for _, iv := range greater {
 			ps = append(ps, piece{iv, 1})
 		}
-		// The pieces of one unit are disjoint; order them temporally.
-		for i := 1; i < len(ps); i++ {
-			for j := i; j > 0 && ps[j].iv.Before(ps[j-1].iv); j-- {
-				ps[j], ps[j-1] = ps[j-1], ps[j]
-			}
-		}
+		// The pieces are disjoint; order them temporally.
+		slices.SortFunc(ps, func(a, b piece) int { return a.iv.Compare(b.iv) })
 		for _, p := range ps {
 			bld.Append(units.UBool{Iv: p.iv, V: keep(p.sign)})
 		}
@@ -341,26 +320,17 @@ func (r MReal) String() string { return r.M.String() }
 // RangeValues projects the moving real into its value set — the
 // rangevalues operation of the abstract model — as a canonical
 // range(real) value with exact closure at the bounds.
-func (r MReal) RangeValues() base.Range[float64] {
-	ivs := make([]base.Interval[float64], 0, r.M.Len())
+func (r MReal) RangeValues() temporal.RangeOf[float64] {
+	ivs := make([]temporal.IntervalOf[float64], 0, r.M.Len())
 	for _, u := range r.M.Units() {
 		lo, hi, lc, rc := u.ValueRange()
-		//molint:ignore float-eq a unit contributes a single value only when its min and max coincide bit-exactly (constant unit); tolerant equality would collapse near-flat ranges
-		if lo == hi && !(lc && rc) {
-			continue // a limit value only, never attained
-		}
-		//molint:ignore float-eq a unit contributes a single value only when its min and max coincide bit-exactly (constant unit); tolerant equality would collapse near-flat ranges
-		if lo == hi {
-			ivs = append(ivs, base.ClosedInterval(lo, hi))
-			continue
-		}
-		iv, err := base.NewInterval(lo, hi, lc, rc)
-		if err != nil {
-			continue
+		iv := temporal.IntervalOf[float64]{Start: lo, End: hi, LC: lc, RC: rc}
+		if iv.Validate() != nil {
+			continue // a limit never attained, or no value at all
 		}
 		ivs = append(ivs, iv)
 	}
-	rng, err := base.NewRange(ivs...)
+	rng, err := temporal.NewRange(ivs...)
 	if err != nil {
 		panic(err) // intervals above are validated
 	}

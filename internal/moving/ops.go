@@ -3,6 +3,7 @@ package moving
 import (
 	"context"
 	"math"
+	"slices"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/mapping"
@@ -47,11 +48,8 @@ func (r MReal) LessThan(s MReal) (MBool, bool) {
 		for _, iv := range greater {
 			ps = append(ps, piece{iv, false})
 		}
-		for i := 1; i < len(ps); i++ {
-			for j := i; j > 0 && ps[j].iv.Before(ps[j-1].iv); j-- {
-				ps[j], ps[j-1] = ps[j-1], ps[j]
-			}
-		}
+		// The pieces are disjoint; order them temporally.
+		slices.SortFunc(ps, func(a, b piece) int { return a.iv.Compare(b.iv) })
 		for _, p := range ps {
 			bld.Append(units.UBool{Iv: p.iv, V: p.v})
 		}

@@ -2,6 +2,7 @@ package moving
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"movingdb/internal/geom"
@@ -253,6 +254,85 @@ func TestRangeValues(t *testing.T) {
 	rv3 := r3.RangeValues()
 	if rv3.Len() != 2 || !rv3.Contains(3) || !rv3.Contains(8) || rv3.Contains(5) {
 		t.Errorf("plateau range = %v", rv3)
+	}
+}
+
+// TestMRealAtRangeProperty checks at(mreal, range(real)) and rangevalues
+// on random quadratic and √quadratic moving reals: at instants whose
+// value is not within 1e-6 of a range endpoint, the restriction is
+// defined exactly where the value lies in the range, and every sampled
+// value lies in the value range.
+func TestMRealAtRangeProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	coef := func() float64 { return math.Round((rng.Float64()*4-2)*8) / 8 }
+	for c := 0; c < 3000; c++ {
+		var us []units.UReal
+		at := 0.0
+		for k, n := 0, 1+rng.Intn(4); k < n; k++ {
+			end := at + 1 + float64(rng.Intn(4))
+			u := rho(at, end)
+			if k == n-1 && rng.Intn(2) == 0 {
+				u = iv(at, end)
+			}
+			a, b := coef(), coef()*4
+			root := rng.Intn(2) == 0
+			cc := coef() * 8
+			if root {
+				// a ≥ 0 and c above the vertex keep the radicand positive.
+				a = math.Abs(a)
+				cc = math.Abs(cc) + 0.5
+				if a > 0 {
+					cc += b * b / (4 * a)
+				} else {
+					b = 0
+				}
+			}
+			us = append(us, units.NewUReal(u, a, b, cc, root))
+			at = end
+		}
+		r, err := NewMReal(us...)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		var ivs []temporal.IntervalOf[float64]
+		var ends []float64
+		for k, n := 0, 1+rng.Intn(3); k < n; k++ {
+			s, e := rng.Float64()*20-6, rng.Float64()*20-6
+			if e < s {
+				s, e = e, s
+			}
+			lc, rc := rng.Intn(2) == 0, rng.Intn(2) == 0
+			ivs = append(ivs, temporal.IntervalOf[float64]{Start: s, End: e, LC: lc || s == e, RC: rc || s == e})
+			ends = append(ends, s, e)
+		}
+		R, err := temporal.NewRange(ivs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := r.At(R)
+		if err := res.M.Validate(); err != nil {
+			t.Fatalf("case %d: At(%v, %v) invalid: %v", c, r, R, err)
+		}
+		rv := r.RangeValues()
+		if err := rv.Validate(); err != nil {
+			t.Fatalf("case %d: RangeValues(%v) invalid: %v", c, r, err)
+		}
+	sample:
+		for k := 0; k < 20; k++ {
+			tt := temporal.Instant(rng.Float64() * at)
+			v := r.AtInstant(tt).MustGet()
+			if !rv.Contains(v) {
+				t.Fatalf("case %d: r(%v) = %v not in RangeValues %v", c, tt, v, rv)
+			}
+			for _, e := range ends {
+				if math.Abs(v-e) < 1e-6 {
+					continue sample
+				}
+			}
+			if got, want := res.Present(tt), R.Contains(v); got != want {
+				t.Fatalf("case %d: At(%v, %v) defined at %v = %v, r(t) = %v ∈ R = %v", c, r, R, tt, got, v, want)
+			}
+		}
 	}
 }
 

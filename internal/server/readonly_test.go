@@ -98,8 +98,8 @@ func TestReadOnlyMatchesReference(t *testing.T) {
 		t.Fatalf("objects: total %d, %d rows, want %d", listing.Total, len(listing.Objects), len(objects))
 	}
 	for i, p := range objects {
-		from, _ := p.DefTime().MinInstant()
-		to, _ := p.DefTime().MaxInstant()
+		from, _ := p.DefTime().Min()
+		to, _ := p.DefTime().Max()
 		want := ingest.ObjectSummary{ID: ids[i], Units: p.M.Len(), From: float64(from), To: float64(to)}
 		if listing.Objects[i] != want {
 			t.Fatalf("objects[%d] = %+v, want %+v", i, listing.Objects[i], want)

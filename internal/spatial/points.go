@@ -57,6 +57,19 @@ func NewPoints(pts ...geom.Point) Points {
 	return Points{pts: work}
 }
 
+// NewOrderedPoints validates points that are already in canonical order
+// — a stored points array — and wraps them without copying. Unlike
+// NewPoints it neither sorts nor deduplicates: an array out of order, or
+// with a repeated point, is invalid.
+func NewOrderedPoints(pts []geom.Point) (Points, error) {
+	for k := 1; k < len(pts); k++ {
+		if pts[k-1].Cmp(pts[k]) >= 0 {
+			return Points{}, fmt.Errorf("spatial: points %v and %v out of order or repeated", pts[k-1], pts[k])
+		}
+	}
+	return Points{pts: pts}, nil
+}
+
 // Slice returns the ordered points (shared; read-only).
 func (ps Points) Slice() []geom.Point { return ps.pts }
 

@@ -131,9 +131,9 @@ func DecodePoints(e Encoded) (spatial.Points, error) {
 	if err != nil {
 		return spatial.Points{}, err
 	}
-	out := spatial.NewPoints(pts...)
-	if out.Len() != n {
-		return spatial.Points{}, fmt.Errorf("%w: points not canonical", ErrCorrupt)
+	out, err := spatial.NewOrderedPoints(pts)
+	if err != nil {
+		return spatial.Points{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return out, nil
 }
@@ -454,12 +454,9 @@ func DecodePeriods(e Encoded) (temporal.Periods, error) {
 	if err := arr.done(); err != nil {
 		return temporal.Periods{}, err
 	}
-	p, err := temporal.NewPeriods(ivs...)
+	p, err := temporal.NewOrderedRange(ivs)
 	if err != nil {
 		return temporal.Periods{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if p.Len() != n {
-		return temporal.Periods{}, fmt.Errorf("%w: periods not canonical", ErrCorrupt)
 	}
 	return p, nil
 }

@@ -48,6 +48,19 @@ func TestPointsRoundTrip(t *testing.T) {
 	if !bytes.Equal(e.Flatten(), e2.Flatten()) {
 		t.Error("canonical order violated: same set, different bytes")
 	}
+	// Points stored out of order, or repeated, are rejected: one value,
+	// one encoding.
+	for _, pts := range [][]geom.Point{{geom.Pt(3, 1), geom.Pt(-1, 2)}, {geom.Pt(0, 0), geom.Pt(0, 0)}} {
+		var root, arr writer
+		root.u32(uint32(len(pts)))
+		for _, p := range pts {
+			arr.f64(p.X)
+			arr.f64(p.Y)
+		}
+		if _, err := DecodePoints(Encoded{Root: root.buf, Arrays: [][]byte{arr.buf}}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("points %v accepted", pts)
+		}
+	}
 }
 
 func TestLineRoundTrip(t *testing.T) {
@@ -141,6 +154,14 @@ func TestPeriodsRoundTrip(t *testing.T) {
 	root.u32(2)
 	if _, err := DecodePeriods(Encoded{Root: root.buf, Arrays: [][]byte{arr.buf}}); !errors.Is(err, ErrCorrupt) {
 		t.Error("non-canonical periods accepted")
+	}
+	// So are canonical intervals stored out of order: one value, one
+	// encoding.
+	arr = writer{}
+	writeInterval(&arr, iv(3, 4))
+	writeInterval(&arr, iv(0, 1))
+	if _, err := DecodePeriods(Encoded{Root: root.buf, Arrays: [][]byte{arr.buf}}); !errors.Is(err, ErrCorrupt) {
+		t.Error("periods stored out of order accepted")
 	}
 }
 

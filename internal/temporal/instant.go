@@ -1,10 +1,10 @@
 // Package temporal implements the time domain of the discrete moving
 // objects data model: instants (a time domain isomorphic to the reals),
 // intervals with individual closure flags, and canonical sets of
-// disjoint, non-adjacent intervals (the range(instant) type, here called
-// Periods). It also provides the refinement partition of two interval
-// sequences (Figure 8 of the paper), the backbone of every lifted binary
-// operation on moving objects.
+// disjoint, non-adjacent intervals (the range(α) type over a real domain;
+// range(instant) is called Periods). It also provides the refinement
+// partition of two interval sequences (Figure 8 of the paper), the
+// backbone of every lifted binary operation on moving objects.
 package temporal
 
 import (
@@ -37,15 +37,6 @@ func (t Instant) Time() time.Time {
 	sec, frac := math.Modf(float64(t))
 	return time.Unix(int64(sec), int64(frac*1e9)).UTC()
 }
-
-// Less reports whether t is strictly before u.
-func (t Instant) Less(u Instant) bool { return t < u }
-
-// Min returns the earlier of t and u.
-func (t Instant) Min(u Instant) Instant { return Instant(math.Min(float64(t), float64(u))) }
-
-// Max returns the later of t and u.
-func (t Instant) Max(u Instant) Instant { return Instant(math.Max(float64(t), float64(u))) }
 
 // IsFinite reports whether t is a real instant (not ±infinity, not NaN).
 func (t Instant) IsFinite() bool {

@@ -18,7 +18,7 @@ type Spanned interface {
 
 // Interval returns i, so that interval sequences (Periods, the inputs of
 // Refine) are swept by the same code as unit arrays.
-func (i Interval) Interval() Interval { return i }
+func (i IntervalOf[T]) Interval() IntervalOf[T] { return i }
 
 // Sweep streams the refinement partition of two sequences that are each
 // ordered and pairwise disjoint (the shape of the unit array inside a
@@ -43,10 +43,10 @@ type Sweep[A, B Spanned] struct {
 }
 
 // boundary is a cut of the time axis just before (after == false) or
-// just after instant t. An interval is the half-open range of boundaries
-// from lo to hi — [s, e] runs from just before s to just after e, (s, e)
-// from just after s to just before e — which turns the four closure
-// cases into one comparison.
+// just after instant t. An interval i is the half-open range of
+// boundaries from lower(i) to upper(i) — [s, e] runs from just before s
+// to just after e, (s, e) from just after s to just before e — which
+// turns the four closure cases into one comparison.
 type boundary struct {
 	t     Instant
 	after bool
@@ -56,8 +56,8 @@ func (b boundary) less(c boundary) bool {
 	return b.t < c.t || (b.t == c.t && !b.after && c.after)
 }
 
-func (i Interval) lo() boundary { return boundary{i.Start, !i.LC} }
-func (i Interval) hi() boundary { return boundary{i.End, i.RC} }
+func lower(i Interval) boundary { return boundary{i.Start, !i.LC} }
+func upper(i Interval) boundary { return boundary{i.End, i.RC} }
 
 // NewSweep starts the sweep over a and b.
 func NewSweep[A, B Spanned](a []A, b []B) Sweep[A, B] {
@@ -75,12 +75,12 @@ func NewSweep[A, B Spanned](a []A, b []B) Sweep[A, B] {
 // sequences are exhausted.
 func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
 	// Drop the intervals that end at or before the current boundary.
-	for s.i < len(s.a) && !s.at.less(s.ia.hi()) {
+	for s.i < len(s.a) && !s.at.less(upper(s.ia)) {
 		if s.i++; s.i < len(s.a) {
 			s.ia = s.a[s.i].Interval()
 		}
 	}
-	for s.j < len(s.b) && !s.at.less(s.ib.hi()) {
+	for s.j < len(s.b) && !s.at.less(upper(s.ib)) {
 		if s.j++; s.j < len(s.b) {
 			s.ib = s.b[s.j].Interval()
 		}
@@ -91,14 +91,14 @@ func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
 	}
 	// An interval covers the current boundary when it starts at or
 	// before it. In a gap of both sequences, jump to the earlier start.
-	inA := moreA && !s.at.less(s.ia.lo())
-	inB := moreB && !s.at.less(s.ib.lo())
+	inA := moreA && !s.at.less(lower(s.ia))
+	inB := moreB && !s.at.less(lower(s.ib))
 	if !inA && !inB {
-		if moreA && (!moreB || !s.ib.lo().less(s.ia.lo())) {
-			s.at, inA = s.ia.lo(), true
-			inB = moreB && !s.at.less(s.ib.lo())
+		if moreA && (!moreB || !lower(s.ib).less(lower(s.ia))) {
+			s.at, inA = lower(s.ia), true
+			inB = moreB && !s.at.less(lower(s.ib))
 		} else {
-			s.at, inB = s.ib.lo(), true
+			s.at, inB = lower(s.ib), true
 		}
 	}
 	// The piece runs to the nearest boundary at which membership
@@ -130,9 +130,9 @@ func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
 // waits.
 func changeAt(iv Interval, covers bool) boundary {
 	if covers {
-		return iv.hi()
+		return upper(iv)
 	}
-	return iv.lo()
+	return lower(iv)
 }
 
 // NextCommon returns the next piece that both sequences cover — the
@@ -149,18 +149,18 @@ func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 		if s.i == len(s.a) || s.j == len(s.b) {
 			return RefinementInterval{}, false
 		}
-		lo := s.ia.lo()
-		if lo.less(s.ib.lo()) {
-			lo = s.ib.lo()
+		lo := lower(s.ia)
+		if lo.less(lower(s.ib)) {
+			lo = lower(s.ib)
 		}
 		if !s.at.less(lo) {
 			break // both cover the sweep's position
 		}
 		s.at = lo
 	}
-	end := s.ia.hi()
-	if s.ib.hi().less(end) {
-		end = s.ib.hi()
+	end := upper(s.ia)
+	if upper(s.ib).less(end) {
+		end = upper(s.ib)
 	}
 	ri := RefinementInterval{
 		Iv: Interval{Start: s.at.t, End: end.t, LC: !s.at.after, RC: end.after},
@@ -175,19 +175,19 @@ func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 // xs[k].Interval() on entry). The element after k is tried before the
 // binary search: in a gap-free sequence it is the answer.
 func seek[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {
-	if k == len(xs) || at.less(iv.hi()) {
+	if k == len(xs) || at.less(upper(iv)) {
 		return k, iv
 	}
 	if k++; k == len(xs) {
 		return k, iv
 	}
-	if iv = xs[k].Interval(); at.less(iv.hi()) {
+	if iv = xs[k].Interval(); at.less(upper(iv)) {
 		return k, iv
 	}
 	lo, hi := k+1, len(xs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if at.less(xs[mid].Interval().hi()) {
+		if at.less(upper(xs[mid].Interval())) {
 			hi = mid
 		} else {
 			lo = mid + 1

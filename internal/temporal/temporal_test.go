@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,12 +13,6 @@ func TestInstantConversions(t *testing.T) {
 	i := FromTime(ts)
 	if got := i.Time(); !got.Equal(ts) {
 		t.Errorf("round trip: %v != %v", got, ts)
-	}
-	if !Instant(5).Less(Instant(6)) || Instant(6).Less(Instant(5)) {
-		t.Error("Less wrong")
-	}
-	if Instant(3).Min(Instant(7)) != 3 || Instant(3).Max(Instant(7)) != 7 {
-		t.Error("Min/Max wrong")
 	}
 	if NegInf.IsFinite() || PosInf.IsFinite() || Instant(math.NaN()).IsFinite() {
 		t.Error("IsFinite accepted non-finite")
@@ -84,8 +79,8 @@ func TestDisjointAdjacent(t *testing.T) {
 		// adjacent.
 		t.Error("(1,2] and (2,3] are adjacent")
 	}
-	if !a.Before(c) || c.Before(a) {
-		t.Error("Before wrong")
+	if !a.RDisjoint(c) || c.RDisjoint(a) {
+		t.Error("RDisjoint wrong")
 	}
 	open1 := MustInterval(0, 1, true, false) // [0,1)
 	open2 := MustInterval(1, 2, false, true) // (1,2]
@@ -236,16 +231,16 @@ func TestPeriodsContains(t *testing.T) {
 			t.Errorf("Contains(%v) = %v", c.t, got)
 		}
 	}
-	lo, ok := p.MinInstant()
+	lo, ok := p.Min()
 	if !ok || lo != 0 {
-		t.Error("MinInstant wrong")
+		t.Error("Min wrong")
 	}
-	hi, ok := p.MaxInstant()
+	hi, ok := p.Max()
 	if !ok || hi != 7 {
-		t.Error("MaxInstant wrong")
+		t.Error("Max wrong")
 	}
-	if _, ok := (Periods{}).MinInstant(); ok {
-		t.Error("empty MinInstant should fail")
+	if _, ok := (Periods{}).Min(); ok {
+		t.Error("empty Min should fail")
 	}
 }
 
@@ -277,37 +272,82 @@ func TestPeriodsSetOps(t *testing.T) {
 }
 
 func TestPeriodsSetOpsProperty(t *testing.T) {
-	// Membership semantics of union/intersection/difference against
-	// random interval soups, probed at integer instants.
-	mk := func(raw []int8, flags []bool) Periods {
-		var ivs []Interval
+	// Membership semantics of union, intersection and difference against
+	// random interval soups, for both instantiations. The expected
+	// membership is read off the raw generated intervals, not off the
+	// ranges under test, at every endpoint and every midpoint between
+	// consecutive endpoints.
+	t.Run("instant", func(t *testing.T) { checkSetOpsProperty[Instant](t) })
+	t.Run("real", func(t *testing.T) { checkSetOpsProperty[float64](t) })
+}
+
+// rawInterval is a generated interval as plain numbers and flags.
+type rawInterval struct {
+	s, e   float64
+	lc, rc bool
+}
+
+func (r rawInterval) has(v float64) bool {
+	return (r.s < v && v < r.e) || (v == r.s && r.lc) || (v == r.e && r.rc)
+}
+
+func checkSetOpsProperty[T ~float64](t *testing.T) {
+	raws := func(raw []int8, flags []bool) []rawInterval {
+		var out []rawInterval
 		for k := 0; k+1 < len(raw) && k+1 < len(flags); k += 2 {
-			s, e := raw[k], raw[k+1]
-			if s > e {
-				s, e = e, s
+			r := rawInterval{s: float64(min(raw[k], raw[k+1])), e: float64(max(raw[k], raw[k+1])), lc: flags[k], rc: flags[k+1]}
+			if r.s == r.e {
+				r.lc, r.rc = true, true
 			}
-			lc, rc := flags[k], flags[k+1]
-			if s == e {
-				lc, rc = true, true
-			}
-			ivs = append(ivs, MustInterval(Instant(s), Instant(e), lc, rc))
+			out = append(out, r)
 		}
-		return MustPeriods(ivs...)
+		return out
 	}
-	f := func(raw1, raw2 []int8, flags1, flags2 []bool, probe int8) bool {
-		p, q := mk(raw1, flags1), mk(raw2, flags2)
-		t0 := Instant(probe)
-		inP, inQ := p.Contains(t0), q.Contains(t0)
-		if p.Union(q).Contains(t0) != (inP || inQ) {
+	mk := func(rs []rawInterval) RangeOf[T] {
+		ivs := make([]IntervalOf[T], len(rs))
+		for k, r := range rs {
+			ivs[k] = IntervalOf[T]{Start: T(r.s), End: T(r.e), LC: r.lc, RC: r.rc}
+		}
+		out, err := NewRange(ivs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	in := func(rs []rawInterval, v float64) bool {
+		for _, r := range rs {
+			if r.has(v) {
+				return true
+			}
+		}
+		return false
+	}
+	f := func(raw1, raw2 []int8, flags1, flags2 []bool) bool {
+		rs1, rs2 := raws(raw1, flags1), raws(raw2, flags2)
+		p, q := mk(rs1), mk(rs2)
+		u, i, m := p.Union(q), p.Intersect(q), p.Minus(q)
+		if u.Validate() != nil || i.Validate() != nil || m.Validate() != nil {
 			return false
 		}
-		if p.Intersect(q).Contains(t0) != (inP && inQ) {
-			return false
+		ends := []float64{-200, 200}
+		for _, r := range append(rs1, rs2...) {
+			ends = append(ends, r.s, r.e)
 		}
-		if p.Minus(q).Contains(t0) != (inP && !inQ) {
-			return false
+		slices.Sort(ends)
+		probes := slices.Clone(ends)
+		for k := 1; k < len(ends); k++ {
+			probes = append(probes, (ends[k-1]+ends[k])/2)
 		}
-		return p.Union(q).Validate() == nil && p.Intersect(q).Validate() == nil && p.Minus(q).Validate() == nil
+		for _, v := range probes {
+			inP, inQ := in(rs1, v), in(rs2, v)
+			if p.Contains(T(v)) != inP || q.Contains(T(v)) != inQ ||
+				u.Contains(T(v)) != (inP || inQ) ||
+				i.Contains(T(v)) != (inP && inQ) ||
+				m.Contains(T(v)) != (inP && !inQ) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)

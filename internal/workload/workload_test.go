@@ -35,8 +35,8 @@ func TestRandomTrajectoryShape(t *testing.T) {
 		t.Fatalf("invalid mapping: %v", err)
 	}
 	dt := p.DefTime()
-	lo, _ := dt.MinInstant()
-	hi, _ := dt.MaxInstant()
+	lo, _ := dt.Min()
+	hi, _ := dt.Max()
 	if lo != 5 || hi != 5+100*10 {
 		t.Errorf("deftime = %v", dt)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Fuzz smokes: every native fuzz target in the repository, one after
 # another, each for <fuzztime> (default 10s). scripts/verify.sh runs it
-# at 10s and `make fuzz` at 60s; this file is the one list of targets.
+# at 10s and `make fuzz` at 60s; this file is the one list of targets,
+# and scripts/verify.sh fails on a Fuzz function it does not list.
 # Targets that stall while minimising a failure get -fuzzminimizetime=1s.
 #
 #   scripts/fuzz.sh [fuzztime]

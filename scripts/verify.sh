@@ -12,6 +12,19 @@ if [ "$root_go" != "$bench_go" ]; then
     exit 1
 fi
 
+echo "==> scripts/fuzz.sh lists every fuzz target"
+# Every Fuzz function in the tree, collected by package and name the way
+# the !race tests are below, so a new target cannot miss the smoke runs.
+unlisted=$(grep -r --include='*_test.go' -o '^func Fuzz[A-Za-z0-9_]*' . |
+    sed 's|^\(.*\)/[^/]*:func |\1 |' | sort -u |
+    while read -r pkg target; do
+        grep -q "^smoke $pkg $target " scripts/fuzz.sh || echo "$pkg $target"
+    done)
+if [ -n "$unlisted" ]; then
+    echo "verify: FAIL fuzz targets missing from scripts/fuzz.sh:" $unlisted >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
