@@ -9,9 +9,10 @@ import (
 )
 
 // TestAllocBudgets: a warm Get (Key.Hash, shard lookup, LRU touch)
-// allocates nothing.
+// allocates nothing, and a Put that evicts allocates only its entry.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkMemoryGet", Bench: BenchmarkMemoryGet},
+		allocbudget.Budget{Name: "BenchmarkMemoryPut", Bench: BenchmarkMemoryPut, MaxAllocs: 1, MaxBytes: 160},
 	)
 }

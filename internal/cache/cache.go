@@ -1,9 +1,10 @@
 // Package cache is the query-result cache of the serving layer,
 // modeled as a port with swappable adapters: the ResultCache interface
 // is the contract the server programs against, and Memory (a sharded,
-// byte-budgeted LRU) is the first adapter behind it. External adapters
-// (a shared Redis tier, a disk cache) implement the same interface
-// without touching any handler.
+// byte-budgeted segmented LRU: entries nobody has read yet may hold at
+// most half of a shard) is the first adapter behind it. External
+// adapters (a shared Redis tier, a disk cache) implement the same
+// interface without touching any handler.
 //
 // The key design carries the correctness argument. A key is
 // (route, decoded request, epoch): every query operator in this system
@@ -12,9 +13,9 @@
 // its key — a cached value can never be wrong for its key, only absent.
 // Epoch advance therefore invalidates by mismatch: new epoch, new keys,
 // no purge protocol. Epochs only advance, so an entry of a retired epoch
-// can never be asked for again; Memory drops those from its LRU tail on
-// the next Put (memory.go) rather than holding their bodies until byte
-// pressure evicts them.
+// can never be asked for again; Memory drops those from its list tails
+// on the next Put (memory.go) rather than holding their bodies until
+// byte pressure evicts them.
 package cache
 
 import "math/bits"

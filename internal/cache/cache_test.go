@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,56 +53,252 @@ func TestMemoryReplace(t *testing.T) {
 	}
 }
 
+// unreadBytes is the charge of probation, less the entry just put under
+// k: the one unread entry the half-budget rule does not cover.
+func unreadBytes(m *Memory, k Key) int64 {
+	s := m.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := s.probation.bytes
+	if e, ok := s.entries[k]; ok && !e.read {
+		n -= e.size
+	}
+	return n
+}
+
 func TestMemoryLRUEviction(t *testing.T) {
-	// One shard sized for exactly three entries (all keys here have
-	// equal-length queries, so every entry charges the same), then
-	// insert 8: the oldest must go, the newest stay, and the byte gauge
-	// must respect the budget.
+	// One shard sized for six equal entries (equal-length queries), so
+	// probation, held to half of it, has room for three.
 	val := bytes.Repeat([]byte("v"), 100)
 	probe := key("q00", 1)
 	size := int64(len(val)+len(probe.Route)+len(probe.Query)) + entryOverhead
-	budget := 3*size + size/2
+	budget := 6*size + size/2
 	reg := obs.New(0)
 	m := NewMemory(budget, 1, reg)
+	put := func(q string) {
+		t.Helper()
+		k := key(q, 1)
+		m.Put(k, val)
+		if n := unreadBytes(m, k); n > budget/probationShare {
+			t.Fatalf("after put %s: %d unread bytes besides it, over half of %d", q, n, budget)
+		}
+	}
+	// Eight puts nobody reads: only the newest three stay.
 	for i := 0; i < 8; i++ {
-		m.Put(key(fmt.Sprintf("q%02d", i), 1), val)
+		put(fmt.Sprintf("q%02d", i))
 	}
 	st := reg.Snapshot().Cache
-	if st.Entries != 3 || st.Bytes != 3*int64(len(val)) || st.Entries*size > budget {
-		t.Fatalf("resident %d entries / %d value bytes, want 3 / %d inside budget %d", st.Entries, st.Bytes, 3*len(val), budget)
+	if st.Entries != 3 || st.Bytes != 3*int64(len(val)) {
+		t.Fatalf("resident %d entries / %d value bytes, want 3 / %d", st.Entries, st.Bytes, 3*len(val))
 	}
 	if st.Evictions != 5 || st.EvictedBytes != 5*int64(len(val)) {
-		t.Fatalf("evictions = %d (%d bytes), want 5 (capacity 3, 8 inserts)", st.Evictions, st.EvictedBytes)
+		t.Fatalf("evictions = %d (%d bytes), want 5 (probation holds 3, 8 inserts)", st.Evictions, st.EvictedBytes)
 	}
-	if _, ok := m.Get(key("q00", 1)); ok {
-		t.Fatal("oldest entry survived past budget")
+	if _, ok := m.Get(key("q04", 1)); ok {
+		t.Fatal("an older unread entry survived past probation's half")
 	}
-	if _, ok := m.Get(key("q07", 1)); !ok {
-		t.Fatal("newest entry evicted")
+	// Read entries are protected: fill the shard with six of them. Their
+	// recency, not their insertion order, decides: touch r00, the coldest
+	// by insertion.
+	for i := 0; i < 6; i++ {
+		q := fmt.Sprintf("r%02d", i)
+		put(q)
+		if _, ok := m.Get(key(q, 1)); !ok {
+			t.Fatalf("%s missing right after its put", q)
+		}
 	}
-	// Recency, not insertion order: the cache holds q05..q07. Touch q05
-	// (the coldest by insertion), then add two more — the untouched
-	// q06/q07 must be the victims, not the freshly used q05.
-	if _, ok := m.Get(key("q05", 1)); !ok {
-		t.Fatal("q05 missing before recency check")
+	if _, ok := m.Get(key("r00", 1)); !ok {
+		t.Fatal("r00 missing before the recency check")
 	}
-	m.Put(key("q08", 1), val)
-	m.Put(key("q09", 1), val)
-	if _, ok := m.Get(key("q05", 1)); !ok {
-		t.Fatal("recently used entry evicted before older ones")
-	}
-	for _, q := range []string{"q06", "q07"} {
+	// q05..q07 were unread, so byte pressure took them before any read
+	// entry.
+	for _, q := range []string{"q05", "q06", "q07"} {
 		if _, ok := m.Get(key(q, 1)); ok {
-			t.Fatalf("untouched %s outlived a recently used peer", q)
+			t.Fatalf("unread %s outlived read entries under byte pressure", q)
+		}
+	}
+	// u00 is alone in probation, so over budget it is the read r01 that
+	// goes; u01 then evicts u00, unread before read.
+	put("u00")
+	put("u01")
+	if st := reg.Snapshot().Cache; st.Entries*size > budget {
+		t.Fatalf("%d entries of %d bytes over budget %d", st.Entries, size, budget)
+	}
+	for q, want := range map[string]bool{"r01": false, "u00": false, "r00": true, "r02": true, "r05": true, "u01": true} {
+		if _, ok := m.Get(key(q, 1)); ok != want {
+			t.Fatalf("%s resident = %v, want %v", q, ok, want)
+		}
+	}
+}
+
+// TestMemoryScanResistant: a read working set of half the budget
+// survives a flood of unread puts ten times the budget.
+func TestMemoryScanResistant(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 500)
+	size := int64(len(val)+len(key("w00", 1).Route)+3) + entryOverhead
+	const budget = 64 << 10
+	m := NewMemory(budget, 1, nil)
+	var hot []Key
+	for i := 0; int64(i+1)*size <= budget/2; i++ {
+		k := key(fmt.Sprintf("w%02d", i), 1)
+		m.Put(k, val)
+		if _, ok := m.Get(k); !ok {
+			t.Fatalf("%s missing right after its put", k.Query)
+		}
+		hot = append(hot, k)
+	}
+	for i := int64(0); i*size < 10*budget; i++ {
+		m.Put(key(fmt.Sprintf("scan%d", i), 1), val)
+	}
+	for _, k := range hot {
+		if _, ok := m.Get(k); !ok {
+			t.Fatalf("read entry %s of %d evicted by unread puts", k.Query, len(hot))
+		}
+	}
+}
+
+// sLRU is the reference the model test holds one shard to: one slice,
+// most recently touched first, each entry flagged read or unread, and
+// the four eviction rules written out plainly. Filtered by the flag,
+// the slice is each list's recency order.
+type sLRU struct {
+	budget  int64
+	newest  uint64
+	entries []modelEntry
+}
+
+type modelEntry struct {
+	k       Key
+	n, size int64 // value length, charged bytes
+	read    bool
+}
+
+func (r *sLRU) index(k Key) int {
+	return slices.IndexFunc(r.entries, func(e modelEntry) bool { return e.k == k })
+}
+
+func (r *sLRU) get(k Key) bool {
+	i := r.index(k)
+	if i < 0 {
+		return false
+	}
+	e := r.entries[i]
+	e.read = true
+	r.entries = append([]modelEntry{e}, slices.Delete(r.entries, i, i+1)...)
+	return true
+}
+
+func (r *sLRU) put(k Key, n int64) {
+	e := modelEntry{k: k, n: n, size: n + int64(len(k.Route)+len(k.Query)) + entryOverhead}
+	if e.size > r.budget {
+		return
+	}
+	r.newest = max(r.newest, k.Epoch)
+	if i := r.index(k); i >= 0 {
+		e.read = r.entries[i].read
+		r.entries = slices.Delete(r.entries, i, i+1)
+	}
+	r.entries = append([]modelEntry{e}, r.entries...)
+	for {
+		unread, read := -1, -1 // each list's tail, never index 0: the entry just put
+		var unreadBytes, all int64
+		for i, e := range r.entries {
+			all += e.size
+			switch {
+			case e.read && i > 0:
+				read = i
+			case !e.read:
+				unreadBytes += e.size
+				if i > 0 {
+					unread = i
+				}
+			}
+		}
+		retired := func(i int) bool { return i >= 0 && r.entries[i].k.Epoch < r.newest }
+		var victim int
+		switch {
+		case retired(unread):
+			victim = unread
+		case retired(read):
+			victim = read
+		case unread >= 0 && (all > r.budget || unreadBytes > r.budget/probationShare):
+			victim = unread
+		case read >= 0 && all > r.budget:
+			victim = read
+		default:
+			return
+		}
+		r.entries = slices.Delete(r.entries, victim, victim+1)
+	}
+}
+
+// TestMemoryMatchesModel drives one shard and the slice reference with
+// the same seeded Get / Put / replace / epoch-advance sequence and
+// compares the resident keys and the byte and entry gauges after every
+// step.
+func TestMemoryMatchesModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := obs.New(0)
+		const budget = 4000
+		m := NewMemory(budget, 1, reg)
+		ref := &sLRU{budget: budget}
+		epoch := uint64(1)
+		for step := 0; step < 2000; step++ {
+			k := key(fmt.Sprintf("q%d", rng.Intn(12)), epoch)
+			op := ""
+			switch r := rng.Intn(20); {
+			case r < 8:
+				op = "get"
+				if _, got := m.Get(k); got != ref.get(k) {
+					t.Fatalf("seed %d step %d: get %s@%d = %v, reference %v", seed, step, k.Query, k.Epoch, got, !got)
+				}
+			case r < 17:
+				op = "put"
+				if r >= 15 && len(ref.entries) > 0 { // replace a resident entry
+					op = "replace"
+					k = ref.entries[rng.Intn(len(ref.entries))].k
+				} else if r == 14 && epoch > 1 { // a straggler of the previous epoch
+					op = "straggler put"
+					k.Epoch--
+				}
+				n := rng.Int63n(600)
+				m.Put(k, make([]byte, n))
+				ref.put(k, n)
+			default:
+				op = "advance"
+				epoch++
+			}
+			s := m.shards[0]
+			s.mu.Lock()
+			var got []string
+			for k := range s.entries {
+				got = append(got, fmt.Sprint(k.Query, "@", k.Epoch))
+			}
+			s.mu.Unlock()
+			var want []string
+			var valBytes int64
+			for _, e := range ref.entries {
+				want = append(want, fmt.Sprint(e.k.Query, "@", e.k.Epoch))
+				valBytes += e.n
+			}
+			slices.Sort(got)
+			slices.Sort(want)
+			st := reg.Snapshot().Cache
+			if !slices.Equal(got, want) || st.Bytes != valBytes || st.Entries != int64(len(want)) {
+				t.Fatalf("seed %d step %d (%s %s@%d): resident %v, %d value bytes, %d entries; reference %v, %d, %d",
+					seed, step, op, k.Query, k.Epoch, got, st.Bytes, st.Entries, want, valBytes, len(want))
+			}
 		}
 	}
 }
 
 // TestMemoryRetiresOldEpochs: far inside the byte budget, a Put drops
 // the entries of epochs older than the newest the shard has been handed
-// — from the tail, counted as evictions — while a frozen epoch (one
-// value forever, 0 included) retires nothing, and an old-epoch entry a
-// straggler refreshed to the head is met on a later Put.
+// — from either list's tail, counted as evictions — while a frozen
+// epoch (one value forever, 0 included) retires nothing, and an
+// old-epoch entry a straggler refreshed to the head is met on a later
+// Put.
 func TestMemoryRetiresOldEpochs(t *testing.T) {
 	val := bytes.Repeat([]byte("v"), 100)
 	reg := obs.New(0)
@@ -133,6 +331,22 @@ func TestMemoryRetiresOldEpochs(t *testing.T) {
 		t.Fatal("a retired entry at the tail outlived a put")
 	}
 	for _, q := range []string{"a", "b"} {
+		if _, ok := m.Get(key(q, 2)); !ok {
+			t.Fatalf("live entry %s was dropped", q)
+		}
+	}
+	// A retired entry at protected's tail goes even while probation's
+	// tail is live: the sweep checks both lists.
+	m.Put(key("x", 2), val)
+	m.Put(key("old", 1), val)
+	m.Get(key("old", 1))
+	m.Get(key("a", 2))
+	m.Get(key("b", 2))
+	m.Put(key("y", 2), val)
+	if _, ok := m.Get(key("old", 1)); ok {
+		t.Fatal("a retired read entry at protected's tail outlived a put")
+	}
+	for _, q := range []string{"x", "y"} {
 		if _, ok := m.Get(key(q, 2)); !ok {
 			t.Fatalf("live entry %s was dropped", q)
 		}
@@ -221,6 +435,104 @@ func TestLoaderErrorNotCached(t *testing.T) {
 	}
 }
 
+// gatedCache holds the first caller that looks up its gate key inside
+// that lookup, after reading the cache, so the Loader counts it as
+// looking for as long as a test needs and its answer can be stale by
+// the time it returns.
+type gatedCache struct {
+	*Memory
+	gate             Key
+	armed            atomic.Bool
+	entered, release chan struct{}
+}
+
+func newGatedCache(gate Key) *gatedCache {
+	c := &gatedCache{Memory: NewMemory(1<<20, 1, nil), gate: gate,
+		entered: make(chan struct{}), release: make(chan struct{})}
+	c.armed.Store(true)
+	return c
+}
+
+func (c *gatedCache) Get(k Key) ([]byte, bool) {
+	v, ok := c.Memory.Get(k)
+	if k == c.gate && c.armed.CompareAndSwap(true, false) {
+		close(c.entered)
+		<-c.release
+	}
+	return v, ok
+}
+
+// look starts a Do of c's gate key and returns once it is looking; the
+// channel yields what that Do returns after c.release closes.
+func look(l *Loader, c *gatedCache) <-chan string {
+	out := make(chan string, 1)
+	go func() {
+		v, hit, err := l.Do(c.gate, func() ([]byte, error) { return nil, errors.New("looking caller computed") })
+		out <- fmt.Sprintf("%s %v %v", v, hit, err)
+	}()
+	<-c.entered
+	return out
+}
+
+// inflightLen reads how many flights l still has registered.
+func inflightLen(l *Loader) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.inflight)
+}
+
+// TestLoaderFlightsWhileLooking: while a caller of another key is
+// between its lookup and the lock, a failed flight is not kept (the
+// next Do computes again instead of returning the old error), a
+// succeeded one is, and the looking caller's hit unregisters it.
+func TestLoaderFlightsWhileLooking(t *testing.T) {
+	c := newGatedCache(key("gate", 1))
+	c.Put(c.gate, []byte("g"))
+	l := NewLoader(c)
+	looker := look(l, c)
+
+	k := key("fails", 1)
+	boom := errors.New("boom")
+	if _, _, err := l.Do(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("failing flight: err = %v", err)
+	}
+	v, hit, err := l.Do(k, func() ([]byte, error) { return []byte("ok"), nil })
+	if err != nil || hit || string(v) != "ok" {
+		t.Fatalf("retry while a caller looks: %q %v %v, want a fresh compute", v, hit, err)
+	}
+	if n := inflightLen(l); n != 1 {
+		t.Fatalf("%d flights registered while a caller looks, want the succeeded one", n)
+	}
+
+	close(c.release)
+	if got := <-looker; got != "g true <nil>" {
+		t.Fatalf("looking caller got %q, want a hit", got)
+	}
+	if n := inflightLen(l); n != 0 {
+		t.Fatalf("%d flights registered after the last caller stopped looking, want 0", n)
+	}
+}
+
+// TestLoaderStaleMissJoinsSettledFlight replays the race that computed
+// one key twice: a caller misses, a flight for the same key computes,
+// stores and settles, and only then does the caller take the lock. It
+// must answer from that flight, and leave nothing registered.
+func TestLoaderStaleMissJoinsSettledFlight(t *testing.T) {
+	c := newGatedCache(key("raced", 1))
+	l := NewLoader(c)
+	looker := look(l, c)
+	if v, hit, err := l.Do(c.gate, func() ([]byte, error) { return []byte("v"), nil }); err != nil || hit || string(v) != "v" {
+		t.Fatalf("flight: %q %v %v", v, hit, err)
+	}
+	close(c.release)
+	if got := <-looker; got != "v false <nil>" {
+		t.Fatalf("stale miss got %q, want the settled flight's value", got)
+	}
+	if n := inflightLen(l); n != 0 {
+		t.Fatalf("%d flights registered after the last caller stopped looking, want 0", n)
+	}
+}
+
 func TestLoaderNilCacheStillCoalesces(t *testing.T) {
 	l := NewLoader(nil)
 	k := key("nil", 1)
@@ -231,6 +543,10 @@ func TestLoaderNilCacheStillCoalesces(t *testing.T) {
 	// Never a hit: nothing is stored.
 	if _, hit, _ := l.Do(k, func() ([]byte, error) { return []byte("y"), nil }); hit {
 		t.Fatal("hit with nil cache")
+	}
+	// Nothing looks up a nil cache, so no settled flight answers later.
+	if n := inflightLen(l); n != 0 {
+		t.Fatalf("%d flights registered after settling", n)
 	}
 }
 
@@ -279,7 +595,7 @@ func TestShardDistribution(t *testing.T) {
 	for i := 0; i < 512; i++ {
 		m.Put(key(fmt.Sprintf("q%d", i), uint64(i%5)), []byte("v"))
 	}
-	// Every shard should hold something: maphash spreads keys.
+	// Every shard should hold something: Key.Hash (FNV-1a) spreads keys.
 	empty := 0
 	for _, s := range m.shards {
 		s.mu.Lock()

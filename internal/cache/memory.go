@@ -22,36 +22,58 @@ const (
 // list pointers, a 160-byte allocation) and in the map slot.
 const entryOverhead = 256
 
-// Memory is the in-memory adapter: a sharded LRU with a byte budget
-// split evenly across shards. Entries larger than a shard's budget are
-// not cached at all. Epochs only advance, and a reader pins the current
-// one, so an entry keyed by an epoch older than the newest a shard has
-// been handed can never be asked for again; Put drops such entries from
-// the LRU tail instead of letting their bodies wait for byte pressure.
+// probationShare is the fraction of a shard's budget, as a divisor,
+// that entries no Get has returned yet may hold. Half: query_repeat's
+// warm-up set fills at most 660 KiB of a 2 MiB shard (11 seeds), so a
+// half leaves a 1.55× margin, while a quarter is exceeded on 10 of them.
+const probationShare = 2
+
+// Memory is the in-memory adapter: a sharded segmented LRU with a byte
+// budget split evenly across shards. Each shard keeps two recency
+// lists: probation holds entries no Get has returned yet, protected the
+// ones that have been read. Unread entries may hold at most
+// 1/probationShare of a shard, so a stream of answers nobody asks for
+// twice cycles through probation and leaves the read working set
+// alone. Entries larger than a shard's budget are not cached at all.
+// Epochs only advance, and a reader pins the current one, so an entry
+// keyed by an epoch older than the newest a shard has been handed can
+// never be asked for again; Put drops such entries from either list's
+// tail instead of letting their bodies wait for byte pressure.
 type Memory struct {
 	shards []*shard // moguard: immutable // built in NewMemory, slots never reassigned
 }
 
-// shard is one LRU: a map keyed by Key into an intrusive doubly-linked
-// recency list, most-recent at head.
+// shard is one segmented LRU: a map keyed by Key into two intrusive
+// doubly-linked recency lists.
 type shard struct {
-	mu      sync.Mutex
-	entries map[Key]*entry // moguard: guarded by mu
-	head    *entry         // moguard: guarded by mu // most recently used
-	tail    *entry         // moguard: guarded by mu // eviction candidate
-	bytes   int64          // moguard: guarded by mu
-	newest  uint64         // moguard: guarded by mu // highest Key.Epoch Put has seen
-	budget  int64          // moguard: immutable
+	mu        sync.Mutex
+	entries   map[Key]*entry // moguard: guarded by mu
+	probation segment        // moguard: guarded by mu // never read since put
+	protected segment        // moguard: guarded by mu // read at least once
+	newest    uint64         // moguard: guarded by mu // highest Key.Epoch Put has seen
+	budget    int64          // moguard: immutable
 
 	// metrics.Cache holds the only hit/miss/put/evict counts and the
 	// byte/entry gauges; its counters are atomic and need no mu.
 	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
+
+	// The fields above take 88 bytes; padding the struct to 128 keeps
+	// each shard's lock and lists off its neighbours' cache lines.
+	_ [40]byte // moguard: unguarded padding, never accessed
+}
+
+// segment is one recency list, most recent at head, and the bytes its
+// entries are charged.
+type segment struct {
+	head, tail *entry
+	bytes      int64
 }
 
 type entry struct {
 	key        Key
 	val        []byte
 	size       int64
+	read       bool // in protected, not probation
 	prev, next *entry
 }
 
@@ -84,9 +106,10 @@ func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 	return m
 }
 
-// Get returns the cached bytes for k, marking the entry most recently
-// used. A warm hit must not allocate (TestAllocBudgets pins it at zero
-// allocs/op).
+// Get returns the cached bytes for k and makes the entry the most
+// recently used in protected, moving it there from probation on its
+// first hit. A warm hit must not allocate (TestAllocBudgets pins it at
+// zero allocs/op).
 func (m *Memory) Get(k Key) ([]byte, bool) {
 	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
 	s.mu.Lock()
@@ -96,23 +119,25 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 		s.metrics.Cache.Misses.Inc()
 		return nil, false
 	}
-	s.unlinkLocked(e)
-	s.pushFrontLocked(e)
+	s.segmentLocked(e).unlink(e)
+	e.read = true
+	s.protected.pushFront(e)
 	v := e.val
 	s.mu.Unlock()
 	s.metrics.Cache.Hits.Inc()
 	return v, true
 }
 
-// Put stores v under k, then evicts from the LRU tail while the shard is
-// over its budget or the tail's epoch is retired (older than the newest
-// this shard has been handed — learned from the keys, so the port needs
-// no epoch signal). Retired entries are never touched again, so they
-// gather at the tail and the sweep costs what it evicts; one that a
-// straggling reader of an old epoch refreshed is simply met later. A
-// frozen server's single epoch retires nothing. Oversized values are
-// dropped; a re-put of an existing key replaces its value. Put takes
-// ownership of v: callers hand over freshly marshaled response bytes.
+// Put stores v under k: a new key at the head of probation, a re-put
+// key replaces its value and moves to the head of its own list. It then
+// evicts (victimLocked) until no rule asks for more. Retired entries —
+// older than the newest epoch this shard has been handed, learned from
+// the keys, so the port needs no epoch signal — are never touched
+// again, so they gather at the tails and the sweep costs what it
+// evicts; one that a straggling reader of an old epoch refreshed is
+// simply met later. A frozen server's single epoch retires nothing.
+// Oversized values are dropped. Put takes ownership of v: callers hand
+// over freshly marshaled response bytes.
 func (m *Memory) Put(k Key, v []byte) {
 	size := int64(len(v)) + int64(len(k.Route)) + int64(len(k.Query)) + entryOverhead
 	s := m.shards[k.Hash()&uint64(len(m.shards)-1)]
@@ -121,27 +146,25 @@ func (m *Memory) Put(k Key, v []byte) {
 	}
 	s.mu.Lock()
 	s.newest = max(s.newest, k.Epoch)
-	if e, ok := s.entries[k]; ok {
-		s.bytes += int64(len(v)) - int64(len(e.val))
-		e.val = v
-		e.size = size
-		s.unlinkLocked(e)
-		s.pushFrontLocked(e)
+	e, ok := s.entries[k]
+	if ok {
+		s.metrics.Cache.Bytes.Add(int64(len(v)) - int64(len(e.val)))
+		seg := s.segmentLocked(e)
+		seg.unlink(e)
+		e.val, e.size = v, size
+		seg.pushFront(e)
 	} else {
 		e = &entry{key: k, val: v, size: size}
 		s.entries[k] = e
-		s.pushFrontLocked(e)
-		s.bytes += size
+		s.probation.pushFront(e)
 		s.metrics.Cache.Puts.Inc()
 		s.metrics.Cache.Bytes.Add(int64(len(v)))
 		s.metrics.Cache.Entries.Inc()
 	}
 	var evictedN, evictedBytes int64
-	for s.tail != nil && (s.bytes > s.budget || s.tail.key.Epoch < s.newest) {
-		victim := s.tail
-		s.unlinkLocked(victim)
+	for victim := s.victimLocked(e); victim != nil; victim = s.victimLocked(e) {
+		s.segmentLocked(victim).unlink(victim)
 		delete(s.entries, victim.key)
-		s.bytes -= victim.size
 		evictedN++
 		evictedBytes += int64(len(victim.val))
 	}
@@ -155,29 +178,67 @@ func (m *Memory) Put(k Key, v []byte) {
 	}
 }
 
-// unlinkLocked removes e from the recency list. Caller holds s.mu.
-func (s *shard) unlinkLocked(e *entry) {
+// victimLocked returns the entry Put must evict next, or nil. The rules,
+// in order: a retired tail of either list; probation's tail while
+// probation is over its share; while the shard is over budget,
+// probation's tail, then protected's. put, the entry just stored, is
+// never its own victim: it is alone in its list when it is a tail.
+// Caller holds s.mu.
+func (s *shard) victimLocked(put *entry) *entry {
+	unread, read := s.probation.tail, s.protected.tail
+	if unread == put {
+		unread = nil
+	}
+	if read == put {
+		read = nil
+	}
+	over := s.probation.bytes+s.protected.bytes > s.budget
+	switch {
+	case unread != nil && unread.key.Epoch < s.newest:
+		return unread
+	case read != nil && read.key.Epoch < s.newest:
+		return read
+	case unread != nil && (over || s.probation.bytes > s.budget/probationShare):
+		return unread
+	case read != nil && over:
+		return read
+	}
+	return nil
+}
+
+// segmentLocked returns the list e is linked into. Caller holds s.mu.
+func (s *shard) segmentLocked(e *entry) *segment {
+	if e.read {
+		return &s.protected
+	}
+	return &s.probation
+}
+
+// unlink removes e from the list and its bytes from the list's charge.
+func (l *segment) unlink(e *entry) {
 	if e.prev != nil {
 		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
+	} else {
+		l.head = e.next
 	}
 	if e.next != nil {
 		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
+	} else {
+		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+	l.bytes -= e.size
 }
 
-// pushFrontLocked makes e the most recently used. Caller holds s.mu.
-func (s *shard) pushFrontLocked(e *entry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
+// pushFront makes e the list's most recently used and charges its bytes.
+func (l *segment) pushFront(e *entry) {
+	e.next = l.head
+	if l.head != nil {
+		l.head.prev = e
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	l.head = e
+	if l.tail == nil {
+		l.tail = e
 	}
+	l.bytes += e.size
 }

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"errors"
+	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 )
 
 // Loader fronts a ResultCache with miss coalescing: when a thundering
@@ -15,9 +17,29 @@ import (
 // A nil-cache Loader still coalesces — useful when caching is disabled
 // but duplicate suppression is wanted.
 type Loader struct {
-	cache    ResultCache // moguard: immutable // nil disables storage, not coalescing
+	// looking counts callers between entering Do and leaving the lookup
+	// (a hit returned, or mu taken after a miss): each may have missed in
+	// the cache just before a flight's Put. A flight that succeeds while
+	// one is looking stays in inflight for it, and the last caller to stop
+	// looking unregisters it. The count is striped so that hits on
+	// different cores do not all write one cache line (first in the
+	// struct, so no other field shares a stripe's line); a caller leaves
+	// the stripe it entered. A nil cache has no lookup, so nothing looks.
+	looking  [lookStripes]stripe // moguard: atomic
+	cache    ResultCache         // moguard: immutable // nil disables storage, not coalescing
+	kept     atomic.Bool         // moguard: atomic // written under mu: settled is not empty
 	mu       sync.Mutex
-	inflight map[Key]*flight // moguard: guarded by mu
+	inflight map[Key]*flight // moguard: guarded by mu // running flights, and succeeded ones kept for lookers
+	settled  []Key           // moguard: guarded by mu // keys of the kept flights
+}
+
+// lookStripes is how many counters looking is spread over.
+const lookStripes = 16
+
+// stripe is one looking counter, alone on its cache line.
+type stripe struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // flight is one in-progress computation; done closes when val/err are
@@ -43,18 +65,32 @@ func NewLoader(c ResultCache) *Loader {
 // compute runs under the first caller's context; a canceled first
 // caller fails the whole flight, and the next request simply retries.
 func (l *Loader) Do(k Key, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
+	var look *atomic.Int64
 	if l.cache != nil {
+		//molint:ignore det-path the stripe only spreads counter writes; which one a caller takes changes no result, count or order
+		look = &l.looking[rand.Uint32()%lookStripes].n
+		look.Add(1)
 		if v, ok := l.cache.Get(k); ok {
+			if look.Add(-1) == 0 && l.kept.Load() {
+				l.mu.Lock()
+				l.sweepLocked()
+				l.mu.Unlock()
+			}
 			return v, true, nil
 		}
 	}
 	l.mu.Lock()
-	if f, ok := l.inflight[k]; ok {
+	f, ok := l.inflight[k]
+	if look != nil {
+		look.Add(-1)
+		l.sweepLocked()
+	}
+	if ok {
 		l.mu.Unlock()
 		<-f.done
 		return f.val, false, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f = &flight{done: make(chan struct{})}
 	l.inflight[k] = f
 	l.mu.Unlock()
 
@@ -80,10 +116,43 @@ func (l *Loader) Do(k Key, compute func() ([]byte, error)) (val []byte, hit bool
 // computing caller panicked.
 var ErrComputePanicked = errors.New("cache: result computation panicked")
 
-// settle publishes the flight's outcome and unregisters it.
+// settle publishes the flight's outcome. A failed flight is
+// unregistered at once: it stored nothing, so a caller that missed
+// before it misses again and retries. A successful one stays
+// registered while any caller is looking, so one that missed in the
+// cache before this flight's Put finds it there instead of computing k
+// a second time, and counts no second lookup.
 func (l *Loader) settle(k Key, f *flight) {
 	l.mu.Lock()
-	delete(l.inflight, k)
+	if f.err != nil {
+		delete(l.inflight, k)
+	} else {
+		l.settled = append(l.settled, k)
+		l.kept.Store(true) // before sweepLocked reads looking: a caller that stops looking after that read sees it
+		l.sweepLocked()
+	}
 	l.mu.Unlock()
 	close(f.done)
+}
+
+// sweepLocked unregisters every kept flight once nobody is looking. A
+// caller that starts looking after that looks up the cache after those
+// flights' Puts. A stripe reads 0 only if every caller that entered it
+// has left (a caller leaves after it enters), so a caller that looked
+// across a kept flight's Put keeps its stripe above 0. Caller holds
+// l.mu.
+func (l *Loader) sweepLocked() {
+	if len(l.settled) == 0 {
+		return
+	}
+	for i := range l.looking {
+		if l.looking[i].n.Load() != 0 {
+			return
+		}
+	}
+	for _, k := range l.settled {
+		delete(l.inflight, k)
+	}
+	l.settled = l.settled[:0]
+	l.kept.Store(false)
 }

@@ -64,8 +64,8 @@ type Config struct {
 	SSEHeartbeat time.Duration
 
 	// Cache is the result cache behind the read routes. Nil builds the
-	// in-memory sharded LRU with CacheBytes budget and the default shard
-	// count; supply an adapter to use an external tier.
+	// in-memory sharded segmented LRU with CacheBytes budget and the
+	// default shard count; supply an adapter to use an external tier.
 	Cache cache.ResultCache
 	// CacheBytes is the in-memory cache budget when Cache is nil:
 	// 0 selects the default (32 MiB), negative disables result caching

@@ -37,6 +37,9 @@ go run ./cmd/molint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+echo "==> Loader singleflight, 200 runs under -race (a second compute of one key failed ≈ 3.7 % of single runs before it was fixed)"
+go test -race -run '^TestLoader' -count=200 ./internal/cache
+
 echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against this tree)"
 (cd bench && go vet ./... && go test ./...)
 
