@@ -54,11 +54,12 @@ func BenchmarkMemoryPut(b *testing.B) {
 }
 
 // BenchmarkLoaderHit measures Loader.Do's hit path from every P at once
-// (run it with -cpu 1,2): besides the shard's relink, a hit writes one
-// of the Loader's counter stripes and the shared hit counter.
+// (run it with -cpu 1,2): besides the shard's relink, a hit writes the
+// shared hit counter.
 func BenchmarkLoaderHit(b *testing.B) {
-	m := NewMemory(1<<22, 0, nil)
-	l := NewLoader(m)
+	reg := obs.New(0)
+	m := NewMemory(1<<22, 0, reg)
+	l := NewLoader(m, reg)
 	keys := make([]Key, 256)
 	for i := range keys {
 		keys[i] = Key{Route: "/v1/window", Query: fmt.Sprintf("x1=%d&x2=%d", i, i+1), Epoch: 7}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"movingdb/internal/obs"
 )
@@ -32,8 +34,7 @@ func TestMemoryGetPut(t *testing.T) {
 	if _, ok := m.Get(key("x1=0&x2=1", 8)); ok {
 		t.Fatal("stale hit across epochs")
 	}
-	st := reg.Snapshot().Cache
-	if st.Hits != 1 || st.Misses != 2 || st.Puts != 1 || st.Entries != 1 {
+	if st := reg.Snapshot().Cache; st.Puts != 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -370,17 +371,42 @@ func TestMemoryMetrics(t *testing.T) {
 	m.Put(k, []byte("abc"))
 	m.Get(k)
 	snap := reg.Snapshot()
-	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 || snap.Cache.Puts != 1 {
+	if snap.Cache.Puts != 1 {
 		t.Fatalf("obs cache counters = %+v", snap.Cache)
+	}
+	// Lookups are the Loader's to count (TestLoaderCountsLookups): a
+	// Memory that counted them too would count every miss twice.
+	if snap.Cache.Hits != 0 || snap.Cache.Misses != 0 {
+		t.Fatalf("Memory counted lookups: %+v", snap.Cache)
 	}
 	if snap.Cache.Bytes != 3 || snap.Cache.Entries != 1 {
 		t.Fatalf("obs cache gauges = %+v", snap.Cache)
 	}
 }
 
+// newTestLoader builds a Loader over c counting into reg, and checks
+// when the test ends that no flight is left registered: every flight a
+// Do starts is unregistered by the time that Do returns.
+func newTestLoader(t *testing.T, c ResultCache, reg *obs.Metrics) *Loader {
+	l := NewLoader(c, reg)
+	t.Cleanup(func() {
+		if n := inflightLen(l); n != 0 {
+			t.Errorf("%d flights registered after the last Do, want 0", n)
+		}
+	})
+	return l
+}
+
+// inflightLen reads how many flights l has registered.
+func inflightLen(l *Loader) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.inflight)
+}
+
 func TestLoaderSingleflight(t *testing.T) {
 	m := NewMemory(1<<20, 4, nil)
-	l := NewLoader(m)
+	l := newTestLoader(t, m, nil)
 	k := key("herd", 1)
 	var computes atomic.Int64
 	gate := make(chan struct{})
@@ -423,7 +449,7 @@ func TestLoaderSingleflight(t *testing.T) {
 }
 
 func TestLoaderErrorNotCached(t *testing.T) {
-	l := NewLoader(NewMemory(1<<20, 1, nil))
+	l := newTestLoader(t, NewMemory(1<<20, 1, nil), nil)
 	k := key("err", 1)
 	boom := errors.New("boom")
 	if _, _, err := l.Do(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
@@ -436,8 +462,7 @@ func TestLoaderErrorNotCached(t *testing.T) {
 }
 
 // gatedCache holds the first caller that looks up its gate key inside
-// that lookup, after reading the cache, so the Loader counts it as
-// looking for as long as a test needs and its answer can be stale by
+// that lookup, after reading the cache, so its answer can be stale by
 // the time it returns.
 type gatedCache struct {
 	*Memory
@@ -462,8 +487,9 @@ func (c *gatedCache) Get(k Key) ([]byte, bool) {
 	return v, ok
 }
 
-// look starts a Do of c's gate key and returns once it is looking; the
-// channel yields what that Do returns after c.release closes.
+// look starts a Do of c's gate key and returns once that Do is held in
+// its first lookup; the channel yields what it returns after c.release
+// closes.
 func look(l *Loader, c *gatedCache) <-chan string {
 	out := make(chan string, 1)
 	go func() {
@@ -474,67 +500,133 @@ func look(l *Loader, c *gatedCache) <-chan string {
 	return out
 }
 
-// inflightLen reads how many flights l still has registered.
-func inflightLen(l *Loader) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.inflight)
-}
-
-// TestLoaderFlightsWhileLooking: while a caller of another key is
-// between its lookup and the lock, a failed flight is not kept (the
-// next Do computes again instead of returning the old error), a
-// succeeded one is, and the looking caller's hit unregisters it.
-func TestLoaderFlightsWhileLooking(t *testing.T) {
-	c := newGatedCache(key("gate", 1))
-	c.Put(c.gate, []byte("g"))
-	l := NewLoader(c)
-	looker := look(l, c)
-
-	k := key("fails", 1)
-	boom := errors.New("boom")
-	if _, _, err := l.Do(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
-		t.Fatalf("failing flight: err = %v", err)
-	}
-	v, hit, err := l.Do(k, func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || hit || string(v) != "ok" {
-		t.Fatalf("retry while a caller looks: %q %v %v, want a fresh compute", v, hit, err)
-	}
-	if n := inflightLen(l); n != 1 {
-		t.Fatalf("%d flights registered while a caller looks, want the succeeded one", n)
-	}
-
-	close(c.release)
-	if got := <-looker; got != "g true <nil>" {
-		t.Fatalf("looking caller got %q, want a hit", got)
-	}
-	if n := inflightLen(l); n != 0 {
-		t.Fatalf("%d flights registered after the last caller stopped looking, want 0", n)
-	}
-}
-
-// TestLoaderStaleMissJoinsSettledFlight replays the race that computed
+// TestLoaderStaleMissFindsStoredValue replays the race that computed
 // one key twice: a caller misses, a flight for the same key computes,
-// stores and settles, and only then does the caller take the lock. It
-// must answer from that flight, and leave nothing registered.
-func TestLoaderStaleMissJoinsSettledFlight(t *testing.T) {
+// stores and settles, and only then does the caller take the lock. Its
+// second lookup, under the lock, must find the stored value: a hit,
+// with no second compute.
+func TestLoaderStaleMissFindsStoredValue(t *testing.T) {
 	c := newGatedCache(key("raced", 1))
-	l := NewLoader(c)
+	reg := obs.New(0)
+	l := newTestLoader(t, c, reg)
 	looker := look(l, c)
 	if v, hit, err := l.Do(c.gate, func() ([]byte, error) { return []byte("v"), nil }); err != nil || hit || string(v) != "v" {
 		t.Fatalf("flight: %q %v %v", v, hit, err)
 	}
 	close(c.release)
-	if got := <-looker; got != "v false <nil>" {
-		t.Fatalf("stale miss got %q, want the settled flight's value", got)
+	if got := <-looker; got != "v true <nil>" {
+		t.Fatalf("stale miss got %q, want the stored value as a hit", got)
 	}
-	if n := inflightLen(l); n != 0 {
-		t.Fatalf("%d flights registered after the last caller stopped looking, want 0", n)
+	if st := reg.Snapshot().Cache; st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("two Dos counted %d hits and %d misses, want 1 and 1", st.Hits, st.Misses)
+	}
+}
+
+// TestLoaderWaiterKeepsOwnDeadline: a flight that fails because its
+// first caller's context ended (a short timeout_ms, a disconnect) does
+// not fail the callers that joined it, since the cache key leaves the
+// deadline out; each goes back to the lookup and, here, computes under
+// its own compute.
+func TestLoaderWaiterKeepsOwnDeadline(t *testing.T) {
+	for _, leaderErr := range []error{context.DeadlineExceeded, context.Canceled} {
+		t.Run(leaderErr.Error(), func(t *testing.T) {
+			k := key("deadline", 1)
+			c := newGatedCache(k)
+			c.armed.Store(false)
+			reg := obs.New(0)
+			l := newTestLoader(t, c, reg)
+			leading := make(chan struct{})
+			leader := make(chan error, 1)
+			go func() {
+				_, _, err := l.Do(k, func() ([]byte, error) {
+					close(leading)
+					<-c.entered // the waiter has missed; give it time to join
+					time.Sleep(20 * time.Millisecond)
+					return nil, fmt.Errorf("eval: %w", leaderErr)
+				})
+				leader <- err
+			}()
+			<-leading
+			c.armed.Store(true) // the waiter's first lookup opens c.entered
+			close(c.release)
+			v, hit, err := l.Do(k, func() ([]byte, error) { return []byte("mine"), nil })
+			if err != nil || hit || string(v) != "mine" {
+				t.Fatalf("waiter got %q %v %v, want its own compute", v, hit, err)
+			}
+			if err := <-leader; !errors.Is(err, leaderErr) {
+				t.Fatalf("leader got %v, want %v", err, leaderErr)
+			}
+			if st := reg.Snapshot().Cache; st.Hits != 0 || st.Misses != 2 {
+				t.Fatalf("two Dos counted %d hits and %d misses, want 0 and 2", st.Hits, st.Misses)
+			}
+		})
+	}
+}
+
+// TestLoaderCountsLookups: each Do over a cache counts one hit or one
+// miss; a stale epoch is a miss, and a nil cache counts nothing.
+func TestLoaderCountsLookups(t *testing.T) {
+	reg := obs.New(0)
+	l := newTestLoader(t, NewMemory(1<<20, 4, reg), reg)
+	k := key("x1=0&x2=1", 7)
+	val := func() ([]byte, error) { return []byte("result"), nil }
+	if _, hit, _ := l.Do(k, val); hit {
+		t.Fatal("hit on empty cache")
+	}
+	if v, hit, _ := l.Do(k, val); !hit || string(v) != "result" {
+		t.Fatalf("second Do = %q, %v", v, hit)
+	}
+	if _, hit, _ := l.Do(key("x1=0&x2=1", 8), val); hit {
+		t.Fatal("stale hit across epochs")
+	}
+	if st := reg.Snapshot().Cache; st.Hits != 1 || st.Misses != 2 || st.Puts != 2 {
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses, 2 puts", st)
+	}
+	none := obs.New(0)
+	nl := newTestLoader(t, nil, none)
+	nl.Do(k, val)
+	if st := none.Snapshot().Cache; st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("nil cache counted %d hits, %d misses", st.Hits, st.Misses)
+	}
+}
+
+// mapCache is a ResultCache adapter that counts nothing itself.
+type mapCache struct {
+	mu sync.Mutex
+	m  map[Key][]byte
+}
+
+func (c *mapCache) Get(k Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[k]
+	return v, ok
+}
+
+func (c *mapCache) Put(k Key, v []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[k] = v
+}
+
+// TestLoaderCountsAnyAdapter: hits and misses reach the registry
+// whatever adapter is behind the port, not only through Memory.
+func TestLoaderCountsAnyAdapter(t *testing.T) {
+	reg := obs.New(0)
+	l := newTestLoader(t, &mapCache{m: map[Key][]byte{}}, reg)
+	k := key("q", 1)
+	for i := 0; i < 2; i++ {
+		if _, _, err := l.Do(k, func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := reg.Snapshot().Cache; st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("counted %d hits and %d misses, want 1 and 1", st.Hits, st.Misses)
 	}
 }
 
 func TestLoaderNilCacheStillCoalesces(t *testing.T) {
-	l := NewLoader(nil)
+	l := newTestLoader(t, nil, nil)
 	k := key("nil", 1)
 	v, hit, err := l.Do(k, func() ([]byte, error) { return []byte("x"), nil })
 	if err != nil || hit || string(v) != "x" {
@@ -544,14 +636,10 @@ func TestLoaderNilCacheStillCoalesces(t *testing.T) {
 	if _, hit, _ := l.Do(k, func() ([]byte, error) { return []byte("y"), nil }); hit {
 		t.Fatal("hit with nil cache")
 	}
-	// Nothing looks up a nil cache, so no settled flight answers later.
-	if n := inflightLen(l); n != 0 {
-		t.Fatalf("%d flights registered after settling", n)
-	}
 }
 
 func TestLoaderComputePanicSettlesWaiters(t *testing.T) {
-	l := NewLoader(NewMemory(1<<20, 1, nil))
+	l := newTestLoader(t, NewMemory(1<<20, 1, nil), nil)
 	k := key("panic", 1)
 	started := make(chan struct{})
 	release := make(chan struct{})

@@ -53,8 +53,9 @@ type shard struct {
 	newest    uint64         // moguard: guarded by mu // highest Key.Epoch Put has seen
 	budget    int64          // moguard: immutable
 
-	// metrics.Cache holds the only hit/miss/put/evict counts and the
-	// byte/entry gauges; its counters are atomic and need no mu.
+	// metrics.Cache holds the put/evict counts and the byte/entry
+	// gauges (the Loader counts hits and misses); its counters are
+	// atomic and need no mu.
 	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
 
 	// The fields above take 88 bytes; padding the struct to 128 keeps
@@ -79,8 +80,9 @@ type entry struct {
 
 // NewMemory builds the adapter with the given total byte budget and
 // shard count (<= 0 selects the defaults; the shard count is rounded up
-// to a power of two). metrics receives the hit/miss/put/evict counters
-// and byte/entry gauges; nil keeps them in a private registry.
+// to a power of two). metrics receives the put/evict counters and
+// byte/entry gauges; nil keeps them in a private registry. Hits and
+// misses are the Loader's to count: it knows what a lookup is.
 func NewMemory(budget int64, shards int, metrics *obs.Metrics) *Memory {
 	if metrics == nil {
 		metrics = obs.New(0)
@@ -116,7 +118,6 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 	e, ok := s.entries[k]
 	if !ok {
 		s.mu.Unlock()
-		s.metrics.Cache.Misses.Inc()
 		return nil, false
 	}
 	s.segmentLocked(e).unlink(e)
@@ -124,7 +125,6 @@ func (m *Memory) Get(k Key) ([]byte, bool) {
 	s.protected.pushFront(e)
 	v := e.val
 	s.mu.Unlock()
-	s.metrics.Cache.Hits.Inc()
 	return v, true
 }
 

@@ -1,10 +1,11 @@
 package cache
 
 import (
+	"context"
 	"errors"
-	"math/rand/v2"
 	"sync"
-	"sync/atomic"
+
+	"movingdb/internal/obs"
 )
 
 // Loader fronts a ResultCache with miss coalescing: when a thundering
@@ -14,32 +15,16 @@ import (
 // advance under load costs one evaluation per distinct query, not one
 // per request.
 //
-// A nil-cache Loader still coalesces — useful when caching is disabled
-// but duplicate suppression is wanted.
+// The Loader is where a lookup is counted: each Do over a non-nil
+// cache adds one hit (it returned hit=true) or one miss to
+// metrics.Cache, whatever adapter sits behind the port. A nil-cache
+// Loader counts nothing but still coalesces — useful when caching is
+// disabled but duplicate suppression is wanted.
 type Loader struct {
-	// looking counts callers between entering Do and leaving the lookup
-	// (a hit returned, or mu taken after a miss): each may have missed in
-	// the cache just before a flight's Put. A flight that succeeds while
-	// one is looking stays in inflight for it, and the last caller to stop
-	// looking unregisters it. The count is striped so that hits on
-	// different cores do not all write one cache line (first in the
-	// struct, so no other field shares a stripe's line); a caller leaves
-	// the stripe it entered. A nil cache has no lookup, so nothing looks.
-	looking  [lookStripes]stripe // moguard: atomic
-	cache    ResultCache         // moguard: immutable // nil disables storage, not coalescing
-	kept     atomic.Bool         // moguard: atomic // written under mu: settled is not empty
+	cache    ResultCache  // moguard: immutable // nil disables storage, not coalescing
+	metrics  *obs.Metrics // moguard: immutable // synchronises itself, never nil
 	mu       sync.Mutex
-	inflight map[Key]*flight // moguard: guarded by mu // running flights, and succeeded ones kept for lookers
-	settled  []Key           // moguard: guarded by mu // keys of the kept flights
-}
-
-// lookStripes is how many counters looking is spread over.
-const lookStripes = 16
-
-// stripe is one looking counter, alone on its cache line.
-type stripe struct {
-	n atomic.Int64
-	_ [56]byte
+	inflight map[Key]*flight // moguard: guarded by mu // running flights
 }
 
 // flight is one in-progress computation; done closes when val/err are
@@ -50,49 +35,63 @@ type flight struct {
 	err  error
 }
 
-// NewLoader builds a Loader over c (nil is allowed).
-func NewLoader(c ResultCache) *Loader {
-	return &Loader{cache: c, inflight: make(map[Key]*flight)}
+// NewLoader builds a Loader over c (nil is allowed). metrics receives
+// the hit and miss counts; nil keeps them in a private registry.
+func NewLoader(c ResultCache, metrics *obs.Metrics) *Loader {
+	if metrics == nil {
+		metrics = obs.New(0)
+	}
+	return &Loader{cache: c, metrics: metrics, inflight: make(map[Key]*flight)}
 }
 
 // Do returns the cached bytes for k, or computes them exactly once
 // across concurrent callers. hit reports whether the result came from
 // the cache (a waiter that piggybacked on another caller's computation
 // reports hit=false: the value was evaluated this round, just not by
-// this caller). Errors are not cached; every waiter of a failed flight
-// receives the same error.
+// this caller). Errors are not cached.
 //
-// compute runs under the first caller's context; a canceled first
-// caller fails the whole flight, and the next request simply retries.
+// A miss looks up the cache a second time under l.mu before it starts
+// a flight: a flight Puts before it unregisters under l.mu, so a
+// caller that missed just before a flight's Put either finds the
+// flight still registered or finds its value, and k is not computed
+// twice.
+//
+// compute runs under the first caller's context. Waiters share the
+// flight's error, except a context.Canceled or
+// context.DeadlineExceeded: that is the first caller's deadline or
+// disconnect, not theirs, so a waiter looks again, joining a newer
+// flight or computing under its own compute.
 func (l *Loader) Do(k Key, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	var look *atomic.Int64
 	if l.cache != nil {
-		//molint:ignore det-path the stripe only spreads counter writes; which one a caller takes changes no result, count or order
-		look = &l.looking[rand.Uint32()%lookStripes].n
-		look.Add(1)
 		if v, ok := l.cache.Get(k); ok {
-			if look.Add(-1) == 0 && l.kept.Load() {
-				l.mu.Lock()
-				l.sweepLocked()
-				l.mu.Unlock()
-			}
+			l.metrics.Cache.Hits.Inc()
 			return v, true, nil
 		}
 	}
-	l.mu.Lock()
-	f, ok := l.inflight[k]
-	if look != nil {
-		look.Add(-1)
-		l.sweepLocked()
-	}
-	if ok {
+	var f *flight
+	for f == nil {
+		l.mu.Lock()
+		if w, ok := l.inflight[k]; ok {
+			l.mu.Unlock()
+			<-w.done
+			if !errors.Is(w.err, context.Canceled) && !errors.Is(w.err, context.DeadlineExceeded) {
+				l.countMiss()
+				return w.val, false, w.err
+			}
+			continue
+		}
+		if l.cache != nil {
+			if v, ok := l.cache.Get(k); ok {
+				l.mu.Unlock()
+				l.metrics.Cache.Hits.Inc()
+				return v, true, nil
+			}
+		}
+		f = &flight{done: make(chan struct{})}
+		l.inflight[k] = f
 		l.mu.Unlock()
-		<-f.done
-		return f.val, false, f.err
 	}
-	f = &flight{done: make(chan struct{})}
-	l.inflight[k] = f
-	l.mu.Unlock()
+	l.countMiss()
 
 	// Settle the flight even if compute panics (the HTTP layer recovers
 	// panics, and a flight that never closes would hang every waiter);
@@ -116,43 +115,19 @@ func (l *Loader) Do(k Key, compute func() ([]byte, error)) (val []byte, hit bool
 // computing caller panicked.
 var ErrComputePanicked = errors.New("cache: result computation panicked")
 
-// settle publishes the flight's outcome. A failed flight is
-// unregistered at once: it stored nothing, so a caller that missed
-// before it misses again and retries. A successful one stays
-// registered while any caller is looking, so one that missed in the
-// cache before this flight's Put finds it there instead of computing k
-// a second time, and counts no second lookup.
-func (l *Loader) settle(k Key, f *flight) {
-	l.mu.Lock()
-	if f.err != nil {
-		delete(l.inflight, k)
-	} else {
-		l.settled = append(l.settled, k)
-		l.kept.Store(true) // before sweepLocked reads looking: a caller that stops looking after that read sees it
-		l.sweepLocked()
+// countMiss counts a Do that returns no stored value.
+func (l *Loader) countMiss() {
+	if l.cache != nil {
+		l.metrics.Cache.Misses.Inc()
 	}
-	l.mu.Unlock()
-	close(f.done)
 }
 
-// sweepLocked unregisters every kept flight once nobody is looking. A
-// caller that starts looking after that looks up the cache after those
-// flights' Puts. A stripe reads 0 only if every caller that entered it
-// has left (a caller leaves after it enters), so a caller that looked
-// across a kept flight's Put keeps its stripe above 0. Caller holds
-// l.mu.
-func (l *Loader) sweepLocked() {
-	if len(l.settled) == 0 {
-		return
-	}
-	for i := range l.looking {
-		if l.looking[i].n.Load() != 0 {
-			return
-		}
-	}
-	for _, k := range l.settled {
-		delete(l.inflight, k)
-	}
-	l.settled = l.settled[:0]
-	l.kept.Store(false)
+// settle unregisters the flight and publishes its outcome. A caller
+// that takes l.mu after this finds the flight's Put in the cache, or,
+// for a failed flight, nothing, and computes again.
+func (l *Loader) settle(k Key, f *flight) {
+	l.mu.Lock()
+	delete(l.inflight, k)
+	l.mu.Unlock()
+	close(f.done)
 }

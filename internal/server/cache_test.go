@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"movingdb/internal/cache"
 	"movingdb/internal/ingest"
 )
 
@@ -348,5 +349,48 @@ func TestMetricsExposeCacheAndEpoch(t *testing.T) {
 	}
 	if epochStats["seq"].(float64) < 1 || epochStats["publishes"].(float64) < 1 {
 		t.Errorf("epoch stats = %v", epochStats)
+	}
+}
+
+// mapCache is a ResultCache adapter other than cache.Memory, one that
+// counts nothing itself.
+type mapCache struct {
+	mu sync.Mutex
+	m  map[cache.Key][]byte
+}
+
+func (c *mapCache) Get(k cache.Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[k]
+	return v, ok
+}
+
+func (c *mapCache) Put(k cache.Key, v []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[k] = v
+}
+
+// TestMetricsCountAnyCacheAdapter: behind an external adapter, a
+// repeated read still moves /v1/metrics' cache hits and misses.
+func TestMetricsCountAnyCacheAdapter(t *testing.T) {
+	_, ids, objects := testObjects()
+	s, err := New(Config{ObjectIDs: ids, Objects: objects, Cache: &mapCache{m: map[cache.Key][]byte{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	getRec(t, h, testWindowURL, nil)
+	if got := getRec(t, h, testWindowURL, nil).Header().Get("X-MO-Cache"); got != "hit" {
+		t.Fatalf("repeat read X-MO-Cache = %q, want hit", got)
+	}
+	_, body := get(t, h, "/v1/metrics")
+	cacheStats, ok := body["cache"].(map[string]any)
+	if !ok {
+		t.Fatalf("metrics missing cache section: %v", body)
+	}
+	if cacheStats["hits"] != 1.0 || cacheStats["misses"] != 1.0 {
+		t.Errorf("cache hits, misses = %v, %v, want 1, 1", cacheStats["hits"], cacheStats["misses"])
 	}
 }

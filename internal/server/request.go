@@ -301,7 +301,8 @@ func (q objectsReq) key(epoch uint64) cache.Key {
 // cache entry; Raw keeps the client's text for the slow-query log. The
 // timeout is deliberately not part of the key: a shorter deadline
 // either produces the same bytes or an error, and errors are never
-// cached.
+// cached. A request that joins a flight whose deadline ran out computes
+// under its own (cache.Loader.Do).
 type queryReq struct {
 	SQL     string
 	Raw     string

@@ -161,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		pinEpoch: pinEpoch,
 		ingest:   cfg.Ingest,
 		live:     cfg.Live,
-		loader:   cache.NewLoader(rc),
+		loader:   cache.NewLoader(rc, cfg.Metrics),
 		logger:   cfg.Logger,
 		metrics:  cfg.Metrics,
 	}, nil

@@ -37,8 +37,8 @@ go run ./cmd/molint ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> Loader singleflight, 200 runs under -race (a second compute of one key failed ≈ 3.7 % of single runs before it was fixed)"
-go test -race -run '^TestLoader' -count=200 ./internal/cache
+echo "==> Loader singleflight, 200 runs under -race at 1 and 4 Ps (4 Ps, more than a small CI runner has cores, so the stale-miss interleavings run too)"
+go test -race -run '^TestLoader' -count=200 -cpu 1,4 ./internal/cache
 
 echo "==> bench module (own go.mod, so ./... above skips it: vet + tests against this tree)"
 (cd bench && go vet ./... && go test ./...)
