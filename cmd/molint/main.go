@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	molint [-checks=id1,id2] [-format=text|github] [patterns...]
+//	molint [-format=text|github] [patterns...]
 //
 // Patterns default to ./... relative to the module root. Every package
 // is analyzed in its default build configuration, and packages with
@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"movingdb/internal/lint"
 )
@@ -46,7 +45,6 @@ func emit(w io.Writer, format string, args ...any) {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("molint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	checksFlag := fs.String("checks", "", "comma-separated check IDs to run (default: all)")
 	formatFlag := fs.String("format", "text", "output format: text or github")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -95,27 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	checks := lint.Checks(lint.DefaultConfig(module))
-	if *checksFlag != "" {
-		enabled := map[string]bool{}
-		for _, id := range strings.Split(*checksFlag, ",") {
-			enabled[strings.TrimSpace(id)] = true
-		}
-		var kept []lint.Check
-		for _, c := range checks {
-			if enabled[c.ID()] {
-				kept = append(kept, c)
-				delete(enabled, c.ID())
-			}
-		}
-		for id := range enabled {
-			emit(stderr, "molint: unknown check %q\n", id)
-			return 2
-		}
-		checks = kept
-	}
-
-	res := lint.Run(pkgs, checks)
+	res := lint.Run(pkgs, lint.Checks(lint.DefaultConfig(module)))
 	write := res.WriteText
 	if *formatFlag == "github" {
 		write = res.WriteGitHub

@@ -48,12 +48,10 @@ func TestFixturesExitOne(t *testing.T) {
 	}
 }
 
-// TestConcurrentPackagesClean asserts the annotation debt of the five
-// concurrent packages is zero: the concurrency checks alone report
-// nothing.
+// TestConcurrentPackagesClean asserts the five concurrent packages are
+// clean: the full suite, concurrency checks included, reports nothing.
 func TestConcurrentPackagesClean(t *testing.T) {
 	code, stdout, stderr := runMolint(t,
-		"-checks=guarded-by,goroutine-exit",
 		"./internal/obs", "./internal/ingest", "./internal/index",
 		"./internal/fault", "./internal/server",
 	)
@@ -65,7 +63,7 @@ func TestConcurrentPackagesClean(t *testing.T) {
 // TestGitHubFormat checks the workflow-command rendering CI consumes.
 func TestGitHubFormat(t *testing.T) {
 	code, stdout, _ := runMolint(t,
-		"-checks=goroutine-exit", "-format=github",
+		"-format=github",
 		"./internal/lint/testdata/src/goroutineexit",
 	)
 	if code != 1 {
@@ -80,16 +78,11 @@ func TestGitHubFormat(t *testing.T) {
 }
 
 // TestStaleSuppressions asserts the fixture's well-formed directive that
-// suppresses nothing is reported, and that a -checks subset leaves the
-// other checks' directives alone.
+// suppresses nothing is reported.
 func TestStaleSuppressions(t *testing.T) {
 	_, stdout, _ := runMolint(t, "./internal/lint/testdata/src/suppress")
 	if !strings.Contains(stdout, "molint:ignore ctx-loop suppresses nothing") {
 		t.Errorf("stale directive not reported:\n%s", stdout)
-	}
-	_, stdout, _ = runMolint(t, "-checks=err-drop", "./internal/lint/testdata/src/suppress")
-	if strings.Contains(stdout, "suppresses nothing") {
-		t.Errorf("stale finding reported for a check that did not run:\n%s", stdout)
 	}
 }
 
@@ -113,7 +106,7 @@ func TestTextReportDeterministic(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	fixture := "./internal/lint/testdata/src/suppress"
 	for _, arg := range []string{"-format=yaml", "-format=json", "-format=sarif", "-checks=no-such-check",
-		"-checks=atomic-mix", "-summary", "-stale-suppressions", "-suggest", "-timings", "-tags=faultinject"} {
+		"-checks=atomic-mix", "-checks=err-drop", "-summary", "-stale-suppressions", "-suggest", "-timings", "-tags=faultinject"} {
 		if code, _, _ := runMolint(t, arg, fixture); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", arg, code)
 		}

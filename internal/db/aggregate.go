@@ -2,85 +2,66 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
-// Aggregation: COUNT / SUM / AVG / MIN / MAX with optional GROUP BY over
-// column references. A query runs in aggregate mode when it has a GROUP
-// BY clause or an aggregate call in its SELECT list; in that mode every
-// SELECT item must be a grouping column or an aggregate. The names
-// min/max double as the lifted operations on moving reals — a call is an
-// aggregate exactly when its argument is a scalar row expression.
+// Aggregation: COUNT / SUM / AVG / MIN / MAX, optionally per GROUP BY
+// column values, as one branch of the executor. bind makes an aggregate
+// call in the SELECT list or ORDER BY an aggregate node; a query that has
+// one, or a GROUP BY clause, folds its rows into groups and emits one row
+// per group through the same projection, sort and LIMIT as any query.
+// The names min/max double as the lifted operations on moving reals — a
+// call is an aggregate exactly when its argument is a scalar row
+// expression.
 
 // starArg is the parsed form of the `*` argument of count(*).
 type starArg struct{}
 
 func (starArg) String() string { return "*" }
 
-// isAggregateCall reports whether the call is an aggregate in row
-// context and returns the inner expression (nil for count(*)).
-func (q *queryEnv) isAggregateCall(c call) (bool, expr, error) {
-	switch c.fn {
-	case "count":
-		if len(c.args) == 1 {
-			if _, star := c.args[0].(starArg); star {
-				return true, nil, nil
-			}
-			return true, c.args[0], nil
-		}
-	case "sum", "avg", "min", "max":
-		if len(c.args) != 1 {
-			return false, nil, nil
-		}
-		_, t, err := q.bind(c.args[0])
-		if err != nil {
-			return false, nil, err
-		}
-		switch t {
-		case TReal, TInt:
-			return true, c.args[0], nil
-		case TString, TBool:
-			if c.fn == "min" || c.fn == "max" {
-				return true, c.args[0], nil
-			}
-		}
-	}
-	return false, nil, nil
+// aggregate is an aggregate call bound to a query: the call as parsed
+// (its text names derived columns) and the index of its accumulator in
+// queryEnv.aggs. While a group is emitted it evaluates to that group's
+// result.
+type aggregate struct {
+	call
+	acc int
 }
 
-// containsAggregate reports whether the expression tree holds an
-// aggregate call at any level.
-func (q *queryEnv) containsAggregate(e expr) (bool, error) {
-	switch ex := e.(type) {
-	case call:
-		if agg, _, err := q.isAggregateCall(ex); err != nil {
-			return false, err
-		} else if agg {
-			return true, nil
+// aggregateType returns the result type of the aggregate fn over an
+// argument of type t: count of anything, sum and avg of a number, min
+// and max of a scalar. It is false when fn over t is no aggregate.
+func aggregateType(fn string, t AttrType) (AttrType, bool) {
+	switch fn {
+	case "count":
+		return TInt, true
+	case "sum", "avg":
+		if t == TReal || t == TInt {
+			return TReal, true
 		}
-		for _, a := range ex.args {
-			if got, err := q.containsAggregate(a); err != nil || got {
-				return got, err
-			}
+	case "min", "max":
+		if scalar(t) {
+			return t, true
 		}
-	case binop:
-		if got, err := q.containsAggregate(ex.l); err != nil || got {
-			return got, err
-		}
-		return q.containsAggregate(ex.r)
-	case notop:
-		return q.containsAggregate(ex.e)
-	case negop:
-		return q.containsAggregate(ex.e)
 	}
-	return false, nil
+	return 0, false
+}
+
+// isAggregateName reports whether a call of one argument named fn may be
+// an aggregate.
+func isAggregateName(fn string) bool {
+	switch fn {
+	case "count", "sum", "avg", "min", "max":
+		return true
+	}
+	return false
 }
 
 // accumulator folds one aggregate over the rows of a group.
 type accumulator struct {
 	fn    string // count sum avg min max
-	inner expr   // nil for count(*)
-	typ   AttrType
+	inner expr   // bound argument; nil for count(*)
 
 	n     int64
 	sum   float64
@@ -148,16 +129,6 @@ func (a *accumulator) result() any {
 	return Undef{}
 }
 
-func (a *accumulator) resultType() AttrType {
-	switch a.fn {
-	case "count":
-		return TInt
-	case "sum", "avg":
-		return TReal
-	}
-	return a.typ
-}
-
 // appendGroupKey appends the encoding of one grouping value to a group's
 // map key so that two rows share a key exactly when cmpKeys calls all
 // their grouping values equal: strings are length-prefixed (a separator
@@ -180,171 +151,83 @@ func appendGroupKey(key []byte, v any) []byte {
 	return append(key, 0)
 }
 
-// runAggregate executes an aggregate-mode query.
-func runAggregate(env *queryEnv, stmt *selectStmt, items []selectItem) (*Relation, error) {
-	// Classify the select items: group column or aggregate.
-	type outCol struct {
-		isGroup  bool
-		groupRef colRef
-		fn       string
-		inner    expr
-		innerTyp AttrType
-	}
-	groupIdx := func(ref colRef) int {
-		for i, g := range stmt.groupBy {
-			if g.name == ref.name && (g.qualifier == ref.qualifier || g.qualifier == "" || ref.qualifier == "") {
-				return i
-			}
-		}
-		return -1
-	}
-	var cols []outCol
-	schema := make(Schema, 0, len(items))
-	for _, it := range items {
-		if ref, isCol := it.e.(colRef); isCol {
-			if groupIdx(ref) < 0 {
-				return nil, fmt.Errorf("%w: column %q must appear in GROUP BY or inside an aggregate", ErrType, ref)
-			}
-			_, t, err := env.bind(ref)
-			if err != nil {
-				return nil, err
-			}
-			cols = append(cols, outCol{isGroup: true, groupRef: ref})
-			schema = append(schema, Column{Name: columnName(schema, it), Type: t})
-			continue
-		}
-		c, isCall := it.e.(call)
-		if !isCall {
-			return nil, fmt.Errorf("%w: aggregate queries allow group columns and aggregates, got %v", ErrType, it.e)
-		}
-		agg, inner, err := env.isAggregateCall(c)
-		if err != nil {
-			return nil, err
-		}
-		if !agg {
-			return nil, fmt.Errorf("%w: %q is not an aggregate", ErrType, c.text)
-		}
-		oc := outCol{fn: c.fn}
-		if inner != nil {
-			if oc.inner, oc.innerTyp, err = env.bind(inner); err != nil {
-				return nil, err
-			}
-		}
-		acc := accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp}
-		cols = append(cols, oc)
-		schema = append(schema, Column{Name: columnName(schema, it), Type: acc.resultType()})
-	}
-	groupKeys := make([]expr, len(stmt.groupBy))
-	for k, g := range stmt.groupBy {
-		var t AttrType
-		var err error
-		if groupKeys[k], t, err = env.bind(g); err != nil {
-			return nil, err
-		}
-		switch t {
-		case TReal, TInt, TString, TBool:
-		default:
-			return nil, fmt.Errorf("%w: GROUP BY needs a scalar column, got %s", ErrType, t)
-		}
-	}
-
+// forEachGroup is the grouping branch of the executor. It folds every
+// row forEachRow yields into its group, the rows whose GROUP BY columns
+// cmpKeys calls equal, and then runs fn once per group in the order the
+// groups were first seen. During fn the group's opening row is q.tuples
+// and q.rows, so group columns and guards read it, and q.aggs holds the
+// group's accumulators. Without GROUP BY there is one group, also over
+// no rows.
+func (q *queryEnv) forEachGroup(stmt *selectStmt, by []slot, fn func() error) error {
 	type group struct {
-		keyVals []any
-		accs    []*accumulator
+		tuples []Tuple
+		rows   []int
+		accs   []accumulator
 	}
-	groups := map[string]*group{}
-	var order []*group // first-seen order, which the result keeps
-	newGroup := func(keyVals []any) *group {
-		gr := &group{keyVals: keyVals}
-		for _, oc := range cols {
-			if oc.isGroup {
-				gr.accs = append(gr.accs, nil)
-				continue
-			}
-			gr.accs = append(gr.accs, &accumulator{fn: oc.fn, inner: oc.inner, typ: oc.innerTyp})
-		}
-		order = append(order, gr)
-		return gr
-	}
-
+	var groups []group
+	index := map[string]int{}
 	var key []byte
-	err := env.forEachRow(stmt, func() error {
-		keyVals := make([]any, len(groupKeys))
+	err := q.forEachRow(stmt, func() error {
 		key = key[:0]
-		for k, g := range groupKeys {
-			v, err := env.eval(g)
-			if err != nil {
-				return err
-			}
-			keyVals[k] = v
-			key = appendGroupKey(key, v)
+		for _, s := range by {
+			key = appendGroupKey(key, q.tuples[s.from][s.col])
 		}
-		gr, ok := groups[string(key)]
+		g, ok := index[string(key)]
 		if !ok {
-			gr = newGroup(keyVals)
-			groups[string(key)] = gr
+			g = len(groups)
+			index[string(key)] = g
+			groups = append(groups, group{slices.Clone(q.tuples), slices.Clone(q.rows), slices.Clone(q.aggs)})
 		}
-		for _, acc := range gr.accs {
-			if acc == nil {
-				continue
-			}
-			if err := acc.add(env); err != nil {
+		for i := range groups[g].accs {
+			if err := groups[g].accs[i].add(q); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// A global aggregate over zero rows still yields one row.
-	if len(stmt.groupBy) == 0 && len(order) == 0 {
-		newGroup(nil)
+	if len(by) == 0 && len(groups) == 0 {
+		groups = append(groups, group{q.tuples, q.rows, q.aggs}) // no column outside an aggregate reads it
 	}
+	for _, g := range groups {
+		q.tuples, q.rows, q.aggs = g.tuples, g.rows, g.accs
+		if err := fn(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
-	out := NewRelation("query", schema)
-	for _, gr := range order {
-		row := make(Tuple, len(cols))
-		for i, oc := range cols {
-			if oc.isGroup {
-				row[i] = gr.keyVals[groupIdx(oc.groupRef)]
-				continue
+// checkGrouped fails on a column of e that lies outside every aggregate
+// and is none of the GROUP BY columns by.
+func checkGrouped(e expr, by []slot) error {
+	switch ex := e.(type) {
+	case slot:
+		for _, g := range by {
+			if g.from == ex.from && g.col == ex.col {
+				return nil
 			}
-			v := gr.accs[i].result()
-			if isUndef(v) {
-				return nil, fmt.Errorf("%w: aggregate %s over no defined values", ErrType, oc.fn)
+		}
+		return fmt.Errorf("%w: column %q must appear in GROUP BY or inside an aggregate", ErrType, ex.colRef)
+	case negop:
+		return checkGrouped(ex.e, by)
+	case notop:
+		return checkGrouped(ex.e, by)
+	case binop:
+		if err := checkGrouped(ex.l, by); err != nil {
+			return err
+		}
+		return checkGrouped(ex.r, by)
+	case apply:
+		for _, a := range ex.args {
+			if err := checkGrouped(a, by); err != nil {
+				return err
 			}
-			row[i] = v
 		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
+	case *guard:
+		return checkGrouped(ex.expr, by)
 	}
-	// ORDER BY over output column names, then LIMIT.
-	if len(stmt.orderBy) > 0 {
-		idxs := make([]int, len(stmt.orderBy))
-		for k, ob := range stmt.orderBy {
-			ref, isCol := ob.e.(colRef)
-			if !isCol || ref.qualifier != "" {
-				return nil, fmt.Errorf("%w: aggregate ORDER BY must name an output column", ErrType)
-			}
-			i := out.Schema.Index(ref.name)
-			if i < 0 {
-				return nil, fmt.Errorf("%w: unknown output column %q in ORDER BY", ErrType, ref.name)
-			}
-			idxs[k] = i
-		}
-		keys := make([][]any, len(out.tuples))
-		for r, t := range out.tuples {
-			keys[r] = make([]any, len(idxs))
-			for k, i := range idxs {
-				keys[r][k] = t[i]
-			}
-		}
-		sortRelation(out, keys, stmt.orderBy)
-	}
-	if stmt.limit >= 0 && stmt.limit < len(out.tuples) {
-		out.tuples = out.tuples[:stmt.limit]
-	}
-	return out, nil
+	return nil // a literal or an aggregate
 }

@@ -198,6 +198,11 @@ type queryEnv struct {
 	rec    *obs.Metrics
 	steps  int
 	filter [numShapes]filterCounts
+	// aggOK admits aggregates while the SELECT list and ORDER BY are
+	// bound; aggs holds an accumulator per aggregate node, zero until
+	// forEachGroup hands it a group's.
+	aggOK bool
+	aggs  []accumulator
 }
 
 // cancelCheckRows is how many candidate rows the evaluation loops
@@ -302,13 +307,24 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 			if lt != rt {
 				return nil, 0, fmt.Errorf("%w: comparing %s with %s", ErrType, lt, rt)
 			}
-			switch lt {
-			case TReal, TInt, TString, TBool:
-				return q.guarded(bound), TBool, nil
+			if !scalar(lt) {
+				return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
 			}
-			return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
+			return q.guarded(bound), TBool, nil
 		}
 	case call:
+		// Where aggregates are admitted, a one-argument count, sum, avg,
+		// min or max is an aggregate when aggregateType takes its
+		// argument's type, else an operation call (min of an mreal).
+		// The argument is bound with aggregates off: none nests.
+		agg := q.aggOK && len(ex.args) == 1 && isAggregateName(ex.fn)
+		if agg {
+			q.aggOK = false
+			defer func() { q.aggOK = true }()
+			if _, star := ex.args[0].(starArg); star && ex.fn == "count" {
+				return q.aggregate(ex, nil, TInt)
+			}
+		}
 		args := make([]expr, len(ex.args))
 		argTypes := make([]AttrType, len(ex.args))
 		for i, a := range ex.args {
@@ -318,6 +334,11 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 			var err error
 			if args[i], argTypes[i], err = q.bind(a); err != nil {
 				return nil, 0, err
+			}
+		}
+		if agg {
+			if t, ok := aggregateType(ex.fn, argTypes[0]); ok {
+				return q.aggregate(ex, args[0], t)
 			}
 		}
 		ov, err := lookupOverload(ex, argTypes)
@@ -330,6 +351,13 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 		return nil, 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
 	}
 	return nil, 0, fmt.Errorf("%w: unhandled expression %v", ErrType, e)
+}
+
+// aggregate binds the aggregate call c over the bound argument inner
+// (nil for count(*)), whose result has type t.
+func (q *queryEnv) aggregate(c call, inner expr, t AttrType) (expr, AttrType, error) {
+	q.aggs = append(q.aggs, accumulator{fn: c.fn, inner: inner})
+	return aggregate{call: c, acc: len(q.aggs) - 1}, t, nil
 }
 
 // lookupOverload finds the overload of the called operation that takes
@@ -462,6 +490,12 @@ func (q *queryEnv) eval(e expr) (any, error) {
 		return ex.ov.fn(q.ctx, ex.argv)
 	case *guard:
 		return q.evalGuard(ex)
+	case aggregate:
+		v := q.aggs[ex.acc].result()
+		if isUndef(v) {
+			return nil, fmt.Errorf("%w: aggregate %s over no defined values", ErrType, ex.fn)
+		}
+		return v, nil
 	}
 	return nil, fmt.Errorf("%w: unbound expression %v", ErrType, e)
 }
@@ -540,21 +574,9 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 			}
 		}
 	}
-	aggMode := len(stmt.groupBy) > 0
-	for _, it := range items {
-		has, err := env.containsAggregate(it.e)
-		if err != nil {
-			return nil, err
-		}
-		aggMode = aggMode || has
-	}
-	if aggMode {
-		if err := env.bindWhere(stmt); err != nil {
-			return nil, err
-		}
-		return runAggregate(env, stmt, items)
-	}
-	// The plan: every expression the row loop evaluates, bound once.
+	// The plan: every expression the executor evaluates, bound once.
+	// Aggregates are admitted in the SELECT list and ORDER BY only.
+	env.aggOK = true
 	schema := make(Schema, 0, len(items))
 	project := make([]expr, len(items))
 	for k, it := range items {
@@ -568,8 +590,20 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		}
 		schema = append(schema, Column{Name: columnName(schema, it), Type: t})
 	}
+	env.aggOK = false
 	if err := env.bindWhere(stmt); err != nil {
 		return nil, err
+	}
+	groupBy := make([]slot, len(stmt.groupBy))
+	for k, g := range stmt.groupBy {
+		e, t, err := env.bind(g)
+		if err != nil {
+			return nil, err
+		}
+		if !scalar(t) {
+			return nil, fmt.Errorf("%w: GROUP BY needs a scalar column, got %s", ErrType, t)
+		}
+		groupBy[k] = e.(slot)
 	}
 	// An ORDER BY key that names an output alias sorts on the projected
 	// column (the later of two items with that alias): the row already
@@ -580,6 +614,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 			aliasCol[it.alias] = k
 		}
 	}
+	env.aggOK = true
 	keyCol := make([]int, len(stmt.orderBy)) // the projected column a key reads, or -1
 	for k, ob := range stmt.orderBy {
 		keyCol[k] = -1
@@ -594,16 +629,29 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		} else if stmt.orderBy[k].e, t, err = env.bind(ob.e); err != nil {
 			return nil, err
 		}
-		switch t {
-		case TReal, TInt, TString, TBool:
-		default:
+		if !scalar(t) {
 			return nil, fmt.Errorf("%w: ORDER BY needs an orderable type, got %s", ErrType, t)
+		}
+	}
+	// A query groups when it has GROUP BY or an aggregate. Then every
+	// column outside an aggregate, in an item or a key, is a GROUP BY
+	// column (a key that reads an alias's column is not bound).
+	grouped := len(groupBy) > 0 || len(env.aggs) > 0
+	if grouped {
+		for _, e := range project {
+			if err := checkGrouped(e, groupBy); err != nil {
+				return nil, err
+			}
+		}
+		for _, ob := range stmt.orderBy {
+			if err := checkGrouped(ob.e, groupBy); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out := NewRelation("query", schema)
 	var sortKeys [][]any
-
-	err = env.forEachRow(stmt, func() error {
+	emit := func() error {
 		row := make(Tuple, len(project))
 		for k, e := range project {
 			v, err := env.eval(e)
@@ -628,7 +676,12 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 			sortKeys = append(sortKeys, keys)
 		}
 		return out.Insert(row)
-	})
+	}
+	if grouped {
+		err = env.forEachGroup(stmt, groupBy, emit)
+	} else {
+		err = env.forEachRow(stmt, emit)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -641,9 +694,9 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	return out, nil
 }
 
-// columnName names the result column of item, the next after schema,
-// in both row and aggregate mode: the item's alias, else its expression
-// text, with "#<position>" appended when an earlier column has the name.
+// columnName names the result column of item, the next after schema:
+// the item's alias, else its expression text, with "#<position>"
+// appended when an earlier column has the name.
 func columnName(schema Schema, it selectItem) string {
 	name := it.alias
 	if name == "" {
@@ -749,6 +802,15 @@ func cmpKeys(a, b any) int {
 	}
 	c, _ := cmpScalars(a, b)
 	return c
+}
+
+// scalar reports whether t is one of the types cmpScalars orders.
+func scalar(t AttrType) bool {
+	switch t {
+	case TReal, TInt, TString, TBool:
+		return true
+	}
+	return false
 }
 
 // cmpScalars is the one three-way comparison of two values of one

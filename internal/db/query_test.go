@@ -447,6 +447,39 @@ func TestQueryOrderByAlias(t *testing.T) {
 	}
 }
 
+// TestOrderByAliasOneRule: a plain and a grouped query resolve an ORDER
+// BY name by one rule. An alias wins over a column or a derived name,
+// and of two items with the alias the later one is the key.
+func TestOrderByAliasOneRule(t *testing.T) {
+	r := NewRelation("r", Schema{{Name: "a", Type: TString}, {Name: "b", Type: TReal}})
+	for _, row := range []Tuple{{"x", 3.0}, {"x", 4.0}, {"x", 5.0}, {"y", 2.0}, {"y", 6.0}, {"z", 1.0}} {
+		r.MustInsert(row)
+	}
+	cat := Catalog{"r": r}
+	for _, c := range []struct {
+		sql  string
+		want []string // the first column, in result order
+	}{
+		{"SELECT a AS k, b AS k FROM r ORDER BY k", []string{"z", "y", "x", "x", "x", "y"}},
+		{"SELECT a, b AS a FROM r ORDER BY a", []string{"z", "y", "x", "x", "x", "y"}},
+		{"SELECT a AS k, count(*) AS k FROM r GROUP BY a ORDER BY k", []string{"z", "y", "x"}},
+		{"SELECT a, count(*) AS a FROM r GROUP BY a ORDER BY a", []string{"z", "y", "x"}},
+		{"SELECT a AS k, count(*) AS n FROM r GROUP BY a ORDER BY n DESC, k", []string{"x", "y", "z"}},
+	} {
+		res, err := Query(cat, c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		var got []string
+		for _, tu := range res.Scan() {
+			got = append(got, tu[0].(string))
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: rows in order %q, want %q", c.sql, got, c.want)
+		}
+	}
+}
+
 func TestQueryAggregates(t *testing.T) {
 	cat := testCatalog(t)
 	// Global aggregates.
@@ -533,6 +566,55 @@ func TestQueryAggregates(t *testing.T) {
 	if _, err := Query(cat, `SELECT length(*) FROM planes`); !errors.Is(err, ErrType) {
 		t.Error("stray * accepted")
 	}
+	if _, err := Query(cat, `SELECT airline, count(*) AS n FROM planes GROUP BY airline ORDER BY id`); !errors.Is(err, ErrType) {
+		t.Errorf("ORDER BY an ungrouped column: err = %v, want ErrType", err)
+	}
+	if _, err := Query(cat, `SELECT count(count(*)) FROM planes`); !errors.Is(err, ErrType) {
+		t.Errorf("aggregate of an aggregate: err = %v, want ErrType", err)
+	}
+	if _, err := Query(cat, `SELECT id FROM planes WHERE count(*) > 0`); !errors.Is(err, ErrType) {
+		t.Errorf("aggregate in WHERE: err = %v, want ErrType", err)
+	}
+
+	// An aggregate is an expression: it may stand in arithmetic and in
+	// ORDER BY, and a group column may be a key under any spelling.
+	byCount, err := Query(cat, `SELECT airline, count(*) FROM planes GROUP BY airline ORDER BY count(*) DESC, airline`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAlias, err := Query(cat, `SELECT airline, count(*) AS n FROM planes GROUP BY airline ORDER BY n DESC, airline`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(byCount.Scan(), byAlias.Scan(), slices.Equal) {
+		t.Errorf("ORDER BY count(*) = %v, ORDER BY its alias = %v", byCount.Scan(), byAlias.Scan())
+	}
+	for _, sql := range []string{
+		`SELECT airline, count(*) AS n FROM planes GROUP BY airline ORDER BY planes.airline DESC`,
+		`SELECT airline AS a, count(*) AS n FROM planes GROUP BY airline ORDER BY airline DESC`,
+		`SELECT planes.airline, count(*) AS n FROM planes GROUP BY airline ORDER BY airline DESC`,
+	} {
+		res, err := Query(cat, sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if res.Len() != len(tally) {
+			t.Fatalf("%s: %d groups, want %d", sql, res.Len(), len(tally))
+		}
+		for i := 1; i < res.Len(); i++ {
+			if res.Scan()[i][0].(string) >= res.Scan()[i-1][0].(string) {
+				t.Errorf("%s: not descending by airline: %v", sql, res.Scan())
+			}
+		}
+	}
+	res, err = Query(cat, `SELECT sum(length(trajectory(flight))) + 1 AS s FROM planes`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Scan()[0][0].(float64); math.Abs(got-(sum+1)) > 1e-9 {
+		t.Errorf("sum(...) + 1 = %v, want %v", got, sum+1)
+	}
+
 	// min on mreal in scalar mode still works (not hijacked by aggregates).
 	res, err = Query(cat, `SELECT id, min(speed(flight)) AS slowest FROM planes LIMIT 2`)
 	if err != nil {

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -167,5 +168,62 @@ func TestStatsIsOneCut(t *testing.T) {
 	p.Flush()
 	if st := p.Stats(); oneCut(st) && st.Applied != writers*8*401 {
 		t.Fatalf("applied %d of %d observations", st.Applied, writers*8*401)
+	}
+}
+
+// TestCloseRacesIngest: Close may land while ingesters are admitting
+// batches. Every batch acknowledged with a nil error is applied by the
+// time Close returns, and an Ingest after Close is refused with
+// ErrClosed. Under -race this also holds Close to setting the closed
+// flag under p.mu, where admit reads it.
+func TestCloseRacesIngest(t *testing.T) {
+	p, err := Open(Config{FlushSize: 4, MaxAge: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ingesters = 4
+	var acked [ingesters]int64
+	var started, wg sync.WaitGroup
+	for w := 0; w < ingesters; w++ {
+		started.Add(1)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// One object per ingester with rising times: nothing is
+			// dropped, so every acknowledged observation is applied.
+			id := fmt.Sprintf("c%d", w)
+			for k := 0; ; k++ {
+				batch := []Observation{
+					{ObjectID: id, T: float64(2 * k), X: float64(k), Y: 0},
+					{ObjectID: id, T: float64(2*k + 1), X: float64(k), Y: 1},
+				}
+				_, err := p.Ingest(batch)
+				if k == 0 {
+					started.Done()
+				}
+				switch {
+				case err == nil:
+					acked[w] += int64(len(batch))
+				case errors.Is(err, ErrClosed):
+					return
+				case !errors.Is(err, ErrBackpressure):
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	started.Wait()
+	p.Close()
+	wg.Wait()
+	var want int64
+	for _, n := range acked {
+		want += n
+	}
+	if st := p.Stats(); st.Applied != want {
+		t.Errorf("applied %d observations, acknowledged %d", st.Applied, want)
+	}
+	if _, err := p.Ingest([]Observation{{ObjectID: "late", T: 0}}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Ingest after Close: err = %v, want ErrClosed", err)
 	}
 }

@@ -163,6 +163,11 @@ func TestCheckpointCompactRefusedIsHarmless(t *testing.T) {
 	if st := p.Stats(); st.WALCheckpoints == 0 {
 		t.Fatal("no checkpoints under refused compaction")
 	}
+	// A refused compaction removed no page, so the log's count keeps
+	// every one of them.
+	if st, n := p.Stats(), ps.NumPages(); st.WALPages != n {
+		t.Fatalf("Stats().WALPages = %d, but the log holds %d pages", st.WALPages, n)
+	}
 	want := fingerprint(p)
 	p.Close()
 	p2, _ := reopenFromImage(t, ps, Config{CheckpointPages: 2})

@@ -148,23 +148,15 @@ type CheckTally struct {
 // Run executes every check over every package and returns deduplicated,
 // position-sorted findings. Packages may contain the same file more
 // than once (tag-variant runs); duplicate findings collapse. Every
-// well-formed molint:ignore directive that names a check enabled this
-// run and suppressed nothing is itself a "suppress" finding, so a
-// suppression cannot outlive the code it excused (a -checks subset does
-// not flag the rest of the tree's suppressions).
+// well-formed molint:ignore directive that suppressed nothing is itself
+// a "suppress" finding, so a suppression cannot outlive the code it
+// excused. A directive that names a check outside checks is reported
+// as naming an unknown check; molint passes every check.
 func Run(pkgs []*Package, checks []Check) Result {
-	// A directive may name any check in the registry, not just the ones
-	// enabled this run — otherwise molint -checks=<subset> would flag
-	// every suppression belonging to a disabled check as unknown.
 	known := map[string]bool{"suppress": true}
-	for _, c := range Checks(&Config{}) {
-		known[c.ID()] = true
-	}
 	res := Result{Checks: map[string]CheckTally{"suppress": {}}}
-	enabled := map[string]bool{}
 	for _, c := range checks {
 		known[c.ID()] = true
-		enabled[c.ID()] = true
 		res.Checks[c.ID()] = CheckTally{}
 	}
 	suppressed := map[suppKey]bool{}
@@ -191,7 +183,7 @@ func Run(pkgs []*Package, checks []Check) Result {
 		}
 	}
 	for d := range allDirectives {
-		if !enabled[d.check] || used[d] {
+		if used[d] {
 			continue
 		}
 		res.Findings = append(res.Findings, Finding{

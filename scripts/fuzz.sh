@@ -25,6 +25,7 @@ smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs 
 smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
 smoke ./internal/temporal FuzzRefine "streaming sweep vs the sort-based oracle"
+smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for" -fuzzminimizetime=1s
 smoke ./internal/index FuzzDynamic "index ladder vs linear scan and brute-force k-NN"
 smoke ./internal/server FuzzIngestDecode "observation scanner vs encoding/json" -fuzzminimizetime=1s
