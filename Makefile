@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench docs fuzz faultinject lint debugcheck chaos
+.PHONY: all build vet test race verify bench docs fuzz lint debugcheck chaos
 
 all: verify
 
@@ -17,7 +17,7 @@ race:
 	$(GO) test -race ./...
 
 # Run the repository's own static-analysis suite (DESIGN.md §10) over
-# the default, faultinject and debugcheck build variants.
+# the default and debugcheck build variants.
 lint:
 	$(GO) run ./cmd/molint ./...
 
@@ -31,27 +31,22 @@ debugcheck:
 
 # The tier-1 recipe (ROADMAP.md) plus the robustness checks: build,
 # vet, race-enabled tests, every benchmark body of the root package and
-# of internal/... once, the faultinject build variant, and the fuzz
-# smoke runs (scripts/fuzz.sh).
+# of internal/... once, the debugcheck tests, and the fuzz smoke runs
+# (scripts/fuzz.sh).
 verify:
 	./scripts/verify.sh
 
 # Chaos: the seeded fleet simulator (cmd/mosim, DESIGN.md §13) drives
-# the real HTTP stack through every chaos profile with the failpoint
-# hooks compiled in, cross-checking each response against the offline
-# oracle under the race detector. Longer runs: go run ./cmd/mosim.
+# the real HTTP stack through every chaos profile, cross-checking each
+# response against the offline oracle under the race detector; `race`
+# and verify run the same tests. Longer runs: go run ./cmd/mosim.
 chaos:
-	$(GO) test -race -tags=faultinject -count=1 ./internal/sim/
+	$(GO) test -race -count=1 ./internal/sim/
 
 # Every fuzz target (the list is scripts/fuzz.sh), 60 s each: longer
 # than the verify smoke runs.
 fuzz:
 	./scripts/fuzz.sh 60s
-
-# Build and vet the failpoint-enabled binary variant.
-faultinject:
-	$(GO) build -tags=faultinject ./...
-	$(GO) vet -tags=faultinject ./...
 
 # The paper's §4/§5 complexity shapes (EXPERIMENTS.md E1–E7). The served
 # stack is measured by `bash bench/run.sh` (bench/README.md).

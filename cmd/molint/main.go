@@ -13,8 +13,8 @@
 //
 // Patterns default to ./... relative to the module root. Every package
 // is analyzed in its default build configuration, and packages with
-// tag-gated files are re-analyzed under faultinject and debugcheck, so
-// every build variant is covered by the same run. Text output is one
+// tag-gated files are re-analyzed under debugcheck, so every build
+// variant is covered by the same run. Text output is one
 // line per finding, the per-check finding/suppression table and a
 // summary line; -format=github emits GitHub Actions ::error workflow
 // commands that become inline PR annotations. A molint:ignore directive
@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var pkgs []*lint.Package
 	var module string
-	for vi, tags := range [][]string{nil, {"faultinject"}, {"debugcheck"}} {
+	for vi, tags := range [][]string{nil, {"debugcheck"}} {
 		loader, err := lint.NewLoader(root, tags)
 		if err != nil {
 			emit(stderr, "molint: %v\n", err)

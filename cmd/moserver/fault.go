@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"log"
 
 	"movingdb/internal/fault"
@@ -18,15 +17,10 @@ import (
 // every site: the wal.* sites trip inside the wrapping fault.Store, the
 // hook sites (epoch.publish, live.notify, sse.write) through fault.Arm.
 // Trips are counted per site in the metrics registry (the "faults"
-// section of /v1/metrics). Builds without the hooks refuse the spec:
-// failing loudly beats silently ignoring an operator who thinks faults
-// are being injected.
+// section of /v1/metrics).
 func buildWALMedium(failpoints string, seed int64, metrics *obs.Metrics, logger *log.Logger) (ingest.PageIO, error) {
 	if failpoints == "" {
 		return nil, nil
-	}
-	if !fault.HooksEnabled {
-		return nil, errors.New("-failpoints requires a build with -tags=faultinject")
 	}
 	specs, err := fault.ParseSpecs(failpoints)
 	if err != nil {

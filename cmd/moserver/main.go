@@ -74,14 +74,12 @@ func main() {
 	probeEvery := flag.Duration("ingest-probe-interval", time.Second, "store probe interval while degraded")
 	sseHeartbeat := flag.Duration("sse-heartbeat", 15*time.Second, "SSE event-stream keepalive interval")
 	liveBuffer := flag.Int("live-buffer", 256, "per-subscriber event buffer (oldest events drop when full)")
-	failpoints := flag.String("failpoints", "", "fault injection spec, e.g. 'wal.put=error:3', or 'list' to print the site catalog (arming requires -tags=faultinject build)")
+	failpoints := flag.String("failpoints", "", "fault injection spec, e.g. 'wal.put=error:3', or 'list' to print the site catalog")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "moserver ", log.LstdFlags)
 
 	if *failpoints == "list" {
-		// The catalog is compiled into every build variant, so operators can
-		// enumerate sites without a faultinject binary.
 		for _, site := range fault.Sites() {
 			fmt.Printf("%-14s [%s]  %s\n", site.Name, site.Layer, site.Desc)
 		}

@@ -106,7 +106,6 @@ func listChaos() {
 	for _, s := range fault.Sites() {
 		fmt.Printf("  %-14s [%s] %s\n", s.Name, s.Layer, s.Desc)
 	}
-	fmt.Println("\nsites outside the wal layer require a binary built with -tags=faultinject")
 }
 
 // parseFleet applies a "trucks=N,flights=N,storms=N" spec onto cfg.

@@ -3,9 +3,9 @@
 // failpoints — error-once, error-N-times, partial (torn) write, and
 // latency — that a wrapping Store injects into page-store I/O without
 // touching production hot paths: the write path talks to an interface,
-// and only test or -tags=faultinject builds ever interpose the Store.
-// Sites inside the serving code call Hit, which the same tag compiles
-// in (hooks_enabled.go) or down to an inlined no-op (hooks_disabled.go).
+// and only tests, the chaos harness and moserver's -failpoints flag ever
+// interpose the Store. Sites inside the serving code call Hit
+// (hooks.go), which costs one atomic load while nothing is armed.
 //
 // Failpoints are addressed by site name ("wal.put", "epoch.publish",
 // ...; see sites.go). Each site carries a Spec: a mode, an optional trip

@@ -8,7 +8,7 @@ import (
 )
 
 // ParseSpecs parses the command-line failpoint grammar used by
-// moserver's -failpoints flag (faultinject builds only):
+// moserver's -failpoints flag:
 //
 //	spec     := point *( ";" point )
 //	point    := site "=" mode [ ":" arg ] *( "," option )

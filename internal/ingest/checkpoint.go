@@ -12,12 +12,10 @@ import (
 // checkpoint that describes an impossible store is as corrupt as one
 // that fails its CRC, and recovery falls back the same way.
 
-// encodeState snapshots the store into a checkpoint payload. It takes
-// the read lock itself; the caller (checkpointNow) guarantees the WAL
-// sequence it pairs the payload with cannot advance concurrently.
+// encodeState snapshots the store into a checkpoint payload. The caller
+// (checkpointLocked) holds Pipeline.mu, so neither the store nor the WAL
+// sequence it pairs the payload with can move meanwhile.
 func encodeState(s *Store) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	h := storage.History{Tracks: make([]storage.Track, len(s.objs)), Applied: s.applied, Dropped: s.dropped, Compacted: s.compacted}
 	for i, o := range s.objs {
 		h.Tracks[i] = *o

@@ -55,7 +55,7 @@ type objView struct {
 	last   moving.Sample
 }
 
-// viewOf seals an object's current state. Caller holds the store lock.
+// viewOf seals an object's current state.
 func viewOf(o *storage.Track) *objView {
 	n := len(o.Units)
 	v := &objView{id: o.ID, starts: o.Starts[:n:n], seen: o.Seen, last: o.Last}
@@ -121,9 +121,9 @@ func Frozen(ids []string, objects []moving.MPoint) (*Epoch, error) {
 	if err != nil {
 		return nil, err
 	}
-	ep := *st.CurrentEpoch()
+	ep, _ := st.publish(nil)
 	ep.seq = 0
-	return &ep, nil
+	return ep, nil
 }
 
 // Seq returns the epoch's sequence number — the value served in the

@@ -138,8 +138,9 @@ func fuzzEpochs(t *testing.T, data []byte, check func(ep *Epoch) func()) {
 		}
 	}
 	var rechecks []func()
+	var ep *Epoch
 	pin := func() {
-		ep, _, _ := s.publish()
+		ep, _ = s.publish(ep)
 		requireStartsColumns(t, s)
 		rechecks = append(rechecks, check(ep))
 	}

@@ -19,11 +19,11 @@ func worldWindow() (geom.Rect, temporal.Interval) {
 		temporal.Closed(temporal.Instant(-1e9), temporal.Instant(1e9))
 }
 
-// TestEpochReadersNeverBlockOnFlush is the tentpole's lock-freedom
-// proof: with the store mutex held exclusively — the state every flush
-// apply puts the store in — queries against a published epoch still
-// complete. Pre-epoch, these reads took the same mutex and would
-// deadlock here.
+// TestEpochReadersNeverBlockOnFlush is the lock-freedom proof: with the
+// pipeline mutex held — the state every admission, drain and checkpoint
+// puts the write path in — Epoch() and queries against a published
+// epoch still complete. Pre-epoch, these reads took a store mutex and
+// would deadlock here.
 func TestEpochReadersNeverBlockOnFlush(t *testing.T) {
 	g := workload.New(5)
 	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
@@ -36,12 +36,12 @@ func TestEpochReadersNeverBlockOnFlush(t *testing.T) {
 	}
 	p.Flush()
 
-	ep := p.Epoch()
-	p.store.mu.Lock() // a flush apply is "in progress" forever
-	defer p.store.mu.Unlock()
+	p.mu.Lock() // a flush apply is "in progress" forever
+	defer p.mu.Unlock()
 
 	done := make(chan int, 1)
 	go func() {
+		ep := p.Epoch()
 		rect, iv := worldWindow()
 		n := len(ep.Window(rect, iv))
 		n += len(ep.AtInstant(20))
@@ -57,7 +57,7 @@ func TestEpochReadersNeverBlockOnFlush(t *testing.T) {
 			t.Fatal("epoch queries returned nothing")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("epoch reader blocked on the store mutex")
+		t.Fatal("epoch reader blocked on the pipeline mutex")
 	}
 }
 

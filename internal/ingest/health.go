@@ -13,6 +13,9 @@ import (
 // per probe interval is let through as the health probe; the first
 // success clears the state — recovery is automatic once the fault
 // clears.
+// It keeps a lock of its own, taken after Pipeline.mu: allowAttempt must
+// fail fast while degraded, not queue behind a probe that holds
+// Pipeline.mu through its retry sleeps.
 type health struct {
 	mu         sync.Mutex
 	threshold  int           // moguard: immutable

@@ -30,8 +30,9 @@
 //     queries stay correct mid-ingest and an ack never waits on the
 //     whole index.
 //
-// Lock order across the pipeline is pipeline → store. Queries take
-// neither: they read the published Epoch (epoch.go).
+// One lock, Pipeline.mu, guards the whole write path: admission, the
+// WAL, the store, every drain and every checkpoint. Queries take no
+// lock: they read the published Epoch (epoch.go).
 package ingest
 
 import (
@@ -40,6 +41,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"movingdb/internal/fault"
@@ -92,7 +94,8 @@ type Config struct {
 	// waited this long. Default 100ms.
 	MaxAge time.Duration
 	// MaxQueued bounds the pending run; past it, Ingest returns
-	// ErrBackpressure. Default 65536.
+	// ErrBackpressure. A batch larger than MaxQueued could never be
+	// admitted and is refused with ErrInvalidObservation. Default 65536.
 	MaxQueued int
 	// Metrics receives ingest counters and flush latencies. Default: a
 	// private registry nobody reads.
@@ -129,8 +132,11 @@ type Config struct {
 }
 
 // validate rejects negative tuning values: zero asks for the default,
-// and no negative value means anything (CheckpointPages' -1 aside).
+// and no negative value means anything but CheckpointPages' -1.
 func (c Config) validate() error {
+	if c.CheckpointPages < -1 {
+		return fmt.Errorf("ingest: CheckpointPages %d below -1", c.CheckpointPages)
+	}
 	for _, f := range []struct {
 		name string
 		v    int64
@@ -189,11 +195,11 @@ func (c Config) withDefaults() Config {
 // Pipeline is the assembled write path: writes flow gate → WAL → run →
 // appender → index → epoch publish; queries pin Epoch().
 //
-// mu serialises admission, the WAL append included, with every drain,
-// so run is always the log's unapplied suffix, in log order.
+// mu is the write path's one lock (health aside, see health). It
+// serialises admission, the WAL append included, with every drain, so
+// run is always the log's unapplied suffix, in log order, and it guards
+// the store and the WAL, so checkpoints and Stats see one cut of both.
 type Pipeline struct {
-	store     *Store                      // moguard: immutable
-	wal       *wal                        // moguard: immutable
 	health    *health                     // moguard: immutable
 	metrics   *obs.Metrics                // moguard: immutable
 	onPublish func(*Epoch, []DirtyObject) // moguard: immutable
@@ -207,11 +213,14 @@ type Pipeline struct {
 	probeInterval time.Duration // moguard: immutable
 
 	mu      sync.Mutex
-	run     []Observation  // moguard: guarded by mu // admitted, not yet applied, in WAL order
-	pending map[string]int // moguard: guarded by mu // observations per object in run
-	first   time.Time      // moguard: guarded by mu // admission time of run[0]
-	closed  bool           // moguard: guarded by mu
-	rng     *rand.Rand     // moguard: guarded by mu // backoff jitter, seeded 1 so schedules repeat
+	store   *Store                // moguard: guarded by mu
+	wal     *wal                  // moguard: guarded by mu
+	run     []Observation         // moguard: guarded by mu // admitted, not yet applied, in WAL order
+	pending map[string]int        // moguard: guarded by mu // observations per object in run
+	first   time.Time             // moguard: guarded by mu // admission time of run[0]
+	closed  bool                  // moguard: guarded by mu
+	rng     *rand.Rand            // moguard: guarded by mu // backoff jitter, seeded 1 so schedules repeat
+	epoch   atomic.Pointer[Epoch] // moguard: atomic // published under mu, loaded by queries without it
 
 	done      chan struct{} // moguard: immutable // stops the age ticker
 	ticker    sync.WaitGroup
@@ -249,6 +258,9 @@ func Open(cfg Config) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The seeds, or the checkpoint, are the opening epoch; the replayed
+	// batches publish as the next one.
+	opening, _ := st.publish(nil)
 	for _, b := range rec.batches {
 		st.Apply(b)
 	}
@@ -269,15 +281,18 @@ func Open(cfg Config) (*Pipeline, error) {
 		onPublish:     cfg.OnPublish,
 		done:          make(chan struct{}),
 	}
+	p.epoch.Store(opening)
+	p.mu.Lock()
 	// Replayed batches were applied directly to the store above; publish
-	// them as the opening epoch so the first reader sees recovered data.
-	p.publishEpoch()
+	// them so the first reader sees recovered data.
+	p.publishEpochLocked()
 	if rec.dirty && cfg.CheckpointPages > 0 {
 		// The scan quarantined damage; re-checkpoint now, compacting all
 		// the way to the fresh record, so the log stops carrying (and
 		// re-reading) the damaged region on every open.
-		p.checkpointNow(true)
+		p.checkpointLocked(true)
 	}
+	p.mu.Unlock()
 	p.ticker.Add(1)
 	go func() {
 		defer p.ticker.Done()
@@ -296,9 +311,9 @@ func Open(cfg Config) (*Pipeline, error) {
 }
 
 // drainLocked applies the whole pending run to the store in one call —
-// one store lock, at most one fold — records the latency and publishes
-// one epoch. The run's backing array is released, not kept for reuse, so
-// a burst does not pin its peak size. Caller holds p.mu.
+// at most one fold — records the latency and publishes one epoch. The
+// run's backing array is released, not kept for reuse, so a burst does
+// not pin its peak size. Caller holds p.mu.
 func (p *Pipeline) drainLocked() {
 	if len(p.run) == 0 {
 		return
@@ -312,7 +327,7 @@ func (p *Pipeline) drainLocked() {
 	m.Dropped.Add(int64(dropped))
 	m.Compacted.Add(int64(compacted))
 	m.Flush.Observe(time.Since(start))
-	p.publishEpoch()
+	p.publishEpochLocked()
 }
 
 // drainAged is the ticker's pass: it drains the run once its oldest
@@ -325,15 +340,15 @@ func (p *Pipeline) drainAged() {
 	}
 }
 
-// publishEpoch seals everything the drains since the last publish
+// publishEpochLocked seals everything the drains since the last publish
 // applied into the next epoch and publishes it. It runs once per drain,
 // after its one apply (and that apply's fold, if any) completed; the
-// store builds the epoch's object views and index under one lock, so
-// they agree exactly. A configured OnPublish hook (the live
-// standing-query notifier) is handed the epoch and the per-object dirty
-// rectangles in the same call, still on the drain path — it must only
-// enqueue.
-func (p *Pipeline) publishEpoch() {
+// store builds the epoch's object views and index in one call, so they
+// agree exactly. A configured OnPublish hook (the live standing-query
+// notifier) is handed the epoch and the per-object dirty rectangles in
+// the same call, still on the drain path — it must only enqueue. Caller
+// holds p.mu.
+func (p *Pipeline) publishEpochLocked() {
 	if err := fault.Hit("epoch.publish"); err != nil {
 		// Injected publish failure. The drained state stays applied and the
 		// store keeps accumulating the dirty set, so this defers publication
@@ -343,7 +358,9 @@ func (p *Pipeline) publishEpoch() {
 		p.metrics.RecordIngestCause("epoch_publish_deferred", 1)
 		return
 	}
-	if ep, dirty, advanced := p.store.publish(); advanced {
+	prev := p.epoch.Load()
+	if ep, dirty := p.store.publish(prev); ep != prev {
+		p.epoch.Store(ep)
 		p.metrics.RecordEpochPublish(ep.Seq())
 		if p.onPublish != nil {
 			p.onPublish(ep, dirty)
@@ -361,8 +378,10 @@ func (p *Pipeline) publishEpoch() {
 func (p *Pipeline) RetryAfterHint(err error) time.Duration {
 	switch {
 	case errors.Is(err, ErrBackpressure):
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		d := p.maxAge
-		if p.depth() > p.maxQueued/2 {
+		if len(p.run) > p.maxQueued/2 {
 			d *= 2
 		}
 		return d
@@ -375,10 +394,14 @@ func (p *Pipeline) RetryAfterHint(err error) time.Duration {
 // Ingest validates and admits one batch. On success the batch is in the
 // write-ahead log — it survives a crash from here on — and pending
 // apply; the returned sequence number is its WAL position. A full queue
-// returns ErrBackpressure with nothing logged.
+// returns ErrBackpressure with nothing logged; a batch no queue could
+// hold returns ErrInvalidObservation.
 func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("%w: empty batch", ErrInvalidObservation)
+	}
+	if len(batch) > p.maxQueued {
+		return 0, fmt.Errorf("%w: batch of %d observations exceeds the queue bound (MaxQueued %d)", ErrInvalidObservation, len(batch), p.maxQueued)
 	}
 	for i, o := range batch {
 		if o.ObjectID == "" {
@@ -397,9 +420,6 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 	case err == nil:
 		p.metrics.Ingest.Batches.Inc()
 		p.metrics.Ingest.Observations.Add(int64(len(batch)))
-		if p.wal.checkpointDue() {
-			p.checkpointNow(false)
-		}
 	case errors.Is(err, ErrBackpressure):
 		p.metrics.Ingest.Backpressure.Inc()
 	}
@@ -410,7 +430,9 @@ func (p *Pipeline) Ingest(batch []Observation) (uint64, error) {
 // under one lock, so acknowledged order is log order is run order. An
 // admission that brings any object to flushSize pending drains the whole
 // run before returning: the size trigger is synchronous, only the age
-// trigger rides the ticker.
+// trigger rides the ticker. So is the checkpoint trigger: the admission
+// whose append crosses CheckpointPages writes the checkpoint before it
+// releases p.mu, so each crossing is seen, and written, once.
 func (p *Pipeline) admit(batch []Observation) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -437,6 +459,9 @@ func (p *Pipeline) admit(batch []Observation) (uint64, error) {
 	if full {
 		p.drainLocked()
 	}
+	if p.wal.checkpointDue() {
+		p.checkpointLocked(false)
+	}
 	return seq, nil
 }
 
@@ -451,9 +476,10 @@ func (p *Pipeline) logAppendLocked(batch []Observation) (uint64, error) {
 	wait := p.retryBase
 	for attempt := 0; attempt < p.retryAttempts; attempt++ {
 		if attempt > 0 {
-			// Full jitter over the doubling window, capped.
-			d := min(wait, p.retryMaxWait)
-			time.Sleep(time.Duration(p.rng.Int63n(int64(d))) + d/2)
+			// Full jitter over the doubling window. The cap applies before
+			// the doubling, so no retry budget can overflow the window.
+			wait = min(wait, p.retryMaxWait)
+			time.Sleep(time.Duration(p.rng.Int63n(int64(wait))) + wait/2)
 			wait *= 2
 			p.metrics.RecordIngestCause("wal_retry", 1)
 		}
@@ -468,25 +494,11 @@ func (p *Pipeline) logAppendLocked(batch []Observation) (uint64, error) {
 	return 0, fmt.Errorf("%w: %w", ErrDegraded, err)
 }
 
-// checkpointNow drains the run and writes the checkpoint under p.mu, so
-// no admission (and therefore no WAL append) interleaves: the snapshot
-// is consistent with exactly the WAL sequence it is stamped with.
-// Ingest reads checkpointDue after admit released p.mu, so concurrent
-// batches that cross CheckpointPages together all arrive here: the
-// re-check under p.mu lets only the first pay the O(history) encode.
-// The dirty-recovery rewrite (dropPrevious) always writes. Checkpoint
-// failure is not an ingest failure: the log stays valid, just longer,
-// and the next trigger retries.
-func (p *Pipeline) checkpointNow(dropPrevious bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if dropPrevious || p.wal.checkpointDue() {
-		p.checkpointLocked(dropPrevious)
-	}
-}
-
-// checkpointLocked is checkpointNow's write, due or not. Caller holds
-// p.mu.
+// checkpointLocked drains the run and writes the checkpoint. Caller
+// holds p.mu, so no admission (and therefore no WAL append) interleaves:
+// the snapshot is consistent with exactly the WAL sequence it is stamped
+// with. Checkpoint failure is not an ingest failure: the log stays
+// valid, just longer, and the next trigger retries.
 func (p *Pipeline) checkpointLocked(dropPrevious bool) {
 	p.drainLocked()
 	if err := p.wal.checkpoint(encodeState(p.store), dropPrevious); err != nil {
@@ -521,26 +533,19 @@ func (p *Pipeline) Close() {
 	})
 }
 
-// depth returns the number of pending observations.
-func (p *Pipeline) depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.run)
-}
-
 // Epoch returns the current published epoch — the immutable snapshot
 // queries pin for their lifetime. Every acknowledged-and-flushed write
 // is visible in it (Flush establishes read-your-writes by draining the
 // run and publishing).
-func (p *Pipeline) Epoch() *Epoch { return p.store.CurrentEpoch() }
+func (p *Pipeline) Epoch() *Epoch { return p.epoch.Load() }
 
-// Stats is a point-in-time view of the pipeline. The store's fields are
-// one cut of it; the queue, log, health and epoch fields are read just
-// after. The index fields count the ladder's sealed-chunk entries:
-// rung_entries folded into rungs, tail_entries waiting for a fold (each
-// epoch searches them in its extra rung, with the open chunks, which are
-// not counted), and index_merges the folds that consumed an existing
-// rung.
+// Stats is one cut of the pipeline, read in one critical section of
+// p.mu: Applied + Dropped + QueueDepth counts exactly the observations
+// in log records 1..WALSeq. The index fields count the ladder's
+// sealed-chunk entries: rung_entries folded into rungs, tail_entries
+// waiting for a fold (each epoch searches them in its extra rung, with
+// the open chunks, which are not counted), and index_merges the folds
+// that consumed an existing rung.
 type Stats struct {
 	Objects         int    `json:"objects"`
 	Units           int    `json:"units"`
@@ -563,12 +568,13 @@ type Stats struct {
 
 // Stats snapshots the pipeline counters.
 func (p *Pipeline) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	st := p.store.stats()
-	ws := p.wal.stats()
 	h := p.health.report()
-	st.QueueDepth = p.depth()
-	st.WALSeq, st.WALPages, st.WALCheckpoints, st.WALQuarantined = ws.seq, ws.pages, ws.checkpoints, ws.quarantinedPages
+	st.QueueDepth = len(p.run)
+	st.WALSeq, st.WALPages, st.WALCheckpoints, st.WALQuarantined = p.wal.seq, p.wal.pages, p.wal.checkpoints, p.wal.quarantinedPages
 	st.DeadLetterBatch, st.DeadLetterObs, st.Degraded = h.DeadLetterBatches, h.DeadLetterObs, h.Degraded
-	st.Epoch = p.Epoch().Seq()
+	st.Epoch = p.epoch.Load().Seq()
 	return st
 }

@@ -211,9 +211,12 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
-// TestValidation rejects malformed batches before they touch the log.
+// TestValidation rejects malformed batches before they touch the log,
+// and a batch larger than MaxQueued with them: no queue, not even an
+// empty one, could admit it, so it is a 400, not a 429 whose retry can
+// never succeed.
 func TestValidation(t *testing.T) {
-	p, err := Open(Config{})
+	p, err := Open(Config{MaxQueued: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +227,7 @@ func TestValidation(t *testing.T) {
 		{{ObjectID: "", T: 1}},
 		{{ObjectID: "a", T: math.NaN()}},
 		{{ObjectID: "a", T: 1, X: math.Inf(1)}},
+		{{ObjectID: "a", T: 1}, {ObjectID: "a", T: 2}, {ObjectID: "a", T: 3}, {ObjectID: "a", T: 4}, {ObjectID: "a", T: 5}},
 	} {
 		if _, err := p.Ingest(bad); !errors.Is(err, ErrInvalidObservation) {
 			t.Fatalf("batch %v: want ErrInvalidObservation, got %v", bad, err)
@@ -237,7 +241,7 @@ func TestValidation(t *testing.T) {
 // TestOpenRejectsNegativeConfig: zero asks for a default, and a negative
 // tuning value is an Open error, not a pipeline that nil-dereferences on
 // its first Ingest (RetryAttempts) or refuses every batch (MaxQueued).
-// CheckpointPages keeps -1 as "off".
+// CheckpointPages keeps -1 as "off"; -2 means nothing and is refused.
 func TestOpenRejectsNegativeConfig(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"FlushSize":         {FlushSize: -1},
@@ -248,6 +252,7 @@ func TestOpenRejectsNegativeConfig(t *testing.T) {
 		"RetryMaxWait":      {RetryMaxWait: -time.Millisecond},
 		"DegradedThreshold": {DegradedThreshold: -1},
 		"ProbeInterval":     {ProbeInterval: -time.Second},
+		"CheckpointPages":   {CheckpointPages: -2},
 	} {
 		if p, err := Open(cfg); err == nil {
 			p.Close()

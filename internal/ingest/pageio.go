@@ -5,8 +5,9 @@ import "movingdb/internal/storage"
 // PageIO is the page-granular storage contract the write-ahead log
 // runs on. It is the seam where the fault-injection layer
 // (internal/fault, matched structurally so neither package imports the
-// other) wraps the WAL medium in tests and -tags=faultinject builds;
-// production servers use the plain adapter below and pay nothing.
+// other) wraps the WAL medium in tests, chaos runs and servers started
+// with -failpoints; every other server uses the plain adapter below and
+// pays nothing.
 //
 // Put and Get may fail (a real device can); Truncate and Compact are
 // infallible-or-refusable repair tools: Truncate always discards the

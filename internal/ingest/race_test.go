@@ -14,7 +14,7 @@ import (
 
 // TestConcurrentIngestAndQuery hammers the pipeline with writers and
 // readers at once — run under -race this is the acceptance check that
-// queries never observe the appender mid-mutation (the store lock
+// queries never observe the appender mid-mutation (the pipeline lock
 // covers in-place updates of the last unit) and epochs tolerate
 // concurrent folds. Whatever the interleaving, the writer with the
 // latest timestamps gets 10 × 400 observations accepted — alone they
@@ -104,9 +104,9 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 			t.Fatalf("%s: invalid after concurrent ingest: %v", sum.ID, err)
 		}
 	}
-	p.store.mu.RLock()
+	p.mu.Lock()
 	err = p.store.ladder.Validate()
-	p.store.mu.RUnlock()
+	p.mu.Unlock()
 	if err != nil {
 		t.Fatalf("index invalid after concurrent ingest: %v", err)
 	}
@@ -115,11 +115,14 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestStatsIsOneCut: Stats reads the store's counters and sizes under
-// one lock, so no drain lands between them. In an unseeded pipeline that
-// drops nothing, every applied observation is an object's first, a new
-// unit or a compaction, so every reading taken beside concurrent
-// ingesters must satisfy applied = objects + units + compacted.
+// TestStatsIsOneCut: Stats reads the store, the queue and the log in one
+// critical section of p.mu, so no admission or drain lands between them.
+// In an unseeded pipeline that drops nothing, every applied observation
+// is an object's first, a new unit or a compaction, so every reading
+// taken beside concurrent ingesters must satisfy applied = objects +
+// units + compacted; and every logged observation is applied, dropped or
+// queued, so applied + dropped + queue depth must equal the observations
+// in log records 1..WALSeq.
 func TestStatsIsOneCut(t *testing.T) {
 	p, err := Open(Config{FlushSize: 3, MaxAge: time.Millisecond})
 	if err != nil {
@@ -127,6 +130,7 @@ func TestStatsIsOneCut(t *testing.T) {
 	}
 	defer p.Close()
 	const writers = 4
+	var last [writers]uint64 // each writer's last record: 3 observations, every other one 5
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -136,10 +140,12 @@ func TestStatsIsOneCut(t *testing.T) {
 			// nothing arrives out of time order and nothing is dropped.
 			stream := toObservations(workload.New(int64(60+w)).ObservationStream(fmt.Sprintf("w%d-", w), 8, 400, 0, 1, 5))
 			for lo := 0; lo < len(stream); lo += 5 {
-				if _, err := p.Ingest(stream[lo:min(lo+5, len(stream))]); err != nil {
+				seq, err := p.Ingest(stream[lo:min(lo+5, len(stream))])
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				last[w] = seq
 			}
 		}(w)
 	}
@@ -149,12 +155,19 @@ func TestStatsIsOneCut(t *testing.T) {
 		wg.Wait()
 	}()
 	// A failed reading stops the readings, not the test: the writers
-	// finish before the deferred Close.
+	// finish before the deferred Close. The log half of each reading is
+	// checked once the writers' last records are known.
+	type reading struct {
+		seq    uint64
+		logged int64 // applied + dropped + queued
+	}
+	var readings []reading
 	oneCut := func(st Stats) bool {
 		if st.Dropped != 0 || st.Applied != int64(st.Objects+st.Units)+st.Compacted {
 			t.Errorf("not one cut: applied %d, objects %d + units %d + compacted %d, dropped %d", st.Applied, st.Objects, st.Units, st.Compacted, st.Dropped)
 			return false
 		}
+		readings = append(readings, reading{st.WALSeq, st.Applied + st.Dropped + int64(st.QueueDepth)})
 		return true
 	}
 	for running := true; running && oneCut(p.Stats()); {
@@ -165,6 +178,17 @@ func TestStatsIsOneCut(t *testing.T) {
 		}
 	}
 	<-done
+	for _, r := range readings {
+		want := 5 * int64(r.seq)
+		for _, s := range last {
+			if s <= r.seq {
+				want -= 2
+			}
+		}
+		if r.logged != want {
+			t.Fatalf("not one cut: applied + dropped + queued = %d, log records 1..%d hold %d observations", r.logged, r.seq, want)
+		}
+	}
 	p.Flush()
 	if st := p.Stats(); oneCut(st) && st.Applied != writers*8*401 {
 		t.Fatalf("applied %d of %d observations", st.Applied, writers*8*401)

@@ -16,8 +16,6 @@ import (
 // slotOrder lists a store's object ids in slot order — the order
 // /v1/objects, /v1/window and /v1/atinstant follow.
 func slotOrder(s *Store) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	ids := make([]string, len(s.objs))
 	for i, o := range s.objs {
 		ids[i] = o.ID
@@ -42,8 +40,6 @@ func requireSameState(t *testing.T, live, replayed *Pipeline) {
 // unit, each its unit's interval start.
 func requireStartsColumns(t *testing.T, s *Store) {
 	t.Helper()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, o := range s.objs {
 		ok := len(o.Starts) == len(o.Units)
 		for i := 0; ok && i < len(o.Units); i++ {
@@ -160,6 +156,7 @@ func TestDirtyOrderAcrossRegistrations(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(31))
 	var known []string
+	var ep *Epoch
 	for round := 0; round < 12; round++ {
 		var batch []Observation
 		for i := 0; i < 1+rng.Intn(6); i++ {
@@ -177,7 +174,9 @@ func TestDirtyOrderAcrossRegistrations(t *testing.T) {
 		}
 		slices.Sort(want)
 		s.Apply(batch)
-		_, dirty, advanced := s.publish()
+		next, dirty := s.publish(ep)
+		advanced := next != ep
+		ep = next
 		got := []string{}
 		for _, d := range dirty {
 			got = append(got, d.ID)

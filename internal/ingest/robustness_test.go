@@ -61,6 +61,25 @@ func TestRetryRidesOutTransientFault(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffNeverOverflows: the backoff window doubles per retry
+// but is capped at RetryMaxWait before it doubles, so a long retry budget
+// against a persistent fault ends in ErrDegraded, not in an overflowed,
+// negative window that panics in the jitter draw while p.mu is held.
+func TestRetryBackoffNeverOverflows(t *testing.T) {
+	p, in, _ := faultPipeline(t, Config{
+		CheckpointPages: -1, RetryAttempts: 70,
+		RetryBase: time.Nanosecond, RetryMaxWait: time.Microsecond,
+	})
+	defer p.Close()
+	in.Set("wal.put", fault.Spec{Mode: fault.ModeError}) // persistent
+	if _, err := p.Ingest([]Observation{{ObjectID: "a", T: 1}}); !errors.Is(err, ErrDegraded) {
+		t.Fatalf("want ErrDegraded after 70 attempts, got %v", err)
+	}
+	if got := in.Trips("wal.put"); got != 70 {
+		t.Fatalf("trips = %d, want 70", got)
+	}
+}
+
 // TestTornWriteRepairedOnFailedAppend: a torn WAL Put leaves partial
 // pages behind; the append must fail AND scrub them so the next
 // successful append lands where recovery will scan.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/index"
@@ -28,21 +26,20 @@ const chunkUnits = 8
 const foldChunks = 64
 
 // Store is the live object table: per-object unit arrays extended by
-// the appender plus the index ladder over their chunks' cubes. One
-// RWMutex guards all of it for the write path and the administrative
-// readers (stats, checkpoints); the serving read path does not use it —
-// queries pin the published Epoch (an immutable copy-on-write view, see
-// epoch.go) and never contend with a flush.
+// the appender plus the index ladder over their chunks' cubes. It has no
+// lock of its own: the pipeline reaches it only under Pipeline.mu, and
+// the serving read path never reaches it — queries pin the published
+// Epoch (an immutable copy-on-write view, see epoch.go) and never
+// contend with a flush.
 type Store struct {
-	mu  sync.RWMutex
-	ids map[string]int // moguard: guarded by mu
+	ids map[string]int
 
 	// objs holds each tracked object's live state as the track a
 	// checkpoint stores. Its unit array keeps the canonical online shape:
 	// every unit right-half-open except the last, which is closed at the
 	// latest observation (Last, or the seed endpoint) — exactly the
 	// offline builder's chaining, maintained incrementally.
-	objs []*storage.Track // moguard: guarded by mu
+	objs []*storage.Track
 
 	// ladder holds the folded sealed chunks: immutable rungs, replaced by
 	// a fold and never written, so every epoch shares them as they are.
@@ -53,33 +50,31 @@ type Store struct {
 	// none. Open chunks change with every append, so each publish builds
 	// them, with the waiting chunks, into one extra rung of its epoch's
 	// snapshot.
-	ladder  index.Snapshot // moguard: guarded by mu
-	waiting []index.Entry  // moguard: guarded by mu
-	merges  int            // moguard: guarded by mu
-	open    []index.Entry  // moguard: guarded by mu
+	ladder  index.Snapshot
+	waiting []index.Entry
+	merges  int
+	open    []index.Entry
 
 	// Epoch machinery: dirty maps the object slots touched since the
 	// last publish to the bounding rectangle of their movement in that
 	// window (old position through new position, accumulated per
 	// accepted observation — the live query subsystem intersects it
-	// against standing-subscription regions), added flags new
-	// registrations (the frozen ids map must be recopied), epoch is the
-	// published snapshot readers load without the lock.
-	dirty map[int]geom.Rect     // moguard: guarded by mu
-	added bool                  // moguard: guarded by mu
-	epoch atomic.Pointer[Epoch] // moguard: atomic
+	// against standing-subscription regions), and added flags new
+	// registrations (the frozen ids map must be recopied).
+	dirty map[int]geom.Rect
+	added bool
 
 	// rank[oi] is slot oi's place among the ranked slots in ascending id
-	// order; idRankLocked extends it by the slots registered since, so a
+	// order; idRank extends it by the slots registered since, so a
 	// publish orders its dirty list by integer rank and compares id
 	// strings only when an object registers.
-	rank []int32 // moguard: guarded by mu
+	rank []int32
 
-	applied   int64 // moguard: guarded by mu
-	dropped   int64 // moguard: guarded by mu
-	compacted int64 // moguard: guarded by mu
+	applied   int64
+	dropped   int64
+	compacted int64
 
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
+	metrics *obs.Metrics // synchronises itself, never nil
 }
 
 // Position is one object's location at a queried instant.
@@ -101,7 +96,8 @@ type ObjectSummary struct {
 // seeds (seedHistory), a recovered checkpoint or a frozen data set — in
 // track order, which is registration order, so entryIDs stay stable. The
 // store takes ownership of the tracks and bulk-loads the ladder's first
-// rung over every sealed chunk.
+// rung over every sealed chunk. Its state is unpublished: the first
+// publish(nil) seals it as the opening epoch.
 func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 	s := &Store{ids: make(map[string]int, len(h.Tracks)), dirty: make(map[int]geom.Rect), metrics: metrics}
 	s.waiting = make([]index.Entry, 0, foldChunks)
@@ -126,7 +122,6 @@ func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 		s.open = append(s.open, chunkEntry(oi, t.Units, open))
 	}
 	s.ladder = s.ladder.WithRung(index.Build(entries))
-	s.publish()
 	return s, nil
 }
 
@@ -163,8 +158,6 @@ func chunkEntry(oi int, us []units.UPoint, c int) index.Entry {
 // so every chunk's cube, sealed or open, contains every unit of the
 // chunk.
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, ob := range batch {
 		oi, ok := s.ids[ob.ObjectID]
 		if !ok {
@@ -177,7 +170,7 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 		smp := moving.Sample{T: temporal.Instant(ob.T), P: geom.Pt(ob.X, ob.Y)}
 		if !o.Seen {
 			o.Last, o.Seen = smp, true
-			s.markDirtyLocked(oi, smp.P, smp.P)
+			s.markDirty(oi, smp.P, smp.P)
 			applied++
 			continue
 		}
@@ -185,7 +178,7 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 			dropped++
 			continue
 		}
-		s.markDirtyLocked(oi, o.Last.P, smp.P)
+		s.markDirty(oi, o.Last.P, smp.P)
 		ui, merged := appendUnit(o, unitBetween(o.Last, smp))
 		if merged {
 			compacted++
@@ -266,9 +259,9 @@ func appendUnit(o *storage.Track, u units.UPoint) (int, bool) {
 	return n, false
 }
 
-// markDirtyLocked extends the object's pending movement rectangle with
-// the segment endpoints of one accepted observation. Caller holds s.mu.
-func (s *Store) markDirtyLocked(oi int, from, to geom.Point) {
+// markDirty extends the object's pending movement rectangle with
+// the segment endpoints of one accepted observation.
+func (s *Store) markDirty(oi int, from, to geom.Point) {
 	r, ok := s.dirty[oi]
 	if !ok {
 		r = geom.EmptyRect()
@@ -288,36 +281,25 @@ type DirtyObject struct {
 	Rect geom.Rect
 }
 
-// CurrentEpoch returns the published epoch — the immutable view the
-// serving read path queries. Lock-free; never nil once the store is
-// constructed (newStore publishes).
-func (s *Store) CurrentEpoch() *Epoch { return s.epoch.Load() }
-
-// publish seals the objects touched since the last publish into a new
-// epoch and atomically swaps it in. It reports the epoch now current,
-// the objects whose state changed since the previous publish (for the
-// live query subsystem's standing-query notifier), and whether it
-// advanced; with nothing dirty the previous epoch stays (so a flush of
-// only-dropped observations does not move the ETag).
-func (s *Store) publish() (*Epoch, []DirtyObject, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.publishLocked()
-}
-
-// publishLocked builds the next epoch copy-on-write: untouched slots
-// share the previous epoch's views (an 8-byte pointer copy each), dirty
-// slots are re-sealed (constant work per object: a slice-header alias
-// of the immutable prefix plus one unit copied by value), and the
-// frozen ids map is recopied only when an object was registered. The
-// ladder is read in the same critical section, so the view and its index
-// agree exactly. The dirty slots' open-chunk cubes are recomputed from
-// their units, and the waiting sealed chunks and every open chunk are
-// STR-built into one more rung on top of the ladder. Caller holds s.mu.
-func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
-	prev := s.epoch.Load()
+// publish seals the objects touched since prev, the epoch last
+// published from this store (nil before the first), into the next epoch
+// and returns it with the objects whose state changed (for the live
+// query subsystem's standing-query notifier). With nothing dirty it
+// returns prev itself, so a flush of only-dropped observations does not
+// move the ETag; the caller publishes the epoch when it is new.
+//
+// The next epoch is built copy-on-write: untouched slots share prev's
+// views (an 8-byte pointer copy each), dirty slots are re-sealed
+// (constant work per object: a slice-header alias of the immutable
+// prefix plus one unit copied by value), and the frozen ids map is
+// recopied only when an object was registered. The views and the ladder
+// are read in one call, so the view and its index agree exactly. The
+// dirty slots' open-chunk cubes are recomputed from their units, and the
+// waiting sealed chunks and every open chunk are STR-built into one more
+// rung on top of the ladder.
+func (s *Store) publish(prev *Epoch) (*Epoch, []DirtyObject) {
 	if prev != nil && len(s.dirty) == 0 && !s.added {
-		return prev, nil, false
+		return prev, nil
 	}
 	next := &Epoch{seq: 1}
 	if prev != nil {
@@ -348,7 +330,7 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	// as ascending rank packed above the slot.
 	var dirty []DirtyObject
 	if len(s.dirty) > 0 {
-		rank := s.idRankLocked()
+		rank := s.idRank()
 		keys := make([]uint64, 0, len(s.dirty))
 		for oi := range s.dirty {
 			keys = append(keys, uint64(rank[oi])<<32|uint64(oi))
@@ -375,14 +357,13 @@ func (s *Store) publishLocked() (*Epoch, []DirtyObject, bool) {
 	next.idx = s.ladder.WithRung(index.Build(extra))
 	clear(s.dirty)
 	s.added = false
-	s.epoch.Store(next)
-	return next, dirty, true
+	return next, dirty
 }
 
-// idRankLocked returns rank covering every registered slot: the slots
+// idRank returns rank covering every registered slot: the slots
 // added since the last call are sorted by id and merged into the ranked
-// order, one pass over the table. Caller holds s.mu.
-func (s *Store) idRankLocked() []int32 {
+// order, one pass over the table.
+func (s *Store) idRank() []int32 {
 	old := len(s.rank)
 	if old == len(s.objs) {
 		return s.rank
@@ -409,12 +390,8 @@ func (s *Store) idRankLocked() []int32 {
 }
 
 // stats fills the store's part of Stats: the counters, the table's size
-// and the ladder's, read under one lock so they are one cut — applied
-// equals objects + units + compacted in every reading of an unseeded
-// store that dropped nothing.
+// and the ladder's.
 func (s *Store) stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	st := Stats{
 		Objects:     len(s.objs),
 		Applied:     s.applied,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"sync"
 
 	"movingdb/internal/obs"
 	"movingdb/internal/storage"
@@ -55,27 +54,20 @@ const (
 	walKindCheckpoint = 2
 )
 
+// wal has no lock of its own: the pipeline reaches it only under
+// Pipeline.mu.
 type wal struct {
-	mu        sync.Mutex
-	io        PageIO // moguard: immutable
-	seq       uint64 // moguard: guarded by mu
-	pages     int    // moguard: guarded by mu // committed log length in pages
-	ckptEvery int    // moguard: guarded by mu // batch pages between checkpoints; <= 0 disables
-	sinceCkpt int    // moguard: guarded by mu // batch pages appended since the last checkpoint
-	ckptPage  int    // moguard: guarded by mu // first page of the newest valid checkpoint, -1 none
+	io        PageIO
+	seq       uint64
+	pages     int // committed log length in pages
+	ckptEvery int // batch pages between checkpoints; <= 0 disables
+	sinceCkpt int // batch pages appended since the last checkpoint
+	ckptPage  int // first page of the newest valid checkpoint, -1 none
 
-	checkpoints      int64 // moguard: guarded by mu
-	quarantinedPages int   // moguard: guarded by mu
-
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
-}
-
-// walStats is the point-in-time WAL view for Pipeline.Stats.
-type walStats struct {
-	seq              uint64
-	pages            int
 	checkpoints      int64
 	quarantinedPages int
+
+	metrics *obs.Metrics // synchronises itself, never nil
 }
 
 // walRecovery is what openWAL salvaged: the newest valid checkpoint
@@ -163,14 +155,8 @@ func openWAL(pio PageIO, metrics *obs.Metrics) (*wal, walRecovery, error) {
 	return w, rec, nil
 }
 
-// quarantine counts the n pages of a corrupt record, per cause. openWAL
-// calls it during the single-threaded scan, but it takes the lock
-// anyway: a wal handed to the pipeline serves stats() concurrently, and
-// an unlocked write here would race with that read the moment
-// quarantine gained a post-open caller.
+// quarantine counts the n pages of a corrupt record, per cause.
 func (w *wal) quarantine(n int, cause string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.quarantinedPages += n
 	w.metrics.Ingest.WALQuarantined.Add(int64(n))
 	w.metrics.RecordIngestCause("wal_quarantine_"+cause, 1)
@@ -202,8 +188,6 @@ func encodeRecord(kind uint32, seq uint64, payload []byte) []byte {
 // they are truncated away so the committed prefix stays scannable and
 // the next append lands exactly where recovery will look for it.
 func (w *wal) append(batch []Observation) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	rec := encodeRecord(walKindBatch, w.seq+1, encodeBatch(batch))
 	ref, err := w.io.Put(rec)
 	if err != nil {
@@ -221,8 +205,6 @@ func (w *wal) append(batch []Observation) (uint64, error) {
 // checkpointDue reports whether enough batch pages have accumulated
 // since the last checkpoint.
 func (w *wal) checkpointDue() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.ckptEvery > 0 && w.sinceCkpt >= w.ckptEvery
 }
 
@@ -237,8 +219,6 @@ func (w *wal) checkpointDue() bool {
 // lives. A refused compact (injectable) just leaves a longer, still
 // valid log for the next round to shrink.
 func (w *wal) checkpoint(state []byte, dropPrevious bool) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	rec := encodeRecord(walKindCheckpoint, w.seq, state)
 	ref, err := w.io.Put(rec)
 	if err != nil {
@@ -263,17 +243,6 @@ func (w *wal) checkpoint(state []byte, dropPrevious bool) error {
 	w.sinceCkpt = 0
 	w.checkpoints++
 	return nil
-}
-
-func (w *wal) stats() walStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return walStats{
-		seq:              w.seq,
-		pages:            w.pages,
-		checkpoints:      w.checkpoints,
-		quarantinedPages: w.quarantinedPages,
-	}
 }
 
 func encodeBatch(batch []Observation) []byte {

@@ -40,7 +40,7 @@ type Loader struct {
 }
 
 // NewLoader returns a loader for the module rooted at root. tags are
-// additional build tags (e.g. "faultinject") applied when selecting
+// additional build tags (e.g. "debugcheck") applied when selecting
 // files.
 func NewLoader(root string, tags []string) (*Loader, error) {
 	mod, err := modulePath(root)

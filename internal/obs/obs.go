@@ -303,7 +303,7 @@ func (m *Metrics) RecordIngestCause(cause string, n int) {
 }
 
 // RecordFaultTrip counts one injected-fault trip at the named failpoint
-// site — wired as the injector's OnTrip hook in faultinject builds, so
+// site — wired as the injector's OnTrip hook by -failpoints, so
 // /v1/metrics shows which sites a chaos run actually exercised.
 func (m *Metrics) RecordFaultTrip(site string) {
 	if m == nil {
@@ -431,8 +431,8 @@ type Snapshot struct {
 	Cache         CacheSnapshot             `json:"cache"`
 	Epoch         EpochSnapshot             `json:"epoch"`
 	Live          LiveSnapshot              `json:"live"`
-	// Faults counts injected failpoint trips by site; empty outside
-	// faultinject builds and chaos runs.
+	// Faults counts injected failpoint trips by site; empty unless
+	// -failpoints armed a site or a chaos run is in progress.
 	Faults map[string]int64 `json:"faults,omitempty"`
 }
 

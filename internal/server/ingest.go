@@ -18,7 +18,8 @@ const maxIngestBatch = 10000
 // will be applied — it survives a crash from the ack on; it is not
 // necessarily queryable yet unless ?sync=1 forces a flush before the
 // response (read-your-writes). A full queue is 429 with the
-// backpressure code and nothing logged.
+// backpressure code and nothing logged; a batch larger than the whole
+// queue is a 400, since no retry could admit it.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil {
 		writeError(w, http.StatusServiceUnavailable, CodeUnavailable,

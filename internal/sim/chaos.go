@@ -144,18 +144,6 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// NeedsHooks reports whether the schedule arms any hook site — a site
-// compiled in only under -tags=faultinject. WAL sites inject through
-// the pipeline's LogIO seam and work in every build.
-func (p *Profile) NeedsHooks() bool {
-	for _, fl := range p.Flips {
-		if !strings.HasPrefix(fl.Site, "wal.") {
-			return true
-		}
-	}
-	return false
-}
-
 // uses reports whether the schedule ever arms the named site.
 func (p *Profile) uses(site string) bool {
 	for _, fl := range p.Flips {

@@ -1,5 +1,3 @@
-//go:build faultinject
-
 package sim
 
 import (
@@ -8,8 +6,8 @@ import (
 )
 
 // These tests exercise the hook failpoint sites (epoch.publish,
-// live.notify, sse.write), which only exist under -tags=faultinject.
-// The Makefile's `chaos` target runs them with -race.
+// live.notify, sse.write). The Makefile's `chaos` target runs them with
+// -race.
 
 // TestChaosPublishSkip: epoch publishes defer for a window. Writes ack
 // but stay invisible; reads keep serving the last published epoch; the

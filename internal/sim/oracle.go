@@ -116,7 +116,7 @@ func (o *oracle) rejected() {
 
 // publish advances the published prefix to everything accepted so far
 // and evaluates the standing-query fold over the dirty set (sorted by
-// id, as Store.publishLocked emits it). epoch is the sequence number of
+// id, as Store.publish emits it). epoch is the sequence number of
 // the epoch this publish produced.
 func (o *oracle) publish(epoch uint64) {
 	dirty := make([]string, 0, len(o.pending))

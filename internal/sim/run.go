@@ -84,15 +84,12 @@ func (r *run) violate(format string, args ...any) {
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Run executes one simulation and returns its verdict and log. Setup
-// failures (invalid profile, hook sites without the faultinject build)
-// are errors; invariant breaches are violations in the verdict.
+// failures (an invalid profile) are errors; invariant breaches are
+// violations in the verdict.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Profile.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Profile.NeedsHooks() && !fault.HooksEnabled {
-		return nil, fmt.Errorf("sim: chaos profile %q arms hook failpoint sites; rebuild with -tags=faultinject", cfg.Profile.Name)
 	}
 	baseGoroutines := runtime.NumGoroutine()
 
@@ -111,8 +108,8 @@ func Run(cfg Config) (*Result, error) {
 		Metrics:  metrics,
 	})
 	pipe, err := ingest.Open(ingest.Config{
-		// The WAL seam is the injection point for wal.* sites in every
-		// build; hook sites need -tags=faultinject.
+		// The WAL seam is the injection point for wal.* sites; hook sites
+		// trip through fault.Arm above.
 		LogIO: fault.NewStore(in, "wal", storage.NewPageStore()),
 		// One explicit flush per tick: thresholds high enough that neither
 		// size nor age ever triggers a flush the oracle did not model.

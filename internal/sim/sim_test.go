@@ -99,22 +99,6 @@ func TestTornWal(t *testing.T) {
 	}
 }
 
-// TestHooksGate: profiles that arm hook sites must refuse to run in a
-// build without them, naming the fix.
-func TestHooksGate(t *testing.T) {
-	if fault.HooksEnabled {
-		t.Skip("faultinject build compiles the hooks in; the gate is for production builds")
-	}
-	profile, err := LookupProfile("publish-skip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(Config{Seed: 1, Ticks: 4, Profile: profile})
-	if err == nil || !strings.Contains(err.Error(), "faultinject") {
-		t.Fatalf("want a rebuild-with-faultinject error, got %v", err)
-	}
-}
-
 // TestProfileValidation: stale sites and nondeterministic specs are
 // startup errors.
 func TestProfileValidation(t *testing.T) {

@@ -31,7 +31,7 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> molint (static analysis: default, faultinject, debugcheck variants)"
+echo "==> molint (static analysis: default and debugcheck variants)"
 go run ./cmd/molint ./...
 
 echo "==> go test -race ./..."
@@ -60,15 +60,6 @@ go test -run "^($norace)\$" ./internal/...
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
-echo "==> go build -tags=faultinject ./..."
-go build -tags=faultinject ./...
-
-echo "==> go vet -tags=faultinject ./..."
-go vet -tags=faultinject ./...
-
 ./scripts/fuzz.sh 10s
-
-echo "==> chaos (seeded simulator vs oracle, all profiles, -race -tags=faultinject)"
-go test -race -tags=faultinject -count=1 ./internal/sim/
 
 echo "verify: OK"
