@@ -91,6 +91,9 @@ func (a *accumulator) add(q *queryEnv) error {
 		case int64:
 			a.sum += float64(x)
 		}
+		if _, err := checkFinite(a.sum); err != nil {
+			return err
+		}
 	case "min":
 		if !a.valid || cmpKeys(v, a.minV) < 0 {
 			a.minV = v

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -455,19 +456,21 @@ func (q *queryEnv) eval(e expr) (any, error) {
 		switch ex.op {
 		case "+", "-", "*", "/":
 			lf, rf := l.(float64), r.(float64)
+			var v float64
 			switch ex.op {
 			case "+":
-				return lf + rf, nil
+				v = lf + rf
 			case "-":
-				return lf - rf, nil
+				v = lf - rf
 			case "*":
-				return lf * rf, nil
+				v = lf * rf
 			default:
 				if rf == 0 {
 					return nil, fmt.Errorf("%w: division by zero", ErrType)
 				}
-				return lf / rf, nil
+				v = lf / rf
 			}
+			return checkFinite(v)
 		}
 		return compare(ex.op, l, r)
 	case apply:
@@ -498,6 +501,17 @@ func (q *queryEnv) eval(e expr) (any, error) {
 		return v, nil
 	}
 	return nil, fmt.Errorf("%w: unbound expression %v", ErrType, e)
+}
+
+// checkFinite passes on a finite arithmetic result and turns ±Inf and
+// NaN into an error, so that no non-finite number leaves the evaluator's
+// arithmetic: JSON cannot carry one, and the comparisons would read NaN
+// as equal to every number.
+func checkFinite(v float64) (any, error) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil, fmt.Errorf("%w: arithmetic overflow", ErrType)
+	}
+	return v, nil
 }
 
 func isUndef(v any) bool {

@@ -75,13 +75,12 @@ type filterCounts struct {
 }
 
 // guard is a bound predicate of a filtered shape over two column slots.
-// For shapeWithin the embedded expression is the predicate as bound,
-// evaluated when the filter cannot exclude the pair; otherwise the guard
-// is false, which is what the kernels yield for a pair the filter
-// excludes: a comparison with ⊥ (no common lifetime), a minimum above the
-// literal. For shapeInside the moving package filters and refines in one
-// walk and the guard yields its answer; the expression is kept for
-// String() and for the debugcheck re-run.
+// The moving package filters and refines each shape in one walk and the
+// guard yields its answer, which is what the kernels yield: for a pair
+// the boxes exclude, false — a comparison with ⊥ (no common lifetime), a
+// minimum above the literal. The embedded expression is the predicate
+// as bound; a within walk that cannot decide a pair evaluates it, and it
+// is kept for String() and for the debugcheck re-run.
 type guard struct {
 	expr
 	shape   filterShape
@@ -91,28 +90,32 @@ type guard struct {
 	regions []moving.RegionBounds // shapeInside: summaries of b's column
 }
 
-// answer runs the guard on the current row's pair: the filter and, where
-// it cannot exclude the pair, the kernels. A fused inside walk that
-// reached the kernel (or was cancelled on the way) is the query's
-// `inside` operator call, so the operator count equals the filter's
-// kernel count.
+// answer runs the guard on the current row's pair. A fused walk that
+// reached a kernel is the query's call of that operator — inside, or
+// distance for a within walk — timed over the whole walk, so the
+// operator count equals the filter's kernel count; an inside walk
+// cancelled on the way counts too. A within pair the walk leaves
+// undecided runs the bound chain, which records its own operators.
 func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
 	p := q.tuples[g.a.from][g.a.col].(moving.MPoint)
+	start := time.Now()
 	if g.shape == shapeInside {
-		start := time.Now()
 		hit, v, err := moving.SometimesInside(q.ctx, p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MRegion), g.regions[rb])
 		if v == moving.MayHold || err != nil {
 			q.rec.RecordOp("inside", time.Since(start))
 		}
 		return hit, v, err
 	}
-	v := moving.MayComeWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
-	if v != moving.MayHold {
-		return false, v, nil
+	hit, v, decided := moving.ComesWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
+	if !decided {
+		got, err := q.eval(g.expr)
+		return got, v, err
 	}
-	hit, err := q.eval(g.expr)
-	return hit, v, err
+	if v == moving.MayHold {
+		q.rec.RecordOp("distance", time.Since(start))
+	}
+	return hit, v, nil
 }
 
 // evalGuard answers a guarded predicate for the current row.

@@ -283,20 +283,62 @@ func TestFilterCountsReachMetrics(t *testing.T) {
 	if _, ok := snap.Filters["within"]; ok {
 		t.Errorf("a shape the query does not use was reported: %+v", snap.Filters)
 	}
-}
 
-// TestFilterCountsOnBenchCatalog pins what the filter leaves of template a
-// on the analytics workload's catalog: fusing the unit pass with the
-// refinement must not move a pair from one outcome to another.
-func TestFilterCountsOnBenchCatalog(t *testing.T) {
-	m := obs.New(0)
-	res, err := QueryContext(obs.NewContext(context.Background(), m), analyticsCatalog(), templateA)
-	if err != nil {
+	// The within walk is the query's distance operator, and a pair it
+	// decides runs no atmin, initial or val. (A flight paired with itself
+	// meets itself, which the walk leaves to the chain; template b's
+	// p.id < q.id pairs distinct flights.)
+	m = obs.New(0)
+	ctx = obs.NewContext(context.Background(), m)
+	if _, err := QueryContext(ctx, cat, "SELECT p.id, q.id FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 20"); err != nil {
 		t.Fatal(err)
 	}
-	want := obs.FilterSnapshot{Checked: 3200, SkippedObject: 1169, SkippedUnit: 1337, Kernel: 694}
-	if got := m.Snapshot().Filters["inside"]; got != want || res.Len() != 499 {
-		t.Errorf("template a: %d rows, filters.inside = %+v; want 499 rows, %+v", res.Len(), got, want)
+	snap = m.Snapshot()
+	within := snap.Filters["within"]
+	half := int64(len(ps) * (len(ps) - 1) / 2)
+	if within.Checked != half || within.SkippedObject == 0 || within.SkippedUnit == 0 || within.Kernel == 0 {
+		t.Errorf("within outcomes = %+v over %d pairs: every level should have fired", within, half)
+	}
+	if ran := snap.Operators["distance"].Count; ran != within.Kernel && !debugFilter {
+		t.Errorf("the distance kernel ran %d times, the filter passed %d pairs", ran, within.Kernel)
+	}
+	for i, p := range ps {
+		for _, q := range ps[i+1:] {
+			if _, _, decided := moving.ComesWithin(p.flight, p.flight.Bounds(), q.flight, q.flight.Bounds(), 20); !decided {
+				t.Fatalf("the walk leaves %s × %s undecided: pick another distance", p.id, q.id)
+			}
+		}
+	}
+	for _, op := range []string{"atmin", "initial", "val"} {
+		if _, ok := snap.Operators[op]; ok && !debugFilter {
+			t.Errorf("every pair was decided, yet the query recorded %s: %+v", op, snap.Operators)
+		}
+	}
+}
+
+// TestFilterCountsOnBenchCatalog pins what the filters leave of templates
+// a and b on the analytics workload's catalog: fusing a unit pass with
+// its refinement must not move a pair from one outcome to another.
+// Under -tags=debugcheck every guarded pair is re-checked against the
+// composed kernels as well.
+func TestFilterCountsOnBenchCatalog(t *testing.T) {
+	cat := analyticsCatalog()
+	for _, tc := range []struct {
+		name, sql, shape string
+		rows             int
+		want             obs.FilterSnapshot
+	}{
+		{"template a", templateA, "inside", 499, obs.FilterSnapshot{Checked: 3200, SkippedObject: 1169, SkippedUnit: 1337, Kernel: 694}},
+		{"template b", templateB, "within", 588, obs.FilterSnapshot{Checked: 19900, SkippedObject: 11915, SkippedUnit: 6283, Kernel: 1702}},
+	} {
+		m := obs.New(0)
+		res, err := QueryContext(obs.NewContext(context.Background(), m), cat, tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Snapshot().Filters[tc.shape]; got != tc.want || res.Len() != tc.rows {
+			t.Errorf("%s: %d rows, filters.%s = %+v; want %d rows, %+v", tc.name, res.Len(), tc.shape, got, tc.rows, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package db
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -221,6 +222,44 @@ func TestQueryDivisionByZero(t *testing.T) {
 	cat := testCatalog(t)
 	if _, err := Query(cat, "SELECT 1/0 AS x FROM storms"); err == nil {
 		t.Error("division by zero accepted")
+	}
+}
+
+// overflowCatalog is r(x real) holding 1e308 twice: the sum of its rows
+// overflows.
+func overflowCatalog() Catalog {
+	r := NewRelation("r", Schema{{Name: "x", Type: TReal}})
+	r.MustInsert(Tuple{1e308})
+	r.MustInsert(Tuple{1e308})
+	return Catalog{"r": r}
+}
+
+// overflowQueries are statements whose arithmetic leaves the finite
+// reals: each is a type error, never ±Inf in an answer nor a NaN that a
+// comparison reads as equal.
+var overflowQueries = []string{
+	"SELECT 1e308 * 10.0 FROM r",
+	"SELECT sum(x) FROM r",
+	"SELECT avg(x) FROM r",
+	"SELECT x FROM r WHERE 1e308 * 10.0 - 1e308 * 10.0 = 5.0",
+}
+
+func TestQueryArithmeticOverflow(t *testing.T) {
+	cat := overflowCatalog()
+	for _, q := range overflowQueries {
+		res, err := Query(cat, q)
+		if !errors.Is(err, ErrType) || !strings.Contains(fmt.Sprint(err), "arithmetic overflow") {
+			t.Errorf("%s: err = %v, want an arithmetic overflow type error", q, err)
+			if err == nil {
+				t.Logf("rows: %v", res.Scan())
+			}
+		}
+	}
+	// The finite neighbours of those statements still answer.
+	for _, q := range []string{"SELECT 1e307 * 10.0 FROM r", "SELECT max(x) FROM r", "SELECT x FROM r WHERE 1e308 - 1e308 = 0.0"} {
+		if res, err := Query(cat, q); err != nil || res.Len() == 0 {
+			t.Errorf("%s: err = %v", q, err)
+		}
 	}
 }
 

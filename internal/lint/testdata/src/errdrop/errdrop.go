@@ -16,10 +16,10 @@ func pair() (int, error) { return 0, errors.New("boom") }
 func value() int { return 7 }
 
 func bad() {
-	fail()       // want `call discards error result`
-	defer fail() // want `deferred call discards error result`
-	go fail()    // want `go statement discards error result`
-	_ = fail()   // want `error result assigned to blank identifier`
+	fail()         // want `call discards error result`
+	defer fail()   // want `deferred call discards error result`
+	go fail()      // want `go statement discards error result`
+	_ = fail()     // want `error result assigned to blank identifier`
 	n, _ := pair() // want `error result assigned to blank identifier`
 	_ = n
 	v, _ := strconv.Atoi("7") // want `error result assigned to blank identifier`

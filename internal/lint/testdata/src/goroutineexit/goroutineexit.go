@@ -9,8 +9,8 @@ import "context"
 var feed = make(chan int)
 var tick = make(chan struct{})
 
-func work()     {}
-func use(int)   {}
+func work()      {}
+func use(int)    {}
 func done() bool { return false }
 
 func spawnAll(ctx context.Context, quit chan struct{}, items []int, n int) {

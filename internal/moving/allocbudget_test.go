@@ -14,13 +14,14 @@ import (
 // Inside (InsideCtx over units.UPointInsideURegion) grows its result by
 // append (a flight meets a storm in one to four boolean units); Distance
 // sizes its result once, AtMin allocates the second array. The fused
-// inside walk and the distance filter read stored summaries and the unit
-// arrays, and the walk's kernel pieces stay in a stack buffer: nothing.
+// walks read stored summaries and the unit arrays; the inside walk's
+// kernel pieces stay in a stack buffer and the distance walk's unit
+// distances are values: nothing.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkInside", Bench: BenchmarkInside, MaxAllocs: 1, MaxBytes: 128},
 		allocbudget.Budget{Name: "BenchmarkDistanceAtMinInitial", Bench: BenchmarkDistanceAtMinInitial, MaxAllocs: 2, MaxBytes: 640},
 		allocbudget.Budget{Name: "BenchmarkSometimesInside", Bench: BenchmarkSometimesInside, MaxAllocs: 0, MaxBytes: 0},
-		allocbudget.Budget{Name: "BenchmarkMayComeWithin", Bench: BenchmarkMayComeWithin, MaxAllocs: 0, MaxBytes: 0},
+		allocbudget.Budget{Name: "BenchmarkComesWithin", Bench: BenchmarkComesWithin, MaxAllocs: 0, MaxBytes: 0},
 	)
 }

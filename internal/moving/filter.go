@@ -18,8 +18,11 @@ import (
 // value (PointBounds, RegionBounds: the whole value's box and one stored
 // box per unit, flat arrays beside the unit arrays) and then one pass
 // along the common pieces of the two unit arrays, the same seeking sweep
-// the kernels use, and allocates nothing. SometimesInside refines in
-// that same pass; MayComeWithin leaves the refinement to its caller.
+// the kernels use, and allocates nothing. Both refine in that same
+// pass: SometimesInside runs the inside kernel on the pieces the boxes
+// leave, ComesWithin takes the minimum of the unit distance there and
+// leaves to its caller only a pair whose minima do not settle the
+// answer.
 
 // Verdict is the outcome of a filter for one pair.
 type Verdict uint8
@@ -151,50 +154,93 @@ func SometimesInside(ctx context.Context, p MPoint, pb PointBounds, r MRegion, r
 	}
 }
 
-// withinMargin scales the rounding margin of MayComeWithin: the filter
-// rejects only when the box distance exceeds c by more than
-// withinMargin·(1 + |c| + pb.Mag + qb.Mag).
+// WithinMargin scales the rounding margin of ComesWithin: with
+// m = WithinMargin·(1 + max(c, 0) + pb.Mag + qb.Mag), the walk refuses a
+// piece whose boxes lie farther apart than max(c, 0) + m, answers false
+// when every unit minimum exceeds that limit, and answers true only for
+// a minimum below c − m. A minimum in between is the band the walk
+// leaves to the composed chain.
 //
-// Why that dominates the kernels' rounding: whatever min, or
-// val(initial(atmin(·))), reports is the root of the quadratic
-// UPoint.DistanceTo formed, evaluated at an instant of a common piece.
-// DistanceTo builds |Δ0 + Δ1·t|² from coefficient differences of
-// magnitude at most W = pb.Mag + qb.Mag, so the evaluated radicand is
-// off by a few dozen ulps of W² — below 10⁻¹⁴·W² — from the exact
-// squared distance D², and D is at least the box distance up to a few
-// ulps of W. With box distance > c + 10⁻⁶·(1 + |c| + W) the radicand
-// stays above c² + 10⁻¹²·W² − 10⁻¹⁴·W²: positive (never a NaN root) and
-// its root above c. The 1 + |c| part absorbs the rounding of the
-// squared comparison itself.
-const withinMargin = 1e-6
+// Why a box distance or a unit minimum above the limit puts the kernels'
+// answer above c: whatever min, or val(initial(atmin(·))), reports is
+// the root of the quadratic UPoint.DistanceTo formed, evaluated at an
+// instant of a common piece. DistanceTo builds |Δ0 + Δ1·t|² from
+// coefficient differences of magnitude at most W = pb.Mag + qb.Mag, so
+// the evaluated radicand is off by a few dozen ulps of W² — below
+// 10⁻¹⁴·W² — from the exact squared distance D², and D is at least the
+// box distance up to a few ulps of W. With box distance > c + 10⁻⁶·(1 +
+// |c| + W) the radicand stays above c² + 10⁻¹²·W² − 10⁻¹⁴·W²: positive
+// (never a NaN root) and its root above c. The 1 + |c| part absorbs the
+// rounding of the squared comparison itself. A unit minimum is that same
+// root at the instant Min picks, so the same bound holds of it and of
+// every other instant the chain may evaluate.
+//
+// Why a minimum below c − m puts them below c: min(distance) is the
+// least unit minimum, the very values the walk computes. atmin keeps
+// every instant whose value lies within atValueNear's tolerance,
+// 10⁻⁹·max(1, |v|), of that minimum v, so initial(atmin) reports a value
+// at most v plus that tolerance plus the radicand error — both far below
+// m. atmin keeps nothing, though, when the least minimum is an infimum
+// at an open end of a piece (before a gap) and no instant comes within
+// the tolerance of it: then min is below c and val(initial(atmin)) is ⊥.
+// And a pair that comes closer than m can make atmin's instants
+// evaluate a radicand that rounds below zero, so that val reads NaN. So
+// the walk answers true only when the least minimum is at least m and a
+// minimum attained at an instant of its piece lies within half the
+// tolerance of it. The band, a least minimum nobody attains and a pair
+// that nearly meets are what the arguments do not reach: there min and
+// atmin decide by rounding, or disagree, and the walk defers instead of
+// guessing.
+const WithinMargin = 1e-6
 
-// MayComeWithin reports whether boxes allow p and q to come within
-// distance c of each other (c ≤ 0 is treated as 0); pb and qb are their
-// Bounds(). Any verdict but MayHold implies that p.Distance(q) is
-// nowhere defined or that its minimum — as Min reports it and as
-// val(initial(atmin(·))) reports it — exceeds c.
-func MayComeWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) Verdict {
+// ComesWithin answers whether p and q ever come within distance c of
+// each other — min(distance(p, q)) < c, equally ≤ c, and
+// val(initial(atmin(distance(p, q)))) < c or ≤ c — in one walk along the
+// common pieces of their unit arrays; pb and qb are their Bounds(). Per
+// piece it asks the two stored unit boxes, then the boxes of the two
+// units sliced to the piece (c ≤ 0 counts as 0), and on a piece neither
+// refuses takes the minimum of the unit distance the distance kernel
+// builds there; no moving real is built. decided is false when the
+// minima do not settle the answer under both spellings (see
+// WithinMargin), or when the margin is not finite: then the caller runs
+// the kernels. The verdict says how far the pair got: NoObject, NoUnit
+// (every piece was refused, no unit distance was formed) or MayHold.
+func ComesWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) (hit bool, v Verdict, decided bool) {
 	limit := math.Max(c, 0)
-	limit += withinMargin * (1 + limit + pb.Mag + qb.Mag)
+	m := WithinMargin * (1 + limit + pb.Mag + qb.Mag)
+	limit += m
 	if !finite(limit) {
-		return MayHold
+		return false, MayHold, false
 	}
 	if !(pb.Start <= qb.End && qb.Start <= pb.End) || beyond(pb.Box, qb.Box, limit) {
-		return NoObject
+		return false, NoObject, true
 	}
+	// least is the least unit minimum — what min(distance) reports —
+	// and attained the least one reached at an instant of its piece.
+	v, least, attained := NoUnit, math.Inf(1), math.Inf(1)
 	pu, qu := p.M.Units(), q.M.Units()
 	sw := temporal.NewSweep(pu, qu)
 	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
 		// The stored boxes contain the sliced ones: what they put beyond
 		// the limit, slicing cannot bring back.
-		if beyond(pb.Units[ri.A], qb.Units[ri.B], limit) {
+		if beyond(pb.Units[ri.A], qb.Units[ri.B], limit) ||
+			beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox(), limit) {
 			continue
 		}
-		if !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox(), limit) {
-			return MayHold
+		v = MayHold
+		mn, at := pu[ri.A].DistanceTo(qu[ri.B], ri.Iv).Min()
+		least = math.Min(least, mn)
+		if ri.Iv.Contains(at) {
+			attained = math.Min(attained, mn)
 		}
 	}
-	return NoUnit
+	switch {
+	case least > limit:
+		return false, v, true
+	case m <= least && attained < c-m && attained-least <= nearTolerance(least)/2:
+		return true, v, true
+	}
+	return false, v, false
 }
 
 // beyond reports whether every point of a is farther than d from every

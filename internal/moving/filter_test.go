@@ -15,12 +15,13 @@ import (
 )
 
 // The filters may only exclude what the kernels answer false for, and
-// the fused inside walk must answer what the kernels answer. The fuzz
-// target spells pairs of moving points unit by unit and holds
-// SometimesInside to equality with sometimes(inside) and each
-// MayComeWithin verdict other than MayHold to the kernels; the seeded
-// tests do the same over hand-built and workload data and also hold the
-// filters to being useful.
+// the fused walks must answer what the kernels answer. The fuzz target
+// spells pairs of moving points unit by unit and holds SometimesInside
+// to equality with sometimes(inside), and every answer ComesWithin
+// decides to the distance chain under both spellings and both
+// comparisons; both walks' verdicts are held to the filter passes they
+// replaced. The seeded tests do the same over hand-built and workload
+// data and also hold the filters to being useful.
 
 // fuzzRegions is the table a fuzz input picks its moving region from.
 func fuzzRegions() []moving.MRegion {
@@ -113,27 +114,82 @@ func checkInside(t *testing.T, p moving.MPoint, r moving.MRegion) (bool, moving.
 	return got, v
 }
 
-// checkFilters holds the inside walk and the distance filter to the
+// refMayComeWithin is the filter pass the executor ran before the
+// distance walk was fused with its refinement, kept as the specification
+// of ComesWithin's verdict: MayHold for a non-finite margin, NoObject by
+// the whole-value summaries, else MayHold exactly when some common
+// piece's stored and sliced unit boxes both come within the limit.
+func refMayComeWithin(p moving.MPoint, pb moving.PointBounds, q moving.MPoint, qb moving.PointBounds, c float64) moving.Verdict {
+	limit := math.Max(c, 0)
+	limit += moving.WithinMargin * (1 + limit + pb.Mag + qb.Mag)
+	if math.IsInf(limit, 0) || math.IsNaN(limit) {
+		return moving.MayHold
+	}
+	beyond := func(a, b geom.Rect) bool {
+		dx := math.Max(0, math.Max(a.MinX-b.MaxX, b.MinX-a.MaxX))
+		dy := math.Max(0, math.Max(a.MinY-b.MaxY, b.MinY-a.MaxY))
+		return dx*dx+dy*dy > limit*limit
+	}
+	if !(pb.Start <= qb.End && qb.Start <= pb.End) || beyond(pb.Box, qb.Box) {
+		return moving.NoObject
+	}
+	pu, qu := p.M.Units(), q.M.Units()
+	sw := temporal.NewSweep(pu, qu)
+	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+		if !beyond(pb.Units[ri.A], qb.Units[ri.B]) && !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox()) {
+			return moving.MayHold
+		}
+	}
+	return moving.NoUnit
+}
+
+// checkWithin holds the distance walk to the reference verdict and, when
+// it decides, to all four comparisons the executor guards with it:
+// min(distance) and val(initial(atmin(distance))), each under < and <=
+// as the executor compares (⊥ is false; x <= c is !(x > c), so a NaN
+// value holds under <= and not under <). A pair whose chain minimum lies well inside the
+// band of width m around c — half of it, so that rounding at the band's
+// edge does not count — must be left undecided. It returns what the
+// walk answered.
+func checkWithin(t *testing.T, a, b moving.MPoint, c float64) (bool, moving.Verdict, bool) {
+	t.Helper()
+	pb, qb := a.Bounds(), b.Bounds()
+	hit, v, decided := moving.ComesWithin(a, pb, b, qb, c)
+	if want := refMayComeWithin(a, pb, b, qb, c); v != want || (hit && (v != moving.MayHold || !decided)) {
+		t.Errorf("ComesWithin(c=%v) = %v with verdict %d (decided %v), the filter pass says %d\n a %v\n b %v", c, hit, v, decided, want, a, b)
+	}
+	d := a.Distance(b)
+	mn, _, okMin := d.Min()
+	first, okFirst := d.AtMin().Initial()
+	if decided {
+		for _, k := range []struct {
+			name string
+			got  bool
+		}{
+			{"min(distance) < c", okMin && mn < c},
+			{"min(distance) <= c", okMin && !(mn > c)},
+			{"val(initial(atmin(distance))) < c", okFirst && first.Val < c},
+			{"val(initial(atmin(distance))) <= c", okFirst && !(first.Val > c)},
+		} {
+			if k.got != hit {
+				t.Errorf("ComesWithin(c=%v) = %v with verdict %d, but %s is %v (min %v, val %v)\n a %v\n b %v", c, hit, v, k.name, k.got, mn, first.Val, a, b)
+			}
+		}
+	}
+	m := moving.WithinMargin * (1 + math.Max(c, 0) + pb.Mag + qb.Mag)
+	if okMin && decided && math.Abs(mn-c) < m/2 {
+		t.Errorf("ComesWithin(c=%v) decided %v, but min(distance) = %v lies inside the band of width %v\n a %v\n b %v", c, hit, mn, m, a, b)
+	}
+	return hit, v, decided
+}
+
+// checkFilters holds the inside walk and the distance walk to the
 // kernels for one (p, q, r, c).
 func checkFilters(t *testing.T, p, q moving.MPoint, r moving.MRegion, c float64) {
 	t.Helper()
 	checkInside(t, p, r)
-	for _, pair := range [][2]moving.MPoint{{p, q}, {q, p}} {
-		a, b := pair[0], pair[1]
-		v := moving.MayComeWithin(a, a.Bounds(), b, b.Bounds(), c)
-		if v == moving.MayHold {
-			continue
-		}
-		d := a.Distance(b)
-		// "> c" and not "!(<= c)": a NaN minimum would compare true under
-		// the executor's <=, so the filter must not skip it either.
-		if mn, _, ok := d.Min(); ok && !(mn > c) {
-			t.Errorf("MayComeWithin(c=%v) = %d, but min(distance) = %v\n a %v\n b %v", c, v, mn, a, b)
-		}
-		if first, ok := d.AtMin().Initial(); ok && !(first.Val > c) {
-			t.Errorf("MayComeWithin(c=%v) = %d, but val(initial(atmin(distance))) = %v\n a %v\n b %v", c, v, first.Val, a, b)
-		}
-	}
+	checkWithin(t, p, q, c)
+	checkWithin(t, q, p, c)
 }
 
 func FuzzFilterConservative(f *testing.F) {
@@ -147,14 +203,18 @@ func FuzzFilterConservative(f *testing.F) {
 		c      float64
 		region uint8
 	}{
-		{[]byte{1, 10, 0, 1, 10, 0}, []byte{1, 0, 10}, 50, 0, 0, 5, 0},                     // disjoint lifetimes
-		{[]byte{1, 10, 0, 1, 10, 0}, []byte{1, 0, 10}, 2, 0, 0, 5, 3},                      // one shared instant: a is [0,2], b starts at 2
-		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, 5, 3},                    // stationary, at distance exactly c
-		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, math.Nextafter(5, 0), 3}, // one ulp below
-		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, math.Nextafter(5, 9), 3}, // one ulp above
-		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 0, 0, 0, 3},                    // coincident, c = 0
-		{[]byte{7, 20, 5, 7, n(-20), 5}, []byte{7, n(-20), 5}, 1, 300, 0, -1, 1},           // c < 0, and a storm with an eye
-		{[]byte{7, 1, 1, 7, 1, n(-1)}, []byte{7, 1, 0}, 20, 1, 1, 3, 1},                    // inside the eye's storm while it exists
+		{[]byte{1, 10, 0, 1, 10, 0}, []byte{1, 0, 10}, 50, 0, 0, 5, 0},                                   // disjoint lifetimes
+		{[]byte{1, 10, 0, 1, 10, 0}, []byte{1, 0, 10}, 2, 0, 0, 5, 3},                                    // one shared instant: a is [0,2], b starts at 2
+		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, 5, 3},                                  // stationary, at distance exactly c
+		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, math.Nextafter(5, 0), 3},               // one ulp below
+		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, math.Nextafter(5, 9), 3},               // one ulp above
+		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 3, 4, 5.0002, 3},                             // in the band above the minimum: undecided, atmin keeps the whole unit
+		{[]byte{7, 10, 0}, []byte{rest | 7, 0, 0}, 0, 20, 5, 4.9998, 3},                                  // in the band below a minimum at the vertex: undecided, atmin finds an instant
+		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 0, 0, 0, 3},                                  // coincident, c = 0
+		{[]byte{1, 48, 48}, []byte{rest, 0, 0, gap | rest, 0, 0}, 0, 50, 581, 500, 3},                    // least minimum an infimum before a gap: min < c, atmin is ⊥; undecided
+		{[]byte{1, 10, 0, rest | 2, 0, 0}, []byte{1, 10, 0, rest, 0, 0}, 1.4285714285714284, 0, 0, 5, 3}, // b catches up with a: val(initial(atmin)) reads NaN; undecided
+		{[]byte{7, 20, 5, 7, n(-20), 5}, []byte{7, n(-20), 5}, 1, 300, 0, -1, 1},                         // c < 0, and a storm with an eye
+		{[]byte{7, 1, 1, 7, 1, n(-1)}, []byte{7, 1, 0}, 20, 1, 1, 3, 1},                                  // inside the eye's storm while it exists
 		{[]byte{7, 30, 0, gap | 7, 30, 0, 7, 0, 30}, []byte{3, 0, n(-30), gap | 3, 0, n(-30)}, 3, 200, 90, 40, 0},
 		{[]byte{7, 1, 0}, []byte{7, 1, 0}, 0, 0, 1e-7, 1e-7, 4},                // closer than the margin can resolve; unbounded region
 		{[]byte{7, 127, 127}, []byte{7, n(-128), n(-128)}, 0, 1e9, 1e9, 10, 5}, // large coordinates; nowhere-defined region
@@ -257,6 +317,7 @@ func TestFiltersOnWorkload(t *testing.T) {
 	storms = append(storms, g.StormWithEye(20, 16, 10, 6))
 
 	var inside, within struct{ pairs, object, unit, true int }
+	undecided := 0
 	for i, f := range flights {
 		pb := f.Flight.Bounds()
 		for _, s := range storms {
@@ -276,11 +337,15 @@ func TestFiltersOnWorkload(t *testing.T) {
 		for _, h := range flights[i+1:] {
 			checkFilters(t, f.Flight, h.Flight, storms[0], 15)
 			within.pairs++
-			switch moving.MayComeWithin(f.Flight, pb, h.Flight, h.Flight.Bounds(), 15) {
+			_, v, decided := moving.ComesWithin(f.Flight, pb, h.Flight, h.Flight.Bounds(), 15)
+			switch v {
 			case moving.NoObject:
 				within.object++
 			case moving.NoUnit:
 				within.unit++
+			}
+			if !decided {
+				undecided++
 			}
 			if mn, _, ok := f.Flight.Distance(h.Flight).Min(); ok && mn < 15 {
 				within.true++
@@ -288,7 +353,10 @@ func TestFiltersOnWorkload(t *testing.T) {
 		}
 	}
 	t.Logf("inside: %+v", inside)
-	t.Logf("within(15): %+v", within)
+	t.Logf("within(15): %+v, %d left to the chain", within, undecided)
+	if undecided*100 > within.pairs {
+		t.Errorf("the distance walk leaves %d of %d pairs undecided: the band is too wide to pay", undecided, within.pairs)
+	}
 	for name, n := range map[string]struct{ pairs, object, unit, true int }{"inside": inside, "within": within} {
 		if n.true == 0 || n.object == 0 || n.unit == 0 {
 			t.Errorf("%s: the workload does not exercise every outcome: %+v", name, n)
@@ -322,7 +390,7 @@ func BenchmarkSometimesInside(b *testing.B) {
 	}
 }
 
-func BenchmarkMayComeWithin(b *testing.B) {
+func BenchmarkComesWithin(b *testing.B) {
 	flights := workload.New(2000).Flights(16, 20)
 	pbs := make([]moving.PointBounds, len(flights))
 	for i, f := range flights {
@@ -332,6 +400,6 @@ func BenchmarkMayComeWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, l := i%len(flights), (i+1)%len(flights)
-		moving.MayComeWithin(flights[k].Flight, pbs[k], flights[l].Flight, pbs[l], 15)
+		moving.ComesWithin(flights[k].Flight, pbs[k], flights[l].Flight, pbs[l], 15)
 	}
 }

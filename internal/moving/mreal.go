@@ -124,12 +124,15 @@ func (r MReal) AtMax() MReal {
 	return r.atValueNear(mx)
 }
 
+// nearTolerance is atValueNear's tolerance around v.
+func nearTolerance(v float64) float64 { return 1e-9 * math.Max(1, math.Abs(v)) }
+
 // atValueNear restricts the moving real to the times where it equals v,
 // with a relative tolerance absorbing the one-ulp discrepancies between
 // adjacent units computed from different sources (e.g. distance units of
 // consecutive trajectory legs).
 func (r MReal) atValueNear(v float64) MReal {
-	tol := 1e-9 * math.Max(1, math.Abs(v))
+	tol := nearTolerance(v)
 	var bld mapping.Builder[units.UReal]
 	var buf [5]temporal.Instant // InstantsNear yields at most five
 	for _, u := range r.M.Units() {

@@ -114,6 +114,35 @@ func envelope(t *testing.T, body map[string]any) (code, message string) {
 	return code, message
 }
 
+// TestQueryArithmeticOverflow: a statement whose arithmetic leaves the
+// finite reals is a 400 bad_request naming the overflow, not a 500 from
+// the JSON encoder nor a row that a NaN comparison let through.
+func TestQueryArithmeticOverflow(t *testing.T) {
+	r := db.NewRelation("r", db.Schema{{Name: "x", Type: db.TReal}})
+	r.MustInsert(db.Tuple{1e308})
+	r.MustInsert(db.Tuple{1e308})
+	s, err := New(Config{Catalog: db.Catalog{"r": r}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, q := range []string{
+		"SELECT 1e308 * 10.0 FROM r",
+		"SELECT sum(x) FROM r",
+		"SELECT avg(x) FROM r",
+		"SELECT x FROM r WHERE 1e308 * 10.0 - 1e308 * 10.0 = 5.0",
+	} {
+		code, body := get(t, h, "/v1/query?q="+url.QueryEscape(q))
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: %d %v, want 400", q, code, body)
+			continue
+		}
+		if ec, msg := envelope(t, body); ec != CodeBadRequest || !strings.Contains(msg, "arithmetic overflow") {
+			t.Errorf("%s: envelope %q %q", q, ec, msg)
+		}
+	}
+}
+
 func TestQueryEndpoint(t *testing.T) {
 	h := testServer(t).Handler()
 	url := "/v1/query?q=SELECT+airline,+id,+length(trajectory(flight))+AS+len+FROM+planes+WHERE+airline+=+'Lufthansa'+ORDER+BY+len+DESC+LIMIT+3"

@@ -25,6 +25,14 @@ if [ -n "$unlisted" ]; then
     exit 1
 fi
 
+echo "==> gofmt -l (every Go file in the tree, bench/ and lint fixtures included)"
+# .bench_build/ is bench/run.sh's build directory, not source.
+unformatted=$(find . \( -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+    echo "verify: FAIL files not gofmt-formatted (run gofmt -w on them):" $unformatted >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
