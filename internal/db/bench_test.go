@@ -1,9 +1,11 @@
 package db
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"movingdb/internal/obs"
 	"movingdb/internal/workload"
 )
 
@@ -100,17 +102,21 @@ const (
 
 // benchTemplate runs one statement against the full analytics catalog,
 // so that a template's share of an analytics_sql cycle (a + b + 3·c +
-// 3·d) is one `go test -bench Template` away. The first query builds the
-// relations' summaries; it is not timed.
+// 3·d) is one `go test -bench Template` away. It measures the served
+// path: the context carries an obs registry, as the server's and the
+// bench replay's do, so operators are timed and filter outcomes
+// recorded. The first query builds the relations' summaries; it is not
+// timed.
 func benchTemplate(b *testing.B, sql string) {
 	cat := analyticsCatalog()
-	if _, err := Query(cat, sql); err != nil {
+	ctx := obs.NewContext(context.Background(), obs.New(0))
+	if _, err := QueryContext(ctx, cat, sql); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Query(cat, sql)
+		res, err := QueryContext(ctx, cat, sql)
 		if err != nil {
 			b.Fatal(err)
 		}

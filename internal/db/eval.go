@@ -1,6 +1,7 @@
 package db
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -204,6 +205,22 @@ type queryEnv struct {
 	// forEachGroup hands it a group's.
 	aggOK bool
 	aggs  []accumulator
+}
+
+// clock starts an operator's timing: it reads the time only when there
+// is a registry to record it in, and recordOp records the operator only
+// then.
+func (q *queryEnv) clock() time.Time {
+	if q.rec == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (q *queryEnv) recordOp(name string, start time.Time) {
+	if q.rec != nil {
+		q.rec.RecordOp(name, time.Since(start))
+	}
 }
 
 // cancelCheckRows is how many candidate rows the evaluation loops
@@ -484,13 +501,10 @@ func (q *queryEnv) eval(e expr) (any, error) {
 			}
 			ex.argv[i] = v
 		}
-		if q.rec != nil {
-			start := time.Now()
-			v, err := ex.ov.fn(q.ctx, ex.argv)
-			q.rec.RecordOp(ex.fn, time.Since(start))
-			return v, err
-		}
-		return ex.ov.fn(q.ctx, ex.argv)
+		start := q.clock()
+		v, err := ex.ov.fn(q.ctx, ex.argv)
+		q.recordOp(ex.fn, start)
+		return v, err
 	case *guard:
 		return q.evalGuard(ex)
 	case aggregate:
@@ -520,11 +534,15 @@ func isUndef(v any) bool {
 }
 
 // compare applies a comparison operator to two defined values of one
-// scalar type.
+// scalar type. A NaN is unequal to everything: every comparison with it
+// is false but <>.
 func compare(op string, l, r any) (any, error) {
 	c, ok := cmpScalars(l, r)
 	if !ok {
 		return nil, fmt.Errorf("%w: cannot compare %T", ErrType, l)
+	}
+	if c == unordered {
+		return op == "<>", nil
 	}
 	switch op {
 	case "<":
@@ -801,21 +819,29 @@ func sortRelation(out *Relation, keys [][]any, order []orderItem) {
 	out.tuples = tuples
 }
 
-// cmpKeys orders two sort or aggregate keys: scalars by cmpScalars, ⊥
-// after every defined value.
+// cmpKeys orders two sort or aggregate keys: scalars by cmpScalars, a
+// NaN after every other real and ⊥ after every defined value; two NaNs,
+// like two ⊥, are equal. It is a total order, which sorting needs.
 func cmpKeys(a, b any) int {
-	if isUndef(a) || isUndef(b) {
-		switch {
-		case isUndef(a) && isUndef(b):
-			return 0
-		case isUndef(a):
-			return 1 // ⊥ last
-		default:
-			return -1
-		}
+	if ra, rb := keyRank(a), keyRank(b); ra != 0 || rb != 0 {
+		return cmp.Compare(ra, rb)
 	}
 	c, _ := cmpScalars(a, b)
 	return c
+}
+
+// keyRank places the keys cmpScalars leaves unordered: 1 for a NaN, 2
+// for ⊥, 0 for everything else.
+func keyRank(v any) int {
+	switch x := v.(type) {
+	case Undef:
+		return 2
+	case float64:
+		if math.IsNaN(x) {
+			return 1
+		}
+	}
+	return 0
 }
 
 // scalar reports whether t is one of the types cmpScalars orders.
@@ -828,8 +854,8 @@ func scalar(t AttrType) bool {
 }
 
 // cmpScalars is the one three-way comparison of two values of one
-// scalar type (false before true; a NaN equals everything); ok is false
-// for a type with no order.
+// scalar type (false before true; a NaN is unordered against
+// everything); ok is false for a type with no order.
 func cmpScalars(a, b any) (c int, ok bool) {
 	switch av := a.(type) {
 	case float64:
@@ -851,12 +877,17 @@ func cmpScalars(a, b any) (c int, ok bool) {
 	return 0, false
 }
 
+// unordered is what cmp3 answers when a NaN takes part.
+const unordered = 2
+
 func cmp3[T float64 | int64](a, b T) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
 		return 1
+	case a == b:
+		return 0
 	}
-	return 0
+	return unordered
 }

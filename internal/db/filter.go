@@ -3,7 +3,6 @@ package db
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"movingdb/internal/moving"
 )
@@ -13,10 +12,13 @@ import (
 // two points ever come within c" — and for both the moving package can
 // tell from bounding boxes that a pair never qualifies. bind recognises
 // the shapes once per query and wraps them in a guard; per row the guard
-// asks the filter first and runs the Section 5 kernels only for the
-// pairs it cannot exclude. A guard yields exactly what its kernels would
-// have, so it is valid wherever the expression stands (under NOT or OR,
-// in a projection, in ORDER BY), and rows keep nested-loop order.
+// asks the shape's candidate test on the whole-value boxes, and only for
+// a candidate walks the two unit arrays, filtering per piece and running
+// the Section 5 kernels on the pieces the boxes leave. A guard yields
+// exactly what its kernels would have, so it is valid wherever the
+// expression stands (under NOT or OR, in a projection, in ORDER BY), and
+// rows keep nested-loop order. The box tests all live in the moving
+// package; the guard only picks the pair's summaries and counts.
 
 // relBounds holds the filter summaries of a relation: per mpoint or
 // mregion column, one summary per tuple, in tuple order. It lives
@@ -90,30 +92,44 @@ type guard struct {
 	regions []moving.RegionBounds // shapeInside: summaries of b's column
 }
 
-// answer runs the guard on the current row's pair. A fused walk that
-// reached a kernel is the query's call of that operator — inside, or
-// distance for a within walk — timed over the whole walk, so the
+// answer runs the guard on the current row's pair. A pair the
+// candidate test refuses is answered false, NoObject, without a clock
+// read. A fused walk that reached a kernel is the query's call of that
+// operator — inside, or distance for a within walk — timed over the
+// whole walk, as apply times an operator: only with a registry. So the
 // operator count equals the filter's kernel count; an inside walk
 // cancelled on the way counts too. A within pair the walk leaves
-// undecided runs the bound chain, which records its own operators.
+// undecided runs the bound chain, which records its own operators. The
+// summaries go by pointer: relBounds does not change them once built.
 func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
-	p := q.tuples[g.a.from][g.a.col].(moving.MPoint)
-	start := time.Now()
+	pb := &g.points[0][ra]
 	if g.shape == shapeInside {
-		hit, v, err := moving.SometimesInside(q.ctx, p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MRegion), g.regions[rb])
+		sb := &g.regions[rb]
+		if !moving.InsideCandidate(pb, sb) {
+			return false, moving.NoObject, nil
+		}
+		p, r := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MRegion)
+		start := q.clock()
+		hit, v, err := moving.SometimesInside(q.ctx, p, pb, r, sb)
 		if v == moving.MayHold || err != nil {
-			q.rec.RecordOp("inside", time.Since(start))
+			q.recordOp("inside", start)
 		}
 		return hit, v, err
 	}
-	hit, v, decided := moving.ComesWithin(p, g.points[0][ra], q.tuples[g.b.from][g.b.col].(moving.MPoint), g.points[1][rb], g.c)
+	qb := &g.points[1][rb]
+	if !moving.WithinCandidate(pb, qb, g.c) {
+		return false, moving.NoObject, nil
+	}
+	p, p2 := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MPoint)
+	start := q.clock()
+	hit, v, decided := moving.ComesWithin(p, pb, p2, qb, g.c)
 	if !decided {
 		got, err := q.eval(g.expr)
 		return got, v, err
 	}
 	if v == moving.MayHold {
-		q.rec.RecordOp("distance", time.Since(start))
+		q.recordOp("distance", start)
 	}
 	return hit, v, nil
 }

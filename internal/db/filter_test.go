@@ -303,8 +303,10 @@ func TestFilterCountsReachMetrics(t *testing.T) {
 		t.Errorf("the distance kernel ran %d times, the filter passed %d pairs", ran, within.Kernel)
 	}
 	for i, p := range ps {
+		pb := p.flight.Bounds()
 		for _, q := range ps[i+1:] {
-			if _, _, decided := moving.ComesWithin(p.flight, p.flight.Bounds(), q.flight, q.flight.Bounds(), 20); !decided {
+			qb := q.flight.Bounds()
+			if _, _, decided := moving.ComesWithin(p.flight, &pb, q.flight, &qb, 20); !decided {
 				t.Fatalf("the walk leaves %s × %s undecided: pick another distance", p.id, q.id)
 			}
 		}

@@ -263,6 +263,101 @@ func TestQueryArithmeticOverflow(t *testing.T) {
 	}
 }
 
+// meetingCatalog is planes(id string, flight mpoint) holding two flights
+// that meet at t ≈ 4.52, where the radicand of their unit distance
+// rounds below zero.
+func meetingCatalog(t testing.TB) Catalog {
+	t.Helper()
+	planes := NewRelation("planes", Schema{{Name: "id", Type: TString}, {Name: "flight", Type: TMPoint}})
+	for _, f := range []struct {
+		id      string
+		samples []moving.Sample
+	}{
+		{"a", []moving.Sample{{T: 0, P: geom.Pt(548.30212201912, 359.35178307712)}, {T: 10, P: geom.Pt(638.30212201912, 199.35178307712)}}},
+		{"b", []moving.Sample{{T: 0, P: geom.Pt(534.73616269216, 205.60424403823998)}, {T: 10, P: geom.Pt(654.73616269216, 385.60424403824)}}},
+	} {
+		p, err := moving.MPointFromSamples(f.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes.MustInsert(Tuple{f.id, p})
+	}
+	return Catalog{"planes": planes}
+}
+
+// meetingQueries ask whether the two flights of meetingCatalog came
+// within 1 of each other, in every spelling the within guard covers and
+// as a plain projection; each answers the one pair and the closest
+// approach, which is finite and below 1.
+var meetingQueries = []string{
+	"SELECT p.id, q.id, val(initial(atmin(distance(p.flight, q.flight)))) AS d FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 1",
+	"SELECT p.id, q.id, val(initial(atmin(distance(p.flight, q.flight)))) AS d FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) <= 1",
+	"SELECT p.id, q.id, val(initial(atmin(distance(p.flight, q.flight)))) AS d FROM planes p, planes q WHERE p.id < q.id AND min(distance(p.flight, q.flight)) < 1",
+	"SELECT p.id, q.id, val(initial(atmin(distance(p.flight, q.flight)))) AS d FROM planes p, planes q WHERE p.id < q.id",
+}
+
+// TestQueryMeetingFlights: the closest approach of two flights that meet
+// is a number, never NaN, so that every comparison of it answers as the
+// geometry says.
+func TestQueryMeetingFlights(t *testing.T) {
+	cat := meetingCatalog(t)
+	for _, q := range meetingQueries {
+		res, err := Query(cat, q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		rows := res.Scan()
+		if len(rows) != 1 || rows[0][0] != "a" || rows[0][1] != "b" {
+			t.Errorf("%s: rows %v, want the one pair a, b", q, rows)
+			continue
+		}
+		if d := rows[0][2].(float64); !(0 <= d && d < 1) {
+			t.Errorf("%s: closest approach %v, want a number in [0, 1)", q, d)
+		}
+	}
+}
+
+// TestQueryNaNComparisons: a NaN is unequal to everything, so every
+// comparison with it is false but <>, and it sorts after every other
+// real (and before ⊥).
+func TestQueryNaNComparisons(t *testing.T) {
+	r := NewRelation("r", Schema{{Name: "x", Type: TReal}})
+	for _, x := range []float64{math.NaN(), 1, 2} {
+		r.MustInsert(Tuple{x})
+	}
+	cat := Catalog{"r": r}
+	for _, c := range []struct {
+		q    string
+		want string
+	}{
+		{"SELECT x FROM r WHERE x < 2.0", "[1]"},
+		{"SELECT x FROM r WHERE x <= 1.0", "[1]"},
+		{"SELECT x FROM r WHERE x = 1.0", "[1]"},
+		{"SELECT x FROM r WHERE x >= 2.0", "[2]"},
+		{"SELECT x FROM r WHERE x > 1.0", "[2]"},
+		{"SELECT x FROM r WHERE 1.0 >= x", "[1]"},
+		{"SELECT x FROM r WHERE x <> 1.0", "[NaN 2]"},
+		{"SELECT x FROM r WHERE NOT (x < 2.0)", "[NaN 2]"},
+		{"SELECT x FROM r ORDER BY x", "[1 2 NaN]"},
+		{"SELECT x FROM r ORDER BY x DESC", "[NaN 2 1]"},
+		{"SELECT min(x) FROM r", "[1]"},
+	} {
+		res, err := Query(cat, c.q)
+		if err != nil {
+			t.Errorf("%s: %v", c.q, err)
+			continue
+		}
+		var got []any
+		for _, tu := range res.Scan() {
+			got = append(got, tu[0])
+		}
+		if s := fmt.Sprint(got); s != c.want {
+			t.Errorf("%s = %s, want %s", c.q, s, c.want)
+		}
+	}
+}
+
 func TestQueryWhenRestriction(t *testing.T) {
 	// when(flight, inside(...)) returns a restricted mpoint usable in
 	// further operations within the query.

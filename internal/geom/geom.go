@@ -105,7 +105,7 @@ func Orient(a, b, c Point) int {
 	d := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 	// Scale-aware tolerance: the determinant has the dimension of an
 	// area, so compare against Eps times a characteristic squared size.
-	scale := math.Max(1, math.Max(b.Sub(a).Norm(), c.Sub(a).Norm()))
+	scale := max(1, b.Sub(a).Norm(), c.Sub(a).Norm())
 	if math.Abs(d) <= Eps*scale*scale {
 		return 0
 	}

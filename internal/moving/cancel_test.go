@@ -125,7 +125,7 @@ func TestStreamingSweepKeepsCancelCadence(t *testing.T) {
 			t.Errorf("InsideCtx cancelled at poll %d: err = %v after %d polls", k, err, ctx.polls)
 		}
 		ctx = &pollCtx{Context: context.Background(), cancelAt: k}
-		if hit, _, err := SometimesInside(ctx, p, pb, late, lb); hit || !errors.Is(err, context.Canceled) || ctx.polls != k {
+		if hit, _, err := SometimesInside(ctx, p, &pb, late, &lb); hit || !errors.Is(err, context.Canceled) || ctx.polls != k {
 			t.Errorf("SometimesInside cancelled at poll %d: %v, err = %v after %d polls", k, hit, err, ctx.polls)
 		}
 		ctx = &pollCtx{Context: context.Background(), cancelAt: k}
@@ -150,11 +150,12 @@ func TestStreamingSweepKeepsCancelCadence(t *testing.T) {
 	// The fused walk visits the same pieces when the only true one is the
 	// last, and one piece — one poll — when the first one is true.
 	ctx = &pollCtx{Context: context.Background(), cancelAt: pieces}
-	if hit, v, err := SometimesInside(ctx, p, pb, late, lb); !hit || v != MayHold || err != nil || ctx.polls != want {
+	if hit, v, err := SometimesInside(ctx, p, &pb, late, &lb); !hit || v != MayHold || err != nil || ctx.polls != want {
 		t.Errorf("SometimesInside, true in the last of %d pieces: %v, verdict %d, err = %v, %d polls, want %d", pieces, hit, v, err, ctx.polls, want)
 	}
 	ctx = &pollCtx{Context: context.Background(), cancelAt: pieces}
-	if hit, _, err := SometimesInside(ctx, p, pb, sq, sq.Bounds()); !hit || err != nil || ctx.polls != 1 {
+	sb := sq.Bounds()
+	if hit, _, err := SometimesInside(ctx, p, &pb, sq, &sb); !hit || err != nil || ctx.polls != 1 {
 		t.Errorf("SometimesInside, true in the first piece: %v, err = %v, %d polls, want 1", hit, err, ctx.polls)
 	}
 }

@@ -14,15 +14,18 @@ import (
 // boxes decide that a lifted predicate can never hold for a pair, or for
 // a piece of it, so that the Section 5 kernel need not run there. A
 // filter may err only towards MayHold — what it rejects is provably
-// false. Each runs an object-level test on summaries computed once per
-// value (PointBounds, RegionBounds: the whole value's box and one stored
-// box per unit, flat arrays beside the unit arrays) and then one pass
-// along the common pieces of the two unit arrays, the same seeking sweep
-// the kernels use, and allocates nothing. Both refine in that same
-// pass: SometimesInside runs the inside kernel on the pieces the boxes
-// leave, ComesWithin takes the minimum of the unit distance there and
-// leaves to its caller only a pair whose minima do not settle the
-// answer.
+// false. Each shape has two steps over summaries computed once per value
+// (PointBounds, RegionBounds: the whole value's box and one stored box
+// per unit, flat arrays beside the unit arrays). The candidate test,
+// InsideCandidate or WithinCandidate, compares the whole-value boxes and
+// is the only step that refuses a pair as NoObject. The walk, run on a
+// candidate, makes one pass along the common pieces of the two unit
+// arrays, the same seeking sweep the kernels use, and allocates nothing.
+// Both walks refine in that same pass: SometimesInside runs the inside
+// kernel on the pieces the boxes leave, ComesWithin takes the minimum of
+// the unit distance there and leaves to its caller only a pair whose
+// minima do not settle the answer. The summaries go by pointer: a caller
+// holds them in arrays it does not change while the walks read them.
 
 // Verdict is the outcome of a filter for one pair.
 type Verdict uint8
@@ -30,7 +33,7 @@ type Verdict uint8
 const (
 	// MayHold: the boxes do not exclude the pair; the kernel decides.
 	MayHold Verdict = iota
-	// NoObject: excluded by the whole-value summaries.
+	// NoObject: excluded by the whole-value summaries (a candidate test).
 	NoObject
 	// NoUnit: excluded on every common piece of the two unit arrays.
 	NoUnit
@@ -101,15 +104,27 @@ func (r MRegion) Bounds() RegionBounds {
 
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
+// InsideCandidate reports whether the whole-value summaries of a point
+// and a region leave sometimes(inside(p, r)) open: their definition times
+// and their boxes meet. A pair it refuses is NoObject, and the kernels
+// answer false for it. A point whose Mag is not finite is always a
+// candidate.
+func InsideCandidate(pb *PointBounds, rb *RegionBounds) bool {
+	return !finite(pb.Mag) ||
+		float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End) && pb.Box.Intersects(rb.Cube.Rect)
+}
+
 // SometimesInside answers sometimes(inside(p, r)) — it equals
 // p.Inside(r).Sometimes() — in one walk along the common pieces of the
 // two unit arrays, filtering and refining as it goes; pb and rb are
-// p.Bounds() and r.Bounds(). Per piece it asks the two stored unit boxes,
+// p.Bounds() and r.Bounds(), and the pair is meant to be one
+// InsideCandidate accepts. Per piece it asks the two stored unit boxes,
 // then the point's box sliced to the piece against the stored region
 // box, and runs units.UPointInsideURegion only on a piece neither
 // refuses, returning at the first true unit; no moving bool is built.
-// The verdict says how far the pair got: NoObject, NoUnit (every piece
-// was refused, the kernel never ran) or MayHold. ctx is polled on every
+// The verdict says how far the pair got: NoUnit (every piece was
+// refused, the kernel never ran; so is every piece of a pair the
+// candidate test refuses) or MayHold. ctx is polled on every
 // cancelCheckEvery-th piece walked, the first included — InsideCtx's
 // cadence.
 //
@@ -121,11 +136,8 @@ func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 // UPointInsideURegion computes and lies within the stored one; the
 // stored region rectangle contains the sliced one the kernel computes.
 // A point whose Mag is not finite is walked unfiltered.
-func SometimesInside(ctx context.Context, p MPoint, pb PointBounds, r MRegion, rb RegionBounds) (bool, Verdict, error) {
+func SometimesInside(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds) (bool, Verdict, error) {
 	filtered := finite(pb.Mag)
-	if filtered && (!(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect)) {
-		return false, NoObject, nil
-	}
 	verdict := NoUnit
 	if !filtered {
 		verdict = MayHold
@@ -154,9 +166,10 @@ func SometimesInside(ctx context.Context, p MPoint, pb PointBounds, r MRegion, r
 	}
 }
 
-// WithinMargin scales the rounding margin of ComesWithin: with
-// m = WithinMargin·(1 + max(c, 0) + pb.Mag + qb.Mag), the walk refuses a
-// piece whose boxes lie farther apart than max(c, 0) + m, answers false
+// WithinMargin scales the rounding margin of WithinCandidate and
+// ComesWithin: with m = WithinMargin·(1 + max(c, 0) + pb.Mag + qb.Mag),
+// the candidate test refuses a pair and the walk a piece whose boxes lie
+// farther apart than the limit max(c, 0) + m; the walk answers false
 // when every unit minimum exceeds that limit, and answers true only for
 // a minimum below c − m. A minimum in between is the band the walk
 // leaves to the composed chain.
@@ -183,37 +196,54 @@ func SometimesInside(ctx context.Context, p MPoint, pb PointBounds, r MRegion, r
 // m. atmin keeps nothing, though, when the least minimum is an infimum
 // at an open end of a piece (before a gap) and no instant comes within
 // the tolerance of it: then min is below c and val(initial(atmin)) is ⊥.
-// And a pair that comes closer than m can make atmin's instants
-// evaluate a radicand that rounds below zero, so that val reads NaN. So
-// the walk answers true only when the least minimum is at least m and a
-// minimum attained at an instant of its piece lies within half the
-// tolerance of it. The band, a least minimum nobody attains and a pair
-// that nearly meets are what the arguments do not reach: there min and
-// atmin decide by rounding, or disagree, and the walk defers instead of
-// guessing.
+// And for a pair that comes closer than m, atmin's instants can
+// evaluate a radicand that rounds below zero; UReal.Eval reads it as 0,
+// not NaN, but what min and val then report is the rounding's, not the
+// distance's. So the walk answers true only when the least minimum is at
+// least m and a minimum attained at an instant of its piece lies within
+// half the tolerance of it. The band, a least minimum nobody attains and
+// a pair that nearly meets are what the arguments do not reach: there
+// min and atmin decide by rounding, or disagree, and the walk defers
+// instead of guessing.
 const WithinMargin = 1e-6
+
+// withinLimit returns the rounding margin m of a within test (see
+// WithinMargin) and the limit max(c, 0) + m beyond which a box distance or
+// a unit minimum puts the pair's distance above c.
+func withinLimit(pb, qb *PointBounds, c float64) (limit, m float64) {
+	limit = max(c, 0)
+	m = WithinMargin * (1 + limit + pb.Mag + qb.Mag)
+	return limit + m, m
+}
+
+// WithinCandidate reports whether the whole-value summaries of two points
+// leave "p and q come within c" open: their definition times meet and
+// their boxes lie within the limit of each other. A pair it refuses is
+// NoObject, and every kernel spelling answers false for it. A pair whose
+// limit is not finite (a Mag that is not) is always a candidate.
+func WithinCandidate(pb, qb *PointBounds, c float64) bool {
+	limit, _ := withinLimit(pb, qb, c)
+	return !finite(limit) || pb.Start <= qb.End && qb.Start <= pb.End && !beyond(pb.Box, qb.Box, limit)
+}
 
 // ComesWithin answers whether p and q ever come within distance c of
 // each other — min(distance(p, q)) < c, equally ≤ c, and
 // val(initial(atmin(distance(p, q)))) < c or ≤ c — in one walk along the
-// common pieces of their unit arrays; pb and qb are their Bounds(). Per
-// piece it asks the two stored unit boxes, then the boxes of the two
-// units sliced to the piece (c ≤ 0 counts as 0), and on a piece neither
-// refuses takes the minimum of the unit distance the distance kernel
-// builds there; no moving real is built. decided is false when the
-// minima do not settle the answer under both spellings (see
-// WithinMargin), or when the margin is not finite: then the caller runs
-// the kernels. The verdict says how far the pair got: NoObject, NoUnit
-// (every piece was refused, no unit distance was formed) or MayHold.
-func ComesWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) (hit bool, v Verdict, decided bool) {
-	limit := math.Max(c, 0)
-	m := WithinMargin * (1 + limit + pb.Mag + qb.Mag)
-	limit += m
+// common pieces of their unit arrays; pb and qb are their Bounds(), and
+// the pair is meant to be one WithinCandidate accepts. Per piece it asks
+// the two stored unit boxes, then the boxes of the two units sliced to
+// the piece (c ≤ 0 counts as 0), and on a piece neither refuses takes
+// the minimum of the unit distance the distance kernel builds there; no
+// moving real is built. decided is false when the minima do not settle
+// the answer under both spellings (see WithinMargin), or when the margin
+// is not finite: then the caller runs the kernels. The verdict says how
+// far the pair got: NoUnit (every piece was refused, no unit distance was
+// formed; so is every piece of a pair the candidate test refuses) or
+// MayHold.
+func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64) (hit bool, v Verdict, decided bool) {
+	limit, m := withinLimit(pb, qb, c)
 	if !finite(limit) {
 		return false, MayHold, false
-	}
-	if !(pb.Start <= qb.End && qb.Start <= pb.End) || beyond(pb.Box, qb.Box, limit) {
-		return false, NoObject, true
 	}
 	// least is the least unit minimum — what min(distance) reports —
 	// and attained the least one reached at an instant of its piece.
@@ -229,9 +259,9 @@ func ComesWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) 
 		}
 		v = MayHold
 		mn, at := pu[ri.A].DistanceTo(qu[ri.B], ri.Iv).Min()
-		least = math.Min(least, mn)
+		least = min(least, mn)
 		if ri.Iv.Contains(at) {
-			attained = math.Min(attained, mn)
+			attained = min(attained, mn)
 		}
 	}
 	switch {
@@ -244,9 +274,10 @@ func ComesWithin(p MPoint, pb PointBounds, q MPoint, qb PointBounds, c float64) 
 }
 
 // beyond reports whether every point of a is farther than d from every
-// point of b. Empty rectangles are beyond everything.
+// point of b. Empty rectangles are beyond everything. The builtin max
+// follows math.Max's rules for NaN and the zeros, and inlines.
 func beyond(a, b geom.Rect, d float64) bool {
-	dx := math.Max(0, math.Max(a.MinX-b.MaxX, b.MinX-a.MaxX))
-	dy := math.Max(0, math.Max(a.MinY-b.MaxY, b.MinY-a.MaxY))
+	dx := max(0, a.MinX-b.MaxX, b.MinX-a.MaxX)
+	dy := max(0, a.MinY-b.MaxY, b.MinY-a.MaxY)
 	return dx*dx+dy*dy > d*d
 }

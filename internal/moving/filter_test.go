@@ -19,9 +19,10 @@ import (
 // spells pairs of moving points unit by unit and holds SometimesInside
 // to equality with sometimes(inside), and every answer ComesWithin
 // decides to the distance chain under both spellings and both
-// comparisons; both walks' verdicts are held to the filter passes they
-// replaced. The seeded tests do the same over hand-built and workload
-// data and also hold the filters to being useful.
+// comparisons; the candidate test and the walk together are held to the
+// filter passes they replaced. The seeded tests do the same over
+// hand-built and workload data and also hold the filters to being
+// useful.
 
 // fuzzRegions is the table a fuzz input picks its moving region from.
 func fuzzRegions() []moving.MRegion {
@@ -83,7 +84,7 @@ func decodeTrack(raw []byte, origin geom.Point, t0 temporal.Instant) (moving.MPo
 // NoObject by the whole-value summaries, else MayHold exactly when some
 // common piece's sliced point box meets the stored region rectangle.
 func refMayBeInside(p moving.MPoint, pb moving.PointBounds, r moving.MRegion, rb moving.RegionBounds) moving.Verdict {
-	if math.IsInf(pb.Mag, 0) || math.IsNaN(pb.Mag) {
+	if !finite(pb.Mag) {
 		return moving.MayHold
 	}
 	if !(float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End)) || !pb.Box.Intersects(rb.Cube.Rect) {
@@ -99,20 +100,35 @@ func refMayBeInside(p moving.MPoint, pb moving.PointBounds, r moving.MRegion, rb
 	return moving.NoUnit
 }
 
-// checkInside holds the fused walk to the composed kernels and to the
-// reference verdict for one (p, r), and returns what it answered.
-func checkInside(t *testing.T, p moving.MPoint, r moving.MRegion) (bool, moving.Verdict) {
+// checkInside holds the fused walk to the composed kernels and, with the
+// candidate test before it, to the reference verdict for one (p, r), and
+// returns what the executor's guard reads: NoObject for a pair the
+// candidate test refuses, else the walk's answer and verdict. The walk
+// run on a refused pair must answer false with NoUnit.
+func checkInside(t testing.TB, p moving.MPoint, r moving.MRegion) (bool, moving.Verdict) {
 	t.Helper()
 	pb, rb := p.Bounds(), r.Bounds()
-	got, v, err := moving.SometimesInside(context.Background(), p, pb, r, rb)
+	candidate := moving.InsideCandidate(&pb, &rb)
+	got, v, err := moving.SometimesInside(context.Background(), p, &pb, r, &rb)
 	if want := p.Inside(r).Sometimes(); err != nil || got != want {
 		t.Errorf("SometimesInside = %v, %v, but sometimes(inside) = %v\n p %v\n inside %v", got, err, want, p, p.Inside(r))
 	}
+	if !candidate {
+		if got || v != moving.NoUnit {
+			t.Errorf("InsideCandidate refuses the pair, yet SometimesInside = %v with verdict %d, want false with NoUnit\n p %v", got, v, p)
+		}
+		if !finite(pb.Mag) {
+			t.Errorf("InsideCandidate refuses a point whose Mag is %v\n p %v", pb.Mag, p)
+		}
+		v = moving.NoObject
+	}
 	if want := refMayBeInside(p, pb, r, rb); v != want || (got && v != moving.MayHold) {
-		t.Errorf("SometimesInside = %v with verdict %d, the filter pass says %d\n p %v", got, v, want, p)
+		t.Errorf("SometimesInside = %v with verdict %d (candidate %v), the filter pass says %d\n p %v", got, v, candidate, want, p)
 	}
 	return got, v
 }
+
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // refMayComeWithin is the filter pass the executor ran before the
 // distance walk was fused with its refinement, kept as the specification
@@ -122,7 +138,7 @@ func checkInside(t *testing.T, p moving.MPoint, r moving.MRegion) (bool, moving.
 func refMayComeWithin(p moving.MPoint, pb moving.PointBounds, q moving.MPoint, qb moving.PointBounds, c float64) moving.Verdict {
 	limit := math.Max(c, 0)
 	limit += moving.WithinMargin * (1 + limit + pb.Mag + qb.Mag)
-	if math.IsInf(limit, 0) || math.IsNaN(limit) {
+	if !finite(limit) {
 		return moving.MayHold
 	}
 	beyond := func(a, b geom.Rect) bool {
@@ -143,33 +159,50 @@ func refMayComeWithin(p moving.MPoint, pb moving.PointBounds, q moving.MPoint, q
 	return moving.NoUnit
 }
 
-// checkWithin holds the distance walk to the reference verdict and, when
-// it decides, to all four comparisons the executor guards with it:
-// min(distance) and val(initial(atmin(distance))), each under < and <=
-// as the executor compares (⊥ is false; x <= c is !(x > c), so a NaN
-// value holds under <= and not under <). A pair whose chain minimum lies well inside the
+// checkWithin holds the candidate test and the distance walk to the
+// reference verdict and, when the walk decides, to all four comparisons
+// the executor guards with it: min(distance) and
+// val(initial(atmin(distance))), each under < and <= as the executor
+// compares (⊥ is false, and so is every comparison with a NaN). Neither
+// value may be NaN, and a pair whose chain minimum lies well inside the
 // band of width m around c — half of it, so that rounding at the band's
-// edge does not count — must be left undecided. It returns what the
-// walk answered.
-func checkWithin(t *testing.T, a, b moving.MPoint, c float64) (bool, moving.Verdict, bool) {
+// edge does not count — must be left undecided. The walk run on a pair
+// the candidate test refuses must answer false with NoUnit, and a pair
+// with a non-finite Mag is always a candidate. It returns what the
+// executor's guard reads: NoObject (decided) for a refused pair, else
+// the walk's answer.
+func checkWithin(t testing.TB, a, b moving.MPoint, c float64) (bool, moving.Verdict, bool) {
 	t.Helper()
 	pb, qb := a.Bounds(), b.Bounds()
-	hit, v, decided := moving.ComesWithin(a, pb, b, qb, c)
+	candidate := moving.WithinCandidate(&pb, &qb, c)
+	hit, v, decided := moving.ComesWithin(a, &pb, b, &qb, c)
+	if !candidate {
+		if hit || v != moving.NoUnit {
+			t.Errorf("WithinCandidate(c=%v) refuses the pair, yet ComesWithin = %v with verdict %d, want false with NoUnit\n a %v\n b %v", c, hit, v, a, b)
+		}
+		if !finite(pb.Mag) || !finite(qb.Mag) {
+			t.Errorf("WithinCandidate(c=%v) refuses a pair whose Mags are %v and %v\n a %v\n b %v", c, pb.Mag, qb.Mag, a, b)
+		}
+		v = moving.NoObject
+	}
 	if want := refMayComeWithin(a, pb, b, qb, c); v != want || (hit && (v != moving.MayHold || !decided)) {
-		t.Errorf("ComesWithin(c=%v) = %v with verdict %d (decided %v), the filter pass says %d\n a %v\n b %v", c, hit, v, decided, want, a, b)
+		t.Errorf("ComesWithin(c=%v) = %v with verdict %d (candidate %v, decided %v), the filter pass says %d\n a %v\n b %v", c, hit, v, candidate, decided, want, a, b)
 	}
 	d := a.Distance(b)
 	mn, _, okMin := d.Min()
 	first, okFirst := d.AtMin().Initial()
+	if (okMin && math.IsNaN(mn)) || (okFirst && math.IsNaN(first.Val)) {
+		t.Errorf("the distance chain reads NaN: min %v, val(initial(atmin)) %v\n a %v\n b %v", mn, first.Val, a, b)
+	}
 	if decided {
 		for _, k := range []struct {
 			name string
 			got  bool
 		}{
 			{"min(distance) < c", okMin && mn < c},
-			{"min(distance) <= c", okMin && !(mn > c)},
+			{"min(distance) <= c", okMin && mn <= c},
 			{"val(initial(atmin(distance))) < c", okFirst && first.Val < c},
-			{"val(initial(atmin(distance))) <= c", okFirst && !(first.Val > c)},
+			{"val(initial(atmin(distance))) <= c", okFirst && first.Val <= c},
 		} {
 			if k.got != hit {
 				t.Errorf("ComesWithin(c=%v) = %v with verdict %d, but %s is %v (min %v, val %v)\n a %v\n b %v", c, hit, v, k.name, k.got, mn, first.Val, a, b)
@@ -185,7 +218,7 @@ func checkWithin(t *testing.T, a, b moving.MPoint, c float64) (bool, moving.Verd
 
 // checkFilters holds the inside walk and the distance walk to the
 // kernels for one (p, q, r, c).
-func checkFilters(t *testing.T, p, q moving.MPoint, r moving.MRegion, c float64) {
+func checkFilters(t testing.TB, p, q moving.MPoint, r moving.MRegion, c float64) {
 	t.Helper()
 	checkInside(t, p, r)
 	checkWithin(t, p, q, c)
@@ -212,7 +245,7 @@ func FuzzFilterConservative(f *testing.F) {
 		{[]byte{7, 10, 0}, []byte{rest | 7, 0, 0}, 0, 20, 5, 4.9998, 3},                                  // in the band below a minimum at the vertex: undecided, atmin finds an instant
 		{[]byte{rest | 7, 0, 0}, []byte{rest | 7, 0, 0}, 0, 0, 0, 0, 3},                                  // coincident, c = 0
 		{[]byte{1, 48, 48}, []byte{rest, 0, 0, gap | rest, 0, 0}, 0, 50, 581, 500, 3},                    // least minimum an infimum before a gap: min < c, atmin is ⊥; undecided
-		{[]byte{1, 10, 0, rest | 2, 0, 0}, []byte{1, 10, 0, rest, 0, 0}, 1.4285714285714284, 0, 0, 5, 3}, // b catches up with a: val(initial(atmin)) reads NaN; undecided
+		{[]byte{1, 10, 0, rest | 2, 0, 0}, []byte{1, 10, 0, rest, 0, 0}, 1.4285714285714284, 0, 0, 5, 3}, // b catches up with a: the radicand rounds below zero; undecided
 		{[]byte{7, 20, 5, 7, n(-20), 5}, []byte{7, n(-20), 5}, 1, 300, 0, -1, 1},                         // c < 0, and a storm with an eye
 		{[]byte{7, 1, 1, 7, 1, n(-1)}, []byte{7, 1, 0}, 20, 1, 1, 3, 1},                                  // inside the eye's storm while it exists
 		{[]byte{7, 30, 0, gap | 7, 30, 0, 7, 0, 30}, []byte{3, 0, n(-30), gap | 3, 0, n(-30)}, 3, 200, 90, 40, 0},
@@ -226,6 +259,23 @@ func FuzzFilterConservative(f *testing.F) {
 		{[]byte{7, 1, 0, 7, n(-1), 0, 7, 0, 1, 7, 0, n(-1)}, []byte{1, 0, 10}, 0, 0, 0, 5, 2}, // many pieces of a storm with an eye
 	} {
 		f.Add(s.a, s.b, s.bt, s.ox, s.oy, s.c, s.region)
+	}
+	// Named pairs whose coordinates the byte spelling cannot reach.
+	for _, s := range []struct {
+		name string
+		a, b moving.MPoint
+		c    float64
+	}{
+		// Two flights meet at t ≈ 4.52, where the radicand of their unit
+		// distance rounds below zero: the chain must not read NaN.
+		{"two flights meet",
+			track(0, 548.30212201912, 359.35178307712, 10, 638.30212201912, 199.35178307712),
+			track(0, 534.73616269216, 205.60424403823998, 10, 654.73616269216, 385.60424403824), 1},
+	} {
+		checkFilters(f, s.a, s.b, regions[3], s.c)
+		if f.Failed() {
+			f.Fatalf("named pair %q", s.name)
+		}
 	}
 	f.Fuzz(func(t *testing.T, ra, rb []byte, bt, ox, oy, c float64, region uint8) {
 		// Positions and start times of magnitude at most 1e9 and 1e6: far
@@ -319,7 +369,6 @@ func TestFiltersOnWorkload(t *testing.T) {
 	var inside, within struct{ pairs, object, unit, true int }
 	undecided := 0
 	for i, f := range flights {
-		pb := f.Flight.Bounds()
 		for _, s := range storms {
 			checkFilters(t, f.Flight, f.Flight, s, 15)
 			inside.pairs++
@@ -337,7 +386,7 @@ func TestFiltersOnWorkload(t *testing.T) {
 		for _, h := range flights[i+1:] {
 			checkFilters(t, f.Flight, h.Flight, storms[0], 15)
 			within.pairs++
-			_, v, decided := moving.ComesWithin(f.Flight, pb, h.Flight, h.Flight.Bounds(), 15)
+			_, v, decided := checkWithin(t, f.Flight, h.Flight, 15)
 			switch v {
 			case moving.NoObject:
 				within.object++
@@ -384,7 +433,7 @@ func BenchmarkSometimesInside(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := i % len(flights)
-		if _, _, err := moving.SometimesInside(ctx, flights[k].Flight, pbs[k], storm, rb); err != nil {
+		if _, _, err := moving.SometimesInside(ctx, flights[k].Flight, &pbs[k], storm, &rb); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -400,6 +449,6 @@ func BenchmarkComesWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, l := i%len(flights), (i+1)%len(flights)
-		moving.ComesWithin(flights[k].Flight, pbs[k], flights[l].Flight, pbs[l], 15)
+		moving.ComesWithin(flights[k].Flight, &pbs[k], flights[l].Flight, &pbs[l], 15)
 	}
 }

@@ -125,7 +125,7 @@ func (r MReal) AtMax() MReal {
 }
 
 // nearTolerance is atValueNear's tolerance around v.
-func nearTolerance(v float64) float64 { return 1e-9 * math.Max(1, math.Abs(v)) }
+func nearTolerance(v float64) float64 { return 1e-9 * max(1, math.Abs(v)) }
 
 // atValueNear restricts the moving real to the times where it equals v,
 // with a relative tolerance absorbing the one-ulp discrepancies between

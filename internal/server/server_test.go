@@ -13,6 +13,7 @@ import (
 	"unicode/utf8"
 
 	"movingdb/internal/db"
+	"movingdb/internal/geom"
 	"movingdb/internal/ingest"
 	"movingdb/internal/moving"
 	"movingdb/internal/workload"
@@ -139,6 +140,55 @@ func TestQueryArithmeticOverflow(t *testing.T) {
 		}
 		if ec, msg := envelope(t, body); ec != CodeBadRequest || !strings.Contains(msg, "arithmetic overflow") {
 			t.Errorf("%s: envelope %q %q", q, ec, msg)
+		}
+	}
+}
+
+// TestQueryMeetingFlights: two flights that meet came within 1 of each
+// other under every spelling of the question, and their closest approach
+// is a number in the JSON answer, not a 500 from a NaN the encoder
+// refuses.
+func TestQueryMeetingFlights(t *testing.T) {
+	planes := db.NewRelation("planes", db.Schema{{Name: "id", Type: db.TString}, {Name: "flight", Type: db.TMPoint}})
+	for _, f := range []struct {
+		id      string
+		samples []moving.Sample
+	}{
+		{"a", []moving.Sample{{T: 0, P: geom.Pt(548.30212201912, 359.35178307712)}, {T: 10, P: geom.Pt(638.30212201912, 199.35178307712)}}},
+		{"b", []moving.Sample{{T: 0, P: geom.Pt(534.73616269216, 205.60424403823998)}, {T: 10, P: geom.Pt(654.73616269216, 385.60424403824)}}},
+	} {
+		p, err := moving.MPointFromSamples(f.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes.MustInsert(db.Tuple{f.id, p})
+	}
+	s, err := New(Config{Catalog: db.Catalog{"planes": planes}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const closest = "val(initial(atmin(distance(p.flight, q.flight))))"
+	for _, where := range []string{
+		closest + " < 1",
+		closest + " <= 1",
+		"min(distance(p.flight, q.flight)) < 1",
+		"true",
+	} {
+		q := "SELECT p.id, q.id, " + closest + " AS d FROM planes p, planes q WHERE p.id < q.id AND " + where
+		code, body := get(t, h, "/v1/query?q="+url.QueryEscape(q))
+		if code != http.StatusOK {
+			t.Errorf("%s: %d %v, want 200", q, code, body)
+			continue
+		}
+		rows, _ := body["rows"].([]any)
+		if len(rows) != 1 {
+			t.Errorf("%s: rows %v, want the one pair a, b", q, body["rows"])
+			continue
+		}
+		row := rows[0].([]any)
+		if d, ok := row[2].(float64); row[0] != "a" || row[1] != "b" || !ok || !(0 <= d && d < 1) {
+			t.Errorf("%s: row %v, want a, b and a closest approach in [0, 1)", q, row)
 		}
 	}
 }

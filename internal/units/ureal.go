@@ -19,8 +19,8 @@ type UReal struct {
 }
 
 // NewUReal returns the ureal unit (a, b, c, r) over iv. When r is set,
-// callers should ensure the quadratic is non-negative on iv; Eval
-// reports NaN where it is not.
+// callers should ensure the quadratic is non-negative on iv; Eval reads
+// it as 0 where it is not.
 func NewUReal(iv temporal.Interval, a, b, c float64, root bool) UReal {
 	return UReal{Iv: iv, A: a, B: b, C: c, Root: root}
 }
@@ -43,12 +43,15 @@ func (u UReal) EqualFunc(v UReal) bool {
 	return u.A == v.A && u.B == v.B && u.C == v.C && u.Root == v.Root
 }
 
-// Eval is the ι function of Section 3.2.5.
+// Eval is the ι function of Section 3.2.5. A root unit's radicand is
+// clamped at 0: the squared distance of two points that meet is exactly
+// 0 at an instant, and its evaluation may round below that, which would
+// read as NaN.
 func (u UReal) Eval(t temporal.Instant) float64 {
 	f := float64(t)
 	v := u.A*f*f + u.B*f + u.C
 	if u.Root {
-		return math.Sqrt(v)
+		return math.Sqrt(max(v, 0))
 	}
 	return v
 }
