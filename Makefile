@@ -17,7 +17,9 @@ race:
 	$(GO) test -race ./...
 
 # Run the repository's own static-analysis suite (DESIGN.md §10) over
-# the default and debugcheck build variants.
+# the default and debugcheck build variants: float-eq and index-only,
+# the paper rules whose violations tests can miss, and the suppress
+# audit.
 lint:
 	$(GO) run ./cmd/molint ./...
 

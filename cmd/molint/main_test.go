@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -16,13 +17,8 @@ func runMolint(t *testing.T, args ...string) (code int, stdout, stderr string) {
 
 // fixtureChecks maps every check to its golden fixture directory.
 var fixtureChecks = map[string]string{
-	"float-eq":       "floateq",
-	"ctx-loop":       "ctxloop",
-	"err-drop":       "errdrop",
-	"det-path":       "detpath",
-	"index-only":     "indexonly",
-	"guarded-by":     "guardedby",
-	"goroutine-exit": "goroutineexit",
+	"float-eq":   "floateq",
+	"index-only": "indexonly",
 }
 
 // TestFixturesExitOne runs the default suite over each golden fixture
@@ -49,7 +45,7 @@ func TestFixturesExitOne(t *testing.T) {
 }
 
 // TestConcurrentPackagesClean asserts the five concurrent packages are
-// clean: the full suite, concurrency checks included, reports nothing.
+// clean: the full suite reports nothing on them.
 func TestConcurrentPackagesClean(t *testing.T) {
 	code, stdout, stderr := runMolint(t,
 		"./internal/obs", "./internal/ingest", "./internal/index",
@@ -64,12 +60,12 @@ func TestConcurrentPackagesClean(t *testing.T) {
 func TestGitHubFormat(t *testing.T) {
 	code, stdout, _ := runMolint(t,
 		"-format=github",
-		"./internal/lint/testdata/src/goroutineexit",
+		"./internal/lint/testdata/src/floateq",
 	)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if !strings.Contains(stdout, "::error file=internal/lint/testdata/src/goroutineexit/goroutineexit.go,line=") {
+	if !strings.Contains(stdout, "::error file=internal/lint/testdata/src/floateq/floateq.go,line=") {
 		t.Errorf("github format missing ::error annotation:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "::notice::molint:") {
@@ -81,7 +77,7 @@ func TestGitHubFormat(t *testing.T) {
 // suppresses nothing is reported.
 func TestStaleSuppressions(t *testing.T) {
 	_, stdout, _ := runMolint(t, "./internal/lint/testdata/src/suppress")
-	if !strings.Contains(stdout, "molint:ignore ctx-loop suppresses nothing") {
+	if !strings.Contains(stdout, "molint:ignore float-eq suppresses nothing") {
 		t.Errorf("stale directive not reported:\n%s", stdout)
 	}
 }
@@ -106,9 +102,23 @@ func TestTextReportDeterministic(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	fixture := "./internal/lint/testdata/src/suppress"
 	for _, arg := range []string{"-format=yaml", "-format=json", "-format=sarif", "-checks=no-such-check",
-		"-checks=atomic-mix", "-checks=err-drop", "-summary", "-stale-suppressions", "-suggest", "-timings", "-tags=faultinject"} {
+		"-checks=atomic-mix", "-checks=float-eq", "-summary", "-stale-suppressions", "-suggest", "-timings", "-tags=faultinject"} {
 		if code, _, _ := runMolint(t, arg, fixture); code != 2 {
 			t.Errorf("%s: exit = %d, want 2", arg, code)
 		}
+	}
+}
+
+// failWriter refuses every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestWriteErrorExitsTwo: a report that cannot be written is an
+// operational error, whatever the findings were.
+func TestWriteErrorExitsTwo(t *testing.T) {
+	var errb bytes.Buffer
+	if code := run([]string{"./internal/lint/testdata/src/floateq"}, failWriter{}, &errb); code != 2 {
+		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }

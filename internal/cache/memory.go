@@ -40,27 +40,27 @@ const probationShare = 2
 // never be asked for again; Put drops such entries from either list's
 // tail instead of letting their bodies wait for byte pressure.
 type Memory struct {
-	shards []*shard // moguard: immutable // built in NewMemory, slots never reassigned
+	shards []*shard // immutable; built in NewMemory, slots never reassigned
 }
 
 // shard is one segmented LRU: a map keyed by Key into two intrusive
 // doubly-linked recency lists.
 type shard struct {
 	mu        sync.Mutex
-	entries   map[Key]*entry // moguard: guarded by mu
-	probation segment        // moguard: guarded by mu // never read since put
-	protected segment        // moguard: guarded by mu // read at least once
-	newest    uint64         // moguard: guarded by mu // highest Key.Epoch Put has seen
-	budget    int64          // moguard: immutable
+	entries   map[Key]*entry // guarded by mu
+	probation segment        // guarded by mu; never read since put
+	protected segment        // guarded by mu; read at least once
+	newest    uint64         // guarded by mu; highest Key.Epoch Put has seen
+	budget    int64          // immutable
 
 	// metrics.Cache holds the put/evict counts and the byte/entry
 	// gauges (the Loader counts hits and misses); its counters are
 	// atomic and need no mu.
-	metrics *obs.Metrics // moguard: immutable // synchronises itself, never nil
+	metrics *obs.Metrics // immutable; synchronises itself, never nil
 
 	// The fields above take 88 bytes; padding the struct to 128 keeps
 	// each shard's lock and lists off its neighbours' cache lines.
-	_ [40]byte // moguard: unguarded padding, never accessed
+	_ [40]byte // unguarded: padding, never accessed
 }
 
 // segment is one recency list, most recent at head, and the bytes its

@@ -21,10 +21,10 @@ import (
 // Loader counts nothing but still coalesces — useful when caching is
 // disabled but duplicate suppression is wanted.
 type Loader struct {
-	cache    ResultCache  // moguard: immutable // nil disables storage, not coalescing
-	metrics  *obs.Metrics // moguard: immutable // synchronises itself, never nil
+	cache    ResultCache  // immutable; nil disables storage, not coalescing
+	metrics  *obs.Metrics // immutable; synchronises itself, never nil
 	mu       sync.Mutex
-	inflight map[Key]*flight // moguard: guarded by mu // running flights
+	inflight map[Key]*flight // guarded by mu; running flights
 }
 
 // flight is one in-progress computation; done closes when val/err are

@@ -84,7 +84,7 @@ func needSpace(prev, next token) bool {
 // function of the canonical query — what makes a cached result and its
 // ETag sound.
 type Snapshot struct {
-	Catalog Catalog // moguard: immutable
+	Catalog Catalog // immutable
 }
 
 // QueryContext evaluates sql against the pinned catalog.

@@ -83,9 +83,9 @@ type point struct {
 // receiver (a nil injector never trips), so wiring one in is free.
 type Injector struct {
 	mu     sync.Mutex
-	rng    *rand.Rand        // moguard: guarded by mu
-	points map[string]*point // moguard: guarded by mu
-	onTrip func(site string) // moguard: guarded by mu
+	rng    *rand.Rand        // guarded by mu
+	points map[string]*point // guarded by mu
+	onTrip func(site string) // guarded by mu
 }
 
 // New returns an injector whose probabilistic decisions replay
@@ -172,7 +172,8 @@ func (in *Injector) Hit(site string) error {
 		return nil
 	}
 	if act.mode == ModeLatency {
-		//molint:ignore det-path injected latency must really elapse; which calls sleep is decided by the seeded injector, so determinism of outcomes is preserved
+		// Injected latency must really elapse; which calls sleep is
+		// decided by the seeded injector, so outcomes stay deterministic.
 		time.Sleep(act.delay)
 		return nil
 	}

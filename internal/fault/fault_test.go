@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -266,4 +267,41 @@ func TestHitAndOnTrip(t *testing.T) {
 	if err := nilIn.Hit("wal.put"); err != nil {
 		t.Fatalf("nil injector Hit: %v", err)
 	}
+}
+
+// TestInjectorCallsDuringHits runs each of the injector's methods in a
+// goroutine of its own, taking no other lock, while 200 hits trip it,
+// so -race sees every side of the injector's lock.
+func TestInjectorCallsDuringHits(t *testing.T) {
+	in := New(1)
+	in.Set("wal.put", Spec{Mode: ModeError})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, call := range []func(){
+		func() { in.Trips("wal.put") },
+		func() { in.Set("live.notify", Spec{Mode: ModeError}) },
+		func() { in.Clear("live.notify") },
+		func() { in.OnTrip(func(string) {}) },
+		func() { in.ClearAll() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					call()
+				}
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if err := in.Hit("wal.put"); err != nil && !errors.Is(err, ErrInjected) {
+			t.Errorf("hit %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -34,7 +34,8 @@ func (s *Store) Put(data []byte) (storage.LOBRef, error) {
 	if act, ok := s.in.eval(s.name + ".put"); ok {
 		switch act.mode {
 		case ModeLatency:
-			//molint:ignore det-path injected latency must really elapse; which calls sleep is decided by the seeded injector, so determinism of outcomes is preserved
+			// Injected latency must really elapse; which calls sleep is
+			// decided by the seeded injector, so outcomes stay deterministic.
 			time.Sleep(act.delay)
 		case ModeTorn:
 			keep := int(float64(len(data)) * act.keepFraction)
@@ -54,7 +55,8 @@ func (s *Store) Put(data []byte) (storage.LOBRef, error) {
 func (s *Store) Get(ref storage.LOBRef) ([]byte, error) {
 	if act, ok := s.in.eval(s.name + ".get"); ok {
 		if act.mode == ModeLatency {
-			//molint:ignore det-path injected latency must really elapse; which calls sleep is decided by the seeded injector, so determinism of outcomes is preserved
+			// Injected latency must really elapse; which calls sleep is
+			// decided by the seeded injector, so outcomes stay deterministic.
 			time.Sleep(act.delay)
 		} else {
 			return nil, act.err
@@ -76,7 +78,8 @@ func (s *Store) Truncate(n int) { s.ps.Truncate(n) }
 func (s *Store) Compact(n int) error {
 	if act, ok := s.in.eval(s.name + ".compact"); ok {
 		if act.mode == ModeLatency {
-			//molint:ignore det-path injected latency must really elapse; which calls sleep is decided by the seeded injector, so determinism of outcomes is preserved
+			// Injected latency must really elapse; which calls sleep is
+			// decided by the seeded injector, so outcomes stay deterministic.
 			time.Sleep(act.delay)
 		} else {
 			return act.err

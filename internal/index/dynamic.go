@@ -108,7 +108,7 @@ func (s Snapshot) Validate() error {
 // NewDynamic, InsertBatch, Search and Snapshot.
 type Dynamic struct {
 	mu   sync.Mutex
-	snap Snapshot // moguard: guarded by mu
+	snap Snapshot // guarded by mu
 }
 
 // NewDynamic starts a ladder with base (nil means empty) as its one

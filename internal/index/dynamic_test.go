@@ -33,6 +33,33 @@ func TestDynamicSearchMatchesScan(t *testing.T) {
 	}
 }
 
+// TestDynamicFoldDuringSearch searches the ladder while another
+// goroutine folds 50 batches into it, so -race sees both sides of d.mu.
+func TestDynamicFoldDuringSearch(t *testing.T) {
+	entries := randomCubes(rand.New(rand.NewSource(9)), 500)
+	d := NewDynamic(nil, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < len(entries); i += 10 {
+			d.InsertBatch(entries[i : i+10])
+		}
+	}()
+	all := geom.Cube{Rect: geom.Rect{MinX: -math.MaxFloat64, MinY: -math.MaxFloat64, MaxX: math.MaxFloat64, MaxY: math.MaxFloat64}, MinT: -math.MaxFloat64, MaxT: math.MaxFloat64}
+	var got []int64
+	for {
+		select {
+		case <-done:
+			if got, _ = d.Search(all, got[:0]); len(got) != len(entries) {
+				t.Fatalf("search after every fold found %d of %d entries", len(got), len(entries))
+			}
+			return
+		default:
+			got, _ = d.Search(all, got[:0])
+		}
+	}
+}
+
 // TestDynamicMergeValidate: every rung of the ladder must pass the
 // R-tree invariant checks across repeated folds of growing batches, at
 // least one fold must merge rungs, and no entry may be lost.

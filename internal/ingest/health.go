@@ -18,18 +18,18 @@ import (
 // Pipeline.mu through its retry sleeps.
 type health struct {
 	mu         sync.Mutex
-	threshold  int           // moguard: immutable
-	probeEvery time.Duration // moguard: immutable
+	threshold  int           // immutable
+	probeEvery time.Duration // immutable
 
-	consec    int       // moguard: guarded by mu
-	degraded  bool      // moguard: guarded by mu
-	cause     string    // moguard: guarded by mu
-	since     time.Time // moguard: guarded by mu
-	lastProbe time.Time // moguard: guarded by mu
+	consec    int       // guarded by mu
+	degraded  bool      // guarded by mu
+	cause     string    // guarded by mu
+	since     time.Time // guarded by mu
+	lastProbe time.Time // guarded by mu
 	// Cumulative dead letters: batches (and their observations) that
 	// exhausted their retries and were refused with ErrDegraded.
-	deadBatches int // moguard: guarded by mu
-	deadObs     int // moguard: guarded by mu
+	deadBatches int // guarded by mu
+	deadObs     int // guarded by mu
 }
 
 func newHealth(threshold int, probeEvery time.Duration) *health {

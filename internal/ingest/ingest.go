@@ -200,29 +200,29 @@ func (c Config) withDefaults() Config {
 // run is always the log's unapplied suffix, in log order, and it guards
 // the store and the WAL, so checkpoints and Stats see one cut of both.
 type Pipeline struct {
-	health    *health                     // moguard: immutable
-	metrics   *obs.Metrics                // moguard: immutable
-	onPublish func(*Epoch, []DirtyObject) // moguard: immutable
+	health    *health                     // immutable
+	metrics   *obs.Metrics                // immutable
+	onPublish func(*Epoch, []DirtyObject) // immutable
 
-	flushSize     int           // moguard: immutable
-	maxQueued     int           // moguard: immutable
-	maxAge        time.Duration // moguard: immutable
-	retryAttempts int           // moguard: immutable
-	retryBase     time.Duration // moguard: immutable
-	retryMaxWait  time.Duration // moguard: immutable
-	probeInterval time.Duration // moguard: immutable
+	flushSize     int           // immutable
+	maxQueued     int           // immutable
+	maxAge        time.Duration // immutable
+	retryAttempts int           // immutable
+	retryBase     time.Duration // immutable
+	retryMaxWait  time.Duration // immutable
+	probeInterval time.Duration // immutable
 
 	mu      sync.Mutex
-	store   *Store                // moguard: guarded by mu
-	wal     *wal                  // moguard: guarded by mu
-	run     []Observation         // moguard: guarded by mu // admitted, not yet applied, in WAL order
-	pending map[string]int        // moguard: guarded by mu // observations per object in run
-	first   time.Time             // moguard: guarded by mu // admission time of run[0]
-	closed  bool                  // moguard: guarded by mu
-	rng     *rand.Rand            // moguard: guarded by mu // backoff jitter, seeded 1 so schedules repeat
-	epoch   atomic.Pointer[Epoch] // moguard: atomic // published under mu, loaded by queries without it
+	store   *Store                // guarded by mu
+	wal     *wal                  // guarded by mu
+	run     []Observation         // guarded by mu; admitted, not yet applied, in WAL order
+	pending map[string]int        // guarded by mu; observations per object in run
+	first   time.Time             // guarded by mu; admission time of run[0]
+	closed  bool                  // guarded by mu
+	rng     *rand.Rand            // guarded by mu; backoff jitter, seeded 1 so schedules repeat
+	epoch   atomic.Pointer[Epoch] // atomic; published under mu, loaded by queries without it
 
-	done      chan struct{} // moguard: immutable // stops the age ticker
+	done      chan struct{} // immutable; stops the age ticker
 	ticker    sync.WaitGroup
 	closeOnce sync.Once
 }

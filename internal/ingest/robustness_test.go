@@ -80,6 +80,64 @@ func TestRetryBackoffNeverOverflows(t *testing.T) {
 	}
 }
 
+// TestHealthReadDuringFailures reads Health while 50 ingests fail and
+// move the health state machine, so -race sees both sides of health.mu.
+func TestHealthReadDuringFailures(t *testing.T) {
+	p, in, _ := faultPipeline(t, Config{CheckpointPages: -1, RetryAttempts: 1, DegradedThreshold: 100})
+	defer p.Close()
+	in.Set("wal.put", fault.Spec{Mode: fault.ModeError})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 50 {
+			if _, err := p.Ingest([]Observation{{ObjectID: "a", T: float64(i)}}); !errors.Is(err, ErrDegraded) {
+				t.Errorf("ingest %d under wal.put=error: %v", i, err)
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if h := p.Health(); h.Degraded || h.ConsecutiveFailures != 50 || h.DeadLetterBatches != 50 {
+				t.Fatalf("health after 50 failed ingests: %+v", h)
+			}
+			return
+		default:
+			p.Health()
+		}
+	}
+}
+
+// TestRetryAfterHintDuringIngest asks for the backpressure hint while
+// another goroutine fills the queue, so -race sees both sides of p.mu.
+func TestRetryAfterHintDuringIngest(t *testing.T) {
+	p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour, MaxQueued: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 50 {
+			if _, err := p.Ingest([]Observation{{ObjectID: "a", T: float64(i)}}); err != nil && !errors.Is(err, ErrBackpressure) {
+				t.Errorf("ingest %d: %v", i, err)
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			if d := p.RetryAfterHint(ErrBackpressure); d != 2*time.Hour {
+				t.Fatalf("hint with a full queue = %v, want twice MaxAge", d)
+			}
+			return
+		default:
+			p.RetryAfterHint(ErrBackpressure)
+		}
+	}
+}
+
 // TestTornWriteRepairedOnFailedAppend: a torn WAL Put leaves partial
 // pages behind; the append must fail AND scrub them so the next
 // successful append lands where recovery will scan.

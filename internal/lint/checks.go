@@ -3,16 +3,12 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"path/filepath"
 	"strings"
 )
 
 // Config scopes the checks to package paths. All paths are full import
 // paths; an external test package ("…/storage_test") matches its base
-// package's entry. Nil slices mean "nowhere" except where documented;
-// guarded-by and goroutine-exit take no scope — a mutex-bearing struct
-// or a go statement is a concurrency contract wherever it lives.
+// package's entry. Nil slices mean "nowhere".
 type Config struct {
 	// FloatEqPkgs are the packages where raw float64 ==/!= is banned
 	// (the Section 5 kernel packages). Test files are exempt: tests
@@ -23,17 +19,6 @@ type Config struct {
 	// the Section 3.2.2 order definitions, where exactness IS the
 	// specification.
 	FloatEqAllow map[string]bool
-	// CtxLoopPkgs are the packages whose exported ...Ctx functions
-	// must poll cancellation inside loops. Nil means every analyzed
-	// package (the default: the convention is repo-wide).
-	CtxLoopPkgs []string
-	// ErrDropPkgs are the packages (tests included) where discarding
-	// an error result is banned — the WAL/checkpoint/recovery surface.
-	ErrDropPkgs []string
-	// DetPaths maps deterministic packages to the file basenames the
-	// rule covers; a nil file list covers the whole package. Test
-	// files are exempt.
-	DetPaths map[string][]string
 	// IndexOnlyPkgs are the packages whose struct types must reference
 	// database arrays by index, never by stored pointer (Section 4).
 	IndexOnlyPkgs []string
@@ -66,33 +51,6 @@ func DefaultConfig(module string) *Config {
 			j("internal/units") + "#UReal.EqualFunc":  true,
 			j("internal/units") + "#MSeg.EqualFunc":   true,
 		},
-		ErrDropPkgs: []string{j("internal/ingest"), j("internal/storage")},
-		DetPaths: map[string][]string{
-			j("internal/fault"):    nil,
-			j("internal/workload"): nil,
-			j("internal/index"):    nil,
-			// A cached result must be a pure function of (query, epoch):
-			// the whole cache package is deterministic (maphash seeding
-			// is allowed — it never reaches a result).
-			j("internal/cache"): nil,
-			// Only the live object table / compaction path of ingest is
-			// declared deterministic — epochs included, since their
-			// purity is what makes them sound cache keys; the pipeline
-			// around them measures real time for metrics and health on
-			// purpose.
-			j("internal/ingest"): {"store.go", "epoch.go"},
-			// Standing-query evaluation must be a pure fold over the epoch
-			// sequence — same publishes in, same edges out — so predicate
-			// logic and the dirty-set filter are deterministic; the registry
-			// and subscription files around them stamp wall-clock publish
-			// times and measure evaluation latency on purpose.
-			j("internal/live"): {"predicate.go", "eval.go"},
-			// The simulator's fleets, oracle, chaos schedules and verdict
-			// hashing must replay bit-for-bit from the seed; the harness
-			// loop (run.go) paces and times against the wall clock on
-			// purpose.
-			j("internal/sim"): {"sim.go", "fleet.go", "oracle.go", "chaos.go", "verdict.go", "invariant.go"},
-		},
 		IndexOnlyPkgs: []string{j("internal/storage"), j("internal/index")},
 		IndexOnlyDataPkgs: []string{
 			j("internal/geom"), j("internal/spatial"), j("internal/units"),
@@ -104,35 +62,17 @@ func DefaultConfig(module string) *Config {
 	// the check (and exits non-zero). The recursive ./... walk skips
 	// testdata directories, so the default repo run never loads them.
 	fix := func(rel string) string { return j("internal/lint/testdata/src/" + rel) }
-	cfg.FloatEqPkgs = append(cfg.FloatEqPkgs, fix("floateq"))
+	cfg.FloatEqPkgs = append(cfg.FloatEqPkgs, fix("floateq"), fix("suppress"))
 	cfg.FloatEqAllow[fix("floateq")+"#allowed"] = true
 	cfg.FloatEqAllow[fix("floateq")+"#key.Cmp"] = true
-	cfg.ErrDropPkgs = append(cfg.ErrDropPkgs, fix("errdrop"), fix("suppress"))
-	cfg.DetPaths[fix("detpath")] = nil
 	cfg.IndexOnlyPkgs = append(cfg.IndexOnlyPkgs, fix("indexonly"))
 	cfg.IndexOnlyDataPkgs = append(cfg.IndexOnlyDataPkgs, fix("indexonly"))
-	// molint's own CLI and library are part of the enforced surface:
-	// cmd/molint deliberately drops terminal-write errors behind
-	// suppressions, and both packages are det-path clean — keeping them
-	// in scope means those suppressions stay load-bearing rather than
-	// rotting into stale ones.
-	cfg.ErrDropPkgs = append(cfg.ErrDropPkgs, j("cmd/molint"))
-	cfg.DetPaths[j("internal/lint")] = nil
-	cfg.DetPaths[j("cmd/molint")] = nil
 	return cfg
 }
 
 // Checks returns the full analyzer suite over cfg.
 func Checks(cfg *Config) []Check {
-	return []Check{
-		floatEq{cfg},
-		ctxLoop{cfg},
-		errDrop{cfg},
-		detPath{cfg},
-		indexOnly{cfg},
-		guardedBy{},
-		goroutineExit{},
-	}
+	return []Check{floatEq{cfg}, indexOnly{cfg}}
 }
 
 // inScope reports whether a package path matches one of the scope
@@ -150,10 +90,6 @@ func inScope(scope []string, pkgPath string) bool {
 // isTestFile reports whether the file position is in a _test.go file.
 func isTestFile(fset *token.FileSet, f *ast.File) bool {
 	return strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-func fileBase(fset *token.FileSet, f *ast.File) string {
-	return filepath.Base(fset.Position(f.Pos()).Filename)
 }
 
 // funcKey builds the FloatEqAllow key for a declaration:
@@ -185,19 +121,4 @@ func recvTypeName(expr ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// isErrorType reports whether t is the predeclared error interface.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

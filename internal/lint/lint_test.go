@@ -112,12 +112,7 @@ func TestFixtures(t *testing.T) {
 		check   string
 	}{
 		{"floateq", "float-eq"},
-		{"ctxloop", "ctx-loop"},
-		{"errdrop", "err-drop"},
-		{"detpath", "det-path"},
 		{"indexonly", "index-only"},
-		{"guardedby", "guarded-by"},
-		{"goroutineexit", "goroutine-exit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -152,10 +147,10 @@ func TestSuppressions(t *testing.T) {
 		check   string
 		message string // substring
 	}{
-		{18, "suppress", "missing a reason"},
-		{19, "err-drop", "call discards error result"},
-		{23, "suppress", "unknown check"},
-		{28, "suppress", "molint:ignore ctx-loop suppresses nothing"},
+		{14, "suppress", "missing a reason"},
+		{15, "float-eq", "raw float64 == comparison"},
+		{19, "suppress", "unknown check"},
+		{24, "suppress", "molint:ignore float-eq suppresses nothing"},
 	}
 	if len(res.Findings) != len(want) {
 		for _, f := range res.Findings {
@@ -172,34 +167,15 @@ func TestSuppressions(t *testing.T) {
 }
 
 // TestMolintSelfCheck turns every analyzer on the linter's own package
-// and every command with the scopes pointed at themselves. The tool
-// must hold itself to the conventions it enforces — including the
-// concurrency checks, which are unscoped (repo-wide) and so cover these
-// packages in the default configuration too.
+// and command with the scopes pointed at themselves. The tool must
+// hold itself to the conventions it enforces.
 func TestMolintSelfCheck(t *testing.T) {
 	l := newTestLoader(t)
-	dirs := []string{"internal/lint"}
-	ents, err := os.ReadDir(filepath.Join(l.Root, "cmd"))
-	if err != nil {
-		t.Fatalf("read cmd: %v", err)
-	}
-	for _, e := range ents {
-		if e.IsDir() {
-			dirs = append(dirs, filepath.Join("cmd", e.Name()))
-		}
-	}
-	// The original five conventions are scoped to the linter and its
-	// command as in PR 4 (the other commands legitimately read the
-	// clock and print best-effort); the two concurrency checks take no
-	// scope and cover every loaded package, closing the
-	// linter-lints-itself loop over all of cmd/.
+	dirs := []string{"internal/lint", "cmd/molint"}
 	self := []string{l.Module + "/internal/lint", l.Module + "/cmd/molint"}
 	cfg := &Config{
 		FloatEqPkgs:  self,
 		FloatEqAllow: map[string]bool{},
-		CtxLoopPkgs:  self,
-		ErrDropPkgs:  self,
-		DetPaths:     map[string][]string{self[0]: nil, self[1]: nil},
 		// The linter does not import the data model, so its structs must
 		// trivially hold no pointers into the paper's arrays.
 		IndexOnlyPkgs:     self,

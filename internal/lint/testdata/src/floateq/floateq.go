@@ -52,3 +52,26 @@ func (k key) Cmp(o key) int {
 	}
 	return 0
 }
+
+// The three kernel shapes a mutation sweep planted — units.meetTimes'
+// agreement of two root times, MSeg.Coplanar's zero cross product and
+// geom's parallel-segment test — with the tolerant helper replaced by
+// the raw operator. No test fails on the first or the last; this check
+// fails on all three.
+func meetTimes(xs, ys []float64, nx, ny int) bool {
+	return nx > 0 && ny > 0 && xs[0] == ys[0] // want `raw float64 == comparison`
+}
+
+func (p point) cross(q point) float64 { return p.X*q.Y - p.Y*q.X }
+
+func coplanar(d0, d1 point) bool {
+	return d0.cross(d1) == 0 // want `raw float64 == comparison`
+}
+
+func parallel(d1, d2 point) bool {
+	den := d1.cross(d2)
+	if den == 0 { // want `raw float64 == comparison`
+		return true
+	}
+	return false
+}

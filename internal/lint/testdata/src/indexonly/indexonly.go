@@ -4,6 +4,8 @@
 // the data-model package.
 package indexonly
 
+import "movingdb/internal/units"
+
 type Unit struct{ X, Y float64 }
 
 type Record struct {
@@ -20,4 +22,10 @@ type Table struct {
 
 type Root struct {
 	Deep [][]*Unit // want `stores a pointer to data-model type`
+}
+
+// Cursor points into a real data-model package, the shape a mutation
+// sweep planted in storage: no test can see a pointer field.
+type Cursor struct {
+	At *units.UPoint // want `stores a pointer to data-model type movingdb/internal/units.UPoint`
 }

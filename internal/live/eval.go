@@ -11,8 +11,10 @@ import (
 // Evaluation of standing queries against one published epoch. Every
 // function here is deterministic — a pure fold over the (epoch, dirty
 // set) sequence — which is what makes the subsystem testable against a
-// brute-force oracle and keeps event order reproducible: molint's
-// det-path check covers this file.
+// brute-force oracle and keeps event order reproducible. A clock read or
+// a global rand draw here fails TestRegistryMatchesBruteForce and the
+// simulator's replay tests (TestDeterminismWalErr,
+// TestChaosMixedDeterministic).
 
 // evaluate folds one publish into the subscription's edge-trigger
 // state, emitting an event per flip, and reports whether the publish

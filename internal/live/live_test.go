@@ -300,6 +300,21 @@ func TestCloseIsIdempotentAndFinal(t *testing.T) {
 	rg.move(map[string][2]float64{"z": {150, 150}})
 }
 
+// TestNotifyDuringClose publishes while the registry closes, 50 times:
+// Notify must read closed under r.mu, which -race checks.
+func TestNotifyDuringClose(t *testing.T) {
+	for range 50 {
+		r := NewRegistry(Config{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			r.Notify(nil, nil)
+		}()
+		r.Close()
+		<-done
+	}
+}
+
 func TestMergeDirty(t *testing.T) {
 	a := []ingest.DirtyObject{
 		{ID: "a", Rect: geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}},

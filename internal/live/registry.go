@@ -73,17 +73,17 @@ func (c Config) withDefaults() Config {
 // hands each publish to every subscription, which filters it by the
 // dirty set itself (eval.go). Safe for concurrent use.
 type Registry struct {
-	cfg Config // moguard: immutable
+	cfg Config // immutable
 
 	mu     sync.Mutex
-	subs   map[string]*Subscription // moguard: guarded by mu
-	order  []*Subscription          // moguard: guarded by mu // the same subs in subscribe order
-	nextID uint64                   // moguard: guarded by mu
-	queue  []notice                 // moguard: guarded by mu
-	closed bool                     // moguard: guarded by mu
+	subs   map[string]*Subscription // guarded by mu
+	order  []*Subscription          // guarded by mu; the same subs in subscribe order
+	nextID uint64                   // guarded by mu
+	queue  []notice                 // guarded by mu
+	closed bool                     // guarded by mu
 
-	wake chan struct{} // moguard: immutable
-	done chan struct{} // moguard: immutable
+	wake chan struct{} // immutable
+	done chan struct{} // immutable
 	wg   sync.WaitGroup
 }
 

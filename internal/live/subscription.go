@@ -16,25 +16,25 @@ import (
 // subscription are ordered (Seq is assigned under the ring lock) and
 // delivered at least once per evaluated epoch while the ring keeps up.
 type Subscription struct {
-	id      string       // moguard: immutable
-	pred    Predicate    // moguard: immutable
-	bound   geom.Rect    // moguard: immutable
-	seedSeq uint64       // moguard: immutable // seed epoch's Seq (0 for nil); publishes up to it are history
-	metrics *obs.Metrics // moguard: immutable // never nil
+	id      string       // immutable
+	pred    Predicate    // immutable
+	bound   geom.Rect    // immutable
+	seedSeq uint64       // immutable; seed epoch's Seq (0 for nil); publishes up to it are history
+	metrics *obs.Metrics // immutable; never nil
 
 	mu      sync.Mutex
-	state   bool                // moguard: guarded by mu // id-bound forms: last evaluated truth
-	members map[string]struct{} // moguard: guarded by mu // appears: objects currently inside
-	buf     []Event             // moguard: guarded by mu // ring storage, fixed capacity
-	head    int                 // moguard: guarded by mu // ring read cursor
-	n       int                 // moguard: guarded by mu // ring occupancy
-	seq     uint64              // moguard: guarded by mu // last assigned event sequence
-	drops   uint64              // moguard: guarded by mu // events evicted over the lifetime
-	lagged  bool                // moguard: guarded by mu // eviction since the last Take
-	closed  bool                // moguard: guarded by mu
+	state   bool                // guarded by mu; id-bound forms: last evaluated truth
+	members map[string]struct{} // guarded by mu; appears: objects currently inside
+	buf     []Event             // guarded by mu; ring storage, fixed capacity
+	head    int                 // guarded by mu; ring read cursor
+	n       int                 // guarded by mu; ring occupancy
+	seq     uint64              // guarded by mu; last assigned event sequence
+	drops   uint64              // guarded by mu; events evicted over the lifetime
+	lagged  bool                // guarded by mu; eviction since the last Take
+	closed  bool                // guarded by mu
 
-	ch     chan struct{} // moguard: immutable // new-events signal, capacity 1
-	doneCh chan struct{} // moguard: immutable // closed on unsubscribe / registry close
+	ch     chan struct{} // immutable; new-events signal, capacity 1
+	doneCh chan struct{} // immutable; closed on unsubscribe / registry close
 }
 
 // ID returns the subscription identifier clients address streams by.

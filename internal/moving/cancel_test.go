@@ -53,6 +53,9 @@ func TestInsideCtxCancelled(t *testing.T) {
 	if _, err := r.AreaCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AreaCtx err = %v, want context.Canceled", err)
 	}
+	if _, err := p.InsideRegionCtx(ctx, spatial.Region{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("InsideRegionCtx on the empty region err = %v, want context.Canceled", err)
+	}
 }
 
 func TestCtxVariantsMatchPlainOnes(t *testing.T) {

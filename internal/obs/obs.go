@@ -174,7 +174,7 @@ type SlowQuery struct {
 // it.
 type slowRing struct {
 	mu  sync.Mutex
-	buf []SlowQuery // moguard: guarded by mu
+	buf []SlowQuery // guarded by mu
 }
 
 // Metrics is the registry. The zero value is not usable; construct with

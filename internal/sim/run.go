@@ -27,10 +27,10 @@ import (
 // The harness loop: assemble the real stack (pipeline, registry,
 // server) behind an httptest listener, drive fleets through the HTTP
 // ingest route, issue the query mix, and check every response against
-// the oracle. This file is deliberately outside molint's det-path scope
-// — it paces ticks, waits on delivery barriers and polls for goroutine
-// exit against the wall clock — but nothing wall-derived ever reaches
-// the log or the verdict.
+// the oracle. Unlike the rest of the package, this file reads the wall
+// clock — it paces ticks, waits on delivery barriers and polls for
+// goroutine exit — but nothing wall-derived ever reaches the log or the
+// verdict.
 
 // maxViolations bounds the violation list; past it only the count grows.
 const maxViolations = 32
@@ -586,7 +586,8 @@ func (r *run) subscribeAll(ids []string, wg *sync.WaitGroup) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			//molint:ignore goroutine-exit the stream ends with a bye frame on registry close; a dead listener fails the GET
+			// The stream ends with a bye frame on registry close; a dead
+			// listener fails the GET.
 			for !rd.streamOnce(r.client) {
 				// Reconnect after an injected cut; the subscription survives.
 			}
@@ -665,10 +666,10 @@ func (r *run) checkEvents(tolerant bool) {
 // sseReader collects one subscription's delivered events across
 // however many connections the chaos schedule forces it through.
 type sseReader struct {
-	url string // moguard: immutable
+	url string // immutable
 
 	mu     sync.Mutex
-	events []live.Event // moguard: guarded by mu
+	events []live.Event // guarded by mu
 }
 
 func (rd *sseReader) count() int {

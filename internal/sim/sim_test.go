@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -177,5 +180,36 @@ func TestSchedule(t *testing.T) {
 	}
 	if len(sched[10]) != 1 {
 		t.Fatalf("frac 0.99 should land at tick 10: %+v", sched)
+	}
+}
+
+// TestSSEReaderSnapshotDuringStream copies a reader's events while its
+// stream is still delivering, as checkEvents does under a stream-cut
+// profile, so -race sees both sides of the reader's lock.
+func TestSSEReaderSnapshotDuringStream(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		for range 50 {
+			fmt.Fprint(w, "event: enter\ndata: {}\n\n")
+			w.(http.Flusher).Flush()
+		}
+		fmt.Fprint(w, "event: bye\n\n")
+	}))
+	defer ts.Close()
+	rd := &sseReader{url: ts.URL}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rd.streamOnce(ts.Client())
+	}()
+	for {
+		select {
+		case <-done:
+			if n := len(rd.snapshot()); n != 50 {
+				t.Fatalf("reader collected %d events, want 50", n)
+			}
+			return
+		default:
+			rd.snapshot()
+		}
 	}
 }

@@ -454,7 +454,8 @@ func TestDecodeNeverPanicsOnTruncation(t *testing.T) {
 				if err != nil {
 					return // rejected at the framing layer: fine
 				}
-				//molint:ignore err-drop hostile-input probe: an error is an acceptable outcome, only a panic fails the test
+				// Hostile-input probe: an error is an acceptable outcome,
+				// only a panic fails the test.
 				_ = decodeAll(name, e)
 			}()
 		}
@@ -539,7 +540,8 @@ func TestDecodeSurvivesBitFlips(t *testing.T) {
 				if err != nil {
 					return
 				}
-				//molint:ignore err-drop hostile-input probe: an error is an acceptable outcome, only a panic fails the test
+				// Hostile-input probe: an error is an acceptable outcome,
+				// only a panic fails the test.
 				_ = decodeAll(name, e)
 			}()
 		}

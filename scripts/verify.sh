@@ -39,7 +39,7 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> molint (static analysis: default and debugcheck variants)"
+echo "==> molint (float-eq, index-only, suppress: default and debugcheck variants)"
 go run ./cmd/molint ./...
 
 echo "==> go test -race ./..."
