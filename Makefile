@@ -16,12 +16,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Run the repository's own static-analysis suite (DESIGN.md §10) over
-# the default and debugcheck build variants: float-eq and index-only,
-# the paper rules whose violations tests can miss, and the suppress
-# audit.
+# The paper rules whose violations no other test catches (DESIGN.md
+# §10): float-eq and index-only over the default and debugcheck builds,
+# and the audit of every //molint:ignore directive.
 lint:
-	$(GO) run ./cmd/molint ./...
+	$(GO) test ./internal/lint
 
 # Run the paper-kernel tests with the runtime invariant assertions
 # compiled in (sliced-representation and halfsegment-order checks, and

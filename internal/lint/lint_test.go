@@ -1,196 +1,211 @@
+//go:build !race
+
+// Type-checking from source is single-threaded and about six times
+// slower under the race detector, which has nothing to find in it.
+
 package lint
 
 import (
 	"fmt"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// newTestLoader builds a loader rooted at the enclosing module.
-func newTestLoader(t *testing.T) *Loader {
-	t.Helper()
-	root, err := FindModuleRoot(".")
+// root is the module root, seen from this package's directory.
+const root = "../.."
+
+// TestPaperRules is the gate: float-eq and index-only over their
+// packages, in every build variant, and the audit of every
+// //molint:ignore directive in the tree. It fails with one line per
+// finding.
+func TestPaperRules(t *testing.T) {
+	findings, suppressed, err := tree(root)
 	if err != nil {
-		t.Fatalf("module root: %v", err)
+		t.Fatal(err)
 	}
-	l, err := NewLoader(root, nil)
-	if err != nil {
-		t.Fatalf("loader: %v", err)
+	for _, f := range findings {
+		t.Error(f)
 	}
-	return l
+	t.Logf("%d finding(s), %d suppressed", len(findings), suppressed)
 }
 
-// loadFixture typechecks one fixture package under testdata/src.
-func loadFixture(t *testing.T, l *Loader, name string) *Package {
+// loadFixture type-checks one fixture package under testdata/src.
+func loadFixture(t *testing.T, name string) *pkg {
 	t.Helper()
-	pkgs, err := l.LoadDir(filepath.Join("testdata", "src", name))
+	p, err := newLoader(root).load("internal/lint/testdata/src/" + name)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d package variants, want 1", name, len(pkgs))
-	}
-	return pkgs[0]
+	return p
 }
 
 var wantRe = regexp.MustCompile("// want `([^`]*)`")
 
-// parseWants extracts the trailing `// want` comments from every file of
-// the fixture package: line number -> expected-finding regexes.
-func parseWants(t *testing.T, pkg *Package) map[int][]string {
+// matchWants asserts a one-to-one correspondence between findings and
+// the fixture's trailing `// want` comments: every finding must match
+// the want regex on its line (against "[check] message"), and every
+// want must be met.
+func matchWants(t *testing.T, p *pkg, findings []finding) {
 	t.Helper()
-	wants := map[int][]string{}
-	seen := map[string]bool{}
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		data, err := os.ReadFile(name)
+	wants := map[int]*regexp.Regexp{}
+	for _, f := range p.Files {
+		data, err := os.ReadFile(p.Fset.Position(f.Pos()).Filename)
 		if err != nil {
-			t.Fatalf("read %s: %v", name, err)
+			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
-				wants[i+1] = append(wants[i+1], m[1])
+			if m := wantRe.FindStringSubmatch(line); m != nil {
+				wants[i+1] = regexp.MustCompile(m[1])
 			}
 		}
 	}
-	return wants
-}
-
-// matchFindings asserts a one-to-one correspondence between findings and
-// want comments: every finding must match a want regex on its line
-// (against "[check] message"), and every want must be consumed.
-func matchFindings(t *testing.T, wants map[int][]string, res Result) {
-	t.Helper()
-	for _, f := range res.Findings {
-		ws := wants[f.Pos.Line]
-		matched := false
-		for i, w := range ws {
-			if regexp.MustCompile(w).MatchString(fmt.Sprintf("[%s] %s", f.Check, f.Message)) {
-				wants[f.Pos.Line] = append(ws[:i], ws[i+1:]...)
-				matched = true
-				break
-			}
-		}
-		if !matched {
+	for _, f := range findings {
+		if w := wants[f.Pos.Line]; w == nil || !w.MatchString("["+f.Check+"] "+f.Message) {
 			t.Errorf("unexpected finding: %s", f)
 		}
+		delete(wants, f.Pos.Line)
 	}
-	for line, ws := range wants {
-		for _, w := range ws {
-			t.Errorf("line %d: expected a finding matching %q, got none", line, w)
-		}
+	for line, w := range wants {
+		t.Errorf("line %d: expected a finding matching %q, got none", line, w)
 	}
 }
 
-// checkByID picks one analyzer out of the suite.
-func checkByID(t *testing.T, cfg *Config, id string) Check {
-	t.Helper()
-	for _, c := range Checks(cfg) {
-		if c.ID() == id {
-			return c
-		}
-	}
-	t.Fatalf("no check with ID %q", id)
-	return nil
-}
-
-// TestFixtures runs each check against its golden fixture using the same
-// DefaultConfig the molint command ships (the fixture packages are part
-// of the default scope precisely so the CLI demo works).
+// TestFixtures runs each rule against its golden fixture. The fixture
+// packages play the part of the scoped packages: floateq has its own
+// allowlist, and indexonly is a data-model package beside the real
+// ones.
 func TestFixtures(t *testing.T) {
-	l := newTestLoader(t)
-	cfg := DefaultConfig(l.Module)
-	cases := []struct {
-		fixture string
-		check   string
-	}{
-		{"floateq", "float-eq"},
-		{"indexonly", "index-only"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
-			pkg := loadFixture(t, l, tc.fixture)
-			res := Run([]*Package{pkg}, []Check{checkByID(t, cfg, tc.check)})
-			matchFindings(t, parseWants(t, pkg), res)
-			if len(res.Findings) == 0 {
-				t.Fatalf("fixture %s produced no findings; the golden file is inert", tc.fixture)
-			}
-		})
-	}
+	const fixture = module + "/internal/lint/testdata/src/"
+	t.Run("floateq", func(t *testing.T) {
+		p := loadFixture(t, "floateq")
+		matchWants(t, p, floatEq(p, map[string]bool{fixture + "floateq#allowed": true, fixture + "floateq#key.Cmp": true}))
+	})
+	t.Run("indexonly", func(t *testing.T) {
+		p := loadFixture(t, "indexonly")
+		data := maps.Clone(dataPkgs)
+		data[fixture+"indexonly"] = true
+		matchWants(t, p, indexOnly(p, data))
+	})
 }
 
-// TestSuppressions exercises the directive machinery on the suppress
-// fixture: a respected directive removes its finding and counts in the
-// suppressed tally, a directive without a reason suppresses nothing and
-// is itself reported, an unknown check ID is reported, and a well-formed
+// TestSuppressions exercises the directive audit on the suppress
+// fixture: a respected directive removes its finding and counts as
+// suppressed, a directive without a reason suppresses nothing and is
+// itself reported, an unknown check ID is reported, and a well-formed
 // directive that suppresses nothing is reported as stale. The
-// expectations are asserted programmatically because a want comment
-// cannot share a line with the directive it describes.
+// expectations are listed here because a want comment cannot share a
+// line with the directive it describes.
 func TestSuppressions(t *testing.T) {
-	l := newTestLoader(t)
-	pkg := loadFixture(t, l, "suppress")
-	cfg := DefaultConfig(l.Module)
-	res := Run([]*Package{pkg}, Checks(cfg))
-
-	if res.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1 (the respected directive)", res.Suppressed)
+	p := loadFixture(t, "suppress")
+	var ds directives
+	for _, f := range p.Files {
+		ds.add(p.Fset, f)
 	}
-	want := []struct {
-		line    int
-		check   string
-		message string // substring
-	}{
-		{14, "suppress", "missing a reason"},
-		{15, "float-eq", "raw float64 == comparison"},
-		{19, "suppress", "unknown check"},
-		{24, "suppress", "molint:ignore float-eq suppresses nothing"},
+	findings, suppressed := ds.apply(floatEq(p, nil))
+	if suppressed != 1 {
+		t.Errorf("suppressed = %d, want 1 (the respected directive)", suppressed)
 	}
-	if len(res.Findings) != len(want) {
-		for _, f := range res.Findings {
-			t.Logf("finding: %s", f)
-		}
-		t.Fatalf("got %d findings, want %d", len(res.Findings), len(want))
+	var got []string
+	for _, f := range findings {
+		got = append(got, fmt.Sprintf("%d: [%s] %s", f.Pos.Line, f.Check, f.Message))
 	}
-	for i, w := range want {
-		f := res.Findings[i]
-		if f.Pos.Line != w.line || f.Check != w.check || !strings.Contains(f.Message, w.message) {
-			t.Errorf("finding %d = %s; want line %d [%s] ...%s...", i, f, w.line, w.check, w.message)
-		}
+	want := []string{
+		"14: [suppress] molint:ignore float-eq is missing a reason",
+		"15: [float-eq] raw float64 == comparison; use geom.ApproxEq/ApproxZero or suppress with a reason",
+		`19: [suppress] molint:ignore names unknown check "no-such-check"`,
+		"24: [suppress] molint:ignore float-eq suppresses nothing (stale — delete it or fix the drift)",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// TestMolintSelfCheck turns every analyzer on the linter's own package
-// and command with the scopes pointed at themselves. The tool must
-// hold itself to the conventions it enforces.
-func TestMolintSelfCheck(t *testing.T) {
-	l := newTestLoader(t)
-	dirs := []string{"internal/lint", "cmd/molint"}
-	self := []string{l.Module + "/internal/lint", l.Module + "/cmd/molint"}
-	cfg := &Config{
-		FloatEqPkgs:  self,
-		FloatEqAllow: map[string]bool{},
-		// The linter does not import the data model, so its structs must
-		// trivially hold no pointers into the paper's arrays.
-		IndexOnlyPkgs:     self,
-		IndexOnlyDataPkgs: DefaultConfig(l.Module).IndexOnlyDataPkgs,
-	}
-	var pkgs []*Package
-	for _, rel := range dirs {
-		got, err := l.LoadDir(filepath.Join(l.Root, rel))
+// planted is a file added to a copy of the tree: one raw float
+// comparison in a Section 5 package and one directive that suppresses
+// nothing.
+const planted = `package units
+
+func planted(a, b float64) bool {
+	return a == b
+}
+
+//molint:ignore float-eq nothing below compares floats
+func plantedStale() {}
+`
+
+// plantedTree copies go.mod and the non-test Go files under internal/
+// (testdata aside) into a temporary module, adds planted to units, and
+// runs the whole gate over it.
+func plantedTree(t *testing.T) []string {
+	t.Helper()
+	tmp := t.TempDir()
+	copyFile := func(rel string) error {
+		data, err := os.ReadFile(filepath.Join(root, rel))
 		if err != nil {
-			t.Fatalf("load %s: %v", rel, err)
+			return err
 		}
-		pkgs = append(pkgs, got...)
+		if err := os.MkdirAll(filepath.Join(tmp, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(tmp, rel), data, 0o644)
 	}
-	res := Run(pkgs, Checks(cfg))
-	for _, f := range res.Findings {
-		t.Errorf("self-check: %s", f)
+	if err := copyFile("go.mod"); err != nil {
+		t.Fatal(err)
+	}
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(name string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go"):
+			return nil
+		}
+		rel, err := filepath.Rel(root, name)
+		if err != nil {
+			return err
+		}
+		return copyFile(rel)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(tmp, "internal", "units", "planted.go"), []byte(planted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, _, err := tree(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, f := range findings {
+		lines = append(lines, f.String())
+	}
+	return lines
+}
+
+// TestGateFailsOnViolation: a raw float comparison planted in a kernel
+// package fails the gate with one root-relative line, although both
+// builds see the file.
+func TestGateFailsOnViolation(t *testing.T) {
+	want := "internal/units/planted.go:4: [float-eq] raw float64 == comparison; use geom.ApproxEq/ApproxZero or suppress with a reason"
+	lines := plantedTree(t)
+	if n := slices.Index(lines, want); n < 0 || slices.Index(lines[n+1:], want) >= 0 {
+		t.Errorf("want exactly one %q, got:\n%s", want, strings.Join(lines, "\n"))
+	}
+}
+
+// TestStaleSuppressions: the gate's directive audit reports a
+// well-formed directive that suppresses nothing.
+func TestStaleSuppressions(t *testing.T) {
+	want := "internal/units/planted.go:7: [suppress] molint:ignore float-eq suppresses nothing (stale — delete it or fix the drift)"
+	if lines := plantedTree(t); !slices.Contains(lines, want) {
+		t.Errorf("stale directive not reported; want %q, got:\n%s", want, strings.Join(lines, "\n"))
 	}
 }

@@ -1,6 +1,6 @@
-// Fixture for the float-eq check: raw ==/!= on predeclared float64 is
-// flagged, ordering comparisons and named float types are not, and
-// allowlisted functions are exempt wholesale.
+// Fixture for the float-eq check: raw ==/!= on predeclared float64 or
+// float32 is flagged, ordering comparisons and named float types are
+// not, and allowlisted functions are exempt wholesale.
 package floateq
 
 type Instant float64
@@ -20,6 +20,10 @@ func sentinel(a float64) bool {
 
 func mixed(a float64, n int) bool {
 	return float64(n) == a // want `raw float64 == comparison`
+}
+
+func single(a, b float32) bool {
+	return a == b // want `raw float64 == comparison`
 }
 
 func namedExempt(t, u Instant) bool {

@@ -24,6 +24,15 @@ type Root struct {
 	Deep [][]*Unit // want `stores a pointer to data-model type`
 }
 
+// Shapes reaches the pointer through every other composite type.
+type Shapes struct {
+	Fixed [4]*Unit      // want `stores a pointer to data-model type`
+	ByKey map[*Unit]int // want `stores a pointer to data-model type`
+	Feed  chan *Unit    // want `stores a pointer to data-model type`
+	Ref   *[]*Unit      // want `stores a pointer to data-model type`
+	Rows  *[]Unit       // pointer to a value slice: fine
+}
+
 // Cursor points into a real data-model package, the shape a mutation
 // sweep planted in storage: no test can see a pointer field.
 type Cursor struct {

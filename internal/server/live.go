@@ -291,6 +291,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, "response writer cannot stream")
 		return
 	}
+	// A stream outlives the HTTP server's WriteTimeout: every write gets
+	// a fresh deadline of two heartbeats, so a client that keeps reading
+	// stays connected and a stalled one is still cut. A writer without
+	// deadlines (a test recorder) has none to move.
+	rc := http.NewResponseController(w)
+	extend := func() { _ = rc.SetWriteDeadline(time.Now().Add(2 * s.cfg.SSEHeartbeat)) }
+	extend()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
@@ -312,6 +319,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				// itself stays live for the next GET.
 				return
 			}
+			extend()
 		}
 		frameBuf = writeEventFrames(w, frameBuf, events, lagged)
 		if lagged || len(events) > 0 {
@@ -321,11 +329,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-sub.Done():
+			extend()
 			fmt.Fprint(w, "event: bye\ndata: {}\n\n")
 			fl.Flush()
 			return
 		case <-sub.Wait():
 		case <-hb.C:
+			extend()
 			fmt.Fprint(w, ": hb\n\n")
 			fl.Flush()
 		}

@@ -254,16 +254,12 @@ func readSSE(t *testing.T, url string, stop <-chan struct{}, onOpen func()) sseC
 	return c
 }
 
-// TestSSEEndToEnd drives the whole path over real HTTP: subscribe,
-// open the stream, move an object through the region, and read the
-// edge events back with contiguous sequence numbers.
-func TestSSEEndToEnd(t *testing.T) {
-	s, p, _ := liveQueryServer(t, 50*time.Millisecond)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 0, X: 0, Y: 0}})
-
-	resp, err := http.Post(ts.URL+"/v1/subscribe", "application/json",
+// openStream subscribes to bus inside [100,100..200,200] on a live TCP
+// server and reads the event stream in the background; the returned
+// channel yields what was read once the stream ends.
+func openStream(t *testing.T, base string) (subID string, done <-chan sseClient) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/subscribe", "application/json",
 		strings.NewReader(`{"predicate":"inside","object":"bus","region":{"x1":100,"y1":100,"x2":200,"y2":200}}`))
 	if err != nil {
 		t.Fatal(err)
@@ -273,34 +269,48 @@ func TestSSEEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	eventsURL := ts.URL + created["events_url"].(string)
-	subID := created["subscription_id"].(string)
-
 	opened := make(chan struct{})
-	done := make(chan sseClient, 1)
-	go func() { done <- readSSE(t, eventsURL, nil, func() { close(opened) }) }()
+	ch := make(chan sseClient, 1)
+	go func() { ch <- readSSE(t, base+created["events_url"].(string), nil, func() { close(opened) }) }()
 	<-opened
+	return created["subscription_id"].(string), ch
+}
 
-	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 1, X: 150, Y: 150}}) // enter
-	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 2, X: 160, Y: 150}}) // no edge
-	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 3, X: 500, Y: 500}}) // leave
-
-	// Unsubscribing ends the stream with a bye, which unblocks the reader.
+// closeStream unsubscribes, which ends the stream with a bye and
+// unblocks the reader, and returns what the reader saw.
+func closeStream(t *testing.T, base, subID string, done <-chan sseClient) sseClient {
+	t.Helper()
 	time.Sleep(100 * time.Millisecond)
-	req, _ := http.NewRequest("DELETE", ts.URL+"/v1/subscribe/"+subID, nil)
+	req, _ := http.NewRequest("DELETE", base+"/v1/subscribe/"+subID, nil)
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("unsubscribe: %v %v", err, resp)
 	} else {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
-
-	var c sseClient
 	select {
-	case c = <-done:
+	case c := <-done:
+		return c
 	case <-time.After(5 * time.Second):
 		t.Fatal("stream did not end after unsubscribe")
 	}
+	return sseClient{}
+}
+
+// TestSSEEndToEnd drives the whole path over real HTTP: subscribe,
+// open the stream, move an object through the region, and read the
+// edge events back with contiguous sequence numbers.
+func TestSSEEndToEnd(t *testing.T) {
+	s, p, _ := liveQueryServer(t, 50*time.Millisecond)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 0, X: 0, Y: 0}})
+
+	subID, done := openStream(t, ts.URL)
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 1, X: 150, Y: 150}}) // enter
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 2, X: 160, Y: 150}}) // no edge
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 3, X: 500, Y: 500}}) // leave
+	c := closeStream(t, ts.URL, subID, done)
 	if len(c.events) != 2 || c.events[0].Edge != "enter" || c.events[1].Edge != "leave" {
 		t.Fatalf("events: %+v", c.events)
 	}
@@ -309,6 +319,27 @@ func TestSSEEndToEnd(t *testing.T) {
 	}
 	if c.events[0].X != 150 || c.events[0].Object != "bus" || c.events[0].PubUnixNS == 0 {
 		t.Fatalf("event payload: %+v", c.events[0])
+	}
+}
+
+// TestSSEOutlivesWriteTimeout: an event stream lives past the HTTP
+// server's WriteTimeout (moserver's -write-timeout), because the handler
+// moves the write deadline before every write. Without that the server
+// cut every stream once the timeout passed, with no bye frame.
+func TestSSEOutlivesWriteTimeout(t *testing.T) {
+	s, p, _ := liveQueryServer(t, time.Minute)
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.WriteTimeout = 300 * time.Millisecond
+	ts.Start()
+	defer ts.Close()
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 0, X: 0, Y: 0}})
+
+	subID, done := openStream(t, ts.URL)
+	time.Sleep(600 * time.Millisecond)
+	ingestAndFlush(t, p, []ingest.Observation{{ObjectID: "bus", T: 1, X: 150, Y: 150}}) // enter
+	c := closeStream(t, ts.URL, subID, done)
+	if len(c.events) != 1 || c.events[0].Edge != "enter" || c.byes != 1 {
+		t.Fatalf("stream past the write timeout: events %+v, byes %d; want one enter and a bye", c.events, c.byes)
 	}
 }
 

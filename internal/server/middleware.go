@@ -37,6 +37,10 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection, so the
+// event streams can move their write deadline.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // instrument wraps a handler with the observability middleware: request
 // body limiting, panic recovery (500 envelope instead of a dropped
 // connection), and per-route counting with latency into the registry.

@@ -90,6 +90,24 @@ type Config struct {
 	Metrics *obs.Metrics
 }
 
+// validate rejects negative tuning values: zero selects a default, and
+// no other field gives a negative value a meaning. CacheBytes does:
+// negative disables the result cache.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"QueryTimeout", int64(c.QueryTimeout)}, {"MaxTimeout", int64(c.MaxTimeout)}, {"MaxQueryLen", int64(c.MaxQueryLen)},
+		{"MaxBodyBytes", c.MaxBodyBytes}, {"SlowQueryThreshold", int64(c.SlowQueryThreshold)}, {"SSEHeartbeat", int64(c.SSEHeartbeat)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("server: negative %s (%d)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // withDefaults fills in the zero-valued tuning fields.
 func (c Config) withDefaults() Config {
 	if c.Catalog == nil {
@@ -138,6 +156,9 @@ type Server struct {
 
 // New builds a server from the config.
 func New(cfg Config) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	var pinEpoch func() *ingest.Epoch
 	if cfg.Ingest != nil {

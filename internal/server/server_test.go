@@ -534,6 +534,32 @@ func TestNewValidations(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNegativeTuning: a negative tuning value is a startup
+// error, as in ingest.Open. Each used to break the server at run time:
+// a negative SSEHeartbeat panicked every event stream, a negative
+// QueryTimeout answered every query 408, and a negative MaxBodyBytes
+// lifted the body cap. CacheBytes < 0 keeps its meaning (no cache).
+func TestNewRejectsNegativeTuning(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"QueryTimeout", Config{QueryTimeout: -time.Second}},
+		{"MaxTimeout", Config{MaxTimeout: -time.Second}},
+		{"MaxQueryLen", Config{MaxQueryLen: -1}},
+		{"MaxBodyBytes", Config{MaxBodyBytes: -1}},
+		{"SlowQueryThreshold", Config{SlowQueryThreshold: -time.Second}},
+		{"SSEHeartbeat", Config{SSEHeartbeat: -time.Second}},
+	} {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("negative %s: err = %v, want an error naming it", tc.field, err)
+		}
+	}
+	if _, err := New(Config{CacheBytes: -1}); err != nil {
+		t.Errorf("CacheBytes -1 (no cache): %v", err)
+	}
+}
+
 func TestPanicRecovery(t *testing.T) {
 	// A relation value of the wrong dynamic type makes rendering panic;
 	// the middleware must convert that into a 500 envelope.

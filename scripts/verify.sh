@@ -39,9 +39,6 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
-echo "==> molint (float-eq, index-only, suppress: default and debugcheck variants)"
-go run ./cmd/molint ./...
-
 echo "==> go test -race ./..."
 go test -race ./...
 
@@ -57,10 +54,12 @@ go test -run '^$' -bench . -benchtime 1x .
 echo "==> every internal benchmark, one iteration each (a broken BenchmarkBuild, BenchmarkPipelineTick, BenchmarkTemplateA or BenchmarkAtInstantBody must not wait for TestAllocBudgets; BenchmarkRegistryDrain runs nowhere else)"
 go test -run '^$' -bench . -benchtime 1x ./internal/...
 
-echo "==> tests excluded from the race build (//go:build !race: allocation budgets, the float writer's encoding/json oracle)"
+echo "==> tests excluded from the race build (//go:build !race: allocation budgets, the float writer's encoding/json oracle, the paper rules)"
 # Every Test function in a !race file, collected by name so a new one
 # cannot be missed: the TestAllocBudgets tables (the whole allocation
-# contract) and TestDigits8 / TestJSONFloatRandomSweep.
+# contract), TestDigits8 / TestJSONFloatRandomSweep, and internal/lint's
+# TestPaperRules (float-eq, index-only and the molint:ignore audit over
+# the default and debugcheck builds) with its fixture tests.
 norace=$(grep -l '^//go:build !race' $(find internal -name '*_test.go') |
     xargs sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' | sort -u | paste -sd '|' -)
 go test -run "^($norace)\$" ./internal/...
