@@ -26,7 +26,8 @@ lint:
 # compiled in (sliced-representation and halfsegment-order checks, and
 # the executor re-running the kernels on every pair its filter skips),
 # and the ingest tests, whose epochs hand the appender's units to
-# mapping.FromOrdered.
+# mapping.FromOrdered and whose publishes recompute every chunk cube
+# Store.Apply kept incrementally from its units.
 debugcheck:
 	$(GO) test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 

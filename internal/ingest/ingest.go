@@ -359,7 +359,10 @@ func (p *Pipeline) publishEpochLocked() {
 		return
 	}
 	prev := p.epoch.Load()
-	if ep, dirty := p.store.publish(prev); ep != prev {
+	start := time.Now()
+	ep, dirty := p.store.publish(prev)
+	p.metrics.Ingest.Publish.Observe(time.Since(start))
+	if ep != prev {
 		p.epoch.Store(ep)
 		p.metrics.RecordEpochPublish(ep.Seq())
 		if p.onPublish != nil {

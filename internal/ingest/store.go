@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -44,37 +45,45 @@ type Store struct {
 	// ladder holds the folded sealed chunks: immutable rungs, replaced by
 	// a fold and never written, so every epoch shares them as they are.
 	// waiting holds the sealed chunks not yet folded, fewer than
-	// foldChunks, and merges counts the folds that merged a rung. open[oi]
-	// is slot oi's open chunk as an index entry as of the last publish:
-	// the cube of its last ≤ chunkUnits units, an empty cube while it has
-	// none. Open chunks change with every append, so each publish builds
-	// them, with the waiting chunks, into one extra rung of its epoch's
-	// snapshot.
+	// foldChunks, and merges counts the folds that merged a rung. Open
+	// chunks change with every append, so each publish builds them, with
+	// the waiting chunks, into one extra rung of its epoch's snapshot.
 	ladder  index.Snapshot
 	waiting []index.Entry
 	merges  int
-	open    []index.Entry
 
-	// Epoch machinery: dirty maps the object slots touched since the
-	// last publish to the bounding rectangle of their movement in that
-	// window (old position through new position, accumulated per
-	// accepted observation — the live query subsystem intersects it
-	// against standing-subscription regions), and added flags new
-	// registrations (the frozen ids map must be recopied).
-	dirty map[int]geom.Rect
-	added bool
+	// slot[oi] is what Apply keeps per slot between publishes; it grows
+	// with objs. ndirty counts the slots whose dirty rectangle is not
+	// empty, and added flags new registrations (the frozen ids map must
+	// be recopied).
+	slot   []slotState
+	ndirty int
+	added  bool
 
-	// rank[oi] is slot oi's place among the ranked slots in ascending id
-	// order; idRank extends it by the slots registered since, so a
-	// publish orders its dirty list by integer rank and compares id
-	// strings only when an object registers.
-	rank []int32
+	// order lists the ranked slots in ascending id order; idOrder
+	// extends it by the slots registered since, so a publish walks its
+	// dirty slots in id order and compares id strings only when an
+	// object registers.
+	order []int32
 
 	applied   int64
 	dropped   int64
 	compacted int64
 
 	metrics *obs.Metrics // synchronises itself, never nil
+}
+
+// slotState is one slot's share of the next publish. open is the slot's
+// open chunk as an index entry: the union of the cubes of its last
+// ≤ chunkUnits units, an empty cube while it has none. Apply extends it
+// with every unit it appends or merges and hands it to waiting when the
+// chunk seals. dirty is the bounding rectangle of the object's movement
+// since the last publish (old position through new position, per
+// accepted observation — the live query subsystem intersects it against
+// standing-subscription regions); empty means the slot is clean.
+type slotState struct {
+	open  index.Entry
+	dirty geom.Rect
 }
 
 // Position is one object's location at a queried instant.
@@ -99,10 +108,10 @@ type ObjectSummary struct {
 // rung over every sealed chunk. Its state is unpublished: the first
 // publish(nil) seals it as the opening epoch.
 func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
-	s := &Store{ids: make(map[string]int, len(h.Tracks)), dirty: make(map[int]geom.Rect), metrics: metrics}
+	s := &Store{ids: make(map[string]int, len(h.Tracks)), metrics: metrics}
 	s.waiting = make([]index.Entry, 0, foldChunks)
 	s.applied, s.dropped, s.compacted = h.Applied, h.Dropped, h.Compacted
-	s.open = make([]index.Entry, 0, len(h.Tracks))
+	s.slot = make([]slotState, 0, len(h.Tracks))
 	var entries []index.Entry
 	for i := range h.Tracks {
 		t := &h.Tracks[i]
@@ -119,7 +128,7 @@ func newStore(h *storage.History, metrics *obs.Metrics) (*Store, error) {
 		for c := 0; c < open; c++ {
 			entries = append(entries, chunkEntry(oi, t.Units, c))
 		}
-		s.open = append(s.open, chunkEntry(oi, t.Units, open))
+		s.slot = append(s.slot, slotState{open: chunkEntry(oi, t.Units, open), dirty: geom.EmptyRect()})
 	}
 	s.ladder = s.ladder.WithRung(index.Build(entries))
 	return s, nil
@@ -143,6 +152,35 @@ func chunkEntry(oi int, us []units.UPoint, c int) index.Entry {
 	return index.Entry{Cube: cube, ID: entryID(oi, c)}
 }
 
+// checkCubes returns an error naming the first entry Apply kept that
+// differs, bit for bit, from chunkEntry over its units: a waiting sealed
+// chunk, or the open chunk of any slot.
+func (s *Store) checkCubes() error {
+	for _, e := range s.waiting {
+		oi, c := int(e.ID>>32), int(uint32(e.ID))
+		if want := chunkEntry(oi, s.objs[oi].Units, c); !sameBits(e, want) {
+			return fmt.Errorf("ingest: waiting chunk %d of %q is %+v, its units make %+v", c, s.objs[oi].ID, e, want)
+		}
+	}
+	for oi := range s.slot {
+		us := s.objs[oi].Units
+		if got, want := s.slot[oi].open, chunkEntry(oi, us, openChunk(len(us))); !sameBits(got, want) {
+			return fmt.Errorf("ingest: open chunk of %q is %+v, its %d units make %+v", s.objs[oi].ID, got, len(us), want)
+		}
+	}
+	return nil
+}
+
+// sameBits reports whether a and b have the same id and the same cube
+// bit for bit (a signed zero or a NaN compares as its bits).
+func sameBits(a, b index.Entry) bool {
+	bits := func(c geom.Cube) [6]uint64 {
+		f := math.Float64bits
+		return [6]uint64{f(c.Rect.MinX), f(c.Rect.MinY), f(c.Rect.MaxX), f(c.Rect.MaxY), f(c.MinT), f(c.MaxT)}
+	}
+	return a.ID == b.ID && bits(a.Cube) == bits(b.Cube)
+}
+
 // Apply extends the mappings with a batch of observations, in order —
 // one drained run, or one replayed WAL record. A run is consecutive WAL
 // records concatenated, so applying it leaves the state that applying
@@ -151,12 +189,18 @@ func chunkEntry(oi int, us []units.UPoint, c int) index.Entry {
 // counted. The ladder holds one entry per sealed chunk of an object's
 // units: chunk c is sealed once unit (c+1)·chunkUnits is appended, after
 // which appendUnit, which rewrites only the last unit, never touches it
-// again, so its cube — the union of its units' cubes — is final. The
-// chunks this batch seals join the waiting ones, and once foldChunks
-// wait they fold into the ladder together. The open chunk of each
-// object is not indexed here: publish rebuilds its cube from the units,
-// so every chunk's cube, sealed or open, contains every unit of the
-// chunk.
+// again, so its cube — the union of its units' cubes — is final. Apply
+// keeps each slot's open entry as that union, extended by the cube of
+// every unit it appends or merges; the append that seals a chunk hands
+// the entry to the waiting chunks and opens the next one. Once
+// foldChunks wait they fold into the ladder together.
+//
+// The running union is bit-identical to recomputing it from the units
+// (chunkEntry): a cube depends on a unit's function and interval ends,
+// never on its closure flags, so a re-open changes nothing, and a merge
+// keeps the unit's function and moves only its end, and x0 + x1·t is
+// monotone in t in floating point, so the grown unit's cube contains the
+// cube it replaces.
 func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 	for _, ob := range batch {
 		oi, ok := s.ids[ob.ObjectID]
@@ -164,6 +208,7 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 			oi = len(s.objs)
 			s.ids[ob.ObjectID] = oi
 			s.objs = append(s.objs, &storage.Track{ID: ob.ObjectID})
+			s.slot = append(s.slot, slotState{open: index.Entry{Cube: geom.EmptyCube(), ID: entryID(oi, 0)}, dirty: geom.EmptyRect()})
 			s.added = true
 		}
 		o := s.objs[oi]
@@ -180,10 +225,15 @@ func (s *Store) Apply(batch []Observation) (applied, dropped, compacted int) {
 		}
 		s.markDirty(oi, o.Last.P, smp.P)
 		ui, merged := appendUnit(o, unitBetween(o.Last, smp))
+		cu, open := o.Units[ui].Cube(), &s.slot[oi].open
+		if c := ui / chunkUnits; !merged && ui%chunkUnits == 0 && c > 0 {
+			s.waiting = append(s.waiting, *open)
+			*open = index.Entry{Cube: cu, ID: entryID(oi, c)}
+		} else {
+			open.Cube = open.Cube.Union(cu)
+		}
 		if merged {
 			compacted++
-		} else if c := ui / chunkUnits; ui%chunkUnits == 0 && c > 0 {
-			s.waiting = append(s.waiting, chunkEntry(oi, o.Units, c-1))
 		}
 		o.Last = smp
 		applied++
@@ -262,11 +312,11 @@ func appendUnit(o *storage.Track, u units.UPoint) (int, bool) {
 // markDirty extends the object's pending movement rectangle with
 // the segment endpoints of one accepted observation.
 func (s *Store) markDirty(oi int, from, to geom.Point) {
-	r, ok := s.dirty[oi]
-	if !ok {
-		r = geom.EmptyRect()
+	r := &s.slot[oi].dirty
+	if r.IsEmpty() {
+		s.ndirty++
 	}
-	s.dirty[oi] = r.ExtendPoint(from).ExtendPoint(to)
+	*r = r.ExtendPoint(from).ExtendPoint(to)
 }
 
 // DirtyObject describes one object touched by the flushes behind an
@@ -293,13 +343,18 @@ type DirtyObject struct {
 // (constant work per object: a slice-header alias of the immutable
 // prefix plus one unit copied by value), and the frozen ids map is
 // recopied only when an object was registered. The views and the ladder
-// are read in one call, so the view and its index agree exactly. The
-// dirty slots' open-chunk cubes are recomputed from their units, and the
-// waiting sealed chunks and every open chunk are STR-built into one more
-// rung on top of the ladder.
+// are read in one call, so the view and its index agree exactly. Apply
+// has kept every open entry current, so publish computes no cube: it
+// STR-builds the waiting sealed chunks and every open chunk into one
+// more rung on top of the ladder.
 func (s *Store) publish(prev *Epoch) (*Epoch, []DirtyObject) {
-	if prev != nil && len(s.dirty) == 0 && !s.added {
+	if prev != nil && s.ndirty == 0 && !s.added {
 		return prev, nil
+	}
+	if debugCubes {
+		if err := s.checkCubes(); err != nil {
+			panic(err)
+		}
 	}
 	next := &Epoch{seq: 1}
 	if prev != nil {
@@ -322,71 +377,61 @@ func (s *Store) publish(prev *Epoch) (*Epoch, []DirtyObject) {
 	for oi := sealed; oi < len(s.objs); oi++ {
 		next.objs[oi] = viewOf(s.objs[oi])
 	}
-	// A slot registered since the last publish is dirty: the loop below
-	// fills its open entry.
-	s.open = append(s.open, make([]index.Entry, len(s.objs)-len(s.open))...)
-	// Deterministic notification order: dirty map iteration is random,
-	// but subscribers observe event order per epoch — ascending id, here
-	// as ascending rank packed above the slot.
+	// Deterministic notification order: subscribers observe event order
+	// per epoch — ascending id, the order idOrder walks the slots in.
 	var dirty []DirtyObject
-	if len(s.dirty) > 0 {
-		rank := s.idRank()
-		keys := make([]uint64, 0, len(s.dirty))
-		for oi := range s.dirty {
-			keys = append(keys, uint64(rank[oi])<<32|uint64(oi))
-		}
-		slices.Sort(keys)
-		dirty = make([]DirtyObject, 0, len(keys))
-		for _, k := range keys {
-			oi := int(uint32(k))
-			if oi < sealed {
+	if s.ndirty > 0 {
+		dirty = make([]DirtyObject, 0, s.ndirty)
+		for _, oi := range s.idOrder() {
+			st := &s.slot[oi]
+			if st.dirty.IsEmpty() {
+				continue
+			}
+			if int(oi) < sealed {
 				next.objs[oi] = viewOf(s.objs[oi])
 			}
-			us := s.objs[oi].Units
-			s.open[oi] = chunkEntry(oi, us, openChunk(len(us)))
-			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: s.dirty[oi]})
+			dirty = append(dirty, DirtyObject{ID: s.objs[oi].ID, Rect: st.dirty})
+			st.dirty = geom.EmptyRect()
 		}
+		s.ndirty = 0
 	}
-	extra := make([]index.Entry, 0, len(s.waiting)+len(s.open))
+	extra := make([]index.Entry, 0, len(s.waiting)+len(s.slot))
 	extra = append(extra, s.waiting...)
-	for _, e := range s.open {
-		if !e.Cube.IsEmpty() {
+	for i := range s.slot {
+		if e := s.slot[i].open; !e.Cube.IsEmpty() {
 			extra = append(extra, e)
 		}
 	}
 	next.idx = s.ladder.WithRung(index.Build(extra))
-	clear(s.dirty)
 	s.added = false
 	return next, dirty
 }
 
-// idRank returns rank covering every registered slot: the slots
-// added since the last call are sorted by id and merged into the ranked
+// idOrder returns every registered slot in ascending id order: the
+// slots added since the last call are sorted by id and merged into
 // order, one pass over the table.
-func (s *Store) idRank() []int32 {
-	old := len(s.rank)
+func (s *Store) idOrder() []int32 {
+	old := len(s.order)
 	if old == len(s.objs) {
-		return s.rank
+		return s.order
 	}
 	cmp := func(a, b int32) int { return strings.Compare(s.objs[a].ID, s.objs[b].ID) }
-	ranked := make([]int32, old) // the ranked slots in id order: rank's inverse
-	for oi, r := range s.rank {
-		ranked[r] = int32(oi)
-	}
 	fresh := make([]int32, 0, len(s.objs)-old)
 	for oi := old; oi < len(s.objs); oi++ {
 		fresh = append(fresh, int32(oi))
 	}
 	slices.SortFunc(fresh, cmp)
-	s.rank = make([]int32, len(s.objs))
-	for r := range s.rank {
-		if len(fresh) == 0 || len(ranked) > 0 && cmp(ranked[0], fresh[0]) < 0 {
-			s.rank[ranked[0]], ranked = int32(r), ranked[1:]
+	ranked := s.order
+	s.order = make([]int32, 0, len(s.objs))
+	for len(ranked) > 0 && len(fresh) > 0 {
+		if cmp(ranked[0], fresh[0]) < 0 {
+			s.order, ranked = append(s.order, ranked[0]), ranked[1:]
 		} else {
-			s.rank[fresh[0]], fresh = int32(r), fresh[1:]
+			s.order, fresh = append(s.order, fresh[0]), fresh[1:]
 		}
 	}
-	return s.rank
+	s.order = append(append(s.order, ranked...), fresh...)
+	return s.order
 }
 
 // stats fills the store's part of Stats: the counters, the table's size

@@ -200,6 +200,7 @@ type Metrics struct {
 		Observations Counter // observations in acknowledged batches
 		Backpressure Counter // batches rejected with queue-full
 		Flush        Timing  // drains of the pending run: one apply each, however many objects
+		Publish      Timing  // epoch builds, one per publish no fault deferred; served under epoch
 		Applied      Counter // observations applied to the store
 		Dropped      Counter // non-monotone observations dropped at apply
 		Compacted    Counter // appends merged into their predecessor unit
@@ -404,6 +405,10 @@ type EpochSnapshot struct {
 	Seq        uint64  `json:"seq"`
 	Publishes  int64   `json:"publishes"`
 	AgeSeconds float64 `json:"age_seconds"`
+	// AvgPublishMillis and MaxPublishMillis time the builds behind the
+	// publishes (Ingest.Publish), one per drain that reached publish.
+	AvgPublishMillis float64 `json:"avg_publish_ms"`
+	MaxPublishMillis float64 `json:"max_publish_ms"`
 }
 
 // LiveSnapshot is the JSON form of the standing-query counters.
@@ -528,6 +533,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	if out.Epoch.Publishes > 0 {
 		out.Epoch.AgeSeconds = (time.Since(m.start) - time.Duration(m.epoch.publishedNS.Load())).Seconds()
 	}
+	_, out.Epoch.AvgPublishMillis, out.Epoch.MaxPublishMillis = ing.Publish.read(1e6)
 
 	l := &m.Live
 	out.Live = LiveSnapshot{

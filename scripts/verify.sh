@@ -64,6 +64,8 @@ norace=$(grep -l '^//go:build !race' $(find internal -name '*_test.go') |
     xargs sed -n 's/^func \(Test[A-Za-z0-9_]*\)(.*/\1/p' | sort -u | paste -sd '|' -)
 go test -run "^($norace)\$" ./internal/...
 
+# internal/ingest: every publish recomputes from the units the chunk
+# cubes Store.Apply kept incrementally and panics on a difference.
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
