@@ -29,6 +29,14 @@ type aggregate struct {
 	acc int
 }
 
+func (ag *aggregate) eval(q *queryEnv) (any, error) {
+	v := q.aggs[ag.acc].result()
+	if isUndef(v) {
+		return nil, fmt.Errorf("%w: aggregate %s over no defined values", ErrType, ag.fn)
+	}
+	return v, nil
+}
+
 // aggregateType returns the result type of the aggregate fn over an
 // argument of type t: count of anything, sum and avg of a number, min
 // and max of a scalar. It is false when fn over t is no aggregate.
@@ -60,8 +68,9 @@ func isAggregateName(fn string) bool {
 
 // accumulator folds one aggregate over the rows of a group.
 type accumulator struct {
-	fn    string // count sum avg min max
-	inner expr   // bound argument; nil for count(*)
+	fn    string     // count sum avg min max
+	inner node       // bound argument; nil for count(*)
+	cmp   comparator // min and max: the argument type's
 
 	n     int64
 	sum   float64
@@ -75,7 +84,7 @@ func (a *accumulator) add(q *queryEnv) error {
 		a.n++
 		return nil
 	}
-	v, err := q.eval(a.inner)
+	v, err := a.inner.eval(q)
 	if err != nil {
 		return err
 	}
@@ -85,21 +94,20 @@ func (a *accumulator) add(q *queryEnv) error {
 	a.n++
 	switch a.fn {
 	case "sum", "avg":
-		switch x := v.(type) {
-		case float64:
+		if x, isReal := v.(float64); isReal {
 			a.sum += x
-		case int64:
-			a.sum += float64(x)
+		} else {
+			a.sum += float64(v.(int64))
 		}
-		if _, err := checkFinite(a.sum); err != nil {
+		if err := finite(a.sum); err != nil {
 			return err
 		}
 	case "min":
-		if !a.valid || cmpKeys(v, a.minV) < 0 {
+		if !a.valid || keyOrder(a.cmp(v, a.minV), v, a.minV) < 0 {
 			a.minV = v
 		}
 	case "max":
-		if !a.valid || cmpKeys(v, a.maxV) > 0 {
+		if !a.valid || keyOrder(a.cmp(v, a.maxV), v, a.maxV) > 0 {
 			a.maxV = v
 		}
 	}
@@ -133,7 +141,7 @@ func (a *accumulator) result() any {
 }
 
 // appendGroupKey appends the encoding of one grouping value to a group's
-// map key so that two rows share a key exactly when cmpKeys calls all
+// map key so that two rows share a key exactly when keyOrder calls all
 // their grouping values equal: strings are length-prefixed (a separator
 // could occur inside one), and the two zeros of a real share one
 // spelling.
@@ -144,7 +152,7 @@ func appendGroupKey(key []byte, v any) []byte {
 		key = append(key, ':')
 		return append(key, x...)
 	case float64:
-		if x == 0 { // both zeros: -0 takes the spelling of +0, as cmpKeys orders them equal
+		if x == 0 { // both zeros: -0 takes the spelling of +0, as keyOrder orders them equal
 			x = 0
 		}
 		key = strconv.AppendFloat(key, x, 'g', -1, 64)
@@ -156,12 +164,12 @@ func appendGroupKey(key []byte, v any) []byte {
 
 // forEachGroup is the grouping branch of the executor. It folds every
 // row forEachRow yields into its group, the rows whose GROUP BY columns
-// cmpKeys calls equal, and then runs fn once per group in the order the
+// keyOrder calls equal, and then runs fn once per group in the order the
 // groups were first seen. During fn the group's opening row is q.tuples
 // and q.rows, so group columns and guards read it, and q.aggs holds the
 // group's accumulators. Without GROUP BY there is one group, also over
 // no rows.
-func (q *queryEnv) forEachGroup(stmt *selectStmt, by []slot, fn func() error) error {
+func (q *queryEnv) forEachGroup(where node, by []slot, fn func() error) error {
 	type group struct {
 		tuples []Tuple
 		rows   []int
@@ -170,7 +178,7 @@ func (q *queryEnv) forEachGroup(stmt *selectStmt, by []slot, fn func() error) er
 	var groups []group
 	index := map[string]int{}
 	var key []byte
-	err := q.forEachRow(stmt, func() error {
+	err := q.forEachRow(where, func() error {
 		key = key[:0]
 		for _, s := range by {
 			key = appendGroupKey(key, q.tuples[s.from][s.col])
@@ -205,32 +213,40 @@ func (q *queryEnv) forEachGroup(stmt *selectStmt, by []slot, fn func() error) er
 
 // checkGrouped fails on a column of e that lies outside every aggregate
 // and is none of the GROUP BY columns by.
-func checkGrouped(e expr, by []slot) error {
+func checkGrouped(e node, by []slot) error {
 	switch ex := e.(type) {
-	case slot:
+	case *slot:
 		for _, g := range by {
 			if g.from == ex.from && g.col == ex.col {
 				return nil
 			}
 		}
 		return fmt.Errorf("%w: column %q must appear in GROUP BY or inside an aggregate", ErrType, ex.colRef)
-	case negop:
+	case *neg[float64]:
 		return checkGrouped(ex.e, by)
-	case notop:
+	case *neg[int64]:
 		return checkGrouped(ex.e, by)
-	case binop:
-		if err := checkGrouped(ex.l, by); err != nil {
-			return err
-		}
-		return checkGrouped(ex.r, by)
-	case apply:
-		for _, a := range ex.args {
-			if err := checkGrouped(a, by); err != nil {
-				return err
-			}
-		}
+	case *not:
+		return checkGrouped(ex.e, by)
+	case *connective:
+		return checkGroupedAll(by, ex.l, ex.r)
+	case *arith:
+		return checkGroupedAll(by, ex.l, ex.r)
+	case *comparison:
+		return checkGroupedAll(by, ex.l, ex.r)
+	case *apply:
+		return checkGroupedAll(by, ex.args...)
 	case *guard:
-		return checkGrouped(ex.expr, by)
+		return checkGrouped(ex.inner, by)
 	}
 	return nil // a literal or an aggregate
+}
+
+func checkGroupedAll(by []slot, es ...node) error {
+	for _, e := range es {
+		if err := checkGrouped(e, by); err != nil {
+			return err
+		}
+	}
+	return nil
 }

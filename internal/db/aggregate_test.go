@@ -1,6 +1,7 @@
 package db
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -17,8 +18,8 @@ import (
 // BY columns (plain or qualified), count / sum / avg / min / max items,
 // some inside arithmetic, a WHERE predicate, ORDER BY keys that name an
 // alias, a group column or an aggregate, and LIMIT. The fold reads the
-// tuples directly and groups by pairwise cmpKeys equality; it shares no
-// code with appendGroupKey or the executor. Insert admits no ⊥ in a
+// tuples directly and groups by pairwise naiveOrder equality; it shares
+// no code with the executor's key encoders, comparators or sort. Insert admits no ⊥ in a
 // scalar column, so every aggregate's input is defined.
 func FuzzAggregateMatchesNaive(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 42, 1000} {
@@ -242,7 +243,7 @@ func (it aggItem) value(first Tuple, rows []Tuple) (v any, undefined bool) {
 	default:
 		v = rows[0][it.col]
 		for _, t := range rows[1:] {
-			c := cmpKeys(t[it.col], v)
+			c := naiveOrder(t[it.col], v)
 			if it.fn == "min" && c < 0 || it.fn == "max" && c > 0 {
 				v = t[it.col]
 			}
@@ -270,7 +271,7 @@ func (q aggQuery) naive(r *Relation) (rows []Tuple, wantErr bool) {
 		for _, h := range groups {
 			same := true
 			for _, c := range q.groupBy {
-				same = same && cmpKeys(h.first[c], t[c]) == 0
+				same = same && naiveOrder(h.first[c], t[c]) == 0
 			}
 			if same {
 				g = h
@@ -317,7 +318,7 @@ func (q aggQuery) naive(r *Relation) (rows []Tuple, wantErr bool) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, key := range q.keys {
-			if c := cmpKeys(keys[idx[a]][k], keys[idx[b]][k]); c != 0 {
+			if c := naiveOrder(keys[idx[a]][k], keys[idx[b]][k]); c != 0 {
 				return c < 0 != key.desc
 			}
 		}
@@ -331,6 +332,32 @@ func (q aggQuery) naive(r *Relation) (rows []Tuple, wantErr bool) {
 		sorted = sorted[:q.limit]
 	}
 	return sorted, false
+}
+
+// naiveOrder is the order the executor must give keys of one scalar
+// type: false before true, a NaN after every other real, the two zeros
+// equal. (Insert admits no ⊥, and the fuzz draws no NaN.)
+func naiveOrder(a, b any) int {
+	switch x := a.(type) {
+	case float64:
+		y := b.(float64)
+		if nx, ny := math.IsNaN(x), math.IsNaN(y); nx || ny {
+			return cmp.Compare(b2i(nx), b2i(ny))
+		}
+		return cmp.Compare(x, y)
+	case int64:
+		return cmp.Compare(x, b.(int64))
+	case string:
+		return strings.Compare(x, b.(string))
+	}
+	return cmp.Compare(b2i(a.(bool)), b2i(b.(bool)))
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // sameRows compares two results value by value; reals by their bits, so

@@ -10,24 +10,26 @@ import (
 
 // TestAllocBudgets: a join on a filtered predicate allocates nothing for
 // the pairs the filter excludes, and the fused walks allocate nothing
-// for the pairs they decide either. So both benchmarks are the output
-// rows and the boxing of the other conjunct's values; only a within pair
-// the walk leaves undecided would run the distance chain and allocate
-// what carries its operator results between calls, and the benchmark's
-// 190 pairs have none. Neither pays per-row typing, overload search or
-// argument slices, which the query binds once. The relations' summaries
-// are built by the first query and are not in the per-query figure.
-// The template rows hold the same on the analytics workload's catalog
-// and the served path (with a registry): 3 200, 19 900 and 200 guarded
-// pairs, so one allocation more per pair is far over. (Not run under
-// debugcheck, whose guards evaluate the composed expression for every
-// pair as well.)
+// for the pairs they decide either. The other conjuncts allocate
+// nothing per row: a literal is boxed once, by the parser, and a
+// comparison reads its operands' values where they are. So both
+// benchmarks are the parse, the bound plan and the output rows; only a
+// within pair the walk leaves undecided would run the distance chain
+// and allocate what carries its operator results between calls, and the
+// benchmark's 190 pairs have none. Neither pays per-row typing, overload
+// search or argument slices, which the query binds once. The relations'
+// summaries are built by the first query and are not in the per-query
+// figure. The template rows hold the same on the analytics workload's
+// catalog and the served path (with a registry): 3 200, 19 900 and 200
+// guarded pairs, so one allocation more per pair is far over. (Not run
+// under debugcheck, whose guards evaluate the composed expression for
+// every pair as well.)
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
-		allocbudget.Budget{Name: "BenchmarkJoinInside", Bench: BenchmarkJoinInside, MaxAllocs: 135, MaxBytes: 10000},
+		allocbudget.Budget{Name: "BenchmarkJoinInside", Bench: BenchmarkJoinInside, MaxAllocs: 105, MaxBytes: 9700},
 		allocbudget.Budget{Name: "BenchmarkJoinDistance", Bench: BenchmarkJoinDistance, MaxAllocs: 100, MaxBytes: 11600},
-		allocbudget.Budget{Name: "BenchmarkTemplateA", Bench: BenchmarkTemplateA, MaxAllocs: 1077, MaxBytes: 76300},
-		allocbudget.Budget{Name: "BenchmarkTemplateB", Bench: BenchmarkTemplateB, MaxAllocs: 703, MaxBytes: 76100},
-		allocbudget.Budget{Name: "BenchmarkTemplateD", Bench: BenchmarkTemplateD, MaxAllocs: 3320, MaxBytes: 76000},
+		allocbudget.Budget{Name: "BenchmarkTemplateA", Bench: BenchmarkTemplateA, MaxAllocs: 578, MaxBytes: 66600},
+		allocbudget.Budget{Name: "BenchmarkTemplateB", Bench: BenchmarkTemplateB, MaxAllocs: 701, MaxBytes: 76100},
+		allocbudget.Budget{Name: "BenchmarkTemplateD", Bench: BenchmarkTemplateD, MaxAllocs: 119, MaxBytes: 12400},
 	)
 }

@@ -7,17 +7,24 @@ type expr interface {
 	fmt.Stringer
 }
 
-type numLit struct{ v float64 }
+// literal is a constant of the query text: a number (TReal), a string
+// (TString) or TRUE / FALSE (TBool). The parser boxes its value once;
+// bind keeps the node as it is, so evaluating it returns that box and
+// allocates nothing per row.
+type literal struct {
+	v any
+	t AttrType
+}
 
-func (e numLit) String() string { return fmt.Sprintf("%g", e.v) }
-
-type strLit struct{ v string }
-
-func (e strLit) String() string { return fmt.Sprintf("%q", e.v) }
-
-type boolLit struct{ v bool }
-
-func (e boolLit) String() string { return fmt.Sprintf("%v", e.v) }
+func (e literal) String() string {
+	switch v := e.v.(type) {
+	case float64:
+		return fmt.Sprintf("%g", v)
+	case string:
+		return fmt.Sprintf("%q", v)
+	}
+	return fmt.Sprintf("%v", e.v)
+}
 
 // colRef is a column reference, optionally qualified by a relation
 // alias: "flight" or "p.flight".
@@ -33,13 +40,6 @@ func (e colRef) String() string {
 	return e.qualifier + "." + e.name
 }
 
-// slot is a column reference bound to a query: the FROM item and the
-// column position it resolved to.
-type slot struct {
-	colRef
-	from, col int
-}
-
 // call is an operation application, e.g. length(trajectory(flight)).
 // fn is the operation's name in the function table (lower case), text
 // the name as the query spelled it, which derived column names keep.
@@ -47,16 +47,6 @@ type call struct {
 	fn   string
 	text string
 	args []expr
-}
-
-// apply is a call bound to a query: the overload its argument types
-// selected, and the argument vector every row's evaluation fills (a
-// query is evaluated by one goroutine, and nested calls are distinct
-// nodes, so one vector per node suffices).
-type apply struct {
-	call
-	ov   overload
-	argv []any
 }
 
 func (e call) String() string {

@@ -1,14 +1,11 @@
 package db
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"movingdb/internal/base"
@@ -264,33 +261,34 @@ func (q *queryEnv) resolve(c colRef) (int, int, error) {
 
 // bind statically types an expression and binds it to the query: every
 // column reference becomes a slot, every call an apply carrying the
-// overload its argument types select. It runs once per expression per
-// query; eval then runs per row on the bound tree without resolving
-// names, typing arguments or searching overloads again. A node of one of
-// the filtered predicate shapes is bound as a guard (filter.go).
-func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
+// overload its argument types select, every operator the node that
+// evaluates it with what its operand types decide (bound.go). It runs
+// once per expression per query; per row the bound nodes evaluate
+// without resolving names, typing values or searching overloads again.
+// A node of one of the filtered predicate shapes is bound as a guard
+// (filter.go).
+func (q *queryEnv) bind(e expr) (node, AttrType, error) {
 	switch ex := e.(type) {
-	case numLit:
-		return ex, TReal, nil
-	case strLit:
-		return ex, TString, nil
-	case boolLit:
-		return ex, TBool, nil
+	case literal:
+		return e.(node), ex.t, nil // the parser's box, not a copy
 	case colRef:
 		bi, ci, err := q.resolve(ex)
 		if err != nil {
 			return nil, 0, err
 		}
-		return slot{colRef: ex, from: bi, col: ci}, q.binds[bi].rel.Schema[ci].Type, nil
+		return &slot{colRef: ex, from: bi, col: ci}, q.binds[bi].rel.Schema[ci].Type, nil
 	case negop:
 		inner, t, err := q.bind(ex.e)
 		if err != nil {
 			return nil, 0, err
 		}
-		if t != TReal && t != TInt {
-			return nil, 0, fmt.Errorf("%w: cannot negate %s", ErrType, t)
+		switch t {
+		case TReal:
+			return &neg[float64]{e: inner}, t, nil
+		case TInt:
+			return &neg[int64]{e: inner}, t, nil
 		}
-		return negop{e: inner}, t, nil
+		return nil, 0, fmt.Errorf("%w: cannot negate %s", ErrType, t)
 	case notop:
 		inner, t, err := q.bind(ex.e)
 		if err != nil {
@@ -299,7 +297,7 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 		if t != TBool {
 			return nil, 0, fmt.Errorf("%w: NOT needs bool, got %s", ErrType, t)
 		}
-		return notop{e: inner}, TBool, nil
+		return &not{e: inner}, TBool, nil
 	case binop:
 		l, lt, err := q.bind(ex.l)
 		if err != nil {
@@ -309,27 +307,30 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		bound := binop{op: ex.op, l: l, r: r}
 		switch ex.op {
 		case "AND", "OR":
 			if lt != TBool || rt != TBool {
 				return nil, 0, fmt.Errorf("%w: %s needs bools", ErrType, ex.op)
 			}
-			return bound, TBool, nil
+			return &connective{op: ex.op, decides: ex.op == "OR", l: l, r: r}, TBool, nil
 		case "+", "-", "*", "/":
 			if lt != TReal || rt != TReal {
 				return nil, 0, fmt.Errorf("%w: arithmetic needs reals, got %s and %s", ErrType, lt, rt)
 			}
-			return bound, TReal, nil
-		default: // comparisons
-			if lt != rt {
-				return nil, 0, fmt.Errorf("%w: comparing %s with %s", ErrType, lt, rt)
-			}
-			if !scalar(lt) {
-				return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
-			}
-			return q.guarded(bound), TBool, nil
+			return &arith{op: ex.op[0], l: l, r: r}, TReal, nil
 		}
+		if lt != rt {
+			return nil, 0, fmt.Errorf("%w: comparing %s with %s", ErrType, lt, rt)
+		}
+		cmp := comparatorOf(lt)
+		if cmp == nil {
+			return nil, 0, fmt.Errorf("%w: cannot compare values of type %s", ErrType, lt)
+		}
+		holds, ok := holdsFor[ex.op]
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: bad comparison %q", ErrSyntax, ex.op)
+		}
+		return q.guarded(&comparison{op: ex.op, holds: holds, cmp: cmp, l: l, r: r}), TBool, nil
 	case call:
 		// Where aggregates are admitted, a one-argument count, sum, avg,
 		// min or max is an aggregate when aggregateType takes its
@@ -340,10 +341,10 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 			q.aggOK = false
 			defer func() { q.aggOK = true }()
 			if _, star := ex.args[0].(starArg); star && ex.fn == "count" {
-				return q.aggregate(ex, nil, TInt)
+				return q.aggregate(ex, nil, TInt, TInt)
 			}
 		}
-		args := make([]expr, len(ex.args))
+		args := make([]node, len(ex.args))
 		argTypes := make([]AttrType, len(ex.args))
 		for i, a := range ex.args {
 			if _, star := a.(starArg); star {
@@ -356,15 +357,14 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 		}
 		if agg {
 			if t, ok := aggregateType(ex.fn, argTypes[0]); ok {
-				return q.aggregate(ex, args[0], t)
+				return q.aggregate(ex, args[0], argTypes[0], t)
 			}
 		}
 		ov, err := lookupOverload(ex, argTypes)
 		if err != nil {
 			return nil, 0, err
 		}
-		ex.args = args // ex is this case's copy of the node
-		return q.guarded(apply{call: ex, ov: ov, argv: make([]any, len(args))}), ov.ret, nil
+		return q.guarded(&apply{fn: ex.fn, text: ex.text, args: args, ov: ov, argv: make([]any, len(args))}), ov.ret, nil
 	case starArg:
 		return nil, 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
 	}
@@ -372,10 +372,10 @@ func (q *queryEnv) bind(e expr) (expr, AttrType, error) {
 }
 
 // aggregate binds the aggregate call c over the bound argument inner
-// (nil for count(*)), whose result has type t.
-func (q *queryEnv) aggregate(c call, inner expr, t AttrType) (expr, AttrType, error) {
-	q.aggs = append(q.aggs, accumulator{fn: c.fn, inner: inner})
-	return aggregate{call: c, acc: len(q.aggs) - 1}, t, nil
+// (nil for count(*)) of type argType, whose result has type t.
+func (q *queryEnv) aggregate(c call, inner node, argType, t AttrType) (node, AttrType, error) {
+	q.aggs = append(q.aggs, accumulator{fn: c.fn, inner: inner, cmp: comparatorOf(argType)})
+	return &aggregate{call: c, acc: len(q.aggs) - 1}, t, nil
 }
 
 // lookupOverload finds the overload of the called operation that takes
@@ -391,174 +391,6 @@ func lookupOverload(c call, args []AttrType) (overload, error) {
 		}
 	}
 	return overload{}, fmt.Errorf("%w: no overload of %q for %v", ErrType, c.text, args)
-}
-
-// eval evaluates a bound expression against the current tuples.
-func (q *queryEnv) eval(e expr) (any, error) {
-	switch ex := e.(type) {
-	case numLit:
-		return ex.v, nil
-	case strLit:
-		return ex.v, nil
-	case boolLit:
-		return ex.v, nil
-	case slot:
-		return q.tuples[ex.from][ex.col], nil
-	case negop:
-		v, err := q.eval(ex.e)
-		if err != nil {
-			return nil, err
-		}
-		switch n := v.(type) {
-		case float64:
-			return -n, nil
-		case int64:
-			return -n, nil
-		case Undef:
-			return n, nil
-		}
-		return nil, fmt.Errorf("%w: cannot negate %T", ErrType, v)
-	case notop:
-		v, err := q.eval(ex.e)
-		if err != nil {
-			return nil, err
-		}
-		if _, isU := v.(Undef); isU {
-			return Undef{}, nil
-		}
-		return !v.(bool), nil
-	case binop:
-		l, err := q.eval(ex.l)
-		if err != nil {
-			return nil, err
-		}
-		// Short circuit the connectives; ⊥ behaves like false for AND
-		// and is absorbed by a true OR branch.
-		if ex.op == "AND" {
-			if b, isB := l.(bool); isB && !b {
-				return false, nil
-			}
-			r, err := q.eval(ex.r)
-			if err != nil {
-				return nil, err
-			}
-			if isUndef(l) || isUndef(r) {
-				return Undef{}, nil
-			}
-			return l.(bool) && r.(bool), nil
-		}
-		if ex.op == "OR" {
-			if b, isB := l.(bool); isB && b {
-				return true, nil
-			}
-			r, err := q.eval(ex.r)
-			if err != nil {
-				return nil, err
-			}
-			if isUndef(l) || isUndef(r) {
-				return Undef{}, nil
-			}
-			return l.(bool) || r.(bool), nil
-		}
-		r, err := q.eval(ex.r)
-		if err != nil {
-			return nil, err
-		}
-		if isUndef(l) || isUndef(r) {
-			if ex.op == "+" || ex.op == "-" || ex.op == "*" || ex.op == "/" {
-				return Undef{}, nil
-			}
-			return false, nil // comparisons with ⊥ are false
-		}
-		switch ex.op {
-		case "+", "-", "*", "/":
-			lf, rf := l.(float64), r.(float64)
-			var v float64
-			switch ex.op {
-			case "+":
-				v = lf + rf
-			case "-":
-				v = lf - rf
-			case "*":
-				v = lf * rf
-			default:
-				if rf == 0 {
-					return nil, fmt.Errorf("%w: division by zero", ErrType)
-				}
-				v = lf / rf
-			}
-			return checkFinite(v)
-		}
-		return compare(ex.op, l, r)
-	case apply:
-		for i, a := range ex.args {
-			v, err := q.eval(a)
-			if err != nil {
-				return nil, err
-			}
-			if _, isU := v.(Undef); isU {
-				return Undef{}, nil
-			}
-			ex.argv[i] = v
-		}
-		start := q.clock()
-		v, err := ex.ov.fn(q.ctx, ex.argv)
-		q.recordOp(ex.fn, start)
-		return v, err
-	case *guard:
-		return q.evalGuard(ex)
-	case aggregate:
-		v := q.aggs[ex.acc].result()
-		if isUndef(v) {
-			return nil, fmt.Errorf("%w: aggregate %s over no defined values", ErrType, ex.fn)
-		}
-		return v, nil
-	}
-	return nil, fmt.Errorf("%w: unbound expression %v", ErrType, e)
-}
-
-// checkFinite passes on a finite arithmetic result and turns ±Inf and
-// NaN into an error, so that no non-finite number leaves the evaluator's
-// arithmetic: JSON cannot carry one, and the comparisons would read NaN
-// as equal to every number.
-func checkFinite(v float64) (any, error) {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil, fmt.Errorf("%w: arithmetic overflow", ErrType)
-	}
-	return v, nil
-}
-
-func isUndef(v any) bool {
-	_, ok := v.(Undef)
-	return ok
-}
-
-// compare applies a comparison operator to two defined values of one
-// scalar type. A NaN is unequal to everything: every comparison with it
-// is false but <>.
-func compare(op string, l, r any) (any, error) {
-	c, ok := cmpScalars(l, r)
-	if !ok {
-		return nil, fmt.Errorf("%w: cannot compare %T", ErrType, l)
-	}
-	if c == unordered {
-		return op == "<>", nil
-	}
-	switch op {
-	case "<":
-		return c < 0, nil
-	case "<=":
-		return c <= 0, nil
-	case ">":
-		return c > 0, nil
-	case ">=":
-		return c >= 0, nil
-	case "=":
-		return c == 0, nil
-	case "<>":
-		return c != 0, nil
-	}
-	return nil, fmt.Errorf("%w: bad comparison %q", ErrSyntax, op)
 }
 
 // Query parses and executes a SELECT statement against the catalog and
@@ -583,7 +415,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	env := &queryEnv{ctx: ctx, rec: obs.FromContext(ctx)}
+	env := &queryEnv{ctx: ctx, rec: obs.FromContext(ctx), binds: make([]binding, 0, len(stmt.from))}
 	defer env.flushFilterCounts()
 	for _, f := range stmt.from {
 		rel, ok := cat[f.rel]
@@ -610,7 +442,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	// Aggregates are admitted in the SELECT list and ORDER BY only.
 	env.aggOK = true
 	schema := make(Schema, 0, len(items))
-	project := make([]expr, len(items))
+	project := make([]node, len(items))
 	for k, it := range items {
 		var t AttrType
 		var err error
@@ -623,7 +455,8 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		schema = append(schema, Column{Name: columnName(schema, it), Type: t})
 	}
 	env.aggOK = false
-	if err := env.bindWhere(stmt); err != nil {
+	where, err := env.bindWhere(stmt.where)
+	if err != nil {
 		return nil, err
 	}
 	groupBy := make([]slot, len(stmt.groupBy))
@@ -635,7 +468,7 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		if !scalar(t) {
 			return nil, fmt.Errorf("%w: GROUP BY needs a scalar column, got %s", ErrType, t)
 		}
-		groupBy[k] = e.(slot)
+		groupBy[k] = *e.(*slot)
 	}
 	// An ORDER BY key that names an output alias sorts on the projected
 	// column (the later of two items with that alias): the row already
@@ -647,21 +480,22 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 		}
 	}
 	env.aggOK = true
-	keyCol := make([]int, len(stmt.orderBy)) // the projected column a key reads, or -1
+	keys := make([]sortKey, len(stmt.orderBy))
 	for k, ob := range stmt.orderBy {
-		keyCol[k] = -1
+		key := &keys[k]
+		key.col, key.desc = -1, ob.desc
 		if ref, isCol := ob.e.(colRef); isCol && ref.qualifier == "" {
 			if c, ok := aliasCol[ref.name]; ok {
-				keyCol[k] = c
+				key.col = c
 			}
 		}
 		var t AttrType
-		if c := keyCol[k]; c >= 0 {
-			t = schema[c].Type
-		} else if stmt.orderBy[k].e, t, err = env.bind(ob.e); err != nil {
+		if key.col >= 0 {
+			t = schema[key.col].Type
+		} else if key.e, t, err = env.bind(ob.e); err != nil {
 			return nil, err
 		}
-		if !scalar(t) {
+		if key.cmp = comparatorOf(t); key.cmp == nil {
 			return nil, fmt.Errorf("%w: ORDER BY needs an orderable type, got %s", ErrType, t)
 		}
 	}
@@ -675,8 +509,11 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 				return nil, err
 			}
 		}
-		for _, ob := range stmt.orderBy {
-			if err := checkGrouped(ob.e, groupBy); err != nil {
+		for _, key := range keys {
+			if key.e == nil {
+				continue
+			}
+			if err := checkGrouped(key.e, groupBy); err != nil {
 				return nil, err
 			}
 		}
@@ -686,39 +523,39 @@ func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, erro
 	emit := func() error {
 		row := make(Tuple, len(project))
 		for k, e := range project {
-			v, err := env.eval(e)
+			v, err := e.eval(env)
 			if err != nil {
 				return err
 			}
 			row[k] = v
 		}
-		if len(stmt.orderBy) > 0 {
-			keys := make([]any, len(stmt.orderBy))
-			for k, ob := range stmt.orderBy {
-				if keyCol[k] >= 0 {
-					keys[k] = row[keyCol[k]]
+		if len(keys) > 0 {
+			vals := make([]any, len(keys))
+			for k, key := range keys {
+				if key.col >= 0 {
+					vals[k] = row[key.col]
 					continue
 				}
-				v, err := env.eval(ob.e)
+				v, err := key.e.eval(env)
 				if err != nil {
 					return err
 				}
-				keys[k] = v
+				vals[k] = v
 			}
-			sortKeys = append(sortKeys, keys)
+			sortKeys = append(sortKeys, vals)
 		}
 		return out.Insert(row)
 	}
 	if grouped {
-		err = env.forEachGroup(stmt, groupBy, emit)
+		err = env.forEachGroup(where, groupBy, emit)
 	} else {
-		err = env.forEachRow(stmt, emit)
+		err = env.forEachRow(where, emit)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(stmt.orderBy) > 0 {
-		sortRelation(out, sortKeys, stmt.orderBy)
+	if len(keys) > 0 {
+		sortRelation(out, sortKeys, keys)
 	}
 	if stmt.limit >= 0 && stmt.limit < len(out.tuples) {
 		out.tuples = out.tuples[:stmt.limit]
@@ -740,72 +577,96 @@ func columnName(schema Schema, it selectItem) string {
 	return name
 }
 
-// bindWhere binds the statement's WHERE clause in place and checks that
-// it is a predicate.
-func (q *queryEnv) bindWhere(stmt *selectStmt) error {
-	if stmt.where == nil {
-		return nil
+// bindWhere binds a statement's WHERE clause, nil when it has none, and
+// checks that it is a predicate.
+func (q *queryEnv) bindWhere(where expr) (node, error) {
+	if where == nil {
+		return nil, nil
 	}
-	where, t, err := q.bind(stmt.where)
+	bound, t, err := q.bind(where)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if t != TBool {
-		return fmt.Errorf("%w: WHERE must be bool, got %s", ErrType, t)
+		return nil, fmt.Errorf("%w: WHERE must be bool, got %s", ErrType, t)
 	}
-	stmt.where = where
-	return nil
+	return bound, nil
 }
 
 // forEachRow is the executor's one row loop: it runs fn on every row of
-// the cross product of the FROM relations, in nested-loop order, that
-// the bound WHERE clause keeps, checking for cancellation as it goes.
-// During fn the row is q.tuples and q.rows.
-func (q *queryEnv) forEachRow(stmt *selectStmt, fn func() error) error {
+// the cross product of the FROM relations, in nested-loop order (the
+// last FROM item varies fastest), that the bound WHERE clause keeps,
+// checking for cancellation as it goes. During fn the row is q.tuples
+// and q.rows. A nil where keeps every row.
+func (q *queryEnv) forEachRow(where node, fn func() error) error {
 	q.tuples = make([]Tuple, len(q.binds))
 	q.rows = make([]int, len(q.binds))
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(q.binds) {
-			if err := q.checkCancel(); err != nil {
-				return err
-			}
-			if stmt.where != nil {
-				keep, err := q.eval(stmt.where)
-				if err != nil {
-					return err
-				}
-				if b, isB := keep.(bool); !isB || !b {
-					return nil // ⊥ filters the row, like SQL NULL
-				}
-			}
-			return fn()
+	for i, b := range q.binds {
+		if b.rel.Len() == 0 {
+			return nil
 		}
-		for k, t := range q.binds[i].rel.Scan() {
-			q.tuples[i], q.rows[i] = t, k
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		return nil
+		q.tuples[i] = b.rel.Scan()[0]
 	}
-	return rec(0)
+	for {
+		if err := q.checkCancel(); err != nil {
+			return err
+		}
+		keep := true
+		if where != nil {
+			v, err := where.eval(q)
+			if err != nil {
+				return err
+			}
+			keep, _ = v.(bool) // ⊥ filters the row, like SQL NULL
+		}
+		if keep {
+			if err := fn(); err != nil {
+				return err
+			}
+		}
+		// The next row: advance the last FROM item, carrying into the
+		// ones before it; past the first one's last tuple, done.
+		i := len(q.binds) - 1
+		for ; i >= 0; i-- {
+			tuples := q.binds[i].rel.Scan()
+			if q.rows[i]++; q.rows[i] < len(tuples) {
+				q.tuples[i] = tuples[q.rows[i]]
+				break
+			}
+			q.tuples[i], q.rows[i] = tuples[0], 0
+		}
+		if i < 0 {
+			return nil
+		}
+	}
+}
+
+// sortKey is an ORDER BY key bound to a query: the projected column it
+// reads (col >= 0) or else its bound expression, the comparator of its
+// type and its direction.
+type sortKey struct {
+	col  int
+	e    node
+	cmp  comparator
+	desc bool
 }
 
 // sortRelation stably sorts the result rows by the evaluated ORDER BY
-// keys; ⊥ keys sort last.
-func sortRelation(out *Relation, keys [][]any, order []orderItem) {
+// keys, vals[i] for row i; NaN keys sort after every other real and ⊥
+// keys last (keyOrder).
+func sortRelation(out *Relation, vals [][]any, keys []sortKey) {
 	idx := make([]int, len(out.tuples))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		for k, ob := range order {
-			c := cmpKeys(keys[idx[a]][k], keys[idx[b]][k])
+		va, vb := vals[idx[a]], vals[idx[b]]
+		for k, key := range keys {
+			c := keyOrder(key.cmp(va[k], vb[k]), va[k], vb[k])
 			if c == 0 {
 				continue
 			}
-			if ob.desc {
+			if key.desc {
 				return c > 0
 			}
 			return c < 0
@@ -817,77 +678,4 @@ func sortRelation(out *Relation, keys [][]any, order []orderItem) {
 		tuples[i] = out.tuples[j]
 	}
 	out.tuples = tuples
-}
-
-// cmpKeys orders two sort or aggregate keys: scalars by cmpScalars, a
-// NaN after every other real and ⊥ after every defined value; two NaNs,
-// like two ⊥, are equal. It is a total order, which sorting needs.
-func cmpKeys(a, b any) int {
-	if ra, rb := keyRank(a), keyRank(b); ra != 0 || rb != 0 {
-		return cmp.Compare(ra, rb)
-	}
-	c, _ := cmpScalars(a, b)
-	return c
-}
-
-// keyRank places the keys cmpScalars leaves unordered: 1 for a NaN, 2
-// for ⊥, 0 for everything else.
-func keyRank(v any) int {
-	switch x := v.(type) {
-	case Undef:
-		return 2
-	case float64:
-		if math.IsNaN(x) {
-			return 1
-		}
-	}
-	return 0
-}
-
-// scalar reports whether t is one of the types cmpScalars orders.
-func scalar(t AttrType) bool {
-	switch t {
-	case TReal, TInt, TString, TBool:
-		return true
-	}
-	return false
-}
-
-// cmpScalars is the one three-way comparison of two values of one
-// scalar type (false before true; a NaN is unordered against
-// everything); ok is false for a type with no order.
-func cmpScalars(a, b any) (c int, ok bool) {
-	switch av := a.(type) {
-	case float64:
-		return cmp3(av, b.(float64)), true
-	case int64:
-		return cmp3(av, b.(int64)), true
-	case string:
-		return strings.Compare(av, b.(string)), true
-	case bool:
-		bv := b.(bool)
-		switch {
-		case !av && bv:
-			return -1, true
-		case av && !bv:
-			return 1, true
-		}
-		return 0, true
-	}
-	return 0, false
-}
-
-// unordered is what cmp3 answers when a NaN takes part.
-const unordered = 2
-
-func cmp3[T float64 | int64](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	case a == b:
-		return 0
-	}
-	return unordered
 }

@@ -80,17 +80,21 @@ type filterCounts struct {
 // The moving package filters and refines each shape in one walk and the
 // guard yields its answer, which is what the kernels yield: for a pair
 // the boxes exclude, false — a comparison with ⊥ (no common lifetime), a
-// minimum above the literal. The embedded expression is the predicate
-// as bound; a within walk that cannot decide a pair evaluates it, and it
-// is kept for String() and for the debugcheck re-run.
+// minimum above the literal. inner is the predicate as bound; a within
+// walk that cannot decide a pair evaluates it, and it is kept for
+// String() and for the debugcheck re-run.
 type guard struct {
-	expr
+	inner   node
 	shape   filterShape
 	a, b    slot
 	c       float64 // shapeWithin: the distance literal
 	points  [2][]moving.PointBounds
 	regions []moving.RegionBounds // shapeInside: summaries of b's column
 }
+
+func (g *guard) String() string { return g.inner.String() }
+
+func (g *guard) eval(q *queryEnv) (any, error) { return q.evalGuard(g) }
 
 // answer runs the guard on the current row's pair. A pair the
 // candidate test refuses is answered false, NoObject, without a clock
@@ -125,7 +129,7 @@ func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	start := q.clock()
 	hit, v, decided := moving.ComesWithin(p, pb, p2, qb, g.c)
 	if !decided {
-		got, err := q.eval(g.expr)
+		got, err := g.inner.eval(q)
 		return got, v, err
 	}
 	if v == moving.MayHold {
@@ -146,12 +150,12 @@ func (q *queryEnv) evalGuard(g *guard) (any, error) {
 		n.skippedAt[v]++
 	}
 	if debugFilter {
-		got, err := q.eval(g.expr)
+		got, err := g.inner.eval(q)
 		if err != nil {
 			return nil, err // cancelled mid-kernel: nothing to compare
 		}
 		if got != hit {
-			panic(fmt.Sprintf("debugcheck: db guard answered %v (verdict %d) for %v on rows %v, but the kernels yield %v", hit, v, g.expr, q.rows, got))
+			panic(fmt.Sprintf("debugcheck: db guard answered %v (verdict %d) for %v on rows %v, but the kernels yield %v", hit, v, g.inner, q.rows, got))
 		}
 	}
 	return hit, nil
@@ -170,14 +174,14 @@ func (q *queryEnv) flushFilterCounts() {
 // applyOf returns e as the bound call of the named operation on the
 // given argument types — a match on the overload bind selected, not on
 // the query text.
-func applyOf(e expr, fn string, args ...AttrType) (apply, bool) {
-	ap, ok := e.(apply)
+func applyOf(e node, fn string, args ...AttrType) (*apply, bool) {
+	ap, ok := e.(*apply)
 	if !ok || ap.fn != fn || len(ap.ov.args) != len(args) {
-		return apply{}, false
+		return nil, false
 	}
 	for i, t := range args {
 		if ap.ov.args[i] != t {
-			return apply{}, false
+			return nil, false
 		}
 	}
 	return ap, true
@@ -185,25 +189,29 @@ func applyOf(e expr, fn string, args ...AttrType) (apply, bool) {
 
 // slotPair returns the two arguments of a bound binary call when both
 // are plain column slots.
-func slotPair(ap apply) (a, b slot, ok bool) {
-	a, okA := ap.args[0].(slot)
-	b, okB := ap.args[1].(slot)
-	return a, b, okA && okB
+func slotPair(ap *apply) (a, b slot, ok bool) {
+	sa, okA := ap.args[0].(*slot)
+	sb, okB := ap.args[1].(*slot)
+	if !okA || !okB {
+		return a, b, false
+	}
+	return *sa, *sb, true
 }
 
 // numConst returns the value of a numeric literal, plain or negated.
-func numConst(e expr) (float64, bool) {
+func numConst(e node) (float64, bool) {
 	sign := 1.0
-	if neg, isNeg := e.(negop); isNeg {
+	if neg, isNeg := e.(*neg[float64]); isNeg {
 		sign, e = -1, neg.e
 	}
-	lit, ok := e.(numLit)
-	return sign * lit.v, ok
+	lit, ok := e.(literal)
+	v, isNum := lit.v.(float64)
+	return sign * v, ok && isNum
 }
 
 // minDistance matches the two spellings of the closest approach of two
 // point columns: min(distance(a, b)) and val(initial(atmin(distance(a, b)))).
-func minDistance(e expr) (a, b slot, ok bool) {
+func minDistance(e node) (a, b slot, ok bool) {
 	inner, isMin := applyOf(e, "min", TMReal)
 	if !isMin {
 		val, isVal := applyOf(e, "val", TIReal)
@@ -230,9 +238,9 @@ func (q *queryEnv) boundsOf(s slot) *relBounds { return q.binds[s.from].rel.boun
 
 // guarded wraps a freshly bound node in a guard when it has one of the
 // filtered shapes, and returns it unchanged otherwise.
-func (q *queryEnv) guarded(e expr) expr {
+func (q *queryEnv) guarded(e node) node {
 	switch ex := e.(type) {
-	case apply:
+	case *apply:
 		if _, ok := applyOf(ex, "sometimes", TMBool); !ok {
 			return e
 		}
@@ -244,11 +252,11 @@ func (q *queryEnv) guarded(e expr) expr {
 		if !ok {
 			return e
 		}
-		g := &guard{expr: e, shape: shapeInside, a: a, b: b}
+		g := &guard{inner: e, shape: shapeInside, a: a, b: b}
 		g.points[0] = q.boundsOf(a).points[a.col]
 		g.regions = q.boundsOf(b).regions[b.col]
 		return g
-	case binop:
+	case *comparison:
 		// min < c, min <= c, and the mirrored c > min, c >= min.
 		dist, lit := ex.l, ex.r
 		switch ex.op {
@@ -266,7 +274,7 @@ func (q *queryEnv) guarded(e expr) expr {
 		if !ok {
 			return e
 		}
-		g := &guard{expr: e, shape: shapeWithin, a: a, b: b, c: c}
+		g := &guard{inner: e, shape: shapeWithin, a: a, b: b, c: c}
 		g.points[0] = q.boundsOf(a).points[a.col]
 		g.points[1] = q.boundsOf(b).points[b.col]
 		return g

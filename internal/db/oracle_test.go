@@ -1,0 +1,487 @@
+package db
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"movingdb/internal/geom"
+	"movingdb/internal/moving"
+	"movingdb/internal/temporal"
+)
+
+// FuzzQueryMatchesNaive holds the executor's scalar expressions to a
+// naive evaluator. Each input seeds two relations r and t of schema
+// (s string, x real, i int, b bool, m mpoint) — with "", strings that
+// contain NUL, both zeros, NaN, 1e308, the int64 extremes and empty
+// moving points among the values — and a run of random well-typed
+// statements over their cross product: a SELECT list and a WHERE clause
+// built from the six comparisons over columns of both relations and
+// literals of each type, nested AND / OR / NOT, negation and arithmetic
+// (division by zero and overflow included), with min(speed(m)) and
+// present(m, …) as the sources of ⊥. A few statements compare or add
+// values of mixed types, which bind refuses. The naive side walks the
+// nested loop itself and evaluates each generated node with its own
+// closure; it shares no code with the executor's evaluation or its
+// comparisons, and it calls the moving package directly for the two
+// operations. The expected answer is the rows, or ErrType for a type
+// error or a failed row, or ErrSchema when a selected value is ⊥.
+func FuzzQueryMatchesNaive(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3, 13, 37, 42, 1000} {
+		f.Add(seed, uint8(seed*5), uint8(seed*3))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, m uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		r, tt := oracleRelation(rng, "r", int(n%7)), oracleRelation(rng, "t", int(m%7))
+		cat := Catalog{"r": r, "t": tt}
+		for k := 0; k < 24; k++ {
+			q := genOracleQuery(rng)
+			sql := q.sql()
+			want, wantErr := q.naive(r.Scan(), tt.Scan())
+			got, err := Query(cat, sql)
+			if wantErr != nil {
+				if !errors.Is(err, wantErr) {
+					t.Fatalf("%s: err = %v, want %v\nover r %v\nand t %v", sql, err, wantErr, r.Scan(), tt.Scan())
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v\nover r %v\nand t %v", sql, err, r.Scan(), tt.Scan())
+			}
+			if !sameRows(got.Scan(), want) {
+				t.Fatalf("%s:\n got %v\nwant %v\nover r %v\nand t %v", sql, got.Scan(), want, r.Scan(), tt.Scan())
+			}
+		}
+	})
+}
+
+// The oracle's relations: column positions and the values they draw.
+const (
+	oS = iota
+	oX
+	oI
+	oB
+	oM
+)
+
+var (
+	oracleStrings = []string{"", "a", "a\x00", "\x00a", "b", "a\x00b", "zzz"}
+	oracleReals   = []float64{0, math.Copysign(0, -1), 1.5, -2, 3, 0.1, 0.2, math.NaN(), 1e308}
+	oracleInts    = []int64{-2, -1, 0, 1, 2, math.MinInt64, math.MaxInt64}
+	// oracleNums are the number literals; the lexer reads no sign, so a
+	// negative one is spelled as a negation.
+	oracleNums = []float64{0, 0.5, 1.5, 2, 3, 0.1, 1e308}
+)
+
+func oracleRelation(rng *rand.Rand, name string, n int) *Relation {
+	rel := NewRelation(name, Schema{
+		{Name: "s", Type: TString}, {Name: "x", Type: TReal}, {Name: "i", Type: TInt},
+		{Name: "b", Type: TBool}, {Name: "m", Type: TMPoint},
+	})
+	for k := 0; k < n; k++ {
+		x := oracleReals[rng.Intn(len(oracleReals))]
+		if rng.Intn(4) == 0 {
+			x = float64(rng.Intn(41)-20) / 4
+		}
+		var mp moving.MPoint // empty: min(speed(m)) is ⊥
+		if rng.Intn(3) > 0 {
+			t0 := float64(rng.Intn(4))
+			var err error
+			mp, err = moving.MPointFromSamples([]moving.Sample{
+				{T: temporal.Instant(t0), P: geom.Pt(0, 0)},
+				{T: temporal.Instant(t0 + 1 + float64(rng.Intn(3))), P: geom.Pt(float64(rng.Intn(5)), float64(rng.Intn(5)))},
+			})
+			if err != nil {
+				panic(err)
+			}
+		}
+		rel.MustInsert(Tuple{
+			oracleStrings[rng.Intn(len(oracleStrings))], x,
+			oracleInts[rng.Intn(len(oracleInts))], rng.Intn(2) == 0, mp,
+		})
+	}
+	return rel
+}
+
+// oracleUndef is the naive evaluator's ⊥.
+type oracleUndef struct{}
+
+// errOracle is a failed row on the naive side (division by zero, a
+// result outside the finite reals); the executor must answer ErrType.
+var errOracle = errors.New("oracle: failed row")
+
+// oExpr is one generated expression: its SQL text, its static type, its
+// naive value on a row of the cross product and whether bind must refuse
+// it.
+type oExpr struct {
+	sql  string
+	typ  AttrType
+	eval func(p, q Tuple) (any, error)
+	bad  bool
+}
+
+// oracleGen generates expressions; depth bounds the nesting.
+type oracleGen struct{ rng *rand.Rand }
+
+// scalar draws a random expression of type t.
+func (g oracleGen) scalar(t AttrType, depth int) oExpr {
+	switch t {
+	case TReal:
+		return g.real(depth)
+	case TInt:
+		return g.int(depth)
+	case TString:
+		return g.str()
+	}
+	return g.pred(depth)
+}
+
+// column reads column c of the relation aliased p or q.
+func (g oracleGen) column(c int, t AttrType) oExpr {
+	side := g.rng.Intn(2)
+	name := []string{"s", "x", "i", "b", "m"}[c]
+	return oExpr{
+		sql: []string{"p.", "q."}[side] + name, typ: t,
+		eval: func(p, q Tuple) (any, error) {
+			if side == 0 {
+				return p[c], nil
+			}
+			return q[c], nil
+		},
+	}
+}
+
+func oracleConst(sql string, t AttrType, v any) oExpr {
+	return oExpr{sql: sql, typ: t, eval: func(_, _ Tuple) (any, error) { return v, nil }}
+}
+
+func (g oracleGen) str() oExpr {
+	if g.rng.Intn(2) == 0 {
+		return g.column(oS, TString)
+	}
+	s := oracleStrings[g.rng.Intn(len(oracleStrings))]
+	return oracleConst("'"+s+"'", TString, s)
+}
+
+func (g oracleGen) int(depth int) oExpr {
+	if depth > 0 && g.rng.Intn(3) == 0 {
+		e := g.int(depth - 1)
+		return oExpr{sql: "(-" + e.sql + ")", typ: TInt, bad: e.bad, eval: func(p, q Tuple) (any, error) {
+			v, err := e.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			return -v.(int64), nil
+		}}
+	}
+	return g.column(oI, TInt)
+}
+
+func (g oracleGen) real(depth int) oExpr {
+	switch k := g.rng.Intn(8); {
+	case depth > 0 && k < 3:
+		l, r := g.real(depth-1), g.real(depth-1)
+		if g.rng.Intn(30) == 0 {
+			r = g.int(depth - 1) // arithmetic needs reals
+			r.bad = true
+		}
+		return oracleArith(l, "+-*/"[g.rng.Intn(4)], r)
+	case depth > 0 && k == 3:
+		e := g.real(depth - 1)
+		return oExpr{sql: "(-" + e.sql + ")", typ: TReal, bad: e.bad, eval: func(p, q Tuple) (any, error) {
+			v, err := e.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			if x, ok := v.(float64); ok {
+				return -x, nil
+			}
+			return v, nil
+		}}
+	case k == 4:
+		side := g.rng.Intn(2)
+		return oExpr{sql: "min(speed(" + []string{"p", "q"}[side] + ".m))", typ: TReal, eval: func(p, q Tuple) (any, error) {
+			row := p
+			if side == 1 {
+				row = q
+			}
+			v, _, ok := row[oM].(moving.MPoint).Speed().Min()
+			if !ok {
+				return oracleUndef{}, nil
+			}
+			return v, nil
+		}}
+	case k < 7:
+		return g.column(oX, TReal)
+	}
+	v := oracleNums[g.rng.Intn(len(oracleNums))]
+	return oracleConst(strconv.FormatFloat(v, 'g', -1, 64), TReal, v)
+}
+
+// oracleArith evaluates both operands, the left first; ⊥ in either is ⊥,
+// and a zero divisor or a result that is not a finite real fails.
+func oracleArith(l oExpr, op byte, r oExpr) oExpr {
+	return oExpr{
+		sql: "(" + l.sql + " " + string(op) + " " + r.sql + ")", typ: TReal, bad: l.bad || r.bad,
+		eval: func(p, q Tuple) (any, error) {
+			lv, err := l.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			x, okX := lv.(float64)
+			y, okY := rv.(float64)
+			if !okX || !okY {
+				return oracleUndef{}, nil
+			}
+			var v float64
+			switch op {
+			case '+':
+				v = x + y
+			case '-':
+				v = x - y
+			case '*':
+				v = x * y
+			default:
+				if y == 0 {
+					return nil, errOracle
+				}
+				v = x / y
+			}
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return nil, errOracle
+			}
+			return v, nil
+		},
+	}
+}
+
+var oracleOps = []string{"<", "<=", ">", ">=", "=", "<>"}
+
+// pred draws a random bool expression.
+func (g oracleGen) pred(depth int) oExpr {
+	k := g.rng.Intn(10)
+	if depth == 0 {
+		k = 7 + k%3
+	}
+	switch {
+	case k < 3:
+		t := []AttrType{TReal, TInt, TString, TBool}[g.rng.Intn(4)]
+		l, r := g.scalar(t, depth-1), g.scalar(t, depth-1)
+		if g.rng.Intn(30) == 0 {
+			r = g.scalar([]AttrType{TReal, TInt, TString, TBool}[g.rng.Intn(4)], depth-1)
+			r.bad = r.bad || r.typ != t
+		}
+		return oracleCompare(l, oracleOps[g.rng.Intn(len(oracleOps))], r)
+	case k < 5:
+		return oracleConnective(g.pred(depth-1), []string{"AND", "OR"}[g.rng.Intn(2)], g.pred(depth-1))
+	case k == 5:
+		e := g.pred(depth - 1)
+		return oExpr{sql: "(NOT " + e.sql + ")", typ: TBool, bad: e.bad, eval: func(p, q Tuple) (any, error) {
+			v, err := e.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := v.(bool); ok {
+				return !b, nil
+			}
+			return v, nil
+		}}
+	case k == 6:
+		side := g.rng.Intn(2)
+		at := g.real(depth - 1)
+		return oExpr{sql: "present(" + []string{"p", "q"}[side] + ".m, " + at.sql + ")", typ: TBool, bad: at.bad, eval: func(p, q Tuple) (any, error) {
+			v, err := at.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			x, ok := v.(float64)
+			if !ok {
+				return oracleUndef{}, nil
+			}
+			row := p
+			if side == 1 {
+				row = q
+			}
+			return row[oM].(moving.MPoint).Present(temporal.Instant(x)), nil
+		}}
+	case k < 9:
+		return g.column(oB, TBool)
+	}
+	if g.rng.Intn(2) == 0 {
+		return oracleConst("TRUE", TBool, true)
+	}
+	return oracleConst("FALSE", TBool, false)
+}
+
+// oracleCompare evaluates both operands, the left first. ⊥ on either side
+// makes it false; a NaN is unequal to everything; false sorts before
+// true.
+func oracleCompare(l oExpr, op string, r oExpr) oExpr {
+	return oExpr{
+		sql: "(" + l.sql + " " + op + " " + r.sql + ")", typ: TBool, bad: l.bad || r.bad,
+		eval: func(p, q Tuple) (any, error) {
+			lv, err := l.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			var less, equal bool
+			switch x := lv.(type) {
+			case oracleUndef:
+				return false, nil
+			case float64:
+				y, ok := rv.(float64)
+				if !ok {
+					return false, nil
+				}
+				if math.IsNaN(x) || math.IsNaN(y) {
+					return op == "<>", nil
+				}
+				less, equal = x < y, x == y
+			case int64:
+				y := rv.(int64)
+				less, equal = x < y, x == y
+			case string:
+				y := rv.(string)
+				less, equal = x < y, x == y
+			case bool:
+				y, ok := rv.(bool)
+				if !ok {
+					return false, nil
+				}
+				less, equal = !x && y, x == y
+			}
+			switch op {
+			case "<":
+				return less, nil
+			case "<=":
+				return less || equal, nil
+			case ">":
+				return !less && !equal, nil
+			case ">=":
+				return !less, nil
+			case "=":
+				return equal, nil
+			}
+			return !equal, nil
+		},
+	}
+}
+
+// oracleConnective short-circuits: a false left side of AND and a true left
+// side of OR decide without the right one. Otherwise ⊥ on either side
+// is ⊥.
+func oracleConnective(l oExpr, op string, r oExpr) oExpr {
+	and := op == "AND"
+	return oExpr{
+		sql: "(" + l.sql + " " + op + " " + r.sql + ")", typ: TBool, bad: l.bad || r.bad,
+		eval: func(p, q Tuple) (any, error) {
+			lv, err := l.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := lv.(bool); ok && b != and {
+				return b, nil
+			}
+			rv, err := r.eval(p, q)
+			if err != nil {
+				return nil, err
+			}
+			lb, okL := lv.(bool)
+			rb, okR := rv.(bool)
+			if !okL || !okR {
+				return oracleUndef{}, nil
+			}
+			if and {
+				return lb && rb, nil
+			}
+			return lb || rb, nil
+		},
+	}
+}
+
+// oracleQuery is SELECT items FROM r p, t q [WHERE where].
+type oracleQuery struct {
+	items []oExpr
+	where *oExpr
+}
+
+func genOracleQuery(rng *rand.Rand) oracleQuery {
+	g := oracleGen{rng}
+	var q oracleQuery
+	for k := 0; k < 1+rng.Intn(3); k++ {
+		q.items = append(q.items, g.scalar([]AttrType{TReal, TInt, TString, TBool}[rng.Intn(4)], rng.Intn(3)))
+	}
+	if rng.Intn(5) > 0 {
+		w := g.pred(1 + rng.Intn(3))
+		q.where = &w
+	}
+	return q
+}
+
+func (q oracleQuery) sql() string {
+	items := make([]string, len(q.items))
+	for k, it := range q.items {
+		items[k] = it.sql
+	}
+	s := "SELECT " + strings.Join(items, ", ") + " FROM r p, t q"
+	if q.where != nil {
+		s += " WHERE " + q.where.sql
+	}
+	return s
+}
+
+// naive answers q over the cross product of rs and ts in nested-loop
+// order: per row the WHERE clause, then the items left to right; the
+// first failure ends the statement. A selected ⊥ fails the row's insert,
+// after all its items were evaluated.
+func (q oracleQuery) naive(rs, ts []Tuple) (rows []Tuple, wantErr error) {
+	bad := q.where != nil && q.where.bad
+	for _, it := range q.items {
+		bad = bad || it.bad
+	}
+	if bad {
+		return nil, ErrType
+	}
+	for _, p := range rs {
+		for _, t := range ts {
+			if q.where != nil {
+				keep, err := q.where.eval(p, t)
+				if err != nil {
+					return nil, ErrType
+				}
+				if keep != true {
+					continue
+				}
+			}
+			row := make(Tuple, len(q.items))
+			for k, it := range q.items {
+				v, err := it.eval(p, t)
+				if err != nil {
+					return nil, ErrType
+				}
+				row[k] = v
+			}
+			for _, v := range row {
+				if v == (oracleUndef{}) {
+					return nil, ErrSchema
+				}
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
+
+// String renders the oracle's ⊥ in failure messages.
+func (oracleUndef) String() string { return "⊥" }

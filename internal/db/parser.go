@@ -266,13 +266,13 @@ func (p *parser) parseAtom() (expr, error) {
 	switch {
 	case t.kind == tokNumber:
 		p.advance()
-		return numLit{v: t.num}, nil
+		return literal{v: t.num, t: TReal}, nil
 	case t.kind == tokString:
 		p.advance()
-		return strLit{v: t.text}, nil
+		return literal{v: t.text, t: TString}, nil
 	case t.kind == tokKeyword && (t.text == "TRUE" || t.text == "FALSE"):
 		p.advance()
-		return boolLit{v: t.text == "TRUE"}, nil
+		return literal{v: t.text == "TRUE", t: TBool}, nil
 	case t.kind == tokLParen:
 		p.advance()
 		e, err := p.parseExpr()

@@ -8,6 +8,7 @@ import (
 	"movingdb/internal/geom"
 	"movingdb/internal/mapping"
 	"movingdb/internal/moving"
+	"movingdb/internal/obs"
 	"movingdb/internal/storage"
 	"movingdb/internal/temporal"
 	"movingdb/internal/units"
@@ -114,17 +115,23 @@ func TestOpenCubesMatchUnits(t *testing.T) {
 	})
 
 	t.Run("deferred-publish", func(t *testing.T) {
-		p := open(t, Config{FlushSize: 1 << 20, MaxAge: time.Hour})
+		// Armed before Open: the opening publish, which has nothing to
+		// publish, must not spend a trip, so the first three drains defer.
 		in := fault.New(1)
 		in.Set("epoch.publish", fault.Spec{Mode: fault.ModeError, Times: 3})
 		fault.Arm(in)
 		defer fault.Arm(nil)
+		m := obs.New(0)
+		p := open(t, Config{FlushSize: 1 << 20, MaxAge: time.Hour, Metrics: m})
 		stream := toObservations(workload.New(4).ObservationStream("d", 40, 30, 0, 1, 8))
 		for lo := 0; lo < len(stream); lo += 40 {
 			drain(t, p, stream[lo:lo+40])
 		}
 		if st := p.Stats(); st.Epoch != 1+31-3 {
 			t.Fatalf("epoch %d after the opening one and 31 drains, 3 of them deferred, want %d", st.Epoch, 1+31-3)
+		}
+		if n := m.Snapshot().Ingest.Causes["epoch_publish_deferred"]; n != 3 {
+			t.Fatalf("epoch_publish_deferred = %d, want 3", n)
 		}
 	})
 

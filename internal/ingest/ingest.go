@@ -349,6 +349,9 @@ func (p *Pipeline) drainAged() {
 // the same call, still on the drain path — it must only enqueue. Caller
 // holds p.mu.
 func (p *Pipeline) publishEpochLocked() {
+	if !p.store.changed() {
+		return // nothing to publish: no epoch, no timing, no fault trip spent
+	}
 	if err := fault.Hit("epoch.publish"); err != nil {
 		// Injected publish failure. The drained state stays applied and the
 		// store keeps accumulating the dirty set, so this defers publication

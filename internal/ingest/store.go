@@ -331,6 +331,11 @@ type DirtyObject struct {
 	Rect geom.Rect
 }
 
+// changed reports whether Apply changed anything since the last publish:
+// a dirty slot or a new registration. Without either, publish returns
+// its prev.
+func (s *Store) changed() bool { return s.ndirty > 0 || s.added }
+
 // publish seals the objects touched since prev, the epoch last
 // published from this store (nil before the first), into the next epoch
 // and returns it with the objects whose state changed (for the live
@@ -348,7 +353,7 @@ type DirtyObject struct {
 // STR-builds the waiting sealed chunks and every open chunk into one
 // more rung on top of the ladder.
 func (s *Store) publish(prev *Epoch) (*Epoch, []DirtyObject) {
-	if prev != nil && s.ndirty == 0 && !s.added {
+	if prev != nil && !s.changed() {
 		return prev, nil
 	}
 	if debugCubes {

@@ -26,6 +26,7 @@ smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
 smoke ./internal/temporal FuzzRefine "streaming sweep vs the sort-based oracle"
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
+smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
 smoke ./internal/index FuzzDynamic "index ladder vs linear scan and brute-force k-NN"
 smoke ./internal/server FuzzIngestDecode "observation scanner vs encoding/json" -fuzzminimizetime=1s

@@ -66,6 +66,9 @@ go test -run "^($norace)\$" ./internal/...
 
 # internal/ingest: every publish recomputes from the units the chunk
 # cubes Store.Apply kept incrementally and panics on a difference.
+# internal/db: every pair a join guard answers is re-run through the
+# bound expression the guard stands for (the same nodes that evaluate
+# every other row), and a disagreement panics.
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
