@@ -56,5 +56,5 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
 docs:
-	$(GO) run ./cmd/motables -ops
+	$(GO) run ./cmd/motables > docs/tables.txt.tmp && mv docs/tables.txt.tmp docs/tables.txt
 	$(GO) run ./cmd/mofigures -svg docs/figures

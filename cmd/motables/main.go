@@ -1,42 +1,59 @@
-// motables regenerates the type system tables of the paper from the
-// typesys registry: Table 1 (abstract type system), Table 2 (discrete
-// type system) and Table 3 (abstract↔discrete correspondence), plus the
-// operation signatures with temporal lifting applied.
+// motables prints the type system tables of the paper from typesys:
+// Table 1 (abstract type system), Table 2 (discrete type system) and
+// Table 3 (abstract↔discrete correspondence), then the operation table
+// of the query language, internal/db's one list of the SQL functions
+// that run. `make docs` writes its output to docs/tables.txt.
 package main
 
 import (
-	"flag"
+	"bufio"
 	"fmt"
+	"io"
+	"os"
+	"strings"
 
+	"movingdb/internal/db"
 	"movingdb/internal/typesys"
 )
 
 func main() {
-	ops := flag.Bool("ops", false, "also list operation signatures (with lifting)")
-	flag.Parse()
-
-	fmt.Println("Table 1: Signature describing the abstract type system")
-	fmt.Println("-------------------------------------------------------")
-	fmt.Print(typesys.Abstract().FormatTable())
-	fmt.Printf("(%d generated types)\n\n", len(typesys.Abstract().Types()))
-
-	fmt.Println("Table 2: Signature describing the discrete type system")
-	fmt.Println("-------------------------------------------------------")
-	fmt.Print(typesys.Discrete().FormatTable())
-	fmt.Printf("(%d generated types)\n\n", len(typesys.Discrete().Types()))
-
-	fmt.Println("Table 3: Correspondence between abstract and discrete temporal types")
-	fmt.Println("---------------------------------------------------------------------")
-	fmt.Print(typesys.FormatTable3())
-
-	if *ops {
-		fmt.Println("\nOperations (registered signatures, lifting applied)")
-		fmt.Println("----------------------------------------------------")
-		for _, op := range typesys.StandardOps().Ops() {
-			fmt.Printf("%s\n", op.Name)
-			for _, sig := range op.Sigs {
-				fmt.Printf("    %s\n", sig)
-			}
-		}
+	if err := write(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "motables:", err)
+		os.Exit(1)
 	}
+}
+
+// write prints the three tables to w, then every signature
+// db.Operations lists, grouped under its operation's name.
+func write(w io.Writer) error {
+	b := bufio.NewWriter(w)
+	fmt.Fprintln(b, "Table 1: Signature describing the abstract type system")
+	fmt.Fprintln(b, "-------------------------------------------------------")
+	fmt.Fprint(b, typesys.Abstract().FormatTable())
+	fmt.Fprintf(b, "(%d generated types)\n\n", len(typesys.Abstract().Types()))
+
+	fmt.Fprintln(b, "Table 2: Signature describing the discrete type system")
+	fmt.Fprintln(b, "-------------------------------------------------------")
+	fmt.Fprint(b, typesys.Discrete().FormatTable())
+	fmt.Fprintf(b, "(%d generated types)\n\n", len(typesys.Discrete().Types()))
+
+	fmt.Fprintln(b, "Table 3: Correspondence between abstract and discrete temporal types")
+	fmt.Fprintln(b, "---------------------------------------------------------------------")
+	fmt.Fprint(b, typesys.FormatTable3())
+
+	fmt.Fprintln(b, "\nOperations (the SQL functions of internal/db, in registration order)")
+	fmt.Fprintln(b, "---------------------------------------------------------------------")
+	name := ""
+	for _, sig := range db.Operations() {
+		if sig.Name != name {
+			name = sig.Name
+			fmt.Fprintln(b, name)
+		}
+		args := make([]string, len(sig.Args))
+		for i, a := range sig.Args {
+			args[i] = a.String()
+		}
+		fmt.Fprintf(b, "    %s -> %s\n", strings.Join(args, " × "), sig.Result)
+	}
+	return b.Flush()
 }

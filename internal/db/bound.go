@@ -36,7 +36,9 @@ type slot struct {
 
 func (s *slot) eval(q *queryEnv) (any, error) { return q.tuples[s.from][s.col], nil }
 
-// neg is unary minus on a real or an int; ⊥ stays ⊥.
+// neg is unary minus on a real or an int; ⊥ stays ⊥. The smallest
+// int64 has no negation among the int64s: like real arithmetic that
+// leaves the finite reals, negating it is a type error.
 type neg[T float64 | int64] struct{ e node }
 
 func (n *neg[T]) String() string { return fmt.Sprintf("(-%s)", n.e) }
@@ -46,10 +48,16 @@ func (n *neg[T]) eval(q *queryEnv) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if x, ok := v.(T); ok {
-		return -x, nil
+	x, ok := v.(T)
+	if !ok {
+		return v, nil
 	}
-	return v, nil
+	// Only 0 and the smallest int64 are their own negation; -0.0 == 0.0
+	// and -NaN != NaN, so no real fails here.
+	if -x == x && x != 0 {
+		return nil, fmt.Errorf("%w: arithmetic overflow", ErrType)
+	}
+	return -x, nil
 }
 
 // not is NOT; ⊥ stays ⊥.

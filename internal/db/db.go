@@ -91,6 +91,9 @@ func (t AttrType) String() string {
 	if r, ok := t.row(); ok {
 		return r.name
 	}
+	if t == TIReal {
+		return "intime(real)"
+	}
 	return fmt.Sprintf("AttrType(%d)", int(t))
 }
 

@@ -47,13 +47,41 @@ type overload struct {
 	fn   func(ctx context.Context, args []any) (any, error)
 }
 
-// funcTable registers the operations of the model for the query
-// language; it mirrors the signatures of Section 2 (and the typesys
-// registry) on the discrete types.
-var funcTable = map[string][]overload{}
+// funcTable is the query language's one operation table: the
+// operations of Section 2 on the discrete types, each with the
+// overloads SQL can call. funcNames holds its names in registration
+// order, for Operations.
+var (
+	funcTable = map[string][]overload{}
+	funcNames []string
+)
 
 func register(name string, args []AttrType, ret AttrType, fn func(context.Context, []any) (any, error)) {
+	if _, ok := funcTable[name]; !ok {
+		funcNames = append(funcNames, name)
+	}
 	funcTable[name] = append(funcTable[name], overload{args: args, ret: ret, fn: fn})
+}
+
+// Signature is one overload of a query-language operation: the name a
+// statement calls, the argument types bind matches and the result type.
+type Signature struct {
+	Name   string
+	Args   []AttrType
+	Result AttrType
+}
+
+// Operations lists every overload bind resolves a call against: the
+// names in the order init registers them, each with its overloads in
+// theirs. The slice and its argument lists are the caller's.
+func Operations() []Signature {
+	var out []Signature
+	for _, name := range funcNames {
+		for _, ov := range funcTable[name] {
+			out = append(out, Signature{Name: name, Args: slices.Clone(ov.args), Result: ov.ret})
+		}
+	}
+	return out
 }
 
 func init() {

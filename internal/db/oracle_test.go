@@ -174,7 +174,11 @@ func (g oracleGen) int(depth int) oExpr {
 			if err != nil {
 				return nil, err
 			}
-			return -v.(int64), nil
+			x := v.(int64)
+			if x == math.MinInt64 {
+				return nil, errOracle // its negation is no int64
+			}
+			return -x, nil
 		}}
 	}
 	return g.column(oI, TInt)

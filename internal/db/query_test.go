@@ -263,6 +263,46 @@ func TestQueryArithmeticOverflow(t *testing.T) {
 	}
 }
 
+// TestQueryIntNegationOverflow: the smallest int64 is its own two's
+// complement negation, so -i = i held for it; negating it is an
+// arithmetic overflow like a real result outside the finite reals.
+func TestQueryIntNegationOverflow(t *testing.T) {
+	r := NewRelation("r", Schema{{Name: "i", Type: TInt}})
+	r.MustInsert(Tuple{int64(math.MinInt64)})
+	cat := Catalog{"r": r}
+	for _, q := range []string{
+		"SELECT -i AS n, i FROM r WHERE -i = i",
+		"SELECT -i AS n FROM r",
+	} {
+		res, err := Query(cat, q)
+		if !errors.Is(err, ErrType) || !strings.Contains(fmt.Sprint(err), "arithmetic overflow") {
+			t.Errorf("%s: err = %v, want an arithmetic overflow type error", q, err)
+			if err == nil {
+				t.Logf("rows: %v", res.Scan())
+			}
+		}
+	}
+	// Its neighbour still negates.
+	one := NewRelation("r", r.Schema)
+	one.MustInsert(Tuple{int64(math.MinInt64 + 1)})
+	res, err := Query(Catalog{"r": one}, "SELECT -i AS n FROM r")
+	if err != nil || res.Scan()[0][0] != int64(math.MaxInt64) {
+		t.Errorf("-(MinInt64+1): %v, %v", res, err)
+	}
+}
+
+// TestIntimeNamed: the intime(real) that initial and final return is
+// named in a type error, not printed as a number.
+func TestIntimeNamed(t *testing.T) {
+	_, err := Query(testCatalog(t), "SELECT length(initial(speed(flight))) FROM planes")
+	if !errors.Is(err, ErrType) || !strings.Contains(fmt.Sprint(err), `no overload of "length" for [intime(real)]`) {
+		t.Errorf("err = %v, want no overload of length for [intime(real)]", err)
+	}
+	if got := TIReal.String(); got != "intime(real)" {
+		t.Errorf("TIReal.String() = %q", got)
+	}
+}
+
 // meetingCatalog is planes(id string, flight mpoint) holding two flights
 // that meet at t ≈ 4.52, where the radicand of their unit distance
 // rounds below zero.

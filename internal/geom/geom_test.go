@@ -246,12 +246,6 @@ func TestDistances(t *testing.T) {
 	if got := s.DistToPoint(Pt(7, 4)); got != 5 {
 		t.Errorf("right endpoint distance = %v", got)
 	}
-	if got := s.DistToSegment(Seg(0, 2, 4, 2)); got != 2 {
-		t.Errorf("parallel distance = %v", got)
-	}
-	if got := s.DistToSegment(Seg(2, -1, 2, 1)); got != 0 {
-		t.Errorf("intersecting distance = %v", got)
-	}
 }
 
 func TestMergeSegs(t *testing.T) {

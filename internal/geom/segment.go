@@ -78,10 +78,6 @@ func (s Segment) BBox() Rect {
 	}
 }
 
-// HasEndpoint reports whether p coincides (exactly) with one of the
-// segment's endpoints.
-func (s Segment) HasEndpoint(p Point) bool { return p == s.Left || p == s.Right }
-
 // Contains reports whether point p lies on the segment (endpoints
 // included), up to Eps.
 func (s Segment) Contains(p Point) bool {
@@ -206,18 +202,6 @@ func (s Segment) DistToPoint(p Point) float64 {
 		return p.Dist(s.Right)
 	}
 	return p.Dist(s.Left.Add(d.Scale(t)))
-}
-
-// DistToSegment returns the Euclidean distance between segments s and t
-// (zero if they intersect).
-func (s Segment) DistToSegment(t Segment) float64 {
-	if k, _ := Intersect(s, t); k != IntersectNone {
-		return 0
-	}
-	return min(
-		min(s.DistToPoint(t.Left), s.DistToPoint(t.Right)),
-		min(t.DistToPoint(s.Left), t.DistToPoint(s.Right)),
-	)
 }
 
 // MergeSegs merges collinear overlapping or collinear adjacent segments

@@ -31,7 +31,6 @@ type RTree struct {
 	nodes   []node
 	entries []Entry
 	root    int
-	height  int
 }
 
 const fanout = 16
@@ -73,7 +72,6 @@ func pack(entries []Entry) *RTree {
 		}
 		t.nodes = append(t.nodes, node{cube: cube, lo: lo, hi: hi, leaf: true})
 	}
-	t.height = 1
 	// Inner levels: a level is a contiguous run of nodes, so the
 	// children of one parent are contiguous by construction.
 	for first, end := 0, len(t.nodes); end-first > 1; first, end = end, len(t.nodes) {
@@ -85,7 +83,6 @@ func pack(entries []Entry) *RTree {
 			}
 			t.nodes = append(t.nodes, node{cube: cube, lo: lo, hi: hi})
 		}
-		t.height++
 	}
 	t.root = len(t.nodes) - 1
 	return t
@@ -236,14 +233,6 @@ func sortPacked(keys, scratch []uint64) {
 
 // Len returns the number of indexed entries.
 func (t *RTree) Len() int { return len(t.entries) }
-
-// Height returns the number of levels (0 for the empty tree).
-func (t *RTree) Height() int {
-	if t.root < 0 {
-		return 0
-	}
-	return t.height
-}
 
 // overlaps is e.Intersects(*q) for a q already known to be non-empty,
 // flat enough for the compiler to inline into the traversal loops.

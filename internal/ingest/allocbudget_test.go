@@ -23,11 +23,9 @@ func TestAllocBudgets(t *testing.T) {
 		// its re-sealed view (3 × 570); per tick: the WAL record, the
 		// pending run, the dirty list, the extra rung (the tick seals no
 		// chunk, so it holds the open chunks alone and nothing folds) and
-		// one epoch: 1727. The benchmark builds its input stream (≈ 2 900
-		// allocations) while the timer runs, so allocs/op adds that
-		// divided by N: 1728 at N ≈ 2 000, more at a smaller N; the
-		// ceiling holds down to N ≈ 160.
-		allocbudget.Budget{Name: "BenchmarkPipelineTick", Bench: BenchmarkPipelineTick, MaxAllocs: 1745, MaxBytes: 318100},
+		// one epoch: 1727. The input stream is built before the timer
+		// starts, so allocs/op is the tick's alone.
+		allocbudget.Budget{Name: "BenchmarkPipelineTick", Bench: BenchmarkPipelineTick, MaxAllocs: 1727, MaxBytes: 318100},
 		allocbudget.Budget{Name: "BenchmarkEpochWindow", Bench: BenchmarkEpochWindow, MaxAllocs: 7, MaxBytes: 875},
 		allocbudget.Budget{Name: "BenchmarkEpochAtInstant", Bench: BenchmarkEpochAtInstant, MaxAllocs: 1, MaxBytes: 4320},
 		allocbudget.Budget{Name: "BenchmarkEpochNearest", Bench: BenchmarkEpochNearest, MaxAllocs: 6, MaxBytes: 3460},

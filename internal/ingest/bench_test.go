@@ -49,6 +49,7 @@ func BenchmarkAppendThroughput(b *testing.B) {
 func BenchmarkStoreApply(b *testing.B) {
 	batch := toObservations(workload.New(1).ObservationStream("a", 57, 10, 0, 1, 5))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s, err := newStore(&storage.History{}, obs.New(0))
@@ -73,6 +74,7 @@ func BenchmarkPipelineTick(b *testing.B) {
 	const objects = 570
 	stream := toObservations(workload.New(1).ObservationStream("t", objects, 1, 0, 1, 5))
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
@@ -108,6 +110,7 @@ func BenchmarkIngestEpisode(b *testing.B) {
 	stream := episodeStream()
 	var st Stats
 	var entries int
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		p, err := Open(Config{FlushSize: 1 << 20, MaxAge: time.Hour})
@@ -230,11 +233,11 @@ func BenchmarkEpochSummaries(b *testing.B) {
 // fleetStore is a fleet-shaped store for the checkpoint codec: 570
 // objects and 150 steps, which compaction leaves at ≈ 100 units an
 // object, ≈ 2.8 MB encoded.
-func fleetStore(b *testing.B) *Store {
-	b.Helper()
+func fleetStore(tb testing.TB) *Store {
+	tb.Helper()
 	s, err := newStore(&storage.History{}, obs.New(0))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Apply(toObservations(workload.New(1).ObservationStream("f", 570, 150, 0, 1, 5)))
 	return s

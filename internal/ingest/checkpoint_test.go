@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +197,20 @@ func TestCheckpointStateRoundTrip(t *testing.T) {
 		last, _ := p.Epoch().Current(id)
 		st.Apply([]Observation{{ObjectID: id, T: float64(last.T) + 1, X: last.P.X + 1, Y: last.P.Y}})
 		requireStartsColumns(t, st)
+	}
+}
+
+// TestCheckpointBytesPinned pins the checkpoint payload of a
+// fleet-shaped store (fleetStore: 570 objects, 150 steps) by its length
+// and FNV-64a digest. The payload is the §4 history layout the recovery
+// scan decodes, so a change that moves either changes the bytes every
+// checkpoint writes, and must say why.
+func TestCheckpointBytesPinned(t *testing.T) {
+	payload := encodeState(fleetStore(t))
+	h := fnv.New64a()
+	h.Write(payload)
+	if n, sum := len(payload), fmt.Sprintf("%016x", h.Sum64()); n != 2884246 || sum != "54a337f94bc2743c" {
+		t.Errorf("checkpoint payload is %d bytes, FNV-64a %s; pinned 2884246 bytes, 54a337f94bc2743c", n, sum)
 	}
 }
 

@@ -2,7 +2,6 @@ package moving
 
 import (
 	"context"
-	"math"
 	"slices"
 
 	"movingdb/internal/geom"
@@ -86,23 +85,6 @@ func comparableDiff(a, b units.UReal) (units.UReal, bool) {
 		return neg, true
 	}
 	return units.UReal{}, false
-}
-
-// Direction returns the moving direction (heading) of the moving point
-// in radians in (−π, π], measured counter-clockwise from the positive
-// x-axis — piecewise constant for the linear representation. Resting
-// units have no direction and are omitted from the result.
-func (p MPoint) Direction() MReal {
-	var bld mapping.Builder[units.UReal]
-	for _, u := range p.M.Units() {
-		v := u.M.Velocity()
-		//molint:ignore float-eq resting-unit classification: builders store resting units with exact zero velocity (Section 3.2.4 unique representation)
-		if v.X == 0 && v.Y == 0 {
-			continue
-		}
-		bld.Append(units.ConstUReal(u.Iv, math.Atan2(v.Y, v.X)))
-	}
-	return MReal{M: bld.MustBuild()}
 }
 
 // TravelledDistance returns the total distance travelled over the
@@ -278,17 +260,6 @@ func (b MInt) Max() (int64, bool) {
 	return best, true
 }
 
-// WhenEqual returns the periods during which the moving int equals v.
-func (b MInt) WhenEqual(v int64) temporal.Periods {
-	var ivs []temporal.Interval
-	for _, u := range b.M.Units() {
-		if u.V == v {
-			ivs = append(ivs, u.Iv)
-		}
-	}
-	return temporal.MustPeriods(ivs...)
-}
-
 // AtPoints restricts the moving point to the times it coincides with
 // one of the given points — atpoints of the abstract model.
 func (p MPoint) AtPoints(ps spatial.Points) MPoint {
@@ -318,25 +289,4 @@ func (p MPoint) AtPoints(ps spatial.Points) MPoint {
 		bld.Append(u)
 	}
 	return MPoint{M: bld.MustBuild()}
-}
-
-// VelocityX returns the x-component of the velocity as a moving real
-// (piecewise constant). Together with VelocityY it represents the
-// velocity vector, which the model would express as a moving point in
-// velocity space.
-func (p MPoint) VelocityX() MReal {
-	var bld mapping.Builder[units.UReal]
-	for _, u := range p.M.Units() {
-		bld.Append(units.ConstUReal(u.Iv, u.M.X1))
-	}
-	return MReal{M: bld.MustBuild()}
-}
-
-// VelocityY returns the y-component of the velocity as a moving real.
-func (p MPoint) VelocityY() MReal {
-	var bld mapping.Builder[units.UReal]
-	for _, u := range p.M.Units() {
-		bld.Append(units.ConstUReal(u.Iv, u.M.Y1))
-	}
-	return MReal{M: bld.MustBuild()}
 }

@@ -87,29 +87,6 @@ func TestLessThanRootConst(t *testing.T) {
 	}
 }
 
-func TestDirection(t *testing.T) {
-	p, _ := MPointFromSamples(samplesPath(
-		0, 0, 0,
-		10, 10, 0, // east
-		20, 10, 10, // north
-		30, 10, 10, // rest (no direction)
-		40, 0, 0, // southwest
-	))
-	d := p.Direction()
-	if got := d.AtInstant(5).MustGet(); got != 0 {
-		t.Errorf("east = %v", got)
-	}
-	if got := d.AtInstant(15).MustGet(); math.Abs(got-math.Pi/2) > 1e-12 {
-		t.Errorf("north = %v", got)
-	}
-	if d.Present(25) {
-		t.Error("direction defined while resting")
-	}
-	if got := d.AtInstant(35).MustGet(); math.Abs(got-(-3*math.Pi/4)) > 1e-12 {
-		t.Errorf("southwest = %v", got)
-	}
-}
-
 func TestTravelledDistanceVsLength(t *testing.T) {
 	// Out and back: travelled 20, trajectory length 10.
 	p, _ := MPointFromSamples(samplesPath(0, 0, 0, 10, 10, 0, 20, 0, 0))
@@ -392,10 +369,6 @@ func TestMIntAggregates(t *testing.T) {
 	if mx, ok := b.Max(); !ok || mx != 5 {
 		t.Errorf("Max = %v, %v", mx, ok)
 	}
-	we := b.WhenEqual(2)
-	if we.Len() != 2 || !we.Contains(1) || !we.Contains(10) || we.Contains(6) {
-		t.Errorf("WhenEqual = %v", we)
-	}
 	var empty MInt
 	if _, ok := empty.Min(); ok {
 		t.Error("empty Min")
@@ -414,15 +387,5 @@ func TestAtPoints(t *testing.T) {
 	}
 	if got := at.AtInstant(15); got.P != geom.Pt(10, 5) {
 		t.Errorf("position at 15 = %v", got)
-	}
-}
-
-func TestVelocityComponents(t *testing.T) {
-	p, _ := MPointFromSamples(samplesPath(0, 0, 0, 10, 30, -40))
-	if got := p.VelocityX().AtInstant(5).MustGet(); got != 3 {
-		t.Errorf("vx = %v", got)
-	}
-	if got := p.VelocityY().AtInstant(5).MustGet(); got != -4 {
-		t.Errorf("vy = %v", got)
 	}
 }

@@ -234,33 +234,6 @@ func (r Region) ContainsPoint(p geom.Point) bool {
 	return geom.Plumbline(p, geom.SegmentsOf(r.hs))
 }
 
-// IntersectsSegment reports whether segment s shares a point with the
-// region (boundary or interior).
-func (r Region) IntersectsSegment(s geom.Segment) bool {
-	if !r.bbox.Intersects(s.BBox()) {
-		return false
-	}
-	for _, h := range r.hs {
-		if h.LeftDom {
-			if k, _ := geom.Intersect(h.Seg, s); k != geom.IntersectNone {
-				return true
-			}
-		}
-	}
-	return r.ContainsPoint(s.Left)
-}
-
-// IntersectsLine reports whether the line shares a point with the
-// region.
-func (r Region) IntersectsLine(l Line) bool {
-	for _, h := range l.HalfSegments() {
-		if h.LeftDom && r.IntersectsSegment(h.Seg) {
-			return true
-		}
-	}
-	return false
-}
-
 // DistToPoint returns the distance from the region to p: zero if p is
 // inside, otherwise the distance to the nearest boundary segment.
 func (r Region) DistToPoint(p geom.Point) float64 {

@@ -1,16 +1,13 @@
 package spatial
 
 import (
-	"math"
-
 	"movingdb/internal/geom"
 )
 
-// This file provides the binary predicates and measures between the
-// spatial types that the abstract model's operation set includes:
-// intersects, inside (containment) and distance between regions, lines
-// and point sets. The implementations are straightforward O(n·m) pair
-// scans with bounding box rejection — the paper's Section 5 defers
+// This file provides the binary operations between the spatial types
+// that the system calls: intersects between regions and the clipping of
+// a line to a region. The implementations are straightforward O(n·m)
+// pair scans with bounding box rejection — the paper's Section 5 defers
 // sweep-based algorithmics, and these operations are not on the
 // complexity-claim path.
 
@@ -44,102 +41,8 @@ func (r Region) IntersectsRegion(q Region) bool {
 	return false
 }
 
-// ContainsRegion reports whether q lies entirely within r (boundaries
-// may touch).
-func (r Region) ContainsRegion(q Region) bool {
-	if q.IsEmpty() {
-		return true
-	}
-	if !r.bbox.Intersects(q.bbox) {
-		return false
-	}
-	// No boundary of q may properly leave r: any proper crossing of
-	// boundaries disproves containment; afterwards it suffices that one
-	// interior probe of every face of q lies in r and no face of r pokes
-	// through a hole-free... — for the polygonal carrier sets, proper
-	// crossings plus probe points decide.
-	for _, h := range q.hs {
-		if !h.LeftDom {
-			continue
-		}
-		for _, g := range r.hs {
-			if !g.LeftDom {
-				continue
-			}
-			if geom.PIntersect(h.Seg, g.Seg) {
-				return false
-			}
-		}
-	}
-	for _, f := range q.faces {
-		probe := geom.MustSegment(f.Outer.verts[0], f.Outer.verts[1]).Midpoint()
-		if !r.ContainsPoint(probe) {
-			return false
-		}
-	}
-	// Holes of r must not lie inside q's interior (q would stick into
-	// them).
-	for _, f := range r.faces {
-		for _, h := range f.Holes {
-			probe := geom.MustSegment(h.verts[0], h.verts[1]).Midpoint()
-			inQ := q.ContainsPoint(probe)
-			if inQ && !r.ContainsPoint(probe) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// DistToRegion returns the minimal distance between two regions (zero
-// if they intersect).
-func (r Region) DistToRegion(q Region) float64 {
-	if r.IntersectsRegion(q) {
-		return 0
-	}
-	d := math.Inf(1)
-	for _, h := range r.hs {
-		if !h.LeftDom {
-			continue
-		}
-		for _, g := range q.hs {
-			if g.LeftDom {
-				d = min(d, h.Seg.DistToSegment(g.Seg))
-			}
-		}
-	}
-	return d
-}
-
-// IntersectionPoints returns the points where two lines cross or touch,
-// as a canonical point set. Collinear overlaps contribute their
-// endpoints (the shared stretch itself is one-dimensional and belongs to
-// the intersection in the line sense; CommonSegments returns it).
-func (l Line) IntersectionPoints(m Line) Points {
-	if !l.bbox.Intersects(m.bbox) {
-		return Points{}
-	}
-	var pts []geom.Point
-	for _, h := range l.hs {
-		if !h.LeftDom {
-			continue
-		}
-		for _, g := range m.hs {
-			if !g.LeftDom {
-				continue
-			}
-			switch k, p := geom.Intersect(h.Seg, g.Seg); k {
-			case geom.IntersectPoint:
-				pts = append(pts, p)
-			case geom.IntersectOverlap:
-				// Report the overlap boundary points.
-				pts = append(pts, overlapEnds(h.Seg, g.Seg)...)
-			}
-		}
-	}
-	return NewPoints(pts...)
-}
-
+// overlapEnds returns the ends of the stretch two overlapping collinear
+// segments share.
 func overlapEnds(a, b geom.Segment) []geom.Point {
 	lo := a.Left
 	if lo.Less(b.Left) {
@@ -150,30 +53,6 @@ func overlapEnds(a, b geom.Segment) []geom.Point {
 		hi = b.Right
 	}
 	return []geom.Point{lo, hi}
-}
-
-// CommonSegments returns the one-dimensional intersection of two lines:
-// the maximal stretches where collinear segments overlap, as a line
-// value.
-func (l Line) CommonSegments(m Line) Line {
-	var segs []geom.Segment
-	for _, h := range l.hs {
-		if !h.LeftDom {
-			continue
-		}
-		for _, g := range m.hs {
-			if !g.LeftDom {
-				continue
-			}
-			if k, _ := geom.Intersect(h.Seg, g.Seg); k == geom.IntersectOverlap {
-				ends := overlapEnds(h.Seg, g.Seg)
-				if s, err := geom.NewSegment(ends[0], ends[1]); err == nil {
-					segs = append(segs, s)
-				}
-			}
-		}
-	}
-	return MergeLine(segs...)
 }
 
 // ClippedToRegion returns the parts of the line inside the region, as a

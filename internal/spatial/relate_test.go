@@ -33,85 +33,6 @@ func TestRegionIntersectsRegion(t *testing.T) {
 	}
 }
 
-func TestRegionContainsRegion(t *testing.T) {
-	outer := MustPolygonRegion(sq(0, 0, 10))
-	inner := MustPolygonRegion(sq(2, 2, 3))
-	crossing := MustPolygonRegion(sq(8, 8, 4))
-	if !outer.ContainsRegion(inner) {
-		t.Error("inner not contained")
-	}
-	if inner.ContainsRegion(outer) {
-		t.Error("inner contains outer")
-	}
-	if outer.ContainsRegion(crossing) {
-		t.Error("boundary-crossing region contained")
-	}
-	// Region with a hole: a polygon inside the hole is not contained.
-	holed := MustPolygonRegion(sq(0, 0, 10), sq(3, 3, 4))
-	inHole := MustPolygonRegion(sq(4, 4, 2))
-	if holed.ContainsRegion(inHole) {
-		t.Error("region inside the hole reported contained")
-	}
-	// But one in the solid part is.
-	solid := MustPolygonRegion(sq(0.5, 0.5, 2))
-	if !holed.ContainsRegion(solid) {
-		t.Error("region in solid part not contained")
-	}
-	if !outer.ContainsRegion(Region{}) {
-		t.Error("empty region must be contained everywhere")
-	}
-}
-
-func TestRegionDistance(t *testing.T) {
-	a := MustPolygonRegion(sq(0, 0, 2))
-	b := MustPolygonRegion(sq(5, 0, 2))
-	if got := a.DistToRegion(b); got != 3 {
-		t.Errorf("distance = %v", got)
-	}
-	c := MustPolygonRegion(sq(1, 1, 2))
-	if got := a.DistToRegion(c); got != 0 {
-		t.Errorf("intersecting distance = %v", got)
-	}
-	// Diagonal separation.
-	d := MustPolygonRegion(sq(5, 5, 2))
-	if got := a.DistToRegion(d); math.Abs(got-3*math.Sqrt2) > 1e-12 {
-		t.Errorf("diagonal distance = %v", got)
-	}
-}
-
-func TestLineIntersectionPoints(t *testing.T) {
-	l := MustLine(geom.Seg(0, 0, 4, 4))
-	m := MustLine(geom.Seg(0, 4, 4, 0), geom.Seg(0, 2, 4, 2))
-	pts := l.IntersectionPoints(m)
-	if pts.Len() != 1 || !pts.Contains(geom.Pt(2, 2)) {
-		t.Errorf("intersection points = %v", pts)
-	}
-	// Collinear overlap: report the overlap endpoints.
-	n := MustLine(geom.Seg(1, 1, 6, 6))
-	pts = l.IntersectionPoints(n)
-	if !pts.Contains(geom.Pt(1, 1)) || !pts.Contains(geom.Pt(4, 4)) {
-		t.Errorf("overlap endpoints = %v", pts)
-	}
-	if got := l.IntersectionPoints(MustLine(geom.Seg(10, 0, 11, 0))); !got.IsEmpty() {
-		t.Errorf("distant lines intersect: %v", got)
-	}
-}
-
-func TestLineCommonSegments(t *testing.T) {
-	l := MustLine(geom.Seg(0, 0, 4, 0))
-	m := MustLine(geom.Seg(2, 0, 6, 0), geom.Seg(0, 1, 4, 1))
-	common := l.CommonSegments(m)
-	if common.NumSegments() != 1 {
-		t.Fatalf("common = %v", common)
-	}
-	if common.Segments()[0] != geom.Seg(2, 0, 4, 0) {
-		t.Errorf("common segment = %v", common.Segments()[0])
-	}
-	if got := l.CommonSegments(MustLine(geom.Seg(0, 1, 4, 1))); !got.IsEmpty() {
-		t.Errorf("parallel lines share segments: %v", got)
-	}
-}
-
 func TestLineClippedToRegion(t *testing.T) {
 	r := MustPolygonRegion(sq(2, -1, 4)) // x ∈ [2, 6]
 	l := MustLine(geom.Seg(0, 0, 10, 0))

@@ -398,7 +398,7 @@ func putInterval(b []byte, iv temporal.Interval) {
 
 // getInterval reads an interval record; ok is false unless both flag
 // bytes are 0 or 1. Decoders check the interval itself where they use it
-// (mapping.Validate, temporal.NewPeriods).
+// (mapping.Validate, temporal.NewOrderedRange).
 func getInterval(b []byte) (iv temporal.Interval, ok bool) {
 	return temporal.Interval{
 		Start: temporal.Instant(math.Float64frombits(binary.LittleEndian.Uint64(b))),

@@ -26,12 +26,6 @@ var (
 	PosInf = Instant(math.Inf(1))
 )
 
-// FromTime converts a time.Time to an Instant (seconds since Unix epoch,
-// with nanosecond fraction).
-func FromTime(t time.Time) Instant {
-	return Instant(float64(t.Unix()) + float64(t.Nanosecond())/1e9)
-}
-
 // Time converts the instant back to a time.Time in UTC.
 func (t Instant) Time() time.Time {
 	sec, frac := math.Modf(float64(t))

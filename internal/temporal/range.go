@@ -55,10 +55,7 @@ func NewOrderedRange[T ~float64](ivs []IntervalOf[T]) (RangeOf[T], error) {
 	return r, nil
 }
 
-// NewPeriods is NewRange over instants.
-func NewPeriods(ivs ...Interval) (Periods, error) { return NewRange(ivs...) }
-
-// MustPeriods is like NewPeriods but panics on invalid intervals.
+// MustPeriods is NewRange over instants, panicking on invalid intervals.
 func MustPeriods(ivs ...Interval) Periods {
 	p, err := NewRange(ivs...)
 	if err != nil {

@@ -215,9 +215,3 @@ func Refine(a, b []Interval) []RefinementInterval {
 	}
 	return out
 }
-
-// RefinePeriods is a convenience wrapper applying Refine to two Periods
-// values.
-func RefinePeriods(p, q Periods) []RefinementInterval {
-	return Refine(p.Intervals(), q.Intervals())
-}

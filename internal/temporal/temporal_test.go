@@ -10,7 +10,7 @@ import (
 
 func TestInstantConversions(t *testing.T) {
 	ts := time.Date(2000, 5, 16, 12, 0, 0, 0, time.UTC) // SIGMOD 2000 week
-	i := FromTime(ts)
+	i := Instant(ts.Unix())
 	if got := i.Time(); !got.Equal(ts) {
 		t.Errorf("round trip: %v != %v", got, ts)
 	}
@@ -475,7 +475,7 @@ func TestRefineProperty(t *testing.T) {
 	}
 	f := func(raw1, raw2 []int8, probe int8) bool {
 		p, q := mk(raw1), mk(raw2)
-		out := RefinePeriods(p, q)
+		out := Refine(p.Intervals(), q.Intervals())
 		t0 := Instant(probe)
 		var got *RefinementInterval
 		for k := range out {

@@ -1,6 +1,7 @@
 package typesys
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -98,57 +99,26 @@ func TestFormatTables(t *testing.T) {
 	}
 }
 
-func TestLifting(t *testing.T) {
-	r := StandardOps()
-	// Original signature still present.
-	if res, ok := r.Lookup("inside", []Type{T("point"), T("region")}); !ok || res.String() != "bool" {
-		t.Errorf("inside static = %v, %v", res, ok)
-	}
-	// Lifted combinations per Section 2: moving(point) × region,
-	// point × moving(region), moving × moving — all yield moving(bool).
-	for _, args := range [][]Type{
-		{T("moving", T("point")), T("region")},
-		{T("point"), T("moving", T("region"))},
-		{T("moving", T("point")), T("moving", T("region"))},
-	} {
-		res, ok := r.Lookup("inside", args)
-		if !ok || res.String() != "moving(bool)" {
-			t.Errorf("lifted inside(%v) = %v, %v", args, res, ok)
+// HasType reports whether the system generates the given type term:
+// the membership check of the table tests.
+func (s System) HasType(t Type) bool {
+	for _, u := range s.Types() {
+		if u.String() == t.String() {
+			return true
 		}
 	}
-	// distance lifts to moving(real).
-	res, ok := r.Lookup("distance", []Type{T("moving", T("point")), T("moving", T("point"))})
-	if !ok || res.String() != "moving(real)" {
-		t.Errorf("lifted distance = %v, %v", res, ok)
-	}
-	// Genuinely temporal ops are not lifted twice.
-	if _, ok := r.Lookup("trajectory", []Type{T("moving", T("moving", T("point")))}); ok {
-		t.Error("double lifting happened")
-	}
-	// Unknown op.
-	if _, ok := r.Lookup("fly", []Type{T("point")}); ok {
-		t.Error("unknown op resolved")
-	}
+	return false
 }
 
-func TestOpsListing(t *testing.T) {
-	r := StandardOps()
-	ops := r.Ops()
-	if len(ops) == 0 {
-		t.Fatal("no ops")
-	}
-	var hasDistance bool
-	for _, op := range ops {
-		if op.Name == "distance" {
-			hasDistance = true
-			if len(op.Sigs) < 4 {
-				t.Errorf("distance signatures = %d (want static + 3 lifted)", len(op.Sigs))
-			}
+// KindOf returns the result kind of the constructor in the system; ok is
+// false for unknown constructors. Like HasType, only the tests ask.
+func (s System) KindOf(constructor string) (Kind, bool) {
+	for _, r := range s.Rows {
+		if slices.Contains(r.Constructors, constructor) {
+			return r.Result, true
 		}
 	}
-	if !hasDistance {
-		t.Error("distance missing")
-	}
+	return "", false
 }
 
 // parse1 parses "ctor" or "ctor(param)" (one level, enough for tests).

@@ -15,11 +15,6 @@ type Const[T comparable] struct {
 	V  T
 }
 
-// NewConst returns a constant unit over iv with value v.
-func NewConst[T comparable](iv temporal.Interval, v T) Const[T] {
-	return Const[T]{Iv: iv, V: v}
-}
-
 // Interval returns the unit interval.
 func (u Const[T]) Interval() temporal.Interval { return u.Iv }
 
