@@ -92,11 +92,12 @@ func analyticsCatalog() Catalog {
 	return Catalog{"planes": planes, "storms": storms}
 }
 
-// The statements of that workload's templates a, b and d, their seeded
+// The statements of that workload's four templates, their seeded
 // literals fixed.
 const (
 	templateA = "SELECT p.id, s.name FROM planes p, storms s WHERE sometimes(inside(p.flight, s.extent)) AND p.id <> 'none'"
 	templateB = "SELECT p.id, q.id FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 15.000"
+	templateC = "SELECT name, max(area(extent)) AS peak, 'none' AS tag FROM storms WHERE name <> 'none'"
 	templateD = "SELECT p.id, duration(inside(p.flight, s.extent)) AS exposure FROM planes p, storms s WHERE s.name = 'storm00' AND sometimes(inside(p.flight, s.extent)) AND p.id <> 'none' ORDER BY exposure DESC LIMIT 10"
 )
 
@@ -128,4 +129,5 @@ func benchTemplate(b *testing.B, sql string) {
 
 func BenchmarkTemplateA(b *testing.B) { benchTemplate(b, templateA) }
 func BenchmarkTemplateB(b *testing.B) { benchTemplate(b, templateB) }
+func BenchmarkTemplateC(b *testing.B) { benchTemplate(b, templateC) }
 func BenchmarkTemplateD(b *testing.B) { benchTemplate(b, templateD) }

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"movingdb/internal/moving"
 )
@@ -99,24 +100,31 @@ func (g *guard) eval(q *queryEnv) (any, error) { return q.evalGuard(g) }
 // answer runs the guard on the current row's pair. A pair the
 // candidate test refuses is answered false, NoObject, without a clock
 // read. A fused walk that reached a kernel is the query's call of that
-// operator — inside, or distance for a within walk — timed over the
-// whole walk, as apply times an operator: only with a registry. So the
+// operator — inside, or distance for a within walk — timed from its
+// first kernel call to the end of the walk, as apply times an operator:
+// only with a registry. The walk calls the hook that reads the clock,
+// so a pair whose pieces the stored boxes all refuse reads none. The
 // operator count equals the filter's kernel count; an inside walk
-// cancelled on the way counts too. A within pair the walk leaves
-// undecided runs the bound chain, which records its own operators. The
-// summaries go by pointer: relBounds does not change them once built.
+// cancelled on the way counts too, timed from the cancellation when it
+// reached no kernel. A within pair the walk leaves undecided runs the
+// bound chain, which records its own operators. The summaries go by
+// pointer: relBounds does not change them once built.
 func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
 	pb := &g.points[0][ra]
+	var start time.Time
+	started := func() { start = q.clock() }
 	if g.shape == shapeInside {
 		sb := &g.regions[rb]
 		if !moving.InsideCandidate(pb, sb) {
 			return false, moving.NoObject, nil
 		}
 		p, r := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MRegion)
-		start := q.clock()
-		hit, v, err := moving.SometimesInside(q.ctx, p, pb, r, sb)
+		hit, v, err := moving.SometimesInsideHook(q.ctx, p, pb, r, sb, started)
 		if v == moving.MayHold || err != nil {
+			if start.IsZero() {
+				started() // no kernel ran: a point walked unfiltered, or a cancelled walk
+			}
 			q.recordOp("inside", start)
 		}
 		return hit, v, err
@@ -126,8 +134,7 @@ func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 		return false, moving.NoObject, nil
 	}
 	p, p2 := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MPoint)
-	start := q.clock()
-	hit, v, decided := moving.ComesWithin(p, pb, p2, qb, g.c)
+	hit, v, decided := moving.ComesWithin(p, pb, p2, qb, g.c, started)
 	if !decided {
 		got, err := g.inner.eval(q)
 		return got, v, err

@@ -306,7 +306,7 @@ func TestFilterCountsReachMetrics(t *testing.T) {
 		pb := p.flight.Bounds()
 		for _, q := range ps[i+1:] {
 			qb := q.flight.Bounds()
-			if _, _, decided := moving.ComesWithin(p.flight, &pb, q.flight, &qb, 20); !decided {
+			if _, _, decided := moving.ComesWithin(p.flight, &pb, q.flight, &qb, 20, nil); !decided {
 				t.Fatalf("the walk leaves %s × %s undecided: pick another distance", p.id, q.id)
 			}
 		}

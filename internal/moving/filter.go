@@ -20,11 +20,17 @@ import (
 // InsideCandidate or WithinCandidate, compares the whole-value boxes and
 // is the only step that refuses a pair as NoObject. The walk, run on a
 // candidate, makes one pass along the common pieces of the two unit
-// arrays, the same seeking sweep the kernels use, and allocates nothing.
-// Both walks refine in that same pass: SometimesInside runs the inside
-// kernel on the pieces the boxes leave, ComesWithin takes the minimum of
-// the unit distance there and leaves to its caller only a pair whose
-// minima do not settle the answer. The summaries go by pointer: a caller
+// arrays and allocates nothing. It goes by the sweep's pair step
+// (temporal.Sweep.NextPair, the seek the kernels' NextCommon makes): the
+// indexes of the two units that cover a piece come first, and the stored
+// boxes refuse most pairs from those alone, before the piece's interval
+// or any sliced unit is built. Both walks refine in that same pass:
+// SometimesInsideHook runs the sometimes-inside predicate kernel on the
+// pieces the boxes leave, ComesWithin takes the minimum of the unit
+// distance there and leaves to its caller only a pair whose minima do
+// not settle the answer. Each calls a hook of its caller once, before
+// its first kernel call, so a caller that times the kernels reads no
+// clock for a pair the boxes refuse. The summaries go by pointer: a caller
 // holds them in arrays it does not change while the walks read them.
 
 // Verdict is the outcome of a filter for one pair.
@@ -114,19 +120,21 @@ func InsideCandidate(pb *PointBounds, rb *RegionBounds) bool {
 		float64(pb.Start) <= rb.Cube.MaxT && rb.Cube.MinT <= float64(pb.End) && pb.Box.Intersects(rb.Cube.Rect)
 }
 
-// SometimesInside answers sometimes(inside(p, r)) — it equals
+// SometimesInsideHook answers sometimes(inside(p, r)) — it equals
 // p.Inside(r).Sometimes() — in one walk along the common pieces of the
 // two unit arrays, filtering and refining as it goes; pb and rb are
 // p.Bounds() and r.Bounds(), and the pair is meant to be one
-// InsideCandidate accepts. Per piece it asks the two stored unit boxes,
-// then the point's box sliced to the piece against the stored region
-// box, and runs units.UPointInsideURegion only on a piece neither
-// refuses, returning at the first true unit; no moving bool is built.
-// The verdict says how far the pair got: NoUnit (every piece was
-// refused, the kernel never ran; so is every piece of a pair the
-// candidate test refuses) or MayHold. ctx is polled on every
-// cancelCheckEvery-th piece walked, the first included — InsideCtx's
-// cadence.
+// InsideCandidate accepts. Per pair of units covering a piece it asks the
+// two stored unit boxes first, by index, before the piece is built; a
+// pair they leave gets its piece, the point unit sliced to it and that
+// sliced box's test against the stored region box, and a pair neither
+// refuses runs units.UPointSometimesInsideURegion, the walk returning at
+// the first true one; no moving bool is built. onKernel, when not nil, is
+// called once, just before the first kernel call. The verdict says how
+// far the pair got: NoUnit (every piece was refused, the kernel never
+// ran; so is every piece of a pair the candidate test refuses) or
+// MayHold. ctx is polled on every cancelCheckEvery-th piece walked,
+// refused ones included, the first included — InsideCtx's cadence.
 //
 // A refused piece is one the kernel's own cube test answers false for,
 // and that needs no tolerance: a unit's motion is linear and
@@ -136,32 +144,37 @@ func InsideCandidate(pb *PointBounds, rb *RegionBounds) bool {
 // UPointInsideURegion computes and lies within the stored one; the
 // stored region rectangle contains the sliced one the kernel computes.
 // A point whose Mag is not finite is walked unfiltered.
-func SometimesInside(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds) (bool, Verdict, error) {
+func SometimesInsideHook(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds, onKernel func()) (bool, Verdict, error) {
 	filtered := finite(pb.Mag)
 	verdict := NoUnit
 	if !filtered {
 		verdict = MayHold
 	}
 	pu, ru := p.M.Units(), r.M.Units()
-	var buf [4]units.UBool
 	sw := temporal.NewSweep(pu, ru)
 	for i := 0; ; i++ {
-		ri, ok := sw.NextCommon()
+		a, b, ok := sw.NextPair()
 		if !ok {
 			return false, verdict, nil
 		}
 		if err := cancelCheck(ctx, i); err != nil {
 			return false, verdict, err
 		}
-		up := pu[ri.A].WithInterval(ri.Iv)
-		if filtered && !(pb.Units[ri.A].Intersects(rb.Units[ri.B]) && up.BBox().Intersects(rb.Units[ri.B])) {
+		if filtered && !pb.Units[a].Intersects(rb.Units[b]) {
 			continue
 		}
+		iv := sw.Piece()
+		up := pu[a].WithInterval(iv)
+		if filtered && !up.BBox().Intersects(rb.Units[b]) {
+			continue
+		}
+		if onKernel != nil {
+			onKernel()
+			onKernel = nil
+		}
 		verdict = MayHold
-		for _, ub := range units.UPointInsideURegion(buf[:0], up, ru[ri.B].WithInterval(ri.Iv)) {
-			if ub.V {
-				return true, MayHold, nil
-			}
+		if units.UPointSometimesInsideURegion(up, ru[b].WithInterval(iv)) {
+			return true, MayHold, nil
 		}
 	}
 }
@@ -230,17 +243,20 @@ func WithinCandidate(pb, qb *PointBounds, c float64) bool {
 // each other — min(distance(p, q)) < c, equally ≤ c, and
 // val(initial(atmin(distance(p, q)))) < c or ≤ c — in one walk along the
 // common pieces of their unit arrays; pb and qb are their Bounds(), and
-// the pair is meant to be one WithinCandidate accepts. Per piece it asks
-// the two stored unit boxes, then the boxes of the two units sliced to
-// the piece (c ≤ 0 counts as 0), and on a piece neither refuses takes
-// the minimum of the unit distance the distance kernel builds there; no
-// moving real is built. decided is false when the minima do not settle
-// the answer under both spellings (see WithinMargin), or when the margin
-// is not finite: then the caller runs the kernels. The verdict says how
-// far the pair got: NoUnit (every piece was refused, no unit distance was
+// the pair is meant to be one WithinCandidate accepts. Per pair of units
+// covering a piece it asks the two stored unit boxes first, by index,
+// before the piece is built; a pair they leave gets its piece and the
+// test of the two units' boxes sliced to it (c ≤ 0 counts as 0), and on a
+// pair neither refuses the walk takes the minimum of the unit distance
+// the distance kernel builds there; no moving real is built. onKernel,
+// when not nil, is called once, just before the first unit distance is
+// formed. decided is false when the minima do not settle the answer
+// under both spellings (see WithinMargin), or when the margin is not
+// finite: then the caller runs the kernels. The verdict says how far the
+// pair got: NoUnit (every piece was refused, no unit distance was
 // formed; so is every piece of a pair the candidate test refuses) or
 // MayHold.
-func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64) (hit bool, v Verdict, decided bool) {
+func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64, onKernel func()) (hit bool, v Verdict, decided bool) {
 	limit, m := withinLimit(pb, qb, c)
 	if !finite(limit) {
 		return false, MayHold, false
@@ -250,17 +266,24 @@ func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64
 	v, least, attained := NoUnit, math.Inf(1), math.Inf(1)
 	pu, qu := p.M.Units(), q.M.Units()
 	sw := temporal.NewSweep(pu, qu)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
+	for a, b, ok := sw.NextPair(); ok; a, b, ok = sw.NextPair() {
 		// The stored boxes contain the sliced ones: what they put beyond
 		// the limit, slicing cannot bring back.
-		if beyond(pb.Units[ri.A], qb.Units[ri.B], limit) ||
-			beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox(), limit) {
+		if beyond(pb.Units[a], qb.Units[b], limit) {
 			continue
 		}
+		iv := sw.Piece()
+		if beyond(pu[a].WithInterval(iv).BBox(), qu[b].WithInterval(iv).BBox(), limit) {
+			continue
+		}
+		if onKernel != nil {
+			onKernel()
+			onKernel = nil
+		}
 		v = MayHold
-		mn, at := pu[ri.A].DistanceTo(qu[ri.B], ri.Iv).Min()
+		mn, at := pu[a].DistanceTo(qu[b], iv).Min()
 		least = min(least, mn)
-		if ri.Iv.Contains(at) {
+		if iv.Contains(at) {
 			attained = min(attained, mn)
 		}
 	}

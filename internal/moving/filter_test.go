@@ -109,9 +109,13 @@ func checkInside(t testing.TB, p moving.MPoint, r moving.MRegion) (bool, moving.
 	t.Helper()
 	pb, rb := p.Bounds(), r.Bounds()
 	candidate := moving.InsideCandidate(&pb, &rb)
-	got, v, err := moving.SometimesInside(context.Background(), p, &pb, r, &rb)
+	kernels := 0
+	got, v, err := moving.SometimesInsideHook(context.Background(), p, &pb, r, &rb, func() { kernels++ })
 	if want := p.Inside(r).Sometimes(); err != nil || got != want {
 		t.Errorf("SometimesInside = %v, %v, but sometimes(inside) = %v\n p %v\n inside %v", got, err, want, p, p.Inside(r))
+	}
+	if kernels > 1 || finite(pb.Mag) && (kernels == 1) != (v == moving.MayHold) {
+		t.Errorf("SometimesInside called its hook %d times with verdict %d, want once exactly when a kernel ran\n p %v", kernels, v, p)
 	}
 	if !candidate {
 		if got || v != moving.NoUnit {
@@ -175,7 +179,8 @@ func checkWithin(t testing.TB, a, b moving.MPoint, c float64) (bool, moving.Verd
 	t.Helper()
 	pb, qb := a.Bounds(), b.Bounds()
 	candidate := moving.WithinCandidate(&pb, &qb, c)
-	hit, v, decided := moving.ComesWithin(a, &pb, b, &qb, c)
+	kernels := 0
+	hit, v, decided := moving.ComesWithin(a, &pb, b, &qb, c, func() { kernels++ })
 	if !candidate {
 		if hit || v != moving.NoUnit {
 			t.Errorf("WithinCandidate(c=%v) refuses the pair, yet ComesWithin = %v with verdict %d, want false with NoUnit\n a %v\n b %v", c, hit, v, a, b)
@@ -210,6 +215,9 @@ func checkWithin(t testing.TB, a, b moving.MPoint, c float64) (bool, moving.Verd
 		}
 	}
 	m := moving.WithinMargin * (1 + math.Max(c, 0) + pb.Mag + qb.Mag)
+	if kernels > 1 || (kernels == 1) != (v == moving.MayHold && finite(math.Max(c, 0)+m)) {
+		t.Errorf("ComesWithin(c=%v) called its hook %d times with verdict %d, want once exactly when a unit distance was formed\n a %v\n b %v", c, kernels, v, a, b)
+	}
 	if okMin && decided && math.Abs(mn-c) < m/2 {
 		t.Errorf("ComesWithin(c=%v) decided %v, but min(distance) = %v lies inside the band of width %v\n a %v\n b %v", c, hit, mn, m, a, b)
 	}
@@ -449,6 +457,6 @@ func BenchmarkComesWithin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k, l := i%len(flights), (i+1)%len(flights)
-		moving.ComesWithin(flights[k].Flight, &pbs[k], flights[l].Flight, &pbs[l], 15)
+		moving.ComesWithin(flights[k].Flight, &pbs[k], flights[l].Flight, &pbs[l], 15, nil)
 	}
 }

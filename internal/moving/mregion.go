@@ -176,10 +176,6 @@ func (r MRegion) Perimeter() (MReal, bool) {
 	return MReal{M: bld.MustBuild()}, true
 }
 
-// Intersects returns the moving bool of "the moving point is inside the
-// moving region" — an alias aligning with Inside; see MPoint.Inside.
-func (r MRegion) Contains(p MPoint) MBool { return p.Inside(r) }
-
 // Cube returns the 3D bounding cube of the whole development.
 func (r MRegion) Cube() geom.Cube {
 	c := geom.EmptyCube()

@@ -39,7 +39,8 @@ type Sweep[A, B Spanned] struct {
 	// ia and ib cache a[i].Interval() and b[j].Interval().
 	ia, ib Interval
 	// at is where the sweep stands: everything before it is emitted.
-	at boundary
+	// from is where the piece NextPair returned last begins.
+	at, from boundary
 }
 
 // boundary is a cut of the time axis just before (after == false) or
@@ -135,19 +136,22 @@ func changeAt(iv Interval, covers bool) boundary {
 	return lower(iv)
 }
 
-// NextCommon returns the next piece that both sequences cover — the
-// pieces a lifted binary operation produces a unit for. It does not walk
-// the pieces only one sequence covers: it jumps to the later of the two
-// current starts, seeks the other cursor there by binary search on the
-// ordered array (Section 4), and ends when either sequence is
-// exhausted, so two values whose lifetimes overlap in k of their n + m
-// units cost O(k + log(n + m)).
-func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
+// NextPair steps to the next piece that both sequences cover — the
+// pieces a lifted binary operation produces a unit for — and returns
+// the indexes of the two elements that cover it; Piece returns its
+// interval. It does not walk the pieces only one sequence covers: it
+// jumps to the later of the two current starts, seeks the other cursor
+// there by binary search on the ordered array (Section 4), and ends when
+// either sequence is exhausted, so two values whose lifetimes overlap in
+// k of their n + m units cost O(k + log(n + m)). A caller that can
+// refuse a pair from what it stores per element (a bounding box) tests
+// the indexes and never builds the piece.
+func (s *Sweep[A, B]) NextPair() (a, b int, ok bool) {
 	for {
 		s.i, s.ia = seek(s.a, s.i, s.ia, s.at)
 		s.j, s.ib = seek(s.b, s.j, s.ib, s.at)
 		if s.i == len(s.a) || s.j == len(s.b) {
-			return RefinementInterval{}, false
+			return 0, 0, false
 		}
 		lo := lower(s.ia)
 		if lo.less(lower(s.ib)) {
@@ -162,12 +166,24 @@ func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 	if upper(s.ib).less(end) {
 		end = upper(s.ib)
 	}
-	ri := RefinementInterval{
-		Iv: Interval{Start: s.at.t, End: end.t, LC: !s.at.after, RC: end.after},
-		A:  s.i, B: s.j,
+	s.from, s.at = s.at, end
+	return s.i, s.j, true
+}
+
+// Piece returns the interval of the piece NextPair returned last.
+func (s *Sweep[A, B]) Piece() Interval {
+	return Interval{Start: s.from.t, End: s.at.t, LC: !s.from.after, RC: s.at.after}
+}
+
+// NextCommon returns the next piece that both sequences cover, its
+// interval and the indexes of its covering elements: NextPair and Piece
+// in one call.
+func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
+	a, b, ok := s.NextPair()
+	if !ok {
+		return RefinementInterval{}, false
 	}
-	s.at = end
-	return ri, true
+	return RefinementInterval{Iv: s.Piece(), A: a, B: b}, true
 }
 
 // seek returns the first position at or after k whose element ends after

@@ -156,6 +156,39 @@ func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 	return dst
 }
 
+// UPointSometimesInsideURegion reports whether the moving point is
+// inside the moving region at some instant common to the two units:
+// whether UPointInsideURegion returns a true unit. It answers that
+// without sorting, merging or emitting a unit, from the kernel's own
+// steps. The cube rejection is the kernel's. A degenerate intersection
+// is the plumbline at its instant, which the kernel samples as is (the
+// midpoint formula overflows for an instant beyond half the largest
+// float). Otherwise the first stab after the start of the intersection
+// answers true: the point is on the boundary there, which belongs to
+// the region, and the kernel emits a true unit at or before that stab
+// whatever the state it starts in. Without one, the state the kernel
+// samples at the midpoint holds throughout (a stab at the start does
+// not partition the interior).
+func UPointSometimesInsideURegion(up UPoint, ur URegion) bool {
+	iv, ok := up.Iv.Intersect(ur.Iv)
+	if !ok || !up.Cube().Intersects(ur.Cube()) {
+		return false
+	}
+	if iv.IsDegenerate() {
+		return pointInRegionAt(up.M, ur, iv.Start)
+	}
+	it := ur.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
+		stabs, n := stabTimes(up.M, g, iv)
+		for _, s := range stabs[:n] {
+			if s.t > float64(iv.Start) {
+				return true
+			}
+		}
+	}
+	return pointInRegionAt(up.M, ur, temporal.Instant((float64(iv.Start)+float64(iv.End))/2))
+}
+
 // stab is one instant at which the moving point meets the region
 // boundary.
 type stab struct {

@@ -24,7 +24,8 @@ smoke ./internal/ingest FuzzReplayMatchesLive "a pipeline reopened on its log en
 smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs baseline's linear scan" -fuzzminimizetime=1s
 smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
-smoke ./internal/temporal FuzzRefine "streaming sweep vs the sort-based oracle"
+smoke ./internal/temporal FuzzRefine "streaming sweep and its pair step vs the sort-based oracle"
+smoke ./internal/units FuzzSometimesInsideMatchesKernel "the sometimes-inside predicate kernel vs the any-true of the inside kernel's units"
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
 smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
