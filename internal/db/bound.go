@@ -302,25 +302,18 @@ func isUndef(v any) bool {
 // apply is a call bound to a query: its bound arguments, the overload
 // their types selected, and the argument vector every row's evaluation
 // fills (a query is evaluated by one goroutine, and nested calls are
-// distinct nodes, so one vector per node suffices). ⊥ in an argument is
-// ⊥ without calling the operation.
+// distinct nodes, so one vector per node suffices). fn names the
+// operator it times, src the call as written, which String prints. ⊥
+// in an argument is ⊥ without calling the operation.
 type apply struct {
-	fn, text string
-	args     []node
-	ov       overload
-	argv     []any
+	fn   string
+	src  call
+	args []node
+	ov   overload
+	argv []any
 }
 
-func (ap *apply) String() string {
-	s := ap.text + "("
-	for i, a := range ap.args {
-		if i > 0 {
-			s += ", "
-		}
-		s += a.String()
-	}
-	return s + ")"
-}
+func (ap *apply) String() string { return ap.src.String() }
 
 func (ap *apply) eval(q *queryEnv) (any, error) {
 	for i, a := range ap.args {

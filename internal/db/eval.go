@@ -205,10 +205,18 @@ func init() {
 }
 
 // binding is one FROM item: the relation and the alias that column
-// references resolve against when the query is bound.
+// references resolve against when the query is bound, and what
+// forEachRow keeps for the item while it runs the statement.
 type binding struct {
 	alias string
 	rel   *Relation
+	// filter is the WHERE conjuncts pushDown moved onto the item, ANDed,
+	// nil for none; kept holds the positions of the rows filter holds
+	// for. The cursor pos runs over the n rows the item contributes
+	// (see step).
+	filter node
+	kept   []int
+	pos, n int
 }
 
 type queryEnv struct {
@@ -392,7 +400,7 @@ func (q *queryEnv) bind(e expr) (node, AttrType, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		return q.guarded(&apply{fn: ex.fn, text: ex.text, args: args, ov: ov, argv: make([]any, len(args))}), ov.ret, nil
+		return q.guarded(fused(&apply{fn: ex.fn, src: ex, args: args, ov: ov, argv: make([]any, len(args))})), ov.ret, nil
 	case starArg:
 		return nil, 0, fmt.Errorf("%w: * is only valid in count(*)", ErrType)
 	}
@@ -419,6 +427,51 @@ func lookupOverload(c call, args []AttrType) (overload, error) {
 		}
 	}
 	return overload{}, fmt.Errorf("%w: no overload of %q for %v", ErrType, c.text, args)
+}
+
+// areaExtrema are the kernels of max(area(e)) and min(area(e)) for a
+// moving region e, which bind fuses into one call: each folds the area's
+// units as the moving region produces them, without building the moving
+// real, and answers what max or min of it answers.
+var areaExtrema = map[string]overload{
+	"max": {args: []AttrType{TMRegion}, ret: TReal, fn: func(ctx context.Context, a []any) (any, error) {
+		return definedReal(a[0].(moving.MRegion).AreaMaxCtx(ctx))
+	}},
+	"min": {args: []AttrType{TMRegion}, ret: TReal, fn: func(ctx context.Context, a []any) (any, error) {
+		return definedReal(a[0].(moving.MRegion).AreaMinCtx(ctx))
+	}},
+}
+
+// definedReal is a real extremum as the query sees it: ⊥ where there is
+// none.
+func definedReal(v float64, ok bool, err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return Undef{}, nil
+	}
+	return v, nil
+}
+
+// fused returns the bound call ap as one call of its areaExtrema kernel
+// when it is max or min (the operations, not the aggregates) of the area
+// of a moving region, and ap itself otherwise. The fused call keeps ap's
+// text and evaluates area's argument; it times area, once, and no max or
+// min, as a guarded sometimes(inside) times inside and no sometimes.
+func fused(ap *apply) *apply {
+	kernel, ok := areaExtrema[ap.fn]
+	if !ok {
+		return ap
+	}
+	if _, ok := applyOf(ap, ap.fn, TMReal); !ok {
+		return ap
+	}
+	area, ok := applyOf(ap.args[0], "area", TMRegion)
+	if !ok {
+		return ap
+	}
+	return &apply{fn: area.fn, src: ap.src, args: area.args, ov: kernel, argv: area.argv}
 }
 
 // Query parses and executes a SELECT statement against the catalog and
@@ -624,16 +677,42 @@ func (q *queryEnv) bindWhere(where expr) (node, error) {
 // forEachRow is the executor's one row loop: it runs fn on every row of
 // the cross product of the FROM relations, in nested-loop order (the
 // last FROM item varies fastest), that the bound WHERE clause keeps,
-// checking for cancellation as it goes. During fn the row is q.tuples
-// and q.rows. A nil where keeps every row.
+// checking for cancellation as it goes. The conjuncts pushDown moves
+// filter each FROM item's rows once, first; the cross product runs
+// over the rows they keep and evaluates the rest. During fn the row is
+// q.tuples and q.rows. A nil where keeps every row.
 func (q *queryEnv) forEachRow(where node, fn func() error) error {
 	q.tuples = make([]Tuple, len(q.binds))
-	q.rows = make([]int, len(q.binds))
-	for i, b := range q.binds {
+	for _, b := range q.binds {
 		if b.rel.Len() == 0 {
 			return nil
 		}
-		q.tuples[i] = b.rel.Scan()[0]
+	}
+	where, some := q.pushDown(where)
+	if !some {
+		return nil
+	}
+	// q.rows and the filtered items' row lists share one allocation.
+	room := len(q.binds)
+	for _, b := range q.binds {
+		if b.filter != nil {
+			room += b.rel.Len()
+		}
+	}
+	buf := make([]int, room)
+	q.rows, buf = buf[:len(q.binds)], buf[len(q.binds):]
+	for i := range q.binds {
+		b := &q.binds[i]
+		b.n = b.rel.Len()
+		if b.filter != nil {
+			var err error
+			if b.kept, err = q.keepRows(i, buf[:0:b.n]); err != nil || len(b.kept) == 0 {
+				return err
+			}
+			buf, b.n = buf[b.n:], len(b.kept)
+		}
+		b.pos = -1
+		q.step(i)
 	}
 	for {
 		if err := q.checkCancel(); err != nil {
@@ -653,20 +732,33 @@ func (q *queryEnv) forEachRow(where node, fn func() error) error {
 			}
 		}
 		// The next row: advance the last FROM item, carrying into the
-		// ones before it; past the first one's last tuple, done.
+		// ones before it; past the first one's last row, done.
 		i := len(q.binds) - 1
-		for ; i >= 0; i-- {
-			tuples := q.binds[i].rel.Scan()
-			if q.rows[i]++; q.rows[i] < len(tuples) {
-				q.tuples[i] = tuples[q.rows[i]]
-				break
-			}
-			q.tuples[i], q.rows[i] = tuples[0], 0
+		for i >= 0 && !q.step(i) {
+			i--
 		}
 		if i < 0 {
 			return nil
 		}
 	}
+}
+
+// step moves FROM item i to its next row and reports whether it had
+// one; past its last row it goes back to its first. The cursor pos
+// counts the item's rows, or for a filtered item the positions in kept.
+func (q *queryEnv) step(i int) bool {
+	b := &q.binds[i]
+	b.pos++
+	more := b.pos < b.n
+	if !more {
+		b.pos = 0
+	}
+	row := b.pos
+	if b.kept != nil {
+		row = b.kept[row]
+	}
+	q.rows[i], q.tuples[i] = row, b.rel.tuples[row]
+	return more
 }
 
 // sortKey is an ORDER BY key bound to a query: the projected column it

@@ -22,7 +22,10 @@ import (
 // built from the six comparisons over columns of both relations and
 // literals of each type, nested AND / OR / NOT, negation and arithmetic
 // (division by zero and overflow included), with min(speed(m)) and
-// present(m, …) as the sources of ⊥. A few statements compare or add
+// present(m, …) as the sources of ⊥. A share of the WHERE clauses are
+// chains of AND conjuncts that put comparisons reading one relation on
+// both sides of arithmetic that can fail, which holds the executor's
+// push-down to its rule. A few statements compare or add
 // values of mixed types, which bind refuses. The naive side walks the
 // nested loop itself and evaluates each generated node with its own
 // closure; it shares no code with the executor's evaluation or its
@@ -56,6 +59,23 @@ func FuzzQueryMatchesNaive(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPushDownKeepsFailures: a conjunct that reads one relation moves
+// ahead of the cross product only when no conjunct to its left can
+// fail. Right of a division by zero it stays, and the division fails
+// the statement on its first row; left of it, it filters every row away
+// first, as it did row by row, so the division never runs.
+func TestPushDownKeepsFailures(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cat := Catalog{"r": oracleRelation(rng, "r", 3), "t": oracleRelation(rng, "t", 3)}
+	if _, err := Query(cat, "SELECT p.s FROM r p, t q WHERE p.x / 0 > 1 AND q.s = 'absent'"); !errors.Is(err, ErrType) {
+		t.Errorf("division by zero left of a one-relation conjunct: err = %v, want ErrType", err)
+	}
+	res, err := Query(cat, "SELECT p.s FROM r p, t q WHERE q.s = 'absent' AND p.x / 0 > 1")
+	if err != nil || res.Len() != 0 {
+		t.Errorf("division by zero right of a one-relation conjunct that holds nowhere: %v rows, err = %v; want none", res, err)
+	}
 }
 
 // The oracle's relations: column positions and the values they draw.
@@ -140,8 +160,10 @@ func (g oracleGen) scalar(t AttrType, depth int) oExpr {
 }
 
 // column reads column c of the relation aliased p or q.
-func (g oracleGen) column(c int, t AttrType) oExpr {
-	side := g.rng.Intn(2)
+func (g oracleGen) column(c int, t AttrType) oExpr { return sideColumn(g.rng.Intn(2), c, t) }
+
+// sideColumn reads column c of the relation aliased p (side 0) or q.
+func sideColumn(side, c int, t AttrType) oExpr {
 	name := []string{"s", "x", "i", "b", "m"}[c]
 	return oExpr{
 		sql: []string{"p.", "q."}[side] + name, typ: t,
@@ -221,7 +243,10 @@ func (g oracleGen) real(depth int) oExpr {
 	case k < 7:
 		return g.column(oX, TReal)
 	}
-	v := oracleNums[g.rng.Intn(len(oracleNums))]
+	return oracleNum(oracleNums[g.rng.Intn(len(oracleNums))])
+}
+
+func oracleNum(v float64) oExpr {
 	return oracleConst(strconv.FormatFloat(v, 'g', -1, 64), TReal, v)
 }
 
@@ -286,17 +311,7 @@ func (g oracleGen) pred(depth int) oExpr {
 	case k < 5:
 		return oracleConnective(g.pred(depth-1), []string{"AND", "OR"}[g.rng.Intn(2)], g.pred(depth-1))
 	case k == 5:
-		e := g.pred(depth - 1)
-		return oExpr{sql: "(NOT " + e.sql + ")", typ: TBool, bad: e.bad, eval: func(p, q Tuple) (any, error) {
-			v, err := e.eval(p, q)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := v.(bool); ok {
-				return !b, nil
-			}
-			return v, nil
-		}}
+		return oracleNot(g.pred(depth - 1))
 	case k == 6:
 		side := g.rng.Intn(2)
 		at := g.real(depth - 1)
@@ -382,6 +397,20 @@ func oracleCompare(l oExpr, op string, r oExpr) oExpr {
 	}
 }
 
+// oracleNot negates a bool; ⊥ stays ⊥.
+func oracleNot(e oExpr) oExpr {
+	return oExpr{sql: "(NOT " + e.sql + ")", typ: TBool, bad: e.bad, eval: func(p, q Tuple) (any, error) {
+		v, err := e.eval(p, q)
+		if err != nil {
+			return nil, err
+		}
+		if b, ok := v.(bool); ok {
+			return !b, nil
+		}
+		return v, nil
+	}}
+}
+
 // oracleConnective short-circuits: a false left side of AND and a true left
 // side of OR decide without the right one. Otherwise ⊥ on either side
 // is ⊥.
@@ -414,6 +443,74 @@ func oracleConnective(l oExpr, op string, r oExpr) oExpr {
 	}
 }
 
+// chain draws n conjuncts joined by AND in a random shape: comparisons
+// that read one relation, conjuncts that can fail on some rows (a zero
+// divisor, an overflow) and random predicates. So the executor's
+// push-down meets one-relation conjuncts both left and right of one
+// that can fail, and may move only the former.
+func (g oracleGen) chain(n int) oExpr {
+	cs := make([]oExpr, n)
+	for k := range cs {
+		switch g.rng.Intn(3) {
+		case 0:
+			cs[k] = g.oneSide()
+		case 1:
+			cs[k] = g.failing()
+		default:
+			cs[k] = g.pred(1)
+		}
+	}
+	for len(cs) > 1 {
+		k := g.rng.Intn(len(cs) - 1)
+		cs[k] = oracleConnective(cs[k], "AND", cs[k+1])
+		cs = append(cs[:k+1], cs[k+2:]...)
+	}
+	return cs[0]
+}
+
+// oneSide draws a comparison, or its negation, that reads one relation:
+// a column against a literal or against a column of the same side. An
+// int column meets an int column: the lexer reads every number as a
+// real.
+func (g oracleGen) oneSide() oExpr {
+	side, c := g.rng.Intn(2), g.rng.Intn(4) // oS, oX, oI or oB
+	t := []AttrType{TString, TReal, TInt, TBool}[c]
+	l, r := sideColumn(side, c, t), sideColumn(side, c, t)
+	if g.rng.Intn(2) == 0 {
+		switch t {
+		case TString:
+			v := oracleStrings[g.rng.Intn(len(oracleStrings))]
+			r = oracleConst("'"+v+"'", TString, v)
+		case TReal:
+			r = oracleNum(oracleNums[g.rng.Intn(len(oracleNums))])
+		case TBool:
+			r = oracleConst("TRUE", TBool, true)
+		}
+	}
+	e := oracleCompare(l, oracleOps[g.rng.Intn(len(oracleOps))], r)
+	if g.rng.Intn(4) == 0 {
+		return oracleNot(e)
+	}
+	return e
+}
+
+// failing draws a comparison of arithmetic that fails on some rows: a
+// division by a column that may hold a zero, or by 0 itself, or a
+// product that leaves the finite reals.
+func (g oracleGen) failing() oExpr {
+	x := sideColumn(g.rng.Intn(2), oX, TReal)
+	var a oExpr
+	switch g.rng.Intn(3) {
+	case 0:
+		a = oracleArith(x, '/', sideColumn(g.rng.Intn(2), oX, TReal))
+	case 1:
+		a = oracleArith(x, '/', oracleNum(0))
+	default:
+		a = oracleArith(x, '*', oracleNum(1e308))
+	}
+	return oracleCompare(a, oracleOps[g.rng.Intn(len(oracleOps))], oracleNum(1))
+}
+
 // oracleQuery is SELECT items FROM r p, t q [WHERE where].
 type oracleQuery struct {
 	items []oExpr
@@ -426,7 +523,11 @@ func genOracleQuery(rng *rand.Rand) oracleQuery {
 	for k := 0; k < 1+rng.Intn(3); k++ {
 		q.items = append(q.items, g.scalar([]AttrType{TReal, TInt, TString, TBool}[rng.Intn(4)], rng.Intn(3)))
 	}
-	if rng.Intn(5) > 0 {
+	switch k := rng.Intn(5); {
+	case k == 1:
+		w := g.chain(2 + rng.Intn(3))
+		q.where = &w
+	case k > 1:
 		w := g.pred(1 + rng.Intn(3))
 		q.where = &w
 	}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,6 +11,7 @@ import (
 
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
+	"movingdb/internal/obs"
 	"movingdb/internal/spatial"
 	"movingdb/internal/temporal"
 	"movingdb/internal/workload"
@@ -855,5 +857,47 @@ func TestOutputNamesDeduplicate(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("%s: columns %q, want %q", c.sql, got, c.want)
 		}
+	}
+}
+
+// TestFusedAreaExtremum: max(area(e)) and min(area(e)) of a moving
+// region are one fused call that answers what the built moving real's
+// Max and Min answer, bit for bit, ⊥ for the empty region, and records
+// area once per evaluation and no max or min. The aggregate max over a
+// real argument stays an aggregate.
+func TestFusedAreaExtremum(t *testing.T) {
+	cat := analyticsCatalog()
+	storms := cat["storms"]
+	storms.MustInsert(Tuple{"empty", moving.MRegion{}})
+	m := obs.New(0)
+	ctx := obs.NewContext(context.Background(), m)
+	res, err := QueryContext(ctx, cat, "SELECT name, max(area(extent)) AS hi, MIN(area(extent)) AS lo FROM storms WHERE name <> 'empty'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != storms.Len()-1 {
+		t.Fatalf("%d rows, want %d", res.Len(), storms.Len()-1)
+	}
+	if got := res.Schema[2].Name; got != "lo" {
+		t.Errorf("column name = %q", got)
+	}
+	for k, row := range res.Scan() {
+		area := storms.Scan()[k][1].(moving.MRegion).Area()
+		hi, _, _ := area.Max()
+		lo, _, _ := area.Min()
+		if math.Float64bits(row[1].(float64)) != math.Float64bits(hi) || math.Float64bits(row[2].(float64)) != math.Float64bits(lo) {
+			t.Errorf("%s: fused extrema %v, %v; the moving real's %v, %v", row[0], row[1], row[2], hi, lo)
+		}
+	}
+	ops := m.Snapshot().Operators
+	if ops["area"].Count != int64(2*res.Len()) || ops["max"].Count != 0 || ops["min"].Count != 0 {
+		t.Errorf("operators after %d rows: %v", res.Len(), ops)
+	}
+	if _, err := Query(cat, "SELECT max(area(extent)) FROM storms WHERE name = 'empty'"); !errors.Is(err, ErrSchema) {
+		t.Errorf("max(area) of the empty region: err = %v, want ErrSchema for a selected ⊥", err)
+	}
+	res, err = Query(cat, "SELECT max(length(trajectory(flight))) AS longest FROM planes")
+	if err != nil || res.Len() != 1 {
+		t.Fatalf("aggregate max: %v, %v", res, err)
 	}
 }

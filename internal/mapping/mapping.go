@@ -192,38 +192,32 @@ func (m Mapping[U]) AtPeriods(p temporal.Periods) Mapping[U] {
 	return res
 }
 
+// Merge returns the one unit that prev and u make when u follows prev
+// adjacently with the same unit function (the concat operation of
+// Section 5.2, O(1) per unit), and false when they stay two units. It
+// is the rule that keeps Builder's and AtPeriods' results minimal, for
+// callers that fold a unit stream without building the mapping.
+func Merge[U units.Unit[U]](prev, u U) (U, bool) {
+	if !prev.EqualFunc(u) { // first: it refuses most neighbours without reading intervals
+		return prev, false
+	}
+	pi, ci := prev.Interval(), u.Interval()
+	if merged, ok := pi.Union(ci); ok && pi.Adjacent(ci) {
+		return prev.WithInterval(merged), true
+	}
+	return prev, false
+}
+
 // appendMerged appends unit u, merging it into the previous unit when
-// the two are adjacent and carry the same unit function (the concat
-// operation of Section 5.2, O(1) per unit).
+// Merge joins them.
 func appendMerged[U units.Unit[U]](us []U, u U) []U {
 	if n := len(us); n > 0 {
-		prev := us[n-1]
-		pi, ci := prev.Interval(), u.Interval()
-		if pi.Adjacent(ci) && prev.EqualFunc(u) {
-			if merged, ok := pi.Union(ci); ok {
-				us[n-1] = prev.WithInterval(merged)
-				return us
-			}
+		if merged, ok := Merge(us[n-1], u); ok {
+			us[n-1] = merged
+			return us
 		}
 	}
 	return append(us, u)
-}
-
-// Concat merges two mappings whose definition times are in temporal
-// order (every unit of m before every unit of n, except that the last
-// unit of m may be adjacent to the first of n). It is the concat
-// operation used by the inside algorithm.
-func Concat[U units.Unit[U]](m, n Mapping[U]) (Mapping[U], error) {
-	out := make([]U, 0, len(m.us)+len(n.us))
-	out = append(out, m.us...)
-	for _, u := range n.us {
-		out = appendMerged(out, u)
-	}
-	res := Mapping[U]{us: out}
-	if err := res.Validate(); err != nil {
-		return Mapping[U]{}, err
-	}
-	return res, nil
 }
 
 // Builder accumulates units in temporal order, merging adjacent equal

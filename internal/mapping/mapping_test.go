@@ -161,42 +161,67 @@ func TestAtPeriodsProperty(t *testing.T) {
 	}
 }
 
-func TestConcatAndBuilder(t *testing.T) {
-	a := Must(ub(rho(0, 2), true))
-	b := Must(ub(rho(2, 4), true), ub(iv(5, 6), false))
-	c, err := Concat(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// [0,2) and [2,4) with equal value merge into [0,4).
-	if c.Len() != 2 {
-		t.Fatalf("concat = %v", c)
-	}
-	if c.Units()[0].Iv != rho(0, 4) {
-		t.Errorf("merged = %v", c.Units()[0].Iv)
-	}
-	// Builder enforces temporal order.
+func TestBuilderMerges(t *testing.T) {
+	// [0,2) and [2,4) with equal value merge into [0,4); [5,6] after a
+	// gap stays a unit of its own.
 	var bld Builder[units.UBool]
 	bld.Append(ub(rho(0, 2), true))
-	bld.Append(ub(rho(2, 3), false))
-	bld.Append(ub(rho(3, 4), false)) // merges with previous
+	bld.Append(ub(rho(2, 4), true))
+	bld.Append(ub(iv(5, 6), false))
 	m := bld.MustBuild()
-	if m.Len() != 2 || m.Units()[1].Iv != rho(2, 4) {
+	if m.Len() != 2 || m.Units()[0].Iv != rho(0, 4) || m.Units()[1].Iv != iv(5, 6) {
 		t.Errorf("builder = %v", m)
 	}
+	// A degenerate unit merges with an equal neighbour on either side:
+	// [0,1) then [1,1] is [0,1], then (1,3) is [0,3).
+	var deg Builder[units.UBool]
+	deg.Append(ub(rho(0, 1), true))
+	deg.Append(ub(iv(1, 1), true))
+	deg.Append(ub(temporal.Open(1, 3), true))
+	m = deg.MustBuild()
+	if m.Len() != 1 || m.Units()[0].Iv != rho(0, 3) {
+		t.Errorf("degenerate merge = %v", m)
+	}
+	// Adjacent units with distinct values, and equal values across a
+	// gap, stay apart.
+	var apart Builder[units.UBool]
+	apart.Append(ub(rho(0, 2), true))
+	apart.Append(ub(rho(2, 3), false))
+	apart.Append(ub(iv(4, 5), false))
+	if m = apart.MustBuild(); m.Len() != 3 {
+		t.Errorf("unmergeable units = %v", m)
+	}
+	// Merge is Builder's rule: it joins exactly the pairs above.
+	if u, ok := Merge(ub(rho(0, 2), true), ub(rho(2, 4), true)); !ok || u.Iv != rho(0, 4) || !u.V {
+		t.Errorf("Merge of adjacent equal units = %v, %v", u, ok)
+	}
+	if _, ok := Merge(ub(rho(0, 2), true), ub(rho(2, 4), false)); ok {
+		t.Error("Merge joined distinct values")
+	}
+	if _, ok := Merge(ub(rho(0, 2), true), ub(iv(3, 4), true)); ok {
+		t.Error("Merge joined across a gap")
+	}
+}
+
+func TestBuilderRejectsDisorder(t *testing.T) {
 	var bad Builder[units.UBool]
 	bad.Append(ub(iv(5, 6), true))
 	bad.Append(ub(iv(0, 1), true))
 	if _, err := bad.Build(); err == nil {
 		t.Error("out-of-order append accepted")
 	}
-}
-
-func TestConcatRejectsOverlap(t *testing.T) {
-	a := Must(ub(iv(0, 5), true))
-	b := Must(ub(iv(3, 8), true))
-	if _, err := Concat(a, b); err == nil {
-		t.Error("overlapping concat accepted")
+	var overlap Builder[units.UBool]
+	overlap.Append(ub(iv(0, 5), true))
+	overlap.Append(ub(iv(3, 8), true))
+	if _, err := overlap.Build(); err == nil {
+		t.Error("overlapping append accepted")
+	}
+	// Two closed units that share an endpoint overlap there.
+	var shared Builder[units.UBool]
+	shared.Append(ub(iv(0, 2), true))
+	shared.Append(ub(iv(2, 4), false))
+	if _, err := shared.Build(); err == nil {
+		t.Error("units sharing a closed endpoint accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package moving_test
 
 import (
+	"context"
 	"testing"
 
 	"movingdb/internal/workload"
@@ -31,6 +32,20 @@ func BenchmarkDistanceAtMinInitial(b *testing.B) {
 		p, q := flights[i%len(flights)].Flight, flights[(i+1)%len(flights)].Flight
 		if _, ok := p.Distance(q).AtMin().Initial(); !ok {
 			b.Fatal("flights share no time")
+		}
+	}
+}
+
+// BenchmarkAreaMax is max(area(extent)) over one storm of the analytics
+// catalog's shape, folded unit by unit without the moving real.
+func BenchmarkAreaMax(b *testing.B) {
+	storm := workload.New(2000).Storm(0, 64, 12, 6)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := storm.AreaMaxCtx(ctx); !ok || err != nil {
+			b.Fatal("a storm has an area")
 		}
 	}
 }

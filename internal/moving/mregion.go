@@ -2,6 +2,7 @@ package moving
 
 import (
 	"context"
+	"math"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/mapping"
@@ -96,13 +97,69 @@ func (r MRegion) Area() MReal {
 // AreaCtx is Area with cooperative cancellation over the unit scan.
 func (r MRegion) AreaCtx(ctx context.Context) (MReal, error) {
 	var bld mapping.Builder[units.UReal]
-	for i, u := range r.M.Units() {
-		if err := cancelCheck(ctx, i); err != nil {
-			return MReal{}, err
-		}
-		bld.Append(unitAreaUReal(u))
+	if err := r.eachAreaUnit(ctx, bld.Append); err != nil {
+		return MReal{}, err
 	}
 	return MReal{M: bld.MustBuild()}, nil
+}
+
+// AreaMaxCtx is Area().Max() without the moving real or the instant:
+// it folds the units AreaCtx would build as they are produced, so it
+// allocates nothing, and yields the same value bit for bit. ok is false
+// for the empty moving region.
+func (r MRegion) AreaMaxCtx(ctx context.Context) (float64, bool, error) {
+	best := math.Inf(-1)
+	err := r.eachAreaUnit(ctx, func(u units.UReal) {
+		if v, _ := u.Max(); v > best {
+			best = v
+		}
+	})
+	if err != nil || r.M.IsEmpty() {
+		return 0, false, err
+	}
+	return best, true, nil
+}
+
+// AreaMinCtx is the value of Area().Min() without the moving real, as
+// AreaMaxCtx is of Max.
+func (r MRegion) AreaMinCtx(ctx context.Context) (float64, bool, error) {
+	best := math.Inf(1)
+	err := r.eachAreaUnit(ctx, func(u units.UReal) {
+		if v, _ := u.Min(); v < best {
+			best = v
+		}
+	})
+	if err != nil || r.M.IsEmpty() {
+		return 0, false, err
+	}
+	return best, true, nil
+}
+
+// eachAreaUnit calls fn with the units of the moving real Area builds,
+// in order: each unit's exact area quadratic (unitAreaUReal), adjacent
+// units with equal quadratics joined by mapping.Merge, the rule Builder
+// applies. It polls ctx as the unit scan goes.
+func (r MRegion) eachAreaUnit(ctx context.Context, fn func(units.UReal)) error {
+	var run units.UReal
+	us := r.M.Units()
+	for i, u := range us {
+		if err := cancelCheck(ctx, i); err != nil {
+			return err
+		}
+		a := unitAreaUReal(u)
+		if i > 0 {
+			if merged, ok := mapping.Merge(run, a); ok {
+				run = merged
+				continue
+			}
+			fn(run)
+		}
+		run = a
+	}
+	if len(us) > 0 {
+		fn(run)
+	}
+	return nil
 }
 
 // unitAreaUReal computes the exact quadratic area polynomial of a
@@ -112,10 +169,13 @@ func (r MRegion) AreaCtx(ctx context.Context) (MReal, error) {
 func unitAreaUReal(u units.URegion) units.UReal {
 	var a, b, c float64
 	addCycle := func(mc units.MCycle, sign float64) {
-		n := len(mc)
 		var ca, cb, cc float64
 		for i := range mc {
-			p, q := mc[i], mc[(i+1)%n]
+			j := i + 1 // the ring closes: the last vertex pairs with the first
+			if j == len(mc) {
+				j = 0
+			}
+			p, q := &mc[i], &mc[j]
 			// cross(p(t), q(t)) = (p0+p1·t) × (q0+q1·t)
 			ca += p.X1*q.Y1 - p.Y1*q.X1
 			cb += p.X0*q.Y1 + p.X1*q.Y0 - p.Y0*q.X1 - p.Y1*q.X0

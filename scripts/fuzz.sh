@@ -29,6 +29,7 @@ smoke ./internal/units FuzzSometimesInsideMatchesKernel "the sometimes-inside pr
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
 smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
+smoke ./internal/moving FuzzAreaExtremaMatchBuilt "the fused max/min of a moving region's area vs Area().Max()/Min() of the built moving real, bit for bit" -fuzzminimizetime=1s
 smoke ./internal/index FuzzDynamic "index ladder vs linear scan and brute-force k-NN"
 smoke ./internal/server FuzzIngestDecode "observation scanner vs encoding/json" -fuzzminimizetime=1s
 smoke ./internal/server FuzzQueryParams "RawQuery scanner vs url.ParseQuery, read routes never 5xx" -fuzzminimizetime=1s
