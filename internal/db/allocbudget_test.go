@@ -33,9 +33,9 @@ func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkJoinInside", Bench: BenchmarkJoinInside, MaxAllocs: 105, MaxBytes: 9700},
 		allocbudget.Budget{Name: "BenchmarkJoinDistance", Bench: BenchmarkJoinDistance, MaxAllocs: 100, MaxBytes: 11600},
-		allocbudget.Budget{Name: "BenchmarkTemplateA", Bench: BenchmarkTemplateA, MaxAllocs: 578, MaxBytes: 66600},
-		allocbudget.Budget{Name: "BenchmarkTemplateB", Bench: BenchmarkTemplateB, MaxAllocs: 701, MaxBytes: 76100},
-		allocbudget.Budget{Name: "BenchmarkTemplateC", Bench: BenchmarkTemplateC, MaxAllocs: 91, MaxBytes: 8000},
-		allocbudget.Budget{Name: "BenchmarkTemplateD", Bench: BenchmarkTemplateD, MaxAllocs: 119, MaxBytes: 12400},
+		allocbudget.Budget{Name: "BenchmarkTemplateA", Bench: BenchmarkTemplateA, MaxAllocs: 554, MaxBytes: 66600},
+		allocbudget.Budget{Name: "BenchmarkTemplateB", Bench: BenchmarkTemplateB, MaxAllocs: 673, MaxBytes: 76100},
+		allocbudget.Budget{Name: "BenchmarkTemplateC", Bench: BenchmarkTemplateC, MaxAllocs: 75, MaxBytes: 8000},
+		allocbudget.Budget{Name: "BenchmarkTemplateD", Bench: BenchmarkTemplateD, MaxAllocs: 85, MaxBytes: 12400},
 	)
 }

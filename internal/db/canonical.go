@@ -25,8 +25,14 @@ func Canonical(q string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("%w: %v", ErrSyntax, err)
 	}
+	return render(toks, len(q)), nil
+}
+
+// render writes tokens in the canonical spelling Canonical describes,
+// into a buffer of size bytes to start with.
+func render(toks []token, size int) string {
 	var b strings.Builder
-	b.Grow(len(q))
+	b.Grow(size)
 	prev := token{kind: tokEOF}
 	for _, t := range toks {
 		if t.kind == tokEOF {
@@ -56,7 +62,7 @@ func Canonical(q string) (string, error) {
 		}
 		prev = t
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // needSpace decides whether a separator goes between two adjacent

@@ -42,9 +42,9 @@ func FuzzAreaExtremaMatchBuilt(f *testing.F) {
 		"static square":  fuzzRegions()[3],
 		"unbounded":      fuzzRegions()[4],
 		"empty":          fuzzRegions()[5],
-		// Two shapes of one area over (-∞, 0) and [0, +∞]: merged, the
-		// unit's only candidates are its infinite ends, whose values are
-		// NaN, so the maximum stays -∞; unmerged, t = 0 is a candidate.
+		// Two shapes of one area over (-∞, 0) and [0, +∞]: the units
+		// merge, and the merged unit's only candidates are its infinite
+		// ends, where the constant area is the limit.
 		"unbounded, two shapes": moving.MRegion{M: mapping.Must(
 			staticUnit(temporal.RightHalfOpen(temporal.NegInf, 0), 480, 480, 520, 520),
 			staticUnit(temporal.Closed(0, temporal.PosInf), 490, 460, 510, 540),

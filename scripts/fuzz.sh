@@ -25,8 +25,10 @@ smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs 
 smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
 smoke ./internal/temporal FuzzRefine "streaming sweep and its pair step vs the sort-based oracle"
+smoke ./internal/baseline FuzzURealExtremum "a ureal's min/max, limits at ±∞ included, vs an exact math/big rational evaluator"
 smoke ./internal/units FuzzSometimesInsideMatchesKernel "the sometimes-inside predicate kernel vs the any-true of the inside kernel's units"
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
+smoke ./internal/db FuzzLexMatchesReference "the lexer vs the allocating lexer it replaced: tokens, errors and Canonical bytes"
 smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzAreaExtremaMatchBuilt "the fused max/min of a moving region's area vs Area().Max()/Min() of the built moving real, bit for bit" -fuzzminimizetime=1s
