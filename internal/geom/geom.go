@@ -101,11 +101,30 @@ func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 // +1 if counter-clockwise, −1 if clockwise, 0 if (approximately)
 // collinear. The collinearity tolerance scales with the magnitude of the
 // involved coordinates so that large geometries behave like small ones.
+//
+// A determinant far from the tolerance is classified without the two
+// Hypot calls the tolerance needs: |ux| + |uy| bounds the length of
+// u = b − a from above, so Eps·2·max(1, (|ux| + |uy|)², (|vx| + |vy|)²)
+// is never below the tolerance as computed — the factor 2 covers the
+// rounding of Hypot, of the sums and of the products — and a
+// determinant above it gets the sign the full test gives. A bound that
+// is not finite (NaN, ±Inf, an overflow) compares false, and so does a
+// NaN determinant: those, and determinants inside the band, take the
+// full test, so the result is bit for bit the full test's.
 func Orient(a, b, c Point) int {
-	d := (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
+	ux, uy := b.X-a.X, b.Y-a.Y
+	vx, vy := c.X-a.X, c.Y-a.Y
+	d := ux*vy - uy*vx
+	su, sv := math.Abs(ux)+math.Abs(uy), math.Abs(vx)+math.Abs(vy)
+	if math.Abs(d) > Eps*2*max(1, su*su, sv*sv) {
+		if d > 0 {
+			return 1
+		}
+		return -1
+	}
 	// Scale-aware tolerance: the determinant has the dimension of an
 	// area, so compare against Eps times a characteristic squared size.
-	scale := max(1, b.Sub(a).Norm(), c.Sub(a).Norm())
+	scale := max(1, math.Hypot(ux, uy), math.Hypot(vx, vy))
 	if math.Abs(d) <= Eps*scale*scale {
 		return 0
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // The filter step of a filter-and-refine join (Section 4.2 stores a
-// bounding cube with every spatial unit for exactly this): bounding
-// boxes decide that a lifted predicate can never hold for a pair, or for
-// a piece of it, so that the Section 5 kernel need not run there. A
-// filter may err only towards MayHold — what it rejects is provably
-// false. Each shape has two steps over summaries computed once per value
+// bounding cube with every spatial unit for exactly this): bounding boxes
+// decide that a lifted predicate can never hold for a pair, or for a
+// piece of it, so that the Section 5 kernel need not run there. A filter
+// may err only towards MayHold — what it rejects is provably false. Each
+// shape has two steps over summaries computed once per value
 // (PointBounds, RegionBounds: the whole value's box and one stored box
 // per unit, flat arrays beside the unit arrays). The candidate test,
 // InsideCandidate or WithinCandidate, compares the whole-value boxes and
@@ -24,13 +24,18 @@ import (
 // (temporal.Sweep.NextPair, the seek the kernels' NextCommon makes): the
 // indexes of the two units that cover a piece come first, and the stored
 // boxes refuse most pairs from those alone, before the piece's interval
-// or any sliced unit is built. Both walks refine in that same pass:
-// SometimesInsideHook runs the sometimes-inside predicate kernel on the
-// pieces the boxes leave, ComesWithin takes the minimum of the unit
-// distance there and leaves to its caller only a pair whose minima do
-// not settle the answer. Each calls a hook of its caller once, before
-// its first kernel call, so a caller that times the kernels reads no
-// clock for a pair the boxes refuse. The summaries go by pointer: a caller
+// is built. A pair they leave gets its piece and the box of each point
+// unit over it, from the unit's motion at the piece's two ends
+// (units.MPoint.BBox: the box of the sliced unit, with no unit copied);
+// only the inside kernel is handed sliced units. The sweep lives on the
+// walk's stack and steps in line (see Sweep.NextPair), which matters
+// because a walk is a few pieces long. Both walks refine in that same
+// pass: SometimesInsideHook runs the sometimes-inside predicate kernel on
+// the pieces the boxes leave, ComesWithin takes the minimum of the unit
+// distance there and leaves to its caller only a pair whose minima do not
+// settle the answer. Each calls a hook of its caller once, before its
+// first kernel call, so a caller that times the kernels reads no clock
+// for a pair the boxes refuse. The summaries go by pointer: a caller
 // holds them in arrays it does not change while the walks read them.
 
 // Verdict is the outcome of a filter for one pair.
@@ -124,17 +129,18 @@ func InsideCandidate(pb *PointBounds, rb *RegionBounds) bool {
 // p.Inside(r).Sometimes() — in one walk along the common pieces of the
 // two unit arrays, filtering and refining as it goes; pb and rb are
 // p.Bounds() and r.Bounds(), and the pair is meant to be one
-// InsideCandidate accepts. Per pair of units covering a piece it asks the
-// two stored unit boxes first, by index, before the piece is built; a
-// pair they leave gets its piece, the point unit sliced to it and that
-// sliced box's test against the stored region box, and a pair neither
-// refuses runs units.UPointSometimesInsideURegion, the walk returning at
-// the first true one; no moving bool is built. onKernel, when not nil, is
-// called once, just before the first kernel call. The verdict says how
-// far the pair got: NoUnit (every piece was refused, the kernel never
-// ran; so is every piece of a pair the candidate test refuses) or
-// MayHold. ctx is polled on every cancelCheckEvery-th piece walked,
-// refused ones included, the first included — InsideCtx's cadence.
+// InsideCandidate accepts. Per pair of units covering a piece it asks
+// the two stored unit boxes first, by index, before the piece is built;
+// a pair they leave gets its piece and the test of the point unit's box
+// over it against the stored region box, and a pair neither refuses
+// runs units.UPointSometimesInsideURegion on the two units sliced to
+// the piece, the walk returning at the first true one; no moving bool
+// is built. onKernel, when not nil, is called once, just before the
+// first kernel call. The verdict says how far the pair got: NoUnit
+// (every piece was refused, the kernel never ran; so is every piece of
+// a pair the candidate test refuses) or MayHold. ctx is polled on every
+// cancelCheckEvery-th piece walked, refused ones included, the first
+// included — InsideCtx's cadence.
 //
 // A refused piece is one the kernel's own cube test answers false for,
 // and that needs no tolerance: a unit's motion is linear and
@@ -164,8 +170,7 @@ func SometimesInsideHook(ctx context.Context, p MPoint, pb *PointBounds, r MRegi
 			continue
 		}
 		iv := sw.Piece()
-		up := pu[a].WithInterval(iv)
-		if filtered && !up.BBox().Intersects(rb.Units[b]) {
+		if filtered && !pu[a].M.BBox(iv).Intersects(rb.Units[b]) {
 			continue
 		}
 		if onKernel != nil {
@@ -173,7 +178,7 @@ func SometimesInsideHook(ctx context.Context, p MPoint, pb *PointBounds, r MRegi
 			onKernel = nil
 		}
 		verdict = MayHold
-		if units.UPointSometimesInsideURegion(up, ru[b].WithInterval(iv)) {
+		if units.UPointSometimesInsideURegion(pu[a].WithInterval(iv), ru[b].WithInterval(iv)) {
 			return true, MayHold, nil
 		}
 	}
@@ -241,21 +246,21 @@ func WithinCandidate(pb, qb *PointBounds, c float64) bool {
 
 // ComesWithin answers whether p and q ever come within distance c of
 // each other — min(distance(p, q)) < c, equally ≤ c, and
-// val(initial(atmin(distance(p, q)))) < c or ≤ c — in one walk along the
-// common pieces of their unit arrays; pb and qb are their Bounds(), and
-// the pair is meant to be one WithinCandidate accepts. Per pair of units
-// covering a piece it asks the two stored unit boxes first, by index,
-// before the piece is built; a pair they leave gets its piece and the
-// test of the two units' boxes sliced to it (c ≤ 0 counts as 0), and on a
-// pair neither refuses the walk takes the minimum of the unit distance
-// the distance kernel builds there; no moving real is built. onKernel,
-// when not nil, is called once, just before the first unit distance is
-// formed. decided is false when the minima do not settle the answer
-// under both spellings (see WithinMargin), or when the margin is not
-// finite: then the caller runs the kernels. The verdict says how far the
-// pair got: NoUnit (every piece was refused, no unit distance was
-// formed; so is every piece of a pair the candidate test refuses) or
-// MayHold.
+// val(initial(atmin(distance(p, q)))) < c or ≤ c — in one walk along
+// the common pieces of their unit arrays; pb and qb are their Bounds(),
+// and the pair is meant to be one WithinCandidate accepts. Per pair of
+// units covering a piece it asks the two stored unit boxes first, by
+// index, before the piece is built; a pair they leave gets its piece
+// and the test of the two units' boxes over it, from their motions at
+// its ends (c ≤ 0 counts as 0), and on a pair neither refuses the walk
+// takes the minimum of the unit distance the distance kernel builds
+// there; no moving real is built. onKernel, when not nil, is called
+// once, just before the first unit distance is formed. decided is false
+// when the minima do not settle the answer under both spellings (see
+// WithinMargin), or when the margin is not finite: then the caller runs
+// the kernels. The verdict says how far the pair got: NoUnit (every
+// piece was refused, no unit distance was formed; so is every piece of
+// a pair the candidate test refuses) or MayHold.
 func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64, onKernel func()) (hit bool, v Verdict, decided bool) {
 	limit, m := withinLimit(pb, qb, c)
 	if !finite(limit) {
@@ -273,7 +278,7 @@ func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64
 			continue
 		}
 		iv := sw.Piece()
-		if beyond(pu[a].WithInterval(iv).BBox(), qu[b].WithInterval(iv).BBox(), limit) {
+		if beyond(pu[a].M.BBox(iv), qu[b].M.BBox(iv), limit) {
 			continue
 		}
 		if onKernel != nil {

@@ -232,6 +232,27 @@ func TestRangeValues(t *testing.T) {
 	if rv3.Len() != 2 || !rv3.Contains(3) || !rv3.Contains(8) || rv3.Contains(5) {
 		t.Errorf("plateau range = %v", rv3)
 	}
+	// Open and unbounded units: a constant takes its value at every
+	// instant, open ends or not; at an infinite end the function's limit
+	// is the bound, and an infinite bound is open.
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		u    units.UReal
+		want temporal.IntervalOf[float64]
+	}{
+		{units.ConstUReal(temporal.Open(0, 1), 5), temporal.IntervalOf[float64]{Start: 5, End: 5, LC: true, RC: true}},
+		{units.ConstUReal(temporal.Open(temporal.NegInf, temporal.PosInf), 1600), temporal.IntervalOf[float64]{Start: 1600, End: 1600, LC: true, RC: true}},
+		{units.NewUReal(temporal.MustInterval(0, temporal.PosInf, true, false), -1, 0, 5, false), temporal.IntervalOf[float64]{Start: -inf, End: 5, RC: true}},
+		{units.NewUReal(temporal.Open(temporal.NegInf, 0), 0, 2, -1, false), temporal.IntervalOf[float64]{Start: -inf, End: -1}},
+		// √(1 − t²) on (0, 2): the radicand is negative near the open end
+		// 2, where the unit reads 0 on [1, 2); 1 is only approached at 0.
+		{units.NewUReal(temporal.Open(0, 2), -1, 0, 1, true), temporal.IntervalOf[float64]{Start: 0, End: 1, LC: true}},
+	} {
+		rv := MustMReal(c.u).RangeValues()
+		if rv.Len() != 1 || rv.Intervals()[0] != c.want {
+			t.Errorf("rangevalues(%v) = %v, want {%v}", c.u, rv, c.want)
+		}
+	}
 }
 
 // TestMRealAtRangeProperty checks at(mreal, range(real)) and rangevalues

@@ -36,7 +36,9 @@ type Sweep[A, B Spanned] struct {
 	a    []A
 	b    []B
 	i, j int
-	// ia and ib cache a[i].Interval() and b[j].Interval().
+	// ia and ib cache a[i].Interval() and b[j].Interval(); before the
+	// first step i and j are −1 and ia and ib end at −∞, so the first
+	// step loads element 0 like any later one.
 	ia, ib Interval
 	// at is where the sweep stands: everything before it is emitted.
 	// from is where the piece NextPair returned last begins.
@@ -60,16 +62,13 @@ func (b boundary) less(c boundary) bool {
 func lower(i Interval) boundary { return boundary{i.Start, !i.LC} }
 func upper(i Interval) boundary { return boundary{i.End, i.RC} }
 
-// NewSweep starts the sweep over a and b.
-func NewSweep[A, B Spanned](a []A, b []B) Sweep[A, B] {
-	s := Sweep[A, B]{a: a, b: b, at: boundary{t: NegInf}}
-	if len(a) > 0 {
-		s.ia = a[0].Interval()
-	}
-	if len(b) > 0 {
-		s.ib = b[0].Interval()
-	}
-	return s
+// NewSweep starts the sweep over a and b. It reads no element: the
+// sweep is built where the caller holds it (the function inlines and
+// the pointer stays on the caller's stack), and the first step loads
+// the first elements.
+func NewSweep[A, B Spanned](a []A, b []B) *Sweep[A, B] {
+	before := Interval{Start: NegInf, End: NegInf}
+	return &Sweep[A, B]{a: a, b: b, i: -1, j: -1, ia: before, ib: before, at: boundary{t: NegInf}}
 }
 
 // Next returns the next piece of the partition; ok is false when both
@@ -141,15 +140,32 @@ func changeAt(iv Interval, covers bool) boundary {
 // the indexes of the two elements that cover it; Piece returns its
 // interval. It does not walk the pieces only one sequence covers: it
 // jumps to the later of the two current starts, seeks the other cursor
-// there by binary search on the ordered array (Section 4), and ends when
-// either sequence is exhausted, so two values whose lifetimes overlap in
-// k of their n + m units cost O(k + log(n + m)). A caller that can
-// refuse a pair from what it stores per element (a bounding box) tests
-// the indexes and never builds the piece.
+// there, and ends when either sequence is exhausted. The seek rule is
+// one: a cursor moves to the first element at or after it that ends
+// after the sweep's position. The two cases that answer it almost
+// always — the current element still ends after it, or the next one
+// does, as in a gap-free sequence — are tested here, in line; only
+// when both fail does seekFrom binary-search the rest of the ordered
+// array (Section 4). So two values whose lifetimes overlap in k of
+// their n + m units cost O(k + log(n + m)). A caller that can refuse a
+// pair from what it stores per element (a bounding box) tests the
+// indexes and never builds the piece.
 func (s *Sweep[A, B]) NextPair() (a, b int, ok bool) {
 	for {
-		s.i, s.ia = seek(s.a, s.i, s.ia, s.at)
-		s.j, s.ib = seek(s.b, s.j, s.ib, s.at)
+		if s.i < len(s.a) && !s.at.less(upper(s.ia)) {
+			if s.i++; s.i < len(s.a) {
+				if s.ia = s.a[s.i].Interval(); !s.at.less(upper(s.ia)) {
+					s.i, s.ia = seekFrom(s.a, s.i+1, s.ia, s.at)
+				}
+			}
+		}
+		if s.j < len(s.b) && !s.at.less(upper(s.ib)) {
+			if s.j++; s.j < len(s.b) {
+				if s.ib = s.b[s.j].Interval(); !s.at.less(upper(s.ib)) {
+					s.j, s.ib = seekFrom(s.b, s.j+1, s.ib, s.at)
+				}
+			}
+		}
 		if s.i == len(s.a) || s.j == len(s.b) {
 			return 0, 0, false
 		}
@@ -186,21 +202,11 @@ func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 	return RefinementInterval{Iv: s.Piece(), A: a, B: b}, true
 }
 
-// seek returns the first position at or after k whose element ends after
-// the boundary at, together with that element's interval (iv caches
-// xs[k].Interval() on entry). The element after k is tried before the
-// binary search: in a gap-free sequence it is the answer.
-func seek[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {
-	if k == len(xs) || at.less(upper(iv)) {
-		return k, iv
-	}
-	if k++; k == len(xs) {
-		return k, iv
-	}
-	if iv = xs[k].Interval(); at.less(upper(iv)) {
-		return k, iv
-	}
-	lo, hi := k+1, len(xs)
+// seekFrom is the binary search of NextPair's seek rule: the first
+// position at or after k whose element ends after the boundary at,
+// together with that element's interval (iv when there is none).
+func seekFrom[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {
+	lo, hi := k, len(xs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if at.less(upper(xs[mid].Interval())) {

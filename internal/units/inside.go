@@ -168,7 +168,8 @@ func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 // the region, and the kernel emits a true unit at or before that stab
 // whatever the state it starts in. Without one, the state the kernel
 // samples at the midpoint holds throughout (a stab at the start does
-// not partition the interior).
+// not partition the interior). The stab loop walks the rings itself, in
+// MSegCursor's order, with no cursor state between segments.
 func UPointSometimesInsideURegion(up UPoint, ur URegion) bool {
 	iv, ok := up.Iv.Intersect(ur.Iv)
 	if !ok || !up.Cube().Intersects(ur.Cube()) {
@@ -177,12 +178,21 @@ func UPointSometimesInsideURegion(up UPoint, ur URegion) bool {
 	if iv.IsDegenerate() {
 		return pointInRegionAt(up.M, ur, iv.Start)
 	}
-	it := ur.MSegs()
-	for g, more := it.Next(); more; g, more = it.Next() {
-		stabs, n := stabTimes(up.M, g, iv)
-		for _, s := range stabs[:n] {
-			if s.t > float64(iv.Start) {
-				return true
+	for f := range ur.Faces {
+		face := &ur.Faces[f]
+		for c := -1; c < len(face.Holes); c++ {
+			ring := face.ring(c)
+			for k, from := range ring {
+				to := ring[0]
+				if k+1 < len(ring) {
+					to = ring[k+1]
+				}
+				stabs, n := stabTimes(up.M, MSeg{S: from, E: to}, iv)
+				for _, s := range stabs[:n] {
+					if s.t > float64(iv.Start) {
+						return true
+					}
+				}
 			}
 		}
 	}
@@ -239,23 +249,42 @@ func stabTimes(p MPoint, g MSeg, iv temporal.Interval) (out [2]stab, n int) {
 }
 
 // pointInRegionAt applies the plumbline test to decide whether the
-// moving point is inside the moving region at instant t, evaluating the
-// boundary segments one at a time.
+// moving point is inside the moving region at instant t. It walks each
+// ring of the unit once, face by face and the outer cycle before the
+// holes (MSegCursor's order), evaluating every moving vertex once: the
+// segment from a vertex to the next is the one MSeg.EvalSeg builds, a
+// degenerate one is skipped, and the first segment the point lies on
+// answers true.
 func pointInRegionAt(p MPoint, ur URegion, t temporal.Instant) bool {
 	pt := p.Eval(t)
 	inside := false
-	it := ur.MSegs()
-	for g, more := it.Next(); more; g, more = it.Next() {
-		s, ok := g.EvalSeg(t)
-		if !ok {
-			continue
-		}
-		on, crosses := geom.PlumbStep(pt, s)
-		if on {
-			return true
-		}
-		if crosses {
-			inside = !inside
+	for f := range ur.Faces {
+		face := &ur.Faces[f]
+		for c := -1; c < len(face.Holes); c++ {
+			ring := face.ring(c)
+			if len(ring) == 0 {
+				continue
+			}
+			first := ring[0].Eval(t)
+			from := first
+			for k := 1; k <= len(ring); k++ {
+				to := first
+				if k < len(ring) {
+					to = ring[k].Eval(t)
+				}
+				s, ok := segmentBetween(from, to)
+				from = to
+				if !ok {
+					continue
+				}
+				on, crosses := geom.PlumbStep(pt, s)
+				if on {
+					return true
+				}
+				if crosses {
+					inside = !inside
+				}
+			}
 		}
 	}
 	return inside

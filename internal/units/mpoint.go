@@ -41,6 +41,15 @@ func (m MPoint) Eval(t temporal.Instant) geom.Point {
 	return geom.Pt(m.X0+m.X1*float64(t), m.Y0+m.Y1*float64(t))
 }
 
+// BBox returns the spatial bounding box of the motion over iv, from
+// the positions at its two ends: the box of the unit
+// UPoint{Iv: iv, M: m}, which a filter takes for a piece of a unit
+// without building the sliced unit.
+func (m MPoint) BBox(iv temporal.Interval) geom.Rect {
+	p, q := m.Eval(iv.Start), m.Eval(iv.End)
+	return geom.Rect{MinX: min(p.X, q.X), MinY: min(p.Y, q.Y), MaxX: max(p.X, q.X), MaxY: max(p.Y, q.Y)}
+}
+
 // Velocity returns the constant velocity vector (X1, Y1).
 func (m MPoint) Velocity() geom.Point { return geom.Pt(m.X1, m.Y1) }
 
@@ -150,7 +159,12 @@ func (g MSeg) Eval(t temporal.Instant) (p, q geom.Point) {
 // EvalSeg evaluates the moving segment at time t as a canonical
 // segment; ok is false if the segment is degenerate at t.
 func (g MSeg) EvalSeg(t temporal.Instant) (geom.Segment, bool) {
-	p, q := g.Eval(t)
+	return segmentBetween(g.Eval(t))
+}
+
+// segmentBetween returns the canonical segment from p to q; ok is false
+// if the two coincide.
+func segmentBetween(p, q geom.Point) (geom.Segment, bool) {
 	if p == q {
 		return geom.Segment{}, false
 	}

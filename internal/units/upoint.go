@@ -56,10 +56,7 @@ func (u UPoint) EndPoint() geom.Point { return u.M.Eval(u.Iv.End) }
 // BBox returns the spatial bounding box over the unit interval; the
 // extremes are attained at the interval ends because the motion is
 // linear.
-func (u UPoint) BBox() geom.Rect {
-	p, q := u.StartPoint(), u.EndPoint()
-	return geom.Rect{MinX: min(p.X, q.X), MinY: min(p.Y, q.Y), MaxX: max(p.X, q.X), MaxY: max(p.Y, q.Y)}
-}
+func (u UPoint) BBox() geom.Rect { return u.M.BBox(u.Iv) }
 
 // Cube returns the 3D bounding cube stored with the unit (Section 4.2).
 func (u UPoint) Cube() geom.Cube {

@@ -98,27 +98,32 @@ func (u *UReal) ends() (float64, float64) {
 }
 
 // limitOrEval is Eval(t) at a finite t and the function's limit at
-// t = ±∞. The quadratic tends to the infinity its leading nonzero
-// coefficient points to (A on both sides; B, mirrored at −∞), or is C
-// when both are zero; a root unit takes the square root of that limit
-// clamped at 0, as Eval does.
+// t = ±∞; a root unit takes the square root of radicandAt(t) clamped at
+// 0, as Eval does.
 func (u *UReal) limitOrEval(t float64) float64 {
-	if !math.IsInf(t, 0) {
-		return u.Eval(temporal.Instant(t))
-	}
-	p := u.C
-	switch {
-	//molint:ignore float-eq a leading coefficient that is not exactly zero decides the limit however small it is
-	case u.A != 0:
-		p = math.Inf(int(math.Copysign(1, u.A)))
-	//molint:ignore float-eq a leading coefficient that is not exactly zero decides the limit however small it is
-	case u.B != 0:
-		p = math.Inf(int(math.Copysign(1, u.B) * math.Copysign(1, t)))
-	}
+	p := u.radicandAt(t)
 	if u.Root {
 		return math.Sqrt(max(p, 0))
 	}
 	return p
+}
+
+// radicandAt is the quadratic at a finite t and its limit at t = ±∞:
+// the infinity its leading nonzero coefficient points to (A on both
+// sides; B, mirrored at −∞), or C when both are zero.
+func (u *UReal) radicandAt(t float64) float64 {
+	if !math.IsInf(t, 0) {
+		return u.poly(t)
+	}
+	switch {
+	//molint:ignore float-eq a leading coefficient that is not exactly zero decides the limit however small it is
+	case u.A != 0:
+		return math.Inf(int(math.Copysign(1, u.A)))
+	//molint:ignore float-eq a leading coefficient that is not exactly zero decides the limit however small it is
+	case u.B != 0:
+		return math.Inf(int(math.Copysign(1, u.B) * math.Copysign(1, t)))
+	}
+	return u.C
 }
 
 // Min returns the minimum value the unit takes on its interval and the
@@ -316,31 +321,45 @@ func (u UReal) String() string {
 
 // ValueRange returns the set of values the unit function takes on its
 // interval, as an interval over the reals with exact closure: a bound is
-// closed iff it is attained at an instant belonging to the unit interval
-// (an extremum at an open interval end is a limit, not a value).
+// closed iff it is attained at an instant belonging to the unit interval.
+// The candidates are the two ends and an interior vertex. At an infinite
+// end the candidate is the function's limit there, and an infinite bound
+// is open; an extremum at an open end is a limit, not a value. Two cases
+// attain a candidate's value away from it: a constant function on a
+// non-degenerate interval takes its value at every instant, and a root
+// unit whose radicand is negative at a candidate reads 0 (Eval's clamp)
+// on a whole stretch of the interval next to it.
 func (u UReal) ValueRange() (lo, hi float64, loClosed, hiClosed bool) {
 	lo, hi = math.Inf(1), math.Inf(-1)
-	consider := func(t temporal.Instant) {
-		v := u.Eval(t)
-		attained := u.Iv.Contains(t)
+	//molint:ignore float-eq a constant function has exactly zero A and B; any other takes each extreme value at a candidate instant only
+	constant := u.A == 0 && u.B == 0 && !u.Iv.IsDegenerate()
+	consider := func(r float64, attained bool) {
+		v := r
+		if u.Root {
+			v = math.Sqrt(max(r, 0))
+			attained = attained || r < 0
+		}
+		attained = attained || constant
 		switch {
 		case v < lo:
 			lo, loClosed = v, attained
-		//molint:ignore float-eq closure bookkeeping: both sides are Eval results at candidate extremum instants, identical bits when they denote the same bound
+		//molint:ignore float-eq closure bookkeeping: both sides are values at candidate extremum instants, identical bits when they denote the same bound
 		case v == lo && attained:
 			loClosed = true
 		}
 		switch {
 		case v > hi:
 			hi, hiClosed = v, attained
-		//molint:ignore float-eq closure bookkeeping: both sides are Eval results at candidate extremum instants, identical bits when they denote the same bound
+		//molint:ignore float-eq closure bookkeeping: both sides are values at candidate extremum instants, identical bits when they denote the same bound
 		case v == hi && attained:
 			hiClosed = true
 		}
 	}
-	ts, n := u.extremumTimes()
-	for _, t := range ts[:n] {
-		consider(t)
+	s, e := float64(u.Iv.Start), float64(u.Iv.End)
+	consider(u.radicandAt(s), u.Iv.LC && !math.IsInf(s, 0))
+	if t, ok := u.vertex(); ok {
+		consider(u.poly(float64(t)), true)
 	}
+	consider(u.radicandAt(e), u.Iv.RC && !math.IsInf(e, 0))
 	return lo, hi, loClosed, hiClosed
 }

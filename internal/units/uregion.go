@@ -102,6 +102,16 @@ func (u URegion) EqualFunc(v URegion) bool {
 	return true
 }
 
+// ring returns the face's outer cycle for c = −1 and its hole c
+// otherwise: the kernels that walk the rings themselves go c = −1 to
+// len(Holes) − 1, the outer cycle before the holes, as MSegCursor does.
+func (f *MFace) ring(c int) MCycle {
+	if c < 0 {
+		return f.Outer
+	}
+	return f.Holes[c]
+}
+
 // MSegCursor walks the moving segments of a uregion in place: face by
 // face, the outer cycle before the holes, each cycle as the segments
 // spanned by consecutive ring vertices. The unit stores rings of moving

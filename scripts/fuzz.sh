@@ -25,7 +25,9 @@ smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs 
 smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
 smoke ./internal/temporal FuzzRefine "streaming sweep and its pair step vs the sort-based oracle"
-smoke ./internal/baseline FuzzURealExtremum "a ureal's min/max, limits at ±∞ included, vs an exact math/big rational evaluator"
+smoke ./internal/baseline FuzzURealExtremum "a ureal's min/max and value range, limits at ±∞ and closure flags included, vs an exact math/big rational evaluator"
+smoke ./internal/baseline FuzzMRegionAtInstantMatchesBaseline "a moving region's binary-searched atinstant vs the baseline's linear scan" -fuzzminimizetime=1s
+smoke ./internal/geom FuzzOrientMatchesReference "Orient's Hypot-free fast path vs the full tolerance test it skips, bit for bit"
 smoke ./internal/units FuzzSometimesInsideMatchesKernel "the sometimes-inside predicate kernel vs the any-true of the inside kernel's units"
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
 smoke ./internal/db FuzzLexMatchesReference "the lexer vs the allocating lexer it replaced: tokens, errors and Canonical bytes"
