@@ -3,6 +3,8 @@ package moving
 import (
 	"context"
 	"math"
+	"sort"
+	"sync/atomic"
 
 	"movingdb/internal/geom"
 	"movingdb/internal/temporal"
@@ -19,24 +21,25 @@ import (
 // per unit, flat arrays beside the unit arrays). The candidate test,
 // InsideCandidate or WithinCandidate, compares the whole-value boxes and
 // is the only step that refuses a pair as NoObject. The walk, run on a
-// candidate, makes one pass along the common pieces of the two unit
-// arrays and allocates nothing. It goes by the sweep's pair step
-// (temporal.Sweep.NextPair, the seek the kernels' NextCommon makes): the
-// indexes of the two units that cover a piece come first, and the stored
-// boxes refuse most pairs from those alone, before the piece's interval
-// is built. A pair they leave gets its piece and the box of each point
+// candidate, lists the pairs of units whose intervals meet — the
+// common pieces of the two arrays' refinement partition (Section 5.2),
+// Iv_a ∩ Iv_b, in time order — by index, over the unit arrays
+// themselves, and allocates nothing. For each unit a of the point it
+// seeks the other value's first unit not wholly before a (see
+// seekRegion), then scans forward until a unit starts after a ends. The
+// stored boxes of the index pair refuse most pairs before the piece is
+// built; a pair they leave gets its piece and the box of each point
 // unit over it, from the unit's motion at the piece's two ends
 // (units.MPoint.BBox: the box of the sliced unit, with no unit copied);
-// only the inside kernel is handed sliced units. The sweep lives on the
-// walk's stack and steps in line (see Sweep.NextPair), which matters
-// because a walk is a few pieces long. Both walks refine in that same
-// pass: SometimesInsideHook runs the sometimes-inside predicate kernel on
-// the pieces the boxes leave, ComesWithin takes the minimum of the unit
-// distance there and leaves to its caller only a pair whose minima do not
-// settle the answer. Each calls a hook of its caller once, before its
-// first kernel call, so a caller that times the kernels reads no clock
-// for a pair the boxes refuse. The summaries go by pointer: a caller
-// holds them in arrays it does not change while the walks read them.
+// only the inside kernel is handed sliced units. Both walks refine in
+// that same pass: SometimesInsideHook runs the sometimes-inside
+// predicate kernel on the pieces the boxes leave, ComesWithin takes the
+// minimum of the unit distance there and leaves to its caller only a
+// pair whose minima do not settle the answer. Each calls a hook of its
+// caller once, before its first kernel call, so a caller that times the
+// kernels reads no clock for a pair the boxes refuse. The summaries go
+// by pointer: a caller holds them in arrays it does not change while
+// the walks read them.
 
 // Verdict is the outcome of a filter for one pair.
 type Verdict uint8
@@ -151,37 +154,85 @@ func InsideCandidate(pb *PointBounds, rb *RegionBounds) bool {
 // stored region rectangle contains the sliced one the kernel computes.
 // A point whose Mag is not finite is walked unfiltered.
 func SometimesInsideHook(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds, onKernel func()) (bool, Verdict, error) {
+	return sometimesInside(ctx, p, pb, r, rb, onKernel, nil)
+}
+
+// sometimesInside is SometimesInsideHook. visit, when not nil, is told
+// of every unit pair the walk visits, in order, with the piece it built
+// for the pair, or the zero Interval (never a valid one) when the stored
+// boxes refused it; the tests hold that sequence to temporal.Refine's
+// common pieces.
+func sometimesInside(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds, onKernel func(), visit func(a, b int, piece temporal.Interval)) (bool, Verdict, error) {
 	filtered := finite(pb.Mag)
 	verdict := NoUnit
 	if !filtered {
 		verdict = MayHold
 	}
 	pu, ru := p.M.Units(), r.M.Units()
-	sw := temporal.NewSweep(pu, ru)
-	for i := 0; ; i++ {
-		a, b, ok := sw.NextPair()
-		if !ok {
-			return false, verdict, nil
+	// b is the region unit the last visited pair covered (or the last
+	// seek's answer), where the next seek starts; i counts the pairs.
+	b, i := 0, 0
+	for a := range pu {
+		// Seek the first region unit not wholly before a: the carried
+		// one, the next, or a binary search.
+		ia := pu[a].Iv
+		if b < len(ru) && ru[b].Iv.RDisjoint(ia) {
+			if b++; b < len(ru) && ru[b].Iv.RDisjoint(ia) {
+				b = seekRegion(ru, b+1, ia)
+			}
 		}
-		if err := cancelCheck(ctx, i); err != nil {
-			return false, verdict, err
+		if b == len(ru) {
+			break
 		}
-		if filtered && !pb.Units[a].Intersects(rb.Units[b]) {
-			continue
-		}
-		iv := sw.Piece()
-		if filtered && !pu[a].M.BBox(iv).Intersects(rb.Units[b]) {
-			continue
-		}
-		if onKernel != nil {
-			onKernel()
-			onKernel = nil
-		}
-		verdict = MayHold
-		if units.UPointSometimesInsideURegion(pu[a].WithInterval(iv), ru[b].WithInterval(iv)) {
-			return true, MayHold, nil
+		for k := b; k < len(ru) && !ia.RDisjoint(ru[k].Iv); k, i = k+1, i+1 {
+			b = k
+			tally(&walkCounts[walkInside].visited)
+			if err := cancelCheck(ctx, i); err != nil {
+				return false, verdict, err
+			}
+			if filtered && !pb.Units[a].Intersects(rb.Units[k]) {
+				tally(&walkCounts[walkInside].stored)
+				if visit != nil {
+					visit(a, k, temporal.Interval{})
+				}
+				continue
+			}
+			iv, _ := ia.Intersect(ru[k].Iv)
+			if visit != nil {
+				visit(a, k, iv)
+			}
+			if filtered && !pu[a].M.BBox(iv).Intersects(rb.Units[k]) {
+				tally(&walkCounts[walkInside].sliced)
+				continue
+			}
+			if onKernel != nil {
+				onKernel()
+				onKernel = nil
+			}
+			verdict = MayHold
+			tally(&walkCounts[walkInside].kernel)
+			if units.UPointSometimesInsideURegion(pu[a].WithInterval(iv), ru[k].WithInterval(iv)) {
+				return true, MayHold, nil
+			}
 		}
 	}
+	return false, verdict, nil
+}
+
+// seekRegion returns the first unit of us at or after lo that does not
+// lie wholly before iv, or len(us): the binary search (Section 4) a walk
+// falls back on when neither the region unit its last pair covered nor
+// the next one reaches into its next point unit. So a walk over two
+// values that overlap in k of their n + m units costs O(n + k) steps
+// and O(log m) for each gap it seeks across. The units are read in
+// place: no interval is copied out through a method.
+func seekRegion(us []units.URegion, lo int, iv temporal.Interval) int {
+	return lo + sort.Search(len(us)-lo, func(k int) bool { return !us[lo+k].Iv.RDisjoint(iv) })
+}
+
+// seekPoint is seekRegion over the units of a moving point.
+func seekPoint(us []units.UPoint, lo int, iv temporal.Interval) int {
+	return lo + sort.Search(len(us)-lo, func(k int) bool { return !us[lo+k].Iv.RDisjoint(iv) })
 }
 
 // WithinMargin scales the rounding margin of WithinCandidate and
@@ -262,6 +313,11 @@ func WithinCandidate(pb, qb *PointBounds, c float64) bool {
 // piece was refused, no unit distance was formed; so is every piece of
 // a pair the candidate test refuses) or MayHold.
 func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64, onKernel func()) (hit bool, v Verdict, decided bool) {
+	return comesWithin(p, pb, q, qb, c, onKernel, nil)
+}
+
+// comesWithin is ComesWithin; visit is sometimesInside's.
+func comesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64, onKernel func(), visit func(a, b int, piece temporal.Interval)) (hit bool, v Verdict, decided bool) {
 	limit, m := withinLimit(pb, qb, c)
 	if !finite(limit) {
 		return false, MayHold, false
@@ -270,26 +326,48 @@ func ComesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64
 	// and attained the least one reached at an instant of its piece.
 	v, least, attained := NoUnit, math.Inf(1), math.Inf(1)
 	pu, qu := p.M.Units(), q.M.Units()
-	sw := temporal.NewSweep(pu, qu)
-	for a, b, ok := sw.NextPair(); ok; a, b, ok = sw.NextPair() {
-		// The stored boxes contain the sliced ones: what they put beyond
-		// the limit, slicing cannot bring back.
-		if beyond(pb.Units[a], qb.Units[b], limit) {
-			continue
+	b := 0 // as in sometimesInside
+	for a := range pu {
+		ia := pu[a].Iv
+		if b < len(qu) && qu[b].Iv.RDisjoint(ia) {
+			if b++; b < len(qu) && qu[b].Iv.RDisjoint(ia) {
+				b = seekPoint(qu, b+1, ia)
+			}
 		}
-		iv := sw.Piece()
-		if beyond(pu[a].M.BBox(iv), qu[b].M.BBox(iv), limit) {
-			continue
+		if b == len(qu) {
+			break
 		}
-		if onKernel != nil {
-			onKernel()
-			onKernel = nil
-		}
-		v = MayHold
-		mn, at := pu[a].DistanceTo(qu[b], iv).Min()
-		least = min(least, mn)
-		if iv.Contains(at) {
-			attained = min(attained, mn)
+		for k := b; k < len(qu) && !ia.RDisjoint(qu[k].Iv); k++ {
+			b = k
+			tally(&walkCounts[walkWithin].visited)
+			// The stored boxes contain the sliced ones: what they put
+			// beyond the limit, slicing cannot bring back.
+			if beyond(pb.Units[a], qb.Units[k], limit) {
+				tally(&walkCounts[walkWithin].stored)
+				if visit != nil {
+					visit(a, k, temporal.Interval{})
+				}
+				continue
+			}
+			iv, _ := ia.Intersect(qu[k].Iv)
+			if visit != nil {
+				visit(a, k, iv)
+			}
+			if beyond(pu[a].M.BBox(iv), qu[k].M.BBox(iv), limit) {
+				tally(&walkCounts[walkWithin].sliced)
+				continue
+			}
+			if onKernel != nil {
+				onKernel()
+				onKernel = nil
+			}
+			v = MayHold
+			tally(&walkCounts[walkWithin].kernel)
+			mn, at := pu[a].DistanceTo(qu[k], iv).Min()
+			least = min(least, mn)
+			if iv.Contains(at) {
+				attained = min(attained, mn)
+			}
 		}
 	}
 	switch {
@@ -308,4 +386,38 @@ func beyond(a, b geom.Rect, d float64) bool {
 	dx := max(0, a.MinX-b.MaxX, b.MinX-a.MaxX)
 	dy := max(0, a.MinY-b.MaxY, b.MinY-a.MaxY)
 	return dx*dx+dy*dy > d*d
+}
+
+// PieceCounts is what a walk did with the unit pairs it visited: every
+// pair, those the stored boxes refused, those the sliced boxes refused,
+// and those handed to the kernel. The walks count them only in a build
+// with -tags=debugcheck; see TakePieceCounts.
+type PieceCounts struct {
+	Visited, Stored, Sliced, Kernel int64
+}
+
+// The walks' tallies, by walk. tally compiles to nothing unless
+// countPieces is set (see filter_debugcheck.go).
+const (
+	walkInside = iota
+	walkWithin
+)
+
+var walkCounts [2]struct{ visited, stored, sliced, kernel atomic.Int64 }
+
+func tally(n *atomic.Int64) {
+	if countPieces {
+		n.Add(1)
+	}
+}
+
+// TakePieceCounts returns what the inside and the within walk counted
+// since the last call, and starts both counts again. Without the
+// debugcheck build tag both are zero.
+func TakePieceCounts() (inside, within PieceCounts) {
+	take := func(w int) PieceCounts {
+		n := &walkCounts[w]
+		return PieceCounts{n.visited.Swap(0), n.stored.Swap(0), n.sliced.Swap(0), n.kernel.Swap(0)}
+	}
+	return take(walkInside), take(walkWithin)
 }

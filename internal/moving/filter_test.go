@@ -145,11 +145,7 @@ func refMayComeWithin(p moving.MPoint, pb moving.PointBounds, q moving.MPoint, q
 	if !finite(limit) {
 		return moving.MayHold
 	}
-	beyond := func(a, b geom.Rect) bool {
-		dx := math.Max(0, math.Max(a.MinX-b.MaxX, b.MinX-a.MaxX))
-		dy := math.Max(0, math.Max(a.MinY-b.MaxY, b.MinY-a.MaxY))
-		return dx*dx+dy*dy > limit*limit
-	}
+	beyond := func(a, b geom.Rect) bool { return boxesBeyond(a, b, limit) }
 	if !(pb.Start <= qb.End && qb.Start <= pb.End) || beyond(pb.Box, qb.Box) {
 		return moving.NoObject
 	}

@@ -26,9 +26,12 @@ func (i IntervalOf[T]) Interval() IntervalOf[T] { return i }
 // two arrays through it and applies a unit-pair kernel per piece
 // (Section 5.2). It is the two-cursor merge of the two already ordered
 // endpoint streams — no endpoint array, no sort, no materialised
-// partition — and the only refinement implementation: the pieces cover
-// exactly the union of the two sequences, in temporal order, split at
-// every boundary of either.
+// partition — and the refinement partition of every lifted operation:
+// the pieces cover exactly the union of the two sequences, in temporal
+// order, split at every boundary of either. (The join filters in
+// package moving need only the pieces both sides cover, and list them
+// by index over the two unit arrays instead: the pairs whose intervals
+// meet, each piece their intersection.)
 //
 // The cost of a whole sweep is O(n + m), with Interval() called once per
 // element, and it allocates nothing.
@@ -41,8 +44,7 @@ type Sweep[A, B Spanned] struct {
 	// step loads element 0 like any later one.
 	ia, ib Interval
 	// at is where the sweep stands: everything before it is emitted.
-	// from is where the piece NextPair returned last begins.
-	at, from boundary
+	at boundary
 }
 
 // boundary is a cut of the time axis just before (after == false) or
@@ -135,22 +137,20 @@ func changeAt(iv Interval, covers bool) boundary {
 	return lower(iv)
 }
 
-// NextPair steps to the next piece that both sequences cover — the
-// pieces a lifted binary operation produces a unit for — and returns
-// the indexes of the two elements that cover it; Piece returns its
-// interval. It does not walk the pieces only one sequence covers: it
-// jumps to the later of the two current starts, seeks the other cursor
-// there, and ends when either sequence is exhausted. The seek rule is
-// one: a cursor moves to the first element at or after it that ends
-// after the sweep's position. The two cases that answer it almost
-// always — the current element still ends after it, or the next one
-// does, as in a gap-free sequence — are tested here, in line; only
-// when both fail does seekFrom binary-search the rest of the ordered
-// array (Section 4). So two values whose lifetimes overlap in k of
-// their n + m units cost O(k + log(n + m)). A caller that can refuse a
-// pair from what it stores per element (a bounding box) tests the
-// indexes and never builds the piece.
-func (s *Sweep[A, B]) NextPair() (a, b int, ok bool) {
+// NextCommon returns the next piece that both sequences cover — the
+// pieces a lifted binary operation produces a unit for — with the
+// indexes of the two elements that cover it. It does not walk the
+// pieces only one sequence covers: it jumps to the later of the two
+// current starts, seeks the other cursor there, and ends when either
+// sequence is exhausted. The seek rule is one: a cursor moves to the
+// first element at or after it that ends after the sweep's position.
+// The two cases that answer it almost always — the current element
+// still ends after it, or the next one does, as in a gap-free sequence
+// — are tested here, in line; only when both fail does seekFrom
+// binary-search the rest of the ordered array (Section 4). So two
+// values whose lifetimes overlap in k of their n + m units cost
+// O(k + log(n + m)).
+func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
 	for {
 		if s.i < len(s.a) && !s.at.less(upper(s.ia)) {
 			if s.i++; s.i < len(s.a) {
@@ -167,7 +167,7 @@ func (s *Sweep[A, B]) NextPair() (a, b int, ok bool) {
 			}
 		}
 		if s.i == len(s.a) || s.j == len(s.b) {
-			return 0, 0, false
+			return RefinementInterval{}, false
 		}
 		lo := lower(s.ia)
 		if lo.less(lower(s.ib)) {
@@ -178,31 +178,16 @@ func (s *Sweep[A, B]) NextPair() (a, b int, ok bool) {
 		}
 		s.at = lo
 	}
-	end := upper(s.ia)
+	from, end := s.at, upper(s.ia)
 	if upper(s.ib).less(end) {
 		end = upper(s.ib)
 	}
-	s.from, s.at = s.at, end
-	return s.i, s.j, true
+	s.at = end
+	iv := Interval{Start: from.t, End: end.t, LC: !from.after, RC: end.after}
+	return RefinementInterval{Iv: iv, A: s.i, B: s.j}, true
 }
 
-// Piece returns the interval of the piece NextPair returned last.
-func (s *Sweep[A, B]) Piece() Interval {
-	return Interval{Start: s.from.t, End: s.at.t, LC: !s.from.after, RC: s.at.after}
-}
-
-// NextCommon returns the next piece that both sequences cover, its
-// interval and the indexes of its covering elements: NextPair and Piece
-// in one call.
-func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
-	a, b, ok := s.NextPair()
-	if !ok {
-		return RefinementInterval{}, false
-	}
-	return RefinementInterval{Iv: s.Piece(), A: a, B: b}, true
-}
-
-// seekFrom is the binary search of NextPair's seek rule: the first
+// seekFrom is the binary search of NextCommon's seek rule: the first
 // position at or after k whose element ends after the boundary at,
 // together with that element's interval (iv when there is none).
 func seekFrom[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {

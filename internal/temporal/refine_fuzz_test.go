@@ -36,9 +36,9 @@ func decodeSeq(raw []byte) []Interval {
 	return out
 }
 
-// FuzzRefine holds Refine, and the common pieces NextCommon and NextPair
-// seek to, to the sort-based oracle Refine replaced, piece for piece, on
-// every pair of valid interval sequences the fuzzer can spell.
+// FuzzRefine holds Refine, and the common pieces NextCommon seeks to,
+// to the sort-based oracle Refine replaced, piece for piece, on every
+// pair of valid interval sequences the fuzzer can spell.
 func FuzzRefine(f *testing.F) {
 	const lc, rc = 0x08, 0x10
 	for _, s := range [][2][]byte{
@@ -87,31 +87,6 @@ func checkRefine(t *testing.T, ra, rb []byte) {
 	}
 	if !slices.Equal(common, want) {
 		t.Fatalf("NextCommon over (%v, %v)\n got  %v\n want %v", a, b, common, want)
-	}
-	// NextPair yields the same pairs, and a caller that refuses one
-	// (asks no Piece for it) skips exactly that piece: the pairs and
-	// pieces after it are unchanged. The refusals follow the input, so
-	// runs of refused pieces, and refusals at the first and the last
-	// piece, all occur.
-	var refuse uint
-	for _, c := range slices.Concat(ra, rb) {
-		refuse = refuse*33 + uint(c)
-	}
-	sw = NewSweep(a, b)
-	k := 0
-	for pa, pb, ok := sw.NextPair(); ok; pa, pb, ok = sw.NextPair() {
-		if k == len(want) || pa != want[k].A || pb != want[k].B {
-			t.Fatalf("NextPair over (%v, %v): pair %d is (%d, %d), want %v", a, b, k, pa, pb, want)
-		}
-		if refuse>>(k%8)&1 == 0 {
-			if iv := sw.Piece(); iv != want[k].Iv {
-				t.Fatalf("NextPair over (%v, %v): piece %d is %v, want %v (refused: %08b)", a, b, k, iv, want[k].Iv, refuse&0xff)
-			}
-		}
-		k++
-	}
-	if k != len(want) {
-		t.Fatalf("NextPair over (%v, %v) stopped after %d pairs, want %v", a, b, k, want)
 	}
 }
 

@@ -39,14 +39,32 @@ func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 	}
 
 	// A point unit rarely stabs more than a few boundary segments; more
-	// crossings than the buffer holds spill to the heap.
+	// crossings than the buffer holds spill to the heap. The rings are
+	// walked in place, in MSegCursor's order.
 	var buf [8]stab
 	crossings := buf[:0]
-	it := ur.MSegs()
-	for g, more := it.Next(); more; g, more = it.Next() {
-		stabs, n := stabTimes(up.M, g, iv)
-		crossings = append(crossings, stabs[:n]...)
+	for f := range ur.Faces {
+		face := &ur.Faces[f]
+		for c := -1; c < len(face.Holes); c++ {
+			ring := face.ring(c)
+			for k, from := range ring {
+				to := ring[0]
+				if k+1 < len(ring) {
+					to = ring[k+1]
+				}
+				stabs, n := stabTimes(up.M, MSeg{S: from, E: to}, iv)
+				crossings = append(crossings, stabs[:n]...)
+			}
+		}
 	}
+	return insideFromStabs(dst, up.M, ur, iv, crossings)
+}
+
+// insideFromStabs is the rest of UPointInsideURegion once the stabs of
+// the point p on the segments of ur over iv are collected: it orders
+// and merges them, decides the initial state by the plumbline and
+// appends the alternating boolean units to dst.
+func insideFromStabs(dst []UBool, p MPoint, ur URegion, iv temporal.Interval, crossings []stab) []UBool {
 	slices.SortFunc(crossings, func(a, b stab) int {
 		switch {
 		case a.t < b.t:
@@ -85,16 +103,16 @@ func UPointInsideURegion(dst []UBool, up UPoint, ur URegion) []UBool {
 	}
 	var state bool
 	if iv.IsDegenerate() {
-		state = pointInRegionAt(up.M, ur, iv.Start)
+		state = pointInRegionAt(p, ur, iv.Start)
 	} else if first > float64(iv.Start) {
-		state = pointInRegionAt(up.M, ur, sampleAt(float64(iv.Start), first))
+		state = pointInRegionAt(p, ur, sampleAt(float64(iv.Start), first))
 	} else {
 		// A crossing exactly at the interval start: state right after it.
 		next := float64(iv.End)
 		if len(crossings) > 1 {
 			next = crossings[1].t
 		}
-		state = pointInRegionAt(up.M, ur, sampleAt(first, next))
+		state = pointInRegionAt(p, ur, sampleAt(first, next))
 		// Drop that crossing; it does not partition the interior.
 		crossings = crossings[1:]
 	}

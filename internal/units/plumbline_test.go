@@ -2,6 +2,7 @@ package units
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"movingdb/internal/geom"
@@ -54,9 +55,30 @@ func sometimesInsideCursor(up UPoint, ur URegion) bool {
 	return pointInRegionAtCursor(up.M, ur, temporal.Instant((float64(iv.Start)+float64(iv.End))/2))
 }
 
+// insideCursor is UPointInsideURegion as it was before its stab loop
+// walked the rings itself: the stabs collected over one MSegCursor pass,
+// then the same ordering, merging and assembly.
+func insideCursor(dst []UBool, up UPoint, ur URegion) []UBool {
+	iv, ok := up.Iv.Intersect(ur.Iv)
+	if !ok {
+		return dst
+	}
+	if !up.Cube().Intersects(ur.Cube()) {
+		return append(dst, UBool{Iv: iv, V: false})
+	}
+	var crossings []stab
+	it := ur.MSegs()
+	for g, more := it.Next(); more; g, more = it.Next() {
+		stabs, n := stabTimes(up.M, g, iv)
+		crossings = append(crossings, stabs[:n]...)
+	}
+	return insideFromStabs(dst, up.M, ur, iv, crossings)
+}
+
 // TestPointInRegionAtMatchesCursorWalk holds the ring walks — the
-// plumbline and the sometimes-inside stab loop — to the cursor forms
-// they replaced, answer for answer, on unvalidated units of the
+// plumbline, the sometimes-inside stab loop and the inside kernel's stab
+// loop — to the cursor forms they replaced, answer for answer (the
+// kernel's boolean units bit for bit), on unvalidated units of the
 // integer grid: one to three faces of zero to two holes, rings of one to
 // six vertices with repeats (so segments that are degenerate at every
 // instant, or only at some), probed at integer and half instants from
@@ -102,6 +124,9 @@ func TestPointInRegionAtMatchesCursorWalk(t *testing.T) {
 		up := UPoint{Iv: decodeInterval(byte(rng.Intn(9)-4), byte(rng.Intn(64))), M: probes[0]}
 		if got, want := UPointSometimesInsideURegion(up, ur), sometimesInsideCursor(up, ur); got != want {
 			t.Fatalf("case %d: %v in %+v: ring walk %v, cursor walk %v", n, up, ur.Faces, got, want)
+		}
+		if got, want := UPointInsideURegion(nil, up, ur), insideCursor(nil, up, ur); !slices.Equal(got, want) {
+			t.Fatalf("case %d: inside %v in %+v: ring walk %v, cursor walk %v", n, up, ur.Faces, got, want)
 		}
 	}
 }
