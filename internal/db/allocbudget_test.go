@@ -26,7 +26,8 @@ import (
 // folds each storm's area units as they are produced, so its row is the
 // parse, the plan and 16 boxed maxima, and no moving real. A WHERE
 // conjunct that reads one relation filters it into a list that shares
-// the row cursors' allocation (template c's and d's).
+// the row cursors' allocation (template c's and d's); one that reads two
+// is a row test that allocates nothing (template b's).
 // (Not run under debugcheck, whose guards evaluate the composed
 // expression for every pair as well.)
 func TestAllocBudgets(t *testing.T) {

@@ -28,10 +28,13 @@ type node interface {
 func (e literal) eval(*queryEnv) (any, error) { return e.v, nil }
 
 // slot is a column reference bound to a query: the FROM item and the
-// column position it resolved to.
+// column position it resolved to. outer is the value a row test reads
+// for the slot while it runs at a later FROM item (pushdown.go), nil
+// otherwise: no column holds a nil.
 type slot struct {
 	colRef
 	from, col int
+	outer     any
 }
 
 func (s *slot) eval(q *queryEnv) (any, error) { return q.tuples[s.from][s.col], nil }
@@ -163,17 +166,24 @@ func finite(v float64) error {
 }
 
 // comparison is one of < <= > >= = <> between two values of one scalar
-// type: cmp is that type's comparator and holds the set of outcomes the
-// operator is true for. ⊥ on either side (undefined) is in no set, so a
-// comparison with ⊥ is false; a NaN (unordered) is only in <>'s.
+// type: cmp is that type's comparator, order its typed one for a row
+// test, and holds the set of outcomes the operator is true for. ⊥ on
+// either side (undefined) is in no set, so a comparison with ⊥ is
+// false; a NaN (unordered) is only in <>'s.
 type comparison struct {
 	op    string
 	holds uint8 // bit 1<<outcome
 	cmp   comparator
+	order order
 	l, r  node
+	// lv and rv are how a row test reads l and r (see fix).
+	lv, rv operand
 }
 
 func (n *comparison) String() string { return fmt.Sprintf("(%s %s %s)", n.l, n.op, n.r) }
+
+// test decides the total comparison on the row t a row test runs on.
+func (n *comparison) test(t Tuple) bool { return n.holds&(1<<n.order(n, t)) != 0 }
 
 func (n *comparison) eval(q *queryEnv) (any, error) {
 	l, err := n.l.eval(q)
@@ -235,17 +245,10 @@ func scalar(t AttrType) bool { return comparatorOf(t) != nil }
 func compareOrdered[T float64 | int64](a, b any) outcome {
 	x, okX := a.(T)
 	y, okY := b.(T)
-	switch {
-	case !okX || !okY:
+	if !okX || !okY {
 		return undefined
-	case x < y:
-		return less
-	case x > y:
-		return greater
-	case x == y:
-		return equal
 	}
-	return unordered
+	return ordered(x, y)
 }
 
 func compareStrings(a, b any) outcome {
@@ -260,15 +263,70 @@ func compareStrings(a, b any) outcome {
 func compareBools(a, b any) outcome {
 	x, okX := a.(bool)
 	y, okY := b.(bool)
-	switch {
-	case !okX || !okY:
+	if !okX || !okY {
 		return undefined
+	}
+	return boolOrder(x, y)
+}
+
+func ordered[T float64 | int64](x, y T) outcome {
+	switch {
+	case x < y:
+		return less
+	case x > y:
+		return greater
+	case x == y:
+		return equal
+	}
+	return unordered
+}
+
+func boolOrder(x, y bool) outcome {
+	switch {
 	case x == y:
 		return equal
 	case y:
 		return less
 	}
 	return greater
+}
+
+// order compares the two operands of a total comparison typed, on the
+// row t of the FROM item a row test runs at (pushdown.go): no value is
+// boxed and no node is called through its interface. No total operand
+// is ⊥, so the outcome is never undefined.
+type order func(n *comparison, t Tuple) outcome
+
+// orderOf returns the typed comparator of a scalar type, nil for a type
+// with no order; it orders as comparatorOf's does.
+func orderOf(t AttrType) order {
+	switch t {
+	case TReal:
+		return orderReals
+	case TInt:
+		return orderInts
+	case TString:
+		return orderStrings
+	case TBool:
+		return orderBools
+	}
+	return nil
+}
+
+func orderReals(n *comparison, t Tuple) outcome {
+	return ordered(n.lv.at(t).(float64), n.rv.at(t).(float64))
+}
+
+func orderInts(n *comparison, t Tuple) outcome {
+	return ordered(n.lv.at(t).(int64), n.rv.at(t).(int64))
+}
+
+func orderStrings(n *comparison, t Tuple) outcome {
+	return outcome(strings.Compare(n.lv.at(t).(string), n.rv.at(t).(string)) + 1)
+}
+
+func orderBools(n *comparison, t Tuple) outcome {
+	return boolOrder(test(n.l, t), test(n.r, t))
 }
 
 // keyOrder turns the outcome c of comparing the sort or aggregate keys

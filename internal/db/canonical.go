@@ -2,7 +2,6 @@ package db
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -21,29 +20,60 @@ import (
 // outcome is a result or a syntax error. Lexing failures are reported
 // as ErrSyntax.
 func Canonical(q string) (string, error) {
-	toks, err := lex(q)
+	st, err := Prepare(q)
+	return st.SQL, err
+}
+
+// Statement is a query lexed once for the serving layer: SQL is its
+// canonical spelling (Canonical), and the statement evaluates to what
+// QueryContext answers for SQL, from the tokens of SQL kept beside it.
+type Statement struct {
+	SQL  string
+	toks []token
+	err  error // SQL's lexing error: the canonical spelling did not lex
+}
+
+// Prepare canonicalises q as Canonical does and keeps the tokens of the
+// canonical spelling, so that evaluating the statement does not lex it
+// again. The tokens are q's with the positions and number spellings of
+// the canonical text; only where a number meets a '.' does the canonical
+// text lex differently ("1 .5" is spelled "1.5"), and then it is lexed.
+func Prepare(q string) (Statement, error) {
+	toks, err := lexStatement(q)
 	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrSyntax, err)
+		return Statement{}, err
 	}
-	return render(toks, len(q)), nil
+	st := Statement{SQL: render(toks, len(q)), toks: toks}
+	for i := 1; i < len(toks); i++ {
+		if toks[i-1].kind == tokNumber && toks[i].kind == tokDot {
+			st.toks, st.err = lexStatement(st.SQL)
+			break
+		}
+	}
+	return st, nil
 }
 
 // render writes tokens in the canonical spelling Canonical describes,
-// into a buffer of size bytes to start with.
+// into a buffer of size bytes to start with, and moves each token to
+// its position in that spelling, a number to its canonical digits too.
 func render(toks []token, size int) string {
 	var b strings.Builder
 	b.Grow(size)
 	prev := token{kind: tokEOF}
-	for _, t := range toks {
+	for i := range toks {
+		t := &toks[i]
 		if t.kind == tokEOF {
+			t.pos = b.Len()
 			break
 		}
-		if needSpace(prev, t) {
+		if needSpace(prev, *t) {
 			b.WriteByte(' ')
 		}
+		t.pos = b.Len()
 		switch t.kind {
 		case tokNumber:
-			b.WriteString(strconv.FormatFloat(t.num, 'g', -1, 64))
+			t.text = strconv.FormatFloat(t.num, 'g', -1, 64)
+			b.WriteString(t.text)
 		case tokString:
 			// A literal cannot contain its own quote, so one holding a '
 			// was written in double quotes and must stay so: requoting it
@@ -60,7 +90,7 @@ func render(toks []token, size int) string {
 			// punctuation pass through verbatim.
 			b.WriteString(t.text)
 		}
-		prev = t
+		prev = *t
 	}
 	return b.String()
 }
@@ -96,4 +126,10 @@ type Snapshot struct {
 // QueryContext evaluates sql against the pinned catalog.
 func (s Snapshot) QueryContext(ctx context.Context, sql string) (*Relation, error) {
 	return QueryContext(ctx, s.Catalog, sql)
+}
+
+// QueryStatement evaluates a prepared statement against the pinned
+// catalog: what QueryContext answers for st.SQL.
+func (s Snapshot) QueryStatement(ctx context.Context, st Statement) (*Relation, error) {
+	return st.query(ctx, s.Catalog)
 }

@@ -3,6 +3,7 @@ package db
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -101,4 +102,48 @@ func TestSnapshotQueryContext(t *testing.T) {
 	if out.Len() != 1 || Get[float64](out, out.Scan()[0], "n") != 5 {
 		t.Fatalf("snapshot query returned %v", out.Scan())
 	}
+}
+
+// FuzzPrepareMatchesRelex holds Prepare to what the serving layer did
+// before it: lex the canonical spelling again. For every input the
+// statement's SQL is Canonical's, and its tokens (kind, text, the bits
+// of num, pos) or its error are those of lexing that SQL; where a number
+// meets a '.' the canonical text lexes to other tokens than the input.
+func FuzzPrepareMatchesRelex(f *testing.F) {
+	for _, q := range []string{
+		templateA, templateB, templateC, templateD,
+		"select  id ,  length( route )  from flights where dist <= 52.8",
+		"SELECT 0.50, .5e0, 1e21, 5e-324 FROM r WHERE s = \"it's\" AND t = 'x'",
+		"SELECT 1 .5 FROM r",
+		"SELECT p.x FROM r p WHERE 2 . x > 1",
+		"SELECT 1 . e FROM r",
+		"SELECT 'unterminated",
+		"SELECT @ FROM r",
+		"",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		st, err := Prepare(q)
+		c, cerr := Canonical(q)
+		if (err == nil) != (cerr == nil) || st.SQL != c {
+			t.Fatalf("%q: Prepare %q, %v; Canonical %q, %v", q, st.SQL, err, c, cerr)
+		}
+		if err != nil {
+			return
+		}
+		want, wantErr := lexStatement(c)
+		if (st.err == nil) != (wantErr == nil) || (wantErr != nil && st.err.Error() != wantErr.Error()) {
+			t.Fatalf("%q: lexing %q: err %v, want %v", q, c, st.err, wantErr)
+		}
+		if len(st.toks) != len(want) {
+			t.Fatalf("%q: %d tokens %v, want %d %v", q, len(st.toks), st.toks, len(want), want)
+		}
+		for i, w := range want {
+			g := st.toks[i]
+			if g.kind != w.kind || g.text != w.text || math.Float64bits(g.num) != math.Float64bits(w.num) || g.pos != w.pos {
+				t.Fatalf("%q: token %d is %+v, want %+v (canonical %q)", q, i, g, w, c)
+			}
+		}
+	})
 }

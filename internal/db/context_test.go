@@ -189,3 +189,16 @@ func TestQueryContextDeadlineDuringInside(t *testing.T) {
 		}
 	}
 }
+
+// TestQueryContextDeadlineStopsRefusedRows: a row test that refuses
+// every row of an outer FROM item still polls for cancellation, a
+// refused row counting as one: the statement below refuses all 4M rows
+// of a × b and never reaches c's.
+func TestQueryContextDeadlineStopsRefusedRows(t *testing.T) {
+	cat := numbersCatalog(2000)
+	ctx := &deadlineAfter{Context: context.Background(), n: 2}
+	_, err := QueryContext(ctx, cat, "SELECT a.x FROM a, b, a c WHERE a.x < b.y AND b.y < a.x")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %d polls, want context.DeadlineExceeded", err, ctx.calls)
+	}
+}

@@ -210,13 +210,22 @@ func init() {
 type binding struct {
 	alias string
 	rel   *Relation
-	// filter is the WHERE conjuncts pushDown moved onto the item, ANDed,
-	// nil for none; kept holds the positions of the rows filter holds
-	// for. The cursor pos runs over the n rows the item contributes
-	// (see step).
-	filter node
-	kept   []int
-	pos, n int
+	// filter is the WHERE conjuncts pushDown moved onto the item that
+	// read only it, ANDed, nil for none; kept holds the positions of the
+	// rows filter holds for. test is the moved conjuncts whose deepest
+	// FROM item it is among several, the item's row test. n is the
+	// number of rows the item contributes (see row).
+	filter, test node
+	kept         []int
+	n            int
+}
+
+// row is the position in the relation of the item's i-th row.
+func (b *binding) row(i int) int {
+	if b.kept != nil {
+		return b.kept[i]
+	}
+	return i
 }
 
 type queryEnv struct {
@@ -226,11 +235,15 @@ type queryEnv struct {
 	// by forEachRow.
 	tuples []Tuple
 	rows   []int
+	// lead is the guard that leads the WHERE conjuncts pushDown leaves,
+	// nil for none; the row loop runs its candidate test.
+	lead *guard
 	// ctx carries the request deadline; rec, when non-nil, receives
-	// per-operator timings and the filter outcomes; steps counts
-	// evaluated rows for the periodic cancellation check.
+	// per-operator timings, measured from t0, and the filter outcomes;
+	// steps counts evaluated rows for the periodic cancellation check.
 	ctx    context.Context
 	rec    *obs.Metrics
+	t0     time.Time
 	steps  int
 	filter [numShapes]filterCounts
 	// aggOK admits aggregates while the SELECT list and ORDER BY are
@@ -240,19 +253,19 @@ type queryEnv struct {
 	aggs  []accumulator
 }
 
-// clock starts an operator's timing: it reads the time only when there
-// is a registry to record it in, and recordOp records the operator only
-// then.
-func (q *queryEnv) clock() time.Time {
+// clock starts an operator's timing: the monotonic time since the
+// statement started, read only when there is a registry to record it
+// in; recordOp records the operator only then.
+func (q *queryEnv) clock() time.Duration {
 	if q.rec == nil {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return time.Since(q.t0)
 }
 
-func (q *queryEnv) recordOp(name string, start time.Time) {
+func (q *queryEnv) recordOp(name string, start time.Duration) {
 	if q.rec != nil {
-		q.rec.RecordOp(name, time.Since(start))
+		q.rec.RecordOp(name, q.clock()-start)
 	}
 }
 
@@ -366,7 +379,7 @@ func (q *queryEnv) bind(e expr) (node, AttrType, error) {
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: bad comparison %q", ErrSyntax, ex.op)
 		}
-		return q.guarded(&comparison{op: ex.op, holds: holds, cmp: cmp, l: l, r: r}), TBool, nil
+		return q.guarded(&comparison{op: ex.op, holds: holds, cmp: cmp, order: orderOf(lt), l: l, r: r}), TBool, nil
 	case call:
 		// Where aggregates are admitted, a one-argument count, sum, avg,
 		// min or max is an aggregate when aggregateType takes its
@@ -489,14 +502,26 @@ func Query(cat Catalog, sql string) (*Relation, error) {
 // When the context carries an obs registry (obs.NewContext), operator
 // timings are recorded into it.
 func QueryContext(ctx context.Context, cat Catalog, sql string) (*Relation, error) {
+	toks, err := lexStatement(sql)
+	return Statement{toks: toks, err: err}.query(ctx, cat)
+}
+
+// query parses and executes the statement against the catalog.
+func (st Statement) query(ctx context.Context, cat Catalog) (*Relation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("db: query canceled: %w", err)
 	}
-	stmt, err := parseQuery(sql)
+	if st.err != nil {
+		return nil, st.err
+	}
+	stmt, err := parseTokens(st.toks)
 	if err != nil {
 		return nil, err
 	}
 	env := &queryEnv{ctx: ctx, rec: obs.FromContext(ctx), binds: make([]binding, 0, len(stmt.from))}
+	if env.rec != nil {
+		env.t0 = time.Now()
+	}
 	defer env.flushFilterCounts()
 	for _, f := range stmt.from {
 		rel, ok := cat[f.rel]
@@ -678,9 +703,10 @@ func (q *queryEnv) bindWhere(where expr) (node, error) {
 // the cross product of the FROM relations, in nested-loop order (the
 // last FROM item varies fastest), that the bound WHERE clause keeps,
 // checking for cancellation as it goes. The conjuncts pushDown moves
-// filter each FROM item's rows once, first; the cross product runs
-// over the rows they keep and evaluates the rest. During fn the row is
-// q.tuples and q.rows. A nil where keeps every row.
+// filter each FROM item's rows once, first, or test the rows of the
+// deepest item they read inside the loop (pushdown.go); the rest is
+// evaluated on the rows they keep. During fn the row is q.tuples and
+// q.rows. A nil where keeps every row.
 func (q *queryEnv) forEachRow(where node, fn func() error) error {
 	q.tuples = make([]Tuple, len(q.binds))
 	for _, b := range q.binds {
@@ -711,54 +737,94 @@ func (q *queryEnv) forEachRow(where node, fn func() error) error {
 			}
 			buf, b.n = buf[b.n:], len(b.kept)
 		}
-		b.pos = -1
-		q.step(i)
 	}
-	for {
+	return q.scan(0, where, fn)
+}
+
+// scan runs the rows of FROM item k and, under each one its row test
+// keeps, the rows of the items after it. A row the test refuses counts
+// as one row for the cancellation check: it stands for all the rows it
+// takes with it.
+func (q *queryEnv) scan(k int, where node, fn func() error) error {
+	if k == len(q.binds)-1 {
+		return q.scanLast(where, fn)
+	}
+	b := &q.binds[k]
+	if b.test != nil {
+		q.fix(b.test, k)
+	}
+	for i := range b.n {
+		row := b.row(i)
+		t := b.rel.tuples[row]
+		if b.test != nil && !q.decide(b.test, k, row, t) {
+			if err := q.checkCancel(); err != nil {
+				return err
+			}
+			continue
+		}
+		q.rows[k], q.tuples[k] = row, t
+		if err := q.scan(k+1, where, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanLast runs the rows of the last FROM item under the current rows
+// of the others, checking for cancellation every cancelCheckRows rows.
+// Only a row that passes the item's row test and the leading guard's
+// candidate test is stepped into q.tuples and q.rows; the residual
+// WHERE clause then decides it, and fn runs on it if it holds.
+func (q *queryEnv) scanLast(where node, fn func() error) error {
+	k := len(q.binds) - 1
+	b := &q.binds[k]
+	rt, lead, tuples := b.test, q.lead, b.rel.tuples
+	if rt != nil {
+		q.fix(rt, k)
+	}
+	// The usual row test is one comparison: it is called directly.
+	cmp, _ := rt.(*comparison)
+	for i := range b.n {
 		if err := q.checkCancel(); err != nil {
 			return err
 		}
-		keep := true
+		row := b.row(i)
+		t := tuples[row]
+		if rt != nil {
+			var hold bool
+			if cmp != nil {
+				hold = cmp.test(t)
+			} else {
+				hold = test(rt, t)
+			}
+			if !q.decided(rt, k, row, t, hold) {
+				continue
+			}
+		}
+		if lead != nil && !q.admit(k, row) {
+			if debugFilter { // the refused pair's expression is still run
+				q.rows[k], q.tuples[k] = row, t
+				if err := q.recheck(lead, false, moving.NoObject); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		q.rows[k], q.tuples[k] = row, t
 		if where != nil {
 			v, err := where.eval(q)
 			if err != nil {
 				return err
 			}
-			keep, _ = v.(bool) // ⊥ filters the row, like SQL NULL
-		}
-		if keep {
-			if err := fn(); err != nil {
-				return err
+			if keep, _ := v.(bool); !keep { // ⊥ filters the row, like SQL NULL
+				continue
 			}
 		}
-		// The next row: advance the last FROM item, carrying into the
-		// ones before it; past the first one's last row, done.
-		i := len(q.binds) - 1
-		for i >= 0 && !q.step(i) {
-			i--
-		}
-		if i < 0 {
-			return nil
+		if err := fn(); err != nil {
+			return err
 		}
 	}
-}
-
-// step moves FROM item i to its next row and reports whether it had
-// one; past its last row it goes back to its first. The cursor pos
-// counts the item's rows, or for a filtered item the positions in kept.
-func (q *queryEnv) step(i int) bool {
-	b := &q.binds[i]
-	b.pos++
-	more := b.pos < b.n
-	if !more {
-		b.pos = 0
-	}
-	row := b.pos
-	if b.kept != nil {
-		row = b.kept[row]
-	}
-	q.rows[i], q.tuples[i] = row, b.rel.tuples[row]
-	return more
+	return nil
 }
 
 // sortKey is an ORDER BY key bound to a query: the projected column it

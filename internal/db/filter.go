@@ -97,32 +97,45 @@ func (g *guard) String() string { return g.inner.String() }
 
 func (g *guard) eval(q *queryEnv) (any, error) { return q.evalGuard(g) }
 
+// candidate is the guard's whole-value test on the pair of rows ra of
+// a's relation and rb of b's: false when the boxes alone refuse it.
+func (g *guard) candidate(ra, rb int) bool {
+	if g.shape == shapeInside {
+		return moving.InsideCandidate(&g.points[0][ra], &g.regions[rb])
+	}
+	return moving.WithinCandidate(&g.points[0][ra], &g.points[1][rb], g.c)
+}
+
+// notStarted is a walk's start before it reached a kernel.
+const notStarted time.Duration = -1
+
 // answer runs the guard on the current row's pair. A pair the
 // candidate test refuses is answered false, NoObject, without a clock
-// read. A fused walk that reached a kernel is the query's call of that
-// operator — inside, or distance for a within walk — timed from its
-// first kernel call to the end of the walk, as apply times an operator:
-// only with a registry. The walk calls the hook that reads the clock,
-// so a pair whose pieces the stored boxes all refuse reads none. The
-// operator count equals the filter's kernel count; an inside walk
-// cancelled on the way counts too, timed from the cancellation when it
-// reached no kernel. A within pair the walk leaves undecided runs the
-// bound chain, which records its own operators. The summaries go by
-// pointer: relBounds does not change them once built.
+// read; the row loop has asked the lead guard's test already. A fused
+// walk that reached a kernel is the query's call of that operator —
+// inside, or distance for a within walk — timed from its first kernel
+// call to the end of the walk, as apply times an operator: only with a
+// registry. The walk calls the hook that reads the clock, so a pair
+// whose pieces the stored boxes all refuse reads none. The operator
+// count equals the filter's kernel count; an inside walk cancelled on
+// the way counts too, timed from the cancellation when it reached no
+// kernel. A within pair the walk leaves undecided runs the bound chain,
+// which records its own operators. The summaries go by pointer:
+// relBounds does not change them once built.
 func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
+	if g != q.lead && !g.candidate(ra, rb) {
+		return false, moving.NoObject, nil
+	}
 	pb := &g.points[0][ra]
-	var start time.Time
+	start := notStarted
 	started := func() { start = q.clock() }
 	if g.shape == shapeInside {
 		sb := &g.regions[rb]
-		if !moving.InsideCandidate(pb, sb) {
-			return false, moving.NoObject, nil
-		}
 		p, r := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MRegion)
 		hit, v, err := moving.SometimesInsideHook(q.ctx, p, pb, r, sb, started)
 		if v == moving.MayHold || err != nil {
-			if start.IsZero() {
+			if start == notStarted {
 				started() // no kernel ran: a point walked unfiltered, or a cancelled walk
 			}
 			q.recordOp("inside", start)
@@ -130,9 +143,6 @@ func (g *guard) answer(q *queryEnv) (any, moving.Verdict, error) {
 		return hit, v, err
 	}
 	qb := &g.points[1][rb]
-	if !moving.WithinCandidate(pb, qb, g.c) {
-		return false, moving.NoObject, nil
-	}
 	p, p2 := q.tuples[g.a.from][g.a.col].(moving.MPoint), q.tuples[g.b.from][g.b.col].(moving.MPoint)
 	hit, v, decided := moving.ComesWithin(p, pb, p2, qb, g.c, started)
 	if !decided {
@@ -157,15 +167,48 @@ func (q *queryEnv) evalGuard(g *guard) (any, error) {
 		n.skippedAt[v]++
 	}
 	if debugFilter {
-		got, err := g.inner.eval(q)
-		if err != nil {
-			return nil, err // cancelled mid-kernel: nothing to compare
-		}
-		if got != hit {
-			panic(fmt.Sprintf("debugcheck: db guard answered %v (verdict %d) for %v on rows %v, but the kernels yield %v", hit, v, g.inner, q.rows, got))
+		if err := q.recheck(g, hit, v); err != nil {
+			return nil, err
 		}
 	}
 	return hit, nil
+}
+
+// admit runs the lead guard's candidate test in the row loop, on the
+// current rows of the FROM items before k, the last, and its row `row`.
+// A pair it refuses is answered as evalGuard answers one: counted as
+// checked and skipped by object.
+func (q *queryEnv) admit(k, row int) bool {
+	g := q.lead
+	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
+	if g.a.from == k {
+		ra = row
+	}
+	if g.b.from == k {
+		rb = row
+	}
+	if g.candidate(ra, rb) {
+		return true
+	}
+	n := &q.filter[g.shape]
+	n.checked++
+	n.skippedAt[moving.NoObject]++
+	return false
+}
+
+// recheck is debugcheck's second opinion on a pair the guard answered
+// hit with verdict v: it evaluates the expression the guard stands for
+// on the current row and panics unless the two agree. The error is a
+// cancellation mid-kernel, which leaves nothing to compare.
+func (q *queryEnv) recheck(g *guard, hit any, v moving.Verdict) error {
+	got, err := g.inner.eval(q)
+	if err != nil {
+		return err
+	}
+	if got != hit {
+		panic(fmt.Sprintf("debugcheck: db guard answered %v (verdict %d) for %v on rows %v, but the kernels yield %v", hit, v, g.inner, q.rows, got))
+	}
+	return nil
 }
 
 // flushFilterCounts reports the query's filter outcomes to the metrics

@@ -3,9 +3,15 @@
 package db
 
 import (
+	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"movingdb/internal/moving"
+	"movingdb/internal/temporal"
+	"movingdb/internal/workload"
 )
 
 // TestPieceCountsOnBenchCatalog pins what the join walks do with the
@@ -32,4 +38,73 @@ func TestPieceCountsOnBenchCatalog(t *testing.T) {
 			t.Errorf("%s: inside walk %+v, within walk %+v; want %+v, %+v", tc.name, inside, within, tc.inside, tc.within)
 		}
 	}
+}
+
+// TestDebugcheckCatchesPlantedDisagreement: under debugcheck every row
+// a row test decides is decided again through the bound nodes, and
+// every pair the row loop's candidate test refuses still runs the
+// guard's expression. A row test that parts from its nodes, and a
+// candidate test that refuses a pair its expression holds for, panic.
+func TestDebugcheckCatchesPlantedDisagreement(t *testing.T) {
+	cat := Catalog{"planes": benchPlanes(workload.New(2000))}
+	for _, tc := range []struct {
+		name  string
+		plant func(where node)
+	}{
+		{"none", func(node) {}},
+		{"row test", func(where node) {
+			// The typed p.id < q.id reads p.id > q.id; its node does not.
+			c := where.(*connective).l.(*comparison)
+			c.order = func(n *comparison, t Tuple) outcome { return greater - orderStrings(n, t) }
+		}},
+		{"candidate test", func(where node) {
+			// q's summaries say it is defined at no instant p is, so the
+			// box test refuses every pair; val(…) < 15 holds for some.
+			g := where.(*connective).r.(*guard)
+			g.points[1] = slices.Clone(g.points[1])
+			for i := range g.points[1] {
+				g.points[1][i].Start, g.points[1][i].End = temporal.PosInf, temporal.PosInf
+			}
+		}},
+	} {
+		env, where := bindForTest(t, cat, "SELECT p.id FROM planes p, planes q WHERE p.id < q.id AND val(initial(atmin(distance(p.flight, q.flight)))) < 15")
+		tc.plant(where)
+		rows := 0
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			if err := env.forEachRow(where, func() error { rows++; return nil }); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			return ""
+		}()
+		switch {
+		case tc.name == "none" && (msg != "" || rows == 0):
+			t.Errorf("unplanted: %d rows, panic %q; want rows and no panic", rows, msg)
+		case tc.name != "none" && !strings.HasPrefix(msg, "debugcheck: "):
+			t.Errorf("%s: planted disagreement not caught (panic %q, %d rows)", tc.name, msg, rows)
+		}
+	}
+}
+
+// bindForTest binds sql's FROM items and WHERE clause as QueryContext
+// does, for a test that edits the bound clause before the row loop.
+func bindForTest(t *testing.T, cat Catalog, sql string) (*queryEnv, node) {
+	t.Helper()
+	stmt, err := parseQuery(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &queryEnv{ctx: context.Background()}
+	for _, f := range stmt.from {
+		env.binds = append(env.binds, binding{alias: f.alias, rel: cat[f.rel]})
+	}
+	where, err := env.bindWhere(stmt.where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, where
 }

@@ -23,9 +23,11 @@ import (
 // literals of each type, nested AND / OR / NOT, negation and arithmetic
 // (division by zero and overflow included), with min(speed(m)) and
 // present(m, …) as the sources of ⊥. A share of the WHERE clauses are
-// chains of AND conjuncts that put comparisons reading one relation on
-// both sides of arithmetic that can fail, which holds the executor's
-// push-down to its rule. A few statements compare or add
+// chains of AND conjuncts that put comparisons reading one relation,
+// and comparisons of a column of r with one of t, on both sides of
+// arithmetic that can fail, which holds the executor's push-down to its
+// rule: the first kind filters a relation before the cross product, the
+// second is the row test of t's rows. A few statements compare or add
 // values of mixed types, which bind refuses. The naive side walks the
 // nested loop itself and evaluates each generated node with its own
 // closure; it shares no code with the executor's evaluation or its
@@ -75,6 +77,29 @@ func TestPushDownKeepsFailures(t *testing.T) {
 	res, err := Query(cat, "SELECT p.s FROM r p, t q WHERE q.s = 'absent' AND p.x / 0 > 1")
 	if err != nil || res.Len() != 0 {
 		t.Errorf("division by zero right of a one-relation conjunct that holds nowhere: %v rows, err = %v; want none", res, err)
+	}
+}
+
+// TestPushDownKeepsFailuresTwoItems: a conjunct that reads both FROM
+// items moves into the row loop, as the row test of the later one, only
+// when no conjunct to its left can fail. Right of a division by zero it
+// stays, and the division fails the statement on its first row; left of
+// it, it refuses every row first, as it did in the WHERE clause, so the
+// division never runs.
+func TestPushDownKeepsFailuresTwoItems(t *testing.T) {
+	r := NewRelation("r", Schema{{Name: "s", Type: TString}, {Name: "x", Type: TReal}})
+	r.MustInsert(Tuple{"b", 1.0})
+	r.MustInsert(Tuple{"c", 2.0})
+	tt := NewRelation("t", Schema{{Name: "s", Type: TString}})
+	tt.MustInsert(Tuple{"a"})
+	tt.MustInsert(Tuple{"b"})
+	cat := Catalog{"r": r, "t": tt}
+	if _, err := Query(cat, "SELECT p.s FROM r p, t q WHERE p.x / 0 > 1 AND p.s < q.s"); !errors.Is(err, ErrType) {
+		t.Errorf("division by zero left of a two-relation conjunct: err = %v, want ErrType", err)
+	}
+	res, err := Query(cat, "SELECT p.s FROM r p, t q WHERE p.s < q.s AND p.x / 0 > 1")
+	if err != nil || res.Len() != 0 {
+		t.Errorf("division by zero right of a two-relation conjunct that holds nowhere: %v rows, err = %v; want none", res, err)
 	}
 }
 
@@ -444,17 +469,20 @@ func oracleConnective(l oExpr, op string, r oExpr) oExpr {
 }
 
 // chain draws n conjuncts joined by AND in a random shape: comparisons
-// that read one relation, conjuncts that can fail on some rows (a zero
-// divisor, an overflow) and random predicates. So the executor's
-// push-down meets one-relation conjuncts both left and right of one
-// that can fail, and may move only the former.
+// that read one relation, comparisons that read both, conjuncts that
+// can fail on some rows (a zero divisor, an overflow) and random
+// predicates. So the executor's push-down meets one- and two-relation
+// conjuncts both left and right of one that can fail, and may move only
+// the former.
 func (g oracleGen) chain(n int) oExpr {
 	cs := make([]oExpr, n)
 	for k := range cs {
-		switch g.rng.Intn(3) {
+		switch g.rng.Intn(4) {
 		case 0:
 			cs[k] = g.oneSide()
 		case 1:
+			cs[k] = g.twoSide()
+		case 2:
 			cs[k] = g.failing()
 		default:
 			cs[k] = g.pred(1)
@@ -488,6 +516,19 @@ func (g oracleGen) oneSide() oExpr {
 		}
 	}
 	e := oracleCompare(l, oracleOps[g.rng.Intn(len(oracleOps))], r)
+	if g.rng.Intn(4) == 0 {
+		return oracleNot(e)
+	}
+	return e
+}
+
+// twoSide draws a comparison, or its negation, of a column of r with
+// the column of t of the same type, either side first.
+func (g oracleGen) twoSide() oExpr {
+	c := g.rng.Intn(4) // oS, oX, oI or oB
+	t := []AttrType{TString, TReal, TInt, TBool}[c]
+	side := g.rng.Intn(2)
+	e := oracleCompare(sideColumn(side, c, t), oracleOps[g.rng.Intn(len(oracleOps))], sideColumn(1-side, c, t))
 	if g.rng.Intn(4) == 0 {
 		return oracleNot(e)
 	}
@@ -590,3 +631,32 @@ func (q oracleQuery) naive(rs, ts []Tuple) (rows []Tuple, wantErr error) {
 
 // String renders the oracle's ⊥ in failure messages.
 func (oracleUndef) String() string { return "⊥" }
+
+// TestRowTestsAcrossThreeItems: with three FROM items each moved
+// conjunct is the row test of the deepest item it reads — p.i < q.i of
+// q's rows under each row of p, q.i < r.i and the OR of r's under each
+// pair — and the answer is the nested loop's, rows in its order.
+func TestRowTestsAcrossThreeItems(t *testing.T) {
+	n := NewRelation("n", Schema{{Name: "i", Type: TInt}})
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	for _, v := range vals {
+		n.MustInsert(Tuple{v})
+	}
+	res, err := Query(Catalog{"n": n}, "SELECT p.i, q.i, r.i FROM n p, n q, n r WHERE p.i < q.i AND q.i < r.i AND (p.i = q.i OR NOT r.i = q.i) AND (r.i <> p.i OR p.i > q.i)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Tuple
+	for _, p := range vals {
+		for _, q := range vals {
+			for _, r := range vals {
+				if p < q && q < r && (p == q || r != q) && (r != p || p > q) {
+					want = append(want, Tuple{p, q, r})
+				}
+			}
+		}
+	}
+	if len(want) == 0 || !sameRows(res.Scan(), want) {
+		t.Fatalf("got %v\nwant %v", res.Scan(), want)
+	}
+}

@@ -44,10 +44,24 @@ func (p *parser) expect(k tokenKind, text string) (token, error) {
 
 // parseQuery parses a full SELECT statement.
 func parseQuery(src string) (*selectStmt, error) {
+	toks, err := lexStatement(src)
+	if err != nil {
+		return nil, err
+	}
+	return parseTokens(toks)
+}
+
+// lexStatement lexes a statement; a lexing failure is an ErrSyntax.
+func lexStatement(src string) ([]token, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSyntax, err)
 	}
+	return toks, nil
+}
+
+// parseTokens parses the tokens of a full SELECT statement.
+func parseTokens(toks []token) (*selectStmt, error) {
 	p := &parser{toks: toks}
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err

@@ -1,16 +1,24 @@
 package db
 
-// Selection push-down. forEachRow evaluates the WHERE clause on every
-// row of the cross product; a conjunct that reads one FROM item decides
-// the same on every row that shares that item's tuple, so pushDown
-// evaluates it once per tuple, before the cross product, and the cross
-// product runs over the tuples it keeps.
+import "fmt"
+
+// Selection push-down. A WHERE conjunct decides the same on every row of
+// the cross product that shares the rows of the FROM items it reads, so
+// the executor evaluates it once per row of the deepest FROM item it
+// reads (the last in FROM order), under the current rows of the items
+// before that one, and a row it refuses never reaches the bound tree.
 //
 // The rule: flatten the WHERE clause into its top-level AND conjuncts.
 // A conjunct moves only if it is total and every conjunct to its left
-// is total too. One that reads exactly one FROM item filters that
-// item's rows; one that reads none is evaluated once. Everything else
-// stays where it stood, in the residual clause.
+// is total too. One that reads a single FROM item filters that item's
+// rows once, before the cross product. One that reads several is the
+// row test of the deepest of them: the row loop runs it on each row of
+// that item, and the rows it refuses take none of the later items' rows
+// with them. One that reads none is evaluated once. Everything else
+// stays where it stood, in the residual clause. When the first conjunct
+// that stays is a guard, the row loop also runs its whole-value
+// candidate test (filter.go) on the rows every moved conjunct holds for,
+// and counts a pair it refuses as the guard counts one.
 //
 // Why this is exact: a total conjunct cannot fail and is never ⊥, so on
 // a row where it is false the AND stops at it or at an earlier false
@@ -19,7 +27,14 @@ package db
 // every other row each moved conjunct is true, and an AND with a true
 // side is its other side, ⊥ included. So the same rows reach the first
 // conjunct that can fail, in the same nested-loop order, and errors, ⊥,
-// emitted rows and filter counts are unchanged.
+// emitted rows and filter counts are unchanged. A leading guard is that
+// first conjunct: it answers a pair its candidate test refuses false,
+// counted, with no clock read, kernel or error, and so does the row
+// loop.
+//
+// Moved conjuncts are decided typed (test): total admits only slots,
+// literals, comparisons, NOT and the connectives, whose values are never
+// ⊥, so no value is boxed and no node is called through its interface.
 
 // total reports whether e can neither fail nor yield ⊥: a column slot
 // (Insert type-checks every value, so a bool column holds bools), a
@@ -39,29 +54,28 @@ func total(e node) bool {
 	return false
 }
 
-const (
-	noFrom    = -1 // a node that reads no FROM item
-	manyFroms = -2 // a node that reads more than one
-)
+// noFrom stands for the FROM item of a node that reads none.
+const noFrom = -1
 
-// readsFrom folds the FROM items the total node e reads into from:
-// noFrom while there is none, the item while there is one, manyFroms
-// once there are more.
-func readsFrom(e node, from int) int {
+// span folds the FROM items the total node e reads into [lo, hi], which
+// is [noFrom, noFrom] while there is none.
+func span(e node, lo, hi int) (int, int) {
 	switch ex := e.(type) {
 	case *slot:
-		if from == noFrom || from == ex.from {
-			return ex.from
+		if lo == noFrom || ex.from < lo {
+			lo = ex.from
 		}
-		return manyFroms
+		return lo, max(hi, ex.from)
 	case *comparison:
-		return readsFrom(ex.r, readsFrom(ex.l, from))
+		lo, hi = span(ex.l, lo, hi)
+		return span(ex.r, lo, hi)
 	case *not:
-		return readsFrom(ex.e, from)
+		return span(ex.e, lo, hi)
 	case *connective:
-		return readsFrom(ex.r, readsFrom(ex.l, from))
+		lo, hi = span(ex.l, lo, hi)
+		return span(ex.r, lo, hi)
 	}
-	return from
+	return lo, hi
 }
 
 // splitter takes the movable conjuncts out of a WHERE clause.
@@ -72,11 +86,13 @@ type splitter struct {
 }
 
 // pushDown moves the movable conjuncts out of where: one that reads a
-// single FROM item onto that item's filter, one that reads none is
-// evaluated here. It returns what is left of where, nil when nothing
-// is, and false when a conjunct that reads no FROM item is false, so
-// that no row is left. It edits the bound clause in place: bound nodes
-// belong to their statement, whose executor runs once.
+// single FROM item onto that item's filter, one that reads several onto
+// the deepest one's row test, one that reads none is evaluated here; a
+// guard that leads what stays becomes q.lead. It returns what is left of
+// where, nil when nothing is, and false when a conjunct that reads no
+// FROM item is false, so that no row is left. It edits the bound clause
+// in place: bound nodes belong to their statement, whose executor runs
+// once.
 func (q *queryEnv) pushDown(where node) (node, bool) {
 	if where == nil {
 		return nil, true
@@ -100,49 +116,152 @@ func (sp *splitter) strip(e node) node {
 		}
 		return c
 	}
-	if sp.total = sp.total && total(e); !sp.total {
+	if !total(e) {
+		if g, isGuard := e.(*guard); isGuard && sp.total {
+			sp.q.lead = g
+		}
+		sp.total = false
+	}
+	if !sp.total {
 		return e
 	}
-	switch from := readsFrom(e, noFrom); from {
-	case manyFroms:
-		return e
-	case noFrom:
-		hold, _ := sp.q.holds(e)
-		sp.some = sp.some && hold
+	lo, hi := span(e, noFrom, noFrom)
+	switch {
+	case hi == noFrom:
+		sp.q.fix(e, noFrom)
+		sp.some = sp.some && sp.q.decide(e, noFrom, 0, nil)
+	case lo == hi:
+		b := &sp.q.binds[hi]
+		b.filter = and(b.filter, e)
 	default:
-		b := &sp.q.binds[from]
-		if b.filter == nil {
-			b.filter = e
-		} else {
-			b.filter = &connective{op: "AND", l: b.filter, r: e}
-		}
+		b := &sp.q.binds[hi]
+		b.test = and(b.test, e)
 	}
 	return nil
+}
+
+// and is the conjunction of a, nil for none, and e.
+func and(a, e node) node {
+	if a == nil {
+		return e
+	}
+	return &connective{op: "AND", l: a, r: e}
 }
 
 // keepRows evaluates FROM item i's filter on each of its rows, polling
 // for cancellation like the row loop, and appends the positions of the
 // rows it holds for to kept.
 func (q *queryEnv) keepRows(i int, kept []int) ([]int, error) {
-	for j, t := range q.binds[i].rel.Scan() {
+	b := &q.binds[i]
+	q.fix(b.filter, i)
+	for j, t := range b.rel.Scan() {
 		if err := q.checkCancel(); err != nil {
 			return nil, err
 		}
-		q.tuples[i] = t
-		hold, err := q.holds(q.binds[i].filter)
-		if err != nil {
-			return nil, err
-		}
-		if hold {
+		if q.decide(b.filter, i, j, t) {
 			kept = append(kept, j)
 		}
 	}
 	return kept, nil
 }
 
-// holds evaluates a total predicate on the current row.
-func (q *queryEnv) holds(e node) (bool, error) {
+// decide runs the moved conjuncts e on row `row` of FROM item k, whose
+// tuple is t (noFrom and nil for conjuncts that read no item).
+func (q *queryEnv) decide(e node, k, row int, t Tuple) bool {
+	return q.decided(e, k, row, t, test(e, t))
+}
+
+// decided is decide once e was tested to hold or not.
+func (q *queryEnv) decided(e node, k, row int, t Tuple, hold bool) bool {
+	if debugFilter {
+		q.redecide(e, k, row, t, hold)
+	}
+	return hold
+}
+
+// redecide is debugcheck's second opinion on a row that moved conjuncts
+// decided: it steps the row in and evaluates them through their bound
+// nodes, as the row loop did before they moved, and panics unless the
+// two agree.
+func (q *queryEnv) redecide(e node, k, row int, t Tuple, hold bool) {
+	if k != noFrom {
+		q.rows[k], q.tuples[k] = row, t
+	}
 	v, err := e.eval(q)
-	b, _ := v.(bool)
-	return b, err
+	if b, _ := v.(bool); err != nil || b != hold {
+		panic(fmt.Sprintf("debugcheck: db row test decided %v for %v on rows %v, but the bound nodes yield %v (err %v)", hold, e, q.rows, v, err))
+	}
+}
+
+// operand is how a row test reads a slot or literal operand of a
+// comparison: column col of the row it runs on or, when col < 0, the
+// value v, a literal's or an outer item's current row's.
+type operand struct {
+	col int
+	v   any
+}
+
+func (o operand) at(t Tuple) any {
+	if o.col >= 0 {
+		return t[o.col]
+	}
+	return o.v
+}
+
+// fix readies the total node e for a row test at FROM item k: each
+// slot that reads an item before k gets the value of that item's
+// current row, and each comparison's slot or literal operand how to read
+// it, so that the test reads an outer value once per outer row.
+func (q *queryEnv) fix(e node, k int) {
+	switch ex := e.(type) {
+	case *slot:
+		if ex.from < k {
+			ex.outer = q.tuples[ex.from][ex.col]
+		}
+	case *comparison:
+		q.fix(ex.l, k)
+		q.fix(ex.r, k)
+		ex.lv, ex.rv = operandOf(ex.l, k), operandOf(ex.r, k)
+	case *not:
+		q.fix(ex.e, k)
+	case *connective:
+		q.fix(ex.l, k)
+		q.fix(ex.r, k)
+	}
+}
+
+// operandOf is how a row test at FROM item k reads e, after fix.
+func operandOf(e node, k int) operand {
+	switch ex := e.(type) {
+	case *slot:
+		if ex.from == k {
+			return operand{col: ex.col}
+		}
+		return operand{col: -1, v: ex.outer}
+	case literal:
+		return operand{col: -1, v: ex.v}
+	}
+	return operand{col: -1} // a predicate: orderBools tests it
+}
+
+// test decides the total predicate e on the row t of the FROM item it
+// runs at, after fix.
+func test(e node, t Tuple) bool {
+	switch ex := e.(type) {
+	case *comparison:
+		return ex.test(t)
+	case *not:
+		return !test(ex.e, t)
+	case *connective:
+		if l := test(ex.l, t); l == ex.decides {
+			return l
+		}
+		return test(ex.r, t)
+	case *slot:
+		if ex.outer != nil {
+			return ex.outer.(bool)
+		}
+		return t[ex.col].(bool)
+	}
+	return e.(literal).v.(bool)
 }

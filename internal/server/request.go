@@ -296,15 +296,16 @@ func (q objectsReq) key(epoch uint64) cache.Key {
 	return cache.Key{Route: "/v1/objects", Epoch: epoch, Args: [8]uint64{uint64(q.Page.Limit), uint64(q.Page.Offset)}}
 }
 
-// queryReq is a decoded /v1/query request. SQL is the canonical
-// rendering (db.Canonical), so spelling variants of one query share a
-// cache entry; Raw keeps the client's text for the slow-query log. The
-// timeout is deliberately not part of the key: a shorter deadline
-// either produces the same bytes or an error, and errors are never
-// cached. A request that joins a flight whose deadline ran out computes
-// under its own (cache.Loader.Do).
+// queryReq is a decoded /v1/query request. Stmt is the statement lexed
+// once (db.Prepare): its SQL, the canonical rendering, keys the cache,
+// so spelling variants of one query share an entry, and a miss
+// evaluates it without lexing again; Raw keeps the client's text for
+// the slow-query log. The timeout is deliberately not part of the key:
+// a shorter deadline either produces the same bytes or an error, and
+// errors are never cached. A request that joins a flight whose deadline
+// ran out computes under its own (cache.Loader.Do).
 type queryReq struct {
-	SQL     string
+	Stmt    db.Statement
 	Raw     string
 	Timeout time.Duration
 }
@@ -319,11 +320,11 @@ func (s *Server) decodeQuery(r *http.Request) (queryReq, error) {
 	}
 	req := queryReq{Raw: raw, Timeout: p.timeout(s.cfg.QueryTimeout, s.cfg.MaxTimeout)}
 	if p.err == nil {
-		sql, err := db.Canonical(raw)
+		st, err := db.Prepare(raw)
 		if err != nil {
 			p.fail(CodeBadRequest, err.Error())
 		}
-		req.SQL = sql
+		req.Stmt = st
 	}
 	if p.err != nil {
 		return queryReq{}, p.err
@@ -332,5 +333,5 @@ func (s *Server) decodeQuery(r *http.Request) (queryReq, error) {
 }
 
 func (q queryReq) key(epoch uint64) cache.Key {
-	return cache.Key{Route: "/v1/query", Query: q.SQL, Epoch: epoch}
+	return cache.Key{Route: "/v1/query", Query: q.Stmt.SQL, Epoch: epoch}
 }

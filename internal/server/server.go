@@ -258,7 +258,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := s.evalContext(r, req.Timeout)
 		defer cancel()
 		start := time.Now()
-		res, err := snap.QueryContext(ctx, req.SQL)
+		res, err := snap.QueryStatement(ctx, req.Stmt)
 		elapsed := time.Since(start)
 		// The entry carries the status the client is about to receive.
 		status := http.StatusOK

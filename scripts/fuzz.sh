@@ -31,7 +31,8 @@ smoke ./internal/geom FuzzOrientMatchesReference "Orient's Hypot-free fast path 
 smoke ./internal/units FuzzSometimesInsideMatchesKernel "the sometimes-inside predicate kernel vs the any-true of the inside kernel's units"
 smoke ./internal/db FuzzAggregateMatchesNaive "the executor's grouping branch vs a naive pairwise fold" -fuzzminimizetime=1s
 smoke ./internal/db FuzzLexMatchesReference "the lexer vs the allocating lexer it replaced: tokens, errors and Canonical bytes"
-smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator" -fuzzminimizetime=1s
+smoke ./internal/db FuzzPrepareMatchesRelex "a prepared statement's tokens vs lexing its canonical spelling again"
+smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator, its WHERE chains mixing one- and two-relation comparisons with conjuncts that can fail" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzWalkPieces "the join walks visit exactly the sweep's common pieces, in order, building the partition's piece for every pair the stored boxes leave" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzAreaExtremaMatchBuilt "the fused max/min of a moving region's area vs Area().Max()/Min() of the built moving real, bit for bit" -fuzzminimizetime=1s

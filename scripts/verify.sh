@@ -66,9 +66,11 @@ go test -run "^($norace)\$" ./internal/...
 
 # internal/ingest: every publish recomputes from the units the chunk
 # cubes Store.Apply kept incrementally and panics on a difference.
-# internal/db: every pair a join guard answers is re-run through the
-# bound expression the guard stands for (the same nodes that evaluate
-# every other row), and a disagreement panics.
+# internal/db: every pair a join guard answers, and every pair the row
+# loop's candidate test refuses, is re-run through the bound expression
+# the guard stands for (the same nodes that evaluate every other row),
+# every row a pushed-down conjunct's typed row test decides is decided
+# again through its bound nodes, and a disagreement panics.
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
