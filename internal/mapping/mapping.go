@@ -180,12 +180,27 @@ func (m Mapping[U]) FinalUnit() (U, bool) {
 }
 
 // AtPeriods restricts the moving object to the given time periods,
-// clipping units at period boundaries.
+// clipping units at period boundaries: one clipped unit per pair of a
+// unit and a period that meet, listed by index (see temporal.Seek).
 func (m Mapping[U]) AtPeriods(p temporal.Periods) Mapping[U] {
 	var out []U
-	sw := temporal.NewSweep(m.us, p.Intervals())
-	for r, ok := sw.NextCommon(); ok; r, ok = sw.NextCommon() {
-		out = appendMerged(out, m.us[r.A].WithInterval(r.Iv))
+	ps := p.Intervals()
+	b := 0 // the period the last pair covered, where the next seek starts
+	for _, u := range m.us {
+		iu := u.Interval()
+		if b < len(ps) && ps[b].RDisjoint(iu) {
+			if b++; b < len(ps) && ps[b].RDisjoint(iu) {
+				b = temporal.Seek(ps, b+1, iu, func(iv temporal.Interval) temporal.Interval { return iv })
+			}
+		}
+		if b == len(ps) {
+			break
+		}
+		for k := b; k < len(ps) && !iu.RDisjoint(ps[k]); k++ {
+			b = k
+			iv, _ := iu.Intersect(ps[k])
+			out = appendMerged(out, u.WithInterval(iv))
+		}
 	}
 	res := Mapping[U]{us: out}
 	debugValidate("AtPeriods", res)

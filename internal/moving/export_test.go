@@ -23,3 +23,6 @@ func SometimesInsideVisit(p MPoint, pb *PointBounds, r MRegion, rb *RegionBounds
 func ComesWithinVisit(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64, visit func(a, b int, piece temporal.Interval)) {
 	comesWithin(p, pb, q, qb, c, nil, visit)
 }
+
+// AppendLess is MReal.LessThan's unit kernel.
+var AppendLess = appendLess

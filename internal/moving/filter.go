@@ -3,7 +3,6 @@ package moving
 import (
 	"context"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"movingdb/internal/geom"
@@ -24,12 +23,11 @@ import (
 // candidate, lists the pairs of units whose intervals meet — the
 // common pieces of the two arrays' refinement partition (Section 5.2),
 // Iv_a ∩ Iv_b, in time order — by index, over the unit arrays
-// themselves, and allocates nothing. For each unit a of the point it
-// seeks the other value's first unit not wholly before a (see
-// seekRegion), then scans forward until a unit starts after a ends. The
-// stored boxes of the index pair refuse most pairs before the piece is
-// built; a pair they leave gets its piece and the box of each point
-// unit over it, from the unit's motion at the piece's two ends
+// themselves, as every lifted binary operation does (see
+// temporal.Seek), and allocates nothing. The stored boxes of the index
+// pair refuse most pairs before the piece is built; a pair they leave
+// gets its piece and the box of each point unit over it, from the
+// unit's motion at the piece's two ends
 // (units.MPoint.BBox: the box of the sliced unit, with no unit copied);
 // only the inside kernel is handed sliced units. Both walks refine in
 // that same pass: SometimesInsideHook runs the sometimes-inside
@@ -178,7 +176,7 @@ func sometimesInside(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, 
 		ia := pu[a].Iv
 		if b < len(ru) && ru[b].Iv.RDisjoint(ia) {
 			if b++; b < len(ru) && ru[b].Iv.RDisjoint(ia) {
-				b = seekRegion(ru, b+1, ia)
+				b = temporal.Seek(ru, b+1, ia, units.URegion.Interval)
 			}
 		}
 		if b == len(ru) {
@@ -217,22 +215,6 @@ func sometimesInside(ctx context.Context, p MPoint, pb *PointBounds, r MRegion, 
 		}
 	}
 	return false, verdict, nil
-}
-
-// seekRegion returns the first unit of us at or after lo that does not
-// lie wholly before iv, or len(us): the binary search (Section 4) a walk
-// falls back on when neither the region unit its last pair covered nor
-// the next one reaches into its next point unit. So a walk over two
-// values that overlap in k of their n + m units costs O(n + k) steps
-// and O(log m) for each gap it seeks across. The units are read in
-// place: no interval is copied out through a method.
-func seekRegion(us []units.URegion, lo int, iv temporal.Interval) int {
-	return lo + sort.Search(len(us)-lo, func(k int) bool { return !us[lo+k].Iv.RDisjoint(iv) })
-}
-
-// seekPoint is seekRegion over the units of a moving point.
-func seekPoint(us []units.UPoint, lo int, iv temporal.Interval) int {
-	return lo + sort.Search(len(us)-lo, func(k int) bool { return !us[lo+k].Iv.RDisjoint(iv) })
 }
 
 // WithinMargin scales the rounding margin of WithinCandidate and
@@ -331,7 +313,7 @@ func comesWithin(p MPoint, pb *PointBounds, q MPoint, qb *PointBounds, c float64
 		ia := pu[a].Iv
 		if b < len(qu) && qu[b].Iv.RDisjoint(ia) {
 			if b++; b < len(qu) && qu[b].Iv.RDisjoint(ia) {
-				b = seekPoint(qu, b+1, ia)
+				b = temporal.Seek(qu, b+1, ia, units.UPoint.Interval)
 			}
 		}
 		if b == len(qu) {

@@ -91,9 +91,8 @@ func refMayBeInside(p moving.MPoint, pb moving.PointBounds, r moving.MRegion, rb
 		return moving.NoObject
 	}
 	pu := p.M.Units()
-	sw := temporal.NewSweep(pu, r.M.Units())
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		if pu[ri.A].WithInterval(ri.Iv).BBox().Intersects(rb.Units[ri.B]) {
+	for _, ri := range temporal.Refine(p.M.Intervals(), r.M.Intervals()) {
+		if ri.A >= 0 && ri.B >= 0 && pu[ri.A].WithInterval(ri.Iv).BBox().Intersects(rb.Units[ri.B]) {
 			return moving.MayHold
 		}
 	}
@@ -150,9 +149,8 @@ func refMayComeWithin(p moving.MPoint, pb moving.PointBounds, q moving.MPoint, q
 		return moving.NoObject
 	}
 	pu, qu := p.M.Units(), q.M.Units()
-	sw := temporal.NewSweep(pu, qu)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		if !beyond(pb.Units[ri.A], qb.Units[ri.B]) && !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox()) {
+	for _, ri := range temporal.Refine(p.M.Intervals(), q.M.Intervals()) {
+		if ri.A >= 0 && ri.B >= 0 && !beyond(pb.Units[ri.A], qb.Units[ri.B]) && !beyond(pu[ri.A].WithInterval(ri.Iv).BBox(), qu[ri.B].WithInterval(ri.Iv).BBox()) {
 			return moving.MayHold
 		}
 	}

@@ -78,29 +78,6 @@ func (b MBool) Not() MBool {
 	return MBool{M: mapping.FromOrdered(out)}
 }
 
-// And returns the pointwise conjunction, defined where both operands are
-// defined.
-func (b MBool) And(c MBool) MBool {
-	return liftBoolOp(b, c, func(x, y bool) bool { return x && y })
-}
-
-// Or returns the pointwise disjunction, defined where both operands are
-// defined.
-func (b MBool) Or(c MBool) MBool {
-	return liftBoolOp(b, c, func(x, y bool) bool { return x || y })
-}
-
-func liftBoolOp(b, c MBool, op func(x, y bool) bool) MBool {
-	var bld mapping.Builder[units.UBool]
-	bu, cu := b.M.Units(), c.M.Units()
-	bld.Grow(len(bu) + len(cu))
-	sw := temporal.NewSweep(bu, cu)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		bld.Append(units.UBool{Iv: ri.Iv, V: op(bu[ri.A].V, cu[ri.B].V)})
-	}
-	return MBool{M: bld.MustBuild()}
-}
-
 // Initial returns the (instant, value) pair at the start of the
 // definition time; ok is false for the empty moving bool.
 func (b MBool) Initial() (base.Intime[bool], bool) {

@@ -147,9 +147,22 @@ func (p MPoint) Distance(q MPoint) MReal {
 	var bld mapping.Builder[units.UReal]
 	pu, qu := p.M.Units(), q.M.Units()
 	bld.Grow(len(pu) + len(qu))
-	sw := temporal.NewSweep(pu, qu)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		bld.Append(pu[ri.A].DistanceTo(qu[ri.B], ri.Iv))
+	b := 0 // the unit of q the last pair covered; see temporal.Seek
+	for a := range pu {
+		ia := pu[a].Iv
+		if b < len(qu) && qu[b].Iv.RDisjoint(ia) {
+			if b++; b < len(qu) && qu[b].Iv.RDisjoint(ia) {
+				b = temporal.Seek(qu, b+1, ia, units.UPoint.Interval)
+			}
+		}
+		if b == len(qu) {
+			break
+		}
+		for k := b; k < len(qu) && !ia.RDisjoint(qu[k].Iv); k++ {
+			b = k
+			iv, _ := ia.Intersect(qu[k].Iv)
+			bld.Append(pu[a].DistanceTo(qu[k], iv))
+		}
 	}
 	return MReal{M: bld.MustBuild()}
 }
@@ -253,28 +266,37 @@ func (p MPoint) Inside(r MRegion) MBool {
 
 // InsideCtx is Inside with cooperative cancellation along the
 // refinement partition — the O(n + m + S) loop the serving layer must
-// be able to abort when a request deadline expires. The partition is
-// streamed, and the kernel's pieces pass through one small buffer into
-// the result, so the only allocation is the result's own unit array.
+// be able to abort when a request deadline expires; ctx is polled on
+// every cancelCheckEvery-th unit pair, the first included. The pairs
+// are listed by index (see temporal.Seek), and the kernel's pieces pass
+// through one small buffer into the result, so the only allocation is
+// the result's own unit array.
 func (p MPoint) InsideCtx(ctx context.Context, r MRegion) (MBool, error) {
 	var bld mapping.Builder[units.UBool]
 	pu, ru := p.M.Units(), r.M.Units()
 	var buf [4]units.UBool
 	pieces := buf[:0]
-	sw := temporal.NewSweep(pu, ru)
-	for i := 0; ; i++ {
-		ri, ok := sw.NextCommon()
-		if !ok {
+	b, i := 0, 0 // b as in Distance; i counts the pairs
+	for a := range pu {
+		ia := pu[a].Iv
+		if b < len(ru) && ru[b].Iv.RDisjoint(ia) {
+			if b++; b < len(ru) && ru[b].Iv.RDisjoint(ia) {
+				b = temporal.Seek(ru, b+1, ia, units.URegion.Interval)
+			}
+		}
+		if b == len(ru) {
 			break
 		}
-		if err := cancelCheck(ctx, i); err != nil {
-			return MBool{}, err
-		}
-		up := pu[ri.A].WithInterval(ri.Iv)
-		ur := ru[ri.B].WithInterval(ri.Iv)
-		pieces = units.UPointInsideURegion(pieces[:0], up, ur)
-		for _, ub := range pieces {
-			bld.Append(ub)
+		for k := b; k < len(ru) && !ia.RDisjoint(ru[k].Iv); k, i = k+1, i+1 {
+			b = k
+			if err := cancelCheck(ctx, i); err != nil {
+				return MBool{}, err
+			}
+			iv, _ := ia.Intersect(ru[k].Iv)
+			pieces = units.UPointInsideURegion(pieces[:0], pu[a].WithInterval(iv), ru[k].WithInterval(iv))
+			for _, ub := range pieces {
+				bld.Append(ub)
+			}
 		}
 	}
 	return MBool{M: bld.MustBuild()}, nil

@@ -257,37 +257,6 @@ func (r MReal) Greater(v float64) MBool {
 	return r.CmpConst(v, func(s int) bool { return s > 0 })
 }
 
-// Add returns the pointwise sum of two moving reals where both are
-// defined; ok is false if any overlapping pair of units involves a root
-// unit (the representation is not closed under adding roots).
-func (r MReal) Add(s MReal) (MReal, bool) {
-	return liftRealOp(r, s, func(a, b units.UReal, iv temporal.Interval) (units.UReal, bool) {
-		return a.Add(b, iv)
-	})
-}
-
-// Sub returns the pointwise difference of two moving reals.
-func (r MReal) Sub(s MReal) (MReal, bool) {
-	return liftRealOp(r, s, func(a, b units.UReal, iv temporal.Interval) (units.UReal, bool) {
-		return a.Sub(b, iv)
-	})
-}
-
-func liftRealOp(r, s MReal, op func(a, b units.UReal, iv temporal.Interval) (units.UReal, bool)) (MReal, bool) {
-	var bld mapping.Builder[units.UReal]
-	ru, su := r.M.Units(), s.M.Units()
-	bld.Grow(len(ru) + len(su))
-	sw := temporal.NewSweep(ru, su)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		u, ok := op(ru[ri.A], su[ri.B], ri.Iv)
-		if !ok {
-			return MReal{}, false
-		}
-		bld.Append(u)
-	}
-	return MReal{M: bld.MustBuild()}, true
-}
-
 // Integral returns ∫ value dt over the definition time, computed
 // exactly for polynomial units and by closed form for root units where
 // possible (falling back to Simpson quadrature for roots, which is exact

@@ -24,36 +24,57 @@ import (
 func (r MReal) LessThan(s MReal) (MBool, bool) {
 	var bld mapping.Builder[units.UBool]
 	ru, su := r.M.Units(), s.M.Units()
-	sw := temporal.NewSweep(ru, su)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		a := ru[ri.A].WithInterval(ri.Iv)
-		b := su[ri.B].WithInterval(ri.Iv)
-		diff, ok := comparableDiff(a, b)
-		if !ok {
-			return MBool{}, false
+	b := 0 // as in MPoint.Distance
+	for a := range ru {
+		ia := ru[a].Iv
+		if b < len(su) && su[b].Iv.RDisjoint(ia) {
+			if b++; b < len(su) && su[b].Iv.RDisjoint(ia) {
+				b = temporal.Seek(su, b+1, ia, units.UReal.Interval)
+			}
 		}
-		less, equal, greater := diff.CmpIntervals(0)
-		type piece struct {
-			iv temporal.Interval
-			v  bool
+		if b == len(su) {
+			break
 		}
-		var ps []piece
-		for _, iv := range less {
-			ps = append(ps, piece{iv, true})
-		}
-		for _, iv := range equal {
-			ps = append(ps, piece{iv, false})
-		}
-		for _, iv := range greater {
-			ps = append(ps, piece{iv, false})
-		}
-		// The pieces are disjoint; order them temporally.
-		slices.SortFunc(ps, func(a, b piece) int { return a.iv.Compare(b.iv) })
-		for _, p := range ps {
-			bld.Append(units.UBool{Iv: p.iv, V: p.v})
+		for k := b; k < len(su) && !ia.RDisjoint(su[k].Iv); k++ {
+			b = k
+			iv, _ := ia.Intersect(su[k].Iv)
+			if !appendLess(&bld, ru[a].WithInterval(iv), su[k].WithInterval(iv)) {
+				return MBool{}, false
+			}
 		}
 	}
 	return MBool{M: bld.MustBuild()}, true
+}
+
+// appendLess is LessThan's unit kernel: it appends the units of a < b
+// for two units on the same interval, in temporal order, and reports
+// false outside the closed comparison cases.
+func appendLess(bld *mapping.Builder[units.UBool], a, b units.UReal) bool {
+	diff, ok := comparableDiff(a, b)
+	if !ok {
+		return false
+	}
+	less, equal, greater := diff.CmpIntervals(0)
+	type piece struct {
+		iv temporal.Interval
+		v  bool
+	}
+	var ps []piece
+	for _, iv := range less {
+		ps = append(ps, piece{iv, true})
+	}
+	for _, iv := range equal {
+		ps = append(ps, piece{iv, false})
+	}
+	for _, iv := range greater {
+		ps = append(ps, piece{iv, false})
+	}
+	// The pieces are disjoint; order them temporally.
+	slices.SortFunc(ps, func(a, b piece) int { return a.iv.Compare(b.iv) })
+	for _, p := range ps {
+		bld.Append(units.UBool{Iv: p.iv, V: p.v})
+	}
+	return true
 }
 
 // comparableDiff returns a polynomial ureal whose sign equals the sign
@@ -174,20 +195,27 @@ func (r MRegion) IntersectsCtx(ctx context.Context, s MRegion) (MBool, error) {
 	var bld mapping.Builder[units.UBool]
 	ru, su := r.M.Units(), s.M.Units()
 	var pieces []units.UBool
-	sw := temporal.NewSweep(ru, su)
-	for i := 0; ; i++ {
-		ri, ok := sw.NextCommon()
-		if !ok {
+	b, i := 0, 0 // as in MPoint.InsideCtx
+	for a := range ru {
+		ia := ru[a].Iv
+		if b < len(su) && su[b].Iv.RDisjoint(ia) {
+			if b++; b < len(su) && su[b].Iv.RDisjoint(ia) {
+				b = temporal.Seek(su, b+1, ia, units.URegion.Interval)
+			}
+		}
+		if b == len(su) {
 			break
 		}
-		if err := cancelCheck(ctx, i); err != nil {
-			return MBool{}, err
-		}
-		ua := ru[ri.A].WithInterval(ri.Iv)
-		ub := su[ri.B].WithInterval(ri.Iv)
-		pieces = units.URegionIntersects(pieces[:0], ua, ub)
-		for _, piece := range pieces {
-			bld.Append(piece)
+		for k := b; k < len(su) && !ia.RDisjoint(su[k].Iv); k, i = k+1, i+1 {
+			b = k
+			if err := cancelCheck(ctx, i); err != nil {
+				return MBool{}, err
+			}
+			iv, _ := ia.Intersect(su[k].Iv)
+			pieces = units.URegionIntersects(pieces[:0], ru[a].WithInterval(iv), su[k].WithInterval(iv))
+			for _, piece := range pieces {
+				bld.Append(piece)
+			}
 		}
 	}
 	return MBool{M: bld.MustBuild()}, nil

@@ -12,7 +12,7 @@ import (
 )
 
 // The join walks list the unit pairs whose intervals meet by index over
-// the two unit arrays. FuzzWalkPieces holds that list to the sweep: the
+// the two unit arrays. FuzzWalkPieces holds that list to the partition: the
 // pairs a walk visits are the common pieces temporal.Refine cuts, in
 // order, each piece a walk builds is the partition's, and a pair the
 // stored boxes refuse changes nothing after it.
@@ -102,12 +102,7 @@ type walkVisit struct {
 // pair it refused one refused reports the stored boxes refuse.
 func checkWalkPieces(t *testing.T, walk string, got []walkVisit, ia, ib []temporal.Interval, stopped bool, refused func(a, b int) bool) {
 	t.Helper()
-	var want []temporal.RefinementInterval
-	for _, ri := range temporal.Refine(ia, ib) {
-		if ri.A >= 0 && ri.B >= 0 {
-			want = append(want, ri)
-		}
-	}
+	want := commonPieces(ia, ib)
 	if len(got) > len(want) || !stopped && len(got) != len(want) || stopped && (len(got) == 0 || got[len(got)-1].piece == temporal.Interval{}) {
 		t.Fatalf("%s walk visited %d pairs (stopped early: %v), the partition has %d common pieces\n visited %v\n want %v\n a %v\n b %v", walk, len(got), stopped, len(want), got, want, ia, ib)
 	}
@@ -124,6 +119,18 @@ func checkWalkPieces(t *testing.T, walk string, got []walkVisit, ia, ib []tempor
 	}
 }
 
+// commonPieces returns the pieces of Refine(ia, ib) that both sequences
+// cover: what every lifted binary operation walks.
+func commonPieces(ia, ib []temporal.Interval) []temporal.RefinementInterval {
+	var out []temporal.RefinementInterval
+	for _, ri := range temporal.Refine(ia, ib) {
+		if ri.A >= 0 && ri.B >= 0 {
+			out = append(out, ri)
+		}
+	}
+	return out
+}
+
 func spans[U interface{ Interval() temporal.Interval }](us []U) []temporal.Interval {
 	ivs := make([]temporal.Interval, len(us))
 	for k, u := range us {
@@ -132,7 +139,10 @@ func spans[U interface{ Interval() temporal.Interval }](us []U) []temporal.Inter
 	return ivs
 }
 
-func FuzzWalkPieces(f *testing.F) {
+// addWalkSeeds adds the seed corpus of FuzzWalkPieces and
+// FuzzLiftedMatchesRefine: gaps, degenerate units, the four ways two
+// closures touch, long seeks, refused pairs and unbounded ends.
+func addWalkSeeds(f *testing.F) {
 	const lc, rc = 0x08, 0x10
 	x := func(k byte) byte { return k << 5 }                                    // x position 10·k
 	v1 := byte(1 << 3)                                                          // x velocity 1
@@ -152,6 +162,7 @@ func FuzzWalkPieces(f *testing.F) {
 		{[]byte{lc, 4}, []byte{rc, 4}, 0, 2, 1},                                            // [0,2) meets (2,4]: none
 		{[]byte{lc | rc, 2}, long, 0, -6, 2},                                               // b starts many units before a: a binary-search seek
 		{[]byte{lc | rc, 2}, long, 0, -2, 2},                                               // the binary search's first candidate is the answer
+		{[]byte{lc | rc, 2}, []byte{lc, 1, 1 | lc, 1, 1 | lc, 1, 1 | lc, 1}, 0, -2, 2},     // units with gaps (periods that do not merge): the same seek
 		{long, []byte{lc | rc, 2}, 0, 6, 2},                                                // b starts many units into a
 		{[]byte{lc, 2, 7 | lc, 2, 7 | lc | rc, 2}, long, 0, 0, 2},                          // gaps in a that skip units of b
 		{[]byte{x(0) | lc, 4, x(3) | lc, 4 | v1, x(1) | lc | rc, 4}, long, 0, 0, 2},        // stored boxes refuse some pairs
@@ -160,6 +171,10 @@ func FuzzWalkPieces(f *testing.F) {
 	} {
 		f.Add(s.a, s.b, s.ends, s.bt, s.c)
 	}
+}
+
+func FuzzWalkPieces(f *testing.F) {
+	addWalkSeeds(f)
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, ends byte, bt, c float64) {
 		if !(math.Abs(bt) <= 64) || math.IsNaN(c) || len(rawA) > 64 || len(rawB) > 64 {
 			t.Skip()

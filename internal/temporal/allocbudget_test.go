@@ -8,7 +8,7 @@ import (
 	"movingdb/internal/allocbudget"
 )
 
-// TestAllocBudgets: the refinement sweep (Sweep.Next) allocates nothing.
+// TestAllocBudgets: the refinement sweep (sweep.next) allocates nothing.
 func TestAllocBudgets(t *testing.T) {
 	allocbudget.Check(t,
 		allocbudget.Budget{Name: "BenchmarkSweep", Bench: BenchmarkSweep},

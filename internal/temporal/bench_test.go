@@ -20,8 +20,8 @@ func BenchmarkSweep(b *testing.B) {
 	b.ResetTimer()
 	pieces := 0
 	for i := 0; i < b.N; i++ {
-		s := NewSweep(x, y)
-		for _, ok := s.Next(); ok; _, ok = s.Next() {
+		s := newSweep(x, y)
+		for _, ok := s.next(); ok; _, ok = s.next() {
 			pieces++
 		}
 	}

@@ -10,39 +10,59 @@ type RefinementInterval struct {
 	A, B int
 }
 
-// Spanned is anything that occupies a time interval: the units of a
-// mapping, and an Interval itself.
-type Spanned interface {
-	Interval() Interval
+// Refine returns the refinement partition of two interval sequences that
+// are each ordered and pairwise disjoint (the shape of the unit array
+// inside a mapping, and of Periods): pieces that cover exactly the union
+// of the two sequences, in temporal order, split at every boundary of
+// either. It is the full partition, for the figures and the traces, and
+// the oracle of the lifted operations. Those need only the pieces both
+// sequences cover, A ≥ 0 and B ≥ 0, and list them by index over the
+// unit arrays themselves (see Seek).
+func Refine(a, b []Interval) []RefinementInterval {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	// n + m + 1 pieces hold two sequences that each run gap-free; gaps
+	// on both sides make append grow it, to at most 2(n + m) − 1.
+	out := make([]RefinementInterval, 0, len(a)+len(b)+1)
+	s := newSweep(a, b)
+	for ri, ok := s.next(); ok; ri, ok = s.next() {
+		out = append(out, ri)
+	}
+	return out
 }
 
-// Interval returns i, so that interval sequences (Periods, the inputs of
-// Refine) are swept by the same code as unit arrays.
-func (i IntervalOf[T]) Interval() IntervalOf[T] { return i }
+// Seek returns the first index k ≥ lo of xs whose interval span(xs[k])
+// does not lie wholly before iv, or len(xs); xs is ordered and pairwise
+// disjoint, like a mapping's units. It is the one binary search (Section
+// 4) of the walks that list the pieces two unit arrays both cover, in
+// Refine's order, each piece Iv_a ∩ Iv_k. For each unit a of the first
+// array a walk finds the other array's first unit not wholly before a —
+// the unit its last pair covered, else the next one, and only when both
+// lie before a, Seek — and then scans forward while the units meet,
+// reading the intervals in place. Two values whose lifetimes overlap in
+// k of their n + m units so cost O(n + k) steps, and O(log m) for each
+// gap a walk seeks across.
+func Seek[E any](xs []E, lo int, iv Interval, span func(E) Interval) int {
+	hi := len(xs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if span(xs[mid]).RDisjoint(iv) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
-// Sweep streams the refinement partition of two sequences that are each
-// ordered and pairwise disjoint (the shape of the unit array inside a
-// mapping, and of Periods): every lifted binary operation traverses the
-// two arrays through it and applies a unit-pair kernel per piece
-// (Section 5.2). It is the two-cursor merge of the two already ordered
-// endpoint streams — no endpoint array, no sort, no materialised
-// partition — and the refinement partition of every lifted operation:
-// the pieces cover exactly the union of the two sequences, in temporal
-// order, split at every boundary of either. (The join filters in
-// package moving need only the pieces both sides cover, and list them
-// by index over the two unit arrays instead: the pairs whose intervals
-// meet, each piece their intersection.)
-//
-// The cost of a whole sweep is O(n + m), with Interval() called once per
-// element, and it allocates nothing.
-type Sweep[A, B Spanned] struct {
-	a    []A
-	b    []B
+// sweep streams Refine's partition: the two-cursor merge of the two
+// already ordered endpoint streams — no endpoint array, no sort, no
+// materialised partition. A whole sweep costs O(n + m) and allocates
+// nothing.
+type sweep struct {
+	a, b []Interval
 	i, j int
-	// ia and ib cache a[i].Interval() and b[j].Interval(); before the
-	// first step i and j are −1 and ia and ib end at −∞, so the first
-	// step loads element 0 like any later one.
-	ia, ib Interval
 	// at is where the sweep stands: everything before it is emitted.
 	at boundary
 }
@@ -64,43 +84,42 @@ func (b boundary) less(c boundary) bool {
 func lower(i Interval) boundary { return boundary{i.Start, !i.LC} }
 func upper(i Interval) boundary { return boundary{i.End, i.RC} }
 
-// NewSweep starts the sweep over a and b. It reads no element: the
-// sweep is built where the caller holds it (the function inlines and
-// the pointer stays on the caller's stack), and the first step loads
-// the first elements.
-func NewSweep[A, B Spanned](a []A, b []B) *Sweep[A, B] {
-	before := Interval{Start: NegInf, End: NegInf}
-	return &Sweep[A, B]{a: a, b: b, i: -1, j: -1, ia: before, ib: before, at: boundary{t: NegInf}}
+// newSweep starts the sweep over a and b, just before −∞.
+func newSweep(a, b []Interval) *sweep {
+	return &sweep{a: a, b: b, at: boundary{t: NegInf}}
 }
 
-// Next returns the next piece of the partition; ok is false when both
+// next returns the next piece of the partition; ok is false when both
 // sequences are exhausted.
-func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
+func (s *sweep) next() (ri RefinementInterval, ok bool) {
 	// Drop the intervals that end at or before the current boundary.
-	for s.i < len(s.a) && !s.at.less(upper(s.ia)) {
-		if s.i++; s.i < len(s.a) {
-			s.ia = s.a[s.i].Interval()
-		}
+	for s.i < len(s.a) && !s.at.less(upper(s.a[s.i])) {
+		s.i++
 	}
-	for s.j < len(s.b) && !s.at.less(upper(s.ib)) {
-		if s.j++; s.j < len(s.b) {
-			s.ib = s.b[s.j].Interval()
-		}
+	for s.j < len(s.b) && !s.at.less(upper(s.b[s.j])) {
+		s.j++
 	}
 	moreA, moreB := s.i < len(s.a), s.j < len(s.b)
 	if !moreA && !moreB {
 		return RefinementInterval{}, false
 	}
+	var ia, ib Interval
+	if moreA {
+		ia = s.a[s.i]
+	}
+	if moreB {
+		ib = s.b[s.j]
+	}
 	// An interval covers the current boundary when it starts at or
 	// before it. In a gap of both sequences, jump to the earlier start.
-	inA := moreA && !s.at.less(lower(s.ia))
-	inB := moreB && !s.at.less(lower(s.ib))
+	inA := moreA && !s.at.less(lower(ia))
+	inB := moreB && !s.at.less(lower(ib))
 	if !inA && !inB {
-		if moreA && (!moreB || !lower(s.ib).less(lower(s.ia))) {
-			s.at, inA = lower(s.ia), true
-			inB = moreB && !s.at.less(lower(s.ib))
+		if moreA && (!moreB || !lower(ib).less(lower(ia))) {
+			s.at, inA = lower(ia), true
+			inB = moreB && !s.at.less(lower(ib))
 		} else {
-			s.at, inB = lower(s.ib), true
+			s.at, inB = lower(ib), true
 		}
 	}
 	// The piece runs to the nearest boundary at which membership
@@ -112,13 +131,13 @@ func (s *Sweep[A, B]) Next() (ri RefinementInterval, ok bool) {
 		if inA {
 			ri.A = s.i
 		}
-		end = changeAt(s.ia, inA)
+		end = changeAt(ia, inA)
 	}
 	if moreB {
 		if inB {
 			ri.B = s.j
 		}
-		if e := changeAt(s.ib, inB); e.less(end) {
+		if e := changeAt(ib, inB); e.less(end) {
 			end = e
 		}
 	}
@@ -135,90 +154,4 @@ func changeAt(iv Interval, covers bool) boundary {
 		return upper(iv)
 	}
 	return lower(iv)
-}
-
-// NextCommon returns the next piece that both sequences cover — the
-// pieces a lifted binary operation produces a unit for — with the
-// indexes of the two elements that cover it. It does not walk the
-// pieces only one sequence covers: it jumps to the later of the two
-// current starts, seeks the other cursor there, and ends when either
-// sequence is exhausted. The seek rule is one: a cursor moves to the
-// first element at or after it that ends after the sweep's position.
-// The two cases that answer it almost always — the current element
-// still ends after it, or the next one does, as in a gap-free sequence
-// — are tested here, in line; only when both fail does seekFrom
-// binary-search the rest of the ordered array (Section 4). So two
-// values whose lifetimes overlap in k of their n + m units cost
-// O(k + log(n + m)).
-func (s *Sweep[A, B]) NextCommon() (RefinementInterval, bool) {
-	for {
-		if s.i < len(s.a) && !s.at.less(upper(s.ia)) {
-			if s.i++; s.i < len(s.a) {
-				if s.ia = s.a[s.i].Interval(); !s.at.less(upper(s.ia)) {
-					s.i, s.ia = seekFrom(s.a, s.i+1, s.ia, s.at)
-				}
-			}
-		}
-		if s.j < len(s.b) && !s.at.less(upper(s.ib)) {
-			if s.j++; s.j < len(s.b) {
-				if s.ib = s.b[s.j].Interval(); !s.at.less(upper(s.ib)) {
-					s.j, s.ib = seekFrom(s.b, s.j+1, s.ib, s.at)
-				}
-			}
-		}
-		if s.i == len(s.a) || s.j == len(s.b) {
-			return RefinementInterval{}, false
-		}
-		lo := lower(s.ia)
-		if lo.less(lower(s.ib)) {
-			lo = lower(s.ib)
-		}
-		if !s.at.less(lo) {
-			break // both cover the sweep's position
-		}
-		s.at = lo
-	}
-	from, end := s.at, upper(s.ia)
-	if upper(s.ib).less(end) {
-		end = upper(s.ib)
-	}
-	s.at = end
-	iv := Interval{Start: from.t, End: end.t, LC: !from.after, RC: end.after}
-	return RefinementInterval{Iv: iv, A: s.i, B: s.j}, true
-}
-
-// seekFrom is the binary search of NextCommon's seek rule: the first
-// position at or after k whose element ends after the boundary at,
-// together with that element's interval (iv when there is none).
-func seekFrom[E Spanned](xs []E, k int, iv Interval, at boundary) (int, Interval) {
-	lo, hi := k, len(xs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if at.less(upper(xs[mid].Interval())) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo < len(xs) {
-		iv = xs[lo].Interval()
-	}
-	return lo, iv
-}
-
-// Refine collects the refinement partition of two interval sequences
-// into a slice; see Sweep. The lifted operations stream the sweep
-// instead.
-func Refine(a, b []Interval) []RefinementInterval {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	// n + m + 1 pieces hold two sequences that each run gap-free; gaps
-	// on both sides make append grow it, to at most 2(n + m) − 1.
-	out := make([]RefinementInterval, 0, len(a)+len(b)+1)
-	s := NewSweep(a, b)
-	for ri, ok := s.Next(); ok; ri, ok = s.Next() {
-		out = append(out, ri)
-	}
-	return out
 }

@@ -36,9 +36,9 @@ func decodeSeq(raw []byte) []Interval {
 	return out
 }
 
-// FuzzRefine holds Refine, and the common pieces NextCommon seeks to,
-// to the sort-based oracle Refine replaced, piece for piece, on every
-// pair of valid interval sequences the fuzzer can spell.
+// FuzzRefine holds Refine to the sort-based oracle it replaced, piece
+// for piece, on every pair of valid interval sequences the fuzzer can
+// spell.
 func FuzzRefine(f *testing.F) {
 	const lc, rc = 0x08, 0x10
 	for _, s := range [][2][]byte{
@@ -54,7 +54,7 @@ func FuzzRefine(f *testing.F) {
 		{nil, nil},                                                     // both empty
 		{{lc, 2, lc, 2, lc | rc, 2}, {lc, 2, lc, 2, lc | rc, 2}},       // identical chained sequences
 		{{lc | rc, 7, 3 | lc | rc, 7}, {1, 1, 1, 1, 1, 0, 1, 1, 1, 1}}, // many short pieces across two long ones
-		{{lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1}, {7 | lc | rc, 2}}, // a late start: NextCommon seeks past seven units
+		{{lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1, lc, 1}, {7 | lc | rc, 2}}, // a late start: seven units of a before b starts
 	} {
 		f.Add(s[0], s[1])
 	}
@@ -77,16 +77,18 @@ func checkRefine(t *testing.T, ra, rb []byte) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("Refine(%v, %v)\n got  %v\n want %v", a, b, got, want)
 	}
-	// NextCommon seeks over what only one side covers and stops with the
-	// shorter side: it must still yield exactly the common pieces.
-	want = slices.DeleteFunc(want, func(ri RefinementInterval) bool { return ri.A < 0 || ri.B < 0 })
-	var common []RefinementInterval
-	sw := NewSweep(a, b)
-	for ri, ok := sw.NextCommon(); ok; ri, ok = sw.NextCommon() {
-		common = append(common, ri)
-	}
-	if !slices.Equal(common, want) {
-		t.Fatalf("NextCommon over (%v, %v)\n got  %v\n want %v", a, b, common, want)
+	// Seek, from every start, finds b's first interval not wholly
+	// before each interval of a.
+	for _, iv := range a {
+		for lo := 0; lo <= len(b); lo++ {
+			want := lo
+			for want < len(b) && b[want].RDisjoint(iv) {
+				want++
+			}
+			if got := Seek(b, lo, iv, func(x Interval) Interval { return x }); got != want {
+				t.Fatalf("Seek(%v, %d, %v) = %d, want %d", b, lo, iv, got, want)
+			}
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ smoke ./internal/ingest FuzzReplayMatchesLive "a pipeline reopened on its log en
 smoke ./internal/ingest FuzzEpochAtInstant "the epoch's starts-column search vs baseline's linear scan" -fuzzminimizetime=1s
 smoke ./internal/ingest FuzzEpochWindow "chunk-indexed window and k-NN vs a full unit scan and brute force over baseline" -fuzzminimizetime=1s
 smoke ./internal/storage FuzzMPointRoundTrip "storage mpoint codec never panics, accepted bytes re-encode identically" -fuzzminimizetime=1s
-smoke ./internal/temporal FuzzRefine "streaming sweep and its common-piece seek vs the sort-based oracle"
+smoke ./internal/temporal FuzzRefine "Refine's streaming sweep vs the sort-based oracle, and Seek vs a linear scan"
 smoke ./internal/baseline FuzzURealExtremum "a ureal's min/max and value range, limits at ±∞ and closure flags included, vs an exact math/big rational evaluator"
 smoke ./internal/baseline FuzzMRegionAtInstantMatchesBaseline "a moving region's binary-searched atinstant vs the baseline's linear scan" -fuzzminimizetime=1s
 smoke ./internal/geom FuzzOrientMatchesReference "Orient's Hypot-free fast path vs the full tolerance test it skips, bit for bit"
@@ -34,7 +34,8 @@ smoke ./internal/db FuzzLexMatchesReference "the lexer vs the allocating lexer i
 smoke ./internal/db FuzzPrepareMatchesRelex "a prepared statement's tokens vs lexing its canonical spelling again"
 smoke ./internal/db FuzzQueryMatchesNaive "the executor's bound expressions vs a naive nested loop with its own evaluator, its WHERE chains mixing one- and two-relation comparisons with conjuncts that can fail" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzFilterConservative "the join filters may only exclude what the kernels answer false for; the fused walks answer what the kernels answer" -fuzzminimizetime=1s
-smoke ./internal/moving FuzzWalkPieces "the join walks visit exactly the sweep's common pieces, in order, building the partition's piece for every pair the stored boxes leave" -fuzzminimizetime=1s
+smoke ./internal/moving FuzzWalkPieces "the join walks visit exactly Refine's common pieces, in order, building the partition's piece for every pair the stored boxes leave" -fuzzminimizetime=1s
+smoke ./internal/moving FuzzLiftedMatchesRefine "Distance, InsideCtx, IntersectsCtx, LessThan and AtPeriods vs their unit kernels run over Refine's common pieces" -fuzzminimizetime=1s
 smoke ./internal/moving FuzzAreaExtremaMatchBuilt "the fused max/min of a moving region's area vs Area().Max()/Min() of the built moving real, bit for bit" -fuzzminimizetime=1s
 smoke ./internal/index FuzzDynamic "index ladder vs linear scan and brute-force k-NN"
 smoke ./internal/server FuzzIngestDecode "observation scanner vs encoding/json" -fuzzminimizetime=1s
