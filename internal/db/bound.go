@@ -28,13 +28,10 @@ type node interface {
 func (e literal) eval(*queryEnv) (any, error) { return e.v, nil }
 
 // slot is a column reference bound to a query: the FROM item and the
-// column position it resolved to. outer is the value a row test reads
-// for the slot while it runs at a later FROM item (pushdown.go), nil
-// otherwise: no column holds a nil.
+// column position it resolved to.
 type slot struct {
 	colRef
 	from, col int
-	outer     any
 }
 
 func (s *slot) eval(q *queryEnv) (any, error) { return q.tuples[s.from][s.col], nil }
@@ -166,26 +163,27 @@ func finite(v float64) error {
 }
 
 // comparison is one of < <= > >= = <> between two values of one scalar
-// type: cmp is that type's comparator, order its typed one for a row
-// test, and holds the set of outcomes the operator is true for. ⊥ on
-// either side (undefined) is in no set, so a comparison with ⊥ is
-// false; a NaN (unordered) is only in <>'s.
+// type, and holds is the set of outcomes the operator is true for. It
+// has one evaluator. A comparison of two total operands (pushdown.go)
+// has its type's typed comparator order, and where it reads each
+// operand, lv and rv, fixed at bind: its eval is test. Any other has
+// the boxed comparator cmp. ⊥ on either side (undefined) is in no set,
+// so a comparison with ⊥ is false; a NaN (unordered) is only in <>'s.
 type comparison struct {
-	op    string
-	holds uint8 // bit 1<<outcome
-	cmp   comparator
-	order order
-	l, r  node
-	// lv and rv are how a row test reads l and r (see fix).
+	op     string
+	holds  uint8 // bit 1<<outcome
+	cmp    comparator
+	order  order
 	lv, rv operand
+	l, r   node
 }
 
 func (n *comparison) String() string { return fmt.Sprintf("(%s %s %s)", n.l, n.op, n.r) }
 
-// test decides the total comparison on the row t a row test runs on.
-func (n *comparison) test(t Tuple) bool { return n.holds&(1<<n.order(n, t)) != 0 }
-
 func (n *comparison) eval(q *queryEnv) (any, error) {
+	if n.order != nil {
+		return test(n, q.tuples), nil
+	}
 	l, err := n.l.eval(q)
 	if err != nil {
 		return nil, err
@@ -195,6 +193,32 @@ func (n *comparison) eval(q *queryEnv) (any, error) {
 		return nil, err
 	}
 	return n.holds&(1<<n.cmp(l, r)) != 0, nil
+}
+
+// operand is where a typed comparison reads a slot or literal operand:
+// column col of FROM item from's current row or, when from is noFrom,
+// the value v.
+type operand struct {
+	from, col int
+	v         any
+}
+
+// operandOf is where a typed comparison reads its total operand e.
+func operandOf(e node) operand {
+	switch ex := e.(type) {
+	case *slot:
+		return operand{from: ex.from, col: ex.col}
+	case literal:
+		return operand{from: noFrom, v: ex.v}
+	}
+	return operand{from: noFrom} // a predicate: orderBools tests it
+}
+
+func (o operand) at(ts []Tuple) any {
+	if o.from != noFrom {
+		return ts[o.from][o.col]
+	}
+	return o.v
 }
 
 // outcome is how two values of one scalar type compare.
@@ -292,10 +316,9 @@ func boolOrder(x, y bool) outcome {
 }
 
 // order compares the two operands of a total comparison typed, on the
-// row t of the FROM item a row test runs at (pushdown.go): no value is
-// boxed and no node is called through its interface. No total operand
-// is ⊥, so the outcome is never undefined.
-type order func(n *comparison, t Tuple) outcome
+// current rows ts: no value is boxed and no node is called through its
+// interface. No total operand is ⊥, so the outcome is never undefined.
+type order func(n *comparison, ts []Tuple) outcome
 
 // orderOf returns the typed comparator of a scalar type, nil for a type
 // with no order; it orders as comparatorOf's does.
@@ -313,20 +336,20 @@ func orderOf(t AttrType) order {
 	return nil
 }
 
-func orderReals(n *comparison, t Tuple) outcome {
-	return ordered(n.lv.at(t).(float64), n.rv.at(t).(float64))
+func orderReals(n *comparison, ts []Tuple) outcome {
+	return ordered(n.lv.at(ts).(float64), n.rv.at(ts).(float64))
 }
 
-func orderInts(n *comparison, t Tuple) outcome {
-	return ordered(n.lv.at(t).(int64), n.rv.at(t).(int64))
+func orderInts(n *comparison, ts []Tuple) outcome {
+	return ordered(n.lv.at(ts).(int64), n.rv.at(ts).(int64))
 }
 
-func orderStrings(n *comparison, t Tuple) outcome {
-	return outcome(strings.Compare(n.lv.at(t).(string), n.rv.at(t).(string)) + 1)
+func orderStrings(n *comparison, ts []Tuple) outcome {
+	return outcome(strings.Compare(n.lv.at(ts).(string), n.rv.at(ts).(string)) + 1)
 }
 
-func orderBools(n *comparison, t Tuple) outcome {
-	return boolOrder(test(n.l, t), test(n.r, t))
+func orderBools(n *comparison, ts []Tuple) outcome {
+	return boolOrder(test(n.l, ts), test(n.r, ts))
 }
 
 // keyOrder turns the outcome c of comparing the sort or aggregate keys

@@ -379,7 +379,13 @@ func (q *queryEnv) bind(e expr) (node, AttrType, error) {
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: bad comparison %q", ErrSyntax, ex.op)
 		}
-		return q.guarded(&comparison{op: ex.op, holds: holds, cmp: cmp, order: orderOf(lt), l: l, r: r}), TBool, nil
+		c := &comparison{op: ex.op, holds: holds, l: l, r: r}
+		if total(l) && total(r) {
+			c.order, c.lv, c.rv = orderOf(lt), operandOf(l), operandOf(r)
+		} else {
+			c.cmp = cmp
+		}
+		return q.guarded(c), TBool, nil
 	case call:
 		// Where aggregates are admitted, a one-argument count, sum, avg,
 		// min or max is an aggregate when aggregateType takes its
@@ -742,7 +748,8 @@ func (q *queryEnv) forEachRow(where node, fn func() error) error {
 }
 
 // scan runs the rows of FROM item k and, under each one its row test
-// keeps, the rows of the items after it. A row the test refuses counts
+// keeps, the rows of the items after it. Each row is stepped into
+// q.tuples and q.rows before it is tested. A row the test refuses counts
 // as one row for the cancellation check: it stands for all the rows it
 // takes with it.
 func (q *queryEnv) scan(k int, where node, fn func() error) error {
@@ -750,19 +757,15 @@ func (q *queryEnv) scan(k int, where node, fn func() error) error {
 		return q.scanLast(where, fn)
 	}
 	b := &q.binds[k]
-	if b.test != nil {
-		q.fix(b.test, k)
-	}
 	for i := range b.n {
 		row := b.row(i)
-		t := b.rel.tuples[row]
-		if b.test != nil && !q.decide(b.test, k, row, t) {
+		q.rows[k], q.tuples[k] = row, b.rel.tuples[row]
+		if b.test != nil && !test(b.test, q.tuples) {
 			if err := q.checkCancel(); err != nil {
 				return err
 			}
 			continue
 		}
-		q.rows[k], q.tuples[k] = row, t
 		if err := q.scan(k+1, where, fn); err != nil {
 			return err
 		}
@@ -772,45 +775,30 @@ func (q *queryEnv) scan(k int, where node, fn func() error) error {
 
 // scanLast runs the rows of the last FROM item under the current rows
 // of the others, checking for cancellation every cancelCheckRows rows.
-// Only a row that passes the item's row test and the leading guard's
-// candidate test is stepped into q.tuples and q.rows; the residual
-// WHERE clause then decides it, and fn runs on it if it holds.
+// Each row is stepped into q.tuples and q.rows; the item's row test, the
+// leading guard's candidate test and the residual WHERE clause then
+// decide it, and fn runs on it if they hold.
 func (q *queryEnv) scanLast(where node, fn func() error) error {
 	k := len(q.binds) - 1
 	b := &q.binds[k]
 	rt, lead, tuples := b.test, q.lead, b.rel.tuples
-	if rt != nil {
-		q.fix(rt, k)
-	}
-	// The usual row test is one comparison: it is called directly.
-	cmp, _ := rt.(*comparison)
 	for i := range b.n {
 		if err := q.checkCancel(); err != nil {
 			return err
 		}
 		row := b.row(i)
-		t := tuples[row]
-		if rt != nil {
-			var hold bool
-			if cmp != nil {
-				hold = cmp.test(t)
-			} else {
-				hold = test(rt, t)
-			}
-			if !q.decided(rt, k, row, t, hold) {
-				continue
-			}
+		q.rows[k], q.tuples[k] = row, tuples[row]
+		if rt != nil && !test(rt, q.tuples) {
+			continue
 		}
-		if lead != nil && !q.admit(k, row) {
+		if lead != nil && !q.admit() {
 			if debugFilter { // the refused pair's expression is still run
-				q.rows[k], q.tuples[k] = row, t
 				if err := q.recheck(lead, false, moving.NoObject); err != nil {
 					return err
 				}
 			}
 			continue
 		}
-		q.rows[k], q.tuples[k] = row, t
 		if where != nil {
 			v, err := where.eval(q)
 			if err != nil {

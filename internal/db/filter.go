@@ -175,19 +175,11 @@ func (q *queryEnv) evalGuard(g *guard) (any, error) {
 }
 
 // admit runs the lead guard's candidate test in the row loop, on the
-// current rows of the FROM items before k, the last, and its row `row`.
-// A pair it refuses is answered as evalGuard answers one: counted as
-// checked and skipped by object.
-func (q *queryEnv) admit(k, row int) bool {
+// current rows. A pair it refuses is answered as evalGuard answers one:
+// counted as checked and skipped by object.
+func (q *queryEnv) admit() bool {
 	g := q.lead
-	ra, rb := q.rows[g.a.from], q.rows[g.b.from]
-	if g.a.from == k {
-		ra = row
-	}
-	if g.b.from == k {
-		rb = row
-	}
-	if g.candidate(ra, rb) {
+	if g.candidate(q.rows[g.a.from], q.rows[g.b.from]) {
 		return true
 	}
 	n := &q.filter[g.shape]

@@ -3,7 +3,6 @@
 package db
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -40,11 +39,10 @@ func TestPieceCountsOnBenchCatalog(t *testing.T) {
 	}
 }
 
-// TestDebugcheckCatchesPlantedDisagreement: under debugcheck every row
-// a row test decides is decided again through the bound nodes, and
-// every pair the row loop's candidate test refuses still runs the
-// guard's expression. A row test that parts from its nodes, and a
-// candidate test that refuses a pair its expression holds for, panic.
+// TestDebugcheckCatchesPlantedDisagreement: under debugcheck every pair
+// the row loop's candidate test refuses still runs the guard's
+// expression, and a candidate test that refuses a pair its expression
+// holds for panics.
 func TestDebugcheckCatchesPlantedDisagreement(t *testing.T) {
 	cat := Catalog{"planes": benchPlanes(workload.New(2000))}
 	for _, tc := range []struct {
@@ -52,11 +50,6 @@ func TestDebugcheckCatchesPlantedDisagreement(t *testing.T) {
 		plant func(where node)
 	}{
 		{"none", func(node) {}},
-		{"row test", func(where node) {
-			// The typed p.id < q.id reads p.id > q.id; its node does not.
-			c := where.(*connective).l.(*comparison)
-			c.order = func(n *comparison, t Tuple) outcome { return greater - orderStrings(n, t) }
-		}},
 		{"candidate test", func(where node) {
 			// q's summaries say it is defined at no instant p is, so the
 			// box test refuses every pair; val(…) < 15 holds for some.
@@ -88,23 +81,4 @@ func TestDebugcheckCatchesPlantedDisagreement(t *testing.T) {
 			t.Errorf("%s: planted disagreement not caught (panic %q, %d rows)", tc.name, msg, rows)
 		}
 	}
-}
-
-// bindForTest binds sql's FROM items and WHERE clause as QueryContext
-// does, for a test that edits the bound clause before the row loop.
-func bindForTest(t *testing.T, cat Catalog, sql string) (*queryEnv, node) {
-	t.Helper()
-	stmt, err := parseQuery(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &queryEnv{ctx: context.Background()}
-	for _, f := range stmt.from {
-		env.binds = append(env.binds, binding{alias: f.alias, rel: cat[f.rel]})
-	}
-	where, err := env.bindWhere(stmt.where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return env, where
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"movingdb/internal/geom"
 	"movingdb/internal/moving"
 	"movingdb/internal/temporal"
+	"movingdb/internal/workload"
 )
 
 // FuzzQueryMatchesNaive holds the executor's scalar expressions to a
@@ -659,4 +661,39 @@ func TestRowTestsAcrossThreeItems(t *testing.T) {
 	if len(want) == 0 || !sameRows(res.Scan(), want) {
 		t.Fatalf("got %v\nwant %v", res.Scan(), want)
 	}
+}
+
+// TestTotalComparisonsHaveOneEvaluator: a comparison of two total
+// operands binds with only its typed comparator, which its eval runs
+// too, and any other comparison with only the boxed one. In template b,
+// p.id < q.id is typed and the guarded distance comparison is boxed.
+func TestTotalComparisonsHaveOneEvaluator(t *testing.T) {
+	_, where := bindForTest(t, Catalog{"planes": benchPlanes(workload.New(2000))}, templateB)
+	and := where.(*connective)
+	if c := and.l.(*comparison); c.order == nil || c.cmp != nil {
+		t.Errorf("%v: order set %v, cmp set %v; want only order", c, c.order != nil, c.cmp != nil)
+	}
+	if c := and.r.(*guard).inner.(*comparison); c.cmp == nil || c.order != nil {
+		t.Errorf("%v: cmp set %v, order set %v; want only cmp", c, c.cmp != nil, c.order != nil)
+	}
+}
+
+// bindForTest binds sql's FROM items and WHERE clause as QueryContext
+// does, for a test that reads or edits the bound clause before the row
+// loop.
+func bindForTest(t *testing.T, cat Catalog, sql string) (*queryEnv, node) {
+	t.Helper()
+	stmt, err := parseQuery(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &queryEnv{ctx: context.Background()}
+	for _, f := range stmt.from {
+		env.binds = append(env.binds, binding{alias: f.alias, rel: cat[f.rel]})
+	}
+	where, err := env.bindWhere(stmt.where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, where
 }

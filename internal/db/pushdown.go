@@ -1,7 +1,5 @@
 package db
 
-import "fmt"
-
 // Selection push-down. A WHERE conjunct decides the same on every row of
 // the cross product that shares the rows of the FROM items it reads, so
 // the executor evaluates it once per row of the deepest FROM item it
@@ -32,9 +30,13 @@ import "fmt"
 // counted, with no clock read, kernel or error, and so does the row
 // loop.
 //
-// Moved conjuncts are decided typed (test): total admits only slots,
-// literals, comparisons, NOT and the connectives, whose values are never
-// ⊥, so no value is boxed and no node is called through its interface.
+// Moved conjuncts are decided typed (test) on the current rows, which
+// the row loop steps in first: total admits only slots, literals,
+// comparisons, NOT and the connectives, whose values are never ⊥, so no
+// value is boxed and no node is called through its interface. A total
+// comparison has only that evaluator, with its operands fixed at bind:
+// its eval is its test, so one left in the residual clause, the SELECT
+// list or ORDER BY decides as a moved one does.
 
 // total reports whether e can neither fail nor yield ⊥: a column slot
 // (Insert type-checks every value, so a bool column holds bools), a
@@ -128,8 +130,7 @@ func (sp *splitter) strip(e node) node {
 	lo, hi := span(e, noFrom, noFrom)
 	switch {
 	case hi == noFrom:
-		sp.q.fix(e, noFrom)
-		sp.some = sp.some && sp.q.decide(e, noFrom, 0, nil)
+		sp.some = sp.some && test(e, sp.q.tuples)
 	case lo == hi:
 		b := &sp.q.binds[hi]
 		b.filter = and(b.filter, e)
@@ -153,115 +154,32 @@ func and(a, e node) node {
 // rows it holds for to kept.
 func (q *queryEnv) keepRows(i int, kept []int) ([]int, error) {
 	b := &q.binds[i]
-	q.fix(b.filter, i)
 	for j, t := range b.rel.Scan() {
 		if err := q.checkCancel(); err != nil {
 			return nil, err
 		}
-		if q.decide(b.filter, i, j, t) {
+		q.rows[i], q.tuples[i] = j, t
+		if test(b.filter, q.tuples) {
 			kept = append(kept, j)
 		}
 	}
 	return kept, nil
 }
 
-// decide runs the moved conjuncts e on row `row` of FROM item k, whose
-// tuple is t (noFrom and nil for conjuncts that read no item).
-func (q *queryEnv) decide(e node, k, row int, t Tuple) bool {
-	return q.decided(e, k, row, t, test(e, t))
-}
-
-// decided is decide once e was tested to hold or not.
-func (q *queryEnv) decided(e node, k, row int, t Tuple, hold bool) bool {
-	if debugFilter {
-		q.redecide(e, k, row, t, hold)
-	}
-	return hold
-}
-
-// redecide is debugcheck's second opinion on a row that moved conjuncts
-// decided: it steps the row in and evaluates them through their bound
-// nodes, as the row loop did before they moved, and panics unless the
-// two agree.
-func (q *queryEnv) redecide(e node, k, row int, t Tuple, hold bool) {
-	if k != noFrom {
-		q.rows[k], q.tuples[k] = row, t
-	}
-	v, err := e.eval(q)
-	if b, _ := v.(bool); err != nil || b != hold {
-		panic(fmt.Sprintf("debugcheck: db row test decided %v for %v on rows %v, but the bound nodes yield %v (err %v)", hold, e, q.rows, v, err))
-	}
-}
-
-// operand is how a row test reads a slot or literal operand of a
-// comparison: column col of the row it runs on or, when col < 0, the
-// value v, a literal's or an outer item's current row's.
-type operand struct {
-	col int
-	v   any
-}
-
-func (o operand) at(t Tuple) any {
-	if o.col >= 0 {
-		return t[o.col]
-	}
-	return o.v
-}
-
-// fix readies the total node e for a row test at FROM item k: each
-// slot that reads an item before k gets the value of that item's
-// current row, and each comparison's slot or literal operand how to read
-// it, so that the test reads an outer value once per outer row.
-func (q *queryEnv) fix(e node, k int) {
-	switch ex := e.(type) {
-	case *slot:
-		if ex.from < k {
-			ex.outer = q.tuples[ex.from][ex.col]
-		}
-	case *comparison:
-		q.fix(ex.l, k)
-		q.fix(ex.r, k)
-		ex.lv, ex.rv = operandOf(ex.l, k), operandOf(ex.r, k)
-	case *not:
-		q.fix(ex.e, k)
-	case *connective:
-		q.fix(ex.l, k)
-		q.fix(ex.r, k)
-	}
-}
-
-// operandOf is how a row test at FROM item k reads e, after fix.
-func operandOf(e node, k int) operand {
-	switch ex := e.(type) {
-	case *slot:
-		if ex.from == k {
-			return operand{col: ex.col}
-		}
-		return operand{col: -1, v: ex.outer}
-	case literal:
-		return operand{col: -1, v: ex.v}
-	}
-	return operand{col: -1} // a predicate: orderBools tests it
-}
-
-// test decides the total predicate e on the row t of the FROM item it
-// runs at, after fix.
-func test(e node, t Tuple) bool {
+// test decides the total predicate e on the current rows ts.
+func test(e node, ts []Tuple) bool {
 	switch ex := e.(type) {
 	case *comparison:
-		return ex.test(t)
+		return ex.holds&(1<<ex.order(ex, ts)) != 0
 	case *not:
-		return !test(ex.e, t)
+		return !test(ex.e, ts)
 	case *connective:
-		if l := test(ex.l, t); l == ex.decides {
+		if l := test(ex.l, ts); l == ex.decides {
 			return l
 		}
-		return test(ex.r, t)
+		return test(ex.r, ts)
 	case *slot:
-		if ex.outer != nil {
-			return ex.outer.(bool)
-		}
-		return t[ex.col].(bool)
+		return ts[ex.from][ex.col].(bool)
 	}
 	return e.(literal).v.(bool)
 }

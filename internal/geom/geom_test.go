@@ -345,9 +345,6 @@ func TestRect(t *testing.T) {
 	if r != want {
 		t.Errorf("extend = %v, want %v", r, want)
 	}
-	if got := r.Area(); got != 6 {
-		t.Errorf("area = %v", got)
-	}
 	if !r.Union(e).Intersects(r) {
 		t.Error("union with empty lost the rectangle")
 	}

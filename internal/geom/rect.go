@@ -50,14 +50,6 @@ func (r Rect) ContainsPoint(p Point) bool {
 	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
 }
 
-// Area returns the area of r (zero for empty rectangles).
-func (r Rect) Area() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return (r.MaxX - r.MinX) * (r.MaxY - r.MinY)
-}
-
 // String formats the rectangle as "[minx,miny..maxx,maxy]".
 func (r Rect) String() string {
 	if r.IsEmpty() {

@@ -137,7 +137,7 @@ func TestRegionAreaMatchesMonteCarlo(t *testing.T) {
 			in++
 		}
 	}
-	est := float64(in) / samples * bb.Area()
+	est := float64(in) / samples * (bb.MaxX - bb.MinX) * (bb.MaxY - bb.MinY)
 	if rel := math.Abs(est-r.Area()) / r.Area(); rel > 0.03 {
 		t.Errorf("Monte Carlo area %.1f vs exact %.1f (rel %.3f)", est, r.Area(), rel)
 	}

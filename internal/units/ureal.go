@@ -284,24 +284,6 @@ func (u UReal) CmpIntervals(v float64) (less, equal, greater []temporal.Interval
 	return less, equal, greater
 }
 
-// Add returns the pointwise sum of two non-root units on the given
-// interval; ok is false if either unit has Root set (the class is not
-// closed under addition of roots).
-func (u UReal) Add(v UReal, iv temporal.Interval) (UReal, bool) {
-	if u.Root || v.Root {
-		return UReal{}, false
-	}
-	return UReal{Iv: iv, A: u.A + v.A, B: u.B + v.B, C: u.C + v.C}, true
-}
-
-// Sub returns the pointwise difference of two non-root units.
-func (u UReal) Sub(v UReal, iv temporal.Interval) (UReal, bool) {
-	if u.Root || v.Root {
-		return UReal{}, false
-	}
-	return UReal{Iv: iv, A: u.A - v.A, B: u.B - v.B, C: u.C - v.C}, true
-}
-
 // Neg returns the pointwise negation of a non-root unit.
 func (u UReal) Neg() (UReal, bool) {
 	if u.Root {

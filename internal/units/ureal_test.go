@@ -209,22 +209,9 @@ func TestURealCmpIntervalsProperty(t *testing.T) {
 
 func TestURealArith(t *testing.T) {
 	u := NewUReal(iv(0, 1), 1, 2, 3, false)
-	v := NewUReal(iv(0, 1), 2, -1, 1, false)
-	sum, ok := u.Add(v, iv(0, 1))
-	if !ok || sum.A != 3 || sum.B != 1 || sum.C != 4 {
-		t.Errorf("Add = %+v, %v", sum, ok)
-	}
-	diff, ok := u.Sub(v, iv(0, 1))
-	if !ok || diff.A != -1 || diff.B != 3 || diff.C != 2 {
-		t.Errorf("Sub = %+v, %v", diff, ok)
-	}
 	neg, ok := u.Neg()
 	if !ok || neg.Eval(0.5)+u.Eval(0.5) != 0 {
 		t.Error("Neg wrong")
-	}
-	r := NewUReal(iv(0, 1), 0, 0, 4, true)
-	if _, ok := u.Add(r, iv(0, 1)); ok {
-		t.Error("Add with root unit should fail (not closed)")
 	}
 }
 
@@ -239,18 +226,9 @@ func TestURealEqualFunc(t *testing.T) {
 }
 
 func TestURealArithPointwiseProperty(t *testing.T) {
-	f := func(a1, b1, c1, a2, b2, c2 int8, frac uint8) bool {
-		u := NewUReal(iv(0, 10), float64(a1), float64(b1), float64(c1), false)
-		v := NewUReal(iv(0, 10), float64(a2), float64(b2), float64(c2), false)
+	f := func(a, b, c int8, frac uint8) bool {
+		u := NewUReal(iv(0, 10), float64(a), float64(b), float64(c), false)
 		t0 := temporal.Instant(10 * float64(frac) / 255)
-		sum, ok := u.Add(v, iv(0, 10))
-		if !ok || math.Abs(sum.Eval(t0)-(u.Eval(t0)+v.Eval(t0))) > 1e-6 {
-			return false
-		}
-		diff, ok := u.Sub(v, iv(0, 10))
-		if !ok || math.Abs(diff.Eval(t0)-(u.Eval(t0)-v.Eval(t0))) > 1e-6 {
-			return false
-		}
 		neg, ok := u.Neg()
 		return ok && neg.Eval(t0) == -u.Eval(t0)
 	}

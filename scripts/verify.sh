@@ -69,8 +69,7 @@ go test -run "^($norace)\$" ./internal/...
 # internal/db: every pair a join guard answers, and every pair the row
 # loop's candidate test refuses, is re-run through the bound expression
 # the guard stands for (the same nodes that evaluate every other row),
-# every row a pushed-down conjunct's typed row test decides is decided
-# again through its bound nodes, and a disagreement panics.
+# and a disagreement panics.
 echo "==> go test -tags=debugcheck (runtime invariant assertions)"
 go test -tags=debugcheck ./internal/mapping ./internal/spatial ./internal/moving ./internal/db ./internal/ingest
 
